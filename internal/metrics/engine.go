@@ -18,13 +18,13 @@ func InstrumentEngine(r *Registry, e *sim.Engine) {
 // time.
 func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 	r.CounterFunc("sim_events_scheduled_total",
-		"Events ever enqueued on the engine.",
+		"Events scheduled on the engine, one per timer arm (a rearm in place queues nothing but still counts).",
 		func() uint64 { return stats().Scheduled })
 	r.CounterFunc("sim_events_executed_total",
 		"Events whose handler ran.",
 		func() uint64 { return stats().Processed })
 	r.CounterFunc("sim_events_cancelled_total",
-		"Events lazily cancelled before firing.",
+		"Events cancelled before firing, one per stopped or superseded timer deadline.",
 		func() uint64 { return stats().Cancelled })
 	r.CounterFunc("sim_queue_compactions_total",
 		"Compaction passes removing cancelled events from the heap.",
@@ -46,7 +46,7 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 			return float64(s.FreeHits) / float64(total)
 		})
 	r.GaugeFunc("sim_events_pending",
-		"Events currently queued (including uncompacted cancellations).",
+		"Events currently queued (including uncompacted cancellations; a timer holds one entry however often it is rearmed).",
 		func() float64 { return float64(stats().Pending) })
 	r.GaugeFunc("sim_events_pending_max",
 		"High-water mark of the pending-event queue (the maximum over shards in a sharded run, since per-shard marks do not align in time).",

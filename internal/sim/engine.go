@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -13,11 +14,12 @@ import (
 // explicitly before reaching the requested horizon.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// initialHeapCap sizes the preallocated event-heap backing storage. A
-// dumbbell run keeps a few hundred events in flight (one per queued
-// packet plus timers); starting at this capacity means the heap slice
-// never reallocates in steady state.
-const initialHeapCap = 1024
+// initialHeapCap sizes the preallocated event-queue backing storage in
+// 16-byte slots (8 KB). A 40-flow dumbbell run holds about 150 entries at
+// its peak — one per packet in flight plus one wake-up per timer — so the
+// slice never reallocates in steady state; a fabric's deeper queue grows
+// it a few times in warm-up.
+const initialHeapCap = 512
 
 // compactMinCancelled is the floor below which lazy cancellation is left
 // alone: compacting a handful of events is not worth the O(n) pass.
@@ -29,8 +31,10 @@ const compactMinCancelled = 64
 // goroutine. Concurrent experiments each own a private Engine (see
 // internal/runner).
 type Engine struct {
-	now     Time
-	queue   eventHeap
+	now   Time
+	queue eventHeap
+	// nextSeq is the sequence number of the next event or timer arm, and
+	// so also the count of both behind Stats().Scheduled.
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
@@ -39,14 +43,14 @@ type Engine struct {
 	// here and are handed back out by Schedule, so the steady-state
 	// event path allocates nothing.
 	free []*Event
-	// cancelled counts lazily cancelled events still in the queue; when
-	// they outnumber live events the queue is compacted.
+	// cancelled counts lazily cancelled events, stopped timers' wake-ups
+	// among them, still in the queue; when they outnumber live events the
+	// queue is compacted.
 	cancelled int
 
 	// processed counts events that actually ran (cancelled events are
 	// excluded). Exposed through Stats for tests and benchmarks.
 	processed uint64
-	scheduled uint64
 
 	// Observability counters behind EngineStats: free-list hits and
 	// misses (the pool's effectiveness), total lazy cancellations,
@@ -68,7 +72,7 @@ func NewEngine(seed int64) *Engine {
 	// *rand.Rand so one seed governs the whole run.
 	return &Engine{
 		rng:   rand.New(rand.NewSource(seed)), //dtlint:allow nondeterm: the one seeded root source
-		queue: eventHeap{items: make([]*Event, 0, initialHeapCap)},
+		queue: eventHeap{items: make([]heapSlot, 0, initialHeapCap)},
 	}
 }
 
@@ -105,7 +109,10 @@ func (e *Engine) recycle(ev *Event) {
 	ev.runArg = nil
 	ev.arg = nil
 	ev.cancelled = false
-	ev.heapIndex = -1
+	if ev.timer != nil {
+		ev.timer.wake = nil
+		ev.timer = nil
+	}
 	//dtlint:allow hotalloc: the free list retains capacity; growth is amortized across the warm-up
 	e.free = append(e.free, ev)
 }
@@ -136,7 +143,6 @@ func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Even
 	ev.srcSeq = srcSeq
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	e.scheduled++
 	e.queue.push(ev)
 	if n := e.queue.Len(); n > e.maxPending {
 		e.maxPending = n
@@ -241,9 +247,9 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) EventRef {
 }
 
 // noteCancelled records one lazy cancellation and compacts the queue
-// when cancelled events outnumber live ones. RTO timers are rearmed (one
-// cancel) per ACK, so without compaction a cancel-heavy run would hold
-// its entire timer history in the heap until the deadlines surface.
+// when cancelled events outnumber live ones. Every finished connection
+// leaves a stopped RTO timer behind, so without compaction a churn-heavy
+// run would hold its dead deadlines in the heap until they surface.
 //
 //dtlint:hotpath
 func (e *Engine) noteCancelled() {
@@ -256,23 +262,23 @@ func (e *Engine) noteCancelled() {
 
 // compact removes every cancelled event from the queue in one O(n) pass
 // and restores the heap property. Relative order of the survivors is
-// unaffected: ordering is decided by (at, seq), which compaction does not
-// touch.
+// unaffected: ordering is decided by the five-field key
+// (at, schedAt, srcKey, srcSeq, seq), which compaction does not touch.
 //
 //dtlint:hotpath
 func (e *Engine) compact() {
 	items := e.queue.items
 	kept := items[:0]
-	for _, ev := range items {
-		if ev.cancelled {
-			e.recycle(ev)
+	for _, s := range items {
+		if s.ev.cancelled {
+			e.recycle(s.ev)
 		} else {
 			//dtlint:allow hotalloc: kept appends into the items backing array it aliases; it can never outgrow it
-			kept = append(kept, ev)
+			kept = append(kept, s)
 		}
 	}
 	for i := len(kept); i < len(items); i++ {
-		items[i] = nil
+		items[i] = heapSlot{}
 	}
 	e.queue.items = kept
 	e.queue.reheapify()
@@ -290,16 +296,16 @@ func (e *Engine) Pending() int { return e.queue.Len() }
 // Run processes events until the queue drains or Stop is called. It
 // returns ErrStopped in the latter case.
 func (e *Engine) Run() error {
-	return e.run(func(*Event) bool { return true })
+	return e.run(math.MaxInt64, false) // no horizon
 }
 
-// RunUntil processes events with firing times ≤ horizon. The clock is
-// left at min(horizon, time of last event) — it advances to horizon if the
-// queue drains early, so back-to-back RunUntil calls observe monotonic
-// time.
+// RunUntil processes events with firing times ≤ horizon and then advances
+// the clock to horizon, so back-to-back RunUntil calls observe monotonic
+// time. A run interrupted by Stop leaves the clock at the last event that
+// ran: events before the horizon are still pending for the resumed run.
 func (e *Engine) RunUntil(horizon Time) error {
-	err := e.run(func(ev *Event) bool { return ev.at <= horizon })
-	if e.now < horizon {
+	err := e.run(horizon, false)
+	if err == nil && e.now < horizon {
 		e.now = horizon
 	}
 	return err
@@ -312,13 +318,14 @@ func (e *Engine) RunFor(d time.Duration) error {
 
 // NextEventTime returns the firing time of the earliest queued event, or
 // TimeNever if the queue is empty. A lazily cancelled event at the head
-// still counts — the bound it supplies is merely conservative, which is
-// all the sharded coordinator's window computation needs.
+// still counts, and so does a timer's wake-up queued ahead of a rearmed
+// deadline — the bound is merely conservative, which is all the sharded
+// coordinator's window computation needs.
 func (e *Engine) NextEventTime() Time {
-	if next := e.queue.peek(); next != nil {
-		return next.at
+	if e.queue.Len() == 0 {
+		return TimeNever
 	}
-	return TimeNever
+	return e.queue.items[0].at
 }
 
 // RunStrictUntil processes events with firing times strictly before
@@ -328,19 +335,31 @@ func (e *Engine) NextEventTime() Time {
 // cross-shard messages stamped at exactly horizon can still be injected,
 // and its clock must not outrun the injection point.
 func (e *Engine) RunStrictUntil(horizon Time) error {
-	return e.run(func(ev *Event) bool { return ev.at < horizon })
+	return e.run(horizon, true)
 }
 
+// run processes events through horizon or, strict, short of it.
+//
 //dtlint:hotpath
-func (e *Engine) run(keep func(*Event) bool) error {
+func (e *Engine) run(horizon Time, strict bool) error {
+	if strict {
+		horizon -= tick
+	}
 	e.stopped = false
 	for {
 		if e.stopped {
 			return ErrStopped
 		}
-		next := e.queue.peek()
-		if next == nil || !keep(next) {
+		if e.queue.Len() == 0 || e.queue.items[0].at > horizon {
 			return nil
+		}
+		next := e.queue.items[0].ev
+		if t := next.timer; t != nil && t.seq != next.seq && !next.cancelled {
+			// A wake-up ahead of the deadline its timer was rearmed to:
+			// move it to the recorded key (see Timer), counting nothing.
+			next.at, next.schedAt, next.seq = t.at, t.schedAt, t.seq
+			e.queue.down(0, heapSlot{at: t.at, ev: next})
+			continue
 		}
 		e.queue.pop()
 		if next.cancelled {
@@ -371,7 +390,7 @@ func (e *Engine) run(keep func(*Event) bool) error {
 // Stats reports counters about engine activity.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Scheduled:   e.scheduled,
+		Scheduled:   e.nextSeq,
 		Processed:   e.processed,
 		Pending:     e.queue.Len(),
 		Cancelled:   e.cancelledTotal,
@@ -384,14 +403,17 @@ func (e *Engine) Stats() EngineStats {
 
 // EngineStats is a snapshot of engine counters.
 type EngineStats struct {
-	// Scheduled is the total number of events ever enqueued.
+	// Scheduled is the total number of events ever scheduled; a Timer
+	// arm counts one even when it rearms in place and queues nothing.
 	Scheduled uint64
 	// Processed is the number of events whose Run hook executed.
 	Processed uint64
-	// Pending is the number of events still queued.
+	// Pending is the number of entries still queued, cancelled ones not
+	// yet compacted away included; a timer holds at most one.
 	Pending int
-	// Cancelled is the total number of events lazily cancelled over the
-	// run (whether or not they have been compacted away yet).
+	// Cancelled is the total number of events cancelled over the run
+	// (whether or not they have been compacted away yet), one per Timer
+	// deadline stopped or superseded by a rearm.
 	Cancelled uint64
 	// Compactions counts queue compaction passes.
 	Compactions uint64

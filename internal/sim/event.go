@@ -43,8 +43,10 @@ type Event struct {
 	runArg func(any)
 	arg    any
 
-	seq       uint64
-	heapIndex int
+	seq uint64
+	// timer is set on a Timer's wake-up: the run loop finds the recorded
+	// deadline through it, and recycling clears the timer's reference.
+	timer     *Timer
 	cancelled bool
 	// gen increments every time the storage is recycled; EventRef
 	// handles carry the generation they were issued for, which turns
@@ -106,28 +108,37 @@ func (r EventRef) Cancelled() bool {
 	return r.ev != nil && r.ev.gen == r.gen && r.ev.cancelled
 }
 
-// eventHeap is a binary min-heap of events ordered by
-// (at, schedAt, srcKey, srcSeq, seq).
-// It implements the parts of container/heap we need by hand; the
-// hand-rolled version avoids interface boxing on the hot path (tens of
-// millions of events per experiment sweep).
+// unkeyedSrc is the srcKey of events scheduled without a source
+// identity. It sorts before every topology domain (all ≥ 0).
+const unkeyedSrc = -1
+
+// heapSlot is one entry of the pending-event queue. The firing instant
+// sits inline so a sift compares instants without touching an Event; only
+// an exact tie (0.2 % of compares in a dumbbell run) follows the pointer.
+type heapSlot struct {
+	at Time
+	ev *Event
+}
+
+// eventHeap is a 4-ary min-heap of slots ordered by
+// (at, schedAt, srcKey, srcSeq, seq): half the levels of a binary heap,
+// a node's children adjacent in memory, and sifts that move a hole
+// instead of swapping. Hand-rolled rather than container/heap to avoid
+// interface boxing on the hot path (tens of millions of events per
+// experiment sweep).
 type eventHeap struct {
-	items []*Event
+	items []heapSlot
 }
 
 //dtlint:hotpath
 func (h *eventHeap) Len() int { return len(h.items) }
 
-// unkeyedSrc is the srcKey of events scheduled without a source
-// identity. It sorts before every topology domain (all ≥ 0).
-const unkeyedSrc = -1
-
 //dtlint:hotpath
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.at != b.at {
-		return a.at < b.at
+func (h *eventHeap) less(x, y heapSlot) bool {
+	if x.at != y.at {
+		return x.at < y.at
 	}
+	a, b := x.ev, y.ev
 	if a.schedAt != b.schedAt {
 		return a.schedAt < b.schedAt
 	}
@@ -141,72 +152,88 @@ func (h *eventHeap) less(i, j int) bool {
 }
 
 //dtlint:hotpath
-func (h *eventHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIndex = i
-	h.items[j].heapIndex = j
-}
-
-//dtlint:hotpath
 func (h *eventHeap) push(e *Event) {
-	e.heapIndex = len(h.items)
 	//dtlint:allow hotalloc: backing array starts at initialHeapCap and is retained; growth is amortized warm-up
-	h.items = append(h.items, e)
-	h.up(len(h.items) - 1)
+	h.items = append(h.items, heapSlot{})
+	h.up(len(h.items)-1, heapSlot{at: e.at, ev: e})
 }
 
 //dtlint:hotpath
 func (h *eventHeap) pop() *Event {
-	n := len(h.items)
-	h.swap(0, n-1)
-	e := h.items[n-1]
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	if len(h.items) > 0 {
-		h.down(0)
+	n := len(h.items) - 1
+	e, last := h.items[0].ev, h.items[n]
+	h.items[n] = heapSlot{}
+	h.items = h.items[:n]
+	if n > 0 {
+		h.down(0, last)
 	}
-	e.heapIndex = -1
 	return e
 }
 
+// up places s at or above the hole at index i.
+//
 //dtlint:hotpath
-func (h *eventHeap) peek() *Event {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
-}
-
-//dtlint:hotpath
-func (h *eventHeap) up(i int) {
+func (h *eventHeap) up(i int, s heapSlot) {
+	items := h.items
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if !h.less(s, items[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = s
 }
 
+// down places s at or below the hole at index i.
+//
 //dtlint:hotpath
-func (h *eventHeap) down(i int) {
-	n := len(h.items)
+func (h *eventHeap) down(i int, s heapSlot) {
+	items := h.items
+	n := len(items)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.less(right, left) {
-			smallest = right
+		best, tie := first, true
+		if first+4 <= n {
+			// A full node: a tournament on the inline instants, each round
+			// a flag set without branching. Measured against the scan below
+			// used alone: wall_s −21 % on dumbbell_n40, −8 % on fabric_k4
+			// (EXPERIMENTS.md, "Event queue and timers").
+			c := items[first : first+4 : first+4]
+			x, y, z := 0, 0, 0
+			if c[1].at < c[0].at {
+				x = 1
+			}
+			if c[3].at < c[2].at {
+				y = 1
+			}
+			ax, ay := c[x].at, c[2+y].at
+			if ay < ax {
+				z = 1
+			}
+			best += x + z*(2+y-x)
+			tie = c[0].at == c[1].at || c[2].at == c[3].at || ax == ay
 		}
-		if !h.less(smallest, i) {
-			return
+		if tie {
+			// A short last node or an exact tie: scan under the full key.
+			best = first
+			for c := first + 1; c < first+4 && c < n; c++ {
+				if h.less(items[c], items[best]) {
+					best = c
+				}
+			}
 		}
-		h.swap(i, smallest)
-		i = smallest
+		if !h.less(items[best], s) {
+			break
+		}
+		items[i] = items[best]
+		i = best
 	}
+	items[i] = s
 }
 
 // reheapify restores the heap property over the whole backing slice in
@@ -214,10 +241,8 @@ func (h *eventHeap) down(i int) {
 //
 //dtlint:hotpath
 func (h *eventHeap) reheapify() {
-	for i := range h.items {
-		h.items[i].heapIndex = i
-	}
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.down(i)
+	// (n+2)/4 − 1 is the last slot with a child, and −1 when n < 2.
+	for i := (len(h.items)+2)/4 - 1; i >= 0; i-- {
+		h.down(i, h.items[i])
 	}
 }

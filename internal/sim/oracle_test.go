@@ -1,0 +1,627 @@
+package sim
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// This file holds the oracle for the pending-event queue and for Timer.
+// One interpreter turns a byte string into a program of scheduling,
+// cancelling, timer and run calls and executes it on three machines:
+//
+//   - the Engine with its own Timer (the code under test);
+//   - the Engine with a test-local eager timer that cancels and
+//     reschedules on every rearm, the behaviour Timer must be
+//     indistinguishable from;
+//   - a reference engine that keeps its events in a plain slice and finds
+//     the next one by scanning for the smallest five-field key, with the
+//     same eager timer on top.
+//
+// All three must produce the same log — every handler run with the clock
+// it saw, and after every run call the clock, the error and each timer's
+// Armed/Deadline — and the same Scheduled, Processed and Cancelled totals.
+
+// oracleTimer is the part of Timer the programs drive.
+type oracleTimer interface {
+	Reset(d time.Duration)
+	ResetAt(at Time)
+	Stop()
+	Armed() bool
+	Deadline() Time
+}
+
+// machine is one engine behind the calls a program makes.
+type machine interface {
+	Now() Time
+	// schedule enqueues fn under the given key components (the sequence
+	// number is the machine's own) and returns its cancel function.
+	schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) (cancel func())
+	newTimer(fn func()) oracleTimer
+	runUntil(horizon Time, strict bool) error
+	run() error
+	stop()
+	counters() (scheduled, processed, cancelled uint64)
+	// audit checks the machine's internal bookkeeping between calls.
+	audit() error
+}
+
+// The five scheduling calls a program chooses between.
+const (
+	callSchedule = iota
+	callScheduleArg
+	callScheduleSrcArg
+	callInjectArg
+	callInjectSrcArg
+)
+
+// engineMachine drives the real Engine.
+type engineMachine struct {
+	*Engine
+	eager bool
+}
+
+func (m engineMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
+	viaArg := func(any) { fn() }
+	var ref EventRef
+	switch call {
+	case callSchedule:
+		ref = m.Schedule(at, fn)
+	case callScheduleArg:
+		ref = m.ScheduleArg(at, viaArg, nil)
+	case callScheduleSrcArg:
+		ref = m.ScheduleSrcArg(at, srcKey, srcSeq, viaArg, nil)
+	case callInjectArg:
+		ref = m.InjectArg(at, schedAt, viaArg, nil)
+	case callInjectSrcArg:
+		ref = m.InjectSrcArg(at, schedAt, srcKey, srcSeq, viaArg, nil)
+	}
+	return ref.Cancel
+}
+
+func (m engineMachine) newTimer(fn func()) oracleTimer {
+	if m.eager {
+		return &eagerTimer{m: m, fn: fn}
+	}
+	return NewTimer(m.Engine, fn)
+}
+
+func (m engineMachine) runUntil(horizon Time, strict bool) error {
+	if strict {
+		return m.RunStrictUntil(horizon)
+	}
+	return m.RunUntil(horizon)
+}
+
+func (m engineMachine) run() error { return m.Run() }
+func (m engineMachine) stop()      { m.Stop() }
+
+func (m engineMachine) counters() (uint64, uint64, uint64) {
+	s := m.Stats()
+	return s.Scheduled, s.Processed, s.Cancelled
+}
+
+// audit checks what no log line shows: the heap property under the full
+// key, the inline instants, the dead-entry count that drives compaction,
+// and the timer back-pointers.
+func (m engineMachine) audit() error {
+	h := &m.queue
+	dead := 0
+	for i, s := range h.items {
+		switch {
+		case s.at != s.ev.at:
+			return fmt.Errorf("slot %d: inline instant %d, event fires at %d", i, s.at, s.ev.at)
+		case i > 0 && h.less(s, h.items[(i-1)/4]):
+			return fmt.Errorf("slot %d sorts before its parent", i)
+		case s.ev.timer != nil && s.ev.timer.wake != s.ev:
+			return fmt.Errorf("slot %d: timer does not point back at its wake-up", i)
+		}
+		if s.ev.cancelled {
+			dead++
+		}
+	}
+	if dead != m.cancelled {
+		return fmt.Errorf("%d dead entries queued, engine counts %d", dead, m.cancelled)
+	}
+	return nil
+}
+
+// eagerTimer is the timer the engine had before rearm-in-place: every
+// Reset cancels the pending deadline and schedules a new event.
+type eagerTimer struct {
+	m      machine
+	fn     func()
+	cancel func()
+	at     Time
+	armed  bool
+}
+
+func (t *eagerTimer) Reset(d time.Duration) { t.ResetAt(t.m.Now().Add(d)) }
+
+func (t *eagerTimer) ResetAt(at Time) {
+	t.Stop()
+	t.at, t.armed = at, true
+	t.cancel = t.m.schedule(callSchedule, at, 0, 0, 0, func() {
+		t.armed = false
+		t.fn()
+	})
+}
+
+func (t *eagerTimer) Stop() {
+	if t.armed {
+		t.cancel()
+		t.armed = false
+	}
+}
+
+func (t *eagerTimer) Armed() bool { return t.armed }
+
+func (t *eagerTimer) Deadline() Time {
+	if !t.armed {
+		return TimeNever
+	}
+	return t.at
+}
+
+// refEvent is one entry of the reference engine.
+type refEvent struct {
+	at, schedAt Time
+	srcKey      int
+	srcSeq, seq uint64
+	fn          func()
+	done        bool // fired or cancelled
+}
+
+func (a *refEvent) before(b *refEvent) bool {
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.schedAt != b.schedAt:
+		return a.schedAt < b.schedAt
+	case a.srcKey != b.srcKey:
+		return a.srcKey < b.srcKey
+	case a.srcSeq != b.srcSeq:
+		return a.srcSeq < b.srcSeq
+	}
+	return a.seq < b.seq
+}
+
+// refMachine is the reference: an unordered slice scanned for its
+// smallest key. Cancellation removes at once, so it has no lazy state to
+// get wrong.
+type refMachine struct {
+	now       Time
+	queue     []*refEvent
+	nextSeq   uint64
+	stopped   bool
+	scheduled uint64
+	processed uint64
+	cancelled uint64
+}
+
+func (m *refMachine) Now() Time { return m.now }
+
+func (m *refMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
+	ev := &refEvent{at: at, schedAt: m.now, srcKey: unkeyedSrc, seq: m.nextSeq, fn: fn}
+	if call == callInjectArg || call == callInjectSrcArg {
+		ev.schedAt = schedAt
+	}
+	if call == callScheduleSrcArg || call == callInjectSrcArg {
+		ev.srcKey, ev.srcSeq = srcKey, srcSeq
+	}
+	m.nextSeq++
+	m.scheduled++
+	m.queue = append(m.queue, ev)
+	return func() {
+		if !ev.done {
+			ev.done = true
+			m.cancelled++
+			m.remove(ev)
+		}
+	}
+}
+
+func (m *refMachine) remove(ev *refEvent) {
+	for i, q := range m.queue {
+		if q == ev {
+			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *refMachine) newTimer(fn func()) oracleTimer { return &eagerTimer{m: m, fn: fn} }
+
+func (m *refMachine) runUntil(horizon Time, strict bool) error {
+	m.stopped = false
+	for {
+		if m.stopped {
+			return ErrStopped
+		}
+		var next *refEvent
+		for _, ev := range m.queue {
+			if next == nil || ev.before(next) {
+				next = ev
+			}
+		}
+		if next == nil || next.at > horizon || (strict && next.at == horizon) {
+			break
+		}
+		m.remove(next)
+		next.done = true
+		m.now = next.at
+		m.processed++
+		next.fn()
+	}
+	if !strict && m.now < horizon {
+		m.now = horizon
+	}
+	return nil
+}
+
+func (m *refMachine) run() error {
+	// Strict, so the clock stays at the last event like Engine.Run.
+	return m.runUntil(math.MaxInt64, true)
+}
+
+func (m *refMachine) stop() { m.stopped = true }
+
+func (m *refMachine) counters() (uint64, uint64, uint64) {
+	return m.scheduled, m.processed, m.cancelled
+}
+
+func (m *refMachine) audit() error { return nil }
+
+// Offsets a program picks from: short, with repeats, so exact ties on the
+// firing instant are the common case and not the exception.
+var oracleDeltas = [...]time.Duration{0, 0, 1, 1, 2, 3, 7, 20}
+
+const oracleTimers = 3
+
+// execProgram interprets prog on m and returns the log.
+func execProgram(m machine, prog []byte) []string {
+	var log []string
+	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+
+	pos := 0
+	next := func() int {
+		if pos >= len(prog) {
+			return 0
+		}
+		b := prog[pos]
+		pos++
+		return int(b)
+	}
+
+	var (
+		cancels []func()
+		timers  [oracleTimers]oracleTimer
+		nextID  int
+		// budget bounds the work handlers start on their own, so no
+		// program runs away.
+		budget = 200
+	)
+	var spawn func(call int, at, schedAt Time, srcKey int, srcSeq uint64)
+	handler := func(id int) func() {
+		return func() {
+			logf("fire %d now=%d", id, m.Now())
+			if budget <= 0 {
+				return
+			}
+			budget--
+			switch {
+			case id%5 == 0:
+				spawn(callSchedule, m.Now().Add(oracleDeltas[id%len(oracleDeltas)]), 0, 0, 0)
+			case id%7 == 0:
+				timers[id%oracleTimers].Reset(oracleDeltas[id%len(oracleDeltas)])
+			case id%11 == 0 && len(cancels) > 0:
+				cancels[id%len(cancels)]()
+			case id%13 == 0:
+				m.stop()
+			}
+		}
+	}
+	spawn = func(call int, at, schedAt Time, srcKey int, srcSeq uint64) {
+		cancels = append(cancels, m.schedule(call, at, schedAt, srcKey, srcSeq, handler(nextID)))
+		nextID++
+	}
+	for i := range timers {
+		i := i
+		var rearms int
+		timers[i] = m.newTimer(func() {
+			logf("timer %d now=%d", i, m.Now())
+			if rearms++; rearms%3 == 0 && budget > 0 {
+				budget--
+				timers[(i+1)%oracleTimers].Reset(oracleDeltas[rearms%len(oracleDeltas)])
+			}
+		})
+	}
+	observe := func(what string, err error) {
+		logf("%s now=%d stopped=%v", what, m.Now(), errors.Is(err, ErrStopped))
+		for i, t := range timers {
+			logf("  timer %d armed=%v deadline=%d", i, t.Armed(), t.Deadline())
+		}
+		if err := m.audit(); err != nil {
+			logf("audit: %v", err)
+		}
+	}
+
+	for pos < len(prog) {
+		op := next()
+		d := oracleDeltas[next()%len(oracleDeltas)]
+		at := m.Now().Add(d)
+		switch op % 12 {
+		case 0, 1, 2, 3, 4:
+			schedAt := at - Time(next()%4)
+			if schedAt < 0 {
+				schedAt = 0
+			}
+			// Source keys and sequence numbers come from the program, not
+			// from counters, so their order disagrees with scheduling
+			// order and every key component gets to decide a tie.
+			key := next()
+			spawn(op%12, at, schedAt, key%3, uint64(key/3%4))
+		case 5:
+			if len(cancels) > 0 {
+				cancels[next()%len(cancels)]()
+			}
+		case 6:
+			// Cancel every other outstanding event: enough dead entries
+			// at once to push the engine into compaction.
+			for i := next() % 2; i < len(cancels); i += 2 {
+				cancels[i]()
+			}
+		case 7:
+			timers[next()%oracleTimers].Reset(d)
+		case 8:
+			timers[next()%oracleTimers].ResetAt(at)
+		case 9:
+			timers[next()%oracleTimers].Stop()
+		case 10:
+			observe("RunUntil", m.runUntil(at, false))
+		case 11:
+			observe("RunStrictUntil", m.runUntil(at, true))
+		}
+	}
+	// Drain; a handler may stop the run, so resume until it ends.
+	for i := 0; ; i++ {
+		err := m.run()
+		observe("Run", err)
+		if err == nil {
+			break
+		}
+		if i > len(prog)+budget+1000 {
+			panic("oracle: drain does not terminate")
+		}
+	}
+	s, p, c := m.counters()
+	logf("scheduled=%d processed=%d cancelled=%d", s, p, c)
+	return log
+}
+
+// checkProgram runs prog on all three machines and compares the logs.
+func checkProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	got := execProgram(engineMachine{Engine: NewEngine(1)}, prog)
+	for name, m := range map[string]machine{
+		"engine with eager timers": engineMachine{Engine: NewEngine(1), eager: true},
+		"reference":                &refMachine{},
+	} {
+		want := execProgram(m, prog)
+		if reflect.DeepEqual(got, want) {
+			continue
+		}
+		for i := range got {
+			if i >= len(want) || got[i] != want[i] {
+				w := "<end of log>"
+				if i < len(want) {
+					w = want[i]
+				}
+				t.Fatalf("program %x: diverges from %s at log line %d:\n got: %s\nwant: %s", prog, name, i, got[i], w)
+			}
+		}
+		t.Fatalf("program %x: log has %d lines, %s has %d", prog, len(got), name, len(want))
+	}
+}
+
+// oracleSeeds are hand-written programs for the fuzz corpus and the
+// property test. An instruction is an opcode byte, an index into
+// oracleDeltas, and the operands its case in execProgram reads.
+var oracleSeeds = [][]byte{
+	{},      // drain an empty queue
+	{10, 3}, // RunUntil on an empty queue
+	{0, 4, 0, 0, 10, 7},
+	// One event from each scheduling call, all tied on the instant; a
+	// strict run up to it, then through it.
+	{0, 2, 0, 0, 1, 2, 0, 0, 2, 2, 0, 1, 3, 2, 1, 5, 4, 2, 2, 7, 11, 2, 10, 2},
+	// A timer armed, rearmed in place, overtaken by the clock, stopped.
+	{7, 5, 0, 7, 7, 0, 10, 5, 9, 0, 0, 10, 7},
+	// Rearmed to an earlier deadline: lazy cancel and a second wake-up.
+	{7, 7, 1, 7, 4, 1, 10, 7},
+	// Stopped, then revived by a later rearm.
+	{7, 6, 2, 9, 0, 2, 7, 7, 2, 10, 7},
+	// Fourteen events: the handler of the last (id 13) stops the run.
+	append(bytes.Repeat([]byte{0, 4, 0, 0}, 14), 10, 7),
+	// Enough events cancelled at once to compact the queue.
+	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 6, 0, 0, 10, 7),
+}
+
+// randomProgram draws a program biased by flavour: 0 uniform, 1 heavy on
+// timers, 2 heavy on scheduling followed by mass cancellation.
+func randomProgram(rng *rand.Rand, flavour, n int) []byte {
+	prog := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		op := rng.Intn(12)
+		switch {
+		case flavour == 1 && rng.Intn(2) == 0:
+			op = 7 + rng.Intn(3)
+		case flavour == 2 && i < n*3/4:
+			op = rng.Intn(5)
+		case flavour == 2 && rng.Intn(3) == 0:
+			op = 6
+		}
+		prog = append(prog, byte(op), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return prog
+}
+
+// TestOracleEventQueueAndTimer is the seeded property test over random
+// programs, long enough (flavour 2) to cross the compaction threshold.
+func TestOracleEventQueueAndTimer(t *testing.T) {
+	for _, prog := range oracleSeeds {
+		checkProgram(t, prog)
+	}
+	rng := rand.New(rand.NewSource(12))
+	rounds := 400
+	if testing.Short() {
+		rounds = 60
+	}
+	for i := 0; i < rounds; i++ {
+		checkProgram(t, randomProgram(rng, i%3, 1+rng.Intn(250)))
+	}
+}
+
+// FuzzEngineQueue explores programs beyond the seeded ones.
+func FuzzEngineQueue(f *testing.F) {
+	for _, prog := range oracleSeeds {
+		f.Add(prog)
+	}
+	rng := rand.New(rand.NewSource(34))
+	for flavour := 0; flavour < 3; flavour++ {
+		f.Add(randomProgram(rng, flavour, 120))
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 4096 {
+			t.Skip("longer programs only repeat what shorter ones reach")
+		}
+		checkProgram(t, prog)
+	})
+}
+
+// TestHeapEdges walks the queue through its smallest sizes — where a
+// 4-ary heap has no, one, or a partly filled set of children — with every
+// event tied on its instant, compacting all-dead, part-dead and empty
+// queues directly (the threshold would never compact queues this small).
+func TestHeapEdges(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 6} {
+		for dead := 0; dead <= n; dead++ {
+			e := NewEngine(1)
+			var refs []EventRef
+			var got, want []int
+			for i := 0; i < n; i++ {
+				i := i
+				refs = append(refs, e.Schedule(7, func() { got = append(got, i) }))
+			}
+			// Cancel the first dead events, the heap's root among them.
+			for i := 0; i < n; i++ {
+				if i < dead {
+					refs[i].Cancel()
+				} else {
+					want = append(want, i)
+				}
+			}
+			e.compact()
+			if e.Pending() != n-dead {
+				t.Fatalf("n=%d dead=%d: Pending = %d after compaction, want %d", n, dead, e.Pending(), n-dead)
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d dead=%d: ran %v, want %v", n, dead, got, want)
+			}
+		}
+	}
+}
+
+// TestTimerStaleWakeUpsLeaveClockAlone pins what the run loop does with a
+// wake-up that is not an event: it neither advances the clock nor counts.
+func TestTimerStaleWakeUpsLeaveClockAlone(t *testing.T) {
+	e := NewEngine(1)
+	fires := 0
+	tm := NewTimer(e, func() { fires++ })
+
+	// Stopped before its wake-up surfaces: draining the queue is a no-op.
+	tm.Reset(100)
+	tm.Stop()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 0 || e.Stats().Processed != 0 || e.Pending() != 0 {
+		t.Fatalf("after draining a stopped timer: now=%v processed=%d pending=%d, want all 0",
+			e.Now(), e.Stats().Processed, e.Pending())
+	}
+
+	// Rearmed in place past the horizon: the wake-up at 100 is moved, not
+	// fired, and the clock reads the horizon.
+	tm.Reset(100)
+	if err := e.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	tm.Reset(250) // deadline 300, wake-up still queued at 100
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after a rearm in place, want 1", e.Pending())
+	}
+	if err := e.RunUntil(200); err != nil {
+		t.Fatal(err)
+	}
+	if fires != 0 || e.Now() != 200 || e.Stats().Processed != 0 {
+		t.Fatalf("wake-up ahead of its deadline: fires=%d now=%v processed=%d, want 0, 200, 0",
+			fires, e.Now(), e.Stats().Processed)
+	}
+	if got := tm.Deadline(); got != 300 {
+		t.Fatalf("Deadline = %v, want 300", got)
+	}
+	if got := e.NextEventTime(); got != 300 {
+		t.Fatalf("NextEventTime = %v once the wake-up was moved, want 300", got)
+	}
+
+	// Stopped, revived by a later rearm, stopped again: still nothing
+	// fires, and Run leaves the clock where RunUntil put it.
+	tm.Stop()
+	tm.Reset(400)
+	tm.Stop()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fires != 0 || e.Now() != 200 {
+		t.Fatalf("after draining stale wake-ups: fires=%d now=%v, want 0 and 200", fires, e.Now())
+	}
+	s := e.Stats()
+	if s.Scheduled != 4 || s.Cancelled != 4 || s.Processed != 0 {
+		t.Fatalf("Stats = %+v, want 4 scheduled, 4 cancelled, 0 processed", s)
+	}
+}
+
+// TestRunUntilAfterStop is the regression test for a clock that jumped to
+// the horizon of an interrupted run: the resumed run then stepped it
+// backwards to the events still pending (a panic under -tags invariants).
+func TestRunUntilAfterStop(t *testing.T) {
+	e := NewEngine(1)
+	var seen []Time
+	e.Schedule(1, func() {
+		seen = append(seen, e.Now())
+		e.Stop()
+	})
+	e.Schedule(5, func() { seen = append(seen, e.Now()) })
+	if err := e.RunUntil(100); !errors.Is(err, ErrStopped) {
+		t.Fatalf("RunUntil = %v, want ErrStopped", err)
+	}
+	if e.Now() != 1 {
+		t.Fatalf("clock = %v after a stopped RunUntil(100), want 1 (the last event that ran)", e.Now())
+	}
+	if err := e.RunFor(99 * time.Nanosecond); err != nil {
+		t.Fatalf("resumed RunFor: %v", err)
+	}
+	if want := []Time{1, 5}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("handlers saw clocks %v, want %v", seen, want)
+	}
+	if e.Now() != 100 {
+		t.Fatalf("clock = %v after the resumed run, want 100", e.Now())
+	}
+}

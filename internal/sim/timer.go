@@ -5,57 +5,90 @@ import "time"
 // Timer is a restartable one-shot timer bound to an engine, mirroring the
 // shape of TCP retransmission timers: arm, re-arm (which supersedes the
 // previous deadline), and stop.
+//
+// A timer keeps at most one wake-up queued. Re-arming to a later-or-equal
+// instant — every ACK pushes the RTO out — leaves it in place and records
+// the new deadline with the ordering key (schedAt = now, seq = the next
+// sequence number) a freshly scheduled event would have carried. The run
+// loop moves a wake-up that surfaces ahead of that key there without
+// advancing the clock or counting an event, so fire order and every
+// counter but the queue's population are those of cancel-and-reschedule.
 type Timer struct {
 	engine *Engine
 	fn     func()
-	// fire wraps fn once at construction so Reset/ResetAt schedule a
-	// preallocated callback instead of building a closure per rearm
-	// (timers rearm on every ACK — the hottest cancel path in a run).
-	fire    func()
-	pending EventRef
+	// wake is the queued wake-up, nil when there is none. While the timer
+	// is stopped it is flagged cancelled, a dead entry like any other to
+	// compaction, until a rearm it can serve revives it.
+	wake *Event
+	// at, schedAt and seq are the ordering key of the armed deadline.
+	at, schedAt Time
+	seq         uint64
 }
 
 // NewTimer creates an unarmed timer that will invoke fn when it fires.
 func NewTimer(engine *Engine, fn func()) *Timer {
-	t := &Timer{engine: engine, fn: fn}
-	t.fire = func() {
-		t.pending = EventRef{}
-		t.fn()
-	}
-	return t
+	return &Timer{engine: engine, fn: fn}
 }
 
 // Reset (re)arms the timer to fire d after the current virtual instant,
-// cancelling any previously armed deadline.
+// superseding any previously armed deadline.
 //
 //dtlint:hotpath
 func (t *Timer) Reset(d time.Duration) {
-	t.Stop()
-	t.pending = t.engine.After(d, t.fire)
+	t.ResetAt(t.engine.now.Add(d))
 }
 
 // ResetAt (re)arms the timer to fire at the absolute instant at.
 //
 //dtlint:hotpath
 func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.pending = t.engine.Schedule(at, t.fire)
+	e := t.engine
+	w := t.wake
+	if w == nil || at < w.at {
+		// No wake-up queued, or one that would surface too late: leave
+		// that one to lazy cancellation and queue another.
+		t.Stop()
+		if w != nil {
+			w.timer = nil
+		}
+		w = e.enqueue(at)
+		w.run, w.timer, t.wake = t.fn, t, w
+		t.at, t.schedAt, t.seq = at, w.schedAt, w.seq
+		return
+	}
+	// Rearm in place; at is not in the past, as no queued wake-up lies
+	// before the clock.
+	if w.cancelled {
+		w.cancelled = false
+		e.cancelled--
+	} else {
+		e.cancelledTotal++
+	}
+	t.at, t.schedAt, t.seq = at, e.now, e.nextSeq
+	e.nextSeq++
 }
 
 // Stop disarms the timer. Stopping an unarmed timer is a no-op.
 //
 //dtlint:hotpath
 func (t *Timer) Stop() {
-	t.pending.Cancel()
-	t.pending = EventRef{}
+	if w := t.wake; w != nil && !w.cancelled {
+		w.cancelled = true
+		t.engine.noteCancelled()
+	}
 }
 
 // Armed reports whether the timer has a pending deadline.
 //
 //dtlint:hotpath
-func (t *Timer) Armed() bool { return t.pending.Pending() }
+func (t *Timer) Armed() bool { return t.wake != nil && !t.wake.cancelled }
 
 // Deadline returns the armed firing instant, or TimeNever if unarmed.
 //
 //dtlint:hotpath
-func (t *Timer) Deadline() Time { return t.pending.At() }
+func (t *Timer) Deadline() Time {
+	if !t.Armed() {
+		return TimeNever
+	}
+	return t.at
+}
