@@ -32,6 +32,7 @@ import (
 	"dtdctcp/internal/aqm"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
+	"dtdctcp/internal/report"
 	"dtdctcp/internal/sim"
 )
 
@@ -132,14 +133,6 @@ type Snapshot struct {
 	ShardScaling *ShardScalingMetric `json:"shard_scaling,omitempty"`
 }
 
-// File is the on-disk layout: the latest snapshot plus every snapshot it
-// replaced, oldest first, so the performance trajectory stays in-repo.
-type File struct {
-	Schema  string     `json:"schema"`
-	Current *Snapshot  `json:"current"`
-	History []Snapshot `json:"history,omitempty"`
-}
-
 const schema = "dtbench/v1"
 
 func main() {
@@ -197,30 +190,7 @@ func run(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	return merge(*out, snap)
-}
-
-// merge writes snap as the file's Current, demoting any previous Current
-// to the end of History.
-func merge(path string, snap *Snapshot) error {
-	var f File
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		if f.Current != nil {
-			f.History = append(f.History, *f.Current)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	f.Schema = schema
-	f.Current = snap
-	raw, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return report.Merge(*out, schema, snap)
 }
 
 func measure(quick bool, maxShards int) *Snapshot {

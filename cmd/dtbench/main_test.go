@@ -5,15 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtdctcp/internal/report"
 )
 
-func readFile(t *testing.T, path string) File {
+func readFile(t *testing.T, path string) report.File[Snapshot] {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f report.File[Snapshot]
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func readFile(t *testing.T, path string) File {
 func TestMergeDemotesCurrentToHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
 	f := readFile(t, path)
@@ -31,7 +33,7 @@ func TestMergeDemotesCurrentToHistory(t *testing.T) {
 		t.Fatalf("after first merge: %+v", f)
 	}
 
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
 	f = readFile(t, path)
@@ -42,7 +44,7 @@ func TestMergeDemotesCurrentToHistory(t *testing.T) {
 		t.Fatalf("history = %+v, want [first]", f.History)
 	}
 
-	if err := merge(path, &Snapshot{Label: "third"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "third"}); err != nil {
 		t.Fatal(err)
 	}
 	f = readFile(t, path)
@@ -56,7 +58,7 @@ func TestMergeRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "x"}); err == nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "x"}); err == nil {
 		t.Fatal("corrupt baseline accepted")
 	}
 }
@@ -70,7 +72,7 @@ func TestCommittedBaselineParses(t *testing.T) {
 	if err != nil {
 		t.Skipf("no committed baseline: %v", err)
 	}
-	var f File
+	var f report.File[Snapshot]
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}

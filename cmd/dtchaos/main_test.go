@@ -8,6 +8,7 @@ import (
 
 	"dtdctcp"
 	"dtdctcp/internal/chaos"
+	"dtdctcp/internal/report"
 )
 
 // sweepAll runs every built-in profile once at a reduced scale.
@@ -89,17 +90,17 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 
 func TestMergeKeepsHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chaos.json")
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f report.File[Snapshot]
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -134,5 +135,52 @@ func TestSelectPlans(t *testing.T) {
 	}
 	if _, err := selectPlans("", filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing plan file accepted")
+	}
+}
+
+// TestRunRefusesForeignBaseline drives the CLI onto another command's
+// baseline: `dtchaos -o BENCH_baseline.json` used to demote a
+// zero-valued "current" into history and rewrite the file.
+func TestRunRefusesForeignBaseline(t *testing.T) {
+	foreign, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_baseline.json")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	args := []string{"-profiles", chaos.Profiles()[0], "-flows", "8", "-rate", "1000000000", "-o", path}
+	if err := run(args, null); err == nil {
+		t.Fatal("merged a dtchaos snapshot into the dtbench baseline")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(foreign) {
+		t.Fatal("refused baseline was rewritten")
+	}
+	// The same invocation onto a fresh path writes a dtchaos file.
+	fresh := filepath.Join(t.TempDir(), "chaos.json")
+	args[len(args)-1] = fresh
+	if err := run(args, null); err != nil {
+		t.Fatal(err)
+	}
+	var f report.File[Snapshot]
+	raw, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != schema || f.Current == nil || len(f.Current.Reports) == 0 {
+		t.Fatalf("fresh file: %+v", f)
 	}
 }

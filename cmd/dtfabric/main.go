@@ -33,6 +33,7 @@ import (
 
 	"dtdctcp"
 	"dtdctcp/internal/flowgen"
+	"dtdctcp/internal/report"
 )
 
 // Config echoes the flags that shaped a snapshot, so a committed report
@@ -67,14 +68,6 @@ type Snapshot struct {
 	Config         Config                  `json:"config"`
 	Results        []*dtdctcp.FabricResult `json:"results"`
 	ShardsVerified []int                   `json:"shards_verified,omitempty"`
-}
-
-// File is the on-disk layout shared with dtbench: the latest snapshot
-// plus every snapshot it replaced, oldest first.
-type File struct {
-	Schema  string     `json:"schema"`
-	Current *Snapshot  `json:"current"`
-	History []Snapshot `json:"history,omitempty"`
 }
 
 const schema = "dtfabric/v1"
@@ -218,7 +211,7 @@ func run(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	return merge(*out, snap)
+	return report.Merge(*out, schema, snap)
 }
 
 // loadCDF resolves a builtin name, falling back to a trace file path.
@@ -249,30 +242,4 @@ func parseShardList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// merge writes snap as the file's Current, demoting any previous
-// Current to the end of History.
-func merge(path string, snap *Snapshot) error {
-	var f File
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		if f.Schema != "" && f.Schema != schema {
-			return fmt.Errorf("%s has schema %q, want %q", path, f.Schema, schema)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if f.Current != nil {
-		f.History = append(f.History, *f.Current)
-	}
-	f.Schema = schema
-	f.Current = snap
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtdctcp/internal/report"
 )
 
 // TestQuickRunVerifiedSharded drives the whole CLI path: a quick
@@ -19,7 +21,7 @@ func TestQuickRunVerifiedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f report.File[Snapshot]
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestCommittedBaselinePinsSpeedAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f report.File[Snapshot]
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +92,17 @@ func TestCommittedBaselinePinsSpeedAdvantage(t *testing.T) {
 
 func TestMergeDemotesCurrentToHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hybrid.json")
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := report.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f report.File[Snapshot]
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestMergeRejectsForeignSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"dtbench/v1"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{}); err == nil {
+	if err := report.Merge(path, schema, &Snapshot{}); err == nil {
 		t.Fatal("merged into a dtbench file")
 	}
 }

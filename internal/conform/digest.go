@@ -2,16 +2,14 @@ package conform
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"time"
 
 	"dtdctcp/internal/core"
 	"dtdctcp/internal/runner"
+	"dtdctcp/internal/stats"
 )
 
 // Digest is a compact deterministic fingerprint of one simulator run:
@@ -94,23 +92,19 @@ func digestDumbbell(name string, cfg core.DumbbellConfig) (Digest, error) {
 		d.AlphaHash = fmt.Sprintf("%016x", res.AlphaSeries.Hash64())
 	}
 
-	fh := fnv.New64a()
-	var buf [8]byte
+	var fh, sh stats.Hash
 	for _, acked := range res.PerFlowAcked {
 		d.AckedBytes += acked
-		binary.LittleEndian.PutUint64(buf[:], uint64(acked))
-		fh.Write(buf[:])
+		fh.Word(uint64(acked))
 	}
 	d.FlowHash = fmt.Sprintf("%016x", fh.Sum64())
 
-	sh := fnv.New64a()
 	for _, v := range []float64{
 		res.QueueMeanPkts, res.QueueStdPkts, res.QueueMinPkts, res.QueueMaxPkts,
 		res.AlphaMean, res.Utilization, res.Fairness,
 		res.OscPeriod.Seconds(), res.OscConfidence,
 	} {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		sh.Write(buf[:])
+		sh.Float(v)
 	}
 	d.StatsHash = fmt.Sprintf("%016x", sh.Sum64())
 	return d, nil

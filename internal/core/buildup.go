@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"dtdctcp/internal/netsim"
@@ -54,47 +53,25 @@ type BuildupResult struct {
 
 // RunBuildup executes the microbenchmark.
 func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
-	if cfg.LongFlows <= 0 || cfg.ShortBytes <= 0 || cfg.Duration <= 0 ||
-		cfg.Rate <= 0 || cfg.RTT <= 0 || cfg.BufferPkts <= 0 {
-		return nil, errors.New("core: invalid buildup config")
+	if cfg.LongFlows <= 0 || cfg.ShortBytes <= 0 {
+		return nil, errors.New("core: LongFlows and ShortBytes must be positive")
+	}
+	if err := checkShared(cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.Duration, cfg.Warmup, 0); err != nil {
+		return nil, err
 	}
 	if cfg.ShortEvery <= 0 {
 		cfg.ShortEvery = time.Millisecond
 	}
 
-	engine := sim.NewEngine(cfg.Seed)
-	nw := netsim.NewNetwork(engine)
-	sw := nw.AddSwitch("sw")
-	rcv := nw.AddHost("rcv")
-	pktSize := cfg.Protocol.PacketSize()
-	hop := cfg.RTT / 4
-	access := netsim.PortConfig{Rate: 10 * cfg.Rate, Delay: hop, Buffer: 4096 * pktSize}
-	bneckCfg := netsim.PortConfig{Rate: cfg.Rate, Delay: hop, Buffer: cfg.BufferPkts * pktSize}
-	if cfg.Protocol.NewPolicy != nil {
-		bneckCfg.Policy = cfg.Protocol.NewPolicy(engine.Rand())
-	}
-	if err := nw.Connect(rcv, sw, access, bneckCfg); err != nil {
+	// The last sender is the short-transfer client.
+	r := newRun(cfg.Seed, 0)
+	star, err := r.star(cfg.Protocol, cfg.LongFlows+1, cfg.Rate, cfg.RTT, cfg.BufferPkts, SharedBufferConfig{})
+	if err != nil {
 		return nil, err
 	}
-	longHosts := make([]*netsim.Host, cfg.LongFlows)
-	for i := range longHosts {
-		longHosts[i] = nw.AddHost(fmt.Sprintf("bg%d", i))
-		if err := nw.Connect(longHosts[i], sw, access, access); err != nil {
-			return nil, err
-		}
-	}
-	shortHost := nw.AddHost("short")
-	if err := nw.Connect(shortHost, sw, access, access); err != nil {
-		return nil, err
-	}
-	if err := nw.ComputeRoutes(); err != nil {
-		return nil, err
-	}
-
-	bneck := sw.PortTo(rcv.ID())
-	rec := netsim.NewQueueRecorder(pktSize, 0)
-	rec.WarmupUntil = sim.FromDuration(cfg.Warmup)
-	bneck.SetMonitor(rec)
+	engine, rcv := r.engine, star.Receiver
+	longHosts, shortHost := star.Senders[:cfg.LongFlows], star.Senders[cfg.LongFlows]
+	rec := r.record(star.Bottleneck, cfg.Protocol.PacketSize(), cfg.BufferPkts, cfg.Warmup, 0)
 
 	bg := workload.StartLongLived(engine, workload.LongLivedConfig{
 		Hosts:       longHosts,
@@ -126,7 +103,7 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 	engine.Schedule(sim.FromDuration(cfg.Warmup), launch)
 
 	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
-	if err := engine.RunUntil(end); err != nil {
+	if err := r.until(end); err != nil {
 		return nil, err
 	}
 	rec.Finish(end)

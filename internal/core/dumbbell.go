@@ -10,7 +10,6 @@ import (
 	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/runner"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
 	"dtdctcp/internal/trace"
@@ -47,9 +46,7 @@ type DumbbellConfig struct {
 	// that many event wheels under conservative-lookahead (epoch
 	// barrier) synchronization; see netsim.Network.Partition. Results
 	// are byte-identical for any shard count — shards=1 (or zero) is
-	// the plain serial engine. Sharded runs reject Chaos and
-	// MetricsSampleEvery: both schedule coordinator-side events that
-	// have no sharded equivalent yet.
+	// the plain serial engine.
 	Shards int
 	// TraceTo, when set, streams the bottleneck port's per-packet
 	// events (enqueue/dequeue/mark/drop, plus fault events when Chaos
@@ -100,58 +97,38 @@ func (s SharedBufferConfig) enabled() bool { return s.Alpha > 0 }
 
 // build creates the pool (poolPkts defaulted to bufferPkts) and attaches
 // either just the bottleneck or every port of the switch.
-func (s SharedBufferConfig) build(sw *netsim.Switch, bneck *netsim.Port, bufferPkts, pktSize int) (*netsim.SharedBuffer, error) {
+func (s SharedBufferConfig) build(sw *netsim.Switch, bneck *netsim.Port, bufferPkts, pktSize int) error {
 	poolPkts := s.PoolPkts
 	if poolPkts <= 0 {
 		poolPkts = bufferPkts
 	}
 	pool, err := netsim.NewSharedBuffer(poolPkts*pktSize, s.Alpha)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if s.BottleneckOnly {
-		return pool, pool.Attach(bneck)
+		return pool.Attach(bneck)
 	}
 	for i := 0; i < sw.Ports(); i++ {
 		if err := pool.Attach(sw.Port(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return pool, nil
-}
-
-// pinPool lists the domain of every pool member port, for pinning to
-// shard 0: the pool counter mutates on every member enqueue/dequeue, so
-// Partition requires all members on one shard.
-func pinPool(nw *netsim.Network, pool *netsim.SharedBuffer) []int {
-	var pins []int
-	for _, p := range pool.Ports() {
-		pins = append(pins, nw.PortDomain(p))
-	}
-	return pins
+	return nil
 }
 
 func (c DumbbellConfig) validate() error {
-	switch {
-	case c.Flows <= 0:
+	if c.Flows <= 0 {
 		return errors.New("core: Flows must be positive")
-	case c.Rate <= 0:
-		return errors.New("core: Rate must be positive")
-	case c.RTT <= 0:
-		return errors.New("core: RTT must be positive")
-	case c.BufferPkts <= 0:
-		return errors.New("core: BufferPkts must be positive")
-	case c.Duration <= 0:
-		return errors.New("core: Duration must be positive")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
-	case c.Shards > 1 && c.Chaos != nil:
-		return errors.New("core: Chaos requires serial execution (Shards <= 1)")
-	case c.Shards > 1 && c.MetricsSampleEvery > 0:
-		return errors.New("core: MetricsSampleEvery requires serial execution (Shards <= 1)")
-	default:
-		return nil
 	}
+	if err := checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup, c.Shards,
+		c.QueueSampleEvery, c.AlphaSampleEvery, c.MetricsSampleEvery); err != nil {
+		return err
+	}
+	return checkSerialOnly("RunDumbbell", c.Shards, map[string]bool{
+		"Chaos":              c.Chaos != nil,
+		"MetricsSampleEvery": c.MetricsSampleEvery > 0,
+	})
 }
 
 // DumbbellResult aggregates one dumbbell run.
@@ -213,109 +190,24 @@ type DumbbellResult struct {
 	Metrics *metrics.Snapshot
 }
 
-// testPermuteAssign, when non-nil, rewrites the domain→shard assignment
-// of sharded runs before Partition. It exists only for the metamorphic
-// determinism tests, which assert that results do not depend on where
-// domains land (every cross-domain delivery goes through the barrier
-// mailbox, whose sort key uses domain indices, never shard indices).
-var testPermuteAssign func(assign []int)
-
 // RunDumbbell executes the scenario to completion and aggregates results.
 func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// A sharded run builds the identical topology on the coordinator's
-	// shard-0 engine — same creation order, same RNG stream — so the
-	// serial and sharded paths stay byte-identical by construction.
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
+	r := newRun(cfg.Seed, cfg.Shards)
+	star, err := r.star(cfg.Protocol, cfg.Flows, cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.SharedBuffer)
+	if err != nil {
+		return nil, err
 	}
-	nw := netsim.NewNetwork(engine)
-	sw := nw.AddSwitch("sw")
-	rcv := nw.AddHost("rcv")
-
+	bneck, rcv, senders := star.Bottleneck, star.Receiver, star.Senders
 	pktSize := cfg.Protocol.PacketSize()
-	// RTT splits evenly over the four link traversals.
-	hop := cfg.RTT / 4
-	access := netsim.PortConfig{
-		Rate:   10 * cfg.Rate,
-		Delay:  hop,
-		Buffer: 4096 * pktSize,
-	}
-	var policy = cfg.Protocol.NewPolicy
-	bneckCfg := netsim.PortConfig{
-		Rate:   cfg.Rate,
-		Delay:  hop,
-		Buffer: cfg.BufferPkts * pktSize,
-	}
-	if policy != nil {
-		bneckCfg.Policy = policy(engine.Rand())
-	}
-	if err := nw.Connect(rcv, sw, access, bneckCfg); err != nil {
-		return nil, err
-	}
-	senders := make([]*netsim.Host, cfg.Flows)
-	for i := range senders {
-		senders[i] = nw.AddHost(fmt.Sprintf("s%d", i))
-		if err := nw.Connect(senders[i], sw, access, access); err != nil {
-			return nil, err
-		}
-	}
-	if err := nw.ComputeRoutes(); err != nil {
-		return nil, err
-	}
 
-	bneck := sw.PortTo(rcv.ID())
-	if cfg.SharedBuffer.enabled() {
-		if _, err := cfg.SharedBuffer.build(sw, bneck, cfg.BufferPkts, pktSize); err != nil {
-			return nil, err
-		}
-	}
-	if sharded {
-		// Partition after routes (source-side egress resolution reads
-		// them) and before endpoints (they bind Host.Engine at
-		// construction). The bottleneck port's domain is pinned to
-		// shard 0: a randomized AQM law draws from the root RNG at
-		// runtime, and shard 0 is the one whose stream equals the
-		// serial engine's. Shared-buffer member ports are pinned with
-		// it — the pool counter must live on a single shard.
-		pins := []int{nw.PortDomain(bneck)}
-		if sb := bneck.Shared(); sb != nil {
-			pins = append(pins, pinPool(nw, sb)...)
-		}
-		assign := nw.DefaultAssign(cfg.Shards, pins...)
-		if testPermuteAssign != nil {
-			testPermuteAssign(assign)
-		}
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
-	}
-
-	var obs *observer
 	if cfg.Metrics || cfg.MetricsSampleEvery > 0 {
-		engineStats := engine.Stats
-		if sharded {
-			engineStats = se.Stats
-		}
-		obs = newObserver(engine, engineStats, cfg.MetricsSampleEvery)
+		r.observe(cfg.MetricsSampleEvery)
 	}
-
-	rec := netsim.NewQueueRecorder(pktSize, sim.FromDuration(cfg.QueueSampleEvery))
-	rec.WarmupUntil = sim.FromDuration(cfg.Warmup)
-	if obs != nil {
-		qmon := obs.observePort("bottleneck", bneck, pktSize, cfg.BufferPkts)
-		bneck.SetMonitor(netsim.MultiMonitor{rec, qmon})
-	} else {
-		bneck.SetMonitor(rec)
-	}
+	obs := r.obs
+	rec := r.record(bneck, pktSize, cfg.BufferPkts, cfg.Warmup, cfg.QueueSampleEvery)
 
 	var tracer *trace.Recorder
 	if cfg.TraceTo != nil {
@@ -325,7 +217,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	}
 
 	if cfg.Chaos != nil {
-		ctl := chaos.NewController(nw, cfg.Chaos)
+		ctl := chaos.NewController(star.Net, cfg.Chaos)
 		ctl.BindLink("bottleneck", bneck)
 		ctl.BindLink("ack", rcv.Uplink())
 		for i, snd := range senders {
@@ -342,7 +234,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		}
 	}
 
-	flows := workload.StartLongLived(engine, workload.LongLivedConfig{
+	flows := workload.StartLongLived(r.engine, workload.LongLivedConfig{
 		Hosts:       senders,
 		Receiver:    rcv,
 		TCP:         cfg.Protocol.TCP,
@@ -354,82 +246,40 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	}
 
 	// The periodic samplers below read state owned by many domains
-	// (every sender's α, the bottleneck's byte counter). Serial runs
-	// schedule them as ordinary self-rechaining events; sharded runs
-	// hoist the same chains to barrier tasks, which fire in coordinator
-	// context once every shard has processed all events before the tick
-	// instant — the serial sampler's view, at the serial tick's place in
-	// the (at, schedAt, seq) order.
+	// (every sender's α, the bottleneck's byte counter), which is what
+	// run.every and run.at are for.
 
 	// α sampling (Fig. 12): a periodic event records the mean α.
 	var alphaSeries *stats.Series
 	if cfg.AlphaSampleEvery > 0 {
 		alphaSeries = stats.NewSeries("alpha")
-		if sharded {
-			var tick func(now sim.Time)
-			tick = func(now sim.Time) {
-				alphaSeries.Add(now.Seconds(), flows.MeanAlpha())
-				se.ScheduleBarrier(now.Add(cfg.AlphaSampleEvery), tick)
-			}
-			se.ScheduleBarrier(sim.FromDuration(cfg.AlphaSampleEvery), tick)
-		} else {
-			var tick func()
-			tick = func() {
-				alphaSeries.Add(engine.Now().Seconds(), flows.MeanAlpha())
-				engine.After(cfg.AlphaSampleEvery, tick)
-			}
-			engine.After(cfg.AlphaSampleEvery, tick)
-		}
+		r.every(cfg.AlphaSampleEvery, func(now sim.Time) {
+			alphaSeries.Add(now.Seconds(), flows.MeanAlpha())
+		})
 	}
-	// Aggregate α as a time-weighted mean over the measured interval.
+	// Aggregate α as a time-weighted mean over the measured interval;
+	// one α observation per RTT is plenty.
 	var alphaAgg stats.TimeWeighted
-	alphaEvery := cfg.RTT // one α observation per RTT is plenty
-	if sharded {
-		var alphaTick func(now sim.Time)
-		alphaTick = func(now sim.Time) {
-			if now >= sim.FromDuration(cfg.Warmup) {
-				alphaAgg.Observe(now.Seconds(), flows.MeanAlpha())
-			}
-			se.ScheduleBarrier(now.Add(alphaEvery), alphaTick)
+	r.every(cfg.RTT, func(now sim.Time) {
+		if now >= sim.FromDuration(cfg.Warmup) {
+			alphaAgg.Observe(now.Seconds(), flows.MeanAlpha())
 		}
-		se.ScheduleBarrier(sim.FromDuration(alphaEvery), alphaTick)
-	} else {
-		var alphaTick func()
-		alphaTick = func() {
-			if engine.Now() >= sim.FromDuration(cfg.Warmup) {
-				alphaAgg.Observe(engine.Now().Seconds(), flows.MeanAlpha())
-			}
-			engine.After(alphaEvery, alphaTick)
-		}
-		engine.After(alphaEvery, alphaTick)
-	}
+	})
 
 	// Snapshot bottleneck byte counts at the warmup boundary for the
 	// utilization computation.
 	var bytesAtWarmup uint64
-	if sharded {
-		se.ScheduleBarrier(sim.FromDuration(cfg.Warmup), func(sim.Time) {
-			bytesAtWarmup = bneck.Stats().BytesSent
-		})
-	} else {
-		engine.Schedule(sim.FromDuration(cfg.Warmup), func() {
-			bytesAtWarmup = bneck.Stats().BytesSent
-		})
-	}
+	r.at(sim.FromDuration(cfg.Warmup), func() {
+		bytesAtWarmup = bneck.Stats().BytesSent
+	})
 	if obs != nil {
 		obs.observeUtilization(bneck, &bytesAtWarmup,
 			cfg.Rate.BytesPerSecond()*cfg.Duration.Seconds())
 	}
 
 	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
-	if sharded {
-		if err := se.RunUntil(end); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := engine.RunUntil(end); err != nil {
-			return nil, err
-		}
+	if err := r.until(end); err != nil {
+		return nil, err
 	}
 	rec.Finish(end)
 	alphaAgg.Finish(end.Seconds())
@@ -447,10 +297,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		Marks:         bneck.Stats().Marked,
 		Drops:         bneck.Stats().DroppedOverflow,
 		Timeouts:      flows.Timeouts(),
-		Events:        engine.Stats().Processed,
-	}
-	if sharded {
-		res.Events = se.Stats().Processed
+		Events:        r.stats().Processed,
 	}
 	acked := make([]float64, len(flows.Senders))
 	for i, snd := range flows.Senders {
@@ -487,9 +334,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 			}
 		}
 	}
-	if obs != nil {
-		res.Metrics = obs.snapshot(end)
-	}
+	res.Metrics = r.snapshot(end)
 	return res, nil
 }
 
@@ -520,16 +365,10 @@ func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, w
 	if base.TraceTo != nil {
 		workers = 1
 	}
-	// A sharded point occupies one goroutine per shard; shrink the worker
-	// pool so the sweep does not oversubscribe the machine.
-	return runner.Map(ctx, len(flows), runner.Options{Workers: workers, ThreadsPerJob: base.Shards},
-		func(_ context.Context, i int) (FlowSweepPoint, error) {
-			cfg := base
-			cfg.Flows = flows[i]
-			res, err := RunDumbbell(cfg)
-			if err != nil {
-				return FlowSweepPoint{}, fmt.Errorf("sweep N=%d: %w", flows[i], err)
-			}
-			return FlowSweepPoint{Flows: flows[i], Result: res}, nil
-		})
+	return sweep(ctx, flows, workers, base.Shards, "N=%d", func(n int) (FlowSweepPoint, error) {
+		cfg := base
+		cfg.Flows = n
+		res, err := RunDumbbell(cfg)
+		return FlowSweepPoint{Flows: n, Result: res}, err
+	})
 }

@@ -9,8 +9,6 @@ import (
 	"dtdctcp/internal/flowgen"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/runner"
-	"dtdctcp/internal/sim"
 	"dtdctcp/internal/topo"
 )
 
@@ -86,6 +84,8 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Flows must be positive")
 	case c.Shards < 0:
 		return errors.New("core: Shards must not be negative")
+	case c.SmallMax < 0 || c.LargeMin < 0:
+		return errors.New("core: SmallMax and LargeMin must not be negative")
 	default:
 		return nil
 	}
@@ -163,23 +163,19 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	if cfg.Drain <= 0 {
 		cfg.Drain = 2 * time.Second
 	}
-	if cfg.SmallMax <= 0 {
+	if cfg.SmallMax == 0 {
 		cfg.SmallMax = 100_000
 	}
-	if cfg.LargeMin <= cfg.SmallMax {
+	if cfg.LargeMin == 0 {
 		cfg.LargeMin = 1_000_000
 	}
-
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
+	if cfg.LargeMin <= cfg.SmallMax {
+		return nil, fmt.Errorf("core: LargeMin (%d) must exceed SmallMax (%d): the medium bucket lies between them",
+			cfg.LargeMin, cfg.SmallMax)
 	}
-	nw := netsim.NewNetwork(engine)
+
+	r := newRun(cfg.Seed, cfg.Shards)
+	nw := netsim.NewNetwork(r.engine)
 
 	pktSize := cfg.Protocol.PacketSize()
 	link := topo.LinkSpec{
@@ -218,14 +214,8 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	coreHists := observe(fab.CorePorts())
 	aggHists := observe(fab.AggPorts())
 
-	if sharded {
-		assign := nw.DefaultAssign(cfg.Shards)
-		if testPermuteAssign != nil {
-			testPermuteAssign(assign)
-		}
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
+	if err := r.partition(nw); err != nil {
+		return nil, err
 	}
 
 	// The workload draws the entire trace from the construction engine's
@@ -244,12 +234,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 
 	end := w.LastArrival().Add(cfg.Drain)
-	if sharded {
-		err = se.RunUntil(end)
-	} else {
-		err = engine.RunUntil(end)
-	}
-	if err != nil {
+	if err := r.until(end); err != nil {
 		return nil, err
 	}
 
@@ -264,10 +249,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		Digest:          fmt.Sprintf("%016x", w.Digest()),
 		Timeouts:        w.TotalTimeouts(),
 		Retransmissions: w.TotalRetransmissions(),
-		Events:          engine.Stats().Processed,
-	}
-	if sharded {
-		res.Events = se.Stats().Processed
+		Events:          r.stats().Processed,
 	}
 
 	core := metrics.NewHistogram(bounds)
@@ -296,18 +278,14 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 
 	if cfg.Metrics {
-		reg := metrics.NewRegistry()
-		if sharded {
-			metrics.InstrumentEngineStats(reg, se.Stats)
-		} else {
-			metrics.InstrumentEngine(reg, engine)
-		}
+		r.observe(0)
+		reg := r.obs.reg
 		w.RecordFCT(reg, cfg.SmallMax, cfg.LargeMin)
 		reg.Histogram("fabric_queue_pkts", "egress queue depth by switch tier",
 			bounds, metrics.L("tier", "core")).Merge(core)
 		reg.Histogram("fabric_queue_pkts", "egress queue depth by switch tier",
 			bounds, metrics.L("tier", "agg")).Merge(agg)
-		res.Metrics = reg.Snapshot(end.Seconds())
+		res.Metrics = r.snapshot(end)
 	}
 
 	w.Cleanup()
@@ -333,14 +311,10 @@ func SweepLoads(base FabricConfig, loads []float64) ([]LoadSweepPoint, error) {
 // private engine seeded only by base.Seed, so results are
 // byte-identical for any worker count; they are returned in load order.
 func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
-	return runner.Map(ctx, len(loads), runner.Options{Workers: workers, ThreadsPerJob: base.Shards},
-		func(_ context.Context, i int) (LoadSweepPoint, error) {
-			cfg := base
-			cfg.Load = loads[i]
-			res, err := RunFabric(cfg)
-			if err != nil {
-				return LoadSweepPoint{}, fmt.Errorf("sweep load=%.2f: %w", loads[i], err)
-			}
-			return LoadSweepPoint{Load: loads[i], Result: res}, nil
-		})
+	return sweep(ctx, loads, workers, base.Shards, "load=%.2f", func(load float64) (LoadSweepPoint, error) {
+		cfg := base
+		cfg.Load = load
+		res, err := RunFabric(cfg)
+		return LoadSweepPoint{Load: load, Result: res}, err
+	})
 }

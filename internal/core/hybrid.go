@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"dtdctcp/internal/fluid"
@@ -74,27 +72,14 @@ func (c HybridConfig) validate() error {
 		return errors.New("core: FgFlows must not be negative")
 	case c.FgFlows > 0 && c.FgBytes <= 0:
 		return errors.New("core: FgBytes must be positive when FgFlows is set")
-	case c.Rate <= 0:
-		return errors.New("core: Rate must be positive")
-	case c.RTT <= 0:
-		return errors.New("core: RTT must be positive")
-	case c.BufferPkts <= 0:
-		return errors.New("core: BufferPkts must be positive")
-	case c.Duration <= 0:
-		return errors.New("core: Duration must be positive")
-	case c.Warmup < 0:
-		return errors.New("core: Warmup must not be negative")
 	case c.CouplingInterval < 0:
 		return errors.New("core: CouplingInterval must not be negative")
 	case c.StepsPerTick < 0:
 		return errors.New("core: StepsPerTick must not be negative")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
-	default:
-		return nil
 	}
+	return checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup, c.Shards, c.QueueSampleEvery)
 }
 
 // fluidConfig maps the scenario onto the background fluid model.
@@ -178,91 +163,27 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
-	}
-	nw := netsim.NewNetwork(engine)
-	sw := nw.AddSwitch("sw")
-	rcv := nw.AddHost("rcv")
-
-	pktSize := cfg.Protocol.PacketSize()
-	hop := cfg.RTT / 4
-	access := netsim.PortConfig{
-		Rate:   10 * cfg.Rate,
-		Delay:  hop,
-		Buffer: 4096 * pktSize,
-	}
-	bneckCfg := netsim.PortConfig{
-		Rate:   cfg.Rate,
-		Delay:  hop,
-		Buffer: cfg.BufferPkts * pktSize,
-	}
-	if cfg.Protocol.NewPolicy != nil {
-		bneckCfg.Policy = cfg.Protocol.NewPolicy(engine.Rand())
-	}
-	if err := nw.Connect(rcv, sw, access, bneckCfg); err != nil {
-		return nil, err
-	}
 	// Foreground hosts first, then (packet mode only) background hosts,
 	// so foreground flows get identical host identities in both modes.
-	fgHosts := make([]*netsim.Host, cfg.FgFlows)
-	for i := range fgHosts {
-		fgHosts[i] = nw.AddHost(fmt.Sprintf("f%d", i))
-		if err := nw.Connect(fgHosts[i], sw, access, access); err != nil {
-			return nil, err
-		}
-	}
-	var bgHosts []*netsim.Host
+	// The bottleneck pinned to shard 0 takes the coupler's tick chain
+	// with it.
+	hosts := cfg.FgFlows
 	if cfg.FullPacket {
-		bgHosts = make([]*netsim.Host, cfg.BgFlows)
-		for i := range bgHosts {
-			bgHosts[i] = nw.AddHost(fmt.Sprintf("b%d", i))
-			if err := nw.Connect(bgHosts[i], sw, access, access); err != nil {
-				return nil, err
-			}
-		}
+		hosts += cfg.BgFlows
 	}
-	if err := nw.ComputeRoutes(); err != nil {
+	r := newRun(cfg.Seed, cfg.Shards)
+	star, err := r.star(cfg.Protocol, hosts, cfg.Rate, cfg.RTT, cfg.BufferPkts, SharedBufferConfig{})
+	if err != nil {
 		return nil, err
 	}
+	bneck, rcv := star.Bottleneck, star.Receiver
+	fgHosts, bgHosts := star.Senders[:cfg.FgFlows], star.Senders[cfg.FgFlows:]
+	pktSize := cfg.Protocol.PacketSize()
 
-	bneck := sw.PortTo(rcv.ID())
-	if sharded {
-		// Partition after routes, before endpoints; the bottleneck —
-		// and with it the coupler's tick chain — is pinned to shard 0,
-		// whose RNG stream equals the serial engine's.
-		assign := nw.DefaultAssign(cfg.Shards, nw.PortDomain(bneck))
-		if testPermuteAssign != nil {
-			testPermuteAssign(assign)
-		}
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
-	}
-
-	var obs *observer
 	if cfg.Metrics {
-		engineStats := engine.Stats
-		if sharded {
-			engineStats = se.Stats
-		}
-		obs = newObserver(engine, engineStats, 0)
+		r.observe(0)
 	}
-
-	rec := netsim.NewQueueRecorder(pktSize, sim.FromDuration(cfg.QueueSampleEvery))
-	rec.WarmupUntil = sim.FromDuration(cfg.Warmup)
-	if obs != nil {
-		qmon := obs.observePort("bottleneck", bneck, pktSize, cfg.BufferPkts)
-		bneck.SetMonitor(netsim.MultiMonitor{rec, qmon})
-	} else {
-		bneck.SetMonitor(rec)
-	}
+	rec := r.record(bneck, pktSize, cfg.BufferPkts, cfg.Warmup, cfg.QueueSampleEvery)
 
 	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
 
@@ -271,7 +192,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	var coupler *hybrid.Coupler
 	var bg *workload.LongLived
 	if cfg.FullPacket {
-		bg = workload.StartLongLived(engine, workload.LongLivedConfig{
+		bg = workload.StartLongLived(r.engine, workload.LongLivedConfig{
 			Hosts:       bgHosts,
 			Receiver:    rcv,
 			TCP:         cfg.Protocol.TCP,
@@ -279,7 +200,6 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 			StartJitter: cfg.RTT,
 		})
 	} else {
-		var err error
 		coupler, err = hybrid.New(hybrid.Config{
 			Fluid:        cfg.fluidConfig(),
 			Port:         bneck,
@@ -291,12 +211,12 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		coupler.Start(engine)
+		coupler.Start(r.engine)
 	}
 
 	var fg *workload.Foreground
 	if cfg.FgFlows > 0 {
-		fg = workload.StartForeground(engine, workload.ForegroundConfig{
+		fg = workload.StartForeground(r.engine, workload.ForegroundConfig{
 			Hosts:       fgHosts,
 			Receiver:    rcv,
 			Bytes:       cfg.FgBytes,
@@ -309,14 +229,8 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		})
 	}
 
-	if sharded {
-		if err := se.RunUntil(end); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := engine.RunUntil(end); err != nil {
-			return nil, err
-		}
+	if err := r.until(end); err != nil {
+		return nil, err
 	}
 	rec.Finish(end)
 
@@ -332,13 +246,10 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		QueueSeries:   rec.Series(),
 		Marks:         bneck.Stats().Marked,
 		Drops:         bneck.Stats().DroppedOverflow,
-		Events:        engine.Stats().Processed,
+		Events:        r.stats().Processed,
 	}
 	if cfg.FullPacket {
 		res.Mode = "packet"
-	}
-	if sharded {
-		res.Events = se.Stats().Processed
 	}
 	if coupler != nil {
 		res.FluidFinal = coupler.Stepper().State()
@@ -363,9 +274,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		res.OscConfidence = conf
 	}
 	res.Digest = res.digest()
-	if obs != nil {
-		res.Metrics = obs.snapshot(end)
-	}
+	res.Metrics = r.snapshot(end)
 	return res, nil
 }
 
@@ -375,32 +284,25 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 // agree on all of them — "same seed → same result, for any shard count
 // and with metrics on or off" is a one-word comparison.
 func (r *HybridResult) digest() string {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	word(math.Float64bits(r.QueueMeanPkts))
-	word(math.Float64bits(r.QueueStdPkts))
-	word(math.Float64bits(r.QueueMinPkts))
-	word(math.Float64bits(r.QueueMaxPkts))
+	var h stats.Hash
+	h.Float(r.QueueMeanPkts)
+	h.Float(r.QueueStdPkts)
+	h.Float(r.QueueMinPkts)
+	h.Float(r.QueueMaxPkts)
 	if r.QueueSeries != nil {
-		word(r.QueueSeries.Hash64())
+		h.Word(r.QueueSeries.Hash64())
 	}
-	word(uint64(r.FluidFinal.Step))
-	word(math.Float64bits(r.FluidFinal.W))
-	word(math.Float64bits(r.FluidFinal.Alpha))
-	word(math.Float64bits(r.FluidFinal.Q))
-	word(uint64(r.CouplerTicks))
-	word(uint64(r.FgTransfers))
+	h.Word(uint64(r.FluidFinal.Step))
+	h.Float(r.FluidFinal.W)
+	h.Float(r.FluidFinal.Alpha)
+	h.Float(r.FluidFinal.Q)
+	h.Word(uint64(r.CouplerTicks))
+	h.Word(uint64(r.FgTransfers))
 	for _, fct := range r.FgFCTs {
-		word(math.Float64bits(fct))
+		h.Float(fct)
 	}
-	word(r.Marks)
-	word(r.Drops)
-	word(r.Timeouts)
+	h.Word(r.Marks)
+	h.Word(r.Drops)
+	h.Word(r.Timeouts)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -24,17 +24,12 @@ type observer struct {
 	sampler *metrics.Sampler
 }
 
-// newObserver builds a registry over the engine, with a sampler when
-// sampleEvery is positive. stats overrides the engine-counter source —
-// sharded runs pass the coordinator's merged Stats so the snapshot
-// reports run-wide totals; nil uses the engine's own. The sampler always
-// ticks on the given engine and is gated off for sharded runs by config
-// validation, not here.
+// newObserver builds a registry over the run's engine counters (summed
+// over shards), with a sampler when sampleEvery is positive. The sampler
+// always ticks on the given engine and is gated off for sharded runs by
+// config validation, not here.
 func newObserver(engine *sim.Engine, stats func() sim.EngineStats, sampleEvery time.Duration) *observer {
 	o := &observer{reg: metrics.NewRegistry()}
-	if stats == nil {
-		stats = engine.Stats
-	}
 	metrics.InstrumentEngineStats(o.reg, stats)
 	if sampleEvery > 0 {
 		o.sampler = metrics.NewSampler(o.reg, engine, sampleEvery)
@@ -198,9 +193,4 @@ func (o *observer) startSampler(bneck *netsim.Port, pktSize int, flows *workload
 		return total / float64(len(flows.Senders))
 	})
 	o.sampler.Start()
-}
-
-// snapshot freezes the registry at the run's virtual end time.
-func (o *observer) snapshot(end sim.Time) *metrics.Snapshot {
-	return o.reg.Snapshot(end.Seconds())
 }

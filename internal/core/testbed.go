@@ -9,7 +9,6 @@ import (
 	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/runner"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
 	"dtdctcp/internal/workload"
@@ -58,12 +57,9 @@ type TestbedConfig struct {
 	Seed int64
 	// Shards, when above one, executes this single run in parallel on
 	// that many event wheels under conservative-lookahead (epoch
-	// barrier) synchronization; see netsim.Network.Partition and
-	// workload.StartQueriesSharded. Results are byte-identical for any
-	// shard count — shards=1 (or zero) is the plain serial engine.
-	// Sharded runs reject Chaos and FreshConnections (serial-only
-	// features) and require Gap ≥ 2×HopDelay so round boundaries clear
-	// the epoch barriers.
+	// barrier) synchronization, the query rounds orchestrated from the
+	// barrier. Results are byte-identical for any shard count —
+	// shards=1 (or zero) is the plain serial engine.
 	Shards int
 
 	// Chaos, when set, applies a fault-injection plan to the topology.
@@ -110,49 +106,33 @@ func (c TestbedConfig) validate() error {
 		return errors.New("core: HopDelay must be positive")
 	case c.Shards < 0:
 		return errors.New("core: Shards must not be negative")
-	case c.Shards > 1 && c.Chaos != nil:
-		return errors.New("core: Chaos requires serial execution (Shards <= 1)")
-	case c.Shards > 1 && c.FreshConnections:
-		return errors.New("core: FreshConnections requires serial execution (Shards <= 1)")
-	case c.Shards > 1 && c.Gap < 2*c.HopDelay:
-		return errors.New("core: sharded queries need Gap >= 2*HopDelay (round starts must clear the epoch barrier)")
-	default:
-		return nil
 	}
+	return checkSerialOnly("RunQuery", c.Shards, map[string]bool{
+		"Chaos":            c.Chaos != nil,
+		"FreshConnections": c.FreshConnections,
+		"Gap < 2*HopDelay": c.Gap < 2*c.HopDelay,
+	})
 }
 
-// testbed is a built topology ready to carry queries. se is non-nil
-// when the topology was partitioned for sharded execution.
+// testbed is a built topology ready to carry queries.
 type testbed struct {
-	engine     *sim.Engine
-	se         *sim.ShardedEngine
+	*run
 	aggregator *netsim.Host
 	workers    []*netsim.Host
 	bneck      *netsim.Port
-	obs        *observer
 }
 
 // buildTestbed constructs the Fig. 13 topology.
 func buildTestbed(cfg TestbedConfig) (*testbed, error) {
-	// A sharded build uses the coordinator's shard-0 engine for
-	// construction — same creation order, same RNG stream as serial.
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
-	}
-	nw := netsim.NewNetwork(engine)
+	r := newRun(cfg.Seed, cfg.Shards)
+	nw := netsim.NewNetwork(r.engine)
 	core := nw.AddSwitch("switch1")
 	agg := nw.AddHost("aggregator")
 
 	edge := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.EdgeBuffer}
 	bneckCfg := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.BottleneckBuffer}
 	if cfg.Protocol.NewPolicy != nil {
-		bneckCfg.Policy = cfg.Protocol.NewPolicy(engine.Rand())
+		bneckCfg.Policy = cfg.Protocol.NewPolicy(r.engine.Rand())
 	}
 	if err := nw.Connect(agg, core, edge, bneckCfg); err != nil {
 		return nil, err
@@ -177,45 +157,22 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 		return nil, err
 	}
 	bneck := core.PortTo(agg.ID())
+	pktSize := cfg.Protocol.PacketSize()
+	bufferPkts := cfg.BottleneckBuffer / pktSize
+	if bufferPkts < 1 {
+		bufferPkts = 1
+	}
 	if cfg.SharedBuffer.enabled() {
-		pktSize := cfg.Protocol.PacketSize()
-		bufferPkts := cfg.BottleneckBuffer / pktSize
-		if bufferPkts < 1 {
-			bufferPkts = 1
-		}
-		if _, err := cfg.SharedBuffer.build(core, bneck, bufferPkts, pktSize); err != nil {
+		if err := cfg.SharedBuffer.build(core, bneck, bufferPkts, pktSize); err != nil {
 			return nil, err
 		}
 	}
-	if sharded {
-		// Partition after routes and before endpoints. The bottleneck
-		// port's domain is pinned to shard 0: a randomized AQM law
-		// (PIE) draws from the root RNG at runtime, and shard 0's
-		// stream equals the serial engine's. Shared-buffer member
-		// ports are pinned with it — the pool counter must live on a
-		// single shard.
-		pins := []int{nw.PortDomain(bneck)}
-		if sb := bneck.Shared(); sb != nil {
-			pins = append(pins, pinPool(nw, sb)...)
-		}
-		assign := nw.DefaultAssign(cfg.Shards, pins...)
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
+	if err := r.partition(nw, bneck); err != nil {
+		return nil, err
 	}
-	var obs *observer
 	if cfg.Metrics {
-		engineStats := engine.Stats
-		if sharded {
-			engineStats = se.Stats
-		}
-		obs = newObserver(engine, engineStats, 0)
-		pktSize := cfg.Protocol.PacketSize()
-		bufferPkts := cfg.BottleneckBuffer / pktSize
-		if bufferPkts < 1 {
-			bufferPkts = 1
-		}
-		bneck.SetMonitor(obs.observePort("bottleneck", bneck, pktSize, bufferPkts))
+		r.observe(0)
+		bneck.SetMonitor(r.obs.observePort("bottleneck", bneck, pktSize, bufferPkts))
 	}
 	if cfg.Chaos != nil {
 		ctl := chaos.NewController(nw, cfg.Chaos)
@@ -227,18 +184,11 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 		if err := ctl.Apply(); err != nil {
 			return nil, err
 		}
-		if obs != nil {
-			obs.observeChaos(ctl)
+		if r.obs != nil {
+			r.obs.observeChaos(ctl)
 		}
 	}
-	return &testbed{
-		engine:     engine,
-		se:         se,
-		aggregator: agg,
-		workers:    workers,
-		bneck:      bneck,
-		obs:        obs,
-	}, nil
+	return &testbed{run: r, aggregator: agg, workers: workers, bneck: bneck}, nil
 }
 
 // QueryResult aggregates a repeated synchronized query experiment.
@@ -295,7 +245,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 	if err != nil {
 		return nil, err
 	}
-	qcfg := workload.QueryConfig{
+	queries := tb.queries(workload.QueryConfig{
 		Workers:        tb.workers,
 		Aggregator:     tb.aggregator,
 		BytesPerWorker: bytesPerWorker,
@@ -305,22 +255,13 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		Persistent:     !cfg.FreshConnections,
 		StartJitter:    cfg.StartJitter,
 		Deadline:       cfg.Deadline,
-	}
-	var queries *workload.QueryRunner
-	if tb.se != nil {
-		queries = workload.StartQueriesSharded(tb.se, qcfg)
-	} else {
-		queries = workload.StartQueries(tb.engine, qcfg)
-	}
+	})
 
 	// Generous horizon: every round can absorb several full backoff
 	// chains before we declare the run wedged.
 	horizon := time.Duration(rounds) * (10*time.Second + 4*time.Duration(cfg.Workers)*time.Millisecond)
-	if tb.se != nil {
-		if err := tb.se.RunFor(horizon); err != nil {
-			return nil, err
-		}
-	} else if err := tb.engine.RunFor(horizon); err != nil {
+	end := sim.FromDuration(horizon)
+	if err := tb.until(end); err != nil {
 		return nil, err
 	}
 	if !queries.Done() {
@@ -342,10 +283,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		Timeouts:         queries.TotalTimeouts(),
 		Drops:            tb.bneck.Stats().DroppedOverflow,
 		MissedDeadlines:  queries.TotalMissedDeadlines(),
-		Events:           tb.engine.Stats().Processed,
-	}
-	if tb.se != nil {
-		res.Events = tb.se.Stats().Processed
+		Events:           tb.stats().Processed,
 	}
 	if cfg.Deadline > 0 {
 		total := float64(res.Rounds * cfg.Workers)
@@ -353,13 +291,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 			res.DeadlineMissRate = float64(res.MissedDeadlines) / total
 		}
 	}
-	if tb.obs != nil {
-		at := tb.engine.Now()
-		if tb.se != nil {
-			at = tb.se.Now()
-		}
-		res.Metrics = tb.obs.snapshot(at)
-	}
+	res.Metrics = tb.snapshot(end)
 	return res, nil
 }
 
@@ -371,6 +303,9 @@ func RunIncast(cfg TestbedConfig, rounds int) (*QueryResult, error) {
 // RunCompletionTime is the Fig. 15 experiment: 1 MB split evenly over the
 // workers.
 func RunCompletionTime(cfg TestbedConfig, rounds int) (*QueryResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	per := int64(1<<20) / int64(cfg.Workers)
 	if per <= 0 {
 		return nil, errors.New("core: too many workers for 1 MB query")
@@ -399,18 +334,12 @@ func SweepWorkers(base TestbedConfig, workers []int, rounds int,
 // worker count; they are returned in the order of workers.
 func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
 	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	// A sharded point occupies one goroutine per shard; shrink the worker
-	// pool so the sweep does not oversubscribe the machine.
-	return runner.Map(ctx, len(workers), runner.Options{Workers: par, ThreadsPerJob: base.Shards},
-		func(_ context.Context, i int) (WorkerSweepPoint, error) {
-			cfg := base
-			cfg.Workers = workers[i]
-			res, err := run(cfg, rounds)
-			if err != nil {
-				return WorkerSweepPoint{}, fmt.Errorf("sweep workers=%d: %w", workers[i], err)
-			}
-			return WorkerSweepPoint{Workers: workers[i], Result: res}, nil
-		})
+	return sweep(ctx, workers, par, base.Shards, "workers=%d", func(n int) (WorkerSweepPoint, error) {
+		cfg := base
+		cfg.Workers = n
+		res, err := run(cfg, rounds)
+		return WorkerSweepPoint{Workers: n, Result: res}, err
+	})
 }
 
 func secondsToDuration(s float64) time.Duration {

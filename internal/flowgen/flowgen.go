@@ -2,7 +2,6 @@ package flowgen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,6 +10,7 @@ import (
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
+	"dtdctcp/internal/stats"
 	"dtdctcp/internal/tcp"
 )
 
@@ -266,24 +266,17 @@ func (w *Workload) Cleanup() {
 // FCT, making "same seed → same result, regardless of shard count" a
 // one-word comparison.
 func (w *Workload) Digest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	var h stats.Hash
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		word(uint64(f.Size))
-		word(uint64(f.Arrival))
-		word(uint64(f.Src)<<32 | uint64(f.Dst))
+		h.Word(uint64(f.Size))
+		h.Word(uint64(f.Arrival))
+		h.Word(uint64(f.Src)<<32 | uint64(f.Dst))
 		fct := uint64(math.MaxUint64)
 		if f.done {
 			fct = uint64(f.fct)
 		}
-		word(fct)
+		h.Word(fct)
 	}
 	return h.Sum64()
 }

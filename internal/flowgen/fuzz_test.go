@@ -15,14 +15,14 @@ func FuzzCDFParse(f *testing.F) {
 	f.Add("1460 1.0\n")
 	f.Add("# comment\n1460 0.5\n29200 1.0\n")
 	f.Add("100 1 0.10\n1460 2 0.40\n10000 3 1.00\n")
-	f.Add("2000 0.5\n1000 1.0\n")     // non-monotone sizes
-	f.Add("1000 0.8\n2000 0.5\n")     // decreasing CDF
-	f.Add("1000 0.0\n2000 0.0\n")     // zero probability mass
-	f.Add("1000 0.5\n2000 0.9\n")     // mass short of 1
-	f.Add("NaN NaN\n")                // non-finite fields
-	f.Add("1 2 3 4\n")                // too many columns
-	f.Add("1000 0.5\n1000 1.0\n")     // duplicate size
-	f.Add("1e300 1.0\n")              // absurd size
+	f.Add("2000 0.5\n1000 1.0\n") // non-monotone sizes
+	f.Add("1000 0.8\n2000 0.5\n") // decreasing CDF
+	f.Add("1000 0.0\n2000 0.0\n") // zero probability mass
+	f.Add("1000 0.5\n2000 0.9\n") // mass short of 1
+	f.Add("NaN NaN\n")            // non-finite fields
+	f.Add("1 2 3 4\n")            // too many columns
+	f.Add("1000 0.5\n1000 1.0\n") // duplicate size
+	f.Add("1e300 1.0\n")          // absurd size
 	f.Add("1460\t0.25\n2920  1.0  #")
 
 	f.Fuzz(func(t *testing.T, body string) {

@@ -1,12 +1,9 @@
 package metrics
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -241,38 +238,32 @@ func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // stats.Series.Hash64 and the conform golden digests. Two snapshots
 // hash equal iff they are value-for-value bit-identical.
 func (s *Snapshot) Hash64() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	wf(s.EndSeconds)
+	var h stats.Hash
+	h.Float(s.EndSeconds)
 	for _, m := range s.Metrics {
-		h.Write([]byte(m.ID()))
-		h.Write([]byte{0})
-		w64(m.Count)
-		wf(m.Value)
+		h.Bytes([]byte(m.ID()))
+		h.Bytes([]byte{0})
+		h.Word(m.Count)
+		h.Float(m.Value)
 		if m.Hist != nil {
 			for _, b := range m.Hist.Bounds {
-				wf(b)
+				h.Float(b)
 			}
 			for _, c := range m.Hist.Counts {
-				w64(c)
+				h.Word(c)
 			}
-			w64(m.Hist.Count)
-			wf(m.Hist.Sum)
-			wf(m.Hist.Min)
-			wf(m.Hist.Max)
+			h.Word(m.Hist.Count)
+			h.Float(m.Hist.Sum)
+			h.Float(m.Hist.Min)
+			h.Float(m.Hist.Max)
 		}
 	}
 	for _, ss := range s.Series {
-		h.Write([]byte(ss.Name))
-		h.Write([]byte{0})
+		h.Bytes([]byte(ss.Name))
+		h.Bytes([]byte{0})
 		for i := range ss.T {
-			wf(ss.T[i])
-			wf(ss.Values[i])
+			h.Float(ss.T[i])
+			h.Float(ss.Values[i])
 		}
 	}
 	return h.Sum64()

@@ -1,11 +1,8 @@
 package stats
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -75,13 +72,10 @@ func (s *Series) After(t float64) *Series {
 // event ordering, RNG consumption, or float arithmetic shows up as a
 // different hash.
 func (s *Series) Hash64() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	var h Hash
 	for _, p := range s.points {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.T))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.V))
-		h.Write(buf[:])
+		h.Float(p.T)
+		h.Float(p.V)
 	}
 	return h.Sum64()
 }

@@ -10,7 +10,8 @@ import (
 // workload and shard tests share: senders and the receiver hang off one
 // switch, with the switch → receiver port as the bottleneck.
 type StarConfig struct {
-	// Senders is the number of sender hosts.
+	// Senders is the number of sender hosts; zero leaves the bottleneck
+	// to traffic the caller injects some other way.
 	Senders int
 	// Access configures every host ↔ switch direction except the
 	// bottleneck (sender links both ways, and receiver → switch).
@@ -35,13 +36,13 @@ type Star struct {
 // numbering: receiver = domain 0, sender i = domain 1+i, then the switch
 // ports in attachment order (receiver-facing first).
 func NewStar(nw *netsim.Network, cfg StarConfig) (*Star, error) {
-	if cfg.Senders < 1 {
-		return nil, fmt.Errorf("topo: star needs at least one sender")
+	if cfg.Senders < 0 {
+		return nil, fmt.Errorf("topo: star cannot have %d senders", cfg.Senders)
 	}
 	if err := emptyNetwork(nw); err != nil {
 		return nil, err
 	}
-	st := &Star{Net: nw}
+	st := &Star{Net: nw, Senders: make([]*netsim.Host, 0, cfg.Senders)}
 	st.Switch = nw.AddSwitch("sw")
 	st.Receiver = nw.AddHost("rcv")
 	if err := nw.Connect(st.Receiver, st.Switch, cfg.Access, cfg.Bottleneck); err != nil {
