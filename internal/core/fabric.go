@@ -19,10 +19,10 @@ import (
 //
 // Sharded fabric runs require a queue law with no runtime randomness —
 // the threshold-marking laws (DCTCP's single and DT-DCTCP's double
-// threshold) qualify. A randomized law (PIE) draws from its port's RNG
-// at runtime, which is only the serial stream on shard 0; pinning every
-// fabric port there would serialize the run, so dtfabric simply does
-// not offer those laws.
+// threshold) qualify. A randomized law (PIE, RED) draws from the
+// construction engine's RNG at runtime, which only shard 0 may touch;
+// pinning every fabric port there would serialize the run, so validation
+// refuses the combination (see the serialOnly table).
 type FabricConfig struct {
 	// Protocol selects endpoints and the queue law on every fabric port.
 	Protocol Protocol
@@ -86,9 +86,10 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Shards must not be negative")
 	case c.SmallMax < 0 || c.LargeMin < 0:
 		return errors.New("core: SmallMax and LargeMin must not be negative")
-	default:
-		return nil
 	}
+	return checkSerialOnly("RunFabric", c.Shards, map[string]bool{
+		"randomized queue law (PIE, RED)": c.Protocol.randomizedLaw(),
+	})
 }
 
 // QueueSummary aggregates one switch tier's egress-queue depth samples

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -162,31 +163,83 @@ func TestFabricDeterminism(t *testing.T) {
 }
 
 // TestFabricShardAssignmentPermutation is the metamorphic companion:
-// rotating which shard owns which domain must not change the result,
-// because cross-shard ordering keys on domain indices, never on shard
-// indices — and ECMP path choice is a pure function of (salt, switch,
-// flow), so placement cannot depend on the assignment either.
+// however a fat-tree's or a leaf-spine's domains are grouped into 2, 3
+// or 4 shards, the digest and the event count are the serial run's,
+// because deliveries are ordered by domain indices, never by shard
+// indices or by whether they crossed a barrier — and ECMP path choice is
+// a pure function of (salt, switch, flow), so placement cannot depend on
+// the assignment either.
 func TestFabricShardAssignmentPermutation(t *testing.T) {
-	base := fabricConfig(t)
-	serial, err := RunFabric(base)
-	if err != nil {
-		t.Fatal(err)
+	fatTree := fabricConfig(t)
+	fatTree.Topology, fatTree.K = "fattree", 4
+	for name, base := range map[string]FabricConfig{"leafspine": fabricConfig(t), "fattree-k4": fatTree} {
+		t.Run(name, func(t *testing.T) {
+			serial, err := RunFabric(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eachRegrouping(t, func(t *testing.T, _ string, shards int) {
+				cfg := base
+				cfg.Shards = shards
+				res, err := RunFabric(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Digest != serial.Digest || res.Events != serial.Events {
+					t.Fatalf("digest %s, %d events; serial %s, %d", res.Digest, res.Events, serial.Digest, serial.Events)
+				}
+			})
+		})
 	}
-	testPermuteAssign = func(assign []int) {
-		for i := range assign {
-			assign[i] = (assign[i] + 1) % 2
+}
+
+// TestShardCountersAreExact reads the coordinator's counters from the
+// metrics snapshot of a sharded fabric run: they repeat exactly from run
+// to run, the per-shard event counts add up to the run's, and however the
+// domains are grouped the same link deliveries are made — through the
+// mailbox or around it. With every domain on one shard none takes the
+// mailbox.
+func TestShardCountersAreExact(t *testing.T) {
+	cfg := fabricConfig(t)
+	cfg.Topology, cfg.K = "fattree", 4
+	cfg.Metrics = true
+	type counters struct{ epochs, messages, colocated, events uint64 }
+	read := func(t *testing.T, shards int) counters {
+		cfg := cfg
+		cfg.Shards = shards
+		res, err := RunFabric(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		c := counters{
+			epochs:    res.Metrics.CounterValue("sim_shard_epochs_total"),
+			messages:  res.Metrics.CounterValue("sim_shard_messages_total"),
+			colocated: res.Metrics.CounterValue("sim_shard_colocated_total"),
+		}
+		for i := 0; i < shards; i++ {
+			c.events += res.Metrics.CounterValue(fmt.Sprintf(`sim_shard_events_total{shard="%d"}`, i))
+		}
+		if c.events != res.Events {
+			t.Fatalf("per-shard events sum to %d, the run processed %d", c.events, res.Events)
+		}
+		return c
 	}
-	defer func() { testPermuteAssign = nil }()
-	cfg := base
-	cfg.Shards = 2
-	res, err := RunFabric(cfg)
-	if err != nil {
-		t.Fatal(err)
+	base := read(t, 2)
+	if base.epochs == 0 || base.messages == 0 || base.colocated <= base.messages {
+		t.Fatalf("leafward on 2 shards: %+v; want most deliveries co-located", base)
 	}
-	if res.Digest != serial.Digest {
-		t.Fatalf("permuted assignment digest %s, serial %s", res.Digest, serial.Digest)
+	if again := read(t, 2); again != base {
+		t.Fatalf("counters moved between identical runs: %+v then %+v", base, again)
 	}
+	eachRegrouping(t, func(t *testing.T, group string, shards int) {
+		c := read(t, shards)
+		if c.messages+c.colocated != base.messages+base.colocated {
+			t.Fatalf("%d deliveries (%+v), leafward on 2 shards made %d", c.messages+c.colocated, c, base.messages+base.colocated)
+		}
+		if group == "one-shard" && c.messages != 0 {
+			t.Fatalf("one shard, yet %d mailbox messages", c.messages)
+		}
+	})
 }
 
 // TestSweepLoadsParallelWorkers pins worker-count invariance: each point

@@ -40,6 +40,19 @@ type Protocol struct {
 // PacketSize returns the wire size of a full segment under this protocol.
 func (p Protocol) PacketSize() int { return p.TCP.PacketSize() }
 
+// randomizedLaw reports whether the protocol's queue law draws from its
+// random source while the run executes, not only at construction.
+func (p Protocol) randomizedLaw() bool {
+	if p.NewPolicy == nil {
+		return false
+	}
+	switch p.NewPolicy(nil).(type) {
+	case *aqm.PIE, *aqm.RED:
+		return true
+	}
+	return false
+}
+
 // DF returns the describing function matching the protocol's marker, or
 // nil for unmarked protocols.
 func (p Protocol) DF() control.DF {

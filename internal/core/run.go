@@ -42,9 +42,10 @@ func newRun(seed int64, shards int) *run {
 // testPermuteAssign, when non-nil, rewrites the domain→shard assignment
 // of sharded runs before Partition. It exists only for the metamorphic
 // determinism tests, which assert that results do not depend on where
-// domains land (every cross-domain delivery goes through the barrier
-// mailbox, whose sort key uses domain indices, never shard indices).
-var testPermuteAssign func(assign []int)
+// domains land (every cross-domain delivery is ordered by a key made of
+// domain indices, never shard indices, whether or not it crosses shards);
+// the domains listed in pinned must stay on shard 0.
+var testPermuteAssign func(assign, pinned []int)
 
 // partition cuts the built topology across the shards; a serial run does
 // nothing. Call it after routes are computed (source-side egress
@@ -68,7 +69,7 @@ func (r *run) partition(nw *netsim.Network, pinned ...*netsim.Port) error {
 	}
 	assign := nw.DefaultAssign(r.se.NumShards(), pins...)
 	if testPermuteAssign != nil {
-		testPermuteAssign(assign)
+		testPermuteAssign(assign, pins)
 	}
 	return nw.Partition(r.se, assign)
 }
@@ -132,10 +133,13 @@ func (r *run) queries(cfg workload.QueryConfig) *workload.QueryRunner {
 	return workload.StartQueries(r.engine, cfg)
 }
 
-// observe turns the metrics registry on, with a periodic sampler when
-// sampleEvery is positive.
+// observe turns the metrics registry on — engine counters, and the
+// coordinator's when sharded — with a sampler when sampleEvery is positive.
 func (r *run) observe(sampleEvery time.Duration) {
 	r.obs = newObserver(r.engine, r.stats, sampleEvery)
+	if r.se != nil {
+		metrics.InstrumentShardStats(r.obs.reg, r.se)
+	}
 }
 
 // snapshot freezes the registry at the run's virtual end time; nil when
@@ -207,6 +211,8 @@ var serialOnly = []struct {
 		"relay mode cannot construct endpoints per round"},
 	{"RunQuery", "Gap < 2*HopDelay", "core: sharded queries need Gap >= 2*HopDelay (round starts must clear the epoch barrier)",
 		"the next round must start beyond the barrier that detects the last one's end"},
+	{"RunFabric", "randomized queue law (PIE, RED)", "core: a randomized queue law on a fabric requires serial execution (Shards <= 1)",
+		"every port's law draws from the construction RNG at runtime; off shard 0 that is a data race, and pinning them all there is a serial run"},
 }
 
 // checkSerialOnly refuses a sharded run of runner that uses any feature

@@ -14,8 +14,8 @@ import (
 // TestAssignmentPermutationAllRunners is the metamorphic check on the
 // domain→shard assignment for every runner through the one hook: moving
 // domains between shards (the pinned ones stay on shard 0) must not
-// change a single bit, because the barrier mailbox orders deliveries by
-// domain index, never by shard.
+// change a single bit, because deliveries are ordered by domain index,
+// never by shard.
 func TestAssignmentPermutationAllRunners(t *testing.T) {
 	const shards = 4
 	hybrid := func(fullPacket bool) func(int) (string, error) {
@@ -71,7 +71,7 @@ func TestAssignmentPermutationAllRunners(t *testing.T) {
 				t.Fatal(err)
 			}
 			moved := 0
-			testPermuteAssign = func(assign []int) {
+			testPermuteAssign = func(assign, _ []int) {
 				for d, s := range assign {
 					if s != 0 {
 						assign[d] = shards - s
@@ -184,12 +184,23 @@ func TestSerialOnlyGates(t *testing.T) {
 			return cfg.validate()
 		}
 	}
+	fabric := func(set func(*FabricConfig)) func(int) error {
+		return func(shards int) error {
+			cfg := fabricConfig(t)
+			cfg.Shards = shards
+			set(&cfg)
+			return cfg.validate()
+		}
+	}
 	use := map[string]func(shards int) error{
 		"RunDumbbell/Chaos":              dumbbell(func(c *DumbbellConfig) { c.Chaos = chaosPlan() }),
 		"RunDumbbell/MetricsSampleEvery": dumbbell(func(c *DumbbellConfig) { c.MetricsSampleEvery = time.Millisecond }),
 		"RunQuery/Chaos":                 query(func(c *TestbedConfig) { c.Chaos = chaosPlan() }),
 		"RunQuery/FreshConnections":      query(func(c *TestbedConfig) { c.FreshConnections = true }),
 		"RunQuery/Gap < 2*HopDelay":      query(func(c *TestbedConfig) { c.Gap = c.HopDelay }),
+		"RunFabric/randomized queue law (PIE, RED)": fabric(func(c *FabricConfig) {
+			c.Protocol = RenoPIE(c.Rate, 500*time.Microsecond)
+		}),
 	}
 	for _, g := range serialOnly {
 		validate, ok := use[g.runner+"/"+g.feature]
@@ -203,6 +214,30 @@ func TestSerialOnlyGates(t *testing.T) {
 		if err := validate(1); err != nil {
 			t.Errorf("%s/%s refused on the serial engine: %v", g.runner, g.feature, err)
 		}
+	}
+}
+
+// TestShardedFabricRefusesRandomizedLaw is the regression test for a data
+// race: every fabric port's PIE draws from the construction engine's RNG
+// at runtime, so on two shards both goroutines used shard 0's *rand.Rand
+// (go test -race reported it on exactly this configuration). The
+// combination is refused before anything is built; serially it runs.
+func TestShardedFabricRefusesRandomizedLaw(t *testing.T) {
+	cfg := fabricConfig(t)
+	cfg.Protocol = RenoPIE(cfg.Rate, 500*time.Microsecond)
+	cfg.Flows = 400
+	if _, err := RunFabric(cfg); err != nil {
+		t.Fatalf("serial PIE fabric: %v", err)
+	}
+	cfg.Shards = 2
+	want := ""
+	for _, g := range serialOnly {
+		if g.runner == "RunFabric" {
+			want = g.refusal
+		}
+	}
+	if _, err := RunFabric(cfg); err == nil || err.Error() != want {
+		t.Fatalf("PIE fabric on 2 shards: got %v, want %q", err, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -58,39 +59,98 @@ func TestShardedDumbbellRepeatable(t *testing.T) {
 	}
 }
 
-// TestShardedDumbbellAssignmentPermutation is the metamorphic check on
-// the domain→shard assignment: moving domains between shards (keeping
-// the root-RNG consumers pinned to shard 0) must not change a single
-// bit, because the barrier mailbox orders deliveries by domain index,
-// never by shard.
-func TestShardedDumbbellAssignmentPermutation(t *testing.T) {
-	cfg := determinismConfig(7)
-	cfg.Shards = 4
-	base, err := RunDumbbell(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, base)
+// regroupings are the domain→shard assignments the metamorphic tests
+// move a run through. Deliveries between domains that share a shard skip
+// the barrier mailbox, so which events take which sequence numbers on
+// which engine depends on the grouping; results must not. Each rewrites
+// the default (leafward) assignment in place, leaving pinned domains on
+// shard 0.
+var regroupings = []struct {
+	name    string
+	rewrite func(assign []int, pinned map[int]bool, shards int)
+}{
+	{"leafward", func([]int, map[int]bool, int) {}},
+	{"round-robin", func(assign []int, pinned map[int]bool, shards int) {
+		next := 0
+		for d := range assign {
+			if !pinned[d] {
+				assign[d] = next % shards
+				next++
+			}
+		}
+	}},
+	{"one-shard", func(assign []int, _ map[int]bool, _ int) { clear(assign) }},
+	{"random", func(assign []int, pinned map[int]bool, shards int) {
+		rng := rand.New(rand.NewSource(int64(len(assign))))
+		for d := range assign {
+			if !pinned[d] {
+				assign[d] = rng.Intn(shards)
+			}
+		}
+	}},
+}
 
-	testPermuteAssign = func(assign []int) {
-		// Reverse every non-pinned domain's shard; domains already on
-		// shard 0 (including the pinned bottleneck) stay put.
-		for d, s := range assign {
-			if s != 0 {
-				assign[d] = cfg.Shards - s
+// eachRegrouping calls run once per regrouping and shard count in
+// {2, 3, 4}, as a subtest, with the assignment hook installed.
+func eachRegrouping(t *testing.T, run func(t *testing.T, group string, shards int)) {
+	defer func() { testPermuteAssign = nil }()
+	for _, g := range regroupings {
+		for _, shards := range []int{2, 3, 4} {
+			consulted := false
+			testPermuteAssign = func(assign, pins []int) {
+				consulted = true
+				pinned := make(map[int]bool, len(pins))
+				for _, d := range pins {
+					pinned[d] = true
+				}
+				g.rewrite(assign, pinned, shards)
+			}
+			t.Run(fmt.Sprintf("%s/shards=%d", g.name, shards), func(t *testing.T) { run(t, g.name, shards) })
+			if !consulted {
+				t.Fatal("vacuous: the runner never consulted the assignment hook")
 			}
 		}
 	}
-	defer func() { testPermuteAssign = nil }()
+}
 
-	permuted, err := RunDumbbell(cfg)
+// checkDumbbellRegroupings holds every regrouping of cfg's sharded run
+// to the serial fingerprint, and to one event count. (The serial count
+// differs: its sampler ticks are engine events, a sharded run's are
+// barrier tasks.)
+func checkDumbbellRegroupings(t *testing.T, cfg DumbbellConfig) {
+	serial, err := RunDumbbell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fingerprint(t, permuted); got != want {
-		t.Fatalf("assignment permutation changed results:\nbase:\n%s\npermuted:\n%s",
-			diffHead(want, got), diffHead(got, want))
-	}
+	want := fingerprint(t, serial)
+	var events uint64
+	eachRegrouping(t, func(t *testing.T, _ string, shards int) {
+		cfg := cfg
+		cfg.Shards = shards
+		res, err := RunDumbbell(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprint(t, res); got != want {
+			t.Fatalf("regrouped run diverged from serial:\nserial:\n%s\nsharded:\n%s",
+				diffHead(want, got), diffHead(got, want))
+		}
+		if events == 0 {
+			events = res.Events
+		}
+		if res.Events != events {
+			t.Fatalf("%d events, other groupings %d", res.Events, events)
+		}
+	})
+}
+
+// TestShardedDumbbellAssignmentPermutation is the metamorphic check on
+// the domain→shard assignment of the star: however its domains are
+// grouped (the root-RNG consumers stay pinned to shard 0), the run must
+// not change a single bit, because every delivery is ordered by domain
+// index, never by shard, mailbox or not.
+func TestShardedDumbbellAssignmentPermutation(t *testing.T) {
+	checkDumbbellRegroupings(t, determinismConfig(7))
 }
 
 // TestShardedDumbbellGating pins the validation surface: features with

@@ -1,6 +1,10 @@
 package metrics
 
-import "dtdctcp/internal/sim"
+import (
+	"strconv"
+
+	"dtdctcp/internal/sim"
+)
 
 // InstrumentEngine registers pull metrics over the engine's existing
 // counters: events scheduled, executed, and cancelled, free-list hits
@@ -51,4 +55,25 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 	r.GaugeFunc("sim_events_pending_max",
 		"High-water mark of the pending-event queue (the maximum over shards in a sharded run, since per-shard marks do not align in time).",
 		func() float64 { return float64(stats().MaxPending) })
+}
+
+// InstrumentShardStats registers the sharded coordinator's counters:
+// windows, deliveries through the barrier and around it, and the events
+// each shard processed. All are exact functions of the run, read at
+// snapshot time.
+func InstrumentShardStats(r *Registry, se *sim.ShardedEngine) {
+	r.CounterFunc("sim_shard_epochs_total",
+		"Epoch windows the coordinator dispatched.",
+		func() uint64 { return se.ShardStats().Epochs })
+	r.CounterFunc("sim_shard_messages_total",
+		"Link deliveries that crossed shards through the barrier mailbox.",
+		func() uint64 { return se.ShardStats().Messages })
+	r.CounterFunc("sim_shard_colocated_total",
+		"Link deliveries scheduled directly because source and destination share a shard.",
+		func() uint64 { return se.ShardStats().Colocated })
+	for i := 0; i < se.NumShards(); i++ {
+		r.CounterFunc("sim_shard_events_total",
+			"Events processed, by shard.",
+			func() uint64 { return se.ShardStats().Events[i] }, L("shard", strconv.Itoa(i)))
+	}
 }

@@ -141,9 +141,10 @@ type Port struct {
 	// free of closure allocations.
 	txDoneFn  func(any)
 	deliverFn func(any)
-	// sendArgFn wraps Send for cross-shard injection: a remote domain
-	// whose route egresses here ships a barrier message that runs it on
-	// this port's shard.
+	// sendArgFn wraps Send for source-resolved delivery on a partitioned
+	// network: a domain whose route egresses here schedules it directly
+	// when it shares this port's shard, and ships a barrier message that
+	// runs it on this port's shard otherwise.
 	sendArgFn func(any)
 
 	// pool is the packet free list drops and deliveries recycle into:
@@ -157,10 +158,13 @@ type Port struct {
 	// deliveries by the identical (srcKey, xseq) key a partitioned run
 	// uses at its barriers. srcKey < 0 means unassigned (a topology that
 	// never computed routes), which falls back to unkeyed scheduling.
-	shard  int
-	srcKey int
-	xseq   uint64
-	outbox *sim.Outbox
+	// offShard records whether any delivery from this port can land on
+	// another shard; only such links bound the coordinator's lookahead.
+	shard    int
+	srcKey   int
+	xseq     uint64
+	outbox   *sim.Outbox
+	offShard bool
 }
 
 // PortConfig bundles the parameters of one directed link attachment.
@@ -213,25 +217,24 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 	return p
 }
 
-// bindShard rebinds the port to its shard's engine, outbox, and pool,
-// recording the stable domain index used as the cross-shard sort key.
-func (p *Port) bindShard(se *sim.ShardedEngine, shard, srcKey int, pool *packetPool) {
-	p.engine = se.Shard(shard)
-	p.shard = shard
-	p.srcKey = srcKey
-	p.outbox = se.Outbox(shard)
+// bindShard rebinds the port to its shard's engine, outbox, and pool; its
+// deliveries stay keyed by the domain index stampDomains gave it.
+func (p *Port) bindShard(se *sim.ShardedEngine, pool *packetPool) {
+	p.engine = se.Shard(p.shard)
+	p.outbox = se.Outbox(p.shard)
 	p.pool = pool
 }
 
 // ship launches a serialized packet onto the wire: arrival at the peer
-// after the propagation delay. Serially that is one self-owned event; a
-// partitioned port instead ships a barrier message to the destination
-// domain, resolving the switch hop at the source (see shard.go) so the
-// message lands directly on the egress port's — or the peer host's —
-// shard. Both paths stamp the delivery with the ship instant and the
-// port's stable (srcKey, xseq) identity, so same-instant arrival ties at
-// the destination resolve identically whether the run is serial or
-// partitioned — a tie between two domains' deliveries is decided by the
+// after the propagation delay. Serially that is one self-owned event. A
+// partitioned port resolves the switch hop at the source (see shard.go)
+// and either schedules the egress port's — or the peer host's — handler
+// itself, when that lives on its own shard, or ships a barrier message
+// to the shard it lives on. Every path stamps the delivery with the
+// ship instant and the port's stable (srcKey, xseq) identity, so
+// same-instant arrival ties at the destination resolve identically
+// whether the run is serial or partitioned, however its domains are
+// grouped — a tie between two domains' deliveries is decided by the
 // topology-derived key, never by the engine-local scheduling
 // interleaving, which a partitioned run could not reproduce.
 //
@@ -249,16 +252,13 @@ func (p *Port) ship(pkt *Packet) {
 		return
 	}
 	now := p.engine.Now()
-	dst, fn := p.resolveDst(pkt)
-	p.outbox.Ship(sim.Message{
-		At:      now.Add(p.delay),
-		SchedAt: now,
-		SrcKey:  p.srcKey,
-		SrcSeq:  p.xseq,
-		Dst:     dst,
-		Fn:      fn,
-		Arg:     pkt,
-	})
+	at := now.Add(p.delay)
+	if dst, fn := p.resolveDst(pkt); dst == p.shard {
+		p.engine.ScheduleSrcArg(at, p.srcKey, p.xseq, fn, pkt)
+		p.outbox.NoteLocal()
+	} else {
+		p.outbox.Ship(sim.Message{At: at, SchedAt: now, SrcKey: p.srcKey, SrcSeq: p.xseq, Dst: dst, Fn: fn, Arg: pkt})
+	}
 	p.xseq++
 }
 
@@ -286,6 +286,24 @@ func (p *Port) resolveDst(pkt *Packet) (int, func(any)) {
 		//dtlint:allow hotalloc: unreachable die path; nodes are hosts or switches
 		panic(fmt.Sprintf("netsim: unknown peer type %T", p.peer))
 	}
+}
+
+// shipsOffShard reports whether resolveDst can name another shard for
+// some packet: a peer host that lives on one, or a peer switch with any
+// port that does (an egress port of its routes, or its first port, which
+// takes routeless packets).
+func (p *Port) shipsOffShard() bool {
+	switch peer := p.peer.(type) {
+	case *Host:
+		return peer.shard != p.shard
+	case *Switch:
+		for _, q := range peer.ports {
+			if q.shard != p.shard {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // SetMonitor attaches a queue monitor; pass nil to detach.
@@ -354,11 +372,19 @@ func (p *Port) SetRate(r Rate) {
 
 // SetDelay changes the propagation delay. Packets already launched keep
 // their old arrival times (the wire does not reorder); negative delays
-// are ignored.
+// are ignored. On a partitioned network a link that can deliver to
+// another shard must stay at least as long as the coordinator's
+// lookahead — a shorter one would land deliveries inside a window other
+// shards have already run — so shortening it below that panics, like
+// scheduling into the past.
 func (p *Port) SetDelay(d time.Duration) {
-	if d >= 0 {
-		p.delay = d
+	if d < 0 {
+		return
 	}
+	if p.offShard && sim.FromDuration(d) < p.net.se.Lookahead() {
+		panic(fmt.Sprintf("netsim: delay %v on a cross-shard link is below the lookahead %v", d, p.net.se.Lookahead()))
+	}
+	p.delay = d
 }
 
 // SetBuffer resizes the queue capacity. Shrinking below the current

@@ -15,21 +15,23 @@ import (
 // switch port is one domain of its own. Domains are numbered
 // deterministically — hosts in creation order, then switch ports in
 // switch-creation × port-attachment order — and an assignment maps each
-// domain to a shard. Because the numbering never changes, the barrier
-// sort key (At, SchedAt, SrcKey=domain, SrcSeq) orders cross-domain
-// deliveries identically for every assignment, which is what makes
-// results byte-identical across shard counts and assignment
-// permutations.
+// domain to a shard. Every link delivery is an event keyed
+// (at, schedAt, srcKey=domain, srcSeq), serial or partitioned, and that
+// key orders keyed events totally before an engine's own sequence
+// numbers are consulted. So a delivery may reach its destination either
+// way — scheduled directly when source and destination share a shard,
+// through the barrier mailbox when they do not — and results stay
+// byte-identical across shard counts and assignment permutations; only
+// sequence numbers, which nothing observable reads, depend on the
+// grouping. The coordinator's lookahead is therefore the shortest link
+// that can deliver to another shard, not the shortest link.
 //
-// Every delivery that leaves a domain goes through the barrier mailbox,
-// even when source and destination domains happen to share a shard;
-// taking the shortcut only when co-located would make event sequence
-// numbers depend on the grouping. The switch hop is resolved at the
-// source: the shipping port looks up the egress port in the peer
-// switch's static routing table (read-only after ComputeRoutes, so
-// concurrent readers are safe) and targets the egress domain directly
-// with the egress port's Send. A serial run performs the identical
-// lookup inside Switch.Receive at the same virtual instant.
+// The switch hop is resolved at the source: the shipping port looks up
+// the egress port in the peer switch's static routing table (read-only
+// after ComputeRoutes, so concurrent readers are safe) and targets the
+// egress domain directly with the egress port's Send. A serial run
+// performs the identical lookup inside Switch.Receive at the same
+// virtual instant.
 
 // NumDomains returns the number of shard domains the topology cuts
 // into: one per host plus one per switch port.
@@ -67,52 +69,53 @@ func (n *Network) PortDomain(p *Port) int {
 	panic("netsim: port is not a switch port of this network")
 }
 
-// DefaultAssign builds a deterministic domain→shard assignment: the
-// listed pinned domains go to shard 0 (the shard whose RNG stream equals
-// the serial engine's — pin every domain that draws from the root source
-// at runtime, such as a port with a randomized AQM policy), and the
-// remaining domains round-robin across all shards.
+// DefaultAssign builds the deterministic domain→shard assignment, which
+// keeps each hop of a path next to the previous one. Hosts take shards in
+// contiguous creation-order blocks. A breadth-first wave from all hosts
+// labels every node with its hop depth and with the shard of the host
+// whose wave reached it first; a switch port lives where the end of its
+// link nearer the hosts does (its own switch on a tie). On a fat-tree
+// that is a pod, and the core ports facing it, per shard; on a leaf-spine
+// a group of leaves; on a star each host with the switch port facing it.
+// The listed pinned domains go to shard 0 (the shard whose RNG stream
+// equals the serial engine's — pin every domain that draws from the root
+// source at runtime, such as a port with a randomized AQM policy).
 func (n *Network) DefaultAssign(shards int, pinned ...int) []int {
-	assign := make([]int, n.NumDomains())
-	pin := make([]bool, len(assign))
-	for _, d := range pinned {
-		pin[d] = true
-		assign[d] = 0
+	depth := make([]int, len(n.nodes))
+	home := make([]int, len(n.nodes))
+	for i := range depth {
+		depth[i] = len(n.nodes) // unreached: deeper than any wave gets
 	}
-	next := 0
-	for d := range assign {
-		if pin[d] {
-			continue
-		}
-		assign[d] = next % shards
-		next++
+	wave := make([]NodeID, 0, len(n.nodes))
+	for i, h := range n.hosts {
+		depth[h.id], home[h.id] = 0, i*shards/len(n.hosts)
+		wave = append(wave, h.id)
 	}
-	return assign
-}
-
-// MinLinkDelay returns the smallest propagation delay over all ports —
-// the conservative lookahead bound for sharded execution. Events inside
-// an epoch window of this length cannot affect another domain within the
-// same window, because every cross-domain path crosses at least one
-// link.
-func (n *Network) MinLinkDelay() time.Duration {
-	min := time.Duration(-1)
-	for _, h := range n.hosts {
-		if h.uplink != nil && (min < 0 || h.uplink.delay < min) {
-			min = h.uplink.delay
-		}
-	}
-	for _, s := range n.switches {
-		for _, p := range s.ports {
-			if min < 0 || p.delay < min {
-				min = p.delay
+	for ; len(wave) > 0; wave = wave[1:] {
+		for _, nb := range n.adjacency[wave[0]] {
+			if depth[nb] == len(n.nodes) {
+				depth[nb], home[nb] = depth[wave[0]]+1, home[wave[0]]
+				wave = append(wave, nb)
 			}
 		}
 	}
-	if min < 0 {
-		return 0
+	assign := make([]int, 0, n.NumDomains())
+	for _, h := range n.hosts {
+		assign = append(assign, home[h.id])
 	}
-	return min
+	for _, s := range n.switches {
+		for _, p := range s.ports {
+			end := s.id
+			if peer := p.peer.ID(); depth[peer] < depth[end] {
+				end = peer
+			}
+			assign = append(assign, home[end])
+		}
+	}
+	for _, d := range pinned {
+		assign[d] = 0
+	}
+	return assign
 }
 
 // Partition binds every domain of the topology to its assigned shard of
@@ -120,8 +123,9 @@ func (n *Network) MinLinkDelay() time.Duration {
 // keys. Call it after ComputeRoutes (the source-side egress resolution
 // reads the routing tables) and before constructing endpoints (they bind
 // to Host.Engine at construction). The coordinator's lookahead is set to
-// the network's minimum link delay, and a barrier hook is registered to
-// level the per-shard packet free lists between epochs.
+// the minimum delay over links that can deliver to another shard, and a
+// barrier hook is registered to level the per-shard packet free lists
+// between epochs.
 func (n *Network) Partition(se *sim.ShardedEngine, assign []int) error {
 	if n.se != nil {
 		return fmt.Errorf("netsim: network already partitioned")
@@ -134,62 +138,60 @@ func (n *Network) Partition(se *sim.ShardedEngine, assign []int) error {
 			return fmt.Errorf("netsim: domain %d assigned to shard %d, engine has %d", d, s, se.NumShards())
 		}
 	}
-	la := n.MinLinkDelay()
-	if la <= 0 {
-		return fmt.Errorf("netsim: sharded execution requires positive link delays (lookahead)")
+	// Label every host and port with its shard (inert until n.se is set)
+	// and list the ports in domain order; the checks below read both.
+	n.stampDomains()
+	var ports []*Port
+	for d, h := range n.hosts {
+		h.shard = assign[d]
+		if h.uplink != nil {
+			ports = append(ports, h.uplink)
+		}
+	}
+	for _, s := range n.switches {
+		ports = append(ports, s.ports...)
+	}
+	for _, p := range ports {
+		p.shard = assign[p.srcKey]
 	}
 	// Shared-buffer pools are a single mutable counter touched on every
 	// member enqueue/dequeue; the accounting is only race-free when all
-	// members execute on one shard. Validate against the assignment
-	// before mutating anything — switch-port domains follow the host
-	// domains in declaration order.
+	// members execute on one shard. The lookahead is the shortest link
+	// that crosses shards — or, when none does and any window is safe,
+	// the shortest link, so barriers stay as frequent as relay-mode
+	// queries assume (workload.StartQueriesSharded).
 	poolShard := make(map[*SharedBuffer]int)
-	for i, h := range n.hosts {
-		if h.uplink != nil && h.uplink.shared != nil {
-			if want, seen := poolShard[h.uplink.shared]; seen && assign[i] != want {
+	cross, all := time.Duration(-1), time.Duration(-1)
+	for _, p := range ports {
+		if p.shared != nil {
+			if want, seen := poolShard[p.shared]; seen && p.shard != want {
 				return fmt.Errorf("netsim: shared-buffer pool split across shards %d and %d; assign all member ports to one shard (pin their domains)",
-					want, assign[i])
-			} else if !seen {
-				poolShard[h.uplink.shared] = assign[i]
+					want, p.shard)
 			}
+			poolShard[p.shared] = p.shard
+		}
+		if all < 0 || p.delay < all {
+			all = p.delay
+		}
+		if p.offShard = p.shipsOffShard(); p.offShard && (cross < 0 || p.delay < cross) {
+			cross = p.delay
 		}
 	}
-	pd := len(n.hosts)
-	for _, s := range n.switches {
-		for _, p := range s.ports {
-			if p.shared != nil {
-				if want, seen := poolShard[p.shared]; seen {
-					if assign[pd] != want {
-						return fmt.Errorf("netsim: shared-buffer pool split across shards %d and %d; assign all member ports to one shard (pin their domains)",
-							want, assign[pd])
-					}
-				} else {
-					poolShard[p.shared] = assign[pd]
-				}
-			}
-			pd++
-		}
+	if cross < 0 {
+		cross = all
+	}
+	if cross <= 0 {
+		return fmt.Errorf("netsim: sharded execution requires positive delays on links that cross shards (lookahead)")
 	}
 	n.se = se
 	n.shardPools = make([]packetPool, se.NumShards())
 
-	d := 0
 	for _, h := range n.hosts {
-		shard := assign[d]
-		h.shard = shard
-		h.engine = se.Shard(shard)
-		h.pool = &n.shardPools[shard]
-		if h.uplink != nil {
-			h.uplink.bindShard(se, shard, d, h.pool)
-		}
-		d++
+		h.engine = se.Shard(h.shard)
+		h.pool = &n.shardPools[h.shard]
 	}
-	for _, s := range n.switches {
-		for _, p := range s.ports {
-			shard := assign[d]
-			p.bindShard(se, shard, d, &n.shardPools[shard])
-			d++
-		}
+	for _, p := range ports {
+		p.bindShard(se, &n.shardPools[p.shard])
 	}
 	for _, s := range n.switches {
 		if len(s.ports) == 0 {
@@ -203,7 +205,7 @@ func (n *Network) Partition(se *sim.ShardedEngine, assign []int) error {
 			pool.put(arg.(*Packet))
 		}
 	}
-	se.SetLookahead(sim.FromDuration(la))
+	se.SetLookahead(sim.FromDuration(cross))
 	se.AddBarrierHook(n.rebalancePools)
 	return nil
 }

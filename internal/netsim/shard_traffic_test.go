@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,4 +127,167 @@ func TestFaultKindString(t *testing.T) {
 			t.Errorf("FaultKind(%d).String() = %q, want %q", kind, got, want)
 		}
 	}
+}
+
+// islands builds two pairs of hosts, each pair behind its own switch,
+// and a trunk between the switches: short edge links inside an island,
+// a long one across. Under DefaultAssign(2) each island is a shard and
+// the trunk's two ports are the only ones that can deliver off-shard.
+func islands(t *testing.T, e *sim.Engine, edge, trunk time.Duration) (*Network, []*Host, [2]*Switch) {
+	t.Helper()
+	n := NewNetwork(e)
+	sw := [2]*Switch{n.AddSwitch("swA"), n.AddSwitch("swB")}
+	var hosts []*Host
+	for i := 0; i < 4; i++ {
+		h := n.AddHost(fmt.Sprintf("h%d", i))
+		cfg := linkCfg(Gbps, edge, 64, nil)
+		if err := n.Connect(h, sw[i/2], cfg, cfg); err != nil {
+			t.Fatal(err)
+		}
+		hosts = append(hosts, h)
+	}
+	cfg := linkCfg(Gbps, trunk, 64, nil)
+	if err := n.Connect(sw[0], sw[1], cfg, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	return n, hosts, sw
+}
+
+// arrivalLog is an endpoint that writes down what reached its host, and
+// when, in arrival order.
+type arrivalLog struct {
+	host *Host
+	log  []string
+}
+
+func (a *arrivalLog) Deliver(p *Packet) {
+	a.log = append(a.log, fmt.Sprintf("%d flow=%d seq=%d", a.host.Engine().Now(), p.Flow, p.Seq))
+}
+
+// driveIslands has every host send bursts to every other host at the
+// same instants, so deliveries tie at each switch and queue behind one
+// another on the trunk, and returns the per-host arrival logs.
+func driveIslands(hosts []*Host, rounds int) []*arrivalLog {
+	logs := make([]*arrivalLog, len(hosts))
+	for i, h := range hosts {
+		logs[i] = &arrivalLog{host: h}
+	}
+	// Sources start in reverse creation order, so the order their events
+	// were scheduled in is the opposite of their domain order: a tie that
+	// fell back on scheduling order would show.
+	for i := len(hosts) - 1; i >= 0; i-- {
+		for j, dst := range hosts {
+			if i != j {
+				dst.Register(FlowID(10*i+j), logs[j])
+			}
+		}
+		src, sent := hosts[i], 0
+		var step func()
+		step = func() {
+			for j, dst := range hosts {
+				if dst == src {
+					continue
+				}
+				pkt := src.AllocPacket()
+				pkt.Flow, pkt.Dst, pkt.Size, pkt.Seq = FlowID(10*i+j), dst.ID(), 1500, int64(sent)
+				src.Send(pkt)
+			}
+			if sent++; sent < rounds {
+				src.Engine().After(60*time.Microsecond, step)
+			}
+		}
+		src.Engine().Schedule(0, step)
+	}
+	return logs
+}
+
+// TestLookaheadIsShortestCrossShardLink partitions a network whose
+// intra-shard links (2 µs) are shorter than the links the cut goes
+// through (50 µs): the window is the longer delay, deliveries inside an
+// island never see the barrier, and every host still receives exactly
+// the serial run's packets at the serial run's instants in the serial
+// run's order.
+func TestLookaheadIsShortestCrossShardLink(t *testing.T) {
+	const edge, trunk, rounds = 2 * time.Microsecond, 50 * time.Microsecond, 60
+
+	e := sim.NewEngine(3)
+	_, hosts, _ := islands(t, e, edge, trunk)
+	want := driveIslands(hosts, rounds)
+	if err := e.RunFor(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	se := sim.NewShardedEngine(3, 2)
+	n, hosts, sw := islands(t, se.Shard(0), edge, trunk)
+	if err := n.Partition(se, n.DefaultAssign(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := se.Lookahead(); got != sim.FromDuration(trunk) {
+		t.Fatalf("lookahead %v, want the trunk's %v (the 2µs edge links stay inside a shard)", got, trunk)
+	}
+	for _, s := range sw {
+		for i := 0; i < s.Ports(); i++ {
+			_, toSwitch := s.Port(i).Peer().(*Switch)
+			if s.Port(i).offShard != toSwitch {
+				t.Fatalf("%s port %d: offShard = %v, trunk port = %v", s.Name(), i, s.Port(i).offShard, toSwitch)
+			}
+		}
+	}
+	got := driveIslands(hosts, rounds)
+	if err := se.RunFor(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if len(want[i].log) != 3*rounds {
+			t.Fatalf("serial host %d received %d packets, want %d", i, len(want[i].log), 3*rounds)
+		}
+		if !slices.Equal(got[i].log, want[i].log) {
+			t.Fatalf("host %d arrivals diverged from serial:\nserial  %v\nsharded %v", i, want[i].log, got[i].log)
+		}
+	}
+	// Per source, one of three destinations is next door: its delivery
+	// and the two trunk-bound ones are local at the first hop, and only
+	// the trunk hop itself is a message.
+	st := se.ShardStats()
+	if wantMsgs := uint64(4 * 2 * rounds); st.Messages != wantMsgs {
+		t.Fatalf("%d barrier messages, want %d (one per packet that crosses the trunk)", st.Messages, wantMsgs)
+	}
+	if wantLocal := uint64(4*3*rounds + 4*rounds + 4*2*rounds); st.Colocated != wantLocal {
+		t.Fatalf("%d co-located deliveries, want %d", st.Colocated, wantLocal)
+	}
+}
+
+// TestSetDelayRefusesBelowLookahead: shortening a link that can deliver
+// to another shard below the window would land packets in a past the
+// other shard has already run; the port refuses. Links inside a shard,
+// and every link of a serial network, may take any delay.
+func TestSetDelayRefusesBelowLookahead(t *testing.T) {
+	const edge, trunk = 2 * time.Microsecond, 50 * time.Microsecond
+	se := sim.NewShardedEngine(1, 2)
+	n, hosts, sw := islands(t, se.Shard(0), edge, trunk)
+	if err := n.Partition(se, n.DefaultAssign(2)); err != nil {
+		t.Fatal(err)
+	}
+	cut := sw[0].PortTo(sw[1].ID())
+	cut.SetDelay(80 * time.Microsecond)
+	cut.SetDelay(trunk)
+	hosts[0].Uplink().SetDelay(0)
+	sw[0].PortTo(hosts[0].ID()).SetDelay(time.Microsecond)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, "netsim: ") {
+				t.Fatalf("SetDelay below the lookahead on a cross-shard link: recovered %q, want a netsim: panic", msg)
+			}
+		}()
+		cut.SetDelay(trunk - time.Nanosecond)
+	}()
+	if cut.Delay() != trunk {
+		t.Fatalf("refused SetDelay still changed the delay to %v", cut.Delay())
+	}
+
+	_, _, serial := islands(t, sim.NewEngine(1), edge, trunk)
+	serial[0].PortTo(serial[1].ID()).SetDelay(0)
 }

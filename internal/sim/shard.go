@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,21 +16,26 @@ import (
 //
 // The topology is cut into shard domains, each owning one Engine (event
 // wheel, free list, RNG stream). Shards run concurrently inside epoch
-// windows bounded by the lookahead L — the minimum cross-shard link
-// propagation delay. The window arithmetic is the classic null-message
-// argument collapsed to a barrier: events executed in [w·L, (w+1)·L) can
-// only produce cross-shard effects at ≥ w·L + L = (w+1)·L, so every
-// message generated inside a window is injectable at the barrier that
-// closes it, before any shard has advanced past the message's firing
-// time. Messages are globally sorted by (At, SchedAt, SrcKey, SrcSeq)
-// before injection so the destination engines assign sequence numbers in
-// a shard-count-invariant order, and each injected event carries its
-// sender-side scheduling instant into the (at, schedAt, seq) ordering
-// key — reproducing the interleaving a serial run would have produced.
+// windows bounded by the lookahead L — the minimum propagation delay over
+// links whose deliveries can land on another shard. The window arithmetic
+// is the classic null-message argument collapsed to a barrier: events
+// executed in [w·L, (w+1)·L) can only produce cross-shard effects at
+// ≥ w·L + L = (w+1)·L, so every message generated inside a window is
+// injectable at the barrier that closes it, before any shard has advanced
+// past the message's firing time.
+//
+// Only deliveries that really change shard travel as messages; a delivery
+// whose destination lives on the sender's shard is scheduled there
+// directly with ScheduleSrcArg. Both carry the same (at, schedAt, srcKey,
+// srcSeq) key, which orders keyed events totally before the engine-local
+// seq is ever consulted, so the interleaving at the destination — and
+// every result — is that of a serial run for any grouping of domains.
+// The barrier still injects its messages in key order, so the sequence
+// numbers they take never depend on which outbox a message waited in.
 //
 // Everything below the barrier (model code inside event handlers) stays
-// single-threaded per shard and is untouched; the goroutines and channels
-// live only in this explicitly marked synchronization layer.
+// single-threaded per shard and is untouched; the goroutines, atomics and
+// channels live only in this explicitly marked synchronization layer.
 
 // errLookahead reports a coordinator misconfiguration.
 var errLookahead = errors.New("sim: sharded engine requires a positive lookahead")
@@ -66,6 +75,11 @@ type Message struct {
 // windows.
 type Outbox struct {
 	msgs []Message
+	// local counts co-located deliveries (see NoteLocal). Each shard
+	// writes its outbox at every delivery and the outboxes sit side by
+	// side in one slice: the padding keeps them on separate cache lines.
+	local uint64
+	_     [96]byte
 }
 
 // Ship appends one message; called from model code on the owning shard's
@@ -76,6 +90,12 @@ func (o *Outbox) Ship(m Message) {
 	//dtlint:allow hotalloc: the outbox retains capacity across barriers; growth is amortized warm-up
 	o.msgs = append(o.msgs, m)
 }
+
+// NoteLocal counts one co-located delivery: the owner scheduled it
+// directly on its shard's engine instead of shipping it.
+//
+//dtlint:hotpath
+func (o *Outbox) NoteLocal() { o.local++ }
 
 // barrierTask is coordinator-context work pinned to a virtual instant:
 // periodic samplers that must read state across shards. A task runs at
@@ -108,6 +128,8 @@ type ShardedEngine struct {
 	// inbox is the coordinator's merge-sort scratch buffer, reused
 	// across barriers.
 	inbox []Message
+
+	epochs, messages uint64 // see ShardStats
 
 	stopped bool
 }
@@ -158,8 +180,9 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // Outbox returns the i-th shard's outbox for cross-shard shipping.
 func (se *ShardedEngine) Outbox(i int) *Outbox { return &se.outboxes[i] }
 
-// SetLookahead sets the epoch window length: the minimum cross-shard
-// link propagation delay. It must be positive before the first Run.
+// SetLookahead sets the epoch window length: the minimum propagation
+// delay over links that can deliver to another shard. It must be positive
+// before the first Run.
 func (se *ShardedEngine) SetLookahead(d Time) { se.lookahead = d }
 
 // Lookahead returns the configured epoch window length.
@@ -251,27 +274,13 @@ func (se *ShardedEngine) nextEventTime() Time {
 	return next
 }
 
-// msgsByKey orders barrier messages by (At, SchedAt, SrcKey, SrcSeq):
-// firing time, sender-side scheduling instant, then a total sender order
-// that depends only on the stable domain numbering — never on the
-// domain-to-shard grouping — so the injection order, and with it the
-// destination sequence numbering, is identical for every shard count.
-type msgsByKey []Message
-
-func (m msgsByKey) Len() int      { return len(m) }
-func (m msgsByKey) Swap(i, j int) { m[i], m[j] = m[j], m[i] }
-func (m msgsByKey) Less(i, j int) bool {
-	a, b := m[i], m[j]
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.SchedAt != b.SchedAt {
-		return a.SchedAt < b.SchedAt
-	}
-	if a.SrcKey != b.SrcKey {
-		return a.SrcKey < b.SrcKey
-	}
-	return a.SrcSeq < b.SrcSeq
+// compareMessages orders barrier messages by (At, SchedAt, SrcKey,
+// SrcSeq): firing time, sender-side scheduling instant, then a total
+// sender order that depends only on the stable domain numbering, never on
+// the domain-to-shard grouping.
+func compareMessages(a, b Message) int {
+	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.SchedAt, b.SchedAt),
+		cmp.Compare(a.SrcKey, b.SrcKey), cmp.Compare(a.SrcSeq, b.SrcSeq))
 }
 
 // exchange drains every outbox, sorts the union, and injects each
@@ -281,20 +290,16 @@ func (se *ShardedEngine) exchange() {
 	for i := range se.outboxes {
 		o := &se.outboxes[i]
 		se.inbox = append(se.inbox, o.msgs...)
-		for j := range o.msgs {
-			o.msgs[j] = Message{}
-		}
+		clear(o.msgs)
 		o.msgs = o.msgs[:0]
 	}
-	if len(se.inbox) == 0 {
-		return
-	}
-	sort.Sort(msgsByKey(se.inbox))
+	se.messages += uint64(len(se.inbox))
+	slices.SortFunc(se.inbox, compareMessages)
 	for i := range se.inbox {
 		m := &se.inbox[i]
 		se.shards[m.Dst].InjectSrcArg(m.At, m.SchedAt, m.SrcKey, m.SrcSeq, m.Fn, m.Arg)
-		se.inbox[i] = Message{}
 	}
+	clear(se.inbox)
 }
 
 // RunUntil executes all shards up to and including horizon end. A single
@@ -357,6 +362,7 @@ func (se *ShardedEngine) RunUntil(end Time) error {
 		if end+tick < h {
 			h = end + tick
 		}
+		se.epochs++
 		if err := workers.dispatch(h); err != nil {
 			return err
 		}
@@ -403,36 +409,103 @@ func (se *ShardedEngine) Stats() EngineStats {
 	return total
 }
 
+// ShardStats counts what the coordinator did. Every field is a pure
+// function of the run and the domain assignment — none depends on
+// goroutine scheduling — so two runs of one configuration agree exactly.
+type ShardStats struct {
+	// Epochs counts the windows dispatched, Messages the deliveries that
+	// crossed shards through the barrier, and Colocated those scheduled
+	// directly because source and destination shared a shard.
+	Epochs, Messages, Colocated uint64
+	// Events is the number of events each shard processed.
+	Events []uint64
+}
+
+// ShardStats reports the coordinator's counters; call it between runs.
+func (se *ShardedEngine) ShardStats() ShardStats {
+	st := ShardStats{Epochs: se.epochs, Messages: se.messages, Events: make([]uint64, len(se.shards))}
+	for i, sh := range se.shards {
+		st.Colocated += se.outboxes[i].local
+		st.Events[i] = sh.Stats().Processed
+	}
+	return st
+}
+
+// spinBudget bounds the busy polls of an epoch word before its reader
+// parks: some 50 µs, a few windows' work and about what a park and wake
+// cost. A quarter of it parked so often that the barrier's whole gain
+// was lost (EXPERIMENTS.md, "Sharded single runs").
+const spinBudget = 1 << 16
+
+// gate is the hand-off word between the coordinator and one worker. The
+// writer publishes a window number; the reader spins for it, then parks.
+type gate struct {
+	word   atomic.Uint64
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: at most one token per park
+}
+
+// publish makes everything the writer did visible to the reader that
+// next observes v, and wakes the reader if it parked.
+//
+//dtlint:shardboundary publish side of the epoch word: the atomic store orders the writer's work before the reader's, the token wakes a parked reader
+func (g *gate) publish(v uint64) {
+	g.word.Store(v)
+	if g.parked.Load() {
+		select {
+		case g.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+}
+
+// shardWorker is one shard's goroutine and its two gates: start carries
+// the coordinator's window number to the worker, done carries it back.
+type shardWorker struct {
+	start, done gate
+	n           uint64 // windows dispatched to this worker
+	h           Time   // horizon of window n; TimeNever tells the worker to exit
+	err         error  // outcome of window n
+}
+
 // shardWorkers is the pool of per-shard goroutines alive for one
 // RunUntil call. Shard 0 always runs inline on the coordinator
 // goroutine — it is the designated home of the run's root RNG consumers,
 // and with n shards only n−1 extra goroutines are needed.
 type shardWorkers struct {
 	se   *ShardedEngine
-	work []chan Time
-	done chan error
+	w    []shardWorker // indexed by shard; entry 0 is unused
+	spin int
+	wg   sync.WaitGroup
 }
 
 // startWorkers launches one goroutine per shard beyond the first. The
-// channels are the only synchronization in the whole scheme: a dispatch
-// send happens-after the coordinator's injections, and the join receive
-// happens-after the shard's window, so barrier-context reads and writes
-// of shard state need no locks.
+// gates are the only synchronization in the whole scheme: a window's
+// start is published after the coordinator's injections and its end
+// after the shard's last event, so barrier-context reads and writes of
+// shard state need no locks. With fewer processors than shards a
+// spinning reader could only delay the writer it waits for, so it parks
+// at once.
 //
 //dtlint:shardboundary coordinator fan-out: one worker goroutine per shard beyond the inline shard 0
 func (se *ShardedEngine) startWorkers() *shardWorkers {
-	ws := &shardWorkers{
-		se:   se,
-		work: make([]chan Time, len(se.shards)),
-		done: make(chan error, len(se.shards)),
+	ws := &shardWorkers{se: se, w: make([]shardWorker, len(se.shards))}
+	if runtime.GOMAXPROCS(0) >= len(se.shards) {
+		ws.spin = spinBudget
 	}
 	for i := 1; i < len(se.shards); i++ {
-		ch := make(chan Time)
-		ws.work[i] = ch
-		sh := se.shards[i]
+		w, sh := &ws.w[i], se.shards[i]
+		w.start.wake, w.done.wake = make(chan struct{}, 1), make(chan struct{}, 1)
+		ws.wg.Add(1)
 		go func() {
-			for h := range ch {
-				ws.done <- sh.RunStrictUntil(h)
+			defer ws.wg.Done()
+			for n := uint64(1); ; n++ {
+				ws.await(&w.start, n)
+				if w.h == TimeNever {
+					return
+				}
+				w.err = sh.RunStrictUntil(w.h)
+				w.done.publish(n)
 			}
 		}()
 	}
@@ -442,34 +515,61 @@ func (se *ShardedEngine) startWorkers() *shardWorkers {
 // dispatch runs every shard with work before h up to (but excluding) h
 // and joins them all before returning.
 //
-//dtlint:shardboundary epoch fan-out/join: sends bound the window, receives publish shard state to the barrier
+//dtlint:shardboundary epoch fan-out/join: start gates bound the window, done gates publish shard state to the barrier
 func (ws *shardWorkers) dispatch(h Time) error {
-	launched := 0
-	for i := 1; i < len(ws.se.shards); i++ {
+	for i := 1; i < len(ws.w); i++ {
 		if t := ws.se.shards[i].NextEventTime(); t != TimeNever && t < h {
-			ws.work[i] <- h
-			launched++
+			ws.send(i, h)
 		}
 	}
 	var err error
 	if t := ws.se.shards[0].NextEventTime(); t != TimeNever && t < h {
 		err = ws.se.shards[0].RunStrictUntil(h)
 	}
-	for ; launched > 0; launched-- {
-		if e := <-ws.done; e != nil && err == nil {
-			err = e
+	for i := 1; i < len(ws.w); i++ {
+		// A worker not sent this window still shows its last one done.
+		w := &ws.w[i]
+		ws.await(&w.done, w.n)
+		if w.err != nil && err == nil {
+			err = w.err
 		}
 	}
 	return err
 }
 
-// close terminates the worker goroutines.
+// await returns once g reads v, after at most ws.spin busy polls and then
+// parked. The reader announces the park before rechecking the word and
+// the writer stores the word before checking for a park, so one of them
+// always sees the other; a token left over from a park that was not
+// needed only costs a recheck.
 //
-//dtlint:shardboundary worker teardown closes the dispatch channels
-func (ws *shardWorkers) close() {
-	for _, ch := range ws.work {
-		if ch != nil {
-			close(ch)
+//dtlint:shardboundary wait side of the epoch word: bounded spin, then park on the wake channel
+func (ws *shardWorkers) await(g *gate, v uint64) {
+	for spin := ws.spin; g.word.Load() != v; {
+		if spin > 0 {
+			spin--
+			continue
 		}
+		g.parked.Store(true)
+		if g.word.Load() != v {
+			<-g.wake
+		}
+		g.parked.Store(false)
 	}
+}
+
+// send opens window h (or, with TimeNever, the exit) to worker i.
+func (ws *shardWorkers) send(i int, h Time) {
+	w := &ws.w[i]
+	w.n++
+	w.h = h
+	w.start.publish(w.n)
+}
+
+// close tells every worker to exit and waits until all have.
+func (ws *shardWorkers) close() {
+	for i := 1; i < len(ws.w); i++ {
+		ws.send(i, TimeNever)
+	}
+	ws.wg.Wait()
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -346,5 +348,145 @@ func TestExchangeSchedAtTieBreak(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != "early" || order[1] != "late" {
 		t.Fatalf("order %v, want earlier SchedAt first", order)
+	}
+}
+
+// ringToken is what travels round the ring in ringFingerprint.
+type ringToken struct{ from, hops int }
+
+// ringFingerprint runs tokens round a ring of eight domains spread over
+// the shards (domain d on shard d mod shards) and returns every domain's
+// arrival log. A domain forwards a token the way a partitioned port
+// does: keyed by (domain, counter), directly when the destination shares
+// its shard and through the outbox when it does not. Every third hop
+// also forwards two domains ahead, so arrivals from different sources
+// tie at one domain and instant, next to the local event each arrival
+// leaves one hop later.
+func ringFingerprint(t *testing.T, shards int) string {
+	t.Helper()
+	const domains, hop = 8, Time(25)
+	se := NewShardedEngine(5, shards)
+	se.SetLookahead(hop)
+	se.ScheduleBarrier(0, func(Time) {}) // one shard, too, takes the epoch loop
+	logs := make([][]string, domains)
+	seqs := make([]uint64, domains)
+	recv := make([]func(any), domains)
+	for d := range recv {
+		d, shard := d, d%shards
+		e := se.Shard(shard)
+		forward := func(to int, tok ringToken) {
+			to %= domains
+			if dst := to % shards; dst == shard {
+				e.ScheduleSrcArg(e.Now()+hop, d, seqs[d], recv[to], tok)
+				se.Outbox(shard).NoteLocal()
+			} else {
+				se.Outbox(shard).Ship(Message{At: e.Now() + hop, SchedAt: e.Now(), SrcKey: d, SrcSeq: seqs[d], Dst: dst, Fn: recv[to], Arg: tok})
+			}
+			seqs[d]++
+		}
+		recv[d] = func(arg any) {
+			tok := arg.(ringToken)
+			logs[d] = append(logs[d], fmt.Sprintf("%d<%d", e.Now(), tok.from))
+			e.Schedule(e.Now()+hop, func() { logs[d] = append(logs[d], fmt.Sprintf("%d.", e.Now())) })
+			next := ringToken{from: d, hops: tok.hops + 1}
+			forward(d+1, next)
+			if tok.hops%3 == 0 && tok.hops < 12 {
+				forward(d+2, next)
+			}
+		}
+	}
+	for _, d := range []int{0, 3, 6} {
+		se.Shard(d%shards).ScheduleArg(0, recv[d], ringToken{from: -1})
+	}
+	if err := se.RunUntil(2000); err != nil {
+		t.Fatal(err)
+	}
+	if st := se.ShardStats(); shards > 1 && (st.Messages == 0 || st.Epochs == 0 || len(st.Events) != shards) {
+		t.Fatalf("shards=%d: coordinator counters %+v", shards, st)
+	}
+	return fmt.Sprint(logs, se.Stats().Processed, se.Now())
+}
+
+// TestShardBarrierParksWithoutSpareProcs runs four shards on one
+// processor: nobody may spin (the goroutine being waited for could not
+// run), every hand-off goes through the park path, and the run still
+// ends and matches the serial one. With a processor per shard the
+// workers spin first.
+func TestShardBarrierParksWithoutSpareProcs(t *testing.T) {
+	want := ringFingerprint(t, 1)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		ws := NewShardedEngine(1, 4).startWorkers()
+		spin := ws.spin
+		ws.close()
+		got := ringFingerprint(t, 4)
+		runtime.GOMAXPROCS(prev)
+		wantSpin := 0
+		if procs >= 4 {
+			wantSpin = spinBudget
+		}
+		if spin != wantSpin {
+			t.Errorf("GOMAXPROCS=%d, 4 shards: spin budget %d, want %d", procs, spin, wantSpin)
+		}
+		if got != want {
+			t.Errorf("GOMAXPROCS=%d, 4 shards diverged from serial:\nserial  %s\nsharded %s", procs, want, got)
+		}
+	}
+	for _, shards := range []int{2, 3, 8} {
+		if got := ringFingerprint(t, shards); got != want {
+			t.Errorf("shards=%d diverged from serial:\nserial  %s\nsharded %s", shards, want, got)
+		}
+	}
+}
+
+// TestShardWorkerErrorsSurface: a worker shard whose engine is stopped
+// mid-window fails its RunStrictUntil, and a handler on a worker shard
+// may stop the coordinator; RunUntil reports either, and the next call
+// runs on.
+func TestShardWorkerErrorsSurface(t *testing.T) {
+	for name, stop := range map[string]func(se *ShardedEngine){
+		"worker engine stopped": func(se *ShardedEngine) { se.Shard(2).Stop() },
+		"coordinator stopped":   func(se *ShardedEngine) { se.Stop() },
+	} {
+		se := NewShardedEngine(1, 3)
+		se.SetLookahead(10)
+		ran := false
+		se.Shard(2).Schedule(15, func() { stop(se) })
+		se.Shard(1).Schedule(95, func() { ran = true })
+		if err := se.RunUntil(100); err != ErrStopped {
+			t.Errorf("%s: RunUntil = %v, want ErrStopped", name, err)
+		}
+		if ran {
+			t.Errorf("%s: the run went on past the stop", name)
+		}
+		if err := se.RunUntil(100); err != nil || !ran {
+			t.Errorf("%s: resumed RunUntil = %v, ran = %v", name, err, ran)
+		}
+	}
+}
+
+// TestShardWorkersExitWithRunUntil: the worker goroutines live for one
+// RunUntil call, however it ends.
+func TestShardWorkersExitWithRunUntil(t *testing.T) {
+	base := runtime.NumGoroutine()
+	se := NewShardedEngine(1, 4)
+	se.SetLookahead(10)
+	for i := 0; i < 4; i++ {
+		se.Shard(i).Schedule(Time(5+20*i), func() {})
+	}
+	se.Shard(3).Schedule(200, func() { se.Stop() })
+	if err := se.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.RunUntil(300); err != ErrStopped {
+		t.Fatalf("RunUntil = %v, want ErrStopped", err)
+	}
+	// close has waited for every worker's last statement; give the
+	// runtime a moment to retire the goroutines themselves.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after RunUntil returned, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }
