@@ -172,7 +172,12 @@ func TestFabricDeterminism(t *testing.T) {
 func TestFabricShardAssignmentPermutation(t *testing.T) {
 	fatTree := fabricConfig(t)
 	fatTree.Topology, fatTree.K = "fattree", 4
-	for name, base := range map[string]FabricConfig{"leafspine": fabricConfig(t), "fattree-k4": fatTree} {
+	// A load at which every interarrival gap rounds to 0 ns: the whole
+	// trace arrives on one instant, and each wheel's arrival chain alone
+	// keeps its senders starting in trace order.
+	oneInstant := fabricConfig(t)
+	oneInstant.Load = 1e15
+	for name, base := range map[string]FabricConfig{"leafspine": fabricConfig(t), "fattree-k4": fatTree, "one-instant": oneInstant} {
 		t.Run(name, func(t *testing.T) {
 			serial, err := RunFabric(base)
 			if err != nil {

@@ -93,29 +93,40 @@ type Flow struct {
 	// distinct elements, so sharded workers never contend.
 	fct  sim.Time
 	done bool
+	// sender is the flow's connection, next the flow that arrives after it
+	// on the same event wheel (nil after the wheel's last).
+	sender *tcp.Sender
+	next   *Flow
 }
 
 // FCT returns the flow completion time and whether the flow finished.
 func (f *Flow) FCT() (time.Duration, bool) { return (f.fct - f.Arrival).Duration(), f.done }
 
-// Workload is a started trace: every connection is constructed and
-// scheduled; run the engine to execute it.
+// Workload is a started trace: every connection is constructed and the
+// first arrival of every event wheel queued; run the engine to execute it.
 type Workload struct {
 	// Flows is the generated trace in arrival order.
 	Flows []Flow
 
-	hosts   []*netsim.Host
-	cfg     Config
-	senders []*tcp.Sender
+	hosts []*netsim.Host
+	cfg   Config
+	// arriveFn is arrive bound once, so queueing an arrival allocates
+	// nothing.
+	arriveFn func(any)
 }
 
 // Start generates the trace and wires it onto hosts. All randomness —
 // sizes, interarrivals, endpoint choices — is drawn here, from the
 // network construction engine's seeded source, so the trace is a pure
-// function of the run seed. Endpoint construction and StartAt
-// scheduling also happen here, at setup time: on a partitioned network
-// every shard clock is still zero, so cross-shard scheduling is safe
-// (the same contract workload.StartLongLived relies on).
+// function of the run seed. Endpoint construction also happens here, at
+// setup time: on a partitioned network every shard clock is still zero,
+// so cross-shard scheduling is safe (the same contract
+// workload.StartLongLived relies on).
+//
+// Arrivals are a chain per event wheel, not one queued event per flow:
+// Start queues each wheel's first arrival and every arrival queues its
+// wheel's next (see arrive), so the pending set holds what is in flight
+// and not the rest of the trace.
 //
 // Each flow is a fresh connection: a new sender/receiver pair in slow
 // start. On completion the sender unregisters its host-side endpoint on
@@ -173,7 +184,8 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 		}
 	}
 
-	w.senders = make([]*tcp.Sender, cfg.Flows)
+	w.arriveFn = w.arrive
+	last := make(map[*sim.Engine]*Flow)
 	for i := range w.Flows {
 		f := &w.Flows[i]
 		id := cfg.BaseFlow + netsim.FlowID(i)
@@ -185,10 +197,32 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 			f.done = true
 			src.Unregister(id)
 		}
-		s.StartAt(f.Arrival)
-		w.senders[i] = s
+		f.sender = s
+		wheel := src.Engine()
+		if prev := last[wheel]; prev != nil {
+			prev.next = f
+		} else {
+			wheel.InjectArg(f.Arrival, sim.TimeZero, w.arriveFn, f)
+		}
+		last[wheel] = f
 	}
 	return w, nil
+}
+
+// arrive is the start event of one flow: it starts the sender and queues
+// the next arrival of the same wheel. Every arrival is stamped schedAt =
+// TimeZero, the key an up-front Schedule at set-up gave it, so it still
+// sorts ahead of every same-instant event scheduled at run time; arrivals
+// on one instant keep trace order because each is queued by the one
+// before it.
+//
+//dtlint:hotpath
+func (w *Workload) arrive(arg any) {
+	f := arg.(*Flow)
+	f.sender.Start()
+	if n := f.next; n != nil {
+		w.hosts[n.Src].Engine().InjectArg(n.Arrival, sim.TimeZero, w.arriveFn, n)
+	}
 }
 
 // derangement returns a uniform-ish permutation of [0, n) with no fixed
@@ -232,8 +266,8 @@ func (w *Workload) LastArrival() sim.Time { return w.Flows[len(w.Flows)-1].Arriv
 // TotalTimeouts sums RTO firings over all connections.
 func (w *Workload) TotalTimeouts() uint64 {
 	var total uint64
-	for _, s := range w.senders {
-		total += s.Stats().Timeouts
+	for i := range w.Flows {
+		total += w.Flows[i].sender.Stats().Timeouts
 	}
 	return total
 }
@@ -241,8 +275,8 @@ func (w *Workload) TotalTimeouts() uint64 {
 // TotalRetransmissions sums retransmitted segments over all connections.
 func (w *Workload) TotalRetransmissions() uint64 {
 	var total uint64
-	for _, s := range w.senders {
-		total += s.Stats().Retransmissions
+	for i := range w.Flows {
+		total += w.Flows[i].sender.Stats().Retransmissions
 	}
 	return total
 }

@@ -14,15 +14,21 @@ import (
 func testFabric(t *testing.T, seed int64) (*sim.Engine, *topo.Fabric) {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	nw := netsim.NewNetwork(e)
-	f, err := topo.LeafSpine(nw, 2, 2, 2, topo.Config{
+	return e, testFabricOn(t, e)
+}
+
+// testFabricOn builds the 2×2×2 leaf-spine on e: a serial engine, or
+// shard 0 of a sharded one.
+func testFabricOn(t *testing.T, e *sim.Engine) *topo.Fabric {
+	t.Helper()
+	f, err := topo.LeafSpine(netsim.NewNetwork(e), 2, 2, 2, topo.Config{
 		HostLink:   topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 256 * 1500},
 		FabricLink: topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 256 * 1500},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, f
+	return f
 }
 
 func testConfig(t *testing.T, f *topo.Fabric, flows int) Config {
@@ -254,6 +260,134 @@ func TestRecordFCT(t *testing.T) {
 	}
 	if observed != 30 {
 		t.Fatalf("histograms hold %d observations, want 30", observed)
+	}
+	w.Cleanup()
+}
+
+// TestStartQueuesOneArrivalPerWheel pins the arrival chain's footprint:
+// however long the trace, Start leaves one pending event on each event
+// wheel that owns a source host, and the chain behind it still starts
+// every flow.
+func TestStartQueuesOneArrivalPerWheel(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
+		se := sim.NewShardedEngine(7, shards)
+		f := testFabricOn(t, se.Shard(0))
+		if err := f.Net.Partition(se, f.Net.DefaultAssign(shards)); err != nil {
+			t.Fatal(err)
+		}
+		w, err := Start(f.Hosts, testConfig(t, f, 60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wheels := make(map[*sim.Engine]bool)
+		for i := range w.Flows {
+			wheels[f.Hosts[w.Flows[i].Src].Engine()] = true
+		}
+		pending := 0
+		for i := 0; i < shards; i++ {
+			pending += se.Shard(i).Pending()
+		}
+		if len(wheels) != shards || pending != shards {
+			t.Fatalf("shards=%d: %d events pending after Start over %d wheels with a source, want %d and %d",
+				shards, pending, len(wheels), shards, shards)
+		}
+		if err := se.RunUntil(w.LastArrival().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Completed(); got != 60 {
+			t.Fatalf("shards=%d: completed %d/60 flows", shards, got)
+		}
+		w.Cleanup()
+	}
+}
+
+// firstSends records, across every port it is attached to, the order in
+// which flows first put a packet on the wire.
+type firstSends struct {
+	seen  map[netsim.FlowID]bool
+	order []netsim.FlowID
+}
+
+func (r *firstSends) PacketEnqueued(_ sim.Time, pkt *netsim.Packet, _ int, _ bool) {
+	if !r.seen[pkt.Flow] {
+		r.seen[pkt.Flow] = true
+		r.order = append(r.order, pkt.Flow)
+	}
+}
+func (r *firstSends) PacketDequeued(sim.Time, *netsim.Packet, int)      {}
+func (r *firstSends) PacketDropped(sim.Time, *netsim.Packet, int, bool) {}
+
+// TestSameInstantArrivalsStartInTraceOrder offers a load so large that
+// every interarrival gap rounds to 0 ns. The whole trace then shares one
+// key up to the sequence number, and only the chain — each arrival queued
+// by the one before it — keeps the senders starting in trace order.
+func TestSameInstantArrivalsStartInTraceOrder(t *testing.T) {
+	e, f := testFabric(t, 11)
+	cfg := testConfig(t, f, 60)
+	cfg.Load = 1e15
+	cfg.StartAfter = time.Millisecond
+	w, err := Start(f.Hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Flows {
+		if w.Flows[i].Arrival != w.Flows[0].Arrival {
+			t.Fatalf("flow %d arrives at %v, flow 0 at %v: the load does not collapse the trace", i, w.Flows[i].Arrival, w.Flows[0].Arrival)
+		}
+	}
+	rec := &firstSends{seen: make(map[netsim.FlowID]bool)}
+	for _, h := range f.Hosts {
+		h.Uplink().SetTracer(rec)
+	}
+	if err := e.RunUntil(w.LastArrival()); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.order) != len(w.Flows) {
+		t.Fatalf("%d flows sent by the arrival instant, want all %d", len(rec.order), len(w.Flows))
+	}
+	for i, id := range rec.order {
+		if id != netsim.FlowID(1+i) {
+			t.Fatalf("sender %d to start was flow %d, want trace order (flow %d)", i, id, 1+i)
+		}
+	}
+	w.Cleanup()
+}
+
+// TestArrivalSortsAheadOfRunTimeEvents pins the key a chained arrival
+// carries. An event scheduled at run time — here 1 ns before the first
+// arrival, earlier than anything the chain itself does — for the exact
+// instant of the second arrival must still run after it, as it did when
+// Start queued every arrival up front at virtual time zero.
+func TestArrivalSortsAheadOfRunTimeEvents(t *testing.T) {
+	e, f := testFabric(t, 12)
+	cfg := testConfig(t, f, 2)
+	cfg.StartAfter = time.Millisecond
+	w, err := Start(f.Hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := w.Flows[0].Arrival, w.Flows[1].Arrival
+	if second <= first {
+		t.Fatalf("arrivals at %v and %v: the probe needs a gap", first, second)
+	}
+	rec := &firstSends{seen: make(map[netsim.FlowID]bool)}
+	for _, h := range f.Hosts {
+		h.Uplink().SetTracer(rec)
+	}
+	probed := false
+	e.Schedule(first-1, func() {
+		e.Schedule(second, func() {
+			probed = true
+			if !rec.seen[2] {
+				t.Error("an event scheduled at run time ran before the arrival sharing its instant")
+			}
+		})
+	})
+	if err := e.RunUntil(second); err != nil {
+		t.Fatal(err)
+	}
+	if !probed {
+		t.Fatal("probe never ran")
 	}
 	w.Cleanup()
 }

@@ -148,7 +148,7 @@ func TestECMPForwardSteadyStateAllocFree(t *testing.T) {
 		t.Skip("invariant assertions allocate; alloc accounting is meaningless")
 	}
 	e, n, h0, h1, s0, _, _ := diamond(t, 7)
-	if len(s0.ecmp[h1.ID()]) != 2 {
+	if len(nextHops(s0, h1.ID())) != 2 {
 		t.Fatal("diamond lost its ECMP set")
 	}
 	sink := &countingSink{}

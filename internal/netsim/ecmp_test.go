@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,10 +34,22 @@ func diamond(t testing.TB, salt uint64) (*sim.Engine, *Network, *Host, *Host, *S
 	return e, n, h0, h1, s0, sA, s3
 }
 
+// nextHops reads a switch's forwarding table: the output port indices it
+// holds for dst — one for a single route, the equal-cost set, or none.
+func nextHops(s *Switch, dst NodeID) []int32 {
+	switch k := s.fwd[dst]; {
+	case k > 0:
+		return []int32{k - 1}
+	case k < 0:
+		return s.sets[-k-1]
+	}
+	return nil
+}
+
 func TestECMPSetsOnDiamond(t *testing.T) {
 	_, _, _, h1, s0, _, s3 := diamond(t, 7)
-	set, ok := s0.ecmp[h1.ID()]
-	if !ok || len(set) != 2 {
+	set := nextHops(s0, h1.ID())
+	if len(set) != 2 {
 		t.Fatalf("s0 ECMP set toward h1 = %v, want 2 equal-cost ports", set)
 	}
 	// Port order: port 0 leads back to h0, ports 1 and 2 to sA and sB.
@@ -43,8 +57,8 @@ func TestECMPSetsOnDiamond(t *testing.T) {
 		t.Fatalf("ECMP set = %v, want [1 2] (port-index order)", set)
 	}
 	// The last-hop switch has exactly one shortest path to each host.
-	if _, ok := s3.ecmp[h1.ID()]; ok {
-		t.Fatal("s3 has an ECMP set toward its directly attached host")
+	if got := nextHops(s3, h1.ID()); len(got) != 1 {
+		t.Fatalf("s3 next hops toward its directly attached host = %v, want one", got)
 	}
 }
 
@@ -72,18 +86,53 @@ func TestECMPMatchesSinglePathRoutingOnTrees(t *testing.T) {
 	plain := build(func(n *Network) error { return n.ComputeRoutes() })
 	ecmp := build(func(n *Network) error { return n.ComputeRoutesECMP(99) })
 	for i, s := range ecmp.Switches() {
-		if len(s.ecmp) != 0 {
-			t.Fatalf("switch %d has ECMP sets %v on a tree", i, s.ecmp)
+		if len(s.sets) != 0 {
+			t.Fatalf("switch %d has ECMP sets %v on a tree", i, s.sets)
 		}
-		want := plain.Switches()[i].routes
-		for dst, idx := range want {
-			if got := s.routes[dst]; got != idx {
-				t.Fatalf("switch %d route to %d = %d, want %d", i, dst, got, idx)
-			}
+		if want := plain.Switches()[i].fwd; !slices.Equal(s.fwd, want) {
+			t.Fatalf("switch %d table = %v, want %v", i, s.fwd, want)
 		}
-		if len(s.routes) != len(want) {
-			t.Fatalf("switch %d has %d routes, want %d", i, len(s.routes), len(want))
+	}
+}
+
+// TestRecomputeRoutesReplacesTable is the regression test for ECMP sets
+// that outlived a recomputation: plain routes computed over ECMP ones must
+// leave every flow on the single lowest-index shortest path.
+func TestRecomputeRoutesReplacesTable(t *testing.T) {
+	_, n, _, h1, s0, _, _ := diamond(t, 7)
+	if err := n.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range n.Switches() {
+		if len(s.sets) != 0 {
+			t.Fatalf("%s keeps ECMP sets %v after ComputeRoutes", s.Name(), s.sets)
 		}
+	}
+	for flow := FlowID(1); flow <= 64; flow++ {
+		if idx, ok := s0.egress(&Packet{Flow: flow, Dst: h1.ID()}); !ok || idx != 1 {
+			t.Fatalf("flow %d leaves s0 by port %d (ok=%v), want the single route, port 1", flow, idx, ok)
+		}
+	}
+}
+
+// TestSwitchDropsDestinationOutsideTable sends a switch packets whose
+// destination its table cannot index — negative, past the last node, of a
+// host added after the routes were computed — pooled and not: each counts
+// in DroppedNoRoute and the pooled ones go back to the free list.
+func TestSwitchDropsDestinationOutsideTable(t *testing.T) {
+	_, n, _, _, s0, _, _ := diamond(t, 7)
+	late := n.AddHost("late")
+	for _, dst := range []NodeID{-1, NodeID(len(n.nodes)), late.ID(), math.MaxInt} {
+		pkt := n.AllocPacket()
+		pkt.Flow, pkt.Dst, pkt.Size = 1, dst, 100
+		s0.Receive(pkt)
+		s0.Receive(&Packet{Flow: 2, Dst: dst, Size: 100})
+	}
+	if got := s0.DroppedNoRoute(); got != 8 {
+		t.Fatalf("DroppedNoRoute = %d, want 8", got)
+	}
+	if got := len(n.pool.free); got != 1 {
+		t.Fatalf("%d packets on the free list, want the one pooled packet recycled each time", got)
 	}
 }
 
@@ -182,9 +231,8 @@ func TestConnectRejectsDuplicateSwitchLink(t *testing.T) {
 }
 
 // BenchmarkPortTo pins the satellite: peer lookup must stay a map access,
-// not a linear port scan — it sits on route computation and on every
-// experiment's bottleneck-port wiring, and fat-tree switches have dozens
-// of ports.
+// not a linear port scan — it sits on every experiment's bottleneck-port
+// wiring, and fat-tree switches have dozens of ports.
 func BenchmarkPortTo(b *testing.B) {
 	e := sim.NewEngine(1)
 	n := NewNetwork(e)
@@ -211,7 +259,7 @@ func BenchmarkPortTo(b *testing.B) {
 }
 
 // BenchmarkSwitchEgressECMP pins the per-packet ECMP resolution cost:
-// one map probe, one hash, one slice index.
+// one table index, one hash, one slice index.
 func BenchmarkSwitchEgressECMP(b *testing.B) {
 	_, _, _, h1, s0, _, _ := diamond(b, 7)
 	pkt := &Packet{Flow: 3, Dst: h1.ID()}

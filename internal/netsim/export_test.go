@@ -1,0 +1,10 @@
+package netsim
+
+// Hooks for the external test package, which — unlike this one — can
+// import internal/topo and so check forwarding on the real fabrics.
+
+// Egress is Switch.egress.
+func (s *Switch) Egress(pkt *Packet) (int, bool) { return s.egress(pkt) }
+
+// ECMPHash is ecmpHash.
+func ECMPHash(salt, swID, flow uint64) uint64 { return ecmpHash(salt, swID, flow) }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"dtdctcp/internal/sim"
 )
@@ -59,7 +60,6 @@ func (n *Network) AddSwitch(name string) *Switch {
 		name:    name,
 		net:     n,
 		portIdx: make(map[NodeID]int),
-		routes:  make(map[NodeID]int),
 	}
 	n.nodes = append(n.nodes, s)
 	n.switches = append(n.switches, s)
@@ -111,33 +111,15 @@ func (n *Network) attach(from, to Node, cfg PortConfig) (*Port, error) {
 	return port, nil
 }
 
-// ComputeRoutes fills every switch's routing table with shortest paths
-// (hop count, BFS). It must be called after the topology is complete and
+// ComputeRoutes fills every switch's forwarding table with shortest
+// paths (hop count, BFS); among equal-cost next hops the lowest port
+// index wins. It must be called after the topology is complete and
 // before any traffic is sent. It also stamps every port with its stable
 // shard-domain index (hosts in creation order, then switch ports in
 // switch × attachment order — the same numbering Partition uses), so
 // serial runs order same-instant cross-domain deliveries by the
 // identical key a partitioned run produces at its epoch barriers.
-func (n *Network) ComputeRoutes() error {
-	n.stampDomains()
-	for _, s := range n.switches {
-		for _, dst := range n.nodes {
-			if dst.ID() == s.ID() {
-				continue
-			}
-			next, ok := n.nextHop(s.ID(), dst.ID())
-			if !ok {
-				return fmt.Errorf("netsim: no path from %s to %s", s.Name(), dst.Name())
-			}
-			idx, ok := s.portIdx[next]
-			if !ok {
-				return fmt.Errorf("netsim: inconsistent adjacency at %s", s.Name())
-			}
-			s.routes[dst.ID()] = idx
-		}
-	}
-	return nil
-}
+func (n *Network) ComputeRoutes() error { return n.computeRoutes(0, false) }
 
 // stampDomains writes the stable shard-domain index onto every port
 // (hosts in creation order, then switch ports in switch × attachment
@@ -170,7 +152,11 @@ func (n *Network) stampDomains() {
 // reproducible and independent of shard count and domain assignment.
 // Like ComputeRoutes, it must be called after the topology is complete
 // and before any traffic (or Partition).
-func (n *Network) ComputeRoutesECMP(salt uint64) error {
+func (n *Network) ComputeRoutesECMP(salt uint64) error { return n.computeRoutes(salt, true) }
+
+// computeRoutes builds every switch's forwarding table from scratch, so
+// a second computation on one network leaves nothing of the first.
+func (n *Network) computeRoutes(salt uint64, multipath bool) error {
 	n.stampDomains()
 	// dist[x] = hops from node x to the current destination along paths
 	// whose interior nodes are switches. Computed by BFS outward from the
@@ -181,8 +167,10 @@ func (n *Network) ComputeRoutesECMP(salt uint64) error {
 	queue := make([]NodeID, 0, len(n.nodes))
 	for _, s := range n.switches {
 		s.hashSalt = salt
-		s.ecmp = make(map[NodeID][]int32)
+		s.fwd = make([]int32, len(n.nodes))
+		s.sets = nil
 	}
+	var set []int32
 	for _, dstNode := range n.nodes {
 		dst := dstNode.ID()
 		for i := range dist {
@@ -212,8 +200,7 @@ func (n *Network) ComputeRoutesECMP(salt uint64) error {
 			if dist[s.id] < 0 {
 				return fmt.Errorf("netsim: no path from %s to %s", s.Name(), dstNode.Name())
 			}
-			first := -1
-			var set []int32
+			set = set[:0]
 			for i, p := range s.ports {
 				peer := p.peer.ID()
 				if dist[peer] != dist[s.id]-1 {
@@ -224,56 +211,30 @@ func (n *Network) ComputeRoutesECMP(salt uint64) error {
 						continue // hosts do not forward
 					}
 				}
-				if first < 0 {
-					first = i
-				}
 				set = append(set, int32(i))
 			}
-			if first < 0 {
+			switch {
+			case len(set) == 0:
 				return fmt.Errorf("netsim: inconsistent adjacency at %s", s.Name())
-			}
-			s.routes[dst] = first
-			if len(set) > 1 {
-				s.ecmp[dst] = set
+			case len(set) == 1 || !multipath:
+				s.fwd[dst] = set[0] + 1
+			default:
+				s.fwd[dst] = -int32(s.internSet(set)) - 1
 			}
 		}
 	}
 	return nil
 }
 
-// nextHop runs a BFS from src and returns the first hop on a shortest path
-// to dst.
-func (n *Network) nextHop(src, dst NodeID) (NodeID, bool) {
-	type entry struct {
-		node  NodeID
-		first NodeID
-	}
-	visited := make(map[NodeID]bool, len(n.nodes))
-	visited[src] = true
-	queue := make([]entry, 0, len(n.nodes))
-	for _, nb := range n.adjacency[src] {
-		if nb == dst {
-			return nb, true
-		}
-		visited[nb] = true
-		queue = append(queue, entry{node: nb, first: nb})
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		// Hosts do not forward; they can only terminate a path.
-		if _, isHost := n.nodes[cur.node].(*Host); isHost {
-			continue
-		}
-		for _, nb := range n.adjacency[cur.node] {
-			if nb == dst {
-				return cur.first, true
-			}
-			if !visited[nb] {
-				visited[nb] = true
-				queue = append(queue, entry{node: nb, first: cur.first})
-			}
+// internSet returns the index in s.sets of the ECMP set equal to set,
+// adding a copy when the switch has none: a fat-tree edge switch reaches
+// every remote host over the same uplinks, and stores them once.
+func (s *Switch) internSet(set []int32) int {
+	for i, have := range s.sets {
+		if slices.Equal(have, set) {
+			return i
 		}
 	}
-	return 0, false
+	s.sets = append(s.sets, slices.Clone(set))
+	return len(s.sets) - 1
 }

@@ -31,18 +31,19 @@ type Switch struct {
 	net   *Network
 	ports []*Port
 	// portIdx maps a directly attached peer to its port index, built at
-	// wiring time so PortTo and route computation stay O(1) per lookup
-	// even on fat-tree switches with dozens of ports.
+	// wiring time so PortTo stays O(1) per lookup even on fat-tree
+	// switches with dozens of ports.
 	portIdx map[NodeID]int
-	// routes maps destination node → output port index.
-	routes map[NodeID]int
-	// ecmp lists every equal-cost egress port for destinations that have
-	// more than one shortest path; nil (or a missing key) means the
-	// single entry in routes is the only choice. Filled by
-	// ComputeRoutesECMP, read-only afterwards. Sets are ordered by port
-	// index so path selection is a pure function of (hashSalt, switch id,
-	// flow id) — identical in serial and sharded runs.
-	ecmp map[NodeID][]int32
+	// fwd is the forwarding table, indexed by destination NodeID and built
+	// whole by ComputeRoutes/ComputeRoutesECMP, read-only afterwards:
+	// k > 0 names output port k−1, k < 0 the equal-cost set sets[−k−1],
+	// and 0 — as for every id past the end — means no route.
+	fwd []int32
+	// sets holds the switch's distinct ECMP sets, each stored once however
+	// many destinations share it. Sets are ordered by port index so path
+	// selection is a pure function of (hashSalt, switch id, flow id) —
+	// identical in serial and sharded runs.
+	sets [][]int32
 	// hashSalt seeds the ECMP flow hash; drawn once per topology from
 	// the engine's seeded source so path placement varies with the run
 	// seed but never with shard count or assignment.
@@ -86,14 +87,18 @@ func (s *Switch) PortTo(peer NodeID) *Port {
 //
 //dtlint:hotpath
 func (s *Switch) egress(pkt *Packet) (int, bool) {
-	if s.ecmp != nil {
-		if set, ok := s.ecmp[pkt.Dst]; ok {
-			h := ecmpHash(s.hashSalt, uint64(s.id), uint64(pkt.Flow))
-			return int(set[h%uint64(len(set))]), true
-		}
+	// One unsigned compare refuses negative ids and ids past the table: a
+	// NodeID of another Network, a host added after route computation.
+	if uint(pkt.Dst) >= uint(len(s.fwd)) {
+		return 0, false
 	}
-	idx, ok := s.routes[pkt.Dst]
-	return idx, ok
+	k := s.fwd[pkt.Dst]
+	if k < 0 {
+		set := s.sets[-k-1]
+		h := ecmpHash(s.hashSalt, uint64(s.id), uint64(pkt.Flow))
+		return int(set[h%uint64(len(set))]), true
+	}
+	return int(k) - 1, k != 0
 }
 
 // ecmpHash mixes the topology salt, the switch identity, and the flow

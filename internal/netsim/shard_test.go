@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -80,5 +81,42 @@ func TestPartitionBindsDomains(t *testing.T) {
 	}
 	if a.uplink.pool != a.pool {
 		t.Fatal("host uplink pool differs from host pool")
+	}
+}
+
+// TestPartitionedDropsDestinationOutsideTable is the partitioned side of
+// TestSwitchDropsDestinationOutsideTable: the shipping port resolves the
+// hop at the source, finds no table entry, and charges the packet to the
+// switch's no-route shard — here the other one, so it crosses the mailbox
+// — where it is counted and recycled.
+func TestPartitionedDropsDestinationOutsideTable(t *testing.T) {
+	se := sim.NewShardedEngine(1, 2)
+	n, a, _, sw := buildStar(t, se.Shard(0), 25*time.Microsecond, 25*time.Microsecond)
+	// Domains: host a, host b, then the switch's ports toward a and b.
+	if err := n.Partition(se, []int{0, 1, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if a.shard == sw.noRouteShard {
+		t.Fatal("host a shares the switch's no-route shard; the drop would not cross shards")
+	}
+	late := n.AddHost("late")
+	dsts := []NodeID{-1, NodeID(len(n.nodes)), late.ID(), math.MaxInt}
+	for _, dst := range dsts {
+		pkt := a.AllocPacket()
+		pkt.Flow, pkt.Dst, pkt.Size = 1, dst, 100
+		a.Send(pkt)
+	}
+	if err := se.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := sw.DroppedNoRoute(); got != uint64(len(dsts)) {
+		t.Fatalf("DroppedNoRoute = %d, want %d", got, len(dsts))
+	}
+	free := 0
+	for i := range n.shardPools {
+		free += len(n.shardPools[i].free)
+	}
+	if free != len(dsts) {
+		t.Fatalf("%d packets on the shard free lists, want all %d recycled", free, len(dsts))
 	}
 }

@@ -108,3 +108,36 @@ func TestCancelDuringRunStillCompacts(t *testing.T) {
 		t.Fatalf("Pending never shrank below initial %d", maxPending)
 	}
 }
+
+// TestCompactionThresholdDiscountsVacatedRoot pins the instant a handler's
+// cancellations compact the queue: the event being run has left the
+// pending set though its slot still sits at the root, so dead entries are
+// weighed against Pending, not against the slice. 130 events; the first
+// handler runs with 129 pending and cancels 65 of them — the 65th makes
+// dead × 2 = 130 > 129 and compacts, which 130 > 130 would not.
+func TestCompactionThresholdDiscountsVacatedRoot(t *testing.T) {
+	e := NewEngine(1)
+	const n = 130
+	refs := make([]EventRef, n)
+	ran := 0
+	refs[0] = e.Schedule(1, func() {
+		for i := 1; i <= 65; i++ {
+			refs[i].Cancel()
+			if got, want := e.Stats().Compactions, uint64(i/65); got != want {
+				t.Fatalf("after %d cancellations: %d compactions, want %d", i, got, want)
+			}
+		}
+		if got := e.Pending(); got != n-1-65 {
+			t.Fatalf("Pending = %d after compacting from a handler, want %d", got, n-1-65)
+		}
+	})
+	for i := 1; i < n; i++ {
+		refs[i] = e.Schedule(Time(1+i), func() { ran++ })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); ran != n-1-65 || s.Compactions != 1 || s.MaxPending != n {
+		t.Fatalf("ran %d, stats %+v; want %d run, 1 compaction, MaxPending %d", ran, s, n-1-65, n)
+	}
+}

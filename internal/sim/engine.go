@@ -38,6 +38,12 @@ type Engine struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
+	// vacant marks the queue's root as a hole: the run loop leaves the
+	// event it is running there, so the handler's first enqueue takes the
+	// slot with one sift down instead of a pop and a push. Only the queue
+	// slot is stale — the event itself is already back on the free list.
+	// settle closes the hole for every reader that needs a whole heap.
+	vacant bool
 
 	// free is the event free list: fired and compacted events return
 	// here and are handed back out by Schedule, so the steady-state
@@ -143,7 +149,12 @@ func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Even
 	ev.srcSeq = srcSeq
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	e.queue.push(ev)
+	if e.vacant {
+		e.vacant = false
+		e.queue.down(0, heapSlot{at: at, ev: ev})
+	} else {
+		e.queue.push(ev)
+	}
 	if n := e.queue.Len(); n > e.maxPending {
 		e.maxPending = n
 	}
@@ -255,8 +266,19 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) EventRef {
 func (e *Engine) noteCancelled() {
 	e.cancelled++
 	e.cancelledTotal++
-	if e.cancelled >= compactMinCancelled && e.cancelled*2 > e.queue.Len() {
+	if e.cancelled >= compactMinCancelled && e.cancelled*2 > e.Pending() {
+		e.settle()
 		e.compact()
+	}
+}
+
+// settle pops the root the run loop left vacated, if it did.
+//
+//dtlint:hotpath
+func (e *Engine) settle() {
+	if e.vacant {
+		e.vacant = false
+		e.queue.pop()
 	}
 }
 
@@ -267,6 +289,10 @@ func (e *Engine) noteCancelled() {
 //
 //dtlint:hotpath
 func (e *Engine) compact() {
+	if invariant.Enabled {
+		//dtlint:allow hotalloc: assertion boxing is build-tag gated; alloc tests skip under -tags invariants
+		invariant.Assert(!e.vacant, "sim: compacting around a vacated root")
+	}
 	items := e.queue.items
 	kept := items[:0]
 	for _, s := range items {
@@ -291,7 +317,12 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of events still queued (including lazily
 // cancelled ones that have not yet been compacted away).
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int {
+	if e.vacant {
+		return e.queue.Len() - 1
+	}
+	return e.queue.Len()
+}
 
 // Run processes events until the queue drains or Stop is called. It
 // returns ErrStopped in the latter case.
@@ -322,6 +353,7 @@ func (e *Engine) RunFor(d time.Duration) error {
 // deadline — the bound is merely conservative, which is all the sharded
 // coordinator's window computation needs.
 func (e *Engine) NextEventTime() Time {
+	e.settle()
 	if e.queue.Len() == 0 {
 		return TimeNever
 	}
@@ -346,7 +378,15 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		horizon -= tick
 	}
 	e.stopped = false
+	// A run started from inside a handler finds the outer loop's root
+	// vacated; it closes the hole and the outer settle is then a no-op.
+	e.settle()
 	for {
+		if invariant.Enabled {
+			// Both returns are below: run never leaves the root vacated.
+			//dtlint:allow hotalloc: assertion boxing is build-tag gated; alloc tests skip under -tags invariants
+			invariant.Assert(!e.vacant, "sim: run loop resumed with a vacated root")
+		}
 		if e.stopped {
 			return ErrStopped
 		}
@@ -361,8 +401,8 @@ func (e *Engine) run(horizon Time, strict bool) error {
 			e.queue.down(0, heapSlot{at: t.at, ev: next})
 			continue
 		}
-		e.queue.pop()
 		if next.cancelled {
+			e.queue.pop()
 			e.cancelled--
 			e.recycle(next)
 			continue
@@ -379,11 +419,16 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		// ping-pongs between two pooled events for its whole lifetime).
 		run, runArg, arg := next.run, next.runArg, next.arg
 		e.recycle(next)
+		// The root stays vacated while the handler runs: its first enqueue
+		// sifts into the hole, and only a handler that enqueued nothing
+		// pays the pop, here.
+		e.vacant = true
 		if runArg != nil {
 			runArg(arg)
 		} else {
 			run()
 		}
+		e.settle()
 	}
 }
 
@@ -392,7 +437,7 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Scheduled:   e.nextSeq,
 		Processed:   e.processed,
-		Pending:     e.queue.Len(),
+		Pending:     e.Pending(),
 		Cancelled:   e.cancelledTotal,
 		Compactions: e.compactions,
 		FreeHits:    e.freeHits,

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,6 +27,11 @@ import (
 // All three must produce the same log — every handler run with the clock
 // it saw, and after every run call the clock, the error and each timer's
 // Armed/Deadline — and the same Scheduled, Processed and Cancelled totals.
+//
+// Handlers act on the queue too — enqueue nothing, one, two or three
+// events, cancel in bulk, rearm timers, read the pending count — because
+// the Engine runs them with its queue's root vacated (see Engine.vacant),
+// and every one of those calls has to find the hole or close it.
 
 // oracleTimer is the part of Timer the programs drive.
 type oracleTimer interface {
@@ -47,7 +53,11 @@ type machine interface {
 	run() error
 	stop()
 	counters() (scheduled, processed, cancelled uint64)
-	// audit checks the machine's internal bookkeeping between calls.
+	// pending returns the number of live events queued, or a negative
+	// number if the machine's own readers of the queue disagree.
+	pending() int
+	// audit checks the machine's internal bookkeeping, between calls and
+	// from inside handlers. It must not change the machine.
 	audit() error
 }
 
@@ -106,17 +116,42 @@ func (m engineMachine) counters() (uint64, uint64, uint64) {
 	return s.Scheduled, s.Processed, s.Cancelled
 }
 
+// pending counts live entries: Pending less the dead ones, which is what
+// the reference holds. NextEventTime is only a bound (a dead head counts),
+// so it is checked against the heap and not logged; reading it from a
+// handler is what settles a vacated root.
+func (m engineMachine) pending() int {
+	live := m.Pending() - m.cancelled
+	next, want := m.NextEventTime(), TimeNever
+	if len(m.queue.items) > 0 {
+		want = m.queue.items[0].at
+	}
+	switch {
+	case m.vacant:
+		return -1
+	case m.Pending() != len(m.queue.items) || m.Pending()-m.cancelled != live:
+		return -2
+	case next != want:
+		return -3
+	}
+	return live
+}
+
 // audit checks what no log line shows: the heap property under the full
 // key, the inline instants, the dead-entry count that drives compaction,
-// and the timer back-pointers.
+// and the timer back-pointers. Inside a handler the root may be the run
+// loop's hole: a stale slot that is no entry and no parent.
 func (m engineMachine) audit() error {
 	h := &m.queue
 	dead := 0
 	for i, s := range h.items {
+		if i == 0 && m.vacant {
+			continue
+		}
 		switch {
 		case s.at != s.ev.at:
 			return fmt.Errorf("slot %d: inline instant %d, event fires at %d", i, s.at, s.ev.at)
-		case i > 0 && h.less(s, h.items[(i-1)/4]):
+		case i > 0 && !(i <= 4 && m.vacant) && h.less(s, h.items[(i-1)/4]):
 			return fmt.Errorf("slot %d sorts before its parent", i)
 		case s.ev.timer != nil && s.ev.timer.wake != s.ev:
 			return fmt.Errorf("slot %d: timer does not point back at its wake-up", i)
@@ -275,6 +310,8 @@ func (m *refMachine) counters() (uint64, uint64, uint64) {
 	return m.scheduled, m.processed, m.cancelled
 }
 
+func (m *refMachine) pending() int { return len(m.queue) }
+
 func (m *refMachine) audit() error { return nil }
 
 // Offsets a program picks from: short, with repeats, so exact ties on the
@@ -306,23 +343,69 @@ func execProgram(m machine, prog []byte) []string {
 		// program runs away.
 		budget = 200
 	)
+	check := func() {
+		if err := m.audit(); err != nil {
+			logf("audit: %v", err)
+		}
+	}
 	var spawn func(call int, at, schedAt Time, srcKey int, srcSeq uint64)
+	// handlerAct is what the remaining handlers do, by id mod 16; the ids
+	// it leaves out enqueue nothing.
+	handlerAct := func(act, id int) {
+		switch act {
+		case 1:
+			logf("  pending=%d", m.pending())
+		case 2, 3, 4, 12:
+			// Two events, or three (3, 4): the first goes into the vacated
+			// root, the others are pushed.
+			n := 2
+			if act == 3 || act == 4 {
+				n = 3
+			}
+			logf("  enqueue %d", n)
+			for k := 0; k < n; k++ {
+				at := m.Now().Add(oracleDeltas[(id+k)%len(oracleDeltas)])
+				spawn(k%3, at, 0, id%3, uint64(k))
+			}
+		case 6, 11:
+			// Every other outstanding event, evens or odds by the handler's
+			// own parity: the second kind to run finds the first's dead
+			// entries and tips the engine into compaction from inside a
+			// handler that has enqueued nothing.
+			logf("  cancel every other")
+			for i := id % 2; i < len(cancels); i += 2 {
+				cancels[i]()
+			}
+		case 8, 9:
+			// Out, then in to an earlier instant: the second rearm cannot
+			// be served by the wake-up of the first.
+			logf("  rearm earlier")
+			t := timers[id%oracleTimers]
+			t.Reset(20)
+			t.Reset(time.Duration(act - 8))
+		}
+	}
 	handler := func(id int) func() {
 		return func() {
 			logf("fire %d now=%d", id, m.Now())
+			check()
+			defer check()
 			if budget <= 0 {
 				return
 			}
 			budget--
+			d := oracleDeltas[id%len(oracleDeltas)]
 			switch {
 			case id%5 == 0:
-				spawn(callSchedule, m.Now().Add(oracleDeltas[id%len(oracleDeltas)]), 0, 0, 0)
+				spawn(callSchedule, m.Now().Add(d), 0, 0, 0)
 			case id%7 == 0:
-				timers[id%oracleTimers].Reset(oracleDeltas[id%len(oracleDeltas)])
+				timers[id%oracleTimers].Reset(d)
 			case id%11 == 0 && len(cancels) > 0:
 				cancels[id%len(cancels)]()
 			case id%13 == 0:
 				m.stop()
+			default:
+				handlerAct(id%16, id)
 			}
 		}
 	}
@@ -335,6 +418,8 @@ func execProgram(m machine, prog []byte) []string {
 		var rearms int
 		timers[i] = m.newTimer(func() {
 			logf("timer %d now=%d", i, m.Now())
+			check()
+			defer check()
 			if rearms++; rearms%3 == 0 && budget > 0 {
 				budget--
 				timers[(i+1)%oracleTimers].Reset(oracleDeltas[rearms%len(oracleDeltas)])
@@ -346,9 +431,7 @@ func execProgram(m machine, prog []byte) []string {
 		for i, t := range timers {
 			logf("  timer %d armed=%v deadline=%d", i, t.Armed(), t.Deadline())
 		}
-		if err := m.audit(); err != nil {
-			logf("audit: %v", err)
-		}
+		check()
 	}
 
 	for pos < len(prog) {
@@ -451,6 +534,25 @@ var oracleSeeds = [][]byte{
 	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 6, 0, 0, 10, 7),
 }
 
+// vacatedRootSeeds reach what handlers do with the engine's root vacated
+// (handlerAct); TestOracleSeedsReachHandlerActs holds them to it.
+var vacatedRootSeeds = [][]byte{
+	// Thirteen events tied on one instant, ids 0–12, and no stop: handlers
+	// that enqueue nothing, one, two and three events, a rearm to an
+	// earlier instant and a pending count, drained by Run alone.
+	bytes.Repeat([]byte{0, 4, 0, 0}, 13),
+	// 141 events on one instant and no cancel outside a handler: id 6
+	// kills the evens, id 27 the odds — the first of those tips the engine
+	// into compaction from inside a handler that has enqueued nothing.
+	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 10, 7),
+	// All three timers armed far out, then twenty events spread over four
+	// instants and strict runs that stop between them: earlier rearms and
+	// pending counts against queued wake-ups, stale ones among them.
+	append(append([]byte{7, 7, 0, 7, 7, 1, 8, 7, 2},
+		bytes.Repeat([]byte{0, 2, 0, 0, 1, 4, 0, 0, 2, 5, 1, 7, 3, 6, 1, 5}, 5)...),
+		11, 2, 11, 5, 10, 6),
+}
+
 // randomProgram draws a program biased by flavour: 0 uniform, 1 heavy on
 // timers, 2 heavy on scheduling followed by mass cancellation.
 func randomProgram(rng *rand.Rand, flavour, n int) []byte {
@@ -473,7 +575,7 @@ func randomProgram(rng *rand.Rand, flavour, n int) []byte {
 // TestOracleEventQueueAndTimer is the seeded property test over random
 // programs, long enough (flavour 2) to cross the compaction threshold.
 func TestOracleEventQueueAndTimer(t *testing.T) {
-	for _, prog := range oracleSeeds {
+	for _, prog := range append(oracleSeeds, vacatedRootSeeds...) {
 		checkProgram(t, prog)
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -486,9 +588,29 @@ func TestOracleEventQueueAndTimer(t *testing.T) {
 	}
 }
 
+// TestOracleSeedsReachHandlerActs checks that every vacatedRootSeeds entry
+// runs each thing a handler can do to the queue, and that the second
+// compacts: its program cancels nothing itself, so the compaction happened
+// inside a handler.
+func TestOracleSeedsReachHandlerActs(t *testing.T) {
+	acts := []string{"  enqueue 2", "  enqueue 3", "  cancel every other", "  rearm earlier", "  pending="}
+	for i, prog := range vacatedRootSeeds {
+		e := NewEngine(1)
+		log := strings.Join(execProgram(engineMachine{Engine: e}, prog), "\n")
+		for _, act := range acts {
+			if !strings.Contains(log, act) {
+				t.Errorf("seed %d never logs %q", i, act)
+			}
+		}
+		if got := e.Stats().Compactions; (got > 0) != (i == 1) {
+			t.Errorf("seed %d: %d compactions, want some only for seed 1", i, got)
+		}
+	}
+}
+
 // FuzzEngineQueue explores programs beyond the seeded ones.
 func FuzzEngineQueue(f *testing.F) {
-	for _, prog := range oracleSeeds {
+	for _, prog := range append(oracleSeeds, vacatedRootSeeds...) {
 		f.Add(prog)
 	}
 	rng := rand.New(rand.NewSource(34))
@@ -536,6 +658,44 @@ func TestHeapEdges(t *testing.T) {
 				t.Fatalf("n=%d dead=%d: ran %v, want %v", n, dead, got, want)
 			}
 		}
+	}
+
+	// Handlers that enqueue nothing, on a queue of one and of two: the run
+	// loop itself pops the root it left vacated, down to an empty slice.
+	for _, n := range []int{1, 2} {
+		e := NewEngine(1)
+		for i := 0; i < n; i++ {
+			left := n - 1 - i
+			e.Schedule(7, func() {
+				if !e.vacant || e.Pending() != left || len(e.queue.items) != left+1 {
+					t.Fatalf("n=%d: handler sees vacant=%v Pending=%d over %d slots, want true, %d, %d",
+						n, e.vacant, e.Pending(), len(e.queue.items), left, left+1)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if s := e.Stats(); e.vacant || len(e.queue.items) != 0 || s.Processed != uint64(n) || s.MaxPending != n {
+			t.Fatalf("n=%d: vacant=%v, %d slots, stats %+v after the drain", n, e.vacant, len(e.queue.items), s)
+		}
+	}
+
+	// Stop from a handler that enqueued nothing: the root is settled before
+	// run returns, so what the caller reads next is the queue that is left.
+	e := NewEngine(1)
+	ran := 0
+	e.Schedule(1, e.Stop)
+	e.Schedule(2, func() { ran++ })
+	if err := e.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	if e.vacant || len(e.queue.items) != 1 || e.Pending() != 1 || e.NextEventTime() != 2 {
+		t.Fatalf("after Stop: vacant=%v, %d slots, Pending=%d, next=%v; want false, 1, 1, 2",
+			e.vacant, len(e.queue.items), e.Pending(), e.NextEventTime())
+	}
+	if err := e.Run(); err != nil || ran != 1 {
+		t.Fatalf("resumed Run = %v with %d events run, want nil and 1", err, ran)
 	}
 }
 
