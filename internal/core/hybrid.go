@@ -76,6 +76,9 @@ func (c HybridConfig) validate() error {
 		return errors.New("core: CouplingInterval must not be negative")
 	case c.StepsPerTick < 0:
 		return errors.New("core: StepsPerTick must not be negative")
+	case !c.FullPacket && c.CouplingInterval > c.Warmup+c.Duration:
+		return fmt.Errorf("core: CouplingInterval %v exceeds Warmup + Duration %v: the coupler would never tick",
+			c.CouplingInterval, c.Warmup+c.Duration)
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,26 +150,46 @@ func TestHybridMetricsDoNotPerturb(t *testing.T) {
 }
 
 func TestHybridConfigValidation(t *testing.T) {
-	bad := []func(*HybridConfig){
-		func(c *HybridConfig) { c.BgFlows = 0 },
-		func(c *HybridConfig) { c.FgFlows = -1 },
-		func(c *HybridConfig) { c.FgBytes = 0 },
-		func(c *HybridConfig) { c.Rate = 0 },
-		func(c *HybridConfig) { c.RTT = 0 },
-		func(c *HybridConfig) { c.BufferPkts = 0 },
-		func(c *HybridConfig) { c.Duration = 0 },
-		func(c *HybridConfig) { c.Warmup = -time.Second },
-		func(c *HybridConfig) { c.CouplingInterval = -time.Second },
-		func(c *HybridConfig) { c.StepsPerTick = -1 },
-		func(c *HybridConfig) { c.Shards = -1 },
-		func(c *HybridConfig) { c.Protocol = Reno() }, // no marking law in hybrid mode
+	// want is what the refusal must name; "" accepts any error.
+	bad := []struct {
+		mutate func(*HybridConfig)
+		want   string
+	}{
+		{func(c *HybridConfig) { c.BgFlows = 0 }, "BgFlows"},
+		{func(c *HybridConfig) { c.FgFlows = -1 }, "FgFlows"},
+		{func(c *HybridConfig) { c.FgBytes = 0 }, "FgBytes"},
+		{func(c *HybridConfig) { c.Rate = 0 }, ""},
+		{func(c *HybridConfig) { c.RTT = 0 }, ""},
+		{func(c *HybridConfig) { c.BufferPkts = 0 }, ""},
+		{func(c *HybridConfig) { c.Duration = 0 }, ""},
+		{func(c *HybridConfig) { c.Warmup = -time.Second }, ""},
+		{func(c *HybridConfig) { c.CouplingInterval = -time.Second }, "CouplingInterval"},
+		{func(c *HybridConfig) { c.StepsPerTick = -1 }, "StepsPerTick"},
+		{func(c *HybridConfig) { c.Shards = -1 }, ""},
+		{func(c *HybridConfig) { c.Protocol = Reno() }, "marking law"}, // none in hybrid mode
+		// A tick longer than the run: once returned coupler_ticks 0 and
+		// the statistics of a link with no background, without an error.
+		{func(c *HybridConfig) { c.CouplingInterval = time.Second }, "core: CouplingInterval 1s exceeds Warmup + Duration"},
+		// Once a fatal out-of-memory, and a makeslice panic.
+		{func(c *HybridConfig) { c.StepsPerTick = 1 << 40 }, "StepsPerTick"},
+		{func(c *HybridConfig) { c.StepsPerTick = 1 << 62 }, "StepsPerTick"},
 	}
-	for i, mutate := range bad {
+	for i, tc := range bad {
 		cfg := hybridTestConfig()
-		mutate(&cfg)
-		if _, err := RunHybrid(cfg); err == nil {
+		tc.mutate(&cfg)
+		_, err := RunHybrid(cfg)
+		if err == nil {
 			t.Errorf("case %d: RunHybrid accepted invalid config", i)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %q does not name %q", i, err, tc.want)
 		}
+	}
+
+	// The packet-level reference has no coupler: its interval is ignored.
+	cfg := hybridTestConfig()
+	cfg.BgFlows, cfg.FullPacket, cfg.CouplingInterval = 2, true, time.Second
+	if _, err := RunHybrid(cfg); err != nil {
+		t.Errorf("FullPacket run refused over an unused CouplingInterval: %v", err)
 	}
 }
 
@@ -176,16 +197,23 @@ func TestHybridConfigValidation(t *testing.T) {
 // any input either fails validation with an error or runs to completion
 // — never a panic, never NaN in the results.
 func FuzzHybridConfig(f *testing.F) {
-	f.Add(50, int64(100), 40, 2, 200)
-	f.Add(1000, int64(100), 40, 0, 600)
-	f.Add(1, int64(1), 1, 1, 1)
-	f.Add(0, int64(100), 40, 2, 200)  // rejected: no background flows
-	f.Add(50, int64(0), 40, 2, 200)   // rejected: zero RTT
-	f.Add(50, int64(100), 0, 2, 200)  // rejected: no marking law
-	f.Add(50, int64(-5), 40, -3, 200) // rejected: negative RTT and flows
-	f.Add(7, int64(100000), 199, 7, 999)
+	f.Add(50, int64(100), 40, 2, 200, int64(0), 0)
+	f.Add(1000, int64(100), 40, 0, 600, int64(20), 4)
+	f.Add(1, int64(1), 1, 1, 1, int64(1), 1)
+	f.Add(0, int64(100), 40, 2, 200, int64(0), 0)  // rejected: no background flows
+	f.Add(50, int64(0), 40, 2, 200, int64(0), 0)   // rejected: zero RTT
+	f.Add(50, int64(100), 0, 2, 200, int64(0), 0)  // rejected: no marking law
+	f.Add(50, int64(-5), 40, -3, 200, int64(0), 0) // rejected: negative RTT and flows
+	f.Add(7, int64(100000), 199, 7, 999, int64(0), 0)
+	f.Add(50, int64(100), 40, 2, 200, int64(-7), -2)       // rejected: negative interval and steps
+	f.Add(50, int64(100), 40, 2, 200, int64(0), 1<<40)     // rejected: once exhausted memory
+	f.Add(50, int64(100), 40, 2, 200, int64(0), 1<<62)     // rejected: once a makeslice panic
+	f.Add(50, int64(100), 40, 2, 200, int64(20), 1<<40)    // the same under an explicit interval
+	f.Add(50, int64(100), 40, 2, 200, int64(1_000_000), 8) // rejected: a 1 s tick on a 3 ms run
+	f.Add(50, int64(100), 40, 2, 200, int64(3_000), 64)    // exactly one tick
+	f.Add(50, int64(50_000), 40, 2, 200, int64(0), 0)      // rejected: the default tick R₀/8 outlasts the run
 
-	f.Fuzz(func(t *testing.T, bgFlows int, rttUs int64, k int, fgFlows, bufPkts int) {
+	f.Fuzz(func(t *testing.T, bgFlows int, rttUs int64, k int, fgFlows, bufPkts int, tickUs int64, stepsPerTick int) {
 		// Bound the work, not the validity: positive magnitudes are
 		// folded into a cheap range, sign and zero pass through so the
 		// rejection paths stay reachable.
@@ -204,6 +232,16 @@ func FuzzHybridConfig(f *testing.F) {
 		if bufPkts > 0 {
 			bufPkts = 1 + bufPkts%1000
 		}
+		// A tick above 3 ms outlasts the run and is refused. A step count
+		// of 2⁴⁰ or more passes through: it is refused whatever the other
+		// arguments (the delay history would pass the fluid cap), so it
+		// costs nothing; anything smaller is work, and folded.
+		if tickUs > 0 {
+			tickUs = 1 + tickUs%4_000_000
+		}
+		if stepsPerTick > 0 && stepsPerTick < 1<<40 {
+			stepsPerTick = 1 + stepsPerTick%64
+		}
 		cfg := HybridConfig{
 			Protocol:   DCTCP(k, 1.0/16),
 			BgFlows:    bgFlows,
@@ -216,10 +254,16 @@ func FuzzHybridConfig(f *testing.F) {
 			Duration:   2 * time.Millisecond,
 			Warmup:     time.Millisecond,
 			Seed:       1,
+
+			CouplingInterval: time.Duration(tickUs) * time.Microsecond,
+			StepsPerTick:     stepsPerTick,
 		}
 		res, err := RunHybrid(cfg)
 		if err != nil {
 			return // rejected inputs are fine; panics and NaNs are not
+		}
+		if res.CouplerTicks == 0 {
+			t.Fatalf("accepted a run whose coupler never ticked: %+v", cfg)
 		}
 		for name, v := range map[string]float64{
 			"queue mean":  res.QueueMeanPkts,

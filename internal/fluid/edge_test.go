@@ -58,6 +58,18 @@ func TestSolveEdgeCases(t *testing.T) {
 			wantMeanNear: -1,
 		},
 		{
+			name:         "NaN duration rejected",
+			mutate:       func(c *Config) { c.Duration = math.NaN() },
+			wantErr:      true,
+			wantMeanNear: -1,
+		},
+		{
+			name:         "infinite duration rejected",
+			mutate:       func(c *Config) { c.Duration = math.Inf(1) },
+			wantErr:      true,
+			wantMeanNear: -1,
+		},
+		{
 			name:         "single flow stays finite",
 			mutate:       func(c *Config) { c.N = 1 },
 			wantMeanNear: -1,

@@ -15,7 +15,7 @@
 package fluid
 
 import (
-	"errors"
+	"fmt"
 	"math"
 
 	"dtdctcp/internal/stats"
@@ -139,8 +139,8 @@ type Result struct {
 // one-shot driver over Stepper, which holds the numerics; incremental
 // integrations (the hybrid co-simulation) drive a Stepper directly.
 func Solve(cfg Config) (*Result, error) {
-	if cfg.Duration <= 0 {
-		return nil, errors.New("fluid: invalid config")
+	if !(cfg.Duration > 0) || math.IsInf(cfg.Duration, 1) {
+		return nil, fmt.Errorf("fluid: Duration = %g must be positive and finite", cfg.Duration)
 	}
 	stp, err := NewStepper(cfg)
 	if err != nil {

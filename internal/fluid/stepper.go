@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -45,12 +46,11 @@ type Stepper struct {
 	step        int
 	w, alpha, q float64
 
-	// histQ and histQd are rings of the last ringCap steps of (q, q̇),
-	// indexed by absolute step number modulo ringCap. count is the
-	// number of entries ever pushed (== step count at push time).
+	// histQ and histQd are equal-length rings of the last steps of
+	// (q, q̇), indexed by absolute step number modulo their length; head
+	// is the slot the next push writes, wrapped rather than divided.
 	histQ, histQd []float64
-	count         int
-	ringCap       int
+	head          int
 
 	// extQ and drainC are the hybrid coupling inputs: ambient queue in
 	// packets and effective drain capacity in packets/second.
@@ -58,14 +58,32 @@ type Stepper struct {
 	drainC float64
 }
 
+// maxLag caps the delay history at 2²⁰ steps per R₀ (two 8 MB rings).
+const maxLag = 1 << 20
+
 // NewStepper validates the configuration and prepares a resumable
 // integration at the initial conditions. Duration and SampleEvery are
 // Solve-level concerns and are ignored here.
 func NewStepper(cfg Config) (*Stepper, error) {
-	if cfg.N <= 0 || cfg.C <= 0 || cfg.D < 0 || cfg.Law == nil {
-		return nil, errors.New("fluid: invalid config")
+	vals := [...]float64{cfg.N, cfg.C, cfg.D, cfg.G, cfg.Step, cfg.W0, cfg.Alpha0, cfg.Q0, cfg.RTTRefQueue, cfg.BufferLimit}
+	for i, name := range [...]string{"N", "C", "D", "G", "Step", "W0", "Alpha0", "Q0", "RTTRefQueue", "BufferLimit"} {
+		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("fluid: %s = %g is not finite", name, v)
+		}
 	}
 	r0 := cfg.R0()
+	switch {
+	case cfg.N <= 0:
+		return nil, errors.New("fluid: N must be positive")
+	case cfg.C <= 0:
+		return nil, errors.New("fluid: C must be positive")
+	case cfg.D < 0:
+		return nil, errors.New("fluid: D must not be negative")
+	case cfg.Law == nil:
+		return nil, errors.New("fluid: Law is nil")
+	case r0 <= 0 || math.IsInf(r0, 1):
+		return nil, fmt.Errorf("fluid: R0 = D + RTTRefQueue/C = %g must be positive and finite", r0)
+	}
 	h := cfg.Step
 	if h <= 0 {
 		h = r0 / 50
@@ -75,21 +93,23 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		w = 1
 	}
 	lag := r0 / h
+	if lag > maxLag {
+		return nil, fmt.Errorf("fluid: Step = %g s keeps R0/Step = %g steps of delay history, cap %d", h, lag, maxLag)
+	}
 	// The delayed lookup reaches back at most lag+1 whole steps; +3
 	// covers the interpolation pair and integer truncation.
 	ringCap := int(lag) + 3
 	return &Stepper{
-		cfg:     cfg,
-		h:       h,
-		r0:      r0,
-		lag:     lag,
-		w:       w,
-		alpha:   cfg.Alpha0,
-		q:       cfg.Q0,
-		histQ:   make([]float64, ringCap),
-		histQd:  make([]float64, ringCap),
-		ringCap: ringCap,
-		drainC:  cfg.C,
+		cfg:    cfg,
+		h:      h,
+		r0:     r0,
+		lag:    lag,
+		w:      w,
+		alpha:  cfg.Alpha0,
+		q:      cfg.Q0,
+		histQ:  make([]float64, ringCap),
+		histQd: make([]float64, ringCap),
+		drainC: cfg.C,
 	}, nil
 }
 
@@ -104,7 +124,7 @@ func (s *Stepper) State() State {
 		W:     s.w,
 		Alpha: s.alpha,
 		Q:     s.q,
-		Qdot:  s.qdot(s.w, s.q),
+		Qdot:  s.ArrivalRate() - s.drainC,
 	}
 }
 
@@ -167,33 +187,49 @@ func (s *Stepper) Advance(n int) {
 }
 
 // Step advances the system by one RK4 step: push the current (q, q̇)
-// into the delay history, evaluate the delayed marking law (held
-// constant across the step — it varies on the R₀ scale, many steps),
-// integrate the coupled (W, α, q) system, and clamp to the physical
-// region (W ≥ 1, α ∈ [0, 1], 0 ≤ q ≤ buffer).
+// into the delay history, evaluate the delayed marking law, integrate
+// (W, α, q) with one RTT evaluation per stage, and clamp to the physical
+// region (W ≥ 1, α ∈ [0, 1], 0 ≤ q ≤ buffer). The delayed marking p is
+// held at its step-start value across the four stages — it varies on the
+// R₀ scale, many steps — and so is the α that dW/dt reads, while dα/dt is
+// integrated beside it: that is what every golden pins. The arithmetic
+// is held bit for bit by refStepper (kernel_test.go); DESIGN.md
+// "Touching Stepper.Step" lists the rewrites that keep it so.
 //
 //dtlint:hotpath
 func (s *Stepper) Step() {
-	h := s.h
-	qd := s.qdot(s.w, s.q)
-	slot := s.count % s.ringCap
-	s.histQ[slot] = s.q
-	s.histQd[slot] = qd
-	s.count++
+	h, half := s.h, s.h/2
+	n, g, drain := s.cfg.N, s.cfg.G, s.drainC
+	w, alpha, q := s.w, s.alpha, s.q
 
+	r := s.rtt(q)
+	k1q := n*w/r - drain
+	s.histQ[s.head] = q
+	s.histQd[s.head] = k1q
+	if s.head++; s.head == len(s.histQ) {
+		s.head = 0
+	}
 	p := s.delayedP()
-	alpha := s.alpha
+	k1w := 1/r - w*alpha*p/(2*r)
+	k1a := g / r * (p - alpha)
 
-	k1w, k1a, k1q := s.dW(s.w, s.q, p, alpha), s.dA(s.q, alpha, p), qd
-	k2w := s.dW(s.w+h/2*k1w, s.q+h/2*k1q, p, alpha)
-	k2a := s.dA(s.q+h/2*k1q, alpha+h/2*k1a, p)
-	k2q := s.qdot(s.w+h/2*k1w, s.q+h/2*k1q)
-	k3w := s.dW(s.w+h/2*k2w, s.q+h/2*k2q, p, alpha)
-	k3a := s.dA(s.q+h/2*k2q, alpha+h/2*k2a, p)
-	k3q := s.qdot(s.w+h/2*k2w, s.q+h/2*k2q)
-	k4w := s.dW(s.w+h*k3w, s.q+h*k3q, p, alpha)
-	k4a := s.dA(s.q+h*k3q, alpha+h*k3a, p)
-	k4q := s.qdot(s.w+h*k3w, s.q+h*k3q)
+	ws, as, qs := w+half*k1w, alpha+half*k1a, q+half*k1q
+	r = s.rtt(qs)
+	k2w := 1/r - ws*alpha*p/(2*r)
+	k2a := g / r * (p - as)
+	k2q := n*ws/r - drain
+
+	ws, as, qs = w+half*k2w, alpha+half*k2a, q+half*k2q
+	r = s.rtt(qs)
+	k3w := 1/r - ws*alpha*p/(2*r)
+	k3a := g / r * (p - as)
+	k3q := n*ws/r - drain
+
+	ws, as, qs = w+h*k3w, alpha+h*k3a, q+h*k3q
+	r = s.rtt(qs)
+	k4w := 1/r - ws*alpha*p/(2*r)
+	k4a := g / r * (p - as)
+	k4q := n*ws/r - drain
 
 	s.w += h / 6 * (k1w + 2*k2w + 2*k3w + k4w)
 	s.alpha += h / 6 * (k1a + 2*k2a + 2*k3a + k4a)
@@ -229,19 +265,23 @@ func (s *Stepper) Step() {
 //dtlint:hotpath
 func (s *Stepper) delayedP() float64 {
 	idx := float64(s.step) - s.lag
-	if idx < 0 {
+	i := int(idx)
+	if i >= s.step { // a lag lost to rounding: the newest entry has no successor yet
+		i = s.step - 1
+	}
+	if idx < 0 || i < 0 {
 		return s.cfg.Law.P(s.cfg.Q0+s.extQ, 0)
 	}
-	i := int(idx)
-	if i >= s.count-1 {
-		i = s.count - 2
-		if i < 0 {
-			return s.cfg.Law.P(s.cfg.Q0+s.extQ, 0)
-		}
-	}
 	frac := idx - float64(i)
-	j := i % s.ringCap
-	k := (i + 1) % s.ringCap
+	// Entries 0..step are pushed: i sits step+1−i ≤ len slots behind head.
+	j := s.head - (s.step + 1 - i)
+	if j < 0 {
+		j += len(s.histQ)
+	}
+	k := j + 1
+	if k == len(s.histQ) {
+		k = 0
+	}
 	dq := s.histQ[j]*(1-frac) + s.histQ[k]*frac
 	dqd := s.histQd[j]*(1-frac) + s.histQd[k]*frac
 	return s.cfg.Law.P(dq+s.extQ, dqd)
@@ -262,21 +302,9 @@ func (s *Stepper) rtt(q float64) float64 {
 	q += s.extQ
 	// Floor at 1ns: with D = 0 and an empty queue the instantaneous RTT
 	// would otherwise vanish and the 1/R terms of the ODEs blow up.
-	return math.Max(s.cfg.D+q/s.cfg.C, 1e-9)
-}
-
-//dtlint:hotpath
-func (s *Stepper) qdot(w, q float64) float64 {
-	return s.cfg.N*w/s.rtt(q) - s.drainC
-}
-
-//dtlint:hotpath
-func (s *Stepper) dW(w, q, p, alpha float64) float64 {
-	r := s.rtt(q)
-	return 1/r - w*alpha*p/(2*r)
-}
-
-//dtlint:hotpath
-func (s *Stepper) dA(q, a, p float64) float64 {
-	return s.cfg.G / s.rtt(q) * (p - a)
+	r := s.cfg.D + q/s.cfg.C
+	if r < 1e-9 {
+		r = 1e-9
+	}
+	return r
 }

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -170,17 +171,70 @@ func TestStepperBufferLimitSharesWithAmbient(t *testing.T) {
 	}
 }
 
+// TestNewStepperRejectsInvalid holds every refusal to an error that
+// names the field at fault. Most rows crashed (makeslice: len out of
+// range), integrated NaN or ran model time backwards before they were
+// refused.
 func TestNewStepperRejectsInvalid(t *testing.T) {
-	bad := []Config{
-		{},
-		{N: 0, C: 1, D: 0, Law: SingleThreshold{K: 1}},
-		{N: 1, C: 0, D: 0, Law: SingleThreshold{K: 1}},
-		{N: 1, C: 1, D: -1, Law: SingleThreshold{K: 1}},
-		{N: 1, C: 1, D: 0, Law: nil},
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { *c = Config{} }, "N must be positive"},
+		{func(c *Config) { c.N = 0 }, "N must be positive"},
+		{func(c *Config) { c.C = 0 }, "C must be positive"},
+		{func(c *Config) { c.C = -1 }, "C must be positive"},
+		{func(c *Config) { c.D = -1 }, "D must not be negative"},
+		{func(c *Config) { c.Law = nil }, "Law is nil"},
+		{func(c *Config) { c.N = nan }, "N = NaN"},
+		{func(c *Config) { c.C = nan }, "C = NaN"},
+		{func(c *Config) { c.D = nan }, "D = NaN"},
+		{func(c *Config) { c.G = nan }, "G = NaN"},
+		{func(c *Config) { c.Step = nan }, "Step = NaN"},
+		{func(c *Config) { c.Step = inf }, "Step = +Inf"},
+		{func(c *Config) { c.W0 = -inf }, "W0 = -Inf"},
+		{func(c *Config) { c.Alpha0 = nan }, "Alpha0 = NaN"},
+		{func(c *Config) { c.Q0 = nan }, "Q0 = NaN"},
+		{func(c *Config) { c.RTTRefQueue = nan }, "RTTRefQueue = NaN"},
+		{func(c *Config) { c.BufferLimit = inf }, "BufferLimit = +Inf"},
+		// R₀ = D + RTTRefQueue/C: zero, negative, overflowing.
+		{func(c *Config) { c.D, c.RTTRefQueue = 0, 0 }, "R0 = D + RTTRefQueue/C = 0"},
+		{func(c *Config) { c.RTTRefQueue = -1e6 }, "R0 = D + RTTRefQueue/C = -"},
+		{func(c *Config) { c.C, c.RTTRefQueue = 1e-300, 1e300 }, "R0 = D + RTTRefQueue/C = +Inf"},
+		// A step that needs more than 2²⁰ history entries per R₀.
+		{func(c *Config) { c.Step = 1e-300 }, "Step = 1e-300"},
+		{func(c *Config) { c.Step = c.R0() / (1<<20 + 1) }, "Step = "},
 	}
-	for i, cfg := range bad {
-		if _, err := NewStepper(cfg); err == nil {
-			t.Errorf("config %d: NewStepper accepted invalid config %+v", i, cfg)
+	for i, tc := range bad {
+		cfg := stepperConfig()
+		tc.mutate(&cfg)
+		_, err := NewStepper(cfg)
+		switch {
+		case err == nil:
+			t.Errorf("case %d: NewStepper accepted invalid config %+v", i, cfg)
+		case !strings.HasPrefix(err.Error(), "fluid: ") || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("case %d: error %q does not say %q", i, err, tc.want)
+		}
+	}
+
+	good := []func(*Config){
+		func(c *Config) { c.D = 0 }, // R₀ from the reference queue alone
+		func(c *Config) { c.Step = c.R0() / (1 << 20) },
+		func(c *Config) { c.Step = 1e6 },
+		func(c *Config) { c.Step, c.W0, c.Q0, c.Alpha0, c.BufferLimit = -1, -1, -1, -1, -1 },
+	}
+	for i, mutate := range good {
+		cfg := stepperConfig()
+		mutate(&cfg)
+		stp, err := NewStepper(cfg)
+		if err != nil {
+			t.Errorf("valid case %d refused: %v", i, err)
+			continue
+		}
+		stp.Advance(100)
+		if st := stp.State(); math.IsNaN(st.W+st.Alpha+st.Q) || st.T <= 0 {
+			t.Errorf("valid case %d: state %+v after 100 steps", i, st)
 		}
 	}
 }

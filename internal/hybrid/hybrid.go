@@ -40,6 +40,7 @@ package hybrid
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"dtdctcp/internal/fluid"
@@ -131,11 +132,14 @@ func New(cfg Config) (*Coupler, error) {
 	if interval <= 0 {
 		return nil, errors.New("hybrid: non-positive interval")
 	}
+	if interval > cfg.Horizon {
+		return nil, fmt.Errorf("hybrid: Interval %v exceeds Horizon %v: no tick would fire", interval, cfg.Horizon)
+	}
 	fcfg := cfg.Fluid
 	fcfg.Step = interval.Seconds() / float64(steps)
 	stp, err := fluid.NewStepper(fcfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hybrid: fluid model at Step = Interval/StepsPerTick = %v/%d: %w", interval, steps, err)
 	}
 	return &Coupler{
 		stepper:      stp,

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -184,21 +185,36 @@ func TestNewRejectsInvalid(t *testing.T) {
 	_, _, port := testbed(t, e, netsim.Gbps, 600)
 	good := Config{Fluid: fluidCfg(100, netsim.Gbps), Port: port, Horizon: time.Millisecond}
 
-	bad := []func(*Config){
-		func(c *Config) { c.Port = nil },
-		func(c *Config) { c.Horizon = 0 },
-		func(c *Config) { c.Horizon = -time.Second },
-		func(c *Config) { c.PktSize = -1 },
-		func(c *Config) { c.StepsPerTick = -1 },
-		func(c *Config) { c.Interval = -time.Second },
-		func(c *Config) { c.Fluid.N = 0 },
-		func(c *Config) { c.Fluid.Law = nil },
+	// want is a word the refusal must contain: the field at fault.
+	bad := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Port = nil }, "port"},
+		{func(c *Config) { c.Horizon = 0 }, "horizon"},
+		{func(c *Config) { c.Horizon = -time.Second }, "horizon"},
+		{func(c *Config) { c.PktSize = -1 }, "packet size"},
+		{func(c *Config) { c.StepsPerTick = -1 }, "steps per tick"},
+		{func(c *Config) { c.Interval = -time.Second }, "interval"},
+		{func(c *Config) { c.Fluid.N = 0 }, "fluid: N"},
+		{func(c *Config) { c.Fluid.Law = nil }, "fluid: Law"},
+		// A tick longer than the run never fires: explicit, and the
+		// R₀/8 default (72.5 µs here) against a 10 µs horizon.
+		{func(c *Config) { c.Interval = time.Second }, "Interval 1s exceeds Horizon"},
+		{func(c *Config) { c.Horizon = 10 * time.Microsecond }, "exceeds Horizon"},
+		// A step count that would take a terabyte-scale history ring,
+		// and one whose ring length overflows int.
+		{func(c *Config) { c.StepsPerTick = 1 << 40 }, "StepsPerTick"},
+		{func(c *Config) { c.StepsPerTick = 1 << 62 }, "StepsPerTick"},
 	}
-	for i, mutate := range bad {
+	for i, tc := range bad {
 		cfg := good
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		tc.mutate(&cfg)
+		_, err := New(cfg)
+		if err == nil {
 			t.Errorf("case %d: New accepted invalid config", i)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %q does not name %q", i, err, tc.want)
 		}
 	}
 	if _, err := New(good); err != nil {
