@@ -6,24 +6,26 @@
 // time-to-drain back into the pre-fault queue band and time until the
 // queue oscillation re-locks.
 //
-// Results are printed as a table and, with -o, merged into a
-// machine-readable JSON file following the BENCH_baseline.json
-// conventions (schema + current + history).
+// Results are printed as a table and, with -o, also written as
+// machine-readable JSON: the snapshot is a pure function of the flags,
+// so two -o files from one command line cmp equal.
 //
 // Usage:
 //
 //	dtchaos                          # all built-in profiles, print table
 //	dtchaos -profiles blackout,burst # a subset
 //	dtchaos -plan my.json            # a custom plan file instead
-//	dtchaos -o CHAOS_baseline.json   # merge snapshot into a baseline file
+//	dtchaos -o chaos.json            # also write the snapshot as JSON
 //	dtchaos -workers 8               # sweep points in parallel (output
 //	                                 # is byte-identical for any value)
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -32,7 +34,6 @@ import (
 	"dtdctcp"
 	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
-	"dtdctcp/internal/report"
 	"dtdctcp/internal/runner"
 )
 
@@ -56,16 +57,12 @@ type Report struct {
 
 // Snapshot is one complete dtchaos run.
 type Snapshot struct {
-	Label     string   `json:"label"`
-	Timestamp string   `json:"timestamp"`
 	GoVersion string   `json:"go_version"`
 	Seed      int64    `json:"seed"`
 	Flows     int      `json:"flows"`
 	RateBps   int64    `json:"rate_bps"`
 	Reports   []Report `json:"reports"`
 }
-
-const schema = "dtchaos/v1"
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -74,11 +71,10 @@ func main() {
 	}
 }
 
-func run(args []string, w *os.File) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dtchaos", flag.ContinueOnError)
 	var (
-		out        = fs.String("o", "", "merge the snapshot into this JSON file (previous current moves to history)")
-		label      = fs.String("label", "", "snapshot label (default: timestamp)")
+		out        = fs.String("o", "", "write the snapshot as JSON to this path")
 		profiles   = fs.String("profiles", "", "comma-separated built-in profiles (default: all)")
 		planPath   = fs.String("plan", "", "run a custom plan file instead of built-in profiles")
 		flows      = fs.Int("flows", 40, "long-lived flows sharing the bottleneck")
@@ -130,22 +126,20 @@ func run(args []string, w *os.File) error {
 
 	printTable(w, reports)
 
-	snap := &Snapshot{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
+	if *out == "" {
+		return nil
+	}
+	raw, err := json.MarshalIndent(&Snapshot{
 		GoVersion: runtime.Version(),
 		Seed:      *seed,
 		Flows:     *flows,
 		RateBps:   *rate,
 		Reports:   reports,
+	}, "", "  ")
+	if err != nil {
+		return err
 	}
-	snap.Label = *label
-	if snap.Label == "" {
-		snap.Label = snap.Timestamp
-	}
-	if *out == "" {
-		return nil
-	}
-	return report.Merge(*out, schema, snap)
+	return os.WriteFile(*out, append(raw, '\n'), 0o644)
 }
 
 func selectPlans(profiles, planPath string) ([]*chaos.Plan, error) {
@@ -283,7 +277,7 @@ func Sweep(plans []*chaos.Plan, o SweepOptions) ([]Report, []metrics.Named, erro
 	return reports, snaps, nil
 }
 
-func printTable(w *os.File, reports []Report) {
+func printTable(w io.Writer, reports []Report) {
 	fmt.Fprintf(w, "%-10s %-22s %9s %8s %7s %8s %9s %9s\n",
 		"profile", "protocol", "qmean", "qstd", "drops", "drain", "relock", "util")
 	for _, r := range reports {

@@ -1,14 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dtdctcp"
 	"dtdctcp/internal/chaos"
-	"dtdctcp/internal/report"
 )
 
 // sweepAll runs every built-in profile once at a reduced scale.
@@ -88,33 +89,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMergeKeepsHistory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chaos.json")
-	if err := report.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f report.File[Snapshot]
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != schema {
-		t.Fatalf("schema = %q", f.Schema)
-	}
-	if f.Current == nil || f.Current.Label != "second" {
-		t.Fatalf("current = %+v", f.Current)
-	}
-	if len(f.History) != 1 || f.History[0].Label != "first" {
-		t.Fatalf("history = %+v", f.History)
-	}
-}
-
 func TestSelectPlans(t *testing.T) {
 	all, err := selectPlans("", "")
 	if err != nil {
@@ -138,49 +112,30 @@ func TestSelectPlans(t *testing.T) {
 	}
 }
 
-// TestRunRefusesForeignBaseline drives the CLI onto another command's
-// baseline: `dtchaos -o BENCH_baseline.json` used to demote a
-// zero-valued "current" into history and rewrite the file.
-func TestRunRefusesForeignBaseline(t *testing.T) {
-	foreign, err := os.ReadFile("../../BENCH_baseline.json")
-	if err != nil {
+// TestRunSnapshotIsPureFunctionOfFlags drives the CLI twice: -o writes
+// the bare snapshot, and the two files are byte-identical.
+func TestRunSnapshotIsPureFunctionOfFlags(t *testing.T) {
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(t.TempDir(), "chaos.json")
+		args := []string{"-profiles", chaos.Profiles()[0], "-flows", "8", "-rate", "1000000000", "-o", path}
+		if err := run(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = raw
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two runs wrote different snapshots:\n%s\n%s", files[0], files[1])
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(files[0], &snap); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_baseline.json")
-	if err := os.WriteFile(path, foreign, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	args := []string{"-profiles", chaos.Profiles()[0], "-flows", "8", "-rate", "1000000000", "-o", path}
-	if err := run(args, null); err == nil {
-		t.Fatal("merged a dtchaos snapshot into the dtbench baseline")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(foreign) {
-		t.Fatal("refused baseline was rewritten")
-	}
-	// The same invocation onto a fresh path writes a dtchaos file.
-	fresh := filepath.Join(t.TempDir(), "chaos.json")
-	args[len(args)-1] = fresh
-	if err := run(args, null); err != nil {
-		t.Fatal(err)
-	}
-	var f report.File[Snapshot]
-	raw, err := os.ReadFile(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != schema || f.Current == nil || len(f.Current.Reports) == 0 {
-		t.Fatalf("fresh file: %+v", f)
+	if snap.Flows != 8 || len(snap.Reports) == 0 {
+		t.Fatalf("snapshot: %+v", snap)
 	}
 }

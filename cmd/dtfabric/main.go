@@ -4,18 +4,16 @@
 // queue summaries at the core and aggregation tiers, and mark/drop
 // rates as machine-readable JSON.
 //
-// Reports follow the dtbench file conventions — {schema, current,
-// history[]} with -o merging — but deliberately record no wall-clock
-// state: a report is a pure function of its flags, so committed
-// baselines diff cleanly. The -verify-shards flag makes the determinism
-// contract executable: every listed shard count must reproduce the
-// serial digest bit for bit, and the verified counts are recorded in
-// the report.
+// The report goes to stdout and is a pure function of the flags — no
+// wall-clock state, so two runs of one command line cmp equal and
+// nothing needs committing; timings live in the ledger (go run
+// ./benchmarks). The -verify-shards flag makes the determinism contract
+// executable: every listed shard count must reproduce the serial digest
+// bit for bit, and the verified counts are recorded in the report.
 //
 // Usage:
 //
-//	dtfabric                          # baseline pair on a k=4 fat-tree
-//	dtfabric -o FABRIC_baseline.json  # merge into the committed baseline
+//	dtfabric > fabric.json            # DCTCP/DT-DCTCP pair on a k=4 fat-tree
 //	dtfabric -quick                   # small leaf-spine (CI smoke)
 //	dtfabric -topo leafspine -leaves 4 -spines 2 -hosts-per-leaf 4
 //	dtfabric -cdf datamining -load 0.8 -matrix permutation
@@ -25,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -33,11 +32,10 @@ import (
 
 	"dtdctcp"
 	"dtdctcp/internal/flowgen"
-	"dtdctcp/internal/report"
 )
 
-// Config echoes the flags that shaped a snapshot, so a committed report
-// documents its own provenance.
+// Config echoes the flags that shaped a snapshot, so a report documents
+// its own provenance.
 type Config struct {
 	Topology     string  `json:"topology"`
 	K            int     `json:"k,omitempty"`
@@ -63,23 +61,20 @@ type Config struct {
 // side, plus the shard counts whose digests were verified against the
 // serial run.
 type Snapshot struct {
-	Label          string                  `json:"label"`
 	GoVersion      string                  `json:"go_version"`
 	Config         Config                  `json:"config"`
 	Results        []*dtdctcp.FabricResult `json:"results"`
 	ShardsVerified []int                   `json:"shards_verified,omitempty"`
 }
 
-const schema = "dtfabric/v1"
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dtfabric:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dtfabric", flag.ContinueOnError)
 	var (
 		topology = fs.String("topo", "fattree", "topology: fattree or leafspine")
@@ -104,18 +99,24 @@ func run(args []string) error {
 		markK2   = fs.Int("K2", 25, "DT-DCTCP upper threshold in packets")
 		g        = fs.Float64("g", 1.0/16, "DCTCP EWMA gain")
 		zoo      = fs.Bool("zoo", false, "also run the DCTCP+ and HULL zoo protocols over the fabric")
-		quick    = fs.Bool("quick", false, "small leaf-spine and short trace for a fast smoke pass")
-		out      = fs.String("o", "", "merge the snapshot into this JSON file (previous current moves to history)")
-		label    = fs.String("label", "", "snapshot label")
+		quick    = fs.Bool("quick", false, "small leaf-spine and short trace for a fast smoke pass, where those flags are not given")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *quick {
-		*topology = "leafspine"
-		*leaves, *spines, *hostsPer = 2, 2, 2
-		*flows = 80
-		*load = 0.4
+		// Only for flags the command line left alone: -quick -flows 500
+		// runs 500 flows.
+		small := map[string]string{
+			"topo": "leafspine", "leaves": "2", "spines": "2", "hosts-per-leaf": "2",
+			"flows": "80", "load": "0.4",
+		}
+		fs.Visit(func(f *flag.Flag) { delete(small, f.Name) })
+		for name, v := range small {
+			if err := fs.Set(name, v); err != nil {
+				return err
+			}
+		}
 	}
 
 	cdf, err := loadCDF(*cdfName)
@@ -156,7 +157,6 @@ func run(args []string) error {
 	}
 
 	snap := &Snapshot{
-		Label:     *label,
 		GoVersion: runtime.Version(),
 		Config: Config{
 			Topology: *topology, RateGbps: *rateGbps,
@@ -206,12 +206,9 @@ func run(args []string) error {
 	}
 	snap.ShardsVerified = verifyCounts
 
-	if *out == "" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(snap)
-	}
-	return report.Merge(*out, schema, snap)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(snap)
 }
 
 // loadCDF resolves a builtin name, falling back to a trace file path.

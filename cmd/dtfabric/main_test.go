@@ -1,78 +1,48 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dtdctcp/internal/report"
 )
 
 // TestQuickRunVerifiedSharded drives the whole CLI path: a quick
-// leaf-spine pair with shard verification against the serial digest,
-// merged into a fresh report file.
+// leaf-spine pair with shard verification against the serial digest.
+// -quick fills in only what the command line left unset, and the report
+// is a pure function of the flags: a second run is byte-identical.
 func TestQuickRunVerifiedSharded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fabric.json")
-	if err := run([]string{"-quick", "-verify-shards", "1,2", "-o", path, "-label", "test"}); err != nil {
+	args := []string{"-quick", "-flows", "60", "-verify-shards", "1,2"}
+	var first, second bytes.Buffer
+	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+	if err := run(args, &second); err != nil {
 		t.Fatal(err)
 	}
-	var f report.File[Snapshot]
-	if err := json.Unmarshal(data, &f); err != nil {
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("two runs of %v differ:\n%s\n%s", args, &first, &second)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(first.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if f.Schema != schema {
-		t.Fatalf("schema %q, want %q", f.Schema, schema)
+	if c := snap.Config; c.Topology != "leafspine" || c.Flows != 60 || c.Load != 0.4 {
+		t.Fatalf("config %+v, want the quick leaf-spine at load 0.4 with the 60 flows asked for", c)
 	}
-	if f.Current == nil || len(f.Current.Results) != 2 {
-		t.Fatalf("want a DCTCP/DT-DCTCP result pair, got %+v", f.Current)
+	if len(snap.Results) != 2 {
+		t.Fatalf("want a DCTCP/DT-DCTCP result pair, got %+v", snap.Results)
 	}
-	for _, res := range f.Current.Results {
-		if res.Completed != res.Flows || len(res.Digest) != 16 {
+	for _, res := range snap.Results {
+		if res.Flows != 60 || res.Completed != res.Flows || len(res.Digest) != 16 {
 			t.Fatalf("result %s: completed %d/%d, digest %q",
 				res.Protocol, res.Completed, res.Flows, res.Digest)
 		}
 	}
-	if len(f.Current.ShardsVerified) != 2 {
-		t.Fatalf("shards verified %v, want [1 2]", f.Current.ShardsVerified)
-	}
-	if f.Current.Label != "test" {
-		t.Fatalf("label %q", f.Current.Label)
-	}
-}
-
-func TestMergeDemotesCurrentToHistory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fabric.json")
-	if err := report.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f report.File[Snapshot]
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Current.Label != "second" || len(f.History) != 1 || f.History[0].Label != "first" {
-		t.Fatalf("merge did not demote: current %q, history %+v", f.Current.Label, f.History)
-	}
-}
-
-func TestMergeRejectsForeignSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"dtbench/v1"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Merge(path, schema, &Snapshot{}); err == nil {
-		t.Fatal("merged into a dtbench file")
+	if len(snap.ShardsVerified) != 2 {
+		t.Fatalf("shards verified %v, want [1 2]", snap.ShardsVerified)
 	}
 }
 
@@ -114,9 +84,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"bad cdf":     {"-quick", "-cdf", "no-such"},
 		"bad verify":  {"-quick", "-verify-shards", "zero,"},
 		"bad topo":    {"-topo", "torus", "-flows", "10"},
+		"quick topo":  {"-quick", "-topo", "ring"},
 		"unknown arg": {"-frobnicate"},
 	} {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

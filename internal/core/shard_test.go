@@ -204,7 +204,8 @@ func queryFingerprint(res *QueryResult) string {
 func TestShardedQueryMatchesSerial(t *testing.T) {
 	base := DefaultTestbed(DTDCTCP(16, 26, 1.0/16), 8)
 	base.Deadline = 30 * time.Millisecond
-	serial, err := RunQuery(base, 64<<10, 4)
+	const rounds = 4
+	serial, err := RunQuery(base, 64<<10, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +215,18 @@ func TestShardedQueryMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := base
 			cfg.Shards = shards
-			res, err := RunQuery(cfg, 64<<10, 4)
+			res, err := RunQuery(cfg, 64<<10, rounds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := queryFingerprint(res); got != want {
 				t.Fatalf("sharded query run diverged from serial:\nserial: %s\nsharded: %s", want, got)
+			}
+			// The serial engine starts rounds 2..N with events on its own
+			// wheel; relay mode starts them with barrier tasks, which are
+			// not engine events.
+			if wantEvents := serial.Events - (rounds - 1); res.Events != wantEvents {
+				t.Fatalf("%d events, want the serial run's %d less %d round starts", res.Events, serial.Events, rounds-1)
 			}
 		})
 	}

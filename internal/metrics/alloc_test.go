@@ -69,7 +69,7 @@ func TestInstrumentedForwardSteadyStateAllocFree(t *testing.T) {
 	dst.Register(1, sink)
 
 	reg := metrics.NewRegistry()
-	metrics.InstrumentEngine(reg, e)
+	metrics.InstrumentEngineStats(reg, e.Stats)
 	hist := reg.Histogram("port_queue_depth_pkts", "", metrics.LinearBounds(1, 1, 64))
 	src.Uplink().SetMonitor(metrics.NewQueueDepthMonitor(hist, 1500))
 

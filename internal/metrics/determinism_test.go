@@ -178,7 +178,7 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 	}
 	if off.QueueMeanPkts != on.QueueMeanPkts || off.QueueStdPkts != on.QueueStdPkts ||
 		off.Utilization != on.Utilization || off.Timeouts != on.Timeouts ||
-		off.FaultDrops != on.FaultDrops || off.Marks != on.Marks {
+		off.FaultDrops != on.FaultDrops || off.Marks != on.Marks || off.Events != on.Events {
 		t.Fatalf("enabling metrics changed results:\noff: %+v\non:  %+v", off, on)
 	}
 }

@@ -6,20 +6,14 @@ import (
 	"dtdctcp/internal/sim"
 )
 
-// InstrumentEngine registers pull metrics over the engine's existing
+// InstrumentEngineStats registers pull metrics over an engine's existing
 // counters: events scheduled, executed, and cancelled, free-list hits
 // and misses plus the derived hit rate, compaction passes, and the
-// pending-queue depth with its high-water mark. Everything reads
-// sim.EngineStats at snapshot time, so the event loop is untouched.
-func InstrumentEngine(r *Registry, e *sim.Engine) {
-	InstrumentEngineStats(r, e.Stats)
-}
-
-// InstrumentEngineStats registers the same metric family over any
-// EngineStats source — a single engine's Stats, or a ShardedEngine's
-// merged Stats, so a partitioned run exports one coherent set of totals
-// instead of per-shard fragments. The source is only called at snapshot
-// time.
+// pending-queue depth with its high-water mark. The source is a single
+// engine's Stats, or a ShardedEngine's merged Stats, so a partitioned
+// run exports one coherent set of totals instead of per-shard
+// fragments. It is only called at snapshot time, so the event loop is
+// untouched.
 func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 	r.CounterFunc("sim_events_scheduled_total",
 		"Events scheduled on the engine, one per timer arm (a rearm in place queues nothing but still counts).",
