@@ -7,9 +7,10 @@ import (
 )
 
 // InstrumentEngineStats registers pull metrics over an engine's existing
-// counters: events scheduled, executed, and cancelled, free-list hits
-// and misses plus the derived hit rate, compaction passes, and the
-// pending-queue depth with its high-water mark. The source is a single
+// counters: events scheduled, executed, and cancelled, insertions a sorted
+// lane took past the heap, free-list hits and misses plus the derived hit
+// rate, compaction passes, and the pending-queue depth with its
+// high-water mark. The source is a single
 // engine's Stats, or a ShardedEngine's merged Stats, so a partitioned
 // run exports one coherent set of totals instead of per-shard
 // fragments. It is only called at snapshot time, so the event loop is
@@ -24,8 +25,11 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 	r.CounterFunc("sim_events_cancelled_total",
 		"Events cancelled before firing, one per stopped or superseded timer deadline.",
 		func() uint64 { return stats().Cancelled })
+	r.CounterFunc("sim_events_lane_total",
+		"Queue insertions appended to a sorted lane instead of sifted into the heap; well below sim_events_executed_total when a run's delays are irregular or its pending set stays small.",
+		func() uint64 { return stats().LaneHits })
 	r.CounterFunc("sim_queue_compactions_total",
-		"Compaction passes removing cancelled events from the heap.",
+		"Compaction passes removing cancelled events from the heap and the lanes.",
 		func() uint64 { return stats().Compactions })
 	r.CounterFunc("sim_free_list_hits_total",
 		"Event allocations served from the free list.",
@@ -44,7 +48,7 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 			return float64(s.FreeHits) / float64(total)
 		})
 	r.GaugeFunc("sim_events_pending",
-		"Events currently queued (including uncompacted cancellations; a timer holds one entry however often it is rearmed).",
+		"Events currently queued, in the heap and the lanes (including uncompacted cancellations; a timer holds one entry however often it is rearmed).",
 		func() float64 { return float64(stats().Pending) })
 	r.GaugeFunc("sim_events_pending_max",
 		"High-water mark of the pending-event queue (the maximum over shards in a sharded run, since per-shard marks do not align in time).",

@@ -71,6 +71,35 @@ func TestAfterArgSteadyStateAllocFree(t *testing.T) {
 	if p.n == 0 {
 		t.Fatal("argument-carrying events never ran")
 	}
+
+	// The delays of a 40-flow dumbbell over 150 chains: once each delay has
+	// its lane and the rings have doubled to the run's depth, an event
+	// allocates nothing, whichever lane it waits in.
+	var chain func(any)
+	chain = func(arg any) {
+		q := arg.(*payload)
+		q.n++
+		e.AfterArg(dumbbellDelays[q.n%len(dumbbellDelays)], chain, q)
+	}
+	for i := 0; i < 150; i++ {
+		e.AfterArg(time.Duration(i), chain, &payload{n: i})
+	}
+	if err := e.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	allocs = testing.AllocsPerRun(50, func() {
+		if err := e.RunFor(100 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := e.Stats()
+	if allocs != 0 {
+		t.Fatalf("four-delay mix allocates %.1f objs per 100 µs, want 0", allocs)
+	}
+	if events, hits := after.Processed-before.Processed, after.LaneHits-before.LaneHits; events < 10000 || hits != events {
+		t.Fatalf("%d events, %d of them appended to a lane; want every one of at least 10000", events, hits)
+	}
 }
 
 // TestTimerRearmAllocFree asserts the RTO pattern — Reset superseding a

@@ -14,12 +14,37 @@ import (
 // explicitly before reaching the requested horizon.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// initialHeapCap sizes the preallocated event-queue backing storage in
-// 16-byte slots (8 KB). A 40-flow dumbbell run holds about 150 entries at
-// its peak — one per packet in flight plus one wake-up per timer — so the
-// slice never reallocates in steady state; a fabric's deeper queue grows
-// it a few times in warm-up.
-const initialHeapCap = 512
+// initialHeapCap sizes the preallocated heap backing storage in 16-byte
+// slots (2 KB). Once the lanes have taken the packets in flight, a 40-flow
+// dumbbell run keeps a few dozen entries here — one wake-up per timer and
+// the odd event no lane collects — so the slice never reallocates in
+// steady state; the rest of the 8 KB it once had pays for the lanes' rings.
+// A fabric's arrivals and RTO wake-ups grow it a few times in warm-up.
+const initialHeapCap = 128
+
+// The lanes' routing (see Engine.insert). None of these can change a
+// result, only which sorted run an event waits in, so they are constants
+// and not options; EngineStats.LaneHits shows when they matter.
+const (
+	// maxLanes bounds the sorted runs beside the heap; the cached head
+	// instants fill one 64-byte line.
+	maxLanes = 8
+	// laneCandidateBits sizes the table of counters in which delays that no
+	// lane collects compete for one: 1 << laneCandidateBits of them.
+	laneCandidateBits = 3
+	// laneGrantAfter is the count at which a candidate delay gets a lane.
+	laneGrantAfter = 32
+	// laneMinPending is the pending-set size up to which everything goes to
+	// the heap: a heap of sixteen is two levels deep, and a sift that short
+	// costs less than the lanes' bookkeeping.
+	laneMinPending = 16
+)
+
+// Sources of the earliest pending slot, beside the lane indices 0..7.
+const (
+	srcHeap = -1
+	srcNone = -2
+)
 
 // compactMinCancelled is the floor below which lazy cancellation is left
 // alone: compacting a handful of events is not worth the O(n) pass.
@@ -38,12 +63,31 @@ type Engine struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
-	// vacant marks the queue's root as a hole: the run loop leaves the
-	// event it is running there, so the handler's first enqueue takes the
-	// slot with one sift down instead of a pop and a push. Only the queue
-	// slot is stale — the event itself is already back on the free list.
-	// settle closes the hole for every reader that needs a whole heap.
+	// vacant marks the heap's root as a hole: the run loop leaves an event
+	// it took from the heap there while it runs, so the handler's first
+	// enqueue that reaches the heap takes the slot with one sift down
+	// instead of a pop and a push. Only the queue slot is stale — the event
+	// itself is already back on the free list. settle closes the hole for
+	// every reader that needs a whole heap. An event taken from a lane
+	// leaves no hole.
 	vacant bool
+
+	// The lanes: nLanes sorted rings beside the heap, lane i collecting the
+	// events scheduled laneD[i] ahead of the clock, with the firing instant
+	// of its head cached in laneAt[i] (laneEmpty if it has none) so that
+	// finding the earliest source reads one cache line.
+	laneAt [maxLanes]Time
+	laneD  [maxLanes]Time
+	lanes  [maxLanes]lane
+	nLanes int
+	// pending is the number of slots in the heap and the lanes, less the
+	// heap's root while it is vacated.
+	pending int
+	// cands counts recurrences of delays that no lane collects.
+	cands [1 << laneCandidateBits]struct {
+		d Time
+		n int
+	}
 
 	// free is the event free list: fired and compacted events return
 	// here and are handed back out by Schedule, so the steady-state
@@ -131,10 +175,10 @@ func (e *Engine) enqueue(at Time) *Event {
 }
 
 // enqueueKeyed enqueues an event with an explicit scheduling instant and
-// source identity. The full key must be final before the heap push: every
-// component participates in the heap ordering, so rewriting one
-// afterwards would silently violate the heap invariant for same-instant
-// ties.
+// source identity. The full key must be final before the insert: every
+// component participates in the ordering of the heap and of a lane, so
+// rewriting one afterwards would silently violate their invariants for
+// same-instant ties.
 //
 //dtlint:hotpath
 func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Event {
@@ -149,16 +193,165 @@ func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Even
 	ev.srcSeq = srcSeq
 	ev.seq = e.nextSeq
 	e.nextSeq++
+	e.insert(heapSlot{at: at, ev: ev})
+	return ev
+}
+
+// insert queues a slot whose key is final: at the tail of the lane that
+// collects its delay if it sorts after that tail, in the heap otherwise.
+// The pending set is the heap plus the lanes, each a sorted run under the
+// full key (at, schedAt, srcKey, srcSeq, seq), and the run loop takes the
+// smallest head of all; so the order events run in is the order of their
+// keys whichever run each one waited in, and routing decides speed alone.
+// It pays because a simulated network schedules nearly every event one of
+// a few constant delays ahead — a link's propagation time, a packet's
+// serialisation time — and the clock never runs backwards, so those
+// events arrive already sorted.
+//
+//dtlint:hotpath
+func (e *Engine) insert(s heapSlot) {
+	if e.pending++; e.pending > e.maxPending {
+		e.maxPending = e.pending
+	}
+	if e.pending > laneMinPending && e.toLane(s) {
+		return
+	}
 	if e.vacant {
 		e.vacant = false
-		e.queue.down(0, heapSlot{at: at, ev: ev})
+		e.queue.down(0, s)
 	} else {
-		e.queue.push(ev)
+		e.queue.push(s)
 	}
-	if n := e.queue.Len(); n > e.maxPending {
-		e.maxPending = n
+}
+
+// toLane appends s to the lane that collects its delay and reports whether
+// it did. It does not if no lane collects that delay, which it notes; if s
+// ties with the lane's tail on the instant and sorts before it — a keyed
+// delivery with a smaller source key, an injection stamped with an older
+// scheduling instant; or if s is earlier than the tail, which is what
+// follows a re-targeting to a shorter delay.
+//
+//dtlint:hotpath
+func (e *Engine) toLane(s heapSlot) bool {
+	d := s.at - e.now
+	i, n := 0, e.nLanes
+	for i < n && e.laneD[i] != d {
+		i++
 	}
-	return ev
+	if i == n {
+		e.noteMiss(d)
+		return false
+	}
+	l := &e.lanes[i]
+	if l.head == l.tail {
+		if s.at == laneEmpty {
+			return false
+		}
+		e.laneAt[i] = s.at
+	} else if last := l.at(l.len() - 1); s.at < last.at || s.at == last.at && !e.queue.less(last, s) {
+		return false
+	} else if l.len() == len(l.buf) {
+		//dtlint:allow hotalloc: a ring doubles to its run's high-water mark in warm-up and is retained
+		l.grow()
+	}
+	if invariant.Enabled {
+		//dtlint:allow hotalloc: assertion boxing is build-tag gated; alloc tests skip under -tags invariants
+		invariant.Assert(l.head == l.tail || e.queue.less(l.at(l.len()-1), s), "sim: lane %d: slot at %v does not sort after the tail", i, s.at)
+	}
+	l.buf[l.tail&uint(len(l.buf)-1)] = s
+	l.tail++
+	l.hits++
+	return true
+}
+
+// popLane removes and returns the head of lane i.
+//
+//dtlint:hotpath
+func (e *Engine) popLane(i int) *Event {
+	l := &e.lanes[i]
+	head := l.at(0)
+	if invariant.Enabled {
+		//dtlint:allow hotalloc: assertion boxing is build-tag gated; alloc tests skip under -tags invariants
+		invariant.Assert(e.laneAt[i] == head.at, "sim: lane %d: cached head instant %v, head fires at %v", i, e.laneAt[i], head.at)
+	}
+	l.head++
+	if l.head == l.tail {
+		e.laneAt[i] = laneEmpty
+	} else {
+		e.laneAt[i] = l.at(0).at
+	}
+	return head.ev
+}
+
+// noteMiss counts a delay that no lane collects and gives it a lane once
+// it has recurred laneGrantAfter times more than it has been contradicted.
+// Each delay votes in the one counter it hashes to: a vote for the
+// counter's delay adds one, a vote for another takes one away, and at zero
+// the counter changes hands. So delays that do not recur (a jittered link,
+// a hold model's random increments) cancel each other out and never earn a
+// lane; of two recurring delays that share a counter the commoner wins it,
+// gets its lane, stops missing, and leaves the counter to the other.
+//
+//dtlint:hotpath
+func (e *Engine) noteMiss(d Time) {
+	c := &e.cands[uint64(d)*0x9E3779B97F4A7C15>>(64-laneCandidateBits)]
+	if c.d == d {
+		if c.n++; c.n >= laneGrantAfter {
+			c.n = 0
+			e.grantLane(d)
+		}
+		return
+	}
+	// Written so that it compiles to conditional moves: for delays that do
+	// not recur this is taken every other time, at random.
+	cd, n := c.d, c.n-1
+	if n < 0 {
+		cd, n = d, 1
+	}
+	c.d, c.n = cd, n
+}
+
+// grantLane makes a lane collect delay d: a new one while there is room,
+// otherwise the one used least since the last time this was asked. A
+// re-targeted lane keeps its slots; it stays sorted because insert checks
+// every slot against the tail whatever the lane's delay is.
+func (e *Engine) grantLane(d Time) {
+	if e.nLanes < maxLanes {
+		//dtlint:allow hotalloc: one ring per lane granted, at most maxLanes in a run
+		e.lanes[e.nLanes].buf = make([]heapSlot, initialLaneCap)
+		e.laneAt[e.nLanes] = laneEmpty
+		e.laneD[e.nLanes] = d
+		e.nLanes++
+		return
+	}
+	v := 0
+	for i := range e.lanes {
+		if e.lanes[i].hits-e.lanes[i].mark < e.lanes[v].hits-e.lanes[v].mark {
+			v = i
+		}
+	}
+	e.laneD[v] = d
+	for i := range e.lanes {
+		e.lanes[i].mark = e.lanes[i].hits
+	}
+}
+
+// earliestTied resolves an exact tie on the instant at between sources
+// under the full key.
+func (e *Engine) earliestTied(at Time) int {
+	src, best := srcNone, heapSlot{}
+	if len(e.queue.items) > 0 && e.queue.items[0].at == at {
+		src, best = srcHeap, e.queue.items[0]
+	}
+	for i, a := range e.laneAt[:e.nLanes] {
+		if a != at || at == laneEmpty {
+			continue
+		}
+		if h := e.lanes[i].at(0); src == srcNone || e.queue.less(h, best) {
+			src, best = i, h
+		}
+	}
+	return src
 }
 
 // Schedule enqueues fn to run at the absolute instant at. Scheduling in
@@ -272,7 +465,7 @@ func (e *Engine) noteCancelled() {
 	}
 }
 
-// settle pops the root the run loop left vacated, if it did.
+// settle pops the heap's root if the run loop left it vacated.
 //
 //dtlint:hotpath
 func (e *Engine) settle() {
@@ -282,10 +475,11 @@ func (e *Engine) settle() {
 	}
 }
 
-// compact removes every cancelled event from the queue in one O(n) pass
-// and restores the heap property. Relative order of the survivors is
-// unaffected: ordering is decided by the five-field key
-// (at, schedAt, srcKey, srcSeq, seq), which compaction does not touch.
+// compact removes every cancelled event from the heap and the lanes in
+// one O(n) pass and restores the heap property; a lane filtered in place
+// is still sorted. Relative order of the survivors is unaffected: ordering
+// is decided by the five-field key (at, schedAt, srcKey, srcSeq, seq),
+// which compaction does not touch.
 //
 //dtlint:hotpath
 func (e *Engine) compact() {
@@ -306,8 +500,28 @@ func (e *Engine) compact() {
 	for i := len(kept); i < len(items); i++ {
 		items[i] = heapSlot{}
 	}
+	e.pending -= len(items) - len(kept)
 	e.queue.items = kept
 	e.queue.reheapify()
+	for i := range e.lanes[:e.nLanes] {
+		l := &e.lanes[i]
+		mask := uint(len(l.buf) - 1)
+		w := l.head
+		for r := l.head; r != l.tail; r++ {
+			if s := l.buf[r&mask]; s.ev.cancelled {
+				e.recycle(s.ev)
+			} else {
+				l.buf[w&mask] = s
+				w++
+			}
+		}
+		e.pending -= int(l.tail - w)
+		l.tail = w
+		e.laneAt[i] = laneEmpty
+		if l.head != l.tail {
+			e.laneAt[i] = l.at(0).at
+		}
+	}
 	e.cancelled = 0
 	e.compactions++
 }
@@ -317,12 +531,7 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of events still queued (including lazily
 // cancelled ones that have not yet been compacted away).
-func (e *Engine) Pending() int {
-	if e.vacant {
-		return e.queue.Len() - 1
-	}
-	return e.queue.Len()
-}
+func (e *Engine) Pending() int { return e.pending }
 
 // Run processes events until the queue drains or Stop is called. It
 // returns ErrStopped in the latter case.
@@ -354,10 +563,17 @@ func (e *Engine) RunFor(d time.Duration) error {
 // coordinator's window computation needs.
 func (e *Engine) NextEventTime() Time {
 	e.settle()
-	if e.queue.Len() == 0 {
+	if e.pending == 0 {
 		return TimeNever
 	}
-	return e.queue.items[0].at
+	at := laneEmpty
+	if len(e.queue.items) > 0 {
+		at = e.queue.items[0].at
+	}
+	for _, a := range e.laneAt[:e.nLanes] {
+		at = min(at, a)
+	}
+	return at
 }
 
 // RunStrictUntil processes events with firing times strictly before
@@ -390,19 +606,52 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		if e.stopped {
 			return ErrStopped
 		}
-		if e.queue.Len() == 0 || e.queue.items[0].at > horizon {
+		if e.pending == 0 {
 			return nil
 		}
-		next := e.queue.items[0].ev
+		// The earliest source: the heap's root or a lane's head. An exact
+		// tie on the instant is for the full key to decide.
+		src, at, tied := srcHeap, laneEmpty, false
+		if len(e.queue.items) > 0 {
+			at = e.queue.items[0].at
+		}
+		if e.pending > len(e.queue.items) {
+			for i, a := range e.laneAt[:e.nLanes] {
+				if a < at {
+					src, at, tied = i, a, false
+				} else if a == at {
+					tied = true
+				}
+			}
+		}
+		if at > horizon {
+			return nil
+		}
+		if tied {
+			src = e.earliestTied(at)
+		}
+		e.pending--
+		var next *Event
+		if src >= 0 {
+			next = e.popLane(src)
+		} else {
+			// Taken from the heap: the root stays vacated while the handler
+			// runs, so its first enqueue that reaches the heap sifts into
+			// the hole, and only a handler that sent the heap nothing pays
+			// the pop, in settle.
+			next = e.queue.items[0].ev
+			e.vacant = true
+		}
 		if t := next.timer; t != nil && t.seq != next.seq && !next.cancelled {
 			// A wake-up ahead of the deadline its timer was rearmed to:
 			// move it to the recorded key (see Timer), counting nothing.
 			next.at, next.schedAt, next.seq = t.at, t.schedAt, t.seq
-			e.queue.down(0, heapSlot{at: t.at, ev: next})
+			e.insert(heapSlot{at: t.at, ev: next})
+			e.settle()
 			continue
 		}
 		if next.cancelled {
-			e.queue.pop()
+			e.settle()
 			e.cancelled--
 			e.recycle(next)
 			continue
@@ -419,10 +668,6 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		// ping-pongs between two pooled events for its whole lifetime).
 		run, runArg, arg := next.run, next.runArg, next.arg
 		e.recycle(next)
-		// The root stays vacated while the handler runs: its first enqueue
-		// sifts into the hole, and only a handler that enqueued nothing
-		// pays the pop, here.
-		e.vacant = true
 		if runArg != nil {
 			runArg(arg)
 		} else {
@@ -443,7 +688,16 @@ func (e *Engine) Stats() EngineStats {
 		FreeHits:    e.freeHits,
 		FreeMisses:  e.freeMisses,
 		MaxPending:  e.maxPending,
+		LaneHits:    e.laneHits(),
 	}
+}
+
+// laneHits sums the lanes' append counts.
+func (e *Engine) laneHits() (n uint64) {
+	for i := range e.lanes {
+		n += e.lanes[i].hits
+	}
+	return n
 }
 
 // EngineStats is a snapshot of engine counters.
@@ -468,4 +722,14 @@ type EngineStats struct {
 	FreeHits, FreeMisses uint64
 	// MaxPending is the high-water mark of the pending-event queue.
 	MaxPending int
+	// LaneHits is the number of queue insertions that were appended to a
+	// lane — events and timer wake-ups scheduled a recurring delay ahead,
+	// arriving in key order; the other insertions were sifted into the
+	// heap. (Scheduled also counts timer rearms that queue nothing, and a
+	// stale wake-up the run loop moves is inserted a second time.) It
+	// describes the execution, like FreeHits: it differs between shard
+	// counts and never enters a result. LaneHits well below Processed says
+	// that the run's delays are irregular and its events pay the heap's
+	// price, or that its pending set stays too small for that to matter.
+	LaneHits uint64
 }

@@ -289,7 +289,7 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 			if op%3 != 0 || h.Len() == 0 {
 				k := key{at: Time(rng.Intn(64)), seq: seq}
 				seq++
-				h.push(&Event{at: k.at, seq: k.seq})
+				h.push(heapSlot{at: k.at, ev: &Event{at: k.at, seq: k.seq}})
 				ref = append(ref, k)
 				continue
 			}

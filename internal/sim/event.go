@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Event is a unit of scheduled work, owned and recycled by its Engine.
 // Events are compared by firing time, then by the virtual instant they
 // were scheduled, then by source key, then by sequence number, so two
@@ -112,9 +114,10 @@ func (r EventRef) Cancelled() bool {
 // identity. It sorts before every topology domain (all ≥ 0).
 const unkeyedSrc = -1
 
-// heapSlot is one entry of the pending-event queue. The firing instant
-// sits inline so a sift compares instants without touching an Event; only
-// an exact tie (0.2 % of compares in a dumbbell run) follows the pointer.
+// heapSlot is one entry of the pending-event queue, in the heap or in a
+// lane. The firing instant sits inline so a sift, a lane's tail check and
+// the scan for the earliest source compare instants without touching an
+// Event; only an exact tie follows the pointer.
 type heapSlot struct {
 	at Time
 	ev *Event
@@ -152,10 +155,10 @@ func (h *eventHeap) less(x, y heapSlot) bool {
 }
 
 //dtlint:hotpath
-func (h *eventHeap) push(e *Event) {
+func (h *eventHeap) push(s heapSlot) {
 	//dtlint:allow hotalloc: backing array starts at initialHeapCap and is retained; growth is amortized warm-up
 	h.items = append(h.items, heapSlot{})
-	h.up(len(h.items)-1, heapSlot{at: e.at, ev: e})
+	h.up(len(h.items)-1, s)
 }
 
 //dtlint:hotpath
@@ -245,4 +248,51 @@ func (h *eventHeap) reheapify() {
 	for i := (len(h.items)+2)/4 - 1; i >= 0; i-- {
 		h.down(i, h.items[i])
 	}
+}
+
+// A lane is a FIFO ring of slots that is sorted under the full key: the
+// engine appends a slot only if it sorts after the lane's tail, so the
+// head is always the lane's earliest entry. A slot scheduled a constant
+// delay ahead of a clock that never runs backwards arrives already in
+// that order, which is why a lane per common delay takes nearly every
+// event past the heap (see Engine.insert).
+type lane struct {
+	// buf is the ring, a power of two long; head and tail count slots ever
+	// popped and ever appended, so the queued slots are buf[head&mask] up
+	// to buf[(tail-1)&mask]. Slots outside that range are stale: the events
+	// they point at are back on the free list, which is never shrunk, so
+	// nothing is retained by leaving them.
+	buf        []heapSlot
+	head, tail uint
+	// hits counts appends; mark is hits as of the last time every lane was
+	// taken and one had to be re-targeted, so hits-mark is recent use.
+	hits, mark uint64
+}
+
+// laneEmpty is the cached head instant of an empty lane. No lane holds a
+// slot that fires then (insert sends it to the heap), so the marker is
+// unambiguous.
+const laneEmpty Time = math.MaxInt64
+
+// initialLaneCap is a new lane's ring in slots (512 B). A lane holds what
+// is in flight at its delay — a dozen slots for a serialisation time, a
+// bandwidth-delay product for a link — and doubles to fit.
+const initialLaneCap = 32
+
+//dtlint:hotpath
+func (l *lane) len() int { return int(l.tail - l.head) }
+
+// at returns the k-th queued slot, counting from the head.
+//
+//dtlint:hotpath
+func (l *lane) at(k int) heapSlot { return l.buf[(l.head+uint(k))&uint(len(l.buf)-1)] }
+
+// grow doubles a full ring, unwrapping it.
+func (l *lane) grow() {
+	n := l.len()
+	buf := make([]heapSlot, 2*len(l.buf))
+	for k := 0; k < n; k++ {
+		buf[k] = l.at(k)
+	}
+	l.buf, l.head, l.tail = buf, 0, uint(n)
 }

@@ -29,9 +29,16 @@ import (
 // Armed/Deadline — and the same Scheduled, Processed and Cancelled totals.
 //
 // Handlers act on the queue too — enqueue nothing, one, two or three
-// events, cancel in bulk, rearm timers, read the pending count — because
-// the Engine runs them with its queue's root vacated (see Engine.vacant),
-// and every one of those calls has to find the hole or close it.
+// events, cancel in bulk, rearm timers, read the pending count, run the
+// engine from inside — because the Engine runs a handler it took from the
+// heap with the heap's root vacated (see Engine.vacant), and every one of
+// those calls has to find the hole or close it.
+//
+// The Engine keeps its pending set in a heap and up to maxLanes sorted
+// lanes (see Engine.insert). Which of them an event waits in must not show
+// in any log; engineMachine checks the lanes' own invariants in audit and
+// records in laneReach what a program made them do, so that
+// TestOracleSeedsReachLanes can hold the committed programs to it.
 
 // oracleTimer is the part of Timer the programs drive.
 type oracleTimer interface {
@@ -70,13 +77,143 @@ const (
 	callInjectSrcArg
 )
 
+// laneReach is a set of things a program made the Engine's lanes do.
+type laneReach uint
+
+const (
+	// A slot was appended to a lane.
+	reachAppend laneReach = 1 << iota
+	// A lane refused a ScheduleSrcArg that ties with its tail on the instant
+	// and the scheduling instant and carries a smaller source key.
+	reachRefusedSrcKey
+	// A lane refused an Inject* that ties with its tail on the instant and
+	// is stamped with an older scheduling instant.
+	reachRefusedInject
+	// A lane's head and the heap's root fire at the same instant.
+	reachTieHeap
+	// Two lanes' heads fire at the same instant.
+	reachTieLanes
+	// A live timer wake-up ahead of its rearmed deadline heads a lane: the
+	// run loop will move it from there.
+	reachStaleWake
+	// A cancelled event heads a lane: the run loop will skip it there.
+	reachDeadHead
+	// A compaction removed entries from a lane.
+	reachCompact
+	// Every lane was taken and one was given another delay to collect.
+	reachRetarget
+	// A handler popped from a lane ran the engine from inside.
+	reachNestedRun
+)
+
+var laneReachNames = []string{
+	"append", "append refused for a smaller source key", "inject refused for an older scheduling instant",
+	"lane head ties with heap root", "two lane heads tie", "stale wake-up at a lane head",
+	"cancelled event at a lane head", "compaction over a non-empty lane",
+	"lane re-targeted with all taken", "nested run from a lane-popped handler",
+}
+
+func (r laneReach) String() string {
+	var names []string
+	for i, name := range laneReachNames {
+		if r&(1<<uint(i)) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, "; ")
+}
+
 // engineMachine drives the real Engine.
 type engineMachine struct {
 	*Engine
 	eager bool
+	// reach accumulates what the lanes were seen doing; depth counts the
+	// run calls in progress.
+	reach *laneReach
+	depth *int
+}
+
+func newEngineMachine(eager bool) engineMachine {
+	return engineMachine{Engine: NewEngine(1), eager: eager, reach: new(laneReach), depth: new(int)}
+}
+
+// laneFor returns the lane that collects delay d, or nil.
+func (m engineMachine) laneFor(d Time) *lane {
+	for i := 0; i < m.nLanes; i++ {
+		if m.laneD[i] == d {
+			return &m.lanes[i]
+		}
+	}
+	return nil
+}
+
+// noteHeads records what the heads of the lanes show.
+func (m engineMachine) noteHeads() {
+	for i := 0; i < m.nLanes; i++ {
+		l := &m.lanes[i]
+		if l.len() == 0 {
+			continue
+		}
+		head := l.at(0)
+		if !m.vacant && len(m.queue.items) > 0 && m.queue.items[0].at == head.at {
+			*m.reach |= reachTieHeap
+		}
+		for j := 0; j < i; j++ {
+			if m.laneAt[j] == head.at {
+				*m.reach |= reachTieLanes
+			}
+		}
+		if t := head.ev.timer; t != nil && t.seq != head.ev.seq && !head.ev.cancelled {
+			*m.reach |= reachStaleWake
+		}
+		if head.ev.cancelled {
+			*m.reach |= reachDeadHead
+		}
+	}
 }
 
 func (m engineMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
+	// What the lane that collects this delay ends in, if there is one and
+	// the pending set is large enough to be routed at all, says why an
+	// append was refused.
+	var tail *Event
+	if l := m.laneFor(at - m.now); l != nil && l.len() > 0 && m.Pending() >= laneMinPending {
+		tail = l.at(l.len() - 1).ev
+	}
+	hits, taken, delays := m.laneHits(), m.nLanes == maxLanes, m.laneD
+	cancel := m.scheduleCall(call, at, schedAt, srcKey, srcSeq, fn)
+	switch {
+	case m.laneHits() > hits:
+		*m.reach |= reachAppend
+	case tail == nil || tail.at != at:
+	case call == callScheduleSrcArg && tail.schedAt == m.now && srcKey < tail.srcKey:
+		*m.reach |= reachRefusedSrcKey
+	case (call == callInjectArg || call == callInjectSrcArg) && schedAt < tail.schedAt:
+		*m.reach |= reachRefusedInject
+	}
+	if taken && delays != m.laneD {
+		*m.reach |= reachRetarget
+	}
+	m.noteHeads()
+	return func() {
+		inLanes, compactions := m.lanedSlots(), m.compactions
+		cancel()
+		if m.compactions > compactions && m.lanedSlots() < inLanes {
+			*m.reach |= reachCompact
+		}
+		m.noteHeads()
+	}
+}
+
+// lanedSlots counts the slots in the lanes.
+func (m engineMachine) lanedSlots() (n int) {
+	for i := 0; i < m.nLanes; i++ {
+		n += m.lanes[i].len()
+	}
+	return n
+}
+
+func (m engineMachine) scheduleCall(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
 	viaArg := func(any) { fn() }
 	var ref EventRef
 	switch call {
@@ -103,13 +240,27 @@ func (m engineMachine) newTimer(fn func()) oracleTimer {
 
 func (m engineMachine) runUntil(horizon Time, strict bool) error {
 	if strict {
-		return m.RunStrictUntil(horizon)
+		return m.nest(func() error { return m.RunStrictUntil(horizon) })
 	}
-	return m.RunUntil(horizon)
+	return m.nest(func() error { return m.RunUntil(horizon) })
 }
 
-func (m engineMachine) run() error { return m.Run() }
-func (m engineMachine) stop()      { m.Stop() }
+func (m engineMachine) run() error { return m.nest(m.Run) }
+
+// nest makes a run call, noting one made from a handler that was taken
+// from a lane. A handler that runs the engine has enqueued nothing before
+// it does (execProgram's nested run), so the root is vacated exactly if
+// the handler was taken from the heap.
+func (m engineMachine) nest(run func() error) error {
+	if *m.depth > 0 && !m.vacant {
+		*m.reach |= reachNestedRun
+	}
+	*m.depth++
+	defer func() { *m.depth-- }()
+	return run()
+}
+
+func (m engineMachine) stop() { m.Stop() }
 
 func (m engineMachine) counters() (uint64, uint64, uint64) {
 	s := m.Stats()
@@ -118,18 +269,27 @@ func (m engineMachine) counters() (uint64, uint64, uint64) {
 
 // pending counts live entries: Pending less the dead ones, which is what
 // the reference holds. NextEventTime is only a bound (a dead head counts),
-// so it is checked against the heap and not logged; reading it from a
-// handler is what settles a vacated root.
+// so it is checked against every queued slot and not logged; reading it
+// from a handler is what settles a vacated root.
 func (m engineMachine) pending() int {
 	live := m.Pending() - m.cancelled
 	next, want := m.NextEventTime(), TimeNever
-	if len(m.queue.items) > 0 {
-		want = m.queue.items[0].at
+	for _, s := range m.queue.items {
+		if want == TimeNever || s.at < want {
+			want = s.at
+		}
+	}
+	for i := 0; i < m.nLanes; i++ {
+		for k := 0; k < m.lanes[i].len(); k++ {
+			if s := m.lanes[i].at(k); want == TimeNever || s.at < want {
+				want = s.at
+			}
+		}
 	}
 	switch {
 	case m.vacant:
 		return -1
-	case m.Pending() != len(m.queue.items) || m.Pending()-m.cancelled != live:
+	case m.Pending() != len(m.queue.items)+m.lanedSlots() || m.Pending()-m.cancelled != live:
 		return -2
 	case next != want:
 		return -3
@@ -138,29 +298,68 @@ func (m engineMachine) pending() int {
 }
 
 // audit checks what no log line shows: the heap property under the full
-// key, the inline instants, the dead-entry count that drives compaction,
-// and the timer back-pointers. Inside a handler the root may be the run
-// loop's hole: a stale slot that is no entry and no parent.
+// key, every lane strictly ascending under it with its head's instant
+// cached, the inline instants, the pending and dead-entry counts that
+// drive compaction, and the timer back-pointers. Inside a handler the
+// heap's root may be the run loop's hole: a stale slot that is no entry
+// and no parent.
 func (m engineMachine) audit() error {
+	m.noteHeads()
 	h := &m.queue
-	dead := 0
+	queued, dead := 0, 0
+	check := func(where string, i int, s heapSlot) error {
+		switch {
+		case s.at != s.ev.at:
+			return fmt.Errorf("%s slot %d: inline instant %d, event fires at %d", where, i, s.at, s.ev.at)
+		case s.ev.timer != nil && s.ev.timer.wake != s.ev:
+			return fmt.Errorf("%s slot %d: timer does not point back at its wake-up", where, i)
+		}
+		queued++
+		if s.ev.cancelled {
+			dead++
+		}
+		return nil
+	}
 	for i, s := range h.items {
 		if i == 0 && m.vacant {
 			continue
 		}
-		switch {
-		case s.at != s.ev.at:
-			return fmt.Errorf("slot %d: inline instant %d, event fires at %d", i, s.at, s.ev.at)
-		case i > 0 && !(i <= 4 && m.vacant) && h.less(s, h.items[(i-1)/4]):
-			return fmt.Errorf("slot %d sorts before its parent", i)
-		case s.ev.timer != nil && s.ev.timer.wake != s.ev:
-			return fmt.Errorf("slot %d: timer does not point back at its wake-up", i)
+		if err := check("heap", i, s); err != nil {
+			return err
 		}
-		if s.ev.cancelled {
-			dead++
+		if i > 0 && !(i <= 4 && m.vacant) && h.less(s, h.items[(i-1)/4]) {
+			return fmt.Errorf("heap slot %d sorts before its parent", i)
 		}
 	}
-	if dead != m.cancelled {
+	for i := range m.lanes {
+		l, where := &m.lanes[i], fmt.Sprintf("lane %d", i)
+		switch {
+		case i >= m.nLanes && (l.buf != nil || l.len() != 0):
+			return fmt.Errorf("%s is in use beyond the %d granted", where, m.nLanes)
+		case i >= m.nLanes:
+			continue
+		case len(l.buf)&(len(l.buf)-1) != 0 || l.len() > len(l.buf):
+			return fmt.Errorf("%s holds %d slots in a ring of %d", where, l.len(), len(l.buf))
+		}
+		head := laneEmpty
+		for k := 0; k < l.len(); k++ {
+			if err := check(where, k, l.at(k)); err != nil {
+				return err
+			}
+			if k == 0 {
+				head = l.at(0).at
+			} else if !h.less(l.at(k-1), l.at(k)) {
+				return fmt.Errorf("%s slot %d does not sort after slot %d", where, k, k-1)
+			}
+		}
+		if m.laneAt[i] != head {
+			return fmt.Errorf("%s: cached head instant %d, want %d", where, m.laneAt[i], head)
+		}
+	}
+	switch {
+	case queued != m.Pending():
+		return fmt.Errorf("%d entries queued, Pending reports %d", queued, m.Pending())
+	case dead != m.cancelled:
 		return fmt.Errorf("%d dead entries queued, engine counts %d", dead, m.cancelled)
 	}
 	return nil
@@ -318,6 +517,12 @@ func (m *refMachine) audit() error { return nil }
 // firing instant are the common case and not the exception.
 var oracleDeltas = [...]time.Duration{0, 0, 1, 1, 2, 3, 7, 20}
 
+// oracleStride spreads the offsets into classes: an opcode byte of
+// 12·c + op adds c strides to the offset it picks, so a program can
+// schedule at more distinct delays than the Engine has lanes. The stride
+// is longer than every offset, so no two classes share a delay.
+const oracleStride = 32
+
 const oracleTimers = 3
 
 // execProgram interprets prog on m and returns the log.
@@ -383,6 +588,12 @@ func execProgram(m machine, prog []byte) []string {
 			t := timers[id%oracleTimers]
 			t.Reset(20)
 			t.Reset(time.Duration(act - 8))
+		case 10, 15:
+			// Run the engine from inside the handler, before it has enqueued
+			// anything: through the instant d ahead (15) or short of it (10).
+			d := oracleDeltas[id%len(oracleDeltas)]
+			err := m.runUntil(m.Now().Add(d), act == 10)
+			logf("  nested run now=%d stopped=%v", m.Now(), errors.Is(err, ErrStopped))
 		}
 	}
 	handler := func(id int) func() {
@@ -436,7 +647,7 @@ func execProgram(m machine, prog []byte) []string {
 
 	for pos < len(prog) {
 		op := next()
-		d := oracleDeltas[next()%len(oracleDeltas)]
+		d := oracleDeltas[next()%len(oracleDeltas)] + time.Duration(op/12)*oracleStride
 		at := m.Now().Add(d)
 		switch op % 12 {
 		case 0, 1, 2, 3, 4:
@@ -490,9 +701,9 @@ func execProgram(m machine, prog []byte) []string {
 // checkProgram runs prog on all three machines and compares the logs.
 func checkProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	got := execProgram(engineMachine{Engine: NewEngine(1)}, prog)
+	got := execProgram(newEngineMachine(false), prog)
 	for name, m := range map[string]machine{
-		"engine with eager timers": engineMachine{Engine: NewEngine(1), eager: true},
+		"engine with eager timers": newEngineMachine(true),
 		"reference":                &refMachine{},
 	} {
 		want := execProgram(m, prog)
@@ -551,15 +762,97 @@ var vacatedRootSeeds = [][]byte{
 	append(append([]byte{7, 7, 0, 7, 7, 1, 8, 7, 2},
 		bytes.Repeat([]byte{0, 2, 0, 0, 1, 4, 0, 0, 2, 5, 1, 7, 3, 6, 1, 5}, 5)...),
 		11, 2, 11, 5, 10, 6),
+	// Thirty-two events on one instant, all in the heap, and all but the
+	// last, id 31, silenced: its handler runs the engine from inside, which
+	// finds the root vacated.
+	join(times(32, 0, 4, 0, 0), silence(0, 31)),
+}
+
+// join concatenates program fragments.
+func join(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// times repeats one instruction n times.
+func times(n int, instr ...byte) []byte { return bytes.Repeat(instr, n) }
+
+// silence cancels the events with ids [from, to) one by one, so that their
+// handlers — which cancel in bulk, stop the run, rearm timers — do not
+// disturb what a seed is after. It must stay under compactMinCancelled.
+func silence(from, to int) []byte {
+	var prog []byte
+	for id := from; id < to; id++ {
+		prog = append(prog, 5, 0, byte(id))
+	}
+	return prog
+}
+
+// laneSeeds reach what the Engine's lanes do, each entry the things listed
+// with it; TestOracleSeedsReachLanes holds them to it. The first
+// laneMinPending events of a pending set go to the heap uncounted and a
+// delay gets its lane on its laneGrantAfter-th miss after that, so 49
+// events scheduled one delay ahead of one instant on an empty engine put
+// 48 in the heap and the last in a new lane.
+var laneSeeds = []struct {
+	prog  []byte
+	reach laneReach
+}{
+	// Fifty-six events on one instant: the last eight are appended to the
+	// lane the others earned, whose head then ties with the heap's root.
+	{join(times(56, 0, 4, 0, 0), []byte{10, 7}), reachAppend | reachTieHeap},
+	// A keyed delivery from source 2 goes to the lane's tail; one from
+	// source 0 at the same instant sorts before it and is refused.
+	{join(times(49, 0, 4, 0, 0), []byte{2, 4, 0, 2, 2, 4, 0, 0, 10, 7}), reachAppend | reachRefusedSrcKey},
+	// The clock at 7; a lane of events scheduled there for 9; an injection
+	// for 9 stamped 6 sorts before them all.
+	{join([]byte{10, 6}, times(49, 0, 4, 0, 0), []byte{3, 4, 3, 0, 10, 7}), reachAppend | reachRefusedInject},
+	// A lane of delay 3 filled at instant 0 and one of delay 2 filled at
+	// instant 1: both heads fire at 3.
+	{join(times(49, 0, 5, 0, 0), []byte{10, 2}, times(49, 0, 4, 0, 0), []byte{10, 7}), reachTieLanes},
+	// The lane of delay 2 earned by events 0–48, which are silenced and
+	// drained; seventeen events far ahead (ids 49–65) so that the pending
+	// set is large enough for lanes; timer 0 armed 2 ahead — its wake-up is
+	// the lane's only entry — and pushed out to 20; silencing the seventeen
+	// is what looks at the lane heads.
+	{join(times(49, 0, 4, 0, 0), silence(0, 49), []byte{10, 7}, times(17, 36, 7, 0, 0),
+		[]byte{7, 4, 0, 7, 7, 0}, silence(49, 66), []byte{10, 7, 10, 7}), reachAppend | reachStaleWake},
+	// The lane's only entry cancelled: the run loop finds it at the head.
+	{join(times(49, 0, 4, 0, 0), []byte{5, 0, 48, 10, 7}), reachAppend | reachDeadHead},
+	// 141 events on one instant, 93 of them in a lane, and every other one
+	// cancelled at once.
+	{join(times(141, 0, 6, 0, 0), []byte{6, 0, 0, 10, 7}), reachAppend | reachCompact},
+	// Nine delay classes: the ninth finds every lane taken.
+	{join(times(49, 0, 4, 0, 0), times(33, 12, 4, 0, 0), times(33, 24, 4, 0, 0), times(33, 36, 4, 0, 0),
+		times(33, 48, 4, 0, 0), times(33, 60, 4, 0, 0), times(33, 72, 4, 0, 0), times(33, 84, 4, 0, 0),
+		times(33, 96, 4, 0, 0)), reachAppend | reachRetarget},
+	// Fifty-nine events on one instant and all but the last, id 58, in a
+	// lane, silenced: its handler runs the engine from inside.
+	{join(times(59, 0, 4, 0, 0), silence(0, 58)), reachAppend | reachNestedRun},
+}
+
+// allSeeds is every hand-written program.
+func allSeeds() [][]byte {
+	seeds := append(append([][]byte{}, oracleSeeds...), vacatedRootSeeds...)
+	for _, s := range laneSeeds {
+		seeds = append(seeds, s.prog)
+	}
+	return seeds
 }
 
 // randomProgram draws a program biased by flavour: 0 uniform, 1 heavy on
-// timers, 2 heavy on scheduling followed by mass cancellation.
+// timers, 2 heavy on scheduling followed by mass cancellation, 3 bursts of
+// one scheduling call at one delay — what earns and fills a lane — among
+// uniform instructions.
 func randomProgram(rng *rand.Rand, flavour, n int) []byte {
 	prog := make([]byte, 0, 4*n)
 	for i := 0; i < n; i++ {
 		op := rng.Intn(12)
 		switch {
+		case flavour == 3 && rng.Intn(8) == 0:
+			op, delta := rng.Intn(5)+12*rng.Intn(3), rng.Intn(256)
+			for burst := 10 + rng.Intn(60); burst > 0 && i < n; burst-- {
+				prog = append(prog, byte(op), byte(delta), byte(rng.Intn(256)), byte(rng.Intn(256)))
+				i++
+			}
+			continue
 		case flavour == 1 && rng.Intn(2) == 0:
 			op = 7 + rng.Intn(3)
 		case flavour == 2 && i < n*3/4:
@@ -575,7 +868,7 @@ func randomProgram(rng *rand.Rand, flavour, n int) []byte {
 // TestOracleEventQueueAndTimer is the seeded property test over random
 // programs, long enough (flavour 2) to cross the compaction threshold.
 func TestOracleEventQueueAndTimer(t *testing.T) {
-	for _, prog := range append(oracleSeeds, vacatedRootSeeds...) {
+	for _, prog := range allSeeds() {
 		checkProgram(t, prog)
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -584,19 +877,24 @@ func TestOracleEventQueueAndTimer(t *testing.T) {
 		rounds = 60
 	}
 	for i := 0; i < rounds; i++ {
-		checkProgram(t, randomProgram(rng, i%3, 1+rng.Intn(250)))
+		checkProgram(t, randomProgram(rng, i%4, 1+rng.Intn(250)))
 	}
 }
 
 // TestOracleSeedsReachHandlerActs checks that every vacatedRootSeeds entry
-// runs each thing a handler can do to the queue, and that the second
-// compacts: its program cancels nothing itself, so the compaction happened
-// inside a handler.
+// but the last runs each thing a handler can do to the queue, that the
+// second compacts — its program cancels nothing itself, so the compaction
+// happened inside a handler — and that the last runs the engine from a
+// handler taken from the heap.
 func TestOracleSeedsReachHandlerActs(t *testing.T) {
-	acts := []string{"  enqueue 2", "  enqueue 3", "  cancel every other", "  rearm earlier", "  pending="}
 	for i, prog := range vacatedRootSeeds {
-		e := NewEngine(1)
-		log := strings.Join(execProgram(engineMachine{Engine: e}, prog), "\n")
+		acts := []string{"  enqueue 2", "  enqueue 3", "  cancel every other", "  rearm earlier", "  pending="}
+		if i == 3 {
+			acts = []string{"  nested run"}
+		}
+		m := newEngineMachine(false)
+		e := m.Engine
+		log := strings.Join(execProgram(m, prog), "\n")
 		for _, act := range acts {
 			if !strings.Contains(log, act) {
 				t.Errorf("seed %d never logs %q", i, act)
@@ -605,16 +903,44 @@ func TestOracleSeedsReachHandlerActs(t *testing.T) {
 		if got := e.Stats().Compactions; (got > 0) != (i == 1) {
 			t.Errorf("seed %d: %d compactions, want some only for seed 1", i, got)
 		}
+		if *m.reach&reachNestedRun != 0 {
+			t.Errorf("seed %d: a handler taken from a lane ran the engine, want only handlers taken from the heap", i)
+		}
+	}
+}
+
+// TestOracleSeedsReachLanes checks that every laneSeeds entry makes the
+// lanes do what it is there for, and that the seeds which leave a dead or
+// a stale entry at a lane's head never compact — so the run loop, and not
+// a compaction, is what took it from there.
+func TestOracleSeedsReachLanes(t *testing.T) {
+	var all laneReach
+	for i, seed := range laneSeeds {
+		m := newEngineMachine(false)
+		execProgram(m, seed.prog)
+		if missing := seed.reach &^ *m.reach; missing != 0 {
+			t.Errorf("lane seed %d never reaches: %v (it reaches: %v)", i, missing, *m.reach)
+		}
+		if got := m.Stats().Compactions; got > 0 && seed.reach&(reachStaleWake|reachDeadHead) != 0 {
+			t.Errorf("lane seed %d: %d compactions, want none", i, got)
+		}
+		if hits := m.Stats().LaneHits; (hits > 0) != (*m.reach&reachAppend != 0) {
+			t.Errorf("lane seed %d: LaneHits = %d, appends seen: %v", i, hits, *m.reach&reachAppend != 0)
+		}
+		all |= seed.reach
+	}
+	if want := laneReach(1)<<uint(len(laneReachNames)) - 1; all != want {
+		t.Errorf("no lane seed is held to: %v", want&^all)
 	}
 }
 
 // FuzzEngineQueue explores programs beyond the seeded ones.
 func FuzzEngineQueue(f *testing.F) {
-	for _, prog := range append(oracleSeeds, vacatedRootSeeds...) {
+	for _, prog := range allSeeds() {
 		f.Add(prog)
 	}
 	rng := rand.New(rand.NewSource(34))
-	for flavour := 0; flavour < 3; flavour++ {
+	for flavour := 0; flavour < 4; flavour++ {
 		f.Add(randomProgram(rng, flavour, 120))
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {

@@ -402,6 +402,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 		total.Compactions += s.Compactions
 		total.FreeHits += s.FreeHits
 		total.FreeMisses += s.FreeMisses
+		total.LaneHits += s.LaneHits
 		if s.MaxPending > total.MaxPending {
 			total.MaxPending = s.MaxPending
 		}
