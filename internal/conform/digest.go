@@ -149,6 +149,66 @@ func DigestZooRun(z ZooGolden) (Digest, error) {
 	return digestDumbbell(z.Name, z.Cfg)
 }
 
+// IncastGolden is one named fresh-connection incast run in the golden
+// suite: every round opens and retires a sender/receiver pair per worker,
+// the churn path no dumbbell golden reaches.
+type IncastGolden struct {
+	Name   string
+	Cfg    core.TestbedConfig
+	Rounds int
+}
+
+// IncastGoldenScenarios returns the connection-churn goldens, regenerable
+// with
+//
+//	go test ./internal/conform -run Golden -update
+//
+// DCTCP at 32 workers is deep in collapse (overflow drops, RTOs, late
+// duplicates for retired flows); the delayed-ACK and DCTCP+ points add
+// the receiver's and the pacer's timers to what a connection carries.
+func IncastGoldenScenarios() []IncastGolden {
+	mk := func(name string, p core.Protocol, workers int) IncastGolden {
+		cfg := core.DefaultTestbed(p, workers)
+		cfg.FreshConnections = true
+		return IncastGolden{Name: name, Cfg: cfg, Rounds: 30}
+	}
+	delack := core.DCTCP(21, zooG)
+	delack.TCP.AckEvery = 2
+	return []IncastGolden{
+		mk("golden-incast-fresh-dctcp-w32", core.DCTCP(21, zooG), 32),
+		mk("golden-incast-fresh-delack-w32", delack, 32),
+		mk("golden-incast-fresh-plus-w24", core.DCTCPPlus(20, zooG), 24),
+	}
+}
+
+// DigestIncastRun fingerprints one incast golden: counters in the clear,
+// the round aggregates (goodput bits, completion mean/p95/max/σ, rounds,
+// deadline misses) under StatsHash. The series and per-flow fields of
+// Digest stay zero — a query run samples no queue.
+func DigestIncastRun(g IncastGolden) (Digest, error) {
+	res, err := core.RunIncast(g.Cfg, g.Rounds)
+	if err != nil {
+		return Digest{}, fmt.Errorf("conform %s: digest run: %w", g.Name, err)
+	}
+	var sh stats.Hash
+	sh.Float(res.MeanGoodputBps)
+	for _, v := range []uint64{
+		uint64(res.MeanCompletion), uint64(res.P95Completion), uint64(res.MaxCompletion),
+		uint64(res.CompletionStdDev), uint64(res.Rounds), uint64(res.MissedDeadlines),
+	} {
+		sh.Word(v)
+	}
+	return Digest{
+		Scenario:  g.Name,
+		Protocol:  res.Protocol,
+		Flows:     res.Workers,
+		Events:    res.Events,
+		Drops:     res.Drops,
+		Timeouts:  res.Timeouts,
+		StatsHash: fmt.Sprintf("%016x", sh.Sum64()),
+	}, nil
+}
+
 // WriteGoldenFile marshals the digest to path as indented JSON with a
 // trailing newline, the format the golden tests compare against.
 func WriteGoldenFile(path string, d Digest) error {

@@ -21,6 +21,31 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".json")
 }
 
+// checkGolden compares got with the committed digest of the named
+// scenario, or rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got Digest) {
+	t.Helper()
+	path := goldenPath(name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteGoldenFile(path, got); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := ReadGoldenFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./internal/conform -run Golden -update)", err)
+	}
+	if got != want {
+		t.Errorf("digest drifted from %s:\n got: %+v\nwant: %+v\nIf the simulator change is deliberate, regenerate with -update and commit the diff.",
+			path, got, want)
+	}
+}
+
 // TestGoldenDigests pins every golden scenario's digest byte-for-byte
 // against the committed file.
 func TestGoldenDigests(t *testing.T) {
@@ -31,25 +56,7 @@ func TestGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := goldenPath(s.Name)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := WriteGoldenFile(path, got); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
-				return
-			}
-			want, err := ReadGoldenFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with: go test ./internal/conform -run Golden -update)", err)
-			}
-			if got != want {
-				t.Errorf("digest drifted from %s:\n got: %+v\nwant: %+v\nIf the simulator change is deliberate, regenerate with -update and commit the diff.",
-					path, got, want)
-			}
+			checkGolden(t, s.Name, got)
 		})
 	}
 }
@@ -66,25 +73,28 @@ func TestZooGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := goldenPath(z.Name)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := WriteGoldenFile(path, got); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
-				return
-			}
-			want, err := ReadGoldenFile(path)
+			checkGolden(t, z.Name, got)
+		})
+	}
+}
+
+// TestIncastGoldenDigests pins the fresh-connection incast runs — the
+// connection-churn path: a sender/receiver pair opened and retired per
+// worker per round, under drops and RTOs, with the delayed-ACK and the
+// DCTCP+ pacer timers — against digests recorded before connection
+// storage was recycled.
+func TestIncastGoldenDigests(t *testing.T) {
+	for _, g := range IncastGoldenScenarios() {
+		g := g
+		t.Run(g.Name, func(t *testing.T) {
+			got, err := DigestIncastRun(g)
 			if err != nil {
-				t.Fatalf("%v (regenerate with: go test ./internal/conform -run Golden -update)", err)
+				t.Fatal(err)
 			}
-			if got != want {
-				t.Errorf("digest drifted from %s:\n got: %+v\nwant: %+v\nIf the simulator change is deliberate, regenerate with -update and commit the diff.",
-					path, got, want)
+			if got.Events == 0 || got.Timeouts == 0 {
+				t.Fatalf("vacuous churn golden (no events or no RTO): %+v", got)
 			}
+			checkGolden(t, g.Name, got)
 		})
 	}
 }
@@ -154,6 +164,9 @@ func TestGoldenFilesMatchScenarios(t *testing.T) {
 	}
 	for _, z := range ZooGoldenScenarios() {
 		live[z.Name+".json"] = true
+	}
+	for _, g := range IncastGoldenScenarios() {
+		live[g.Name+".json"] = true
 	}
 	for _, e := range entries {
 		if !live[e.Name()] {

@@ -92,7 +92,7 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 		s := tcp.NewSender(shortHost, flow, rcv.ID(), cfg.ShortBytes, cfg.Protocol.TCP)
 		tcp.NewReceiver(rcv, flow, shortHost.ID(), cfg.Protocol.TCP)
 		started := engine.Now()
-		s.OnComplete = func(done sim.Time) {
+		s.OnComplete = func(_ *tcp.Sender, done sim.Time) {
 			fcts = append(fcts, (done - started).Duration().Seconds())
 			shortHost.Unregister(flow)
 			rcv.Unregister(flow)

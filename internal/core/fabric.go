@@ -145,6 +145,10 @@ type FabricResult struct {
 	Drops    uint64  `json:"drops"`
 	MarkRate float64 `json:"mark_rate"`
 	DropRate float64 `json:"drop_rate"`
+	// DroppedNoFlow counts packets a host refused because their
+	// connection had already closed — here ACKs for a finished sender;
+	// receivers stay registered to the end of the run.
+	DroppedNoFlow uint64 `json:"dropped_no_flow"`
 
 	// Timeouts and Retransmissions sum over every connection.
 	Timeouts        uint64 `json:"timeouts"`
@@ -251,6 +255,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		Timeouts:        w.TotalTimeouts(),
 		Retransmissions: w.TotalRetransmissions(),
 		Events:          r.stats().Processed,
+		DroppedNoFlow:   droppedNoFlow(nw),
 	}
 
 	core := metrics.NewHistogram(bounds)

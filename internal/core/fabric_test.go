@@ -141,6 +141,12 @@ func TestFabricDeterminism(t *testing.T) {
 	if repeat.Digest != serial.Digest {
 		t.Fatalf("repeat run diverged: %s vs %s", repeat.Digest, serial.Digest)
 	}
+	// ACKs of spurious retransmissions reach senders that have already
+	// completed and retired; the count must be live for the comparison
+	// below to mean anything.
+	if serial.DroppedNoFlow == 0 {
+		t.Fatal("no packet was refused for a closed connection: DroppedNoFlow is not wired")
+	}
 
 	for _, shards := range []int{2, 4} {
 		cfg := base
@@ -153,7 +159,8 @@ func TestFabricDeterminism(t *testing.T) {
 			t.Fatalf("shards=%d digest %s, serial %s", shards, res.Digest, serial.Digest)
 		}
 		if res.Marks != serial.Marks || res.Drops != serial.Drops ||
-			res.Completed != serial.Completed || res.Timeouts != serial.Timeouts {
+			res.Completed != serial.Completed || res.Timeouts != serial.Timeouts ||
+			res.Retransmissions != serial.Retransmissions || res.DroppedNoFlow != serial.DroppedNoFlow {
 			t.Fatalf("shards=%d aggregates diverged: %+v vs %+v", shards, res, serial)
 		}
 		if res.CoreQueue != serial.CoreQueue || res.AggQueue != serial.AggQueue {

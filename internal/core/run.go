@@ -133,6 +133,18 @@ func (r *run) queries(cfg workload.QueryConfig) *workload.QueryRunner {
 	return workload.StartQueries(r.engine, cfg)
 }
 
+// droppedNoFlow sums, over every host, the packets refused for want of an
+// endpoint: segments and ACKs that arrived after their connection closed.
+// Connection recycling relies on them being refused at the host's table;
+// no digest folds the count.
+func droppedNoFlow(nw *netsim.Network) uint64 {
+	var n uint64
+	for _, h := range nw.Hosts() {
+		n += h.DroppedNoFlow()
+	}
+	return n
+}
+
 // observe turns the metrics registry on — engine counters, and the
 // coordinator's when sharded — with a sampler when sampleEvery is positive.
 func (r *run) observe(sampleEvery time.Duration) {

@@ -213,6 +213,10 @@ type QueryResult struct {
 	Timeouts uint64
 	// Drops counts bottleneck overflow drops.
 	Drops uint64
+	// DroppedNoFlow counts packets a host refused because their
+	// connection had already closed: late duplicates and their ACKs
+	// after a fresh-connection round retired its endpoints.
+	DroppedNoFlow uint64
 	// MissedDeadlines counts worker responses that finished past their
 	// deadline, and DeadlineMissRate normalizes it by the total number
 	// of responses (0 when no deadline was configured).
@@ -282,6 +286,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		CompletionStdDev: secondsToDuration(stats.StdDev(times)),
 		Timeouts:         queries.TotalTimeouts(),
 		Drops:            tb.bneck.Stats().DroppedOverflow,
+		DroppedNoFlow:    droppedNoFlow(tb.aggregator.Network()),
 		MissedDeadlines:  queries.TotalMissedDeadlines(),
 		Events:           tb.stats().Processed,
 	}

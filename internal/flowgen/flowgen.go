@@ -70,7 +70,8 @@ type Config struct {
 	Matrix Matrix
 	// TCP configures every connection; each flow opens a fresh
 	// connection in slow start (the fresh-connection churn path — no
-	// congestion state survives between flows).
+	// congestion state survives between flows, though a source host
+	// reuses the storage of its finished connections).
 	TCP tcp.Config
 	// BaseFlow is the first flow ID; the workload consumes Flows
 	// consecutive IDs. Zero means 1.
@@ -88,13 +89,18 @@ type Flow struct {
 	Size int64
 	// Arrival is the flow's open-loop start instant.
 	Arrival sim.Time
-	// fct is the completion instant; done guards it. Written by the
-	// sender's OnComplete on the sender's shard — distinct flows touch
+	// id is the flow's connection identifier, BaseFlow plus its index.
+	id netsim.FlowID
+	// fct is the completion instant; done guards it. timeouts and retx
+	// are the sender's counts at that instant. All four are written by
+	// the sender's OnComplete on the sender's shard — distinct flows touch
 	// distinct elements, so sharded workers never contend.
-	fct  sim.Time
-	done bool
-	// sender is the flow's connection, next the flow that arrives after it
-	// on the same event wheel (nil after the wheel's last).
+	fct            sim.Time
+	timeouts, retx uint64
+	done           bool
+	// sender is the flow's connection while it is open — nil before the
+	// arrival and after completion — and next the flow that arrives after
+	// it on the same event wheel (nil after the wheel's last).
 	sender *tcp.Sender
 	next   *Flow
 }
@@ -102,25 +108,33 @@ type Flow struct {
 // FCT returns the flow completion time and whether the flow finished.
 func (f *Flow) FCT() (time.Duration, bool) { return (f.fct - f.Arrival).Duration(), f.done }
 
-// Workload is a started trace: every connection is constructed and the
-// first arrival of every event wheel queued; run the engine to execute it.
+// Workload is a started trace: every receiver is constructed and the
+// first arrival of every event wheel queued; run the engine to execute
+// it. Senders are opened as flows arrive.
 type Workload struct {
 	// Flows is the generated trace in arrival order.
 	Flows []Flow
 
 	hosts []*netsim.Host
 	cfg   Config
-	// arriveFn is arrive bound once, so queueing an arrival allocates
-	// nothing.
+	// arriveFn and doneFn are arrive and complete bound once, so neither
+	// an arrival nor a connection allocates a closure.
 	arriveFn func(any)
+	doneFn   func(*tcp.Sender, sim.Time)
+	// free holds, per source host, the senders of that host's completed
+	// flows, last retired first: with every flow complete, all the
+	// senders the host ever constructed — at most its peak of concurrently
+	// open flows. Host i's list is touched only on host i's event wheel.
+	free [][]*tcp.Sender
 }
 
 // Start generates the trace and wires it onto hosts. All randomness —
 // sizes, interarrivals, endpoint choices — is drawn here, from the
 // network construction engine's seeded source, so the trace is a pure
-// function of the run seed. Endpoint construction also happens here, at
-// setup time: on a partitioned network every shard clock is still zero,
-// so cross-shard scheduling is safe (the same contract
+// function of the run seed. Every receiver is constructed here too, at
+// setup time: on a partitioned network the destination host may belong
+// to another event wheel than the arrival, and every shard clock is
+// still zero, so cross-shard construction is safe (the same contract
 // workload.StartLongLived relies on).
 //
 // Arrivals are a chain per event wheel, not one queued event per flow:
@@ -128,10 +142,12 @@ type Workload struct {
 // wheel's next (see arrive), so the pending set holds what is in flight
 // and not the rest of the trace.
 //
-// Each flow is a fresh connection: a new sender/receiver pair in slow
-// start. On completion the sender unregisters its host-side endpoint on
-// its own shard — host tables shrink as the trace drains — and the
-// receiver side is detached by Cleanup after the run.
+// Each flow is a fresh connection in slow start. Its sender is opened at
+// the arrival, on the source host's wheel, and retired at completion:
+// unregistered from the host, its storage kept for the host's next flow,
+// so a host holds as many senders as it ever had flows open at once. A
+// receiver lives to Cleanup — a late duplicate of a finished flow must
+// still be re-ACKed, as it is on a real host in TIME_WAIT.
 func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	n := len(hosts)
 	switch {
@@ -149,7 +165,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	if cfg.BaseFlow == 0 {
 		cfg.BaseFlow = 1
 	}
-	w := &Workload{hosts: hosts, cfg: cfg}
+	w := &Workload{hosts: hosts, cfg: cfg, free: make([][]*tcp.Sender, n)}
 	rng := hosts[0].Network().Engine().Rand()
 
 	// Endpoint pattern state drawn before the per-flow stream.
@@ -185,19 +201,13 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	}
 
 	w.arriveFn = w.arrive
+	w.doneFn = w.complete
 	last := make(map[*sim.Engine]*Flow)
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		id := cfg.BaseFlow + netsim.FlowID(i)
+		f.id = cfg.BaseFlow + netsim.FlowID(i)
 		src, dst := hosts[f.Src], hosts[f.Dst]
-		s := tcp.NewSender(src, id, dst.ID(), f.Size, cfg.TCP)
-		tcp.NewReceiver(dst, id, src.ID(), cfg.TCP)
-		s.OnComplete = func(now sim.Time) {
-			f.fct = now
-			f.done = true
-			src.Unregister(id)
-		}
-		f.sender = s
+		tcp.NewReceiver(dst, f.id, src.ID(), cfg.TCP)
 		wheel := src.Engine()
 		if prev := last[wheel]; prev != nil {
 			prev.next = f
@@ -209,20 +219,55 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// arrive is the start event of one flow: it starts the sender and queues
-// the next arrival of the same wheel. Every arrival is stamped schedAt =
-// TimeZero, the key an up-front Schedule at set-up gave it, so it still
-// sorts ahead of every same-instant event scheduled at run time; arrivals
-// on one instant keep trace order because each is queued by the one
-// before it.
+// arrive is the start event of one flow: it opens and starts the sender
+// and queues the next arrival of the same wheel. Every arrival is stamped
+// schedAt = TimeZero, the key an up-front Schedule at set-up gave it, so
+// it still sorts ahead of every same-instant event scheduled at run time;
+// arrivals on one instant keep trace order because each is queued by the
+// one before it.
+//
+// The sender is the source host's last retired one, reopened, or a new
+// one when the host has none to spare (or Reopen refuses the storage).
+// Either way it is what tcp.NewSender builds, and building it draws no
+// randomness and schedules nothing, so when it is built is not observable.
 //
 //dtlint:hotpath
 func (w *Workload) arrive(arg any) {
 	f := arg.(*Flow)
-	f.sender.Start()
+	src, peer := w.hosts[f.Src], w.hosts[f.Dst].ID()
+	var s *tcp.Sender
+	if free := w.free[f.Src]; len(free) > 0 {
+		s = free[len(free)-1]
+		w.free[f.Src] = free[:len(free)-1]
+		if !s.Reopen(src, f.id, peer, f.Size, w.cfg.TCP) {
+			s = nil
+		}
+	}
+	if s == nil {
+		s = tcp.NewSender(src, f.id, peer, f.Size, w.cfg.TCP)
+	}
+	s.OnComplete = w.doneFn
+	f.sender = s
+	s.Start()
 	if n := f.next; n != nil {
 		w.hosts[n.Src].Engine().InjectArg(n.Arrival, sim.TimeZero, w.arriveFn, n)
 	}
+}
+
+// complete is every sender's OnComplete: it records the flow's outcome
+// and retires the sender — off its host's table, onto the host's free
+// list — on the sender's own shard.
+//
+//dtlint:hotpath
+func (w *Workload) complete(s *tcp.Sender, now sim.Time) {
+	f := &w.Flows[s.Flow()-w.cfg.BaseFlow]
+	st := s.Stats()
+	f.fct, f.done = now, true
+	f.timeouts, f.retx = st.Timeouts, st.Retransmissions
+	f.sender = nil
+	w.hosts[f.Src].Unregister(f.id)
+	//dtlint:allow hotalloc: the list grows to the host's peak of open flows and stays there
+	w.free[f.Src] = append(w.free[f.Src], s)
 }
 
 // derangement returns a uniform-ish permutation of [0, n) with no fixed
@@ -263,11 +308,16 @@ func (w *Workload) Completed() int {
 // engine well past it (plus a drain margin) completes the trace.
 func (w *Workload) LastArrival() sim.Time { return w.Flows[len(w.Flows)-1].Arrival }
 
-// TotalTimeouts sums RTO firings over all connections.
+// TotalTimeouts sums RTO firings over all connections: the counts
+// recorded at completion plus those of the flows still open.
 func (w *Workload) TotalTimeouts() uint64 {
 	var total uint64
 	for i := range w.Flows {
-		total += w.Flows[i].sender.Stats().Timeouts
+		f := &w.Flows[i]
+		total += f.timeouts
+		if f.sender != nil {
+			total += f.sender.Stats().Timeouts
+		}
 	}
 	return total
 }
@@ -276,7 +326,11 @@ func (w *Workload) TotalTimeouts() uint64 {
 func (w *Workload) TotalRetransmissions() uint64 {
 	var total uint64
 	for i := range w.Flows {
-		total += w.Flows[i].sender.Stats().Retransmissions
+		f := &w.Flows[i]
+		total += f.retx
+		if f.sender != nil {
+			total += f.sender.Stats().Retransmissions
+		}
 	}
 	return total
 }
@@ -286,11 +340,10 @@ func (w *Workload) TotalRetransmissions() uint64 {
 func (w *Workload) Cleanup() {
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		id := w.cfg.BaseFlow + netsim.FlowID(i)
-		if !f.done {
-			w.hosts[f.Src].Unregister(id)
+		if f.sender != nil {
+			w.hosts[f.Src].Unregister(f.id)
 		}
-		w.hosts[f.Dst].Unregister(id)
+		w.hosts[f.Dst].Unregister(f.id)
 	}
 }
 

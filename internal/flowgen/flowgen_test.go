@@ -1,6 +1,7 @@
 package flowgen
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -390,4 +391,82 @@ func TestArrivalSortsAheadOfRunTimeEvents(t *testing.T) {
 		t.Fatal("probe never ran")
 	}
 	w.Cleanup()
+}
+
+// TestSendersBoundedByOpenFlows pins what lazy, recycled senders buy: on
+// a k=4 fat-tree trace a source host constructs as many senders as it
+// ever had flows open at once — not one per flow of the trace — on one
+// event wheel and on two, where each host's free list is touched by its
+// own shard only.
+func TestSendersBoundedByOpenFlows(t *testing.T) {
+	const flows = 600
+	var digests []uint64
+	for _, shards := range []int{1, 2} {
+		se := sim.NewShardedEngine(5, shards)
+		link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
+		f, err := topo.FatTree(netsim.NewNetwork(se.Shard(0)), 4, topo.Config{HostLink: link, FabricLink: link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Net.Partition(se, f.Net.DefaultAssign(shards)); err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(t, f, flows)
+		cfg.Load = 0.6
+		w, err := Start(f.Hosts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := w.LastArrival().Add(2 * time.Second)
+		if err := se.RunUntil(end); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Completed(); got != flows {
+			t.Fatalf("shards=%d: completed %d/%d flows", shards, got, flows)
+		}
+
+		// Peak of concurrently open flows per source host, an arrival
+		// counted before a completion at the same instant.
+		type edge struct {
+			at   sim.Time
+			open int
+		}
+		edges := make([][]edge, len(f.Hosts))
+		for i := range w.Flows {
+			fl := &w.Flows[i]
+			edges[fl.Src] = append(edges[fl.Src], edge{fl.Arrival, +1}, edge{fl.fct, -1})
+		}
+		total, totalPeak := 0, 0
+		for h, es := range edges {
+			sort.Slice(es, func(i, j int) bool {
+				if es[i].at != es[j].at {
+					return es[i].at < es[j].at
+				}
+				return es[i].open > es[j].open
+			})
+			open, peak := 0, 0
+			for _, e := range es {
+				if open += e.open; open > peak {
+					peak = open
+				}
+			}
+			// Every flow is complete, so every sender the host ever
+			// constructed is back on its free list.
+			built := len(w.free[h])
+			if built > peak {
+				t.Errorf("shards=%d: host %d constructed %d senders, never had more than %d flows open", shards, h, built, peak)
+			}
+			total += built
+			totalPeak += peak
+		}
+		if total == 0 || total*4 > flows {
+			t.Errorf("shards=%d: %d senders constructed for %d flows (peaks sum to %d): recycling is not engaging", shards, total, flows, totalPeak)
+		}
+		t.Logf("shards=%d: %d senders for %d flows", shards, total, flows)
+		digests = append(digests, w.Digest())
+		w.Cleanup()
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("digest %016x on one wheel, %016x on two", digests[0], digests[1])
+	}
 }

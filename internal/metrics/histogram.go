@@ -10,16 +10,20 @@ import (
 // registration time. Buckets are defined by finite, strictly increasing
 // upper bounds with Prometheus semantics — bucket i counts observations
 // v ≤ bounds[i] that exceeded every earlier bound — plus one implicit
-// overflow bucket above the last bound. Observe performs a binary
-// search over the bounds and increments one slot: no allocation, no
-// floating accumulation beyond the running sum.
+// overflow bucket above the last bound. Observe finds the bucket —
+// directly when the bounds are evenly spaced, by binary search otherwise —
+// and increments one slot: no allocation, no floating accumulation beyond
+// the running sum.
 type Histogram struct {
 	bounds []float64 // finite, strictly increasing upper bounds
 	counts []uint64  // len(bounds)+1; last slot is the overflow bucket
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
+	// invStep is 1/width when the bounds are evenly spaced (bucket guesses
+	// it), zero when they are not.
+	invStep float64
+	count   uint64
+	sum     float64
+	min     float64
+	max     float64
 }
 
 // NewHistogram creates a histogram over the given upper bounds. The
@@ -40,16 +44,54 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds not strictly increasing at %v", b))
 		}
 	}
-	return &Histogram{bounds: own, counts: make([]uint64, len(own)+1)}
+	return &Histogram{bounds: own, counts: make([]uint64, len(own)+1), invStep: invStep(own)}
+}
+
+// invStep returns 1/width if bounds are evenly spaced to within rounding,
+// zero otherwise. It only decides whether bucket's guess is worth making:
+// the guess is verified against the bounds themselves.
+func invStep(bounds []float64) float64 {
+	n := len(bounds)
+	if n < 2 {
+		return 0
+	}
+	step := (bounds[n-1] - bounds[0]) / float64(n-1)
+	for i, b := range bounds {
+		if math.Abs(b-(bounds[0]+float64(i)*step)) > 1e-9*step {
+			return 0
+		}
+	}
+	return 1 / step
+}
+
+// bucket returns the index of the first bound ≥ v, len(bounds) — the
+// overflow bucket — when v is above every bound or NaN: what
+// sort.SearchFloat64s returns. Over evenly spaced bounds it computes the
+// index, settles the rounding of that computation against the two bounds
+// that enclose the bucket, and searches only if they disagree.
+//
+//dtlint:hotpath
+func (h *Histogram) bucket(v float64) int {
+	if h.invStep > 0 {
+		// NaN and ±Inf fail the range test and take the search.
+		if x := (v - h.bounds[0]) * h.invStep; x > -1 && x < float64(len(h.bounds)) {
+			i := int(x)
+			if v > h.bounds[i] {
+				i++
+			}
+			if (i == len(h.bounds) || v <= h.bounds[i]) && (i == 0 || v > h.bounds[i-1]) {
+				return i
+			}
+		}
+	}
+	return sort.SearchFloat64s(h.bounds, v)
 }
 
 // Observe records one value.
 //
 //dtlint:hotpath
 func (h *Histogram) Observe(v float64) {
-	// First bound ≥ v; the overflow bucket catches v above every bound.
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
+	h.counts[h.bucket(v)]++
 	h.sum += v
 	if h.count == 0 || v < h.min {
 		h.min = v

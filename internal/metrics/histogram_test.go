@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -166,4 +167,57 @@ func TestBoundsHelpers(t *testing.T) {
 	}
 	mustPanic(t, "LinearBounds", func() { LinearBounds(0, 0, 3) })
 	mustPanic(t, "ExponentialBounds", func() { ExponentialBounds(1, 1, 3) })
+}
+
+// bucket must place every value where the binary search does, whether it
+// computed the index (evenly spaced bounds) or searched (anything else):
+// values on, just below, between and above every bound, far outside, ±Inf
+// and NaN, over linear layouts whose width is and is not exactly
+// representable, exponential layouts, and single-bound histograms.
+func TestBucketEqualsBinarySearch(t *testing.T) {
+	layouts := map[string][]float64{
+		"linear unit":      LinearBounds(1, 1, 64),
+		"linear fabric":    LinearBounds(100.0/64, 100.0/64, 64),
+		"linear tenth":     LinearBounds(0.1, 0.1, 50),
+		"linear negative":  LinearBounds(-7.3, 0.7, 33),
+		"linear two":       {10, 20},
+		"single":           {5},
+		"exponential":      ExponentialBounds(10e-6, 1.5, 36),
+		"nearly linear":    {1, 2, 3.0000001, 4},
+		"irregular":        {0.1, 0.5, 1, 2.5, 5, 10},
+		"linear then jump": {1, 2, 3, 4, 100},
+	}
+	for name, bounds := range layouts {
+		h := NewHistogram(bounds)
+		if linear := name[:6] == "linear" && name != "linear then jump"; linear != (h.invStep > 0) {
+			t.Errorf("%s: invStep = %g", name, h.invStep)
+		}
+		values := []float64{math.Inf(-1), math.Inf(1), math.NaN(), -1e300, 1e300, 0, math.Copysign(0, -1)}
+		for i, b := range bounds {
+			values = append(values, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+			if i > 0 {
+				values = append(values, (b+bounds[i-1])/2, bounds[i-1]+(b-bounds[i-1])*0.999999)
+			}
+		}
+		first, last := bounds[0], bounds[len(bounds)-1]
+		span := last - first + 1
+		values = append(values, first-span, first-0.5*span/float64(len(bounds)), last+0.5*span/float64(len(bounds)), last+span, last+1e6*span)
+		for _, v := range values {
+			if got, want := h.bucket(v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Errorf("%s: bucket(%v) = %d, binary search %d", name, v, got, want)
+			}
+		}
+		// And through Observe: the counts of a histogram fed the values
+		// equal counts made by the search.
+		want := make([]uint64, len(bounds)+1)
+		for _, v := range values {
+			h.Observe(v)
+			want[sort.SearchFloat64s(bounds, v)]++
+		}
+		for i, c := range h.Counts() {
+			if c != want[i] {
+				t.Errorf("%s: bucket %d counts %d, binary search %d", name, i, c, want[i])
+			}
+		}
+	}
 }

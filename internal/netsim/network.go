@@ -40,12 +40,11 @@ func (n *Network) Engine() *sim.Engine { return n.engine }
 // AddHost creates a host node.
 func (n *Network) AddHost(name string) *Host {
 	h := &Host{
-		id:        NodeID(len(n.nodes)),
-		name:      name,
-		net:       n,
-		endpoints: make(map[FlowID]Endpoint),
-		engine:    n.engine,
-		pool:      &n.pool,
+		id:     NodeID(len(n.nodes)),
+		name:   name,
+		net:    n,
+		engine: n.engine,
+		pool:   &n.pool,
 	}
 	h.recvArgFn = func(arg any) { h.Receive(arg.(*Packet)) }
 	n.nodes = append(n.nodes, h)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dtdctcp/internal/sim"
 )
@@ -134,6 +135,106 @@ func (s *Switch) Receive(pkt *Packet) {
 // DroppedNoRoute reports packets discarded for lack of a route.
 func (s *Switch) DroppedNoRoute() uint64 { return s.droppedNoRoute }
 
+// flowTable is a host's demultiplexer, FlowID → Endpoint: an open-addressed
+// table with linear probing, deletion by backward shift (no tombstones, so
+// a host that churns connections probes no further than one that never
+// did), a power-of-two capacity kept at most half full, never shrunk. A
+// slot is empty iff its ep is nil. Register and Unregister run once per
+// connection, get once per delivered packet.
+type flowTable struct {
+	slots []flowSlot
+	n     int
+	// shift turns the 64-bit hash into a slot index: 64 − log2(len(slots)).
+	shift uint
+}
+
+type flowSlot struct {
+	flow FlowID
+	ep   Endpoint
+}
+
+// home is the slot a flow hashes to. Flow ids are mostly consecutive
+// integers (negative for injected background traffic); the Fibonacci
+// multiplier spreads a run of them evenly over any power of two.
+//
+//dtlint:hotpath
+func (t *flowTable) home(flow FlowID) uint {
+	return uint(uint64(flow) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// get returns the flow's endpoint, or nil.
+//
+//dtlint:hotpath
+func (t *flowTable) get(flow FlowID) Endpoint {
+	if t.n == 0 {
+		return nil
+	}
+	mask := uint(len(t.slots) - 1)
+	// Half the slots are empty, so the probe ends.
+	for i := t.home(flow); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.ep == nil || s.flow == flow {
+			return s.ep
+		}
+	}
+}
+
+// put stores a flow known to be absent, doubling the table first if it
+// would pass half full.
+func (t *flowTable) put(flow FlowID, ep Endpoint) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		size := 2 * len(old)
+		if size == 0 {
+			size = 8
+		}
+		t.slots = make([]flowSlot, size)
+		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+		t.n = 0
+		for _, s := range old {
+			if s.ep != nil {
+				t.put(s.flow, s.ep)
+			}
+		}
+	}
+	mask := uint(len(t.slots) - 1)
+	i := t.home(flow)
+	for t.slots[i].ep != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = flowSlot{flow: flow, ep: ep}
+	t.n++
+}
+
+// del removes the flow if present: it empties the slot, then walks the
+// rest of the cluster moving back every entry whose home lies at or
+// before the hole, so no lookup ever has to cross an empty slot.
+//
+//dtlint:hotpath
+func (t *flowTable) del(flow FlowID) {
+	if t.n == 0 {
+		return
+	}
+	mask := uint(len(t.slots) - 1)
+	i := t.home(flow)
+	for t.slots[i].flow != flow || t.slots[i].ep == nil {
+		if t.slots[i].ep == nil {
+			return
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.slots[j].ep != nil; j = (j + 1) & mask {
+		// The entry at j may move to the hole at i iff its home is not
+		// cyclically inside (i, j]: its probe distance reaches back to i.
+		if (j-t.home(t.slots[j].flow))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = flowSlot{}
+	t.n--
+}
+
 // Host is a leaf node with a single uplink and a set of transport
 // endpoints keyed by flow.
 type Host struct {
@@ -141,7 +242,7 @@ type Host struct {
 	name      string
 	net       *Network
 	uplink    *Port
-	endpoints map[FlowID]Endpoint
+	endpoints flowTable
 	// droppedNoFlow counts packets for unknown flows.
 	droppedNoFlow uint64
 
@@ -185,16 +286,24 @@ func (h *Host) Engine() *sim.Engine { return h.engine }
 func (h *Host) AllocPacket() *Packet { return h.pool.get() }
 
 // Register attaches a transport endpoint for a flow. Registering a second
-// endpoint for the same flow panics: it is always a harness bug.
+// endpoint for the same flow, or a nil one, panics: it is always a
+// harness bug.
 func (h *Host) Register(flow FlowID, ep Endpoint) {
-	if _, dup := h.endpoints[flow]; dup {
+	if ep == nil {
+		panic(fmt.Sprintf("netsim: nil endpoint for flow %d on %s", flow, h.name))
+	}
+	if h.endpoints.get(flow) != nil {
 		panic(fmt.Sprintf("netsim: duplicate endpoint for flow %d on %s", flow, h.name))
 	}
-	h.endpoints[flow] = ep
+	h.endpoints.put(flow, ep)
 }
 
-// Unregister detaches the endpoint for a flow.
-func (h *Host) Unregister(flow FlowID) { delete(h.endpoints, flow) }
+// Unregister detaches the endpoint for a flow; an unknown flow is a
+// no-op. An endpoint may unregister itself, or register others, from
+// inside its own Deliver.
+//
+//dtlint:hotpath
+func (h *Host) Unregister(flow FlowID) { h.endpoints.del(flow) }
 
 // Send stamps the packet's source and pushes it onto the uplink.
 //
@@ -210,8 +319,8 @@ func (h *Host) Send(pkt *Packet) {
 //
 //dtlint:hotpath
 func (h *Host) Receive(pkt *Packet) {
-	ep, ok := h.endpoints[pkt.Flow]
-	if !ok {
+	ep := h.endpoints.get(pkt.Flow)
+	if ep == nil {
 		h.droppedNoFlow++
 		h.pool.put(pkt)
 		return

@@ -108,7 +108,10 @@ type Port struct {
 	// no longer counts against it, matching output-queued switches).
 	buffer int
 	policy aqm.Policy
-	peer   Node
+	// dequeue is policy's dequeue-time side (CoDel), resolved once at
+	// construction; nil for a law that decides at arrival only.
+	dequeue aqm.DequeuePolicy
+	peer    Node
 
 	queue    pktRing
 	queueLen int // bytes
@@ -196,6 +199,7 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 		pool:   &net.pool,
 		srcKey: -1,
 	}
+	p.dequeue, _ = policy.(aqm.DequeuePolicy)
 	//dtlint:hotpath
 	p.deliverFn = func(arg any) { p.peer.Receive(arg.(*Packet)) }
 	//dtlint:hotpath
@@ -586,12 +590,11 @@ func (p *Port) transmitNext() {
 		p.checkConservation()
 
 		// Dequeue-time queue laws (CoDel) may drop or mark here.
-		dq, ok := p.policy.(aqm.DequeuePolicy)
-		if !ok {
+		if p.dequeue == nil {
 			break
 		}
 		sojourn := (p.engine.Now() - pkt.EnqueuedAt).Duration()
-		verdict := dq.OnDequeue(p.engine.Now(), sojourn, p.totalQueueLen())
+		verdict := p.dequeue.OnDequeue(p.engine.Now(), sojourn, p.totalQueueLen())
 		if verdict == aqm.Drop {
 			p.drop(pkt, false)
 			p.notifyMonitor()

@@ -52,18 +52,28 @@ type plusPacer struct {
 	rng       *rand.Rand
 }
 
-func newPlusPacer(s *Sender, cfg Config) *plusPacer {
+// open returns the pacer of a fresh DCTCP+ connection on s: a new one
+// when p is nil, otherwise p's own storage with its stopped timer kept
+// and its RNG reseeded — the stream a new source with that seed yields.
+//
+//dtlint:hotpath
+func (p *plusPacer) open(s *Sender, cfg Config) *plusPacer {
 	seed := cfg.PacingSeed
 	if seed == 0 {
 		// Deterministic flow-derived fallback for directly constructed
 		// senders (unit tests, ad-hoc harnesses).
 		seed = int64(s.flow) + 1
 	}
-	p := &plusPacer{
-		//dtlint:allow nondeterm: seeded from the construction engine's source via Config.PacingSeed
-		rng: rand.New(rand.NewSource(seed)),
+	if p == nil {
+		//dtlint:allow hotalloc: the allocate branch — storage that never carried a DCTCP+ connection
+		return &plusPacer{
+			//dtlint:allow nondeterm: seeded from the construction engine's source via Config.PacingSeed
+			rng:   rand.New(rand.NewSource(seed)),
+			timer: sim.NewTimer(s.engine, s.onPace),
+		}
 	}
-	p.timer = sim.NewTimer(s.engine, s.onPace)
+	*p = plusPacer{timer: p.timer, rng: p.rng}
+	p.rng.Seed(seed)
 	return p
 }
 

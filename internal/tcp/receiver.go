@@ -57,17 +57,46 @@ type ReceiverStats struct {
 // NewReceiver creates a receiver for flow on host, acknowledging to peer.
 // It registers itself as the host's endpoint for the flow.
 func NewReceiver(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) *Receiver {
-	r := &Receiver{
-		engine: hostEngine(host),
-		host:   host,
-		flow:   flow,
-		peer:   peer,
-		cfg:    cfg.sanitize(),
-		ooo:    make(map[int64]int64),
-	}
-	r.ackTimer = sim.NewTimer(r.engine, r.flushAck)
-	host.Register(flow, r)
+	r := &Receiver{}
+	r.open(host, flow, peer, cfg)
 	return r
+}
+
+// Reopen is Sender.Reopen for a retired receiver: it refuses while the
+// delayed-ACK timer is armed or when host schedules on another engine.
+//
+//dtlint:hotpath
+func (r *Receiver) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) bool {
+	if r.engine != hostEngine(host) || r.ackTimer.Armed() {
+		return false
+	}
+	r.open(host, flow, peer, cfg)
+	return true
+}
+
+// open is the one definition of a fresh connection's receiver state (see
+// Sender.open); the delayed-ACK timer and the emptied out-of-order map
+// survive it.
+//
+//dtlint:hotpath
+func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) {
+	ooo, ack := r.ooo, r.ackTimer
+	*r = Receiver{
+		engine:   hostEngine(host),
+		host:     host,
+		flow:     flow,
+		peer:     peer,
+		cfg:      cfg.sanitize(),
+		ooo:      ooo,
+		ackTimer: ack,
+	}
+	if ooo == nil {
+		//dtlint:allow hotalloc: the allocate branch — NewReceiver's zeroed storage
+		r.ooo = make(map[int64]int64)
+		r.ackTimer = sim.NewTimer(r.engine, r.flushAck)
+	}
+	clear(r.ooo)
+	host.Register(flow, r)
 }
 
 // Stats returns a copy of the receiver's counters.

@@ -12,8 +12,8 @@ type rttEstimator struct {
 	rtoMin, rtoMax, rtoInitial time.Duration
 }
 
-func newRTTEstimator(c Config) *rttEstimator {
-	return &rttEstimator{rtoMin: c.RTOMin, rtoMax: c.RTOMax, rtoInitial: c.RTOInitial}
+func newRTTEstimator(c Config) rttEstimator {
+	return rttEstimator{rtoMin: c.RTOMin, rtoMax: c.RTOMax, rtoInitial: c.RTOInitial}
 }
 
 // sample feeds one round-trip measurement.

@@ -26,8 +26,11 @@ type Sender struct {
 	// Deadline, when set, is the instant the transfer should finish by;
 	// D2TCP uses it to compute the urgency factor d.
 	Deadline sim.Time
-	// OnComplete, when set, fires once when every byte is acknowledged.
-	OnComplete func(now sim.Time)
+	// OnComplete, when set, fires once when every byte is acknowledged. It
+	// is handed the sender so one function bound once can serve every
+	// connection of a workload. The handler may retire the sender and
+	// Reopen its storage as another connection before it returns.
+	OnComplete func(s *Sender, now sim.Time)
 
 	// Sequence state (bytes).
 	sndUna int64
@@ -58,7 +61,7 @@ type Sender struct {
 	plus         *plusPacer
 	retxSeq      int64 // highest sequence retransmitted (Karn: skip RTT samples)
 	retxValid    bool
-	rtt          *rttEstimator
+	rtt          rttEstimator
 	rtoTimer     *sim.Timer
 	rtoBackoff   int
 	started      bool
@@ -99,8 +102,45 @@ type SenderStats struct {
 // payload to peer (0 = unlimited). It registers itself as the host's
 // endpoint for the flow's ACK stream. Call Start to begin transmitting.
 func NewSender(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) *Sender {
+	s := &Sender{}
+	s.open(host, flow, peer, totalBytes, cfg)
+	return s
+}
+
+// Reopen turns the storage of a retired sender — completed, unregistered
+// from its host — into the sender NewSender would have built from the
+// same arguments, allocating nothing, and reports true. It reports false
+// and touches nothing when the storage cannot serve: one of its timers
+// is still armed, or host schedules on another engine than the one the
+// timers are bound to. The caller then constructs a sender as before.
+//
+// Reuse is exact. Construction draws no randomness and consumes no
+// sequence number. A stopped timer keeps at most one cancelled wake-up
+// queued, and its first ResetAt either revives that wake-up in place
+// under the key (at, now, nextSeq) or queues a fresh one — the key a new
+// timer's first arm would carry — so fire order and the engine's
+// Processed, Scheduled and Cancelled counts are those of a run that
+// allocated every connection.
+//
+//dtlint:hotpath
+func (s *Sender) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) bool {
+	if s.engine != hostEngine(host) || s.rtoTimer.Armed() || (s.plus != nil && s.plus.timer.Armed()) {
+		return false
+	}
+	s.open(host, flow, peer, totalBytes, cfg)
+	return true
+}
+
+// open is the one definition of a fresh connection's sender state, run by
+// NewSender on zeroed storage and by Reopen on a retired sender's. Only
+// the timers and the DCTCP+ pacer's RNG survive it, each reset to what a
+// new one would be.
+//
+//dtlint:hotpath
+func (s *Sender) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) {
 	cfg = cfg.sanitize()
-	s := &Sender{
+	rto, plus := s.rtoTimer, s.plus
+	*s = Sender{
 		engine: hostEngine(host),
 		host:   host,
 		flow:   flow,
@@ -112,13 +152,15 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalB
 		ssthresh: math.MaxFloat64 / 4,
 		alpha:    cfg.InitialAlpha,
 		rtt:      newRTTEstimator(cfg),
+		rtoTimer: rto,
 	}
-	s.rtoTimer = sim.NewTimer(s.engine, s.onRTO)
+	if rto == nil {
+		s.rtoTimer = sim.NewTimer(s.engine, s.onRTO)
+	}
 	if cfg.Variant == DCTCPPlus {
-		s.plus = newPlusPacer(s, cfg)
+		s.plus = plus.open(s, cfg)
 	}
 	host.Register(flow, s)
-	return s
 }
 
 // Extend appends more payload bytes to a (possibly completed) transfer
@@ -255,7 +297,12 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 
 	switch {
 	case pkt.Ack > s.sndUna:
-		s.onNewAck(pkt)
+		if s.onNewAck(pkt) {
+			// Completed: OnComplete may already have reopened this
+			// storage as another connection, and a completed sender
+			// has nothing to send.
+			return
+		}
 	case pkt.Ack == s.sndUna:
 		s.onDupAck(pkt)
 	}
@@ -264,8 +311,11 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	s.trySend()
 }
 
+// onNewAck processes an ACK that advances sndUna and reports whether it
+// completed the transfer.
+//
 //dtlint:hotpath
-func (s *Sender) onNewAck(pkt *netsim.Packet) {
+func (s *Sender) onNewAck(pkt *netsim.Packet) (completed bool) {
 	ackedNow := pkt.Ack - s.sndUna
 	s.sndUna = pkt.Ack
 	s.dupAcks = 0
@@ -299,7 +349,7 @@ func (s *Sender) onNewAck(pkt *netsim.Packet) {
 			// recovery (NewReno).
 			s.retransmitHead()
 			s.armRTO()
-			return
+			return false
 		}
 	} else if s.sndUna >= s.growHoldSeq && !pkt.ECE {
 		// RFC 3168 §6.1.2: no window increase on an ACK that carries
@@ -328,13 +378,14 @@ func (s *Sender) onNewAck(pkt *netsim.Packet) {
 
 	if s.total > 0 && s.sndUna >= s.total {
 		s.complete()
-		return
+		return true
 	}
 	if s.sndUna == s.sndNxt {
 		s.rtoTimer.Stop()
 	} else {
 		s.armRTO()
 	}
+	return false
 }
 
 // grow applies slow start or congestion avoidance for ackedNow new bytes.
@@ -566,6 +617,6 @@ func (s *Sender) complete() {
 		s.plus.armed = false
 	}
 	if s.OnComplete != nil {
-		s.OnComplete(s.completeTime)
+		s.OnComplete(s, s.completeTime)
 	}
 }

@@ -14,7 +14,7 @@ func TestExtendResumesCompletedTransfer(t *testing.T) {
 	const chunk = 64 << 10
 	s, r := d.pair(0, chunk, DefaultConfig(Reno))
 	completions := 0
-	s.OnComplete = func(sim.Time) { completions++ }
+	s.OnComplete = func(*Sender, sim.Time) { completions++ }
 	s.Start()
 	if err := d.engine.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)

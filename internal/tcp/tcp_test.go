@@ -123,7 +123,7 @@ func TestBulkTransferCompletesCleanPath(t *testing.T) {
 	const total = 1 << 20 // 1 MB
 	s, r := d.pair(0, total, DefaultConfig(Reno))
 	var done sim.Time
-	s.OnComplete = func(now sim.Time) { done = now }
+	s.OnComplete = func(_ *Sender, now sim.Time) { done = now }
 	s.Start()
 	if err := d.engine.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)

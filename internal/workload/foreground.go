@@ -91,7 +91,7 @@ func StartForeground(engine *sim.Engine, cfg ForegroundConfig) *Foreground {
 }
 
 // complete runs on the sender's shard at each transfer completion.
-func (f *fgFlow) complete(now sim.Time) {
+func (f *fgFlow) complete(_ *tcp.Sender, now sim.Time) {
 	f.transfers++
 	if f.started >= f.warmup {
 		f.fcts = append(f.fcts, (now - f.started).Seconds())

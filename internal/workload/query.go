@@ -76,11 +76,20 @@ type QueryRunner struct {
 	round     int
 	remaining int
 	started   sim.Time
+	// senders and receivers are the current round's connections, indexed
+	// by worker. Between fresh-connection rounds they are the free lists:
+	// the round's end unregisters both ends, and the next round reopens
+	// the storage at the same index (connect).
 	senders   []*tcp.Sender
 	receivers []*tcp.Receiver
 	// Baselines for per-round deltas on persistent connections.
 	baseTimeouts, baseRetx uint64
 	done                   bool
+	// doneFn, extendFn and roundFn are workerDone, extend and startRound
+	// bound once, so no connection and no round allocates a closure.
+	doneFn   func(*tcp.Sender, sim.Time)
+	extendFn func(any)
+	roundFn  func()
 
 	// se and inFlight drive relay mode (StartQueriesSharded): round
 	// starts are injected into worker shards, round completion is
@@ -91,7 +100,7 @@ type QueryRunner struct {
 
 // StartQueries begins the first round at the current instant.
 func StartQueries(engine *sim.Engine, cfg QueryConfig) *QueryRunner {
-	q := &QueryRunner{engine: engine, cfg: cfg}
+	q := newQueryRunner(engine, cfg)
 	if cfg.Rounds > 0 && len(cfg.Workers) > 0 {
 		q.startRound()
 	} else {
@@ -117,7 +126,8 @@ func StartQueries(engine *sim.Engine, cfg QueryConfig) *QueryRunner {
 // the barrier that detects the previous round's completion. Callers
 // (core.RunQuery) validate both.
 func StartQueriesSharded(se *sim.ShardedEngine, cfg QueryConfig) *QueryRunner {
-	q := &QueryRunner{engine: se.Shard(0), se: se, cfg: cfg}
+	q := newQueryRunner(se.Shard(0), cfg)
+	q.se = se
 	if cfg.Rounds > 0 && len(cfg.Workers) > 0 {
 		q.startRoundRelay(sim.TimeZero)
 		se.AddBarrierHook(q.pollRelay)
@@ -126,6 +136,23 @@ func StartQueriesSharded(se *sim.ShardedEngine, cfg QueryConfig) *QueryRunner {
 	}
 	return q
 }
+
+func newQueryRunner(engine *sim.Engine, cfg QueryConfig) *QueryRunner {
+	q := &QueryRunner{engine: engine, cfg: cfg}
+	if cfg.Rounds > 0 {
+		q.rounds = make([]QueryRound, 0, cfg.Rounds)
+	}
+	q.doneFn = q.workerDone
+	q.extendFn = q.extend
+	q.roundFn = q.startRound
+	return q
+}
+
+// startSender is the kick of a first transfer: arg is the *tcp.Sender.
+func startSender(arg any) { arg.(*tcp.Sender).Start() }
+
+// extend is the kick of a persistent connection's next response.
+func (q *QueryRunner) extend(arg any) { arg.(*tcp.Sender).Extend(q.cfg.BytesPerWorker) }
 
 // Done reports whether every round has completed.
 func (q *QueryRunner) Done() bool { return q.done }
@@ -180,45 +207,69 @@ func (q *QueryRunner) startRound() {
 	}
 	if q.cfg.Persistent && q.round > 0 {
 		for _, s := range q.senders {
-			s := s
 			if q.cfg.Deadline > 0 {
 				s.Deadline = deadline
 			}
-			q.kickoff(func() { s.Extend(q.cfg.BytesPerWorker) })
+			q.kickoff(q.extendFn, s)
 		}
 		return
 	}
-	q.senders = q.senders[:0]
-	q.receivers = q.receivers[:0]
 	base := q.cfg.BaseFlow
 	if !q.cfg.Persistent {
 		base += netsim.FlowID(q.round * len(q.cfg.Workers))
 	}
-	for i, worker := range q.cfg.Workers {
-		flow := base + netsim.FlowID(i)
-		s := tcp.NewSender(worker, flow, q.cfg.Aggregator.ID(), q.cfg.BytesPerWorker, plusPacingSeed(q.engine, q.cfg.TCP))
-		r := tcp.NewReceiver(q.cfg.Aggregator, flow, worker.ID(), q.cfg.TCP)
+	for i := range q.cfg.Workers {
+		s := q.connect(i, base+netsim.FlowID(i))
 		if q.cfg.Deadline > 0 {
 			s.Deadline = deadline
 		}
-		s.OnComplete = func(sim.Time) { q.workerDone() }
-		q.senders = append(q.senders, s)
-		q.receivers = append(q.receivers, r)
-		q.kickoff(s.Start)
+		s.OnComplete = q.doneFn
+		q.kickoff(startSender, s)
 	}
 }
 
-// kickoff runs fn now or after the configured jitter.
-func (q *QueryRunner) kickoff(fn func()) {
+// connect opens worker i's connection to the aggregator as flow and
+// returns its sender. A fresh-connection round after the first finds the
+// previous round's retired pair at index i and reopens that storage; the
+// allocate branch is the first round, and any storage Reopen refuses.
+//
+//dtlint:hotpath
+func (q *QueryRunner) connect(i int, flow netsim.FlowID) *tcp.Sender {
+	worker, agg := q.cfg.Workers[i], q.cfg.Aggregator
+	cfg := plusPacingSeed(q.engine, q.cfg.TCP)
+	if i == len(q.senders) {
+		//dtlint:allow hotalloc: the first round builds the connections every later round reopens
+		q.senders = append(q.senders, tcp.NewSender(worker, flow, agg.ID(), q.cfg.BytesPerWorker, cfg))
+		//dtlint:allow hotalloc: as above
+		q.receivers = append(q.receivers, tcp.NewReceiver(agg, flow, worker.ID(), q.cfg.TCP))
+		return q.senders[i]
+	}
+	if !q.senders[i].Reopen(worker, flow, agg.ID(), q.cfg.BytesPerWorker, cfg) {
+		q.senders[i] = tcp.NewSender(worker, flow, agg.ID(), q.cfg.BytesPerWorker, cfg)
+	}
+	if !q.receivers[i].Reopen(agg, flow, worker.ID(), q.cfg.TCP) {
+		q.receivers[i] = tcp.NewReceiver(agg, flow, worker.ID(), q.cfg.TCP)
+	}
+	return q.senders[i]
+}
+
+// kickoff runs fn(s) now or after the configured jitter.
+//
+//dtlint:hotpath
+func (q *QueryRunner) kickoff(fn func(any), s *tcp.Sender) {
 	if q.cfg.StartJitter > 0 {
 		jitter := time.Duration(q.engine.Rand().Int63n(int64(q.cfg.StartJitter)))
-		q.engine.After(jitter, fn)
+		q.engine.AfterArg(jitter, fn, s)
 		return
 	}
-	fn()
+	fn(s)
 }
 
-func (q *QueryRunner) workerDone() {
+// workerDone is every sender's OnComplete. The last completion of a
+// round closes it and, with no Gap, starts the next from inside that
+// sender's Deliver — which is why a completed sender touches nothing
+// after OnComplete returns.
+func (q *QueryRunner) workerDone(*tcp.Sender, sim.Time) {
 	q.remaining--
 	if q.remaining > 0 {
 		return
@@ -262,7 +313,7 @@ func (q *QueryRunner) workerDone() {
 		return
 	}
 	if q.cfg.Gap > 0 {
-		q.engine.After(q.cfg.Gap, q.startRound)
+		q.engine.After(q.cfg.Gap, q.roundFn)
 	} else {
 		q.startRound()
 	}
@@ -282,37 +333,32 @@ func (q *QueryRunner) startRoundRelay(t0 sim.Time) {
 		// Persistent continuation: extend each worker's existing
 		// transfer on its own shard.
 		for i, s := range q.senders {
-			s := s
 			if q.cfg.Deadline > 0 {
 				s.Deadline = deadline
 			}
-			q.kickRelay(t0, q.cfg.Workers[i], func(any) { s.Extend(q.cfg.BytesPerWorker) })
+			q.kickRelay(t0, q.cfg.Workers[i], q.extendFn, s)
 		}
 		return
 	}
 	for i, worker := range q.cfg.Workers {
-		flow := q.cfg.BaseFlow + netsim.FlowID(i)
-		s := tcp.NewSender(worker, flow, q.cfg.Aggregator.ID(), q.cfg.BytesPerWorker, plusPacingSeed(q.engine, q.cfg.TCP))
-		r := tcp.NewReceiver(q.cfg.Aggregator, flow, worker.ID(), q.cfg.TCP)
+		s := q.connect(i, q.cfg.BaseFlow+netsim.FlowID(i))
 		if q.cfg.Deadline > 0 {
 			s.Deadline = deadline
 		}
-		q.senders = append(q.senders, s)
-		q.receivers = append(q.receivers, r)
-		q.kickRelay(t0, worker, func(any) { s.Start() })
+		q.kickRelay(t0, worker, startSender, s)
 	}
 }
 
-// kickRelay injects one worker's round-start action into its shard at
+// kickRelay injects one worker's round-start action fn(s) into its shard at
 // t0 plus the configured jitter. The injected event carries schedAt=t0,
 // the instant the serial runner would have scheduled the same kick, so
 // it sorts identically against the worker shard's own events.
-func (q *QueryRunner) kickRelay(t0 sim.Time, w *netsim.Host, fn func(any)) {
+func (q *QueryRunner) kickRelay(t0 sim.Time, w *netsim.Host, fn func(any), s *tcp.Sender) {
 	at := t0
 	if q.cfg.StartJitter > 0 {
 		at = t0.Add(time.Duration(q.engine.Rand().Int63n(int64(q.cfg.StartJitter))))
 	}
-	w.Engine().InjectArg(at, t0, fn, nil)
+	w.Engine().InjectArg(at, t0, fn, s)
 }
 
 // pollRelay runs at every epoch barrier and closes the in-flight round
