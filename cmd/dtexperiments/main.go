@@ -23,7 +23,6 @@ import (
 	"dtdctcp"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/runner"
-	"dtdctcp/internal/stats"
 )
 
 func main() {
@@ -72,14 +71,7 @@ func run(args []string, out io.Writer) error {
 	if *short {
 		s = settings{duration: 40 * time.Millisecond, warmup: 10 * time.Millisecond, rounds: 5, seeds: 1}
 	}
-	s.workers = *workers
-	if s.workers < 1 {
-		s.workers = 1
-	}
-	s.shards = *shards
-	if s.shards < 1 {
-		s.shards = 1
-	}
+	s.workers, s.shards = *workers, *shards
 	var collected []metrics.Named
 	if *metricsOut != "" {
 		s.collect = &collected
@@ -139,23 +131,30 @@ func header(out io.Writer, title string) {
 	fmt.Fprintln(out, "=== "+title+" ===")
 }
 
+// paperDumbbell is the Section VI-A dumbbell every packet-level figure
+// runs: 10 Gbps, 100 µs RTT, a 600-packet buffer, seed 1.
+func paperDumbbell(s settings, p dtdctcp.Protocol, flows int) dtdctcp.DumbbellConfig {
+	return dtdctcp.DumbbellConfig{
+		Protocol:   p,
+		Flows:      flows,
+		Rate:       10 * dtdctcp.Gbps,
+		RTT:        100 * time.Microsecond,
+		BufferPkts: 600,
+		Duration:   s.duration,
+		Warmup:     s.warmup,
+		Seed:       1,
+		Shards:     s.shards,
+	}
+}
+
 // fig1 regenerates Fig. 1: DCTCP queue traces at N = 10 and N = 100.
 func fig1(s settings, out io.Writer) error {
 	header(out, "Fig. 1 — DCTCP queue oscillation (10 Gbps, 100 µs RTT, K=40, g=1/16)")
 	for _, n := range []int{10, 100} {
-		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
-			Protocol:         dtdctcp.DCTCP(40, 1.0/16),
-			Flows:            n,
-			Rate:             10 * dtdctcp.Gbps,
-			RTT:              100 * time.Microsecond,
-			BufferPkts:       600,
-			Duration:         s.duration,
-			Warmup:           s.warmup,
-			QueueSampleEvery: 25 * time.Microsecond,
-			Seed:             1,
-			Shards:           s.shards,
-			Metrics:          s.collect != nil,
-		})
+		cfg := paperDumbbell(s, dtdctcp.DCTCP(40, 1.0/16), n)
+		cfg.QueueSampleEvery = 25 * time.Microsecond
+		cfg.Metrics = s.collect != nil
+		res, err := dtdctcp.RunDumbbell(cfg)
 		if err != nil {
 			return err
 		}
@@ -167,14 +166,11 @@ func fig1(s settings, out io.Writer) error {
 			n, res.QueueMeanPkts, res.QueueStdPkts, res.QueueMinPkts, res.QueueMaxPkts,
 			res.QueueMaxPkts-res.QueueMinPkts)
 		if res.QueueSeries != nil {
-			// Plot only the steady state; the slow-start transient
-			// would dominate the y-scale otherwise.
-			steady := stats.NewSeries("queue (packets, steady state)")
-			for _, pt := range res.QueueSeries.Points() {
-				if pt.T >= s.warmup.Seconds() {
-					steady.Add(pt.T, pt.V)
-				}
-			}
+			// Ten periods of the steady state: the slow-start transient
+			// would dominate the y-scale, and the whole run would pack
+			// hundreds of cycles into a solid block.
+			steady := res.QueueSeries.After(s.warmup.Seconds()).Periods(10)
+			steady.Name = "queue (packets, ten periods of the steady state)"
 			fmt.Fprint(out, steady.AsciiPlot(100, 12))
 		}
 	}
@@ -216,7 +212,6 @@ func fig6(_ settings, out io.Writer) error {
 	dtDF := dtdctcp.DTDCTCPDF{K1: 30, K2: 50}
 	const steps = 200000
 	for _, x := range []float64{55, 70, 100, 200} {
-		x := x
 		dc := dcDF.Eval(x)
 		dcn := dtdctcp.NumericDF(x, steps, func(th float64) float64 {
 			if x*math.Sin(th) >= 40 {
@@ -288,28 +283,15 @@ func verdict(v dtdctcp.StabilityVerdict) string {
 // figSweep regenerates Figs. 10, 11 and 12: the N = 10..100 sweep.
 func figSweep(s settings, out io.Writer) error {
 	header(out, "Figs. 10/11/12 — flow sweep (10 Gbps, 100 µs RTT; DCTCP K=40 vs DT-DCTCP K1=30/K2=50)")
-	base := dtdctcp.DumbbellConfig{
-		Rate:       10 * dtdctcp.Gbps,
-		RTT:        100 * time.Microsecond,
-		BufferPkts: 600,
-		Duration:   s.duration,
-		Warmup:     s.warmup,
-		Seed:       1,
-		Shards:     s.shards,
-	}
 	flows := make([]int, 0, 19)
 	for n := 10; n <= 100; n += 5 {
 		flows = append(flows, n)
 	}
-	baseDC := base
-	baseDC.Protocol = dtdctcp.DCTCP(40, 1.0/16)
-	dc, err := dtdctcp.SweepFlowsParallel(context.Background(), baseDC, flows, s.workers)
+	dc, err := dtdctcp.SweepFlowsParallel(context.Background(), paperDumbbell(s, dtdctcp.DCTCP(40, 1.0/16), 0), flows, s.workers)
 	if err != nil {
 		return err
 	}
-	baseDT := base
-	baseDT.Protocol = dtdctcp.DTDCTCP(30, 50, 1.0/16)
-	dt, err := dtdctcp.SweepFlowsParallel(context.Background(), baseDT, flows, s.workers)
+	dt, err := dtdctcp.SweepFlowsParallel(context.Background(), paperDumbbell(s, dtdctcp.DTDCTCP(30, 50, 1.0/16), 0), flows, s.workers)
 	if err != nil {
 		return err
 	}
@@ -375,11 +357,17 @@ func onset(n int) string {
 	return fmt.Sprint(n)
 }
 
+// paperTestbed is the Section VI-B incast testbed every query figure runs.
+func paperTestbed(s settings, p dtdctcp.Protocol, workers int) dtdctcp.TestbedConfig {
+	cfg := dtdctcp.DefaultTestbed(p, workers)
+	cfg.Shards = s.shards
+	return cfg
+}
+
 func incastPoint(p dtdctcp.Protocol, n int, s settings) (goodput float64, timeouts uint64, err error) {
 	for seed := int64(1); seed <= int64(s.seeds); seed++ {
-		cfg := dtdctcp.DefaultTestbed(p, n)
+		cfg := paperTestbed(s, p, n)
 		cfg.Seed = seed
-		cfg.Shards = s.shards
 		res, err := dtdctcp.RunIncast(cfg, s.rounds)
 		if err != nil {
 			return 0, 0, err
@@ -400,10 +388,10 @@ func fig15(s settings, out io.Writer) error {
 		func(_ context.Context, i int) (completionRow, error) {
 			var r completionRow
 			var err error
-			if r.dc, err = completionPoint(dtdctcp.DCTCP(21, 1.0/16), counts[i], s); err != nil {
+			if r.dc, err = dtdctcp.RunCompletionTime(paperTestbed(s, dtdctcp.DCTCP(21, 1.0/16), counts[i]), s.rounds); err != nil {
 				return r, err
 			}
-			r.dt, err = completionPoint(dtdctcp.DTDCTCP(16, 26, 1.0/16), counts[i], s)
+			r.dt, err = dtdctcp.RunCompletionTime(paperTestbed(s, dtdctcp.DTDCTCP(16, 26, 1.0/16), counts[i]), s.rounds)
 			return r, err
 		})
 	if err != nil {
@@ -417,12 +405,6 @@ func fig15(s settings, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "\npaper: completion ≈10 ms until Incast; DCTCP oscillates from n=34 and spikes ≈20× at 40; DT-DCTCP climbs smoothly and spikes at 42")
 	return nil
-}
-
-func completionPoint(p dtdctcp.Protocol, n int, s settings) (*dtdctcp.QueryResult, error) {
-	cfg := dtdctcp.DefaultTestbed(p, n)
-	cfg.Shards = s.shards
-	return dtdctcp.RunCompletionTime(cfg, s.rounds)
 }
 
 func ms(d time.Duration) float64 {
@@ -447,17 +429,7 @@ func extAQM(s settings, out io.Writer) error {
 	fmt.Fprintf(out, "%-28s %10s %8s %8s %9s %8s\n",
 		"protocol", "mean(pkt)", "sd(pkt)", "util", "marks", "drops")
 	for _, p := range protos {
-		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
-			Protocol:   p,
-			Flows:      60,
-			Rate:       10 * dtdctcp.Gbps,
-			RTT:        100 * time.Microsecond,
-			BufferPkts: 600,
-			Duration:   s.duration,
-			Warmup:     s.warmup,
-			Seed:       1,
-			Shards:     s.shards,
-		})
+		res, err := dtdctcp.RunDumbbell(paperDumbbell(s, p, 60))
 		if err != nil {
 			return err
 		}
@@ -509,9 +481,7 @@ func extZoo(s settings, out io.Writer) error {
 			dtdctcp.DTDCTCP(16, 26, 1.0/16),
 			dtdctcp.DCTCP(20, 1.0/16),
 		} {
-			cfg := dtdctcp.DefaultTestbed(p, w)
-			cfg.Shards = s.shards
-			res, err := dtdctcp.RunIncast(cfg, s.rounds)
+			res, err := dtdctcp.RunIncast(paperTestbed(s, p, w), s.rounds)
 			if err != nil {
 				return err
 			}
@@ -524,17 +494,7 @@ func extZoo(s settings, out io.Writer) error {
 	header(out, "Zoo — HULL phantom queue γ sweep (20 flows, 10 Gbps, K=40)")
 	fmt.Fprintf(out, "%-8s %10s %10s %9s %8s\n", "gamma", "util", "mean(pkt)", "marks", "drops")
 	for _, gamma := range []float64{0.80, 0.90, 0.95, 1.0} {
-		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
-			Protocol:   dtdctcp.HULL(40, gamma, 10*dtdctcp.Gbps, 1.0/16),
-			Flows:      20,
-			Rate:       10 * dtdctcp.Gbps,
-			RTT:        100 * time.Microsecond,
-			BufferPkts: 600,
-			Duration:   s.duration,
-			Warmup:     s.warmup,
-			Seed:       1,
-			Shards:     s.shards,
-		})
+		res, err := dtdctcp.RunDumbbell(paperDumbbell(s, dtdctcp.HULL(40, gamma, 10*dtdctcp.Gbps, 1.0/16), 20))
 		if err != nil {
 			return err
 		}
@@ -549,18 +509,9 @@ func extZoo(s settings, out io.Writer) error {
 	header(out, "Zoo — shared-buffer dynamic-threshold switch (40 Reno flows, pool = 600 pkts)")
 	fmt.Fprintf(out, "%-10s %10s %10s %10s %10s %9s %8s\n", "alpha", "cap(pkt)", "util", "mean(pkt)", "max(pkt)", "marks", "drops")
 	for _, alpha := range []float64{0.5, 1, 2, 8} {
-		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
-			Protocol:     dtdctcp.Reno(),
-			Flows:        40,
-			Rate:         10 * dtdctcp.Gbps,
-			RTT:          100 * time.Microsecond,
-			BufferPkts:   600,
-			Duration:     s.duration,
-			Warmup:       s.warmup,
-			Seed:         1,
-			Shards:       s.shards,
-			SharedBuffer: dtdctcp.SharedBufferConfig{Alpha: alpha},
-		})
+		cfg := paperDumbbell(s, dtdctcp.Reno(), 40)
+		cfg.SharedBuffer = dtdctcp.SharedBufferConfig{Alpha: alpha}
+		res, err := dtdctcp.RunDumbbell(cfg)
 		if err != nil {
 			return err
 		}
@@ -583,9 +534,8 @@ func extDeadlines(s settings, out io.Writer) error {
 		for _, p := range []dtdctcp.Protocol{
 			dtdctcp.DCTCP(21, 1.0/16), dtdctcp.D2TCP(21, 1.0/16),
 		} {
-			cfg := dtdctcp.DefaultTestbed(p, 32)
+			cfg := paperTestbed(s, p, 32)
 			cfg.Deadline = deadline
-			cfg.Shards = s.shards
 			res, err := dtdctcp.RunIncast(cfg, s.rounds)
 			if err != nil {
 				return err

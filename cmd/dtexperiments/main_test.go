@@ -24,6 +24,37 @@ func TestRunShortSimulationFigures(t *testing.T) {
 	}
 }
 
+// TestFig1PlotsResolveCycles: at paper scale each Fig. 1 plot shows
+// single oscillation cycles, not a solid block — some row below the top
+// one has a blank between its first and last point.
+func TestFig1PlotsResolveCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation figures are slow")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-fig", "1"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	plots := 0
+	lines := strings.Split(buf.String(), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "queue (packets") {
+			continue
+		}
+		plots++
+		resolved := false
+		for _, row := range lines[i+2 : i+13] { // the 11 rows below the top one
+			resolved = resolved || strings.Contains(strings.TrimSpace(row), " ")
+		}
+		if !resolved {
+			t.Errorf("plot %d is a solid block:\n%s", plots, strings.Join(lines[i:i+14], "\n"))
+		}
+	}
+	if plots != 2 {
+		t.Fatalf("found %d Fig. 1 plots, want 2:\n%s", plots, &buf)
+	}
+}
+
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run([]string{"-fig", "99"}, io.Discard); err == nil {
 		t.Fatal("unknown figure accepted")

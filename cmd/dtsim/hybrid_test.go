@@ -1,0 +1,87 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
+
+// TestHybridQuickRunVerifiedSharded drives the whole CLI path: a quick
+// hybrid/packet pair with shard verification against the serial hybrid
+// digest. -quick fills in only what the command line left unset, and the
+// report is a pure function of the flags: a second run is byte-identical.
+func TestHybridQuickRunVerifiedSharded(t *testing.T) {
+	args := []string{"hybrid", "-quick", "-bg", "20", "-verify-shards", "1,2"}
+	var snap hybridSnapshot
+	first := runJSON(t, &snap, args...)
+	if second := runJSON(t, new(hybridSnapshot), args...); !bytes.Equal(first, second) {
+		t.Fatalf("two runs of %v differ:\n%s\n%s", args, first, second)
+	}
+	if c := snap.Config; c["bg"] != "20" || c["duration"] != "10ms" {
+		t.Fatalf("config %v, want the quick 10 ms horizon with the 20 background flows asked for", c)
+	}
+	hyb, pkt := snap.Hybrid, snap.Packet
+	if hyb == nil || pkt == nil {
+		t.Fatal("want a hybrid/packet result pair")
+	}
+	if hyb.Mode != "hybrid" || pkt.Mode != "packet" {
+		t.Fatalf("modes %q/%q, want hybrid/packet", hyb.Mode, pkt.Mode)
+	}
+	if len(hyb.Digest) != 16 || len(pkt.Digest) != 16 {
+		t.Fatalf("digests %q/%q are not 64-bit hex words", hyb.Digest, pkt.Digest)
+	}
+	if hyb.FgFCTCount == 0 || pkt.FgFCTCount == 0 {
+		t.Fatalf("foreground FCTs missing: hybrid %d, packet %d", hyb.FgFCTCount, pkt.FgFCTCount)
+	}
+	if snap.EventRatio <= 1 {
+		t.Fatalf("event ratio %.2f, want > 1 (the hybrid must need fewer events)", snap.EventRatio)
+	}
+	if len(snap.ShardsVerified) != 2 {
+		t.Fatalf("shards verified %v, want [1 2]", snap.ShardsVerified)
+	}
+}
+
+func TestHybridRejectsBadFlags(t *testing.T) {
+	for name, args := range map[string][]string{
+		"bad proto":    {"-quick", "-protocol", "cubic"},
+		"no law":       {"-quick", "-protocol", "reno"},
+		"bad verify":   {"-quick", "-verify-shards", "zero,"},
+		"bad config":   {"-bg", "-1"},
+		"bad interval": {"-quick", "-rtt", "1s"},
+		"unknown arg":  {"-frobnicate"},
+	} {
+		if err := run(append([]string{"hybrid"}, args...), io.Discard); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestHybridVerifyShardsList: hybrid's -verify-shards goes through the
+// shared shardList, so every list the parser refuses stops the run before
+// it starts.
+func TestHybridVerifyShardsList(t *testing.T) {
+	for _, bad := range []string{"0", "-1", "x", "1,,2"} {
+		err := run([]string{"hybrid", "-quick", "-verify-shards", bad}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "bad -verify-shards entry") {
+			t.Errorf("-verify-shards %q: %v", bad, err)
+		}
+	}
+}
+
+// TestDefaultsCompleteForegroundAtSpeedAdvantage holds the defaults to
+// the headline claim: the run a bare `dtsim hybrid` makes is alive — the
+// hybrid's foreground completes transfers — and advances the same
+// simulated horizon in at least 10x fewer events than the packet-level
+// reference. Event counts are pure functions of the flags, so this pin
+// is machine-independent.
+func TestDefaultsCompleteForegroundAtSpeedAdvantage(t *testing.T) {
+	var snap hybridSnapshot
+	runJSON(t, &snap, "hybrid")
+	if snap.Hybrid.FgFCTCount == 0 {
+		t.Fatalf("default run (%s background flows) completed no foreground transfer", snap.Config["bg"])
+	}
+	if snap.EventRatio < 10 {
+		t.Fatalf("default event ratio %.1fx, want >= 10x", snap.EventRatio)
+	}
+}

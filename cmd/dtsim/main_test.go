@@ -1,43 +1,118 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"dtdctcp"
+	"dtdctcp/internal/chaos"
 )
 
+// short is a dumbbell small enough to run many times per test.
+var short = []string{"dumbbell", "-flows", "2", "-duration", "3ms", "-warmup", "1ms"}
+
 func TestRunDefaultsQuick(t *testing.T) {
-	err := run([]string{"-flows", "2", "-duration", "5ms", "-warmup", "1ms"}, io.Discard)
+	err := run([]string{"dumbbell", "-flows", "2", "-duration", "5ms", "-warmup", "1ms"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAllProtocols(t *testing.T) {
-	for _, p := range []string{"dctcp", "dt-dctcp", "reno", "reno-ecn"} {
-		args := []string{"-protocol", p, "-flows", "2", "-duration", "3ms", "-warmup", "1ms"}
-		if err := run(args, io.Discard); err != nil {
+	for _, p := range presetNames() {
+		if err := run(append(short, "-protocol", p), io.Discard); err != nil {
 			t.Fatalf("protocol %s: %v", p, err)
 		}
 	}
 }
 
+// TestProtocolTableMatchesConstructors: each name builds what its
+// constructor builds from the same flags.
+func TestProtocolTableMatchesConstructors(t *testing.T) {
+	o := &opts{k: 21, k1: 16, k2: 26, g: 1.0 / 8, gamma: 0.9, rate: 2.5}
+	want := map[string]dtdctcp.Protocol{
+		"dctcp":    dtdctcp.DCTCP(21, 1.0/8),
+		"dt-dctcp": dtdctcp.DTDCTCP(16, 26, 1.0/8),
+		"dctcp+":   dtdctcp.DCTCPPlus(21, 1.0/8),
+		"hull":     dtdctcp.HULL(21, 0.9, 2500*dtdctcp.Mbps, 1.0/8),
+		"reno":     dtdctcp.Reno(),
+		"reno-ecn": dtdctcp.RenoECN(21),
+	}
+	if len(want) != len(presets) {
+		t.Fatalf("table has %d presets, test knows %d", len(presets), len(want))
+	}
+	for _, p := range presets {
+		got, w := p.build(o), want[p.name]
+		if got.Name != w.Name || !reflect.DeepEqual(got.DF(), w.DF()) || got.TCP != w.TCP {
+			t.Errorf("%s builds %s (DF %v), want %s (DF %v)", p.name, got.Name, got.DF(), w.Name, w.DF())
+		}
+	}
+}
+
 func TestRunUnknownProtocol(t *testing.T) {
-	if err := run([]string{"-protocol", "bbr"}, io.Discard); err == nil {
-		t.Fatal("unknown protocol accepted")
+	for _, sub := range []string{"dumbbell", "fabric", "stability"} {
+		err := run([]string{sub, "-protocol", "dctcp,bbr"}, io.Discard)
+		if err == nil {
+			t.Fatalf("%s: unknown protocol accepted", sub)
+		}
+		for _, name := range presetNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not list %s", sub, err, name)
+			}
+		}
+	}
+}
+
+// TestOneProtocolRefusesList: a subcommand that runs one protocol says so
+// rather than running the first of a list.
+func TestOneProtocolRefusesList(t *testing.T) {
+	for _, sub := range []string{"dumbbell", "hybrid", "stability", "fluid"} {
+		err := run([]string{sub, "-protocol", "dctcp,dt-dctcp"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "runs one protocol") {
+			t.Errorf("%s: %v", sub, err)
+		}
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-nonsense"}, io.Discard); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{
+		nil, {"-flows", "2"}, {"simulate"}, {"dumbbell", "extra"},
+		{"dumbbell", "-nonsense"}, {"chaos", "-zoo"}, {"fabric", "-K", "20"},
+		{"hybrid", "-proto", "dctcp"}, {"stability", "-dt"}, {"fluid", "-n", "10"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// TestRunRejectsBadFlags: values each subcommand refuses; fabric's and
+// hybrid's are TestFabricRejectsBadFlags and TestHybridRejectsBadFlags.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for name, args := range map[string][]string{
+		"stability no DF":  {"stability", "-protocol", "hull"},
+		"fluid no law":     {"fluid", "-protocol", "reno"},
+		"fluid capacity":   {"fluid", "-c", "NaN"},
+		"chaos profile":    {"chaos", "-profiles", "meteor"},
+		"chaos bad config": {"chaos", "-quick", "-flows", "0"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestRunInvalidConfigSurfacesError(t *testing.T) {
-	if err := run([]string{"-flows", "0"}, io.Discard); err == nil {
+	if err := run([]string{"dumbbell", "-flows", "0"}, io.Discard); err == nil {
 		t.Fatal("flows=0 accepted")
 	}
 }
@@ -46,9 +121,7 @@ func TestRunWritesCSVAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "queue.csv")
 	jsonl := filepath.Join(dir, "trace.jsonl")
-	err := run([]string{"-flows", "2", "-duration", "3ms", "-warmup", "1ms",
-		"-csv", csv, "-trace", jsonl}, io.Discard)
-	if err != nil {
+	if err := run(append(short, "-csv", csv, "-trace", jsonl), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -68,8 +141,7 @@ func TestRunWritesCSVAndTrace(t *testing.T) {
 }
 
 func TestRunCSVBadPath(t *testing.T) {
-	if err := run([]string{"-flows", "2", "-duration", "2ms", "-warmup", "1ms",
-		"-csv", "/nonexistent-dir/x.csv"}, io.Discard); err == nil {
+	if err := run(append(short, "-csv", "/nonexistent-dir/x.csv"), io.Discard); err == nil {
 		t.Fatal("unwritable csv path accepted")
 	}
 }
@@ -81,10 +153,9 @@ func TestRunMetricsPlotShardsAndProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var out strings.Builder
-	err := run([]string{"-flows", "2", "-duration", "3ms", "-warmup", "1ms",
-		"-shards", "2", "-plot",
+	err := run(append(short, "-shards", "2", "-plot",
 		"-metrics", mjson, "-metrics-prom", mprom,
-		"-cpuprofile", cpu, "-memprofile", mem}, &out)
+		"-cpuprofile", cpu, "-memprofile", mem), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +174,7 @@ func TestRunMetricsPlotShardsAndProfiles(t *testing.T) {
 
 func TestRunMetricsSampler(t *testing.T) {
 	mjson := filepath.Join(t.TempDir(), "m.json")
-	err := run([]string{"-flows", "2", "-duration", "3ms", "-warmup", "1ms",
-		"-metrics", mjson, "-metrics-sample", "1ms"}, io.Discard)
-	if err != nil {
+	if err := run(append(short, "-metrics", mjson, "-metrics-sample", "1ms"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(mjson)
@@ -117,17 +186,188 @@ func TestRunMetricsSampler(t *testing.T) {
 	}
 }
 
+// TestRunBadOutputPaths: every file a subcommand writes reports its
+// error, so an unwritable path exits non-zero instead of writing nothing.
+// TestStabilityLocusBadPath and TestFluidCSVBadPath cover -locus and fluid's
+// -csv.
 func TestRunBadOutputPaths(t *testing.T) {
-	for name, args := range map[string][]string{
-		"trace":      {"-trace", "/nonexistent-dir/t.jsonl"},
-		"metrics":    {"-metrics", "/nonexistent-dir/m.json"},
-		"prometheus": {"-metrics-prom", "/nonexistent-dir/m.prom"},
-		"cpuprofile": {"-cpuprofile", "/nonexistent-dir/c.pprof"},
-		"memprofile": {"-memprofile", "/nonexistent-dir/m.pprof"},
-	} {
-		full := append([]string{"-flows", "2", "-duration", "2ms", "-warmup", "1ms"}, args...)
-		if err := run(full, io.Discard); err == nil {
-			t.Errorf("unwritable %s path accepted", name)
+	const bad = "/nonexistent-dir/out"
+	cases := [][]string{
+		append(short, "-trace", bad),
+		append(short, "-metrics", bad),
+		append(short, "-metrics-prom", bad),
+		{"chaos", "-quick", "-o", bad},
+		{"chaos", "-quick", "-metrics", bad},
+	}
+	for _, c := range subcommands {
+		for _, profile := range []string{"memprofile", "cpuprofile"} {
+			if slices.Contains(strings.Fields(c.flags), profile) {
+				cases = append(cases, []string{c.name, "-quick", "-" + profile, bad})
+			}
 		}
+	}
+	for _, args := range cases {
+		// The error must name the path: a flag-parse error would not.
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%v: unwritable path not reported: %v", args, err)
+		}
+	}
+}
+
+// TestQuickMatchesCoreRunner: each subcommand at -quick returns what the
+// core runner returns for the configuration -quick documents, which holds
+// the flag → config mapping.
+func TestQuickMatchesCoreRunner(t *testing.T) {
+	dctcp, dt := dtdctcp.DCTCP(40, 1.0/16), dtdctcp.DTDCTCP(30, 50, 1.0/16)
+
+	t.Run("dumbbell", func(t *testing.T) {
+		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
+			Protocol: dctcp, Flows: 4, Rate: 10 * dtdctcp.Gbps, RTT: 100 * time.Microsecond,
+			BufferPkts: 600, Duration: 10 * time.Millisecond, Warmup: 2 * time.Millisecond,
+			Seed: 1, Shards: 1, AlphaSampleEvery: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		printDumbbell(&want, res)
+		if err := run([]string{"dumbbell", "-quick"}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("dumbbell -quick printed\n%s\nthe core runner gives\n%s", &got, &want)
+		}
+	})
+
+	t.Run("chaos", func(t *testing.T) {
+		plan, err := chaos.Profile("blackout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []chaosReport
+		for _, p := range []dtdctcp.Protocol{dctcp, dt} {
+			res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
+				Protocol: p, Flows: 8, Rate: dtdctcp.Gbps, RTT: 100 * time.Microsecond,
+				BufferPkts: 250, Duration: 40 * time.Millisecond, Warmup: 10 * time.Millisecond,
+				QueueSampleEvery: 20 * time.Microsecond, Seed: 1, Chaos: plan,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, chaosReportOf(plan.Name, res))
+		}
+		if got := chaosReports(t, "-quick"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("chaos -quick reports\n%+v\nthe core runner gives\n%+v", got, want)
+		}
+	})
+
+	t.Run("fabric", func(t *testing.T) {
+		cdf, err := dtdctcp.BuiltinFlowCDF("websearch-small")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*dtdctcp.FabricResult
+		for _, p := range []dtdctcp.Protocol{dtdctcp.DCTCP(20, 1.0/16), dtdctcp.DTDCTCP(15, 25, 1.0/16)} {
+			res, err := dtdctcp.RunFabric(dtdctcp.FabricConfig{
+				Protocol: p, Topology: "leafspine", K: 4, Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+				Rate: dtdctcp.Gbps, HopDelay: 10 * time.Microsecond, BufferPkts: 100,
+				CDF: cdf, Load: 0.4, Flows: 80, SmallMax: 100_000, LargeMin: 1_000_000, Seed: 1, Shards: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, res)
+		}
+		var snap fabricSnapshot
+		runJSON(t, &snap, "fabric", "-quick")
+		sameJSON(t, snap.Results, want)
+	})
+
+	t.Run("hybrid", func(t *testing.T) {
+		p := dctcp
+		p.TCP.RTOMin, p.TCP.RTOInitial = 10*time.Millisecond, 10*time.Millisecond
+		cfg := dtdctcp.HybridConfig{
+			Protocol: p, BgFlows: 50, FgFlows: 4, FgBytes: 20_000, FgGap: 500 * time.Microsecond,
+			Rate: 10 * dtdctcp.Gbps, RTT: 100 * time.Microsecond, BufferPkts: 600,
+			Duration: 10 * time.Millisecond, Warmup: 5 * time.Millisecond,
+			QueueSampleEvery: 20 * time.Microsecond, Seed: 1, Shards: 1,
+		}
+		hyb, err := dtdctcp.RunHybrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FullPacket = true
+		pkt, err := dtdctcp.RunHybrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap hybridSnapshot
+		runJSON(t, &snap, "hybrid", "-quick")
+		sameJSON(t, []*dtdctcp.HybridResult{snap.Hybrid, snap.Packet}, []*dtdctcp.HybridResult{hyb, pkt})
+	})
+
+	t.Run("stability", func(t *testing.T) {
+		onset, err := dtdctcp.CriticalFlows(dctcp, dtdctcp.PaperAnalysisParams(), 2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := run([]string{"stability", "-quick", "-critical"}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if want := "dctcp(K=40): oscillation onset at N = " + strconv.Itoa(onset) + "\n"; got.String() != want {
+			t.Fatalf("stability -quick -critical printed %q, want %q", &got, want)
+		}
+	})
+
+	t.Run("fluid", func(t *testing.T) {
+		cfg, err := dtdctcp.FluidConfig(dctcp,
+			dtdctcp.AnalysisParams{CapacityPktsPerSec: 10e9 / 8 / 1500, RTT: 1e-4, G: 1.0 / 16}, 10, 20*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dtdctcp.SolveFluid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := res.Queue.WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		csv := filepath.Join(t.TempDir(), "fluid.csv")
+		if err := run([]string{"fluid", "-quick", "-csv", csv}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(csv); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("fluid -quick trajectory differs from the core solver's (%v)", err)
+		}
+	})
+}
+
+// runJSON runs a subcommand that reports JSON on stdout and decodes it.
+func runJSON(t *testing.T, into any, args ...string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(out.Bytes(), into); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+func sameJSON(t *testing.T, got, want any) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("results differ from the core runner's:\n%s\n%s", g, w)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Built-in profiles are timed for the standard chaos dumbbell used by
-// cmd/dtchaos and the core chaos tests: 10 Gbps bottleneck, 100 µs RTT,
+// `dtsim chaos` and the core chaos tests: 10 Gbps bottleneck, 100 µs RTT,
 // 250×1500 B buffer, 10 ms warmup + 40 ms measured, with the fault
 // landing around t = 25 ms so there is steady state on both sides of it.
 // Event times are absolute virtual times (warmup included). All target

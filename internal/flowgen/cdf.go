@@ -152,8 +152,8 @@ const (
 	WebSearch = "websearch"
 	// WebSearchSmall truncates the web-search mix at 1.2 MB (mean
 	// ≈ 160 KB), keeping the shape of the short-flow region while
-	// capping per-run event counts; the committed dtfabric baseline
-	// uses it so a 50k-flow run stays in seconds, not hours.
+	// capping per-run event counts; `dtsim fabric` defaults to it so a
+	// 50k-flow run stays in seconds, not hours.
 	WebSearchSmall = "websearch-small"
 	// DataMining is the heavy-tailed data-mining mix (most flows under
 	// 10 KB, most bytes in multi-MB transfers).

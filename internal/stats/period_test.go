@@ -130,3 +130,19 @@ func TestPropertyPeriodScaleInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPeriodsKeepsFirstCycles(t *testing.T) {
+	s := sineSeries(0.05, 2000, 0, nil) // 2 s, 40 periods
+	got := s.Periods(10)
+	first, last := got.At(0).T, got.At(got.Len()-1).T
+	if first != 0 || math.Abs(last-0.5) > 0.03 {
+		t.Fatalf("Periods(10) spans [%v, %v], want about [0, 0.5]", first, last)
+	}
+	flat := NewSeries("flat")
+	for i := 0; i < 100; i++ {
+		flat.Add(float64(i), 1)
+	}
+	if got := flat.Periods(10); got.Len() != flat.Len() {
+		t.Fatalf("a series with no period was cut to %d samples", got.Len())
+	}
+}

@@ -111,6 +111,21 @@ func csvEscape(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
+// Periods returns the samples of the first n oscillation periods, as
+// EstimatePeriod measures them, so that a plot resolves single cycles
+// instead of packing hundreds into a solid block; all of them when s has
+// no credible period.
+func (s *Series) Periods(n int) *Series {
+	period, _ := EstimatePeriod(s)
+	out := NewSeries(s.Name)
+	for _, p := range s.points {
+		if period <= 0 || p.T < s.points[0].T+float64(n)*period {
+			out.points = append(out.points, p)
+		}
+	}
+	return out
+}
+
 // AsciiPlot renders the series as a crude terminal plot with the given
 // width and height in characters. It exists so cmd tools can show a queue
 // trace without any plotting dependency.
