@@ -145,6 +145,12 @@ type FabricResult struct {
 	Drops    uint64  `json:"drops"`
 	MarkRate float64 `json:"mark_rate"`
 	DropRate float64 `json:"drop_rate"`
+	// HostDrops counts overflow drops at the hosts' uplink ports (NICs),
+	// which Drops omits.
+	HostDrops uint64 `json:"host_drops"`
+	// OutOfOrder counts segments the receivers buffered beyond their
+	// cumulative ACK point: the loss and reordering they reassembled.
+	OutOfOrder uint64 `json:"out_of_order"`
 	// DroppedNoFlow counts packets a host refused because their
 	// connection had already closed — here ACKs for a finished sender;
 	// receivers stay registered to the end of the run.
@@ -256,6 +262,10 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		Retransmissions: w.TotalRetransmissions(),
 		Events:          r.stats().Processed,
 		DroppedNoFlow:   droppedNoFlow(nw),
+		OutOfOrder:      w.TotalOutOfOrder(),
+	}
+	for _, h := range nw.Hosts() {
+		res.HostDrops += h.Uplink().Stats().DroppedOverflow
 	}
 
 	core := metrics.NewHistogram(bounds)

@@ -147,6 +147,11 @@ func TestFabricDeterminism(t *testing.T) {
 	if serial.DroppedNoFlow == 0 {
 		t.Fatal("no packet was refused for a closed connection: DroppedNoFlow is not wired")
 	}
+	// The losses are at host NICs, outside Drops, and the receivers
+	// reassemble around them; both counts must be live too.
+	if serial.HostDrops == 0 || serial.OutOfOrder == 0 {
+		t.Fatalf("HostDrops %d, OutOfOrder %d: a count is not wired", serial.HostDrops, serial.OutOfOrder)
+	}
 
 	for _, shards := range []int{2, 4} {
 		cfg := base
@@ -160,7 +165,8 @@ func TestFabricDeterminism(t *testing.T) {
 		}
 		if res.Marks != serial.Marks || res.Drops != serial.Drops ||
 			res.Completed != serial.Completed || res.Timeouts != serial.Timeouts ||
-			res.Retransmissions != serial.Retransmissions || res.DroppedNoFlow != serial.DroppedNoFlow {
+			res.Retransmissions != serial.Retransmissions || res.DroppedNoFlow != serial.DroppedNoFlow ||
+			res.HostDrops != serial.HostDrops || res.OutOfOrder != serial.OutOfOrder {
 			t.Fatalf("shards=%d aggregates diverged: %+v vs %+v", shards, res, serial)
 		}
 		if res.CoreQueue != serial.CoreQueue || res.AggQueue != serial.AggQueue {

@@ -103,6 +103,9 @@ type Flow struct {
 	// it on the same event wheel (nil after the wheel's last).
 	sender *tcp.Sender
 	next   *Flow
+	// receiver is the flow's data sink, built by Start and kept to the
+	// end of the run.
+	receiver *tcp.Receiver
 }
 
 // FCT returns the flow completion time and whether the flow finished.
@@ -207,7 +210,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 		f := &w.Flows[i]
 		f.id = cfg.BaseFlow + netsim.FlowID(i)
 		src, dst := hosts[f.Src], hosts[f.Dst]
-		tcp.NewReceiver(dst, f.id, src.ID(), cfg.TCP)
+		f.receiver = tcp.NewReceiver(dst, f.id, src.ID(), cfg.TCP)
 		wheel := src.Engine()
 		if prev := last[wheel]; prev != nil {
 			prev.next = f
@@ -331,6 +334,17 @@ func (w *Workload) TotalRetransmissions() uint64 {
 		if f.sender != nil {
 			total += f.sender.Stats().Retransmissions
 		}
+	}
+	return total
+}
+
+// TotalOutOfOrder sums, over every receiver, the segments that arrived
+// beyond the receiver's cumulative ACK point and were buffered: the loss
+// and reordering the fabric made the receivers reassemble.
+func (w *Workload) TotalOutOfOrder() uint64 {
+	var total uint64
+	for i := range w.Flows {
+		total += w.Flows[i].receiver.Stats().OutOfOrder
 	}
 	return total
 }

@@ -400,7 +400,7 @@ func TestArrivalSortsAheadOfRunTimeEvents(t *testing.T) {
 // own shard only.
 func TestSendersBoundedByOpenFlows(t *testing.T) {
 	const flows = 600
-	var digests []uint64
+	var digests, outOfOrder []uint64
 	for _, shards := range []int{1, 2} {
 		se := sim.NewShardedEngine(5, shards)
 		link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
@@ -464,9 +464,14 @@ func TestSendersBoundedByOpenFlows(t *testing.T) {
 		}
 		t.Logf("shards=%d: %d senders for %d flows", shards, total, flows)
 		digests = append(digests, w.Digest())
+		outOfOrder = append(outOfOrder, w.TotalOutOfOrder())
 		w.Cleanup()
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("digest %016x on one wheel, %016x on two", digests[0], digests[1])
+	}
+	// The host NICs drop at this load, so the receivers reassemble.
+	if outOfOrder[0] == 0 || outOfOrder[0] != outOfOrder[1] {
+		t.Fatalf("out-of-order segments %d on one wheel, %d on two: want equal and nonzero", outOfOrder[0], outOfOrder[1])
 	}
 }

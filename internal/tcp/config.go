@@ -154,7 +154,10 @@ func DefaultConfig(v Variant) Config {
 func (c Config) PacketSize() int { return c.MSS + c.HeaderBytes }
 
 // ECT reports whether this variant negotiates ECN-capable transport.
-func (c Config) ECT() bool { return c.Variant != Reno && c.Variant != Cubic }
+func (c Config) ECT() bool { return c.Variant.ect() }
+
+// ect reports whether v negotiates ECN-capable transport.
+func (v Variant) ect() bool { return v != Reno && v != Cubic }
 
 // dctcpLike reports whether the variant runs DCTCP's α estimator.
 func (v Variant) dctcpLike() bool { return v == DCTCP || v == D2TCP || v == DCTCPPlus }

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"time"
+
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 )
@@ -21,15 +23,21 @@ type Receiver struct {
 	host   *netsim.Host
 	flow   netsim.FlowID
 	peer   netsim.NodeID
-	cfg    Config
+
+	// The four Config fields a receiver reads, taken from cfg.sanitize()
+	// by open.
+	variant           Variant
+	headerBytes       int
+	ackEvery          int
+	delayedAckTimeout time.Duration
 
 	rcvNxt int64
-	// ooo holds out-of-order segments: start → end byte offsets.
-	ooo map[int64]int64
+	// ooo holds the out-of-order data beyond rcvNxt as disjoint spans,
+	// sorted by start; no two spans overlap or touch (insert coalesces).
+	ooo []span
 
 	// Delayed-ACK state.
 	pendingPkts  int // data packets not yet acknowledged
-	pendingBytes int // payload bytes covered by the pending ACK
 	lastDataSent sim.Time
 	ackTimer     *sim.Timer
 
@@ -39,6 +47,15 @@ type Receiver struct {
 
 	stats ReceiverStats
 }
+
+// span is the buffered byte range [start, end).
+type span struct{ start, end int64 }
+
+// oooInitialCap is the span capacity a receiver is built with: the
+// smallest that keeps a steady fresh-connection incast round
+// allocation-free (internal/workload's TestFreshConnectionRoundsAllocFree
+// fails at 1). A recycled receiver keeps whatever capacity it grew to.
+const oooInitialCap = 2
 
 // ReceiverStats counts receiver-side events.
 type ReceiverStats struct {
@@ -75,27 +92,30 @@ func (r *Receiver) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.Nod
 }
 
 // open is the one definition of a fresh connection's receiver state (see
-// Sender.open); the delayed-ACK timer and the emptied out-of-order map
-// survive it.
+// Sender.open); the delayed-ACK timer and the emptied span list survive
+// it.
 //
 //dtlint:hotpath
 func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) {
 	ooo, ack := r.ooo, r.ackTimer
+	cfg = cfg.sanitize()
 	*r = Receiver{
-		engine:   hostEngine(host),
-		host:     host,
-		flow:     flow,
-		peer:     peer,
-		cfg:      cfg.sanitize(),
-		ooo:      ooo,
-		ackTimer: ack,
+		engine:            hostEngine(host),
+		host:              host,
+		flow:              flow,
+		peer:              peer,
+		variant:           cfg.Variant,
+		headerBytes:       cfg.HeaderBytes,
+		ackEvery:          cfg.AckEvery,
+		delayedAckTimeout: cfg.DelayedAckTimeout,
+		ooo:               ooo[:0],
+		ackTimer:          ack,
 	}
-	if ooo == nil {
+	if ack == nil {
 		//dtlint:allow hotalloc: the allocate branch — NewReceiver's zeroed storage
-		r.ooo = make(map[int64]int64)
+		r.ooo = make([]span, 0, oooInitialCap)
 		r.ackTimer = sim.NewTimer(r.engine, r.flushAck)
 	}
-	clear(r.ooo)
 	host.Register(flow, r)
 }
 
@@ -119,7 +139,7 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 
 	// ECN echo state machines.
 	switch {
-	case r.cfg.Variant.dctcpLike():
+	case r.variant.dctcpLike():
 		if pkt.CE != r.ceState {
 			// CE state change: flush the pending ACK with the old
 			// state so every ACK reports a uniform CE run.
@@ -128,7 +148,7 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 			}
 			r.ceState = pkt.CE
 		}
-	case r.cfg.Variant == RenoECN:
+	case r.variant == RenoECN:
 		if pkt.CE {
 			r.eceLatched = true
 		}
@@ -149,56 +169,64 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 	case pkt.Seq > r.rcvNxt:
 		// Out of order: buffer and send an immediate dup ACK.
 		r.stats.OutOfOrder++
-		if old, ok := r.ooo[pkt.Seq]; !ok || end > old {
-			r.ooo[pkt.Seq] = end
-		}
+		r.insert(pkt.Seq, end)
 		r.pendingPkts++
 		r.flushAck()
 		return
 	}
 
-	// In-order (possibly overlapping) segment: advance and drain the
-	// out-of-order buffer to a fixpoint. Each outer iteration either
-	// consumes an exact continuation or re-anchors/discards straddling
-	// and obsolete ranges, so the loop terminates (the buffer shrinks).
+	// In-order (possibly overlapping) segment: advance, then pop every
+	// leading span the new edge reaches. rcvNxt lands on the end of the
+	// contiguous coverage of everything received.
 	r.rcvNxt = end
-	for {
-		if e, ok := r.ooo[r.rcvNxt]; ok {
-			delete(r.ooo, r.rcvNxt)
-			r.rcvNxt = e
-			continue
-		}
-		// Discard obsolete ranges; re-anchor ranges that straddle
-		// rcvNxt, taking the max end so two straddling ranges cannot
-		// shrink each other (map iteration order is unspecified).
-		changed := false
-		//dtlint:allow maporder: every path keeps the max end per key, so the fixpoint is order-insensitive
-		for s, e := range r.ooo {
-			if e <= r.rcvNxt {
-				delete(r.ooo, s)
-			} else if s < r.rcvNxt {
-				delete(r.ooo, s)
-				if old, ok := r.ooo[r.rcvNxt]; !ok || e > old {
-					r.ooo[r.rcvNxt] = e
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
+	n := 0
+	for n < len(r.ooo) && r.ooo[n].start <= r.rcvNxt {
+		r.rcvNxt = max(r.rcvNxt, r.ooo[n].end)
+		n++
+	}
+	if n > 0 {
+		r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
 	}
 
 	r.pendingPkts++
-	r.pendingBytes += pkt.PayloadLen
 	r.lastDataSent = pkt.SentAt
-	if r.pendingPkts >= r.cfg.AckEvery {
+	if r.pendingPkts >= r.ackEvery {
 		r.flushAck()
 		return
 	}
 	if !r.ackTimer.Armed() {
-		r.ackTimer.Reset(r.cfg.DelayedAckTimeout)
+		r.ackTimer.Reset(r.delayedAckTimeout)
 	}
+}
+
+// insert buffers [start, end), merging it with every span it overlaps or
+// touches, so the list stays sorted, disjoint and coalesced. Segments
+// mostly arrive in sequence order, so the scan starts at the tail.
+//
+//dtlint:hotpath
+func (r *Receiver) insert(start, end int64) {
+	if end <= start {
+		return
+	}
+	o := r.ooo
+	i := len(o) // first span that overlaps or touches [start, end)
+	for i > 0 && o[i-1].end >= start {
+		i--
+	}
+	j := i // first span past it
+	for j < len(o) && o[j].start <= end {
+		j++
+	}
+	if i == j {
+		//dtlint:allow hotalloc: grows to the most holes a recovery leaves open, and a recycled receiver keeps it
+		o = append(o, span{})
+		copy(o[i+1:], o[i:])
+		o[i] = span{start, end}
+		r.ooo = o
+		return
+	}
+	o[i] = span{min(start, o[i].start), max(end, o[j-1].end)}
+	r.ooo = o[:i+1+copy(o[i+1:], o[j:])]
 }
 
 // flushAck emits the cumulative ACK covering everything pending.
@@ -207,24 +235,23 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 func (r *Receiver) flushAck() {
 	ece := false
 	switch {
-	case r.cfg.Variant.dctcpLike():
+	case r.variant.dctcpLike():
 		ece = r.ceState
-	case r.cfg.Variant == RenoECN:
+	case r.variant == RenoECN:
 		ece = r.eceLatched
 	}
 	ack := r.host.AllocPacket()
 	ack.Flow = r.flow
 	ack.Dst = r.peer
-	ack.Size = r.cfg.HeaderBytes
+	ack.Size = r.headerBytes
 	ack.IsAck = true
 	ack.Ack = r.rcvNxt
-	ack.ECT = r.cfg.ECT()
+	ack.ECT = r.variant.ect()
 	ack.ECE = ece
 	ack.DelayedCount = r.pendingPkts
 	ack.EchoSentAt = r.lastDataSent
 	ack.SentAt = r.engine.Now()
 	r.pendingPkts = 0
-	r.pendingBytes = 0
 	r.ackTimer.Stop()
 	r.stats.AcksSent++
 	r.host.Send(ack)

@@ -4,32 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/sim"
 )
 
 // deliverSegments feeds the receiver the given segment indices (each of
 // size segLen) in order and returns the contiguous prefix it reports.
 func deliverSegments(t testing.TB, order []int, segLen int) int64 {
 	t.Helper()
-	e := sim.NewEngine(1)
-	n := netsim.NewNetwork(e)
-	agg := n.AddHost("agg")
-	w := n.AddHost("w")
-	sw := n.AddSwitch("sw")
-	cfg := netsim.PortConfig{Rate: netsim.Gbps, Delay: time.Microsecond, Buffer: 1 << 20}
-	if err := n.Connect(agg, sw, cfg, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Connect(w, sw, cfg, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	w.Register(1, &ackRecorder{}) // absorb ACKs
+	e, agg, w := receiverNet(t, &ackRecorder{}) // absorb ACKs
 	r := NewReceiver(agg, 1, w.ID(), DefaultConfig(Reno))
 	for _, idx := range order {
 		r.Deliver(&netsim.Packet{
@@ -90,22 +73,7 @@ func TestPropertyReassemblyStopsAtHole(t *testing.T) {
 // Regression: two buffered ranges that both straddle the new rcvNxt must
 // merge to the larger end and then drain, in any arrival order.
 func TestStraddlingRangesMergeToMaxAndDrain(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := netsim.NewNetwork(e)
-	agg := n.AddHost("agg")
-	w := n.AddHost("w")
-	sw := n.AddSwitch("sw")
-	cfg := netsim.PortConfig{Rate: netsim.Gbps, Delay: time.Microsecond, Buffer: 1 << 20}
-	if err := n.Connect(agg, sw, cfg, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Connect(w, sw, cfg, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	w.Register(1, &ackRecorder{})
+	e, agg, w := receiverNet(t, &ackRecorder{})
 	r := NewReceiver(agg, 1, w.ID(), DefaultConfig(Reno))
 	seg := func(seq, length int64) *netsim.Packet {
 		return &netsim.Packet{Flow: 1, Seq: seq, PayloadLen: int(length), Size: int(length) + 40}

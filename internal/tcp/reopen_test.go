@@ -86,9 +86,14 @@ func TestReopenEqualsConstruction(t *testing.T) {
 			if !reflect.DeepEqual(gs, ws) {
 				t.Fatalf("sender state:\nreopened    %+v\nconstructed %+v", gs, ws)
 			}
+			// The span list is compared by contents: the reopened one
+			// keeps the capacity its recovery grew.
+			if len(r.ooo) != 0 || len(fr.ooo) != 0 {
+				t.Fatalf("span lists: reopened %v, constructed %v, want both empty", r.ooo, fr.ooo)
+			}
 			gr, wr := *r, *fr
-			gr.flow, gr.ackTimer = 0, nil
-			wr.flow, wr.ackTimer = 0, nil
+			gr.flow, gr.ackTimer, gr.ooo = 0, nil, nil
+			wr.flow, wr.ackTimer, wr.ooo = 0, nil, nil
 			if !reflect.DeepEqual(gr, wr) {
 				t.Fatalf("receiver state:\nreopened    %+v\nconstructed %+v", gr, wr)
 			}
