@@ -1,22 +1,26 @@
-// Command dtconform runs the cross-model conformance grid: matched
-// packet-simulator, fluid-model and describing-function scenarios whose
-// steady-state queue, oscillation magnitude and limit-cycle period must
-// agree within the tolerances declared in internal/conform. It is the
-// CLI face of the suite CI enforces via `go test ./internal/conform`.
+// Command dtconform runs the conformance grids of internal/conform: the
+// paper grid (matched packet-simulator, fluid-model and
+// describing-function scenarios whose steady-state queue, oscillation
+// magnitude and limit-cycle period must agree), the hybrid grid (fluid
+// background against a fully packet-level reference) and the protocol &
+// switch zoo grid, each within its declared tolerances. It is the CLI
+// face of the suite CI enforces via `go test ./internal/conform`.
 //
 // Usage:
 //
-//	dtconform                 # full grid, human-readable table
-//	dtconform -grid quick     # four-point smoke subset (CI)
-//	dtconform -grid zoo       # protocol & switch zoo grid (DCTCP+,
-//	                          # HULL phantom queues, shared-buffer DT)
-//	dtconform -grid zoo-quick # one zoo scenario per family
-//	dtconform -workers 8      # cap concurrent scenario runs
-//	dtconform -json           # machine-readable reports
-//	dtconform -digests        # also print the golden-run digests
+//	dtconform                    # full paper grid, human-readable table
+//	dtconform -grid quick        # four-point smoke subset (CI)
+//	dtconform -grid hybrid       # hybrid co-simulation vs packet reference
+//	dtconform -grid hybrid-quick # one hybrid scenario per protocol
+//	dtconform -grid zoo          # protocol & switch zoo grid (DCTCP+,
+//	                             # HULL phantom queues, shared-buffer DT)
+//	dtconform -grid zoo-quick    # one zoo scenario per family
+//	dtconform -workers 8         # cap concurrent scenario runs
+//	dtconform -json              # machine-readable reports
+//	dtconform -digests           # also print all eleven golden-run digests
 //
-// The exit status is 1 when any applicable check fails, so the command
-// slots directly into CI or a pre-merge hook.
+// The exit status is 1 when any applicable check fails and 2 on an
+// error, so the command slots directly into CI or a pre-merge hook.
 package main
 
 import (
@@ -26,18 +30,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"dtdctcp/internal/conform"
 )
 
 func main() {
-	grid := flag.String("grid", "full", `scenario set: "full", "quick", "zoo", or "zoo-quick"`)
+	names := gridNames()
+	grid := flag.String("grid", "full", "scenario set: "+strings.Join(names, ", "))
 	workers := flag.Int("workers", 0, "concurrent scenario runs (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit reports as JSON instead of a table")
 	digests := flag.Bool("digests", false, "also compute and print the golden-run digests")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dtconform [-grid full|quick|zoo|zoo-quick] [-workers N] [-json] [-digests]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dtconform [-grid %s] [-workers N] [-json] [-digests]\n",
+			strings.Join(names, "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,66 +60,47 @@ func main() {
 	}
 }
 
-// output is the machine-readable shape of one invocation.
-type output struct {
-	Reports    []conform.Report    `json:"reports,omitempty"`
-	ZooReports []conform.ZooReport `json:"zoo_reports,omitempty"`
-	Digests    []conform.Digest    `json:"digests,omitempty"`
-	Pass       bool                `json:"pass"`
+// gridNames lists the grid table's names in table order.
+func gridNames() []string {
+	var names []string
+	for _, g := range conform.Grids() {
+		names = append(names, g.Name)
+	}
+	return names
 }
 
-// run executes the selected grid and writes the report; it returns
-// whether every applicable check passed.
+// output is the machine-readable shape of one invocation.
+type output struct {
+	Reports []conform.Report `json:"reports,omitempty"`
+	Digests []conform.Digest `json:"digests,omitempty"`
+	Pass    bool             `json:"pass"`
+}
+
+// run executes the named grid and writes the report; it returns whether
+// every applicable check passed.
 func run(w io.Writer, grid string, workers int, jsonOut, digests bool) (bool, error) {
+	var points []conform.Point
+	for _, g := range conform.Grids() {
+		if g.Name == grid {
+			points = g.Points
+		}
+	}
+	if points == nil {
+		return false, fmt.Errorf("unknown grid %q (want one of %s)", grid, strings.Join(gridNames(), ", "))
+	}
 	ctx := context.Background()
-	out := output{Pass: true}
-	var err error
-	switch grid {
-	case "full", "quick":
-		scenarios := conform.Grid()
-		if grid == "quick" {
-			scenarios = conform.QuickGrid()
-		}
-		out.Reports, err = conform.RunGrid(ctx, scenarios, workers)
-		if err != nil {
+	reports, err := conform.RunGrid(ctx, points, workers)
+	if err != nil {
+		return false, err
+	}
+	out := output{Reports: reports, Pass: true}
+	for _, r := range reports {
+		out.Pass = out.Pass && r.Pass()
+	}
+	if digests {
+		if out.Digests, err = conform.DigestGoldens(ctx, conform.Goldens(), workers); err != nil {
 			return false, err
 		}
-		for _, r := range out.Reports {
-			if !r.Pass() {
-				out.Pass = false
-			}
-		}
-		if digests {
-			out.Digests, err = conform.DigestGrid(ctx, conform.GoldenScenarios(), workers)
-			if err != nil {
-				return false, err
-			}
-		}
-	case "zoo", "zoo-quick":
-		scenarios := conform.ZooGrid()
-		if grid == "zoo-quick" {
-			scenarios = conform.QuickZooGrid()
-		}
-		out.ZooReports, err = conform.RunZooGrid(ctx, scenarios, workers)
-		if err != nil {
-			return false, err
-		}
-		for _, r := range out.ZooReports {
-			if !r.Pass() {
-				out.Pass = false
-			}
-		}
-		if digests {
-			for _, z := range conform.ZooGoldenScenarios() {
-				d, err := conform.DigestZooRun(z)
-				if err != nil {
-					return false, err
-				}
-				out.Digests = append(out.Digests, d)
-			}
-		}
-	default:
-		return false, fmt.Errorf("unknown grid %q (want full, quick, zoo, or zoo-quick)", grid)
 	}
 
 	if jsonOut {
@@ -126,27 +114,19 @@ func run(w io.Writer, grid string, workers int, jsonOut, digests bool) (bool, er
 func writeTable(w io.Writer, out output) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scenario\tcheck\tsim\tref\tverdict\tdetail")
-	row := func(scenario string, c conform.Check) {
-		verdict := "pass"
-		detail := c.Detail
-		switch {
-		case c.Skipped != "":
-			verdict = "skip"
-			detail = c.Skipped
-		case !c.Pass:
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%s\t%s\n",
-			scenario, c.Name, c.Got, c.Ref, verdict, detail)
-	}
 	for _, r := range out.Reports {
 		for _, c := range r.Checks {
-			row(r.Scenario, c)
-		}
-	}
-	for _, r := range out.ZooReports {
-		for _, c := range r.Checks {
-			row(r.Scenario, c)
+			verdict := "pass"
+			detail := c.Detail
+			switch {
+			case c.Skipped != "":
+				verdict = "skip"
+				detail = c.Skipped
+			case !c.Pass:
+				verdict = "FAIL"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%s\t%s\n",
+				r.Scenario, c.Name, c.Got, c.Ref, verdict, detail)
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -167,6 +147,6 @@ func writeTable(w io.Writer, out output) error {
 	if !out.Pass {
 		status = "FAIL"
 	}
-	_, err := fmt.Fprintf(w, "\nconformance: %s (%d scenarios)\n", status, len(out.Reports)+len(out.ZooReports))
+	_, err := fmt.Fprintf(w, "\nconformance: %s (%d scenarios)\n", status, len(out.Reports))
 	return err
 }

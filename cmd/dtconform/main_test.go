@@ -3,9 +3,30 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"dtdctcp/internal/conform"
 )
+
+// runJSON runs a grid with -json and decodes the output.
+func runJSON(t *testing.T, grid string, digests bool) (output, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	ok, err := run(&buf, grid, 2, true, digests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatalf("%s grid failed:\n%s", grid, buf.String())
+	}
+	var out output
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	return out, buf.Bytes()
+}
 
 // The quick grid must pass end to end and render every check row.
 func TestQuickGridTable(t *testing.T) {
@@ -34,18 +55,7 @@ func TestQuickGridTable(t *testing.T) {
 // -json output must parse back into reports with the same verdict, and
 // -digests must attach the golden fingerprints.
 func TestJSONWithDigests(t *testing.T) {
-	var buf bytes.Buffer
-	ok, err := run(&buf, "quick", 2, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("quick grid failed")
-	}
-	var out output
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
+	out, _ := runJSON(t, "quick", true)
 	if !out.Pass || len(out.Reports) != 4 {
 		t.Fatalf("want 4 passing reports, got pass=%v n=%d", out.Pass, len(out.Reports))
 	}
@@ -53,24 +63,43 @@ func TestJSONWithDigests(t *testing.T) {
 		t.Fatal("missing digests")
 	}
 	for _, d := range out.Digests {
-		if d.QueueHash == "" || d.Events == 0 {
+		if d.StatsHash == "" || d.Events == 0 {
 			t.Fatalf("empty digest: %+v", d)
+		}
+	}
+}
+
+// -digests prints the whole golden list, whatever the grid, and every
+// digest it prints is the one committed under internal/conform.
+func TestDigestsMatchGoldenFiles(t *testing.T) {
+	out, _ := runJSON(t, "hybrid-quick", true)
+	if len(out.Digests) != 11 {
+		t.Fatalf("want 11 golden digests, got %d", len(out.Digests))
+	}
+	for _, d := range out.Digests {
+		want, err := conform.ReadGoldenFile(filepath.Join("..", "..", "internal", "conform", "testdata", "golden", d.Scenario+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != want {
+			t.Errorf("printed digest differs from the committed one:\n got: %+v\nwant: %+v", d, want)
 		}
 	}
 }
 
 func TestUnknownGrid(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, "bogus", 0, false, false); err == nil {
-		t.Fatal("unknown grid name must error")
+	_, err := run(&buf, "bogus", 0, false, false)
+	if err == nil || !strings.Contains(err.Error(), "hybrid-quick") {
+		t.Fatalf("unknown grid name must error and list the table's grids, got %v", err)
 	}
 }
 
-// The zoo quick grid must pass end to end, render one scenario per
-// family, and round-trip through -json with the zoo golden digests.
+// The zoo quick grid must pass end to end and render one scenario per
+// family, followed by the golden digest table.
 func TestZooQuickGridTable(t *testing.T) {
 	var buf bytes.Buffer
-	ok, err := run(&buf, "zoo-quick", 0, false, false)
+	ok, err := run(&buf, "zoo-quick", 0, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +113,7 @@ func TestZooQuickGridTable(t *testing.T) {
 	for _, want := range []string{
 		"zoo-plus-vs-dt-incast-w16", "zoo-hull-g95-n20",
 		"zoo-sharedbuf-single-port-limit", "queue-trace/pooled-vs-private",
+		"golden digests:", "golden-dt4060-n40", "golden-incast-fresh-plus-w24",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("table missing %q:\n%s", want, text)
@@ -94,31 +124,35 @@ func TestZooQuickGridTable(t *testing.T) {
 	}
 }
 
+// The zoo quick grid round-trips through -json with the golden digests,
+// and a measured zero stays in the document: below the cliff the
+// baseline incast drops nothing, and that passing 0 must read as a value,
+// not as a missing one.
 func TestZooQuickJSONWithDigests(t *testing.T) {
-	var buf bytes.Buffer
-	ok, err := run(&buf, "zoo-quick", 2, true, true)
-	if err != nil {
-		t.Fatal(err)
+	out, data := runJSON(t, "zoo-quick", true)
+	if !out.Pass || len(out.Reports) != 3 || len(out.Digests) != 11 {
+		t.Fatalf("want 3 passing reports and 11 digests, got pass=%v n=%d digests=%d",
+			out.Pass, len(out.Reports), len(out.Digests))
 	}
-	if !ok {
-		t.Fatal("zoo quick grid failed")
-	}
-	var out output
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if !out.Pass || len(out.ZooReports) != 3 {
-		t.Fatalf("want 3 passing zoo reports, got pass=%v n=%d", out.Pass, len(out.ZooReports))
-	}
-	if len(out.Reports) != 0 {
-		t.Fatalf("zoo grid must not emit cross-model reports, got %d", len(out.Reports))
-	}
-	if len(out.Digests) != 3 {
-		t.Fatalf("want 3 zoo golden digests, got %d", len(out.Digests))
-	}
-	for _, d := range out.Digests {
-		if d.QueueHash == "" || d.Events == 0 {
-			t.Fatalf("empty digest: %+v", d)
+	var raw struct {
+		Reports []struct {
+			Checks []struct {
+				Name     string
+				Got, Ref *float64
+				Pass     bool
+			}
 		}
 	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range raw.Reports[0].Checks {
+		if c.Name == "drops/dctcp-baseline" {
+			if c.Got == nil || *c.Got != 0 || c.Ref == nil || !c.Pass {
+				t.Fatalf("passing zero-drop check lost its values: got=%v ref=%v pass=%v", c.Got, c.Ref, c.Pass)
+			}
+			return
+		}
+	}
+	t.Fatal("zoo-plus-vs-dt-incast-w16 has no drops/dctcp-baseline check")
 }

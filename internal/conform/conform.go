@@ -10,6 +10,12 @@
 // declared tolerances, plus a golden-run digest suite that pins the
 // simulator's determinism byte-for-byte.
 //
+// One harness runs every grid: the paper grid (paper.go), the hybrid
+// co-simulation against its packet reference (hybrid.go) and the
+// protocol & switch zoo (zoo.go) build their checks from the same
+// constructors, report through the same Report, and are listed in one
+// grid table (Grids) that RunGrid runs.
+//
 // Two parameter units are deliberate (DESIGN.md, judgment call 1): the
 // fluid model integrates in the *physical* packet unit (C = rate /
 // packet size), so its queue trajectory is directly comparable to the
@@ -19,68 +25,187 @@
 package conform
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"dtdctcp/internal/core"
 	"dtdctcp/internal/netsim"
+	"dtdctcp/internal/runner"
 )
 
-// Tolerances declares how closely two machineries must agree on one
-// scenario. Ratio bounds compare sim/reference; absolute+relative bounds
-// compare queue means. The bands are wide by design: the fluid model is
-// a continuous approximation of an integer-window, delayed-feedback
-// packet system, and the describing function keeps only the fundamental
-// harmonic — agreement on scale and ordering is the reproduction claim,
-// not digit-for-digit equality.
-type Tolerances struct {
-	// QueueMeanAbsPkts and QueueMeanRel bound the sim-vs-fluid
-	// steady-state queue mean: |sim − fluid| ≤ Abs + Rel·fluid.
-	QueueMeanAbsPkts float64
-	QueueMeanRel     float64
-	// StdDevRatioLo/Hi bound sim σ / fluid σ, the Fig. 11 quantity.
-	StdDevRatioLo, StdDevRatioHi float64
-	// PeriodRatioLo/Hi bound sim period / fluid period, both estimated
-	// by the same autocorrelation estimator (stats.EstimatePeriod).
-	PeriodRatioLo, PeriodRatioHi float64
-	// DFPeriodRatioLo/Hi bound sim period / describing-function
-	// limit-cycle period when the analysis predicts a cycle.
-	DFPeriodRatioLo, DFPeriodRatioHi float64
-	// DFAmpRatioLo/Hi bound the simulator's sinusoid-equivalent
-	// amplitude (√2·σ) against the predicted limit-cycle amplitude X.
-	DFAmpRatioLo, DFAmpRatioHi float64
-	// MinConfidence is the autocorrelation confidence below which a
-	// period comparison is skipped rather than failed: with no credible
-	// periodicity the estimator's lag is noise, not a measurement.
-	MinConfidence float64
+// Check is one pass/fail (or skipped) agreement assertion.
+type Check struct {
+	// Name identifies the comparison (e.g. "queue-mean/sim-vs-fluid").
+	Name string `json:"name"`
+	// Got and Ref are the compared values (candidate first). A measured
+	// zero is reported like any other value.
+	Got float64 `json:"got"`
+	Ref float64 `json:"ref"`
+	// Detail states the tolerance the comparison was held to.
+	Detail string `json:"detail"`
+	// Pass reports the verdict; meaningless when Skipped is set.
+	Pass bool `json:"pass"`
+	// Skipped, when non-empty, says why the comparison does not apply
+	// to this scenario (e.g. no credible periodicity to compare).
+	Skipped string `json:"skipped,omitempty"`
 }
 
-// DefaultTolerances is the band used by the standard grid; individual
-// scenarios override fields where a regime is known to be harder (e.g.
-// near the stability onset the sim's oscillation is weak and ragged).
-func DefaultTolerances() Tolerances {
-	return Tolerances{
-		QueueMeanAbsPkts: 15,
-		QueueMeanRel:     0.35,
-		StdDevRatioLo:    0.25,
-		StdDevRatioHi:    4.5,
-		PeriodRatioLo:    0.4,
-		PeriodRatioHi:    2.5,
-		DFPeriodRatioLo:  0.4,
-		DFPeriodRatioHi:  2.5,
-		DFAmpRatioLo:     0.25,
-		DFAmpRatioHi:     1.25,
-		MinConfidence:    0.30,
+// The check constructors, one per comparison shape. Each takes the reason
+// the comparison does not apply to the scenario, or "" when it does. A
+// skipped check keeps its Got and Ref but carries no detail and no
+// verdict, so a grid point can never pass vacuously without saying so.
+
+// holds checks a bare predicate; detail states what it asserts.
+func holds(name string, got, ref float64, pass bool, detail, skip string) Check {
+	if skip != "" {
+		return Check{Name: name, Got: got, Ref: ref, Skipped: skip}
+	}
+	return Check{Name: name, Got: got, Ref: ref, Detail: detail, Pass: pass}
+}
+
+// ratio checks got/ref ∈ [lo, hi].
+func ratio(name string, got, ref, lo, hi float64, skip string) Check {
+	r := got / ref
+	return holds(name, got, ref, r >= lo && r <= hi,
+		fmt.Sprintf("ratio %.2f in [%.2f, %.2f]", r, lo, hi), skip)
+}
+
+// within checks |got − ref| ≤ abs + rel·ref, in packets.
+func within(name string, got, ref, abs, rel float64, skip string) Check {
+	diff, band := math.Abs(got-ref), abs+rel*ref
+	return holds(name, got, ref, diff <= band,
+		fmt.Sprintf("|Δ| = %.1f pkts ≤ %.1f", diff, band), skip)
+}
+
+// exact checks a == b; format renders the pair.
+func exact(name string, got, ref float64, a, b uint64, format, skip string) Check {
+	return holds(name, got, ref, a == b, fmt.Sprintf(format+" (exact)", a, b), skip)
+}
+
+// skipIf returns the formatted skip reason when cond holds, else "".
+func skipIf(cond bool, format string, args ...any) string {
+	if !cond {
+		return ""
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+// lowConfidence skips a period comparison whose side who has no credible
+// periodicity: below floor the estimator's lag is noise, not a measurement.
+func lowConfidence(who string, confidence, floor float64) string {
+	return skipIf(confidence < floor, "%s periodicity confidence %.2f < %.2f", who, confidence, floor)
+}
+
+// tooSmall skips a ratio whose reference, in packets, is below floor.
+func tooSmall(what string, ref, floor float64) string {
+	return skipIf(ref < floor, "%s %.2f pkts too small for a ratio", what, ref)
+}
+
+// Report is the outcome of one grid point: what its machineries measured
+// and how the cross-checks came out.
+type Report struct {
+	// Scenario names the grid point.
+	Scenario string `json:"scenario"`
+	// Obs holds the per-machinery measurements of a paper or hybrid
+	// point; zoo points report their checks only.
+	Obs any `json:"observation,omitempty"`
+	// Checks are the agreement assertions, in a fixed order.
+	Checks []Check `json:"checks"`
+}
+
+// Pass reports whether every non-skipped check passed.
+func (r Report) Pass() bool { return len(r.Failures()) == 0 }
+
+// Failures returns the non-skipped checks that failed.
+func (r Report) Failures() []Check {
+	var out []Check
+	for _, c := range r.Checks {
+		if c.Skipped == "" && !c.Pass {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Applied counts the checks that actually ran (were not skipped).
+func (r Report) Applied() int {
+	n := 0
+	for _, c := range r.Checks {
+		if c.Skipped == "" {
+			n++
+		}
+	}
+	return n
+}
+
+// Point is one grid point: a named run that measures its machineries and
+// checks them against each other.
+type Point struct {
+	Name string
+	run  func() (Report, error)
+}
+
+// Grid is one row of the grid table: a dtconform -grid value and its
+// points.
+type Grid struct {
+	Name   string
+	Points []Point
+}
+
+// Grids returns the grid table. Each full grid is followed by its quick
+// smoke subset, drawn from it with the same declared tolerances.
+func Grids() []Grid {
+	paper, hybrid, zoo := paperGrid(), hybridGrid(), zooGrid()
+	return []Grid{
+		{"full", paper},
+		// One stable and one oscillatory point per protocol (CI's smoke).
+		{"quick", pick(paper, "dctcp-k40-n20", "dctcp-k40-n60", "dt3050-n20", "dt3050-n80")},
+		{"hybrid", hybrid},
+		// One point per protocol.
+		{"hybrid-quick", pick(hybrid, "hyb-dctcp-k40-bg20", "hyb-dt3050-bg20")},
+		{"zoo", zoo},
+		// One point per family.
+		{"zoo-quick", pick(zoo, "zoo-plus-vs-dt-incast-w16", "zoo-hull-g95-n20", "zoo-sharedbuf-single-port-limit")},
 	}
 }
 
-// Scenario is one matched configuration handed to all three machineries.
-type Scenario struct {
-	// Name identifies the scenario in reports and golden files.
-	Name string
-	// Protocol selects the marker and endpoints (DCTCP or DT-DCTCP for
-	// conformance; the analyses need an ECN marker).
-	Protocol core.Protocol
+// pick returns the named points of grid, in grid order.
+func pick(grid []Point, names ...string) []Point {
+	var out []Point
+	for _, p := range grid {
+		if slices.Contains(names, p.Name) {
+			out = append(out, p)
+		}
+	}
+	if len(out) != len(names) {
+		panic(fmt.Sprintf("conform: %v names a point outside its grid", names))
+	}
+	return out
+}
+
+// RunGrid runs the points concurrently on up to workers goroutines
+// (values < 1 mean GOMAXPROCS). Every point runs in private engines
+// seeded only by its own configuration, so reports are byte-identical
+// for any worker count and are returned in input order. An error is
+// prefixed with the name of the point it came from, here and only here.
+func RunGrid(ctx context.Context, points []Point, workers int) ([]Report, error) {
+	return runner.Map(ctx, len(points), runner.Options{Workers: workers},
+		func(_ context.Context, i int) (Report, error) {
+			rep, err := points[i].run()
+			if err != nil {
+				return Report{}, fmt.Errorf("conform %s: %w", points[i].Name, err)
+			}
+			rep.Scenario = points[i].Name
+			return rep, nil
+		})
+}
+
+// dumbbell is the bottleneck every dumbbell-shaped scenario shares: Flows
+// long-lived senders through one port.
+type dumbbell struct {
 	// Flows is N.
 	Flows int
 	// Rate is the bottleneck speed.
@@ -90,141 +215,38 @@ type Scenario struct {
 	// BufferPkts is the bottleneck buffer in packets.
 	BufferPkts int
 	// Warmup and Duration are the simulator's settling and measurement
-	// intervals; the fluid model integrates for Warmup+Duration and
-	// summarizes its second half.
+	// intervals.
 	Warmup, Duration time.Duration
 	// Seed drives the simulator's randomness.
 	Seed int64
-	// Tol is this scenario's agreement band.
-	Tol Tolerances
 }
 
-// simConfig maps the scenario onto the packet simulator.
-func (s Scenario) simConfig() core.DumbbellConfig {
-	return core.DumbbellConfig{
-		Protocol:         s.Protocol,
-		Flows:            s.Flows,
-		Rate:             s.Rate,
-		RTT:              s.RTT,
-		BufferPkts:       s.BufferPkts,
-		Duration:         s.Duration,
-		Warmup:           s.Warmup,
-		QueueSampleEvery: s.RTT / 5,
-		Seed:             s.Seed,
-	}
-}
-
-// FluidParams returns the physical-unit analysis parameters: C in
-// packets of the protocol's wire size per second.
-func (s Scenario) FluidParams() core.AnalysisParams {
-	return core.AnalysisParams{
-		CapacityPktsPerSec: s.Rate.BytesPerSecond() / float64(s.Protocol.PacketSize()),
-		RTT:                s.RTT.Seconds(),
-		G:                  s.Protocol.TCP.G,
-	}
-}
-
-// DFParams returns the paper-unit analysis parameters: C in 1000-bit
-// packets per second (10 Gbps → 10⁷ pkts/s), the unit Fig. 9 is stated
-// in. See DESIGN.md, judgment call 1.
-func (s Scenario) DFParams() core.AnalysisParams {
-	return core.AnalysisParams{
-		CapacityPktsPerSec: float64(s.Rate) / 1000,
-		RTT:                s.RTT.Seconds(),
-		G:                  s.Protocol.TCP.G,
-	}
-}
-
-// paperScenario is the grid's base point: the paper's Section VI-A
-// simulation setup (10 Gbps, 100 µs, 600-packet buffer, g = 1/16).
-func paperScenario(name string, p core.Protocol, flows int) Scenario {
-	return Scenario{
-		Name:       name,
-		Protocol:   p,
+// paperDumbbell is the paper's Section VI-A bottleneck (10 Gbps, 100 µs,
+// 600-packet buffer) over the given intervals, at seed 1.
+func paperDumbbell(flows int, warmup, duration time.Duration) dumbbell {
+	return dumbbell{
 		Flows:      flows,
 		Rate:       10 * netsim.Gbps,
 		RTT:        100 * time.Microsecond,
 		BufferPkts: 600,
-		Warmup:     15 * time.Millisecond,
-		Duration:   60 * time.Millisecond,
+		Warmup:     warmup,
+		Duration:   duration,
 		Seed:       1,
-		Tol:        DefaultTolerances(),
 	}
 }
 
-// Grid returns the full conformance grid: flow counts across the stable
-// and oscillatory regimes, both protocols, threshold variations, and RTT
-// variations — every point a matched (sim, fluid, DF) triple.
-//
-// Regime notes baked into the grid: the fluid model's relay regime ends
-// where the saturated equilibrium q₀ = 2N − CD rises above the highest
-// threshold (N ≈ 62 for K = 40 at 10 Gbps; TestSaturatedEquilibriumAtLargeN),
-// so sim-vs-fluid period checks concentrate on N ≤ 60; the simulator's
-// oscillation onset is N ≈ 38 for DCTCP and N ≈ 67 for DT-DCTCP
-// (EXPERIMENTS.md, Fig. 9), so DF-vs-sim cycle checks live above those.
-func Grid() []Scenario {
-	g := 1.0 / 16
-	var out []Scenario
-	// DCTCP flow sweep over the paper's K = 40.
-	for _, n := range []int{20, 40, 50, 60, 80} {
-		out = append(out, paperScenario(fmt.Sprintf("dctcp-k40-n%d", n), core.DCTCP(40, g), n))
+// config maps the shape onto the packet simulator running p, sampling the
+// queue five times per RTT.
+func (d dumbbell) config(p core.Protocol) core.DumbbellConfig {
+	return core.DumbbellConfig{
+		Protocol:         p,
+		Flows:            d.Flows,
+		Rate:             d.Rate,
+		RTT:              d.RTT,
+		BufferPkts:       d.BufferPkts,
+		Duration:         d.Duration,
+		Warmup:           d.Warmup,
+		QueueSampleEvery: d.RTT / 5,
+		Seed:             d.Seed,
 	}
-	// DT-DCTCP flow sweep over the paper's K1 = 30 / K2 = 50.
-	for _, n := range []int{20, 40, 60, 80} {
-		out = append(out, paperScenario(fmt.Sprintf("dt3050-n%d", n), core.DTDCTCP(30, 50, g), n))
-	}
-	// Threshold variations at a fixed mid-grid flow count.
-	out = append(out,
-		paperScenario("dctcp-k25-n40", core.DCTCP(25, g), 40),
-		paperScenario("dctcp-k65-n40", core.DCTCP(65, g), 40),
-		paperScenario("dt4060-n40", core.DTDCTCP(40, 60, g), 40),
-	)
-	// RTT variations: halve and double the propagation delay.
-	short := paperScenario("dctcp-k40-n40-rtt50", core.DCTCP(40, g), 40)
-	short.RTT = 50 * time.Microsecond
-	long := paperScenario("dctcp-k40-n40-rtt200", core.DCTCP(40, g), 40)
-	long.RTT = 200 * time.Microsecond
-	out = append(out, short, long)
-
-	// Declared band overrides for the fluid model's slow-relay regime:
-	// as the saturated equilibrium q₀ = 2N − CD climbs toward the
-	// marking threshold, the continuous model's relay period stretches
-	// to many milliseconds while the packet system keeps cycling at a
-	// few RTTs (the per-RTT impulsive window cuts the fluid equations
-	// average away). The ratio bands below pin today's measured
-	// separation — they guard the regression, not digit equality; the
-	// describing function remains the period reference on these points.
-	widen := func(name string, lo, hi float64) {
-		for i := range out {
-			if out[i].Name == name {
-				out[i].Tol.PeriodRatioLo, out[i].Tol.PeriodRatioHi = lo, hi
-				return
-			}
-		}
-		panic("conform: unknown grid point " + name)
-	}
-	widen("dctcp-k40-n50", 0.15, 1.0)
-	widen("dctcp-k40-n60", 0.07, 0.6)
-	widen("dt3050-n60", 0.10, 0.8)
-	widen("dctcp-k40-n40-rtt50", 0.05, 0.5)
-	return out
-}
-
-// QuickGrid returns a four-point subset of Grid for smoke runs (CI's
-// dtconform step): one stable and one oscillatory point per protocol,
-// with the same declared tolerances as the full grid.
-func QuickGrid() []Scenario {
-	want := map[string]bool{
-		"dctcp-k40-n20": true,
-		"dctcp-k40-n60": true,
-		"dt3050-n20":    true,
-		"dt3050-n80":    true,
-	}
-	var out []Scenario
-	for _, s := range Grid() {
-		if want[s.Name] {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dtdctcp/internal/core"
+	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/runner"
 	"dtdctcp/internal/stats"
 )
@@ -58,25 +59,89 @@ type Digest struct {
 	StatsHash string `json:"stats_hash"`
 }
 
-// DigestRun executes the scenario's packet simulation with full series
-// sampling and fingerprints the result.
-func DigestRun(s Scenario) (Digest, error) {
-	cfg := s.simConfig()
-	cfg.AlphaSampleEvery = s.RTT
-	return digestDumbbell(s.Name, cfg)
+// Golden is one named run of the golden-digest suite.
+type Golden struct {
+	Name string
+	run  func() (Digest, error)
+}
+
+// Goldens returns the golden-run suite, regenerable with
+//
+//	go test ./internal/conform -run Golden -update
+//
+// Five short paper dumbbells cover both protocols in the stable and
+// oscillatory regimes plus a threshold variant — enough surface that a
+// determinism regression anywhere in the engine, netsim, tcp, aqm, or
+// stats layers flips at least one digest. Three zoo dumbbells pin the
+// DCTCP+ pacing path, the phantom marker, and the shared-buffer admission
+// path. Three fresh-connection incasts open and retire a sender/receiver
+// pair per worker per round, the churn path no dumbbell reaches: DCTCP at
+// 32 workers is deep in collapse (overflow drops, RTOs, late duplicates
+// for retired flows); the delayed-ACK and DCTCP+ points add the
+// receiver's and the pacer's timers to what a connection carries.
+func Goldens() []Golden {
+	g := 1.0 / 16
+	short := func(p core.Protocol, flows int) core.DumbbellConfig {
+		return paperDumbbell(flows, 5*time.Millisecond, 20*time.Millisecond).config(p)
+	}
+	paper := func(name string, p core.Protocol, flows int) Golden {
+		return dumbbellGolden(name, short(p, flows))
+	}
+	pool := short(core.DCTCP(40, g), 40)
+	pool.SharedBuffer = core.SharedBufferConfig{Alpha: 2}
+	incast := func(name string, p core.Protocol, workers int) Golden {
+		cfg := core.DefaultTestbed(p, workers)
+		cfg.FreshConnections = true
+		return Golden{name, func() (Digest, error) { return digestIncast(cfg, 30) }}
+	}
+	delack := core.DCTCP(21, g)
+	delack.TCP.AckEvery = 2
+	return []Golden{
+		paper("golden-dctcp-k40-n10", core.DCTCP(40, g), 10),
+		paper("golden-dctcp-k40-n80", core.DCTCP(40, g), 80),
+		paper("golden-dt3050-n10", core.DTDCTCP(30, 50, g), 10),
+		paper("golden-dt3050-n80", core.DTDCTCP(30, 50, g), 80),
+		paper("golden-dt4060-n40", core.DTDCTCP(40, 60, g), 40),
+		paper("golden-zoo-plus-n16", core.DCTCPPlus(40, g), 16),
+		paper("golden-zoo-hull-g95-n20", core.HULL(40, 0.95, 10*netsim.Gbps, g), 20),
+		dumbbellGolden("golden-zoo-sharedbuf-a2-n40", pool),
+		incast("golden-incast-fresh-dctcp-w32", core.DCTCP(21, g), 32),
+		incast("golden-incast-fresh-delack-w32", delack, 32),
+		incast("golden-incast-fresh-plus-w24", core.DCTCPPlus(20, g), 24),
+	}
+}
+
+// dumbbellGolden fingerprints a dumbbell run with the α series sampled
+// once per RTT.
+func dumbbellGolden(name string, cfg core.DumbbellConfig) Golden {
+	cfg.AlphaSampleEvery = cfg.RTT
+	return Golden{name, func() (Digest, error) { return digestDumbbell(cfg) }}
+}
+
+// DigestGoldens fingerprints the goldens concurrently on up to workers
+// goroutines (values < 1 mean GOMAXPROCS); digests come back in input
+// order and are byte-identical for any worker count.
+func DigestGoldens(ctx context.Context, goldens []Golden, workers int) ([]Digest, error) {
+	return runner.Map(ctx, len(goldens), runner.Options{Workers: workers},
+		func(_ context.Context, i int) (Digest, error) {
+			d, err := goldens[i].run()
+			if err != nil {
+				return Digest{}, fmt.Errorf("conform %s: digest run: %w", goldens[i].Name, err)
+			}
+			d.Scenario = goldens[i].Name
+			return d, nil
+		})
 }
 
 // digestDumbbell runs one dumbbell configuration and fingerprints the
-// result under the given scenario name. Both the paper grid's golden
-// scenarios and the zoo goldens funnel through here, so the two suites
-// pin the same observables with the same hashes.
-func digestDumbbell(name string, cfg core.DumbbellConfig) (Digest, error) {
+// result: counters in the clear, the sampled series, per-flow bytes and
+// the float aggregates hashed.
+func digestDumbbell(cfg core.DumbbellConfig) (Digest, error) {
 	res, err := core.RunDumbbell(cfg)
 	if err != nil {
-		return Digest{}, fmt.Errorf("conform %s: digest run: %w", name, err)
+		return Digest{}, err
 	}
 	d := Digest{
-		Scenario: name,
 		Protocol: res.Protocol,
 		Flows:    res.Flows,
 		Events:   res.Events,
@@ -110,85 +175,14 @@ func digestDumbbell(name string, cfg core.DumbbellConfig) (Digest, error) {
 	return d, nil
 }
 
-// DigestGrid fingerprints the scenarios concurrently on up to workers
-// goroutines (values < 1 mean GOMAXPROCS); digests come back in input
-// order and are byte-identical for any worker count.
-func DigestGrid(ctx context.Context, scenarios []Scenario, workers int) ([]Digest, error) {
-	return runner.Map(ctx, len(scenarios), runner.Options{Workers: workers},
-		func(_ context.Context, i int) (Digest, error) {
-			return DigestRun(scenarios[i])
-		})
-}
-
-// GoldenScenarios returns the golden-run suite: short, cheap runs that
-// cover both protocols in the stable and oscillatory regimes plus a
-// threshold variant — enough surface that a determinism regression
-// anywhere in the engine, netsim, tcp, aqm, or stats layers flips at
-// least one digest.
-func GoldenScenarios() []Scenario {
-	g := 1.0 / 16
-	mk := func(name string, p core.Protocol, flows int) Scenario {
-		s := paperScenario(name, p, flows)
-		s.Warmup = 5 * time.Millisecond
-		s.Duration = 20 * time.Millisecond
-		return s
-	}
-	return []Scenario{
-		mk("golden-dctcp-k40-n10", core.DCTCP(40, g), 10),
-		mk("golden-dctcp-k40-n80", core.DCTCP(40, g), 80),
-		mk("golden-dt3050-n10", core.DTDCTCP(30, 50, g), 10),
-		mk("golden-dt3050-n80", core.DTDCTCP(30, 50, g), 80),
-		mk("golden-dt4060-n40", core.DTDCTCP(40, 60, g), 40),
-	}
-}
-
-// DigestZooRun fingerprints one zoo golden configuration — the DCTCP+
-// pacing path, the phantom marker, or the shared-buffer admission path —
-// through the same dumbbell digest the paper grid uses.
-func DigestZooRun(z ZooGolden) (Digest, error) {
-	return digestDumbbell(z.Name, z.Cfg)
-}
-
-// IncastGolden is one named fresh-connection incast run in the golden
-// suite: every round opens and retires a sender/receiver pair per worker,
-// the churn path no dumbbell golden reaches.
-type IncastGolden struct {
-	Name   string
-	Cfg    core.TestbedConfig
-	Rounds int
-}
-
-// IncastGoldenScenarios returns the connection-churn goldens, regenerable
-// with
-//
-//	go test ./internal/conform -run Golden -update
-//
-// DCTCP at 32 workers is deep in collapse (overflow drops, RTOs, late
-// duplicates for retired flows); the delayed-ACK and DCTCP+ points add
-// the receiver's and the pacer's timers to what a connection carries.
-func IncastGoldenScenarios() []IncastGolden {
-	mk := func(name string, p core.Protocol, workers int) IncastGolden {
-		cfg := core.DefaultTestbed(p, workers)
-		cfg.FreshConnections = true
-		return IncastGolden{Name: name, Cfg: cfg, Rounds: 30}
-	}
-	delack := core.DCTCP(21, zooG)
-	delack.TCP.AckEvery = 2
-	return []IncastGolden{
-		mk("golden-incast-fresh-dctcp-w32", core.DCTCP(21, zooG), 32),
-		mk("golden-incast-fresh-delack-w32", delack, 32),
-		mk("golden-incast-fresh-plus-w24", core.DCTCPPlus(20, zooG), 24),
-	}
-}
-
-// DigestIncastRun fingerprints one incast golden: counters in the clear,
-// the round aggregates (goodput bits, completion mean/p95/max/σ, rounds,
-// deadline misses) under StatsHash. The series and per-flow fields of
-// Digest stay zero — a query run samples no queue.
-func DigestIncastRun(g IncastGolden) (Digest, error) {
-	res, err := core.RunIncast(g.Cfg, g.Rounds)
+// digestIncast fingerprints an incast of the given rounds: counters in
+// the clear, the round aggregates (goodput bits, completion
+// mean/p95/max/σ, rounds, deadline misses) under StatsHash. The series
+// and per-flow fields of Digest stay zero — a query run samples no queue.
+func digestIncast(cfg core.TestbedConfig, rounds int) (Digest, error) {
+	res, err := core.RunIncast(cfg, rounds)
 	if err != nil {
-		return Digest{}, fmt.Errorf("conform %s: digest run: %w", g.Name, err)
+		return Digest{}, err
 	}
 	var sh stats.Hash
 	sh.Float(res.MeanGoodputBps)
@@ -199,7 +193,6 @@ func DigestIncastRun(g IncastGolden) (Digest, error) {
 		sh.Word(v)
 	}
 	return Digest{
-		Scenario:  g.Name,
 		Protocol:  res.Protocol,
 		Flows:     res.Workers,
 		Events:    res.Events,

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,134 +47,109 @@ func checkGolden(t *testing.T, name string, got Digest) {
 	}
 }
 
-// TestGoldenDigests pins every golden scenario's digest byte-for-byte
-// against the committed file.
-func TestGoldenDigests(t *testing.T) {
-	for _, s := range GoldenScenarios() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			got, err := DigestRun(s)
-			if err != nil {
-				t.Fatal(err)
+// goldensOf returns one family of the golden list: "zoo", "incast", or
+// "paper" for the cross-model dumbbells.
+func goldensOf(family string) []Golden {
+	var out []Golden
+	for _, g := range Goldens() {
+		f := "paper"
+		for _, k := range []string{"zoo", "incast"} {
+			if strings.HasPrefix(g.Name, "golden-"+k+"-") {
+				f = k
 			}
-			checkGolden(t, s.Name, got)
-		})
+		}
+		if f == family {
+			out = append(out, g)
+		}
 	}
+	return out
 }
 
-// TestZooGoldenDigests pins the zoo configurations — DCTCP+ pacing,
-// the HULL phantom marker, and the shared-buffer switch — byte-for-byte
-// against their committed digests, sharing the -update flag with the
-// paper-grid goldens.
-func TestZooGoldenDigests(t *testing.T) {
-	for _, z := range ZooGoldenScenarios() {
-		z := z
-		t.Run(z.Name, func(t *testing.T) {
-			got, err := DigestZooRun(z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, z.Name, got)
-		})
-	}
-}
-
-// TestIncastGoldenDigests pins the fresh-connection incast runs — the
-// connection-churn path: a sender/receiver pair opened and retired per
-// worker per round, under drops and RTOs, with the delayed-ACK and the
-// DCTCP+ pacer timers — against digests recorded before connection
-// storage was recycled.
-func TestIncastGoldenDigests(t *testing.T) {
-	for _, g := range IncastGoldenScenarios() {
-		g := g
+// pinGoldens checks each golden of the family against its committed
+// digest in a subtest named after it.
+func pinGoldens(t *testing.T, family string) {
+	for _, g := range goldensOf(family) {
 		t.Run(g.Name, func(t *testing.T) {
-			got, err := DigestIncastRun(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Events == 0 || got.Timeouts == 0 {
-				t.Fatalf("vacuous churn golden (no events or no RTO): %+v", got)
+			got := digest(t, g)
+			// A fresh-connection incast that never times out misses the
+			// churn path it pins.
+			if got.Events == 0 || (family == "incast" && got.Timeouts == 0) {
+				t.Fatalf("vacuous golden (no events or no RTO): %+v", got)
 			}
 			checkGolden(t, g.Name, got)
 		})
 	}
 }
 
+// TestGoldenDigests pins the cross-model dumbbells byte-for-byte against
+// the committed files.
+func TestGoldenDigests(t *testing.T) { pinGoldens(t, "paper") }
+
+// TestZooGoldenDigests pins the zoo configurations — DCTCP+ pacing, the
+// HULL phantom marker, and the shared-buffer switch.
+func TestZooGoldenDigests(t *testing.T) { pinGoldens(t, "zoo") }
+
+// TestIncastGoldenDigests pins the fresh-connection incast runs — the
+// connection-churn path: a sender/receiver pair opened and retired per
+// worker per round, under drops and RTOs, with the delayed-ACK and the
+// DCTCP+ pacer timers — against digests recorded before connection
+// storage was recycled.
+func TestIncastGoldenDigests(t *testing.T) { pinGoldens(t, "incast") }
+
 // The zoo golden runs must be repeat-stable on their own: the DCTCP+
 // pacing RNG and the shared-buffer eviction order are the two newest
 // places a hidden map-iteration or time.Now dependence could hide.
 func TestZooGoldenDigestsRepeatStable(t *testing.T) {
-	for _, z := range ZooGoldenScenarios() {
-		z := z
-		t.Run(z.Name, func(t *testing.T) {
-			a, err := DigestZooRun(z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := DigestZooRun(z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
+	for _, g := range goldensOf("zoo") {
+		t.Run(g.Name, func(t *testing.T) {
+			if a, b := digest(t, g), digest(t, g); a != b {
 				t.Errorf("digest differs between repeated runs:\n%+v\n%+v", a, b)
 			}
 		})
 	}
 }
 
-// The digest of a run must not depend on how the grid was scheduled:
+// The digest of a run must not depend on how the suite was scheduled:
 // workers=1 and workers=8 must produce identical digests, and so must a
 // repeated run — the determinism contract the golden suite rests on.
 func TestGoldenDigestsWorkerAndRepeatStable(t *testing.T) {
-	scenarios := GoldenScenarios()[:3] // three runs are enough to catch scheduling leaks
+	goldens := Goldens()[:3] // three runs are enough to catch scheduling leaks
 	ctx := context.Background()
-	w1, err := DigestGrid(ctx, scenarios, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w8, err := DigestGrid(ctx, scenarios, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := DigestGrid(ctx, scenarios, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scenarios {
-		if w1[i] != w8[i] {
-			t.Errorf("%s: digest differs between workers=1 and workers=8:\n%+v\n%+v",
-				scenarios[i].Name, w1[i], w8[i])
+	var runs [3][]Digest
+	for i, workers := range []int{1, 8, 1} {
+		ds, err := DigestGoldens(ctx, goldens, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if w1[i] != again[i] {
-			t.Errorf("%s: digest differs between repeated runs:\n%+v\n%+v",
-				scenarios[i].Name, w1[i], again[i])
+		runs[i] = ds
+	}
+	for i, g := range goldens {
+		if runs[0][i] != runs[1][i] {
+			t.Errorf("%s: digest differs between workers=1 and workers=8:\n%+v\n%+v", g.Name, runs[0][i], runs[1][i])
+		}
+		if runs[0][i] != runs[2][i] {
+			t.Errorf("%s: digest differs between repeated runs:\n%+v\n%+v", g.Name, runs[0][i], runs[2][i])
 		}
 	}
 }
 
-// Every committed golden file must correspond to a live scenario, so a
-// renamed scenario cannot leave a stale file silently passing nothing.
+// Every committed golden file must correspond to a live golden, so a
+// renamed golden cannot leave a stale file silently passing nothing.
 func TestGoldenFilesMatchScenarios(t *testing.T) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := map[string]bool{}
-	for _, s := range GoldenScenarios() {
-		live[s.Name+".json"] = true
-	}
-	for _, z := range ZooGoldenScenarios() {
-		live[z.Name+".json"] = true
-	}
-	for _, g := range IncastGoldenScenarios() {
+	for _, g := range Goldens() {
 		live[g.Name+".json"] = true
 	}
 	for _, e := range entries {
 		if !live[e.Name()] {
-			t.Errorf("stale golden file %s: no scenario produces it", e.Name())
+			t.Errorf("stale golden file %s: no golden produces it", e.Name())
 		}
 	}
-	if len(entries) != len(live) {
-		t.Errorf("%d golden files for %d scenarios", len(entries), len(live))
+	if len(entries) != len(live) || len(live) != 11 {
+		t.Errorf("%d golden files for %d goldens, want 11", len(entries), len(live))
 	}
 }

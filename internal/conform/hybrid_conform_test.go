@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -11,100 +10,14 @@ import (
 // and fully packet-level, and every applicable check must hold within
 // the scenario's declared tolerances.
 func TestHybridGridConforms(t *testing.T) {
-	scenarios := HybridGrid()
-	if len(scenarios) < 10 {
-		t.Fatalf("hybrid grid has %d scenarios, want at least 10", len(scenarios))
+	reports, applied := runGrid(t, "hybrid")
+	if len(reports) < 10 {
+		t.Fatalf("hybrid grid has %d scenarios, want at least 10", len(reports))
 	}
-	reports, err := RunHybridGrid(context.Background(), scenarios, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reports {
-		rep := rep
-		t.Run(rep.Scenario, func(t *testing.T) {
-			// Anti-vacuity: a scenario whose checks all skipped proves
-			// nothing; demand at least two real comparisons.
-			if got := rep.Applied(); got < 2 {
-				t.Fatalf("only %d checks applied; a conformance point must compare at least 2 quantities", got)
-			}
-			for _, c := range rep.Checks {
-				if c.Skipped != "" {
-					t.Logf("skip %s: %s", c.Name, c.Skipped)
-					continue
-				}
-				if !c.Pass {
-					t.Errorf("%s: got %.4g ref %.4g (%s)", c.Name, c.Got, c.Ref, c.Detail)
-				}
-			}
-		})
-	}
-
-	// Anti-vacuity across the grid: every kind of check must have run
-	// for real somewhere, or a tolerance is dead weight.
-	applied := map[string]int{}
-	for _, rep := range reports {
-		for _, c := range rep.Checks {
-			if c.Skipped == "" {
-				applied[c.Name]++
-			}
-		}
-	}
-	for _, name := range []string{
-		"queue-mean/hybrid-vs-packet",
-		"queue-std/hybrid-vs-packet",
-		"period/hybrid-vs-packet",
-		"fct-mean/hybrid-vs-packet",
-	} {
-		if applied[name] == 0 {
-			t.Errorf("check %q was skipped on every scenario — the grid never exercises it", name)
-		}
-	}
-	// The queue-mean and FCT comparisons have no skip condition that a
-	// healthy run should trigger; they must apply on (nearly) every point.
+	// The FCT comparison has no skip condition that a healthy run should
+	// trigger; it must apply on (nearly) every point.
 	if applied["fct-mean/hybrid-vs-packet"] < len(reports)-1 {
 		t.Errorf("fct-mean applied on only %d/%d scenarios", applied["fct-mean/hybrid-vs-packet"], len(reports))
-	}
-}
-
-// TestHybridGridScenariosAreDistinct guards the grid's breadth: names
-// are unique, both protocols appear, and every point is small enough to
-// reference-run (the whole contract of the grid).
-func TestHybridGridScenariosAreDistinct(t *testing.T) {
-	seen := map[string]bool{}
-	protos := map[string]bool{}
-	for _, s := range HybridGrid() {
-		if seen[s.Name] {
-			t.Errorf("duplicate scenario name %q", s.Name)
-		}
-		seen[s.Name] = true
-		protos[s.Protocol.Name] = true
-		if s.BgFlows > 100 {
-			t.Errorf("%s: %d background flows is too many for a packet-level reference", s.Name, s.BgFlows)
-		}
-		if s.FgFlows == 0 {
-			t.Errorf("%s: no foreground flows — the FCT comparison would be vacuous", s.Name)
-		}
-	}
-	if len(protos) < 2 {
-		t.Errorf("grid exercises only protocols %v, want at least 2", protos)
-	}
-}
-
-// TestQuickHybridGridIsSubset pins the smoke subset: non-empty, and
-// every entry resolves to a full-grid scenario.
-func TestQuickHybridGridIsSubset(t *testing.T) {
-	quick := QuickHybridGrid()
-	if len(quick) == 0 {
-		t.Fatal("quick hybrid grid is empty")
-	}
-	full := map[string]bool{}
-	for _, s := range HybridGrid() {
-		full[s.Name] = true
-	}
-	for _, s := range quick {
-		if !full[s.Name] {
-			t.Errorf("quick scenario %q not in the full grid", s.Name)
-		}
 	}
 }
 
@@ -112,12 +25,12 @@ func TestQuickHybridGridIsSubset(t *testing.T) {
 // identical observations — the conformance numbers themselves are
 // reproducible artifacts.
 func TestHybridReportsAreDeterministic(t *testing.T) {
-	s := QuickHybridGrid()[0]
-	a, err := RunHybridScenario(s)
+	p := gridNamed(t, "hybrid-quick")[0]
+	a, err := p.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunHybridScenario(s)
+	b, err := p.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,20 +43,15 @@ func TestHybridReportsAreDeterministic(t *testing.T) {
 // report accessors on synthetic observations, pinning the skip reasons
 // and the Pass/Failures contract without paying for simulation runs.
 func TestHybridChecksSkipAndFailSemantics(t *testing.T) {
-	tol := DefaultHybridTolerances()
+	tol := defaultHybridTolerances()
 
 	// Degenerate observation: flat packet queue, unconfident hybrid
 	// period, no hybrid FCTs. Everything but queue-mean must skip with a
 	// reason, and the report still passes.
-	flat := HybridObservation{PktQueueStd: 1, HybConfidence: 0, PktConfidence: 1, PktFCTCount: 3}
-	rep := HybridReport{Scenario: "synthetic-flat", Checks: applyHybridChecks(tol, flat)}
-	if got := rep.Applied(); got != 1 {
+	flat := hybridObservation{PktQueueStd: 1, HybConfidence: 0, PktConfidence: 1, PktFCTCount: 3}
+	rep := Report{Scenario: "synthetic-flat", Checks: applyHybridChecks(tol, flat)}
+	if got := rep.Applied(); got != 1 || rep.Checks[0].Skipped != "" {
 		t.Fatalf("flat observation applied %d checks, want just queue-mean", got)
-	}
-	for _, c := range rep.Checks[1:] {
-		if c.Skipped == "" {
-			t.Errorf("%s ran on degenerate inputs, want a skip reason", c.Name)
-		}
 	}
 	if !rep.Pass() || rep.Failures() != nil {
 		t.Fatalf("skipped checks counted as failures: %v", rep.Failures())
@@ -151,7 +59,7 @@ func TestHybridChecksSkipAndFailSemantics(t *testing.T) {
 
 	// Complementary skip arms: confident hybrid vs unconfident packet
 	// period, and FCTs present on the hybrid side only.
-	swap := HybridObservation{PktQueueStd: 1, HybConfidence: 1, PktConfidence: 0, HybFCTCount: 3}
+	swap := hybridObservation{PktQueueStd: 1, HybConfidence: 1, PktConfidence: 0, HybFCTCount: 3}
 	for _, c := range applyHybridChecks(tol, swap) {
 		switch c.Name {
 		case "period/hybrid-vs-packet", "fct-mean/hybrid-vs-packet":
@@ -163,7 +71,7 @@ func TestHybridChecksSkipAndFailSemantics(t *testing.T) {
 
 	// A hybrid that disagrees everywhere: every check applies and fails,
 	// and Failures carries exactly the failing set.
-	bad := HybridObservation{
+	bad := hybridObservation{
 		HybQueueMean: 500, PktQueueMean: 10,
 		HybQueueStd: 100, PktQueueStd: 4,
 		HybPeriod: time.Second, PktPeriod: time.Millisecond,
@@ -171,7 +79,7 @@ func TestHybridChecksSkipAndFailSemantics(t *testing.T) {
 		HybFCTMean: 1, PktFCTMean: 0.001,
 		HybFCTCount: 5, PktFCTCount: 5,
 	}
-	rep = HybridReport{Scenario: "synthetic-bad", Checks: applyHybridChecks(tol, bad)}
+	rep = Report{Scenario: "synthetic-bad", Checks: applyHybridChecks(tol, bad)}
 	if rep.Pass() {
 		t.Fatal("wildly divergent observation passed")
 	}

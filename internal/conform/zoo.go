@@ -1,13 +1,12 @@
 package conform
 
 import (
-	"context"
+	"cmp"
 	"fmt"
+	"math"
 	"time"
 
 	"dtdctcp/internal/core"
-	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/runner"
 )
 
 // Protocol & switch zoo conformance: the repo's rival mechanisms — the
@@ -19,12 +18,11 @@ import (
 // exactly to per-port tail-drop in the uncontended single-port limit.
 // This grid turns each claim into a scenario with declared tolerances;
 // checks whose inputs a regime does not produce are skipped with the
-// reason, and the anti-vacuity test in zoo_conform_test.go asserts every
+// reason, and the anti-vacuity test in conform_test.go asserts every
 // scenario still applies at least two real checks.
 
-// ZooTolerances declares the agreement bands of one zoo scenario. Only
-// the fields its family reads are meaningful.
-type ZooTolerances struct {
+// zooTol holds the agreement bands every zoo point is checked against.
+var zooTol = struct {
 	// CompletionRatioLo/Hi bound candidate mean incast completion /
 	// rival mean incast completion (incast family).
 	CompletionRatioLo, CompletionRatioHi float64
@@ -52,573 +50,217 @@ type ZooTolerances struct {
 	// fixed point αB/(1+α) the pooled queue max may reach (in-flight
 	// rounding, one packet in serialization).
 	QueueCapSlackPkts float64
+}{
+	CompletionRatioLo: 0.05,
+	CompletionRatioHi: 3.0,
+	GoodputRatioLo:    0.05,
+	GoodputRatioHi:    1.5,
+	PlusBaseRatioLo:   0.5,
+	PlusBaseRatioHi:   1.3,
+	ReliefRatioMax:    0.75,
+	UtilizationAbs:    0.10,
+	RealQueueFrac:     1.0,
+	QueueMeanRatioLo:  0.3,
+	QueueMeanRatioHi:  3.0,
+	QueueCapSlackPkts: 4,
 }
 
-// DefaultZooTolerances is the band used by the standard zoo grid.
-func DefaultZooTolerances() ZooTolerances {
-	return ZooTolerances{
-		CompletionRatioLo: 0.05,
-		CompletionRatioHi: 3.0,
-		GoodputRatioLo:    0.05,
-		GoodputRatioHi:    1.5,
-		PlusBaseRatioLo:   0.5,
-		PlusBaseRatioHi:   1.3,
-		ReliefRatioMax:    0.75,
-		UtilizationAbs:    0.10,
-		RealQueueFrac:     1.0,
-		QueueMeanRatioLo:  0.3,
-		QueueMeanRatioHi:  3.0,
-		QueueCapSlackPkts: 4,
-	}
-}
-
-// ZooKind selects a scenario family.
-type ZooKind int
-
-// Zoo scenario families.
 const (
-	// ZooIncast runs the testbed incast with DCTCP+, DT-DCTCP and the
-	// DCTCP baseline and compares collapse behaviour.
-	ZooIncast ZooKind = iota + 1
-	// ZooPhantom runs a HULL phantom-queue dumbbell against the
-	// analytic virtual-queue prediction (utilization pins at γ, real
-	// queue stays under the threshold) and a DCTCP reference.
-	ZooPhantom
-	// ZooSharedBuffer runs a shared-buffer dumbbell against the
-	// private-buffer reference — verdict-exact in the single-port
-	// limit, band-compared under real sharing.
-	ZooSharedBuffer
+	// zooG is the grid's EWMA gain, the paper's 1/16.
+	zooG = 1.0 / 16
+	// zooK is the marking threshold of the dumbbell families.
+	zooK = 40
 )
 
-// ZooScenario is one zoo grid point.
-type ZooScenario struct {
-	// Name identifies the scenario in reports and golden files.
-	Name string
-	// Kind selects the family; the fields below it are read per family.
-	Kind ZooKind
-
-	// Incast family: worker count and rounds on the paper's testbed.
-	// Collapse declares which regime the fan-in sits in: below the
-	// cliff the checks demand a loss-free incast, above it they demand
-	// the collapse actually happens and DT-DCTCP relieves it.
-	Workers  int
-	Rounds   int
-	Collapse bool
-
-	// Phantom and shared-buffer families: dumbbell shape.
-	Flows      int
-	Rate       netsim.Rate
-	RTT        time.Duration
-	BufferPkts int
-	KPkts      int
-	Warmup     time.Duration
-	Duration   time.Duration
-
-	// Gamma is the phantom drain fraction γ (phantom family).
-	Gamma float64
-
-	// Alpha and SinglePortLimit shape the shared-buffer pool: a
-	// whole-switch pool at Alpha, or the bottleneck-only uncontended
-	// limit pinned verdict-exact against the private-buffer run.
-	Alpha           float64
-	SinglePortLimit bool
-
-	// Seed drives the simulator's randomness.
-	Seed int64
-	// Tol is this scenario's agreement band.
-	Tol ZooTolerances
+// zooDumbbell is the dumbbell families' bottleneck: the paper's Section
+// VI-A setup, shortened to keep the grid affordable.
+func zooDumbbell(flows int) dumbbell {
+	return paperDumbbell(flows, 10*time.Millisecond, 30*time.Millisecond)
 }
 
-// ZooReport is the outcome of one zoo grid point.
-type ZooReport struct {
-	Scenario string  `json:"scenario"`
-	Checks   []Check `json:"checks"`
-}
-
-// Pass reports whether every non-skipped check passed.
-func (r ZooReport) Pass() bool {
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			return false
-		}
+// zooGrid returns the zoo conformance grid: DCTCP+ against DT-DCTCP on
+// two incast fan-ins, the phantom queue across γ, and the shared-buffer
+// switch in its exact single-port limit and two sharing regimes.
+func zooGrid() []Point {
+	var out []Point
+	// Incast family: below and at the paper's collapse region.
+	for _, w := range []int{16, 32} {
+		out = append(out, Point{fmt.Sprintf("zoo-plus-vs-dt-incast-w%d", w),
+			func() (Report, error) { return runZooIncast(w, w >= 32) }})
 	}
-	return true
-}
-
-// Failures returns the non-skipped checks that failed.
-func (r ZooReport) Failures() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			out = append(out, c)
-		}
+	// Phantom family: HULL's γ sweep plus the γ = 1 fluid edge.
+	for _, gamma := range []float64{0.80, 0.95, 1.0} {
+		out = append(out, Point{fmt.Sprintf("zoo-hull-g%02.0f-n20", gamma*100),
+			func() (Report, error) { return runZooPhantom(gamma) }})
+	}
+	// Shared-buffer family: the exact uncontended limit, then sharing at
+	// a conservative and a liberal α.
+	out = append(out, Point{"zoo-sharedbuf-single-port-limit",
+		func() (Report, error) { return runZooSharedBuffer(1e12, true) }})
+	for _, alpha := range []float64{1, 8} {
+		out = append(out, Point{fmt.Sprintf("zoo-sharedbuf-a%.0f-n40", alpha),
+			func() (Report, error) { return runZooSharedBuffer(alpha, false) }})
 	}
 	return out
 }
 
-// Applied counts the checks that actually ran (were not skipped).
-func (r ZooReport) Applied() int {
-	n := 0
-	for _, c := range r.Checks {
-		if c.Skipped == "" {
-			n++
-		}
-	}
-	return n
-}
-
-// zooG is the grid's EWMA gain, the paper's 1/16.
-const zooG = 1.0 / 16
-
-// RunZooScenario executes one zoo grid point and applies its checks.
-func RunZooScenario(s ZooScenario) (ZooReport, error) {
-	rep := ZooReport{Scenario: s.Name}
-	var err error
-	switch s.Kind {
-	case ZooIncast:
-		rep.Checks, err = runZooIncast(s)
-	case ZooPhantom:
-		rep.Checks, err = runZooPhantom(s)
-	case ZooSharedBuffer:
-		rep.Checks, err = runZooSharedBuffer(s)
-	default:
-		err = fmt.Errorf("conform %s: unknown zoo kind %d", s.Name, s.Kind)
-	}
-	if err != nil {
-		return rep, fmt.Errorf("conform %s: %w", s.Name, err)
-	}
-	return rep, nil
-}
-
 // runZooIncast compares DCTCP+ against DT-DCTCP and the DCTCP baseline on
-// the paper's testbed incast (Fig. 14 shape): the slow-timer sender must
-// not collapse harder than plain DCTCP, and must stay on the same
-// completion/goodput scale as the marking-side fix.
-func runZooIncast(s ZooScenario) ([]Check, error) {
+// the paper's testbed incast (Fig. 14 shape, three rounds): the
+// slow-timer sender must not collapse harder than plain DCTCP, and must
+// stay on the same completion/goodput scale as the marking-side fix.
+// collapse declares which regime the fan-in sits in: below the cliff the
+// checks demand a loss-free incast, above it they demand the collapse
+// actually happens and DT-DCTCP relieves it.
+func runZooIncast(workers int, collapse bool) (Report, error) {
 	run := func(p core.Protocol) (*core.QueryResult, error) {
-		cfg := core.DefaultTestbed(p, s.Workers)
-		cfg.Seed = s.Seed
-		return core.RunIncast(cfg, s.Rounds)
+		cfg := core.DefaultTestbed(p, workers)
+		cfg.Seed = 1
+		return core.RunIncast(cfg, 3)
 	}
 	plus, err := run(core.DCTCPPlus(20, zooG))
 	if err != nil {
-		return nil, fmt.Errorf("dctcp+: %w", err)
+		return Report{}, fmt.Errorf("dctcp+: %w", err)
 	}
 	dt, err := run(core.DTDCTCP(16, 26, zooG))
 	if err != nil {
-		return nil, fmt.Errorf("dt-dctcp: %w", err)
+		return Report{}, fmt.Errorf("dt-dctcp: %w", err)
 	}
 	base, err := run(core.DCTCP(20, zooG))
 	if err != nil {
-		return nil, fmt.Errorf("dctcp baseline: %w", err)
+		return Report{}, fmt.Errorf("dctcp baseline: %w", err)
 	}
-
-	var checks []Check
-	cc := Check{
-		Name: "completion-mean/plus-vs-dt",
-		Got:  plus.MeanCompletion.Seconds(),
-		Ref:  dt.MeanCompletion.Seconds(),
-	}
-	if dt.MeanCompletion <= 0 {
-		cc.Skipped = "rival run recorded no completions"
-	} else {
-		ratio := plus.MeanCompletion.Seconds() / dt.MeanCompletion.Seconds()
-		cc.Detail = fmt.Sprintf("ratio %.2f in [%.2f, %.2f]", ratio, s.Tol.CompletionRatioLo, s.Tol.CompletionRatioHi)
-		cc.Pass = ratio >= s.Tol.CompletionRatioLo && ratio <= s.Tol.CompletionRatioHi
-	}
-	checks = append(checks, cc)
-
-	gc := Check{
-		Name: "goodput-mean/plus-vs-dt",
-		Got:  plus.MeanGoodputBps,
-		Ref:  dt.MeanGoodputBps,
-	}
-	if dt.MeanGoodputBps <= 0 {
-		gc.Skipped = "rival run recorded no goodput"
-	} else {
-		ratio := plus.MeanGoodputBps / dt.MeanGoodputBps
-		gc.Detail = fmt.Sprintf("ratio %.2f in [%.2f, %.2f]", ratio, s.Tol.GoodputRatioLo, s.Tol.GoodputRatioHi)
-		gc.Pass = ratio >= s.Tol.GoodputRatioLo && ratio <= s.Tol.GoodputRatioHi
-	}
-	checks = append(checks, gc)
-
-	// The slow timer augments DCTCP; in every regime its completions
-	// must track the baseline it grew out of.
-	pb := Check{
-		Name: "completion-mean/plus-vs-dctcp",
-		Got:  plus.MeanCompletion.Seconds(),
-		Ref:  base.MeanCompletion.Seconds(),
-	}
-	if base.MeanCompletion <= 0 {
-		pb.Skipped = "baseline run recorded no completions"
-	} else {
-		ratio := plus.MeanCompletion.Seconds() / base.MeanCompletion.Seconds()
-		pb.Detail = fmt.Sprintf("ratio %.2f in [%.2f, %.2f]", ratio, s.Tol.PlusBaseRatioLo, s.Tol.PlusBaseRatioHi)
-		pb.Pass = ratio >= s.Tol.PlusBaseRatioLo && ratio <= s.Tol.PlusBaseRatioHi
-	}
-	checks = append(checks, pb)
-
-	// Below the cliff the pacer must not manufacture timeouts the
-	// baseline never saw; once the baseline itself collapses the
-	// timeout-free claim has no referent and is skipped.
-	tc := Check{
-		Name: "timeouts/plus-below-cliff",
-		Got:  float64(plus.Timeouts),
-		Ref:  float64(base.Timeouts),
-	}
-	if base.Timeouts > 0 {
-		tc.Skipped = fmt.Sprintf("baseline fired %d RTOs: the fan-in is past the cliff", base.Timeouts)
-	} else {
-		tc.Detail = fmt.Sprintf("%d RTOs (the pacer must not introduce timeouts below the cliff)", plus.Timeouts)
-		tc.Pass = plus.Timeouts == 0
-	}
-	checks = append(checks, tc)
-
-	// In the collapse regime, the marking-side fix must measurably ease
-	// the collapse the baseline suffers.
-	rc := Check{
-		Name: "completion-mean/dt-vs-dctcp",
-		Got:  dt.MeanCompletion.Seconds(),
-		Ref:  base.MeanCompletion.Seconds(),
-	}
-	switch {
-	case !s.Collapse:
-		rc.Skipped = "below the cliff there is no collapse to relieve"
-	case base.MeanCompletion <= 0:
-		rc.Skipped = "baseline run recorded no completions"
-	default:
-		ratio := dt.MeanCompletion.Seconds() / base.MeanCompletion.Seconds()
-		rc.Detail = fmt.Sprintf("ratio %.2f ≤ %.2f (DT-DCTCP must ease the collapse)", ratio, s.Tol.ReliefRatioMax)
-		rc.Pass = ratio <= s.Tol.ReliefRatioMax
-	}
-	checks = append(checks, rc)
+	plusC, dtC, baseC := plus.MeanCompletion.Seconds(), dt.MeanCompletion.Seconds(), base.MeanCompletion.Seconds()
+	noBase := skipIf(base.MeanCompletion <= 0, "baseline run recorded no completions")
 
 	// The declared regime must actually hold — this is the family's
 	// anti-vacuity: a collapse scenario that never drops proves nothing,
 	// and a pre-collapse scenario that drops is mislabeled.
-	dc := Check{
-		Name: "drops/dctcp-baseline",
-		Got:  float64(base.Drops),
+	drops := fmt.Sprintf("%d drops = 0 (below the cliff ECN absorbs the burst without loss)", base.Drops)
+	if collapse {
+		drops = fmt.Sprintf("%d drops > 0 (the incast must actually overflow the bottleneck)", base.Drops)
 	}
-	if s.Collapse {
-		dc.Detail = fmt.Sprintf("%d drops > 0 (the incast must actually overflow the bottleneck)", base.Drops)
-		dc.Pass = base.Drops > 0
-	} else {
-		dc.Detail = fmt.Sprintf("%d drops = 0 (below the cliff ECN absorbs the burst without loss)", base.Drops)
-		dc.Pass = base.Drops == 0
-	}
-	checks = append(checks, dc)
-	return checks, nil
-}
-
-// zooDumbbell maps a dumbbell-family scenario onto the simulator.
-func (s ZooScenario) zooDumbbell(p core.Protocol) core.DumbbellConfig {
-	return core.DumbbellConfig{
-		Protocol:         p,
-		Flows:            s.Flows,
-		Rate:             s.Rate,
-		RTT:              s.RTT,
-		BufferPkts:       s.BufferPkts,
-		Duration:         s.Duration,
-		Warmup:           s.Warmup,
-		QueueSampleEvery: s.RTT / 5,
-		Seed:             s.Seed,
-	}
+	return Report{Checks: []Check{
+		ratio("completion-mean/plus-vs-dt", plusC, dtC, zooTol.CompletionRatioLo, zooTol.CompletionRatioHi,
+			skipIf(dt.MeanCompletion <= 0, "rival run recorded no completions")),
+		ratio("goodput-mean/plus-vs-dt", plus.MeanGoodputBps, dt.MeanGoodputBps, zooTol.GoodputRatioLo, zooTol.GoodputRatioHi,
+			skipIf(dt.MeanGoodputBps <= 0, "rival run recorded no goodput")),
+		// The slow timer augments DCTCP; in every regime its completions
+		// must track the baseline it grew out of.
+		ratio("completion-mean/plus-vs-dctcp", plusC, baseC, zooTol.PlusBaseRatioLo, zooTol.PlusBaseRatioHi, noBase),
+		// Below the cliff the pacer must not manufacture timeouts the
+		// baseline never saw; once the baseline itself collapses the
+		// timeout-free claim has no referent and is skipped.
+		holds("timeouts/plus-below-cliff", float64(plus.Timeouts), float64(base.Timeouts), plus.Timeouts == 0,
+			fmt.Sprintf("%d RTOs (the pacer must not introduce timeouts below the cliff)", plus.Timeouts),
+			skipIf(base.Timeouts > 0, "baseline fired %d RTOs: the fan-in is past the cliff", base.Timeouts)),
+		// In the collapse regime, the marking-side fix must measurably
+		// ease the collapse the baseline suffers.
+		holds("completion-mean/dt-vs-dctcp", dtC, baseC, dtC/baseC <= zooTol.ReliefRatioMax,
+			fmt.Sprintf("ratio %.2f ≤ %.2f (DT-DCTCP must ease the collapse)", dtC/baseC, zooTol.ReliefRatioMax),
+			cmp.Or(skipIf(!collapse, "below the cliff there is no collapse to relieve"), noBase)),
+		holds("drops/dctcp-baseline", float64(base.Drops), 0, (base.Drops > 0) == collapse, drops, ""),
+	}}, nil
 }
 
 // runZooPhantom checks HULL's analytic virtual-queue prediction: a
 // phantom queue draining at γ·C pins utilization at γ, and with γ < 1 it
 // marks early enough that the real queue's mean stays under the threshold
 // the virtual queue trips at.
-func runZooPhantom(s ZooScenario) ([]Check, error) {
-	res, err := core.RunDumbbell(s.zooDumbbell(core.HULL(s.KPkts, s.Gamma, s.Rate, zooG)))
+func runZooPhantom(gamma float64) (Report, error) {
+	d := zooDumbbell(20)
+	res, err := core.RunDumbbell(d.config(core.HULL(zooK, gamma, d.Rate, zooG)))
 	if err != nil {
-		return nil, fmt.Errorf("hull: %w", err)
+		return Report{}, fmt.Errorf("hull: %w", err)
 	}
-	ref, err := core.RunDumbbell(s.zooDumbbell(core.DCTCP(s.KPkts, zooG)))
+	ref, err := core.RunDumbbell(d.config(core.DCTCP(zooK, zooG)))
 	if err != nil {
-		return nil, fmt.Errorf("dctcp reference: %w", err)
+		return Report{}, fmt.Errorf("dctcp reference: %w", err)
 	}
-
-	var checks []Check
-	// The virtual queue saturates exactly when the arrival rate crosses
-	// γ·C, so steady-state utilization must sit at γ (full rate at γ=1).
-	uc := Check{
-		Name: "utilization/sim-vs-virtual-queue-prediction",
-		Got:  res.Utilization,
-		Ref:  s.Gamma,
-	}
-	diff := res.Utilization - s.Gamma
-	if diff < 0 {
-		diff = -diff
-	}
-	uc.Detail = fmt.Sprintf("|util − γ| = %.3f ≤ %.3f", diff, s.Tol.UtilizationAbs)
-	uc.Pass = diff <= s.Tol.UtilizationAbs
-	checks = append(checks, uc)
-
-	// Real-queue headroom: marking against the slower virtual drain
-	// keeps the real buffer under the threshold.
-	hc := Check{
-		Name: "queue-mean/real-vs-threshold",
-		Got:  res.QueueMeanPkts,
-		Ref:  float64(s.KPkts),
-	}
-	if s.Gamma >= 1 {
-		hc.Skipped = "γ = 1: the phantom queue tracks the real queue, no headroom claim to test"
-	} else {
-		bound := s.Tol.RealQueueFrac * float64(s.KPkts)
-		hc.Detail = fmt.Sprintf("real mean %.1f pkts ≤ %.2f·K = %.1f", res.QueueMeanPkts, s.Tol.RealQueueFrac, bound)
-		hc.Pass = res.QueueMeanPkts <= bound
-	}
-	checks = append(checks, hc)
 
 	// Against the DCTCP reference at the same K: a γ<1 phantom must hold
 	// a shorter real queue; at γ=1 the two markers see near-identical
 	// occupancies and the means must sit on the same scale.
-	qc := Check{
-		Name: "queue-mean/hull-vs-dctcp",
-		Got:  res.QueueMeanPkts,
-		Ref:  ref.QueueMeanPkts,
+	vsDCTCP := ratio("queue-mean/hull-vs-dctcp", res.QueueMeanPkts, ref.QueueMeanPkts,
+		zooTol.QueueMeanRatioLo, zooTol.QueueMeanRatioHi, tooSmall("reference queue mean", ref.QueueMeanPkts, 1))
+	if gamma < 1 && vsDCTCP.Skipped == "" {
+		vsDCTCP = holds(vsDCTCP.Name, vsDCTCP.Got, vsDCTCP.Ref, res.QueueMeanPkts < ref.QueueMeanPkts,
+			fmt.Sprintf("phantom mean %.1f < reference %.1f (early marking shortens the real queue)",
+				res.QueueMeanPkts, ref.QueueMeanPkts), "")
 	}
-	switch {
-	case ref.QueueMeanPkts < 1:
-		qc.Skipped = fmt.Sprintf("reference queue mean %.2f pkts too small for a ratio", ref.QueueMeanPkts)
-	case s.Gamma < 1:
-		qc.Detail = fmt.Sprintf("phantom mean %.1f < reference %.1f (early marking shortens the real queue)",
-			res.QueueMeanPkts, ref.QueueMeanPkts)
-		qc.Pass = res.QueueMeanPkts < ref.QueueMeanPkts
-	default:
-		ratio := res.QueueMeanPkts / ref.QueueMeanPkts
-		qc.Detail = fmt.Sprintf("ratio %.2f in [%.2f, %.2f]", ratio, s.Tol.QueueMeanRatioLo, s.Tol.QueueMeanRatioHi)
-		qc.Pass = ratio >= s.Tol.QueueMeanRatioLo && ratio <= s.Tol.QueueMeanRatioHi
-	}
-	checks = append(checks, qc)
-
-	checks = append(checks, Check{
-		Name:   "stress/phantom-marks",
-		Got:    float64(res.Marks),
-		Detail: "the phantom queue must actually mark (anti-vacuity)",
-		Pass:   res.Marks > 0,
-	})
-	return checks, nil
+	diff := math.Abs(res.Utilization - gamma)
+	bound := zooTol.RealQueueFrac * zooK
+	return Report{Checks: []Check{
+		// The virtual queue saturates exactly when the arrival rate
+		// crosses γ·C, so steady-state utilization must sit at γ (full
+		// rate at γ=1).
+		holds("utilization/sim-vs-virtual-queue-prediction", res.Utilization, gamma, diff <= zooTol.UtilizationAbs,
+			fmt.Sprintf("|util − γ| = %.3f ≤ %.3f", diff, zooTol.UtilizationAbs), ""),
+		// Real-queue headroom: marking against the slower virtual drain
+		// keeps the real buffer under the threshold.
+		holds("queue-mean/real-vs-threshold", res.QueueMeanPkts, zooK, res.QueueMeanPkts <= bound,
+			fmt.Sprintf("real mean %.1f pkts ≤ %.2f·K = %.1f", res.QueueMeanPkts, zooTol.RealQueueFrac, bound),
+			skipIf(gamma >= 1, "γ = 1: the phantom queue tracks the real queue, no headroom claim to test")),
+		vsDCTCP,
+		holds("stress/phantom-marks", float64(res.Marks), 0, res.Marks > 0,
+			"the phantom queue must actually mark (anti-vacuity)", ""),
+	}}, nil
 }
 
-// runZooSharedBuffer checks the shared-buffer switch against the
-// private-buffer reference. In the single-port limit the pooled run must
-// be indistinguishable — same events, same marks, same drops, same queue
-// trace hash. Under a whole-switch pool the dynamic allowance caps the
-// bottleneck at the fixed point αB/(1+α) while utilization holds.
-func runZooSharedBuffer(s ZooScenario) ([]Check, error) {
-	p := core.DCTCP(s.KPkts, zooG)
-	pooled := s.zooDumbbell(p)
-	pooled.SharedBuffer = core.SharedBufferConfig{Alpha: s.Alpha, BottleneckOnly: s.SinglePortLimit}
+// runZooSharedBuffer checks the shared-buffer switch at allowance alpha
+// against the private-buffer reference. In the single-port limit (the
+// pool on the bottleneck only) the pooled run must be indistinguishable —
+// same events, same marks, same drops, same queue trace hash. Under a
+// whole-switch pool the dynamic allowance caps the bottleneck at the
+// fixed point αB/(1+α) while utilization holds.
+func runZooSharedBuffer(alpha float64, singlePort bool) (Report, error) {
+	d := zooDumbbell(40)
+	p := core.DCTCP(zooK, zooG)
+	pooled := d.config(p)
+	pooled.SharedBuffer = core.SharedBufferConfig{Alpha: alpha, BottleneckOnly: singlePort}
 	pres, err := core.RunDumbbell(pooled)
 	if err != nil {
-		return nil, fmt.Errorf("pooled: %w", err)
+		return Report{}, fmt.Errorf("pooled: %w", err)
 	}
-	rres, err := core.RunDumbbell(s.zooDumbbell(p))
+	rres, err := core.RunDumbbell(d.config(p))
 	if err != nil {
-		return nil, fmt.Errorf("private reference: %w", err)
+		return Report{}, fmt.Errorf("private reference: %w", err)
 	}
 
 	var checks []Check
-	if s.SinglePortLimit {
+	if singlePort {
 		// Verdict-exact equivalence: every counter and the queue trace
 		// must match bit for bit.
-		ec := Check{
-			Name: "events/pooled-vs-private",
-			Got:  float64(pres.Events),
-			Ref:  float64(rres.Events),
-			Pass: pres.Events == rres.Events,
+		var ph, rh uint64
+		noSeries := "a run produced no queue series"
+		if pres.QueueSeries != nil && rres.QueueSeries != nil {
+			ph, rh, noSeries = pres.QueueSeries.Hash64(), rres.QueueSeries.Hash64(), ""
 		}
-		ec.Detail = fmt.Sprintf("%d vs %d (exact)", pres.Events, rres.Events)
-		checks = append(checks, ec)
-		mc := Check{
-			Name: "marks-drops/pooled-vs-private",
-			Got:  float64(pres.Marks),
-			Ref:  float64(rres.Marks),
-			Pass: pres.Marks == rres.Marks && pres.Drops == rres.Drops && pres.Timeouts == rres.Timeouts,
+		checks = []Check{
+			exact("events/pooled-vs-private", float64(pres.Events), float64(rres.Events),
+				pres.Events, rres.Events, "%d vs %d", ""),
+			holds("marks-drops/pooled-vs-private", float64(pres.Marks), float64(rres.Marks),
+				pres.Marks == rres.Marks && pres.Drops == rres.Drops && pres.Timeouts == rres.Timeouts,
+				fmt.Sprintf("marks %d/%d drops %d/%d timeouts %d/%d (exact)",
+					pres.Marks, rres.Marks, pres.Drops, rres.Drops, pres.Timeouts, rres.Timeouts), ""),
+			exact("queue-trace/pooled-vs-private", pres.QueueMeanPkts, rres.QueueMeanPkts,
+				ph, rh, "series hash %016x vs %016x", noSeries),
 		}
-		mc.Detail = fmt.Sprintf("marks %d/%d drops %d/%d timeouts %d/%d (exact)",
-			pres.Marks, rres.Marks, pres.Drops, rres.Drops, pres.Timeouts, rres.Timeouts)
-		checks = append(checks, mc)
-		qc := Check{
-			Name: "queue-trace/pooled-vs-private",
-			Got:  pres.QueueMeanPkts,
-			Ref:  rres.QueueMeanPkts,
-		}
-		switch {
-		case pres.QueueSeries == nil || rres.QueueSeries == nil:
-			qc.Skipped = "a run produced no queue series"
-		default:
-			qc.Pass = pres.QueueSeries.Hash64() == rres.QueueSeries.Hash64()
-			qc.Detail = fmt.Sprintf("series hash %016x vs %016x (exact)",
-				pres.QueueSeries.Hash64(), rres.QueueSeries.Hash64())
-		}
-		checks = append(checks, qc)
 	} else {
 		// Dynamic-threshold cap: with only the bottleneck congested the
 		// allowance fixed point is q* = αB/(1+α).
-		cap := s.Alpha * float64(s.BufferPkts) / (1 + s.Alpha)
-		qm := Check{
-			Name:   "queue-max/sim-vs-dt-fixed-point",
-			Got:    pres.QueueMaxPkts,
-			Ref:    cap,
-			Detail: fmt.Sprintf("max %.1f pkts ≤ αB/(1+α) + %.0f = %.1f", pres.QueueMaxPkts, s.Tol.QueueCapSlackPkts, cap+s.Tol.QueueCapSlackPkts),
-			Pass:   pres.QueueMaxPkts <= cap+s.Tol.QueueCapSlackPkts,
-		}
-		checks = append(checks, qm)
-		uc := Check{
-			Name:   "utilization/pooled",
-			Got:    pres.Utilization,
-			Ref:    1,
-			Detail: fmt.Sprintf("utilization %.3f ≥ 1 − %.2f (the cap must not starve the link)", pres.Utilization, s.Tol.UtilizationAbs),
-			Pass:   pres.Utilization >= 1-s.Tol.UtilizationAbs,
-		}
-		checks = append(checks, uc)
-		qc := Check{
-			Name: "queue-mean/pooled-vs-private",
-			Got:  pres.QueueMeanPkts,
-			Ref:  rres.QueueMeanPkts,
-		}
-		if rres.QueueMeanPkts < 1 {
-			qc.Skipped = fmt.Sprintf("reference queue mean %.2f pkts too small for a ratio", rres.QueueMeanPkts)
-		} else {
-			ratio := pres.QueueMeanPkts / rres.QueueMeanPkts
-			qc.Detail = fmt.Sprintf("ratio %.2f in [%.2f, %.2f]", ratio, s.Tol.QueueMeanRatioLo, s.Tol.QueueMeanRatioHi)
-			qc.Pass = ratio >= s.Tol.QueueMeanRatioLo && ratio <= s.Tol.QueueMeanRatioHi
-		}
-		checks = append(checks, qc)
-	}
-	checks = append(checks, Check{
-		Name:   "stress/pooled-marks",
-		Got:    float64(pres.Marks),
-		Detail: "the pooled bottleneck must actually mark (anti-vacuity)",
-		Pass:   pres.Marks > 0,
-	})
-	return checks, nil
-}
-
-// zooDumbbellScenario is the dumbbell families' base point: the paper's
-// Section VI-A bottleneck, shortened to keep the grid affordable.
-func zooDumbbellScenario(name string, kind ZooKind, flows int) ZooScenario {
-	return ZooScenario{
-		Name:       name,
-		Kind:       kind,
-		Flows:      flows,
-		Rate:       10 * netsim.Gbps,
-		RTT:        100 * time.Microsecond,
-		BufferPkts: 600,
-		KPkts:      40,
-		Warmup:     10 * time.Millisecond,
-		Duration:   30 * time.Millisecond,
-		Seed:       1,
-		Tol:        DefaultZooTolerances(),
-	}
-}
-
-// ZooGrid returns the zoo conformance grid: DCTCP+ against DT-DCTCP on
-// two incast fan-ins, the phantom queue across γ, and the shared-buffer
-// switch in its exact single-port limit and two sharing regimes.
-func ZooGrid() []ZooScenario {
-	var out []ZooScenario
-
-	// Incast family: below and at the paper's collapse region.
-	for _, w := range []int{16, 32} {
-		s := ZooScenario{
-			Name:     fmt.Sprintf("zoo-plus-vs-dt-incast-w%d", w),
-			Kind:     ZooIncast,
-			Workers:  w,
-			Rounds:   3,
-			Collapse: w >= 32,
-			Seed:     1,
-			Tol:      DefaultZooTolerances(),
-		}
-		out = append(out, s)
-	}
-
-	// Phantom family: HULL's γ sweep plus the γ = 1 fluid edge.
-	for _, gamma := range []float64{0.80, 0.95, 1.0} {
-		s := zooDumbbellScenario(fmt.Sprintf("zoo-hull-g%02.0f-n20", gamma*100), ZooPhantom, 20)
-		s.Gamma = gamma
-		out = append(out, s)
-	}
-
-	// Shared-buffer family: the exact uncontended limit, then sharing at
-	// a conservative and a liberal α.
-	limit := zooDumbbellScenario("zoo-sharedbuf-single-port-limit", ZooSharedBuffer, 40)
-	limit.Alpha = 1e12
-	limit.SinglePortLimit = true
-	out = append(out, limit)
-	for _, alpha := range []float64{1, 8} {
-		s := zooDumbbellScenario(fmt.Sprintf("zoo-sharedbuf-a%.0f-n40", alpha), ZooSharedBuffer, 40)
-		s.Alpha = alpha
-		out = append(out, s)
-	}
-	return out
-}
-
-// QuickZooGrid returns a three-point subset of ZooGrid for smoke runs,
-// one per family, with the same declared tolerances.
-func QuickZooGrid() []ZooScenario {
-	want := map[string]bool{
-		"zoo-plus-vs-dt-incast-w16":       true,
-		"zoo-hull-g95-n20":                true,
-		"zoo-sharedbuf-single-port-limit": true,
-	}
-	var out []ZooScenario
-	for _, s := range ZooGrid() {
-		if want[s.Name] {
-			out = append(out, s)
+		fixed := alpha * float64(d.BufferPkts) / (1 + alpha)
+		slack := zooTol.QueueCapSlackPkts
+		checks = []Check{
+			holds("queue-max/sim-vs-dt-fixed-point", pres.QueueMaxPkts, fixed, pres.QueueMaxPkts <= fixed+slack,
+				fmt.Sprintf("max %.1f pkts ≤ αB/(1+α) + %.0f = %.1f", pres.QueueMaxPkts, slack, fixed+slack), ""),
+			holds("utilization/pooled", pres.Utilization, 1, pres.Utilization >= 1-zooTol.UtilizationAbs,
+				fmt.Sprintf("utilization %.3f ≥ 1 − %.2f (the cap must not starve the link)",
+					pres.Utilization, zooTol.UtilizationAbs), ""),
+			ratio("queue-mean/pooled-vs-private", pres.QueueMeanPkts, rres.QueueMeanPkts,
+				zooTol.QueueMeanRatioLo, zooTol.QueueMeanRatioHi,
+				tooSmall("reference queue mean", rres.QueueMeanPkts, 1)),
 		}
 	}
-	return out
-}
-
-// RunZooGrid executes the scenarios concurrently on up to workers
-// goroutines (values < 1 mean GOMAXPROCS). Every scenario runs in private
-// engines seeded only by its own configuration, so reports are
-// byte-identical for any worker count and are returned in input order.
-func RunZooGrid(ctx context.Context, scenarios []ZooScenario, workers int) ([]ZooReport, error) {
-	return runner.Map(ctx, len(scenarios), runner.Options{Workers: workers},
-		func(_ context.Context, i int) (ZooReport, error) {
-			return RunZooScenario(scenarios[i])
-		})
-}
-
-// ZooGolden is one named dumbbell configuration in the zoo golden-digest
-// suite: the DCTCP+ pacing path, the phantom marker, and the
-// shared-buffer admission path each pin their determinism byte-for-byte.
-type ZooGolden struct {
-	Name string
-	Cfg  core.DumbbellConfig
-}
-
-// ZooGoldenScenarios returns the zoo golden-run suite, regenerable with
-//
-//	go test ./internal/conform -run Golden -update
-func ZooGoldenScenarios() []ZooGolden {
-	base := func(p core.Protocol, flows int) core.DumbbellConfig {
-		return core.DumbbellConfig{
-			Protocol:         p,
-			Flows:            flows,
-			Rate:             10 * netsim.Gbps,
-			RTT:              100 * time.Microsecond,
-			BufferPkts:       600,
-			Duration:         20 * time.Millisecond,
-			Warmup:           5 * time.Millisecond,
-			QueueSampleEvery: 20 * time.Microsecond,
-			AlphaSampleEvery: 100 * time.Microsecond,
-			Seed:             1,
-		}
-	}
-	plus := base(core.DCTCPPlus(40, zooG), 16)
-	hull := base(core.HULL(40, 0.95, 10*netsim.Gbps, zooG), 20)
-	pool := base(core.DCTCP(40, zooG), 40)
-	pool.SharedBuffer = core.SharedBufferConfig{Alpha: 2}
-	return []ZooGolden{
-		{Name: "golden-zoo-plus-n16", Cfg: plus},
-		{Name: "golden-zoo-hull-g95-n20", Cfg: hull},
-		{Name: "golden-zoo-sharedbuf-a2-n40", Cfg: pool},
-	}
+	return Report{Checks: append(checks, holds("stress/pooled-marks", float64(pres.Marks), 0, pres.Marks > 0,
+		"the pooled bottleneck must actually mark (anti-vacuity)", ""))}, nil
 }

@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,63 +11,9 @@ import (
 // declared rival or analytic prediction, and every applicable check must
 // hold within the scenario's tolerances.
 func TestZooGridConforms(t *testing.T) {
-	scenarios := ZooGrid()
-	if len(scenarios) < 8 {
-		t.Fatalf("zoo grid has %d scenarios, want at least 8", len(scenarios))
-	}
-	reports, err := RunZooGrid(context.Background(), scenarios, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reports {
-		rep := rep
-		t.Run(rep.Scenario, func(t *testing.T) {
-			// Anti-vacuity: a scenario whose checks all skipped proves
-			// nothing; demand at least two real comparisons.
-			if got := rep.Applied(); got < 2 {
-				t.Fatalf("only %d checks applied; a conformance point must compare at least 2 quantities", got)
-			}
-			for _, c := range rep.Checks {
-				if c.Skipped != "" {
-					t.Logf("skip %s: %s", c.Name, c.Skipped)
-					continue
-				}
-				if !c.Pass {
-					t.Errorf("%s: got %.4g ref %.4g (%s)", c.Name, c.Got, c.Ref, c.Detail)
-				}
-			}
-		})
-	}
-
-	// Anti-vacuity across the grid: every kind of check must have run for
-	// real somewhere, or a tolerance is dead weight.
-	applied := map[string]int{}
-	for _, rep := range reports {
-		for _, c := range rep.Checks {
-			if c.Skipped == "" {
-				applied[c.Name]++
-			}
-		}
-	}
-	for _, name := range []string{
-		"completion-mean/plus-vs-dt",
-		"goodput-mean/plus-vs-dt",
-		"completion-mean/plus-vs-dctcp",
-		"timeouts/plus-below-cliff",
-		"completion-mean/dt-vs-dctcp",
-		"drops/dctcp-baseline",
-		"utilization/sim-vs-virtual-queue-prediction",
-		"queue-mean/real-vs-threshold",
-		"queue-mean/hull-vs-dctcp",
-		"events/pooled-vs-private",
-		"marks-drops/pooled-vs-private",
-		"queue-trace/pooled-vs-private",
-		"queue-max/sim-vs-dt-fixed-point",
-		"utilization/pooled",
-	} {
-		if applied[name] == 0 {
-			t.Errorf("check %q was skipped on every scenario — the grid never exercises it", name)
-		}
+	reports, _ := runGrid(t, "zoo")
+	if len(reports) < 8 {
+		t.Fatalf("zoo grid has %d scenarios, want at least 8", len(reports))
 	}
 
 	// Cross-scenario metamorphic check: utilization must be monotone in γ
@@ -97,66 +42,6 @@ func TestZooGridConforms(t *testing.T) {
 	}
 }
 
-// TestZooGridScenariosAreDistinct guards the grid's breadth: unique
-// names, all three families present, and every dumbbell point small
-// enough to reference-run.
-func TestZooGridScenariosAreDistinct(t *testing.T) {
-	seen := map[string]bool{}
-	kinds := map[ZooKind]int{}
-	for _, s := range ZooGrid() {
-		if seen[s.Name] {
-			t.Errorf("duplicate scenario name %q", s.Name)
-		}
-		seen[s.Name] = true
-		kinds[s.Kind]++
-		switch s.Kind {
-		case ZooIncast:
-			if s.Workers <= 0 || s.Rounds <= 0 {
-				t.Errorf("%s: incast scenario with no workers or rounds", s.Name)
-			}
-		case ZooPhantom:
-			if s.Gamma <= 0 || s.Gamma > 1 {
-				t.Errorf("%s: phantom drain fraction γ=%.2f outside (0, 1]", s.Name, s.Gamma)
-			}
-		case ZooSharedBuffer:
-			if s.Alpha <= 0 {
-				t.Errorf("%s: shared-buffer scenario with α=%.2f", s.Name, s.Alpha)
-			}
-		}
-		if s.Kind != ZooIncast && s.Flows > 100 {
-			t.Errorf("%s: %d flows is too many for a grid point", s.Name, s.Flows)
-		}
-	}
-	for kind, want := range map[ZooKind]int{ZooIncast: 2, ZooPhantom: 3, ZooSharedBuffer: 3} {
-		if kinds[kind] < want {
-			t.Errorf("zoo grid has %d scenarios of kind %d, want at least %d", kinds[kind], kind, want)
-		}
-	}
-}
-
-// TestQuickZooGridIsSubset pins the smoke subset: one scenario per
-// family, every entry resolving to a full-grid scenario.
-func TestQuickZooGridIsSubset(t *testing.T) {
-	quick := QuickZooGrid()
-	if len(quick) != 3 {
-		t.Fatalf("quick zoo grid has %d scenarios, want 3 (one per family)", len(quick))
-	}
-	full := map[string]bool{}
-	for _, s := range ZooGrid() {
-		full[s.Name] = true
-	}
-	kinds := map[ZooKind]bool{}
-	for _, s := range quick {
-		if !full[s.Name] {
-			t.Errorf("quick scenario %q not in the full grid", s.Name)
-		}
-		kinds[s.Kind] = true
-	}
-	if len(kinds) != 3 {
-		t.Errorf("quick grid covers %d families, want all 3", len(kinds))
-	}
-}
-
 // TestZooReportsAreDeterministic runs one scenario from each family
 // twice and demands identical reports — the conformance numbers are
 // reproducible artifacts, including the DCTCP+ pacing and shared-buffer
@@ -165,14 +50,13 @@ func TestZooReportsAreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: repeat runs of the quick grid are covered by TestZooGridConforms")
 	}
-	for _, s := range QuickZooGrid() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			a, err := RunZooScenario(s)
+	for _, p := range gridNamed(t, "zoo-quick") {
+		t.Run(p.Name, func(t *testing.T) {
+			a, err := p.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunZooScenario(s)
+			b, err := p.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,37 +64,5 @@ func TestZooReportsAreDeterministic(t *testing.T) {
 				t.Fatalf("repeat scenario run diverged:\n%+v\n%+v", a, b)
 			}
 		})
-	}
-}
-
-// TestZooReportAccessors pins Pass/Failures/Applied on synthetic checks
-// without paying for simulation runs.
-func TestZooReportAccessors(t *testing.T) {
-	rep := ZooReport{
-		Scenario: "synthetic",
-		Checks: []Check{
-			{Name: "a", Pass: true},
-			{Name: "b", Skipped: "not applicable"},
-			{Name: "c", Pass: false},
-		},
-	}
-	if rep.Pass() {
-		t.Fatal("report with a failing check passed")
-	}
-	if got := rep.Applied(); got != 2 {
-		t.Fatalf("Applied() = %d, want 2", got)
-	}
-	fails := rep.Failures()
-	if len(fails) != 1 || fails[0].Name != "c" {
-		t.Fatalf("Failures() = %+v, want just check c", fails)
-	}
-	rep.Checks[2].Pass = true
-	if !rep.Pass() || rep.Failures() != nil {
-		t.Fatal("all-pass report reported failures")
-	}
-
-	// An unknown kind must surface as an error, not a silent empty report.
-	if _, err := RunZooScenario(ZooScenario{Name: "bogus", Kind: ZooKind(42)}); err == nil {
-		t.Fatal("unknown zoo kind did not error")
 	}
 }
