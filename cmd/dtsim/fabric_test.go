@@ -31,7 +31,7 @@ func TestFabricQuickRunVerifiedSharded(t *testing.T) {
 				res.Protocol, res.Completed, res.Flows, res.Digest)
 		}
 	}
-	for _, key := range []string{`"host_drops":`, `"out_of_order":`} {
+	for _, key := range []string{`"host_drops":`, `"out_of_order":`, `"late_duplicates":`} {
 		if !bytes.Contains(first, []byte(key)) {
 			t.Fatalf("the report lacks %s", key)
 		}

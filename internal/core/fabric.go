@@ -152,9 +152,12 @@ type FabricResult struct {
 	// cumulative ACK point: the loss and reordering they reassembled.
 	OutOfOrder uint64 `json:"out_of_order"`
 	// DroppedNoFlow counts packets a host refused because their
-	// connection had already closed — here ACKs for a finished sender;
-	// receivers stay registered to the end of the run.
+	// connection had already closed: the ACKs of late duplicates that
+	// reach a sender after it has retired.
 	DroppedNoFlow uint64 `json:"dropped_no_flow"`
+	// LateDuplicates counts the segments a destination answered from a
+	// flow's TIME_WAIT record, its receiver having acknowledged every byte.
+	LateDuplicates uint64 `json:"late_duplicates"`
 
 	// Timeouts and Retransmissions sum over every connection.
 	Timeouts        uint64 `json:"timeouts"`
@@ -263,6 +266,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		Events:          r.stats().Processed,
 		DroppedNoFlow:   droppedNoFlow(nw),
 		OutOfOrder:      w.TotalOutOfOrder(),
+		LateDuplicates:  w.LateDuplicates(),
 	}
 	for _, h := range nw.Hosts() {
 		res.HostDrops += h.Uplink().Stats().DroppedOverflow

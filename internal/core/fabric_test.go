@@ -152,6 +152,11 @@ func TestFabricDeterminism(t *testing.T) {
 	if serial.HostDrops == 0 || serial.OutOfOrder == 0 {
 		t.Fatalf("HostDrops %d, OutOfOrder %d: a count is not wired", serial.HostDrops, serial.OutOfOrder)
 	}
+	// Those refused ACKs answer duplicates that reached a receiver after
+	// it had closed: each one resumed it from its TIME_WAIT record.
+	if serial.LateDuplicates == 0 {
+		t.Fatal("no segment was answered from TIME_WAIT: LateDuplicates is not wired")
+	}
 
 	for _, shards := range []int{2, 4} {
 		cfg := base
@@ -166,7 +171,8 @@ func TestFabricDeterminism(t *testing.T) {
 		if res.Marks != serial.Marks || res.Drops != serial.Drops ||
 			res.Completed != serial.Completed || res.Timeouts != serial.Timeouts ||
 			res.Retransmissions != serial.Retransmissions || res.DroppedNoFlow != serial.DroppedNoFlow ||
-			res.HostDrops != serial.HostDrops || res.OutOfOrder != serial.OutOfOrder {
+			res.HostDrops != serial.HostDrops || res.OutOfOrder != serial.OutOfOrder ||
+			res.LateDuplicates != serial.LateDuplicates {
 			t.Fatalf("shards=%d aggregates diverged: %+v vs %+v", shards, res, serial)
 		}
 		if res.CoreQueue != serial.CoreQueue || res.AggQueue != serial.AggQueue {

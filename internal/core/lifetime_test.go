@@ -1,0 +1,151 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"dtdctcp/internal/flowgen"
+	"dtdctcp/internal/netsim"
+	"dtdctcp/internal/tcp"
+	"dtdctcp/internal/topo"
+)
+
+// lifetimeOutcome is everything the receiver-lifetime oracle compares.
+type lifetimeOutcome struct {
+	digest                          uint64
+	processed, scheduled, cancelled uint64
+	droppedNoFlow, outOfOrder       uint64
+	hostDrops                       uint64
+	timeouts, retransmissions       uint64
+}
+
+// runLifetime runs cfg's leaf-spine fabric through flowgen and returns
+// the outcome and the late duplicates answered from TIME_WAIT. With
+// reference set it keeps receivers as they lived before they opened
+// lazily: no listener, every receiver built and registered before the
+// first event and never closed.
+func runLifetime(t *testing.T, cfg FabricConfig, reference bool) (lifetimeOutcome, uint64) {
+	t.Helper()
+	r := newRun(cfg.Seed, cfg.Shards)
+	nw := netsim.NewNetwork(r.engine)
+	link := topo.LinkSpec{Rate: cfg.Rate, Delay: cfg.HopDelay, BufferBytes: cfg.BufferPkts * cfg.Protocol.PacketSize()}
+	fab, err := topo.LeafSpine(nw, cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf,
+		topo.Config{HostLink: link, FabricLink: link, Policy: cfg.Protocol.NewPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.partition(nw); err != nil {
+		t.Fatal(err)
+	}
+	w, err := flowgen.Start(fab.Hosts, flowgen.Config{
+		CDF:         cfg.CDF,
+		Load:        cfg.Load,
+		CapacityBps: fab.BisectionBps(),
+		Flows:       cfg.Flows,
+		Matrix:      cfg.Matrix,
+		TCP:         cfg.Protocol.TCP,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var receivers []*tcp.Receiver
+	if reference {
+		for _, h := range fab.Hosts {
+			h.Listen(nil)
+		}
+		for i := range w.Flows {
+			f := &w.Flows[i]
+			receivers = append(receivers, tcp.NewReceiver(fab.Hosts[f.Dst], netsim.FlowID(1+i), fab.Hosts[f.Src].ID(), cfg.Protocol.TCP))
+		}
+	}
+	if err := r.until(w.LastArrival().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	st := r.stats()
+	out := lifetimeOutcome{
+		digest:          w.Digest(),
+		processed:       st.Processed,
+		scheduled:       st.Scheduled,
+		cancelled:       st.Cancelled,
+		droppedNoFlow:   droppedNoFlow(nw),
+		outOfOrder:      w.TotalOutOfOrder(),
+		timeouts:        w.TotalTimeouts(),
+		retransmissions: w.TotalRetransmissions(),
+	}
+	if reference {
+		out.outOfOrder = 0
+		for _, rcv := range receivers {
+			out.outOfOrder += rcv.Stats().OutOfOrder
+		}
+	}
+	for _, h := range nw.Hosts() {
+		out.hostDrops += h.Uplink().Stats().DroppedOverflow
+	}
+	late := w.LateDuplicates()
+	w.Cleanup()
+	return out, late
+}
+
+// TestReceiverLifetimeMatchesReference is the oracle for passive open and
+// TIME_WAIT: a run whose receivers open at their first segment and close
+// once everything is acknowledged is the run whose receivers are all
+// built up front and never closed — same digest, same engine counts, same
+// refused packets, reassembly, NIC drops, timeouts and retransmissions —
+// for every traffic matrix, protocol, wheel count and delayed-ACK factor.
+// A small buffer at a high load makes the NICs drop, so late duplicates
+// reach closed receivers.
+func TestReceiverLifetimeMatchesReference(t *testing.T) {
+	cdf, err := flowgen.BuiltinCDF(flowgen.WebSearchSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocols := []Protocol{
+		DCTCP(20, 1.0/16),
+		DTDCTCP(15, 25, 1.0/16),
+		RenoECN(20),
+		Reno(),
+		DCTCPPlus(20, 1.0/16),
+		HULL(20, 0.9, netsim.Gbps, 1.0/16),
+	}
+	var late uint64
+	for _, matrix := range []flowgen.Matrix{flowgen.Random, flowgen.Permutation, flowgen.Incast} {
+		for _, p := range protocols {
+			for _, wheels := range []int{1, 2, 3} {
+				for _, ackEvery := range []int{1, 2} {
+					cfg := FabricConfig{
+						Protocol:     p,
+						Topology:     "leafspine",
+						Leaves:       2,
+						Spines:       2,
+						HostsPerLeaf: 2,
+						Rate:         netsim.Gbps,
+						HopDelay:     10 * time.Microsecond,
+						BufferPkts:   40,
+						CDF:          cdf,
+						Load:         0.6,
+						Flows:        60,
+						Matrix:       matrix,
+						Seed:         9,
+						Shards:       wheels,
+					}
+					cfg.Protocol.TCP.AckEvery = ackEvery
+					name := fmt.Sprintf("%s/%s/wheels%d/ack%d", matrix, p.TCP.Variant, wheels, ackEvery)
+					t.Run(name, func(t *testing.T) {
+						ref, _ := runLifetime(t, cfg, true)
+						got, n := runLifetime(t, cfg, false)
+						if got != ref {
+							t.Fatalf("receivers opened lazily: %+v\nreference:               %+v", got, ref)
+						}
+						t.Logf("%d late duplicates answered from TIME_WAIT, %d refused packets", n, got.droppedNoFlow)
+						late += n
+					})
+				}
+			}
+		}
+	}
+	if late == 0 {
+		t.Fatal("no late duplicate reached a closed receiver: the TIME_WAIT path went untested")
+	}
+}

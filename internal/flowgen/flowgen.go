@@ -81,7 +81,13 @@ type Config struct {
 	StartAfter time.Duration
 }
 
-// Flow is one trace entry with its measured outcome.
+// Flow is one trace entry with its measured outcome. Its connection id is
+// BaseFlow plus its index in Workload.Flows.
+//
+// The sender's fields are written on the source host's event wheel, the
+// receiver's on the destination host's. Distinct flows touch distinct
+// elements and a flow's two ends distinct fields, so sharded workers
+// never contend.
 type Flow struct {
 	// Src and Dst index the workload's host slice.
 	Src, Dst int
@@ -89,68 +95,88 @@ type Flow struct {
 	Size int64
 	// Arrival is the flow's open-loop start instant.
 	Arrival sim.Time
-	// id is the flow's connection identifier, BaseFlow plus its index.
-	id netsim.FlowID
+
 	// fct is the completion instant; done guards it. timeouts and retx
 	// are the sender's counts at that instant. All four are written by
-	// the sender's OnComplete on the sender's shard — distinct flows touch
-	// distinct elements, so sharded workers never contend.
+	// the sender's OnComplete.
 	fct            sim.Time
-	timeouts, retx uint64
-	done           bool
-	// sender is the flow's connection while it is open — nil before the
-	// arrival and after completion — and next the flow that arrives after
-	// it on the same event wheel (nil after the wheel's last).
+	timeouts, retx uint32
+	// sender is the flow's sender while it is open: nil before the
+	// arrival and after completion.
 	sender *tcp.Sender
-	next   *Flow
-	// receiver is the flow's data sink, built by Start and kept to the
-	// end of the run.
+	// receiver is the flow's receiver while it is open: nil before the
+	// first segment reaches the destination and after the receiver has
+	// acknowledged every byte. Once closed is set, tw is the TIME_WAIT
+	// record the receiver last closed to.
 	receiver *tcp.Receiver
+	tw       tcp.TimeWait
+	// next indexes the flow that arrives after this one on the same event
+	// wheel; 0, which no flow follows, ends the wheel's chain.
+	next   int32
+	closed bool // the receiver's, beside the sender's done
+	done   bool
 }
 
 // FCT returns the flow completion time and whether the flow finished.
 func (f *Flow) FCT() (time.Duration, bool) { return (f.fct - f.Arrival).Duration(), f.done }
 
-// Workload is a started trace: every receiver is constructed and the
-// first arrival of every event wheel queued; run the engine to execute
-// it. Senders are opened as flows arrive.
+// Workload is a started trace: the first arrival of every event wheel is
+// queued and the workload listens on every host; run the engine to
+// execute it. A flow's sender opens at its arrival and its receiver at its
+// first segment.
 type Workload struct {
 	// Flows is the generated trace in arrival order.
 	Flows []Flow
 
 	hosts []*netsim.Host
 	cfg   Config
-	// arriveFn and doneFn are arrive and complete bound once, so neither
-	// an arrival nor a connection allocates a closure.
-	arriveFn func(any)
-	doneFn   func(*tcp.Sender, sim.Time)
-	// free holds, per source host, the senders of that host's completed
-	// flows, last retired first: with every flow complete, all the
-	// senders the host ever constructed — at most its peak of concurrently
-	// open flows. Host i's list is touched only on host i's event wheel.
-	free [][]*tcp.Sender
+	// arriveFn, completeFn and retireFn are arrive, complete and retire
+	// bound once, so neither an arrival nor a connection allocates a
+	// closure.
+	arriveFn   func(any)
+	completeFn func(*tcp.Sender, sim.Time)
+	retireFn   func(*tcp.Receiver)
+	// local holds each host's share of the workload; host i's is touched
+	// only on host i's event wheel.
+	local []hostLocal
 }
+
+// hostLocal is one host's connection storage between flows, last retired
+// first: the senders of its completed flows and the receivers of flows
+// to it that have acknowledged every byte. With every flow complete that
+// is all the storage the host ever constructed — at most its peak of
+// concurrently open connections of each kind. resumed counts the segments
+// the host answered from a flow's TIME_WAIT record.
+type hostLocal struct {
+	senders   []*tcp.Sender
+	receivers []*tcp.Receiver
+	resumed   uint64
+}
+
+// chain is one event wheel's arrival chain: the index of the flow whose
+// arrival is queued there.
+type chain struct{ flow int32 }
 
 // Start generates the trace and wires it onto hosts. All randomness —
 // sizes, interarrivals, endpoint choices — is drawn here, from the
 // network construction engine's seeded source, so the trace is a pure
-// function of the run seed. Every receiver is constructed here too, at
-// setup time: on a partitioned network the destination host may belong
-// to another event wheel than the arrival, and every shard clock is
-// still zero, so cross-shard construction is safe (the same contract
-// workload.StartLongLived relies on).
+// function of the run seed. Start builds no connection.
 //
 // Arrivals are a chain per event wheel, not one queued event per flow:
 // Start queues each wheel's first arrival and every arrival queues its
 // wheel's next (see arrive), so the pending set holds what is in flight
 // and not the rest of the trace.
 //
-// Each flow is a fresh connection in slow start. Its sender is opened at
-// the arrival, on the source host's wheel, and retired at completion:
-// unregistered from the host, its storage kept for the host's next flow,
-// so a host holds as many senders as it ever had flows open at once. A
-// receiver lives to Cleanup — a late duplicate of a finished flow must
-// still be re-ACKed, as it is on a real host in TIME_WAIT.
+// Each flow is a fresh connection in slow start, and each end of it lives
+// while the flow does, on its own host's event wheel. The sender opens at
+// the arrival and retires at completion. The receiver opens when the
+// flow's first segment reaches the destination — the workload is every
+// host's listener (accept) — and closes once it has acknowledged every
+// byte, to a TIME_WAIT record from which it resumes to re-ACK a late
+// duplicate, as a real host does. A retired end is unregistered and its
+// storage kept for the host's next flow, so a host holds as many
+// connections of each kind as it ever had open at once. Start makes the
+// workload the listener of every host; Cleanup clears them.
 func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	n := len(hosts)
 	switch {
@@ -160,6 +186,8 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 		return nil, fmt.Errorf("flowgen: no CDF")
 	case cfg.Flows < 1:
 		return nil, fmt.Errorf("flowgen: need at least 1 flow")
+	case cfg.Flows > math.MaxInt32:
+		return nil, fmt.Errorf("flowgen: at most %d flows, got %d", math.MaxInt32, cfg.Flows)
 	case cfg.Load <= 0:
 		return nil, fmt.Errorf("flowgen: load must be positive")
 	case cfg.CapacityBps <= 0:
@@ -168,7 +196,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	if cfg.BaseFlow == 0 {
 		cfg.BaseFlow = 1
 	}
-	w := &Workload{hosts: hosts, cfg: cfg, free: make([][]*tcp.Sender, n)}
+	w := &Workload{hosts: hosts, cfg: cfg, local: make([]hostLocal, n)}
 	rng := hosts[0].Network().Engine().Rand()
 
 	// Endpoint pattern state drawn before the per-flow stream.
@@ -204,20 +232,22 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	}
 
 	w.arriveFn = w.arrive
-	w.doneFn = w.complete
+	w.completeFn = w.complete
+	w.retireFn = w.retire
 	last := make(map[*sim.Engine]*Flow)
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		f.id = cfg.BaseFlow + netsim.FlowID(i)
-		src, dst := hosts[f.Src], hosts[f.Dst]
-		f.receiver = tcp.NewReceiver(dst, f.id, src.ID(), cfg.TCP)
-		wheel := src.Engine()
+		wheel := hosts[f.Src].Engine()
 		if prev := last[wheel]; prev != nil {
-			prev.next = f
+			prev.next = int32(i)
 		} else {
-			wheel.InjectArg(f.Arrival, sim.TimeZero, w.arriveFn, f)
+			wheel.InjectArg(f.Arrival, sim.TimeZero, w.arriveFn, &chain{flow: int32(i)})
 		}
 		last[wheel] = f
+	}
+	accept := netsim.Listener(w.accept)
+	for _, h := range hosts {
+		h.Listen(accept)
 	}
 	return w, nil
 }
@@ -236,41 +266,101 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 //
 //dtlint:hotpath
 func (w *Workload) arrive(arg any) {
-	f := arg.(*Flow)
+	c := arg.(*chain)
+	f := &w.Flows[c.flow]
+	id := w.cfg.BaseFlow + netsim.FlowID(c.flow)
 	src, peer := w.hosts[f.Src], w.hosts[f.Dst].ID()
+	local := &w.local[f.Src]
 	var s *tcp.Sender
-	if free := w.free[f.Src]; len(free) > 0 {
-		s = free[len(free)-1]
-		w.free[f.Src] = free[:len(free)-1]
-		if !s.Reopen(src, f.id, peer, f.Size, w.cfg.TCP) {
+	if n := len(local.senders); n > 0 {
+		s = local.senders[n-1]
+		local.senders = local.senders[:n-1]
+		if !s.Reopen(src, id, peer, f.Size, w.cfg.TCP) {
 			s = nil
 		}
 	}
 	if s == nil {
-		s = tcp.NewSender(src, f.id, peer, f.Size, w.cfg.TCP)
+		s = tcp.NewSender(src, id, peer, f.Size, w.cfg.TCP)
 	}
-	s.OnComplete = w.doneFn
+	s.OnComplete = w.completeFn
 	f.sender = s
 	s.Start()
-	if n := f.next; n != nil {
-		w.hosts[n.Src].Engine().InjectArg(n.Arrival, sim.TimeZero, w.arriveFn, n)
+	if f.next != 0 {
+		c.flow = f.next
+		n := &w.Flows[f.next]
+		w.hosts[n.Src].Engine().InjectArg(n.Arrival, sim.TimeZero, w.arriveFn, c)
 	}
 }
 
 // complete is every sender's OnComplete: it records the flow's outcome
-// and retires the sender — off its host's table, onto the host's free
-// list — on the sender's own shard.
+// and retires the sender — off its host's table, onto the host's list —
+// on the source host's wheel.
 //
 //dtlint:hotpath
 func (w *Workload) complete(s *tcp.Sender, now sim.Time) {
 	f := &w.Flows[s.Flow()-w.cfg.BaseFlow]
 	st := s.Stats()
 	f.fct, f.done = now, true
-	f.timeouts, f.retx = st.Timeouts, st.Retransmissions
+	f.timeouts, f.retx = uint32(st.Timeouts), uint32(st.Retransmissions)
 	f.sender = nil
-	w.hosts[f.Src].Unregister(f.id)
+	w.hosts[f.Src].Unregister(s.Flow())
+	local := &w.local[f.Src]
 	//dtlint:allow hotalloc: the list grows to the host's peak of open flows and stays there
-	w.free[f.Src] = append(w.free[f.Src], s)
+	local.senders = append(local.senders, s)
+}
+
+// accept is every host's passive open (its netsim.Listener). A data
+// segment of one of the workload's flows, at that flow's destination,
+// opens the flow's receiver there, resumed from its TIME_WAIT record if
+// it has closed before; anything else — an ACK for a retired sender, a
+// packet of another workload — is refused. The storage is the
+// destination's last closed receiver, reopened, or a new one; like a
+// sender's, building it draws no randomness and schedules nothing.
+//
+//dtlint:hotpath
+func (w *Workload) accept(h *netsim.Host, pkt *netsim.Packet) netsim.Endpoint {
+	i := uint64(pkt.Flow - w.cfg.BaseFlow)
+	if pkt.IsAck || i >= uint64(len(w.Flows)) {
+		return nil
+	}
+	f := &w.Flows[i]
+	if w.hosts[f.Dst] != h {
+		return nil
+	}
+	peer := w.hosts[f.Src].ID()
+	local := &w.local[f.Dst]
+	var r *tcp.Receiver
+	if n := len(local.receivers); n > 0 {
+		r = local.receivers[n-1]
+		local.receivers = local.receivers[:n-1]
+		if !r.Reopen(h, pkt.Flow, peer, w.cfg.TCP) {
+			r = nil
+		}
+	}
+	if r == nil {
+		r = tcp.NewReceiver(h, pkt.Flow, peer, w.cfg.TCP)
+	}
+	r.Expect(f.Size, w.retireFn)
+	if f.closed {
+		r.Resume(f.tw)
+		local.resumed++
+	}
+	f.receiver = r
+	return r
+}
+
+// retire is every receiver's completion handler: it closes the receiver
+// to the flow's TIME_WAIT record and keeps its storage for the
+// destination's next flow, on the destination host's wheel.
+//
+//dtlint:hotpath
+func (w *Workload) retire(r *tcp.Receiver) {
+	f := &w.Flows[r.Flow()-w.cfg.BaseFlow]
+	f.tw, f.closed = r.Close(), true
+	f.receiver = nil
+	local := &w.local[f.Dst]
+	//dtlint:allow hotalloc: the list grows to the host's peak of open receivers and stays there
+	local.receivers = append(local.receivers, r)
 }
 
 // derangement returns a uniform-ish permutation of [0, n) with no fixed
@@ -317,7 +407,7 @@ func (w *Workload) TotalTimeouts() uint64 {
 	var total uint64
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		total += f.timeouts
+		total += uint64(f.timeouts)
 		if f.sender != nil {
 			total += f.sender.Stats().Timeouts
 		}
@@ -330,7 +420,7 @@ func (w *Workload) TotalRetransmissions() uint64 {
 	var total uint64
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		total += f.retx
+		total += uint64(f.retx)
 		if f.sender != nil {
 			total += f.sender.Stats().Retransmissions
 		}
@@ -344,20 +434,44 @@ func (w *Workload) TotalRetransmissions() uint64 {
 func (w *Workload) TotalOutOfOrder() uint64 {
 	var total uint64
 	for i := range w.Flows {
-		total += w.Flows[i].receiver.Stats().OutOfOrder
+		f := &w.Flows[i]
+		if f.receiver != nil {
+			total += f.receiver.Stats().OutOfOrder
+		} else {
+			total += f.tw.OutOfOrder()
+		}
 	}
 	return total
 }
 
-// Cleanup detaches the remaining endpoints (receivers, plus senders of
-// unfinished flows). Call it after the run, from a serial context.
+// LateDuplicates counts the segments answered by a receiver resumed from
+// its flow's TIME_WAIT record: duplicates that reached the destination
+// after the receiver had acknowledged every byte. Their ACKs are what a
+// source refuses as DroppedNoFlow once the flow's sender has retired.
+func (w *Workload) LateDuplicates() uint64 {
+	var total uint64
+	for i := range w.local {
+		total += w.local[i].resumed
+	}
+	return total
+}
+
+// Cleanup detaches the endpoints still open — senders and receivers of
+// unfinished flows — and the workload's listeners, so the hosts can carry
+// another workload. Call it after the run, from a serial context.
 func (w *Workload) Cleanup() {
 	for i := range w.Flows {
 		f := &w.Flows[i]
+		id := w.cfg.BaseFlow + netsim.FlowID(i)
 		if f.sender != nil {
-			w.hosts[f.Src].Unregister(f.id)
+			w.hosts[f.Src].Unregister(id)
 		}
-		w.hosts[f.Dst].Unregister(f.id)
+		if f.receiver != nil {
+			w.hosts[f.Dst].Unregister(id)
+		}
+	}
+	for _, h := range w.hosts {
+		h.Listen(nil)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
@@ -425,12 +426,7 @@ func TestSendersBoundedByOpenFlows(t *testing.T) {
 			t.Fatalf("shards=%d: completed %d/%d flows", shards, got, flows)
 		}
 
-		// Peak of concurrently open flows per source host, an arrival
-		// counted before a completion at the same instant.
-		type edge struct {
-			at   sim.Time
-			open int
-		}
+		// Peak of concurrently open flows per source host.
 		edges := make([][]edge, len(f.Hosts))
 		for i := range w.Flows {
 			fl := &w.Flows[i]
@@ -438,21 +434,10 @@ func TestSendersBoundedByOpenFlows(t *testing.T) {
 		}
 		total, totalPeak := 0, 0
 		for h, es := range edges {
-			sort.Slice(es, func(i, j int) bool {
-				if es[i].at != es[j].at {
-					return es[i].at < es[j].at
-				}
-				return es[i].open > es[j].open
-			})
-			open, peak := 0, 0
-			for _, e := range es {
-				if open += e.open; open > peak {
-					peak = open
-				}
-			}
+			peak := peakOpen(es)
 			// Every flow is complete, so every sender the host ever
 			// constructed is back on its free list.
-			built := len(w.free[h])
+			built := len(w.local[h].senders)
 			if built > peak {
 				t.Errorf("shards=%d: host %d constructed %d senders, never had more than %d flows open", shards, h, built, peak)
 			}
@@ -474,4 +459,186 @@ func TestSendersBoundedByOpenFlows(t *testing.T) {
 	if outOfOrder[0] == 0 || outOfOrder[0] != outOfOrder[1] {
 		t.Fatalf("out-of-order segments %d on one wheel, %d on two: want equal and nonzero", outOfOrder[0], outOfOrder[1])
 	}
+}
+
+// lifetimes reconstructs, from the ACKs one destination host puts on its
+// uplink, when each receiver on it was open. With AckEvery = 1 every
+// segment a receiver is handed is ACKed at once, so a flow's first ACK is
+// sent at the instant its receiver opens, its first ACK of the whole
+// transfer at the instant it closes, and every later one at an instant it
+// was resumed from TIME_WAIT and closed again.
+type lifetimes struct {
+	w     *Workload
+	seen  map[netsim.FlowID]bool
+	acked map[netsim.FlowID]bool
+	edges []edge
+}
+
+// edge is one end of an open interval: open is +1 at an opening, −1 at a
+// closing.
+type edge struct {
+	at   sim.Time
+	open int
+}
+
+func (l *lifetimes) PacketEnqueued(now sim.Time, pkt *netsim.Packet, _ int, _ bool) { l.ack(now, pkt) }
+func (l *lifetimes) PacketDropped(now sim.Time, pkt *netsim.Packet, _ int, _ bool)  { l.ack(now, pkt) }
+func (l *lifetimes) PacketDequeued(sim.Time, *netsim.Packet, int)                   {}
+
+func (l *lifetimes) ack(now sim.Time, pkt *netsim.Packet) {
+	if !pkt.IsAck {
+		return
+	}
+	if !l.seen[pkt.Flow] {
+		l.seen[pkt.Flow] = true
+		l.edges = append(l.edges, edge{now, +1})
+	} else if l.acked[pkt.Flow] {
+		l.edges = append(l.edges, edge{now, +1}) // resumed from TIME_WAIT
+	}
+	if pkt.Ack == l.w.Flows[pkt.Flow-1].Size {
+		l.acked[pkt.Flow] = true
+		l.edges = append(l.edges, edge{now, -1})
+	}
+}
+
+// peakOpen returns the most intervals open at once, an opening counted
+// before a closing at the same instant.
+func peakOpen(es []edge) int {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].at != es[j].at {
+			return es[i].at < es[j].at
+		}
+		return es[i].open > es[j].open
+	})
+	open, peak := 0, 0
+	for _, e := range es {
+		if open += e.open; open > peak {
+			peak = open
+		}
+	}
+	return peak
+}
+
+// TestReceiversBoundedByOpenFlows is TestSendersBoundedByOpenFlows for the
+// other end, on one event wheel and on two: a destination host constructs
+// as many receivers as it ever had open at once, and its flow table is
+// sized by the connections it had open, not by the flows of the trace.
+// Late duplicates resume receivers from TIME_WAIT on the way.
+func TestReceiversBoundedByOpenFlows(t *testing.T) {
+	const flows = 600
+	var late []uint64
+	for _, shards := range []int{1, 2} {
+		se := sim.NewShardedEngine(5, shards)
+		link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
+		f, err := topo.FatTree(netsim.NewNetwork(se.Shard(0)), 4, topo.Config{HostLink: link, FabricLink: link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Net.Partition(se, f.Net.DefaultAssign(shards)); err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(t, f, flows)
+		cfg.Load = 0.6
+		w, err := Start(f.Hosts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := make([]*lifetimes, len(f.Hosts))
+		for i, h := range f.Hosts {
+			traces[i] = &lifetimes{w: w, seen: map[netsim.FlowID]bool{}, acked: map[netsim.FlowID]bool{}}
+			h.Uplink().SetTracer(traces[i])
+		}
+		if err := se.RunUntil(w.LastArrival().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Completed(); got != flows {
+			t.Fatalf("shards=%d: completed %d/%d flows", shards, got, flows)
+		}
+
+		received := make([]int, len(f.Hosts))
+		for i := range w.Flows {
+			received[w.Flows[i].Dst]++
+		}
+		total := 0
+		for h, tr := range traces {
+			if len(tr.seen) != received[h] || len(tr.acked) != received[h] {
+				t.Fatalf("shards=%d: host %d ACKed %d flows, completed %d, of the %d it received", shards, h, len(tr.seen), len(tr.acked), received[h])
+			}
+			// Every receiver has closed, so every one the host ever
+			// constructed is back on its list.
+			built, peak := len(w.local[h].receivers), peakOpen(tr.edges)
+			if built > peak {
+				t.Errorf("shards=%d: host %d constructed %d receivers, never had more than %d open", shards, h, built, peak)
+			}
+			senders := len(w.local[h].senders)
+			if capacity := f.Hosts[h].EndpointCapacity(); capacity > max(4, 2*(built+senders)) {
+				t.Errorf("shards=%d: host %d's flow table holds %d endpoints, for at most %d open at once (%d flows received)",
+					shards, h, capacity, built+senders, received[h])
+			}
+			total += built
+		}
+		if total == 0 || total*4 > flows {
+			t.Errorf("shards=%d: %d receivers constructed for %d flows: recycling is not engaging", shards, total, flows)
+		}
+		t.Logf("shards=%d: %d receivers for %d flows, %d late duplicates", shards, total, flows, w.LateDuplicates())
+		late = append(late, w.LateDuplicates())
+		w.Cleanup()
+	}
+	if late[0] != late[1] {
+		t.Fatalf("late duplicates %d on one wheel, %d on two", late[0], late[1])
+	}
+}
+
+// TestFlowRecordSize pins the bytes every trace entry costs for the whole
+// run: the TIME_WAIT record rides in the space the connection id and the
+// narrowed counters and chain link gave up.
+func TestFlowRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Flow{}); got > 88 {
+		t.Fatalf("Flow is %d B, want at most 88", got)
+	}
+}
+
+// TestCleanupClearsListeners: after Cleanup no host calls into the
+// finished workload — a segment of one of its flows is refused at its
+// destination like any unknown flow's — and the hosts carry a new
+// workload.
+func TestCleanupClearsListeners(t *testing.T) {
+	e, f := testFabric(t, 13)
+	w, err := Start(f.Hosts, testConfig(t, f, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(w.LastArrival().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	w.Cleanup()
+	for i := range w.Flows {
+		dst := f.Hosts[w.Flows[i].Dst]
+		before := dst.DroppedNoFlow()
+		dst.Receive(&netsim.Packet{Flow: netsim.FlowID(1 + i), PayloadLen: 1460, Size: 1500, Dst: dst.ID()})
+		if dst.DroppedNoFlow() != before+1 {
+			t.Fatalf("flow %d's segment was not refused after Cleanup", 1+i)
+		}
+	}
+	for i := range w.Flows {
+		if w.Flows[i].receiver != nil {
+			t.Fatalf("flow %d's receiver is open after Cleanup", 1+i)
+		}
+	}
+	cfg := testConfig(t, f, 20)
+	cfg.StartAfter = e.Now().Duration()
+	again, err := Start(f.Hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(again.LastArrival().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Completed(); got != 20 {
+		t.Fatalf("the second workload completed %d/20 flows", got)
+	}
+	again.Cleanup()
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dtdctcp/internal/sim"
@@ -211,3 +212,64 @@ func TestHostDemuxContract(t *testing.T) {
 type endpointFunc func(*Packet)
 
 func (f endpointFunc) Deliver(p *Packet) { f(p) }
+
+// opener is a listener that opens a tableSink for even flows and refuses
+// odd ones, counting how often it is asked.
+type opener struct {
+	asked  int
+	opened map[FlowID]*tableSink
+}
+
+func (o *opener) accept(h *Host, pkt *Packet) Endpoint {
+	o.asked++
+	if pkt.Flow%2 != 0 {
+		return nil
+	}
+	ep := &tableSink{}
+	h.Register(pkt.Flow, ep)
+	o.opened[pkt.Flow] = ep
+	return ep
+}
+
+// A host's listener is asked only on a table miss: what it opens receives
+// the packet that opened it and every later one through the table, what
+// it refuses is counted as any unknown flow is, and a registered flow
+// never reaches it. A host carries one listener: a second one panics with
+// a netsim: message until the first is cleared.
+func TestHostListener(t *testing.T) {
+	h := NewNetwork(sim.NewEngine(1)).AddHost("h")
+	known := &tableSink{}
+	h.Register(3, known)
+	l := &opener{opened: map[FlowID]*tableSink{}}
+	h.Listen(l.accept)
+
+	for _, flow := range []FlowID{2, 2, 5, 3, 2, 5} {
+		h.Receive(&Packet{Flow: flow})
+	}
+	if l.asked != 3 {
+		t.Fatalf("listener asked %d times, want 3 (flow 2 once, flow 5 twice)", l.asked)
+	}
+	if got := l.opened[2]; got == nil || got.delivered != 3 {
+		t.Fatalf("opened endpoint %v, want flow 2's with all 3 of its packets", got)
+	}
+	if known.delivered != 1 || h.DroppedNoFlow() != 2 {
+		t.Fatalf("registered flow delivered %d (want 1), DroppedNoFlow %d (want 2)", known.delivered, h.DroppedNoFlow())
+	}
+
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "netsim: ") {
+				t.Fatalf("second listener: panic %q, want a netsim: message", msg)
+			}
+		}()
+		h.Listen((&opener{}).accept)
+	}()
+
+	h.Listen(nil)
+	h.Receive(&Packet{Flow: 4})
+	if l.asked != 3 || h.DroppedNoFlow() != 3 {
+		t.Fatalf("cleared listener asked %d times (want 3), DroppedNoFlow %d (want 3)", l.asked, h.DroppedNoFlow())
+	}
+	h.Listen(l.accept) // a cleared host takes a listener again
+}

@@ -25,6 +25,14 @@ type Endpoint interface {
 	Deliver(pkt *Packet)
 }
 
+// Listener opens endpoints on demand: a passive open. A host calls its
+// listener only for a packet whose flow has no registered endpoint. The
+// listener returns an endpoint it has just opened and registered on h for
+// pkt's flow — h then delivers pkt to it — or nil, and h refuses the
+// packet as it refuses any packet of an unknown flow. It runs on h's
+// event wheel.
+type Listener func(h *Host, pkt *Packet) Endpoint
+
 // Switch is an output-queued store-and-forward switch with static routes.
 type Switch struct {
 	id    NodeID
@@ -243,6 +251,9 @@ type Host struct {
 	net       *Network
 	uplink    *Port
 	endpoints flowTable
+	// listener, when set, is consulted for a packet the table has no
+	// endpoint for.
+	listener Listener
 	// droppedNoFlow counts packets for unknown flows.
 	droppedNoFlow uint64
 
@@ -305,6 +316,21 @@ func (h *Host) Register(flow FlowID, ep Endpoint) {
 //dtlint:hotpath
 func (h *Host) Unregister(flow FlowID) { h.endpoints.del(flow) }
 
+// Listen makes l the host's listener, or clears the listener when l is
+// nil. A host carries at most one: setting a second panics, as a
+// duplicate Register does.
+func (h *Host) Listen(l Listener) {
+	if l != nil && h.listener != nil {
+		panic(fmt.Sprintf("netsim: %s already has a listener", h.name))
+	}
+	h.listener = l
+}
+
+// EndpointCapacity reports how many endpoints the host's flow table holds
+// before it next grows. The table never shrinks, so this follows the most
+// endpoints ever registered at once.
+func (h *Host) EndpointCapacity() int { return len(h.endpoints.slots) / 2 }
+
 // Send stamps the packet's source and pushes it onto the uplink.
 //
 //dtlint:hotpath
@@ -313,13 +339,17 @@ func (h *Host) Send(pkt *Packet) {
 	h.uplink.Send(pkt)
 }
 
-// Receive implements Node: deliver to the flow's endpoint. Delivery is
-// a pooled packet's terminal point — the network recycles it when
-// Deliver returns, so endpoints must copy out anything they keep.
+// Receive implements Node: deliver to the flow's endpoint, or to the one
+// the listener opens for it. Delivery is a pooled packet's terminal
+// point — the network recycles it when Deliver returns, so endpoints must
+// copy out anything they keep.
 //
 //dtlint:hotpath
 func (h *Host) Receive(pkt *Packet) {
 	ep := h.endpoints.get(pkt.Flow)
+	if ep == nil && h.listener != nil {
+		ep = h.listener(h, pkt)
+	}
 	if ep == nil {
 		h.droppedNoFlow++
 		h.pool.put(pkt)

@@ -93,7 +93,7 @@ func (r *refReassembly) Deliver(pkt *netsim.Packet) {
 
 	r.pendingPkts++
 	r.lastDataSent = pkt.SentAt
-	if r.pendingPkts >= r.ackEvery {
+	if r.pendingPkts >= int(r.ackEvery) {
 		r.flushAck()
 		return
 	}

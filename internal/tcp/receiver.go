@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"time"
 
 	"dtdctcp/internal/netsim"
@@ -25,11 +26,17 @@ type Receiver struct {
 	peer   netsim.NodeID
 
 	// The four Config fields a receiver reads, taken from cfg.sanitize()
-	// by open.
+	// by open. HeaderBytes and AckEvery are narrowed to 32 bits, which
+	// keeps the receiver in the allocator's 176 B size class.
 	variant           Variant
-	headerBytes       int
-	ackEvery          int
+	headerBytes       int32
+	ackEvery          int32
 	delayedAckTimeout time.Duration
+
+	// total and done are what Expect set: the transfer's size and the
+	// owner's completion handler, nil for a receiver that never completes.
+	total int64
+	done  func(r *Receiver)
 
 	rcvNxt int64
 	// ooo holds the out-of-order data beyond rcvNxt as disjoint spans,
@@ -71,6 +78,22 @@ type ReceiverStats struct {
 	CEMarked uint64
 }
 
+// TimeWait is what a closed receiver leaves behind, the counterpart of a
+// socket's TIME_WAIT record: exactly the state the ACK of a late duplicate
+// reads — the cumulative ACK point is the transfer's size — plus the
+// counter a workload reports. A receiver opened again for the same flow
+// resumes from it (Resume).
+type TimeWait struct {
+	lastDataSent sim.Time
+	// outOfOrder is ReceiverStats.OutOfOrder, narrowed so that the record
+	// packs into 16 bytes.
+	outOfOrder          uint32
+	ceState, eceLatched bool
+}
+
+// OutOfOrder returns the closed receiver's ReceiverStats.OutOfOrder.
+func (tw TimeWait) OutOfOrder() uint64 { return uint64(tw.outOfOrder) }
+
 // NewReceiver creates a receiver for flow on host, acknowledging to peer.
 // It registers itself as the host's endpoint for the flow.
 func NewReceiver(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) *Receiver {
@@ -105,8 +128,8 @@ func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 		flow:              flow,
 		peer:              peer,
 		variant:           cfg.Variant,
-		headerBytes:       cfg.HeaderBytes,
-		ackEvery:          cfg.AckEvery,
+		headerBytes:       sat32(cfg.HeaderBytes),
+		ackEvery:          sat32(cfg.AckEvery),
 		delayedAckTimeout: cfg.DelayedAckTimeout,
 		ooo:               ooo[:0],
 		ackTimer:          ack,
@@ -114,9 +137,51 @@ func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 	if ack == nil {
 		//dtlint:allow hotalloc: the allocate branch — NewReceiver's zeroed storage
 		r.ooo = make([]span, 0, oooInitialCap)
-		r.ackTimer = sim.NewTimer(r.engine, r.flushAck)
+		r.ackTimer = sim.NewTimer(r.engine, r.onDelayedAck)
 	}
 	host.Register(flow, r)
+}
+
+// Expect tells the receiver that its transfer is total bytes (total > 0)
+// and makes done its completion handler, the mirror of Sender.OnComplete:
+// once every byte up to total is received and no ACK is pending, the
+// receiver calls done — after a Deliver or a delayed ACK, never inside
+// either — and done may Close it. A receiver nobody calls Expect on never
+// completes; opening the storage again clears both.
+//
+//dtlint:hotpath
+func (r *Receiver) Expect(total int64, done func(r *Receiver)) {
+	r.total, r.done = total, done
+}
+
+// Close unregisters a receiver whose completion handler is running and
+// returns its TIME_WAIT record. No timer of it is armed, so the storage
+// may be reopened at once, for any flow.
+//
+//dtlint:hotpath
+func (r *Receiver) Close() TimeWait {
+	r.host.Unregister(r.flow)
+	return TimeWait{
+		lastDataSent: r.lastDataSent,
+		outOfOrder:   uint32(r.stats.OutOfOrder),
+		ceState:      r.ceState,
+		eceLatched:   r.eceLatched,
+	}
+}
+
+// Resume puts a receiver just opened for a closed flow, and told to
+// Expect that flow's size, back in the state it closed in. A complete
+// flow receives only duplicates, and a closed receiver's state is the
+// record plus what every complete, idle receiver shares (nothing
+// buffered, nothing pending, no timer armed), so every ACK it sends from
+// here on is the one it would have sent had it never closed.
+//
+//dtlint:hotpath
+func (r *Receiver) Resume(tw TimeWait) {
+	r.rcvNxt = r.total
+	r.lastDataSent = tw.lastDataSent
+	r.ceState, r.eceLatched = tw.ceState, tw.eceLatched
+	r.stats.OutOfOrder = uint64(tw.outOfOrder)
 }
 
 // Stats returns a copy of the receiver's counters.
@@ -125,7 +190,11 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 // Received returns the number of contiguous bytes delivered so far.
 func (r *Receiver) Received() int64 { return r.rcvNxt }
 
-// Deliver implements netsim.Endpoint for inbound data packets.
+// Flow returns the receiver's flow ID.
+func (r *Receiver) Flow() netsim.FlowID { return r.flow }
+
+// Deliver implements netsim.Endpoint for inbound data packets. Whichever
+// way a data segment is handled, the completion check runs after it.
 //
 //dtlint:hotpath
 func (r *Receiver) Deliver(pkt *netsim.Packet) {
@@ -165,37 +234,53 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 		r.stats.DupSegments++
 		r.pendingPkts++
 		r.flushAck()
-		return
 	case pkt.Seq > r.rcvNxt:
 		// Out of order: buffer and send an immediate dup ACK.
 		r.stats.OutOfOrder++
 		r.insert(pkt.Seq, end)
 		r.pendingPkts++
 		r.flushAck()
-		return
-	}
+	default:
+		// In-order (possibly overlapping) segment: advance, then pop
+		// every leading span the new edge reaches. rcvNxt lands on the
+		// end of the contiguous coverage of everything received.
+		r.rcvNxt = end
+		n := 0
+		for n < len(r.ooo) && r.ooo[n].start <= r.rcvNxt {
+			r.rcvNxt = max(r.rcvNxt, r.ooo[n].end)
+			n++
+		}
+		if n > 0 {
+			r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
+		}
 
-	// In-order (possibly overlapping) segment: advance, then pop every
-	// leading span the new edge reaches. rcvNxt lands on the end of the
-	// contiguous coverage of everything received.
-	r.rcvNxt = end
-	n := 0
-	for n < len(r.ooo) && r.ooo[n].start <= r.rcvNxt {
-		r.rcvNxt = max(r.rcvNxt, r.ooo[n].end)
-		n++
+		r.pendingPkts++
+		r.lastDataSent = pkt.SentAt
+		if r.pendingPkts >= int(r.ackEvery) {
+			r.flushAck()
+		} else if !r.ackTimer.Armed() {
+			r.ackTimer.Reset(r.delayedAckTimeout)
+		}
 	}
-	if n > 0 {
-		r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
-	}
+	r.checkDone()
+}
 
-	r.pendingPkts++
-	r.lastDataSent = pkt.SentAt
-	if r.pendingPkts >= r.ackEvery {
-		r.flushAck()
-		return
-	}
-	if !r.ackTimer.Armed() {
-		r.ackTimer.Reset(r.delayedAckTimeout)
+// onDelayedAck is the delayed-ACK timer's handler.
+//
+//dtlint:hotpath
+func (r *Receiver) onDelayedAck() {
+	r.flushAck()
+	r.checkDone()
+}
+
+// checkDone calls the completion handler once the transfer Expect named
+// is acknowledged in full: every byte received and no ACK pending, hence
+// no timer armed.
+//
+//dtlint:hotpath
+func (r *Receiver) checkDone() {
+	if r.done != nil && r.rcvNxt >= r.total && r.pendingPkts == 0 {
+		r.done(r)
 	}
 }
 
@@ -243,7 +328,7 @@ func (r *Receiver) flushAck() {
 	ack := r.host.AllocPacket()
 	ack.Flow = r.flow
 	ack.Dst = r.peer
-	ack.Size = r.headerBytes
+	ack.Size = int(r.headerBytes)
 	ack.IsAck = true
 	ack.Ack = r.rcvNxt
 	ack.ECT = r.variant.ect()
@@ -256,6 +341,9 @@ func (r *Receiver) flushAck() {
 	r.stats.AcksSent++
 	r.host.Send(ack)
 }
+
+// sat32 narrows a sanitized, positive Config count to 32 bits, saturating.
+func sat32(v int) int32 { return int32(min(v, math.MaxInt32)) }
 
 // hostEngine is the engine an endpoint on h must schedule on: the host's
 // own engine, which is the shard engine under partitioned execution and
