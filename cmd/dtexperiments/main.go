@@ -38,7 +38,6 @@ type settings struct {
 	rounds   int
 	seeds    int
 	workers  int
-	shards   int
 	// collect, when non-nil, receives observability snapshots from the
 	// figures that support them (-metrics flag).
 	collect *[]metrics.Named
@@ -50,7 +49,6 @@ func run(args []string, out io.Writer) error {
 		figs       = fs.String("fig", "1,2,6,9,10,11,12,14,15", "comma-separated figure ids to run (extensions: aqm, d2, buildup, zoo)")
 		short      = fs.Bool("short", false, "reduced durations for a quick pass")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent sweep points (results are identical for any value)")
-		shards     = fs.Int("shards", 1, "shard domains of each packet-level run across this many parallel event wheels (results are byte-identical for any count)")
 		metricsOut = fs.String("metrics", "", "write observability snapshots of the fig-1 runs as JSON to this path")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this path")
@@ -71,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	if *short {
 		s = settings{duration: 40 * time.Millisecond, warmup: 10 * time.Millisecond, rounds: 5, seeds: 1}
 	}
-	s.workers, s.shards = *workers, *shards
+	s.workers = *workers
 	var collected []metrics.Named
 	if *metricsOut != "" {
 		s.collect = &collected
@@ -143,7 +141,6 @@ func paperDumbbell(s settings, p dtdctcp.Protocol, flows int) dtdctcp.DumbbellCo
 		Duration:   s.duration,
 		Warmup:     s.warmup,
 		Seed:       1,
-		Shards:     s.shards,
 	}
 }
 
@@ -320,7 +317,7 @@ func fig14(s settings, out io.Writer) error {
 	}
 	// Each point simulates both protocols in its own engines; the rows
 	// come back in input order regardless of the worker count.
-	rows, err := runner.Map(context.Background(), len(workers), runner.Options{Workers: s.workers, ThreadsPerJob: s.shards},
+	rows, err := runner.Map(context.Background(), len(workers), runner.Options{Workers: s.workers},
 		func(_ context.Context, i int) (incastRow, error) {
 			var r incastRow
 			var err error
@@ -357,16 +354,9 @@ func onset(n int) string {
 	return fmt.Sprint(n)
 }
 
-// paperTestbed is the Section VI-B incast testbed every query figure runs.
-func paperTestbed(s settings, p dtdctcp.Protocol, workers int) dtdctcp.TestbedConfig {
-	cfg := dtdctcp.DefaultTestbed(p, workers)
-	cfg.Shards = s.shards
-	return cfg
-}
-
 func incastPoint(p dtdctcp.Protocol, n int, s settings) (goodput float64, timeouts uint64, err error) {
 	for seed := int64(1); seed <= int64(s.seeds); seed++ {
-		cfg := paperTestbed(s, p, n)
+		cfg := dtdctcp.DefaultTestbed(p, n)
 		cfg.Seed = seed
 		res, err := dtdctcp.RunIncast(cfg, s.rounds)
 		if err != nil {
@@ -384,14 +374,14 @@ func fig15(s settings, out io.Writer) error {
 	fmt.Fprintln(out, "   n | DCTCP   mean      p95      max | DT-DCTCP mean      p95      max")
 	counts := []int{8, 16, 24, 32, 40, 48, 56, 64}
 	type completionRow struct{ dc, dt *dtdctcp.QueryResult }
-	rows, err := runner.Map(context.Background(), len(counts), runner.Options{Workers: s.workers, ThreadsPerJob: s.shards},
+	rows, err := runner.Map(context.Background(), len(counts), runner.Options{Workers: s.workers},
 		func(_ context.Context, i int) (completionRow, error) {
 			var r completionRow
 			var err error
-			if r.dc, err = dtdctcp.RunCompletionTime(paperTestbed(s, dtdctcp.DCTCP(21, 1.0/16), counts[i]), s.rounds); err != nil {
+			if r.dc, err = dtdctcp.RunCompletionTime(dtdctcp.DefaultTestbed(dtdctcp.DCTCP(21, 1.0/16), counts[i]), s.rounds); err != nil {
 				return r, err
 			}
-			r.dt, err = dtdctcp.RunCompletionTime(paperTestbed(s, dtdctcp.DTDCTCP(16, 26, 1.0/16), counts[i]), s.rounds)
+			r.dt, err = dtdctcp.RunCompletionTime(dtdctcp.DefaultTestbed(dtdctcp.DTDCTCP(16, 26, 1.0/16), counts[i]), s.rounds)
 			return r, err
 		})
 	if err != nil {
@@ -481,7 +471,7 @@ func extZoo(s settings, out io.Writer) error {
 			dtdctcp.DTDCTCP(16, 26, 1.0/16),
 			dtdctcp.DCTCP(20, 1.0/16),
 		} {
-			res, err := dtdctcp.RunIncast(paperTestbed(s, p, w), s.rounds)
+			res, err := dtdctcp.RunIncast(dtdctcp.DefaultTestbed(p, w), s.rounds)
 			if err != nil {
 				return err
 			}
@@ -534,7 +524,7 @@ func extDeadlines(s settings, out io.Writer) error {
 		for _, p := range []dtdctcp.Protocol{
 			dtdctcp.DCTCP(21, 1.0/16), dtdctcp.D2TCP(21, 1.0/16),
 		} {
-			cfg := paperTestbed(s, p, 32)
+			cfg := dtdctcp.DefaultTestbed(p, 32)
 			cfg.Deadline = deadline
 			res, err := dtdctcp.RunIncast(cfg, s.rounds)
 			if err != nil {

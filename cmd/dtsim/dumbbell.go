@@ -12,7 +12,7 @@ import (
 
 var dumbbellCmd = subcommand{
 	name: "dumbbell",
-	flags: "protocol k k1 k2 g gamma flows rate rtt buffer duration warmup seed shards " +
+	flags: "protocol k k1 k2 g gamma flows rate rtt buffer duration warmup seed " +
 		"sb-alpha sb-pool sb-bottleneck-only plot csv trace metrics metrics-prom metrics-sample cpuprofile memprofile",
 	quick: map[string]string{"flows": "4", "duration": "10ms", "warmup": "2ms"},
 	run:   runDumbbell,
@@ -32,7 +32,6 @@ func runDumbbell(o *opts, _ *flag.FlagSet, w io.Writer) error {
 		Duration:           o.duration,
 		Warmup:             o.warmup,
 		Seed:               o.seed,
-		Shards:             o.shards,
 		AlphaSampleEvery:   time.Millisecond,
 		Metrics:            o.metrics != "" || o.prom != "",
 		MetricsSampleEvery: o.metricsSample,

@@ -17,7 +17,7 @@ import (
 // queue at the buffer and starves the foreground.
 var hybridCmd = subcommand{
 	name:     "hybrid",
-	flags:    "protocol k k1 k2 g bg fg fg-bytes fg-gap rate rtt buffer warmup duration rto-min seed shards verify-shards",
+	flags:    "protocol k k1 k2 g bg fg fg-bytes fg-gap rate rtt buffer warmup duration rto-min seed",
 	defaults: map[string]string{"warmup": "15ms", "duration": "45ms"},
 	quick:    map[string]string{"bg": "50", "warmup": "5ms", "duration": "10ms"},
 	run:      runHybrid,
@@ -30,8 +30,7 @@ type hybridSnapshot struct {
 	// EventRatio is packet events / hybrid events for the identical
 	// simulated horizon — the deterministic measure of the hybrid's
 	// speed advantage.
-	EventRatio     float64 `json:"event_ratio"`
-	ShardsVerified []int   `json:"shards_verified,omitempty"`
+	EventRatio float64 `json:"event_ratio"`
 }
 
 func runHybrid(o *opts, fs *flag.FlagSet, w io.Writer) error {
@@ -41,10 +40,6 @@ func runHybrid(o *opts, fs *flag.FlagSet, w io.Writer) error {
 	}
 	p.TCP.RTOMin = o.rtoMin
 	p.TCP.RTOInitial = o.rtoMin
-	verify, err := shardList(o.verifyShards)
-	if err != nil {
-		return err
-	}
 	base := dtdctcp.HybridConfig{
 		Protocol:         p,
 		BgFlows:          o.bg,
@@ -58,9 +53,8 @@ func runHybrid(o *opts, fs *flag.FlagSet, w io.Writer) error {
 		Warmup:           o.warmup,
 		QueueSampleEvery: o.rtt / 5,
 		Seed:             o.seed,
-		Shards:           o.shards,
 	}
-	snap := &hybridSnapshot{header: newHeader(fs), ShardsVerified: verify}
+	snap := &hybridSnapshot{header: newHeader(fs)}
 	if snap.Hybrid, err = dtdctcp.RunHybrid(base); err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
@@ -75,22 +69,5 @@ func runHybrid(o *opts, fs *flag.FlagSet, w io.Writer) error {
 		snap.EventRatio = float64(snap.Packet.Events) / float64(h)
 	}
 	fmt.Fprintf(os.Stderr, "dtsim hybrid: event ratio %.1fx\n", snap.EventRatio)
-
-	for _, sc := range verify {
-		if sc == base.Shards {
-			continue // already the reported run
-		}
-		vc := base
-		vc.Shards = sc
-		vres, err := dtdctcp.RunHybrid(vc)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", sc, err)
-		}
-		if vres.Digest != snap.Hybrid.Digest {
-			return fmt.Errorf("shards=%d digest %s != shards=%d digest %s",
-				sc, vres.Digest, base.Shards, snap.Hybrid.Digest)
-		}
-		fmt.Fprintf(os.Stderr, "dtsim hybrid: shards=%d reproduces digest %s\n", sc, vres.Digest)
-	}
 	return printJSON(w, snap)
 }

@@ -2,17 +2,21 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
 
-// TestHybridQuickRunVerifiedSharded drives the whole CLI path: a quick
-// hybrid/packet pair with shard verification against the serial hybrid
-// digest. -quick fills in only what the command line left unset, and the
-// report is a pure function of the flags: a second run is byte-identical.
-func TestHybridQuickRunVerifiedSharded(t *testing.T) {
-	args := []string{"hybrid", "-quick", "-bg", "20", "-verify-shards", "1,2"}
+// TestHybridQuickRunIsByteIdentical drives the whole CLI path: a quick
+// hybrid/packet pair. -quick fills in only what the command line left
+// unset, and the report is a pure function of the flags: a second run is
+// byte-identical.
+func TestHybridQuickRunIsByteIdentical(t *testing.T) {
+	args := []string{"hybrid", "-quick", "-bg", "20"}
 	var snap hybridSnapshot
 	first := runJSON(t, &snap, args...)
 	if second := runJSON(t, new(hybridSnapshot), args...); !bytes.Equal(first, second) {
@@ -37,16 +41,14 @@ func TestHybridQuickRunVerifiedSharded(t *testing.T) {
 	if snap.EventRatio <= 1 {
 		t.Fatalf("event ratio %.2f, want > 1 (the hybrid must need fewer events)", snap.EventRatio)
 	}
-	if len(snap.ShardsVerified) != 2 {
-		t.Fatalf("shards verified %v, want [1 2]", snap.ShardsVerified)
-	}
 }
 
 func TestHybridRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad proto":    {"-quick", "-protocol", "cubic"},
 		"no law":       {"-quick", "-protocol", "reno"},
-		"bad verify":   {"-quick", "-verify-shards", "zero,"},
+		"shards":       {"-quick", "-shards", "2"}, // only the fabric shards
+		"verify":       {"-quick", "-verify-shards", "1,2"},
 		"bad config":   {"-bg", "-1"},
 		"bad interval": {"-quick", "-rtt", "1s"},
 		"unknown arg":  {"-frobnicate"},
@@ -57,15 +59,25 @@ func TestHybridRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestHybridVerifyShardsList: hybrid's -verify-shards goes through the
-// shared shardList, so every list the parser refuses stops the run before
-// it starts.
-func TestHybridVerifyShardsList(t *testing.T) {
-	for _, bad := range []string{"0", "-1", "x", "1,,2"} {
-		err := run([]string{"hybrid", "-quick", "-verify-shards", bad}, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "bad -verify-shards entry") {
-			t.Errorf("-verify-shards %q: %v", bad, err)
-		}
+// TestHybridNegativeGapExits: a negative -fg-gap once panicked with
+// "sim: scheduling into the past" at the first foreground completion. The
+// command refuses it: exit status 1 and the core: reason on stderr. The
+// test binary reruns itself with the command line after "--" as dtsim's.
+func TestHybridNegativeGapExits(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"dtsim"}, args...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHybridNegativeGapExits$", "--", "hybrid", "-quick", "-fg-gap", "-1ms")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1; stderr:\n%s", err, &stderr)
+	}
+	if want := "core: FgGap must not be negative"; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q does not give the reason %q", &stderr, want)
 	}
 }
 

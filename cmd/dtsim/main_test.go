@@ -86,7 +86,7 @@ func TestOneProtocolRefusesList(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	for _, args := range [][]string{
 		nil, {"-flows", "2"}, {"simulate"}, {"dumbbell", "extra"},
-		{"dumbbell", "-nonsense"}, {"chaos", "-zoo"}, {"fabric", "-K", "20"},
+		{"dumbbell", "-nonsense"}, {"dumbbell", "-shards", "2"}, {"chaos", "-zoo"}, {"fabric", "-K", "20"},
 		{"hybrid", "-proto", "dctcp"}, {"stability", "-dt"}, {"fluid", "-n", "10"},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -146,14 +146,14 @@ func TestRunCSVBadPath(t *testing.T) {
 	}
 }
 
-func TestRunMetricsPlotShardsAndProfiles(t *testing.T) {
+func TestRunMetricsPlotAndProfiles(t *testing.T) {
 	dir := t.TempDir()
 	mjson := filepath.Join(dir, "m.json")
 	mprom := filepath.Join(dir, "m.prom")
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var out strings.Builder
-	err := run(append(short, "-shards", "2", "-plot",
+	err := run(append(short, "-plot",
 		"-metrics", mjson, "-metrics-prom", mprom,
 		"-cpuprofile", cpu, "-memprofile", mem), &out)
 	if err != nil {
@@ -224,7 +224,7 @@ func TestQuickMatchesCoreRunner(t *testing.T) {
 		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
 			Protocol: dctcp, Flows: 4, Rate: 10 * dtdctcp.Gbps, RTT: 100 * time.Microsecond,
 			BufferPkts: 600, Duration: 10 * time.Millisecond, Warmup: 2 * time.Millisecond,
-			Seed: 1, Shards: 1, AlphaSampleEvery: time.Millisecond,
+			Seed: 1, AlphaSampleEvery: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestQuickMatchesCoreRunner(t *testing.T) {
 			Protocol: p, BgFlows: 50, FgFlows: 4, FgBytes: 20_000, FgGap: 500 * time.Microsecond,
 			Rate: 10 * dtdctcp.Gbps, RTT: 100 * time.Microsecond, BufferPkts: 600,
 			Duration: 10 * time.Millisecond, Warmup: 5 * time.Millisecond,
-			QueueSampleEvery: 20 * time.Microsecond, Seed: 1, Shards: 1,
+			QueueSampleEvery: 20 * time.Microsecond, Seed: 1,
 		}
 		hyb, err := dtdctcp.RunHybrid(cfg)
 		if err != nil {

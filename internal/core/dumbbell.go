@@ -42,12 +42,6 @@ type DumbbellConfig struct {
 	AlphaSampleEvery time.Duration
 	// Seed drives all randomness (start jitter).
 	Seed int64
-	// Shards, when above one, executes this single run in parallel on
-	// that many event wheels under conservative-lookahead (epoch
-	// barrier) synchronization; see netsim.Network.Partition. Results
-	// are byte-identical for any shard count — shards=1 (or zero) is
-	// the plain serial engine.
-	Shards int
 	// TraceTo, when set, streams the bottleneck port's per-packet
 	// events (enqueue/dequeue/mark/drop, plus fault events when Chaos
 	// is set) as JSON Lines.
@@ -121,14 +115,8 @@ func (c DumbbellConfig) validate() error {
 	if c.Flows <= 0 {
 		return errors.New("core: Flows must be positive")
 	}
-	if err := checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup, c.Shards,
-		c.QueueSampleEvery, c.AlphaSampleEvery, c.MetricsSampleEvery); err != nil {
-		return err
-	}
-	return checkSerialOnly("RunDumbbell", c.Shards, map[string]bool{
-		"Chaos":              c.Chaos != nil,
-		"MetricsSampleEvery": c.MetricsSampleEvery > 0,
-	})
+	return checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup,
+		c.QueueSampleEvery, c.AlphaSampleEvery, c.MetricsSampleEvery)
 }
 
 // DumbbellResult aggregates one dumbbell run.
@@ -195,7 +183,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := newRun(cfg.Seed, cfg.Shards)
+	r := newRun(cfg.Seed, 1)
 	star, err := r.star(cfg.Protocol, cfg.Flows, cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.SharedBuffer)
 	if err != nil {
 		return nil, err
@@ -245,10 +233,6 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		obs.startSampler(bneck, pktSize, flows)
 	}
 
-	// The periodic samplers below read state owned by many domains
-	// (every sender's α, the bottleneck's byte counter), which is what
-	// run.every and run.at are for.
-
 	// α sampling (Fig. 12): a periodic event records the mean α.
 	var alphaSeries *stats.Series
 	if cfg.AlphaSampleEvery > 0 {
@@ -269,7 +253,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	// Snapshot bottleneck byte counts at the warmup boundary for the
 	// utilization computation.
 	var bytesAtWarmup uint64
-	r.at(sim.FromDuration(cfg.Warmup), func() {
+	r.engine.Schedule(sim.FromDuration(cfg.Warmup), func() {
 		bytesAtWarmup = bneck.Stats().BytesSent
 	})
 	if obs != nil {
@@ -365,7 +349,7 @@ func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, w
 	if base.TraceTo != nil {
 		workers = 1
 	}
-	return sweep(ctx, flows, workers, base.Shards, "N=%d", func(n int) (FlowSweepPoint, error) {
+	return sweep(ctx, flows, workers, 1, "N=%d", func(n int) (FlowSweepPoint, error) {
 		cfg := base
 		cfg.Flows = n
 		res, err := RunDumbbell(cfg)

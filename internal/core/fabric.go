@@ -17,12 +17,12 @@ import (
 // the fabric's bisection bandwidth, and completion times are bucketed
 // small/medium/large.
 //
-// Sharded fabric runs require a queue law with no runtime randomness —
-// the threshold-marking laws (DCTCP's single and DT-DCTCP's double
-// threshold) qualify. A randomized law (PIE, RED) draws from the
-// construction engine's RNG at runtime, which only shard 0 may touch;
-// pinning every fabric port there would serialize the run, so validation
-// refuses the combination (see the serialOnly table).
+// The fabric is the one runner that shards. Sharded fabric runs require a
+// queue law with no runtime randomness — the threshold-marking laws
+// (DCTCP's single and DT-DCTCP's double threshold) qualify. A randomized
+// law (PIE, RED) draws from the construction engine's RNG at runtime,
+// which only shard 0 may touch; pinning every fabric port there would
+// serialize the run, so validation refuses the combination.
 type FabricConfig struct {
 	// Protocol selects endpoints and the queue law on every fabric port.
 	Protocol Protocol
@@ -86,10 +86,10 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Shards must not be negative")
 	case c.SmallMax < 0 || c.LargeMin < 0:
 		return errors.New("core: SmallMax and LargeMin must not be negative")
+	case c.Shards > 1 && c.Protocol.randomizedLaw():
+		return errors.New("core: a randomized queue law on a fabric requires serial execution (Shards <= 1)")
 	}
-	return checkSerialOnly("RunFabric", c.Shards, map[string]bool{
-		"randomized queue law (PIE, RED)": c.Protocol.randomizedLaw(),
-	})
+	return nil
 }
 
 // QueueSummary aggregates one switch tier's egress-queue depth samples

@@ -56,9 +56,6 @@ type HybridConfig struct {
 	FullPacket bool
 	// Seed drives all randomness (start jitter).
 	Seed int64
-	// Shards, when above one, executes the run on that many event
-	// wheels; results are byte-identical for any shard count.
-	Shards int
 	// Metrics enables the observability registry snapshot. Collection
 	// is pull-based: enabling it changes no event order and no result.
 	Metrics bool
@@ -72,6 +69,8 @@ func (c HybridConfig) validate() error {
 		return errors.New("core: FgFlows must not be negative")
 	case c.FgFlows > 0 && c.FgBytes <= 0:
 		return errors.New("core: FgBytes must be positive when FgFlows is set")
+	case c.FgGap < 0:
+		return errors.New("core: FgGap must not be negative")
 	case c.CouplingInterval < 0:
 		return errors.New("core: CouplingInterval must not be negative")
 	case c.StepsPerTick < 0:
@@ -82,7 +81,7 @@ func (c HybridConfig) validate() error {
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
 	}
-	return checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup, c.Shards, c.QueueSampleEvery)
+	return checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup, c.QueueSampleEvery)
 }
 
 // fluidConfig maps the scenario onto the background fluid model.
@@ -168,13 +167,11 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	}
 	// Foreground hosts first, then (packet mode only) background hosts,
 	// so foreground flows get identical host identities in both modes.
-	// The bottleneck pinned to shard 0 takes the coupler's tick chain
-	// with it.
 	hosts := cfg.FgFlows
 	if cfg.FullPacket {
 		hosts += cfg.BgFlows
 	}
-	r := newRun(cfg.Seed, cfg.Shards)
+	r := newRun(cfg.Seed, 1)
 	star, err := r.star(cfg.Protocol, hosts, cfg.Rate, cfg.RTT, cfg.BufferPkts, SharedBufferConfig{})
 	if err != nil {
 		return nil, err
@@ -284,8 +281,8 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 // digest folds every deterministic result field into one FNV-1a word:
 // the exact bit patterns of the queue aggregates and trace, the fluid
 // state, and every foreground FCT. Two runs agree on the digest iff they
-// agree on all of them — "same seed → same result, for any shard count
-// and with metrics on or off" is a one-word comparison.
+// agree on all of them — "same seed → same result, with metrics on or
+// off" is a one-word comparison.
 func (r *HybridResult) digest() string {
 	var h stats.Hash
 	h.Float(r.QueueMeanPkts)

@@ -26,8 +26,8 @@ type observer struct {
 
 // newObserver builds a registry over the run's engine counters (summed
 // over shards), with a sampler when sampleEvery is positive. The sampler
-// always ticks on the given engine and is gated off for sharded runs by
-// config validation, not here.
+// ticks on the given engine; only the dumbbell asks for one, and it runs
+// serially.
 func newObserver(engine *sim.Engine, stats func() sim.EngineStats, sampleEvery time.Duration) *observer {
 	o := &observer{reg: metrics.NewRegistry()}
 	metrics.InstrumentEngineStats(o.reg, stats)

@@ -55,12 +55,6 @@ type TestbedConfig struct {
 	FreshConnections bool
 	// Seed drives randomness.
 	Seed int64
-	// Shards, when above one, executes this single run in parallel on
-	// that many event wheels under conservative-lookahead (epoch
-	// barrier) synchronization, the query rounds orchestrated from the
-	// barrier. Results are byte-identical for any shard count —
-	// shards=1 (or zero) is the plain serial engine.
-	Shards int
 
 	// Chaos, when set, applies a fault-injection plan to the topology.
 	// Plans may target "bottleneck" (core switch → aggregator),
@@ -104,14 +98,8 @@ func (c TestbedConfig) validate() error {
 		return errors.New("core: buffers must be positive")
 	case c.HopDelay <= 0:
 		return errors.New("core: HopDelay must be positive")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
 	}
-	return checkSerialOnly("RunQuery", c.Shards, map[string]bool{
-		"Chaos":            c.Chaos != nil,
-		"FreshConnections": c.FreshConnections,
-		"Gap < 2*HopDelay": c.Gap < 2*c.HopDelay,
-	})
+	return nil
 }
 
 // testbed is a built topology ready to carry queries.
@@ -124,7 +112,7 @@ type testbed struct {
 
 // buildTestbed constructs the Fig. 13 topology.
 func buildTestbed(cfg TestbedConfig) (*testbed, error) {
-	r := newRun(cfg.Seed, cfg.Shards)
+	r := newRun(cfg.Seed, 1)
 	nw := netsim.NewNetwork(r.engine)
 	core := nw.AddSwitch("switch1")
 	agg := nw.AddHost("aggregator")
@@ -166,9 +154,6 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 		if err := cfg.SharedBuffer.build(core, bneck, bufferPkts, pktSize); err != nil {
 			return nil, err
 		}
-	}
-	if err := r.partition(nw, bneck); err != nil {
-		return nil, err
 	}
 	if cfg.Metrics {
 		r.observe(0)
@@ -223,8 +208,8 @@ type QueryResult struct {
 	MissedDeadlines  int
 	DeadlineMissRate float64
 
-	// Events is the number of simulator events processed (summed over
-	// shards when the run was sharded), for throughput accounting.
+	// Events is the number of simulator events processed, for throughput
+	// accounting.
 	Events uint64
 
 	// Metrics is the run's observability snapshot; nil unless
@@ -249,7 +234,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 	if err != nil {
 		return nil, err
 	}
-	queries := tb.queries(workload.QueryConfig{
+	queries := workload.StartQueries(tb.engine, workload.QueryConfig{
 		Workers:        tb.workers,
 		Aggregator:     tb.aggregator,
 		BytesPerWorker: bytesPerWorker,
@@ -339,7 +324,7 @@ func SweepWorkers(base TestbedConfig, workers []int, rounds int,
 // worker count; they are returned in the order of workers.
 func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
 	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return sweep(ctx, workers, par, base.Shards, "workers=%d", func(n int) (WorkerSweepPoint, error) {
+	return sweep(ctx, workers, par, 1, "workers=%d", func(n int) (WorkerSweepPoint, error) {
 		cfg := base
 		cfg.Workers = n
 		res, err := run(cfg, rounds)

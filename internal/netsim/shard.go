@@ -158,8 +158,7 @@ func (n *Network) Partition(se *sim.ShardedEngine, assign []int) error {
 	// member enqueue/dequeue; the accounting is only race-free when all
 	// members execute on one shard. The lookahead is the shortest link
 	// that crosses shards — or, when none does and any window is safe,
-	// the shortest link, so barriers stay as frequent as relay-mode
-	// queries assume (workload.StartQueriesSharded).
+	// the shortest link.
 	poolShard := make(map[*SharedBuffer]int)
 	cross, all := time.Duration(-1), time.Duration(-1)
 	for _, p := range ports {

@@ -97,20 +97,6 @@ func (o *Outbox) Ship(m Message) {
 //dtlint:hotpath
 func (o *Outbox) NoteLocal() { o.local++ }
 
-// barrierTask is coordinator-context work pinned to a virtual instant:
-// periodic samplers that must read state across shards. A task runs at
-// the barrier once every shard has processed all events before its
-// instant, which is exactly the state a serial run would present to a
-// sampler tick (up to same-instant ties with long-scheduled events).
-// Tasks are ordered by (at, schedAt, seq), mirroring the event key, so
-// same-instant task chains fire in their serial order.
-type barrierTask struct {
-	at      Time
-	schedAt Time
-	seq     uint64
-	fn      func(Time)
-}
-
 // ShardedEngine runs several Engines in lockstep epochs under a
 // conservative lookahead. Construct with NewShardedEngine, wire domains
 // to shards (see netsim.Network.Partition), set the lookahead, and drive
@@ -121,9 +107,7 @@ type ShardedEngine struct {
 	lookahead Time
 	now       Time
 
-	tasks   []barrierTask // min-heap ordered by (at, schedAt, seq)
-	taskSeq uint64
-	hooks   []func()
+	hooks []func()
 
 	// inbox is the coordinator's merge-sort scratch buffer, reused
 	// across barriers.
@@ -188,79 +172,17 @@ func (se *ShardedEngine) SetLookahead(d Time) { se.lookahead = d }
 // Lookahead returns the configured epoch window length.
 func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 
-// Now returns the coordinator's clock: the instant of the task being
-// executed, or the last completed horizon. Model code inside shards must
-// use its own engine's Now.
+// Now returns the coordinator's clock: the last completed horizon, or
+// the end of the last window during a barrier. Model code inside shards
+// must use its own engine's Now.
 func (se *ShardedEngine) Now() Time { return se.now }
 
 // Stop makes the run loop return ErrStopped at the next barrier.
 func (se *ShardedEngine) Stop() { se.stopped = true }
 
-// ScheduleBarrier enqueues fn to run in coordinator context at the
-// barrier that reaches instant at: after every shard has processed all
-// events strictly before at, and before any processes an event at or
-// after it. This is the sharded home for periodic samplers that read
-// state across shards (mean α, byte counters); their reads are ordered
-// by the barrier's happens-before edges, so no locks are needed.
-func (se *ShardedEngine) ScheduleBarrier(at Time, fn func(Time)) {
-	if at < se.now {
-		panic(fmt.Sprintf("sim: barrier task into the past: now=%v at=%v", se.now, at))
-	}
-	se.tasks = append(se.tasks, barrierTask{at: at, schedAt: se.now, seq: se.taskSeq, fn: fn})
-	se.taskSeq++
-	se.taskUp(len(se.tasks) - 1)
-}
-
 // AddBarrierHook registers fn to run in coordinator context after every
 // barrier exchange (shard free-list rebalancing, conservation checks).
 func (se *ShardedEngine) AddBarrierHook(fn func()) { se.hooks = append(se.hooks, fn) }
-
-func (se *ShardedEngine) taskLess(i, j int) bool {
-	a, b := se.tasks[i], se.tasks[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	return a.seq < b.seq
-}
-
-func (se *ShardedEngine) taskUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !se.taskLess(i, parent) {
-			break
-		}
-		se.tasks[i], se.tasks[parent] = se.tasks[parent], se.tasks[i]
-		i = parent
-	}
-}
-
-func (se *ShardedEngine) popTask() barrierTask {
-	t := se.tasks[0]
-	n := len(se.tasks) - 1
-	se.tasks[0] = se.tasks[n]
-	se.tasks[n] = barrierTask{}
-	se.tasks = se.tasks[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && se.taskLess(right, left) {
-			smallest = right
-		}
-		if !se.taskLess(smallest, i) {
-			break
-		}
-		se.tasks[i], se.tasks[smallest] = se.tasks[smallest], se.tasks[i]
-		i = smallest
-	}
-	return t
-}
 
 // nextEventTime returns the earliest pending event instant across all
 // shards, or TimeNever.
@@ -303,11 +225,10 @@ func (se *ShardedEngine) exchange() {
 }
 
 // RunUntil executes all shards up to and including horizon end. A single
-// shard degenerates to the serial engine when no barrier tasks are
-// pending; otherwise the epoch loop below runs, interleaving parallel
-// event windows with coordinator-context barrier work.
+// shard degenerates to the serial engine; otherwise the epoch loop below
+// runs, interleaving parallel event windows with barrier exchanges.
 func (se *ShardedEngine) RunUntil(end Time) error {
-	if len(se.shards) == 1 && len(se.tasks) == 0 {
+	if len(se.shards) == 1 {
 		err := se.shards[0].RunUntil(end)
 		if se.now < end {
 			se.now = end
@@ -328,37 +249,16 @@ func (se *ShardedEngine) RunUntil(end Time) error {
 			return ErrStopped
 		}
 		tev := se.nextEventTime()
-		ttask := TimeNever
-		if len(se.tasks) > 0 {
-			ttask = se.tasks[0].at
-		}
-		evDue := tev != TimeNever && tev <= end
-		taskDue := ttask != TimeNever && ttask <= end
-		if !evDue && !taskDue {
+		if tev == TimeNever || tev > end {
 			break
 		}
-		// A barrier task due no later than the earliest event runs first:
-		// every shard has already processed all events before its
-		// instant, which is the serial sampler's view. (A same-instant
-		// event scheduled even earlier in virtual time would precede the
-		// tick serially; periodic samplers are scheduled one period
-		// ahead, so in practice only RTO-scale timers could land there.)
-		if taskDue && (!evDue || ttask <= tev) {
-			t := se.popTask()
-			se.now = t.at
-			t.fn(t.at)
-			continue
-		}
 		// Dispatch the epoch window [tev, h): up to the grid boundary
-		// after tev, clipped to the next task instant and the horizon.
-		// Every cross-shard message shipped at an instant s inside the
-		// window fires at s + delay ≥ w·L + L ≥ h, so it is injectable at
-		// the closing barrier before any shard reaches it.
+		// after tev, clipped to the horizon. Every cross-shard message
+		// shipped at an instant s inside the window fires at
+		// s + delay ≥ w·L + L ≥ h, so it is injectable at the closing
+		// barrier before any shard reaches it.
 		w := tev / L
 		h := (w + tick) * L
-		if taskDue && ttask < h {
-			h = ttask
-		}
 		if end+tick < h {
 			h = end + tick
 		}

@@ -117,16 +117,14 @@ func TestExchangeInjectionOrder(t *testing.T) {
 }
 
 // TestShardedRunMatchesSerialPingPong runs the same two-domain ping-pong
-// on one and two shards and requires identical completion counts and
-// final clocks — the sim-layer miniature of the system-level digest
+// on two and three shards and requires the completion count and final
+// clock a serial run has: a kick, then one delivery every 25 ticks up to
+// the horizon. It is the sim-layer miniature of the system-level digest
 // tests in internal/core.
 func TestShardedRunMatchesSerialPingPong(t *testing.T) {
 	run := func(shards int) (uint64, Time) {
 		se := NewShardedEngine(7, shards)
 		se.SetLookahead(25)
-		// A single shard with no barrier work short-circuits to the plain
-		// engine and never drains outboxes; pin the epoch loop on.
-		se.ScheduleBarrier(0, func(Time) {})
 		a, b := se.Shard(0), se.Shard(shards-1)
 		outA, outB := se.Outbox(0), se.Outbox(shards-1)
 		var seqA, seqB uint64
@@ -153,11 +151,8 @@ func TestShardedRunMatchesSerialPingPong(t *testing.T) {
 		}
 		return se.Stats().Processed, se.Now()
 	}
-	wantProcessed, wantNow := run(1)
-	if wantProcessed == 0 {
-		t.Fatal("serial ping-pong processed no events")
-	}
-	for _, shards := range []int{2} {
+	const wantProcessed, wantNow = 1 + 10_000/25, Time(10_000)
+	for _, shards := range []int{2, 3} {
 		gotProcessed, gotNow := run(shards)
 		if gotProcessed != wantProcessed || gotNow != wantNow {
 			t.Fatalf("shards=%d: processed=%d now=%v, want processed=%d now=%v",
@@ -183,30 +178,6 @@ func TestShardedStatsMerge(t *testing.T) {
 	}
 	if st.MaxPending != 2 {
 		t.Fatalf("MaxPending must be the max over shards (2), got %d", st.MaxPending)
-	}
-}
-
-// TestBarrierTaskOrdering runs barrier tasks scheduled for the same
-// instant in scheduling order, interleaved correctly with shard events.
-func TestBarrierTaskOrdering(t *testing.T) {
-	se := NewShardedEngine(1, 2)
-	se.SetLookahead(50)
-	var order []string
-	se.ScheduleBarrier(100, func(Time) { order = append(order, "task1") })
-	se.ScheduleBarrier(100, func(Time) { order = append(order, "task2") })
-	se.Shard(1).Schedule(99, func() { order = append(order, "event99") })
-	se.Shard(0).Schedule(101, func() { order = append(order, "event101") })
-	if err := se.RunUntil(200); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"event99", "task1", "task2", "event101"}
-	if len(order) != len(want) {
-		t.Fatalf("ran %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
 	}
 }
 
@@ -238,7 +209,6 @@ func TestShardedAccessorsAndStop(t *testing.T) {
 	}
 	hooks := 0
 	se.AddBarrierHook(func() { hooks++ })
-	se.ScheduleBarrier(0, func(Time) {}) // pin the epoch loop on
 	se.Shard(0).Schedule(10, func() {})
 	se.Shard(1).Schedule(90, func() {})
 	if err := se.RunUntil(200); err != nil {
@@ -294,39 +264,6 @@ func TestInjectValidation(t *testing.T) {
 	mustPanic("NewShardedEngine zero shards", func() {
 		NewShardedEngine(1, 0)
 	})
-	mustPanic("barrier task into the past", func() {
-		se := NewShardedEngine(1, 2)
-		se.SetLookahead(10)
-		if err := se.RunUntil(100); err != nil {
-			t.Fatal(err)
-		}
-		se.ScheduleBarrier(50, func(Time) {})
-	})
-}
-
-// TestBarrierTaskHeapOrder pushes enough same- and mixed-instant tasks
-// through the coordinator heap to exercise its sift paths, and checks
-// full (at, schedAt, seq) ordering.
-func TestBarrierTaskHeapOrder(t *testing.T) {
-	se := NewShardedEngine(1, 2)
-	se.SetLookahead(20)
-	var order []int
-	rec := func(id int) func(Time) { return func(Time) { order = append(order, id) } }
-	for i, at := range []Time{90, 30, 70, 30, 50, 90, 10, 70} {
-		se.ScheduleBarrier(at, rec(i))
-	}
-	if err := se.RunUntil(200); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{6, 1, 3, 4, 2, 7, 0, 5} // by at, then scheduling order
-	if len(order) != len(want) {
-		t.Fatalf("ran %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("task order %v, want %v", order, want)
-		}
-	}
 }
 
 // TestExchangeSchedAtTieBreak ships same-instant messages whose keys
@@ -367,7 +304,6 @@ func ringFingerprint(t *testing.T, shards int) string {
 	const domains, hop = 8, Time(25)
 	se := NewShardedEngine(5, shards)
 	se.SetLookahead(hop)
-	se.ScheduleBarrier(0, func(Time) {}) // one shard, too, takes the epoch loop
 	logs := make([][]string, domains)
 	seqs := make([]uint64, domains)
 	recv := make([]func(any), domains)

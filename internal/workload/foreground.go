@@ -15,9 +15,8 @@ import (
 // times are recorded — the foreground FCTs the hybrid conformance grid
 // compares against a fully packet-level run.
 //
-// All per-flow state lives on the sender host's engine (its shard under
-// partitioning): starts self-schedule there and completions fire there,
-// so the workload is byte-identical for any shard count.
+// All per-flow state lives on the sender host's engine: starts
+// self-schedule there and completions fire there.
 type ForegroundConfig struct {
 	// Hosts are the foreground senders, one flow each.
 	Hosts []*netsim.Host
@@ -60,9 +59,8 @@ type fgFlow struct {
 	nextFn    func()
 }
 
-// StartForeground creates the flows and schedules their first transfers.
-// Call it with the construction engine (shard 0 under partitioning, after
-// Partition) so jitter draws come from the serial-identical stream.
+// StartForeground creates the flows and schedules their first transfers;
+// jitter draws come from engine's seeded stream.
 func StartForeground(engine *sim.Engine, cfg ForegroundConfig) *Foreground {
 	w := &Foreground{}
 	for i, h := range cfg.Hosts {
@@ -90,7 +88,7 @@ func StartForeground(engine *sim.Engine, cfg ForegroundConfig) *Foreground {
 	return w
 }
 
-// complete runs on the sender's shard at each transfer completion.
+// complete runs on the sender's engine at each transfer completion.
 func (f *fgFlow) complete(_ *tcp.Sender, now sim.Time) {
 	f.transfers++
 	if f.started >= f.warmup {
@@ -101,14 +99,14 @@ func (f *fgFlow) complete(_ *tcp.Sender, now sim.Time) {
 	}
 }
 
-// next starts the flow's next transfer on its own shard.
+// next starts the flow's next transfer on its own engine.
 func (f *fgFlow) next() {
 	f.started = f.eng.Now()
 	f.s.Extend(f.bytes)
 }
 
 // FCTs returns every recorded completion time in seconds, concatenated
-// in flow order — a deterministic, shard-invariant sequence.
+// in flow order — a deterministic sequence.
 func (w *Foreground) FCTs() []float64 {
 	var out []float64
 	for _, f := range w.flows {

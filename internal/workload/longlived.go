@@ -1,7 +1,7 @@
 // Package workload builds the traffic patterns of the paper's evaluation:
 // long-lived bulk flows sharing one bottleneck (Figs. 1, 10–12), and
-// barrier-synchronized partition/aggregate queries (Figs. 14–15, the
-// incast and completion-time experiments).
+// synchronized partition/aggregate queries (Figs. 14–15, the incast and
+// completion-time experiments).
 package workload
 
 import (
@@ -60,13 +60,11 @@ func StartLongLived(engine *sim.Engine, cfg LongLivedConfig) *LongLived {
 }
 
 // plusPacingSeed draws a DCTCP+ pacing seed from the construction
-// engine's root source — one draw per sender, in construction order.
-// Construction runs before the shards fork (serial engine, or shard 0
-// whose stream equals the serial one), so the seed — and with it every
-// runtime pacing draw, which goes through the sender's private RNG — is
-// a pure function of the run seed and byte-identical for any shard
-// count. Other variants take no draw, leaving their RNG streams (and the
-// committed golden digests) untouched.
+// engine's root source — one draw per sender, in construction order — so
+// the seed, and with it every runtime pacing draw, which goes through the
+// sender's private RNG, is a pure function of the run seed. Other
+// variants take no draw, leaving their RNG streams (and the committed
+// golden digests) untouched.
 func plusPacingSeed(engine *sim.Engine, cfg tcp.Config) tcp.Config {
 	if cfg.Variant == tcp.DCTCPPlus && cfg.PacingSeed == 0 {
 		cfg.PacingSeed = engine.Rand().Int63() + 1

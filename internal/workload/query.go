@@ -90,54 +90,10 @@ type QueryRunner struct {
 	doneFn   func(*tcp.Sender, sim.Time)
 	extendFn func(any)
 	roundFn  func()
-
-	// se and inFlight drive relay mode (StartQueriesSharded): round
-	// starts are injected into worker shards, round completion is
-	// detected at epoch barriers.
-	se       *sim.ShardedEngine
-	inFlight bool
 }
 
 // StartQueries begins the first round at the current instant.
 func StartQueries(engine *sim.Engine, cfg QueryConfig) *QueryRunner {
-	q := newQueryRunner(engine, cfg)
-	if cfg.Rounds > 0 && len(cfg.Workers) > 0 {
-		q.startRound()
-	} else {
-		q.done = true
-	}
-	return q
-}
-
-// StartQueriesSharded begins the workload on a partitioned network in
-// relay mode: the runner becomes a barrier-level controller. Each round
-// start draws the per-worker jitters from shard 0's root RNG — in worker
-// order, exactly as the serial runner would at the same instant — and
-// injects a kick event into each worker's shard carrying the serial
-// run's (at, schedAt) key. Round completion is detected at the epoch
-// barrier closing the window of the last acknowledgement: sender stats
-// freeze at completion, so the barrier reads the same values the serial
-// OnComplete handler saw, and the next round is scheduled as a barrier
-// task at exactly End+Gap.
-//
-// Relay mode requires persistent connections (fresh per-round endpoint
-// construction is serial-only) and a Gap of at least twice the
-// coordinator's lookahead, so the next round's start always lies beyond
-// the barrier that detects the previous round's completion. Callers
-// (core.RunQuery) validate both.
-func StartQueriesSharded(se *sim.ShardedEngine, cfg QueryConfig) *QueryRunner {
-	q := newQueryRunner(se.Shard(0), cfg)
-	q.se = se
-	if cfg.Rounds > 0 && len(cfg.Workers) > 0 {
-		q.startRoundRelay(sim.TimeZero)
-		se.AddBarrierHook(q.pollRelay)
-	} else {
-		q.done = true
-	}
-	return q
-}
-
-func newQueryRunner(engine *sim.Engine, cfg QueryConfig) *QueryRunner {
 	q := &QueryRunner{engine: engine, cfg: cfg}
 	if cfg.Rounds > 0 {
 		q.rounds = make([]QueryRound, 0, cfg.Rounds)
@@ -145,6 +101,11 @@ func newQueryRunner(engine *sim.Engine, cfg QueryConfig) *QueryRunner {
 	q.doneFn = q.workerDone
 	q.extendFn = q.extend
 	q.roundFn = q.startRound
+	if cfg.Rounds > 0 && len(cfg.Workers) > 0 {
+		q.startRound()
+	} else {
+		q.done = true
+	}
 	return q
 }
 
@@ -317,106 +278,4 @@ func (q *QueryRunner) workerDone(*tcp.Sender, sim.Time) {
 	} else {
 		q.startRound()
 	}
-}
-
-// startRoundRelay starts a round at t0 in relay mode. The first call
-// runs at setup; later calls are barrier tasks scheduled by pollRelay,
-// so every shard's clock is below t0 and injections are safe.
-func (q *QueryRunner) startRoundRelay(t0 sim.Time) {
-	q.started = t0
-	q.inFlight = true
-	deadline := sim.TimeNever
-	if q.cfg.Deadline > 0 {
-		deadline = t0.Add(q.cfg.Deadline)
-	}
-	if q.round > 0 {
-		// Persistent continuation: extend each worker's existing
-		// transfer on its own shard.
-		for i, s := range q.senders {
-			if q.cfg.Deadline > 0 {
-				s.Deadline = deadline
-			}
-			q.kickRelay(t0, q.cfg.Workers[i], q.extendFn, s)
-		}
-		return
-	}
-	for i, worker := range q.cfg.Workers {
-		s := q.connect(i, q.cfg.BaseFlow+netsim.FlowID(i))
-		if q.cfg.Deadline > 0 {
-			s.Deadline = deadline
-		}
-		q.kickRelay(t0, worker, startSender, s)
-	}
-}
-
-// kickRelay injects one worker's round-start action fn(s) into its shard at
-// t0 plus the configured jitter. The injected event carries schedAt=t0,
-// the instant the serial runner would have scheduled the same kick, so
-// it sorts identically against the worker shard's own events.
-func (q *QueryRunner) kickRelay(t0 sim.Time, w *netsim.Host, fn func(any), s *tcp.Sender) {
-	at := t0
-	if q.cfg.StartJitter > 0 {
-		at = t0.Add(time.Duration(q.engine.Rand().Int63n(int64(q.cfg.StartJitter))))
-	}
-	w.Engine().InjectArg(at, t0, fn, s)
-}
-
-// pollRelay runs at every epoch barrier and closes the in-flight round
-// once every sender has completed it. Completion times stamped on the
-// worker shards are safe to read here: the barrier's join edges order
-// them before the coordinator. A sender still showing the previous
-// round's completion (its kick has not fired yet) keeps the round open.
-func (q *QueryRunner) pollRelay() {
-	if q.done || !q.inFlight {
-		return
-	}
-	end := sim.TimeZero
-	for _, s := range q.senders {
-		if !s.Completed() || s.CompletionTime() < q.started {
-			return
-		}
-		if ct := s.CompletionTime(); ct > end {
-			end = ct
-		}
-	}
-	q.inFlight = false
-	q.finishRoundRelay(end)
-}
-
-// finishRoundRelay records the round ending at end and schedules the
-// next one, mirroring workerDone's bookkeeping. Sender stats froze at
-// each completion, so the deltas equal what the serial runner computed
-// at the last acknowledgement.
-func (q *QueryRunner) finishRoundRelay(end sim.Time) {
-	round := QueryRound{Start: q.started, End: end}
-	var timeouts, retx uint64
-	deadline := q.started.Add(q.cfg.Deadline)
-	for _, s := range q.senders {
-		st := s.Stats()
-		timeouts += st.Timeouts
-		retx += st.Retransmissions
-		if q.cfg.Deadline > 0 && s.CompletionTime() > deadline {
-			round.MissedDeadlines++
-		}
-	}
-	round.Timeouts = timeouts - q.baseTimeouts
-	round.Retransmissions = retx - q.baseRetx
-	q.baseTimeouts, q.baseRetx = timeouts, retx
-	q.rounds = append(q.rounds, round)
-
-	if q.round == q.cfg.Rounds-1 {
-		for i, s := range q.senders {
-			q.cfg.Workers[i].Unregister(s.Flow())
-			q.cfg.Aggregator.Unregister(s.Flow())
-		}
-	}
-	q.round++
-	if q.round >= q.cfg.Rounds {
-		q.done = true
-		if q.cfg.OnDone != nil {
-			q.cfg.OnDone()
-		}
-		return
-	}
-	q.se.ScheduleBarrier(end.Add(q.cfg.Gap), q.startRoundRelay)
 }
