@@ -31,11 +31,6 @@ func TestFabricQuickRunVerifiedSharded(t *testing.T) {
 				res.Protocol, res.Completed, res.Flows, res.Digest)
 		}
 	}
-	for _, key := range []string{`"host_drops":`, `"out_of_order":`, `"late_duplicates":`} {
-		if !bytes.Contains(first, []byte(key)) {
-			t.Fatalf("the report lacks %s", key)
-		}
-	}
 	if len(snap.ShardsVerified) != 2 {
 		t.Fatalf("shards verified %v, want [1 2]", snap.ShardsVerified)
 	}

@@ -345,6 +345,50 @@ func TestQuickMatchesCoreRunner(t *testing.T) {
 }
 
 // runJSON runs a subcommand that reports JSON on stdout and decodes it.
+// TestReportKeys pins the key set of every result in the -quick fabric
+// and hybrid reports. The counters every runner shares arrive flattened
+// from the embedded core.Outcome; a key leaves a report, or joins it, only
+// by an edit to this table.
+func TestReportKeys(t *testing.T) {
+	outcome := []string{"events", "marks", "drops", "host_drops", "fault_drops",
+		"dropped_no_flow", "timeouts", "retransmissions"}
+	fabric := append([]string{"protocol", "topology", "hosts", "load", "flows", "completed", "fct",
+		"digest", "core_queue", "agg_queue", "mark_rate", "drop_rate", "out_of_order",
+		"late_duplicates"}, outcome...)
+	hybrid := append([]string{"protocol", "mode", "bg_flows", "fg_flows", "queue_mean_pkts",
+		"queue_std_pkts", "queue_min_pkts", "queue_max_pkts", "osc_period_ns", "osc_confidence",
+		"fluid_final", "coupler_ticks", "fg_transfers", "fg_fct_count", "fg_fct_mean_sec",
+		"fg_fct_p99_sec", "digest"}, outcome...)
+	type result = map[string]json.RawMessage
+	var fab struct{ Results []result }
+	var hyb struct{ Hybrid, Packet result }
+	runJSON(t, &fab, "fabric", "-quick")
+	runJSON(t, &hyb, "hybrid", "-quick")
+	for _, c := range []struct {
+		name    string
+		results []result
+		want    []string
+	}{
+		{"fabric", fab.Results, fabric},
+		{"hybrid", []result{hyb.Hybrid, hyb.Packet}, hybrid},
+	} {
+		if len(c.results) != 2 {
+			t.Fatalf("%s: want two results, got %d", c.name, len(c.results))
+		}
+		slices.Sort(c.want)
+		for i, res := range c.results {
+			var got []string
+			for k := range res {
+				got = append(got, k)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, c.want) {
+				t.Errorf("%s result %d keys:\n got %v\nwant %v", c.name, i, got, c.want)
+			}
+		}
+	}
+}
+
 func runJSON(t *testing.T, into any, args ...string) []byte {
 	t.Helper()
 	var out bytes.Buffer

@@ -24,7 +24,8 @@ type BuildupConfig struct {
 	LongFlows int
 	// ShortBytes is each short transfer's size (DCTCP paper: 20 KB).
 	ShortBytes int64
-	// ShortEvery is the idle gap between short transfers.
+	// ShortEvery is the idle gap between short transfers; zero selects
+	// 1 ms.
 	ShortEvery time.Duration
 	// Rate, RTT, BufferPkts as in DumbbellConfig.
 	Rate       netsim.Rate
@@ -49,6 +50,10 @@ type BuildupResult struct {
 	QueueMeanPkts float64
 	// BackgroundUtilization is the long flows' share of capacity.
 	BackgroundUtilization float64
+
+	// Outcome counts marks and drops at the bottleneck, and timeouts
+	// and retransmissions over the long and the short flows.
+	Outcome
 }
 
 // RunBuildup executes the microbenchmark.
@@ -59,7 +64,10 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 	if err := checkShared(cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.Duration, cfg.Warmup, 0); err != nil {
 		return nil, err
 	}
-	if cfg.ShortEvery <= 0 {
+	if cfg.ShortEvery < 0 {
+		return nil, errors.New("core: ShortEvery must not be negative")
+	}
+	if cfg.ShortEvery == 0 {
 		cfg.ShortEvery = time.Millisecond
 	}
 
@@ -83,6 +91,7 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 	// Sequential short transfers on fresh connections, starting after
 	// warmup.
 	var fcts []float64
+	var shorts []*tcp.Sender
 	const shortFlowBase = 1 << 20
 	flowID := netsim.FlowID(shortFlowBase)
 	var launch func()
@@ -90,6 +99,7 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 		flow := flowID
 		flowID++
 		s := tcp.NewSender(shortHost, flow, rcv.ID(), cfg.ShortBytes, cfg.Protocol.TCP)
+		shorts = append(shorts, s)
 		tcp.NewReceiver(rcv, flow, shortHost.ID(), cfg.Protocol.TCP)
 		started := engine.Now()
 		s.OnComplete = func(_ *tcp.Sender, done sim.Time) {
@@ -118,6 +128,12 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 		P95FCT:         secondsToDuration(stats.Quantile(fcts, 0.95)),
 		MaxFCT:         secondsToDuration(stats.Quantile(fcts, 1)),
 		QueueMeanPkts:  rec.Mean(),
+		Outcome:        r.collect(star.Net, star.Bottleneck, end, bg),
+	}
+	for _, s := range shorts {
+		st := s.Stats()
+		res.Timeouts += st.Timeouts
+		res.Retransmissions += st.Retransmissions
 	}
 	res.BackgroundUtilization = float64(bg.TotalAcked()) /
 		(cfg.Rate.BytesPerSecond() * (cfg.Warmup + cfg.Duration).Seconds())

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dtdctcp/internal/chaos"
-	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
@@ -151,31 +150,19 @@ type DumbbellResult struct {
 	// Utilization is bottleneck goodput ÷ capacity over the measured
 	// interval.
 	Utilization float64
-	// Marks, Drops count bottleneck CE marks and overflow drops over
-	// the whole run (warmup included).
-	Marks, Drops uint64
-	// Timeouts counts sender RTOs over the whole run.
-	Timeouts uint64
 	// Fairness is Jain's index over per-flow acknowledged bytes at the
 	// end of the run (1 = perfectly even).
 	Fairness float64
 	// PerFlowAcked lists each flow's acknowledged bytes.
 	PerFlowAcked []int64
-	// Events is the number of simulator events processed, for
-	// events-per-second throughput accounting in benchmarks.
-	Events uint64
 
-	// FaultDrops counts bottleneck packets lost to chaos faults (down
-	// link or corruption) over the whole run.
-	FaultDrops uint64
 	// Recovery holds fault-recovery metrics of the queue trace around
 	// the chaos plan's fault window; nil unless Chaos was set and the
 	// queue series was sampled.
 	Recovery *stats.Recovery
 
-	// Metrics is the run's observability snapshot; nil unless
-	// DumbbellConfig.Metrics (or MetricsSampleEvery) was set.
-	Metrics *metrics.Snapshot
+	// Outcome counts marks and drops at the bottleneck.
+	Outcome
 }
 
 // RunDumbbell executes the scenario to completion and aggregates results.
@@ -278,10 +265,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		QueueSeries:   rec.Series(),
 		AlphaMean:     alphaAgg.Mean(),
 		AlphaSeries:   alphaSeries,
-		Marks:         bneck.Stats().Marked,
-		Drops:         bneck.Stats().DroppedOverflow,
-		Timeouts:      flows.Timeouts(),
-		Events:        r.stats().Processed,
+		Outcome:       r.collect(star.Net, bneck, end, flows),
 	}
 	acked := make([]float64, len(flows.Senders))
 	for i, snd := range flows.Senders {
@@ -305,20 +289,15 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		res.OscPeriod = time.Duration(period * float64(time.Second))
 		res.OscConfidence = conf
 	}
-	if cfg.Chaos != nil {
-		st := bneck.Stats()
-		res.FaultDrops = st.DroppedLinkDown + st.DroppedCorrupt
-		if res.QueueSeries != nil {
-			if fs, fe, ok := cfg.Chaos.FaultWindow(); ok {
-				rec := stats.MeasureRecovery(res.QueueSeries, stats.RecoveryConfig{
-					FaultStart: fs.Seconds(),
-					FaultEnd:   fe.Seconds(),
-				})
-				res.Recovery = &rec
-			}
+	if cfg.Chaos != nil && res.QueueSeries != nil {
+		if fs, fe, ok := cfg.Chaos.FaultWindow(); ok {
+			rec := stats.MeasureRecovery(res.QueueSeries, stats.RecoveryConfig{
+				FaultStart: fs.Seconds(),
+				FaultEnd:   fe.Seconds(),
+			})
+			res.Recovery = &rec
 		}
 	}
-	res.Metrics = r.snapshot(end)
 	return res, nil
 }
 

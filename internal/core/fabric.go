@@ -49,7 +49,7 @@ type FabricConfig struct {
 	// Matrix is the traffic pattern (default random).
 	Matrix flowgen.Matrix
 	// Drain is how long the run continues past the last arrival so
-	// in-flight transfers can finish (default 2 s).
+	// in-flight transfers can finish; zero selects 2 s.
 	Drain time.Duration
 	// SmallMax and LargeMin bound the FCT size buckets in bytes:
 	// small ≤ SmallMax < medium < LargeMin ≤ large. Defaults follow the
@@ -82,6 +82,8 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Load must be positive")
 	case c.Flows <= 0:
 		return errors.New("core: Flows must be positive")
+	case c.Drain < 0:
+		return errors.New("core: Drain must not be negative")
 	case c.Shards < 0:
 		return errors.New("core: Shards must not be negative")
 	case c.SmallMax < 0 || c.LargeMin < 0:
@@ -139,34 +141,20 @@ type FabricResult struct {
 	CoreQueue QueueSummary `json:"core_queue"`
 	AggQueue  QueueSummary `json:"agg_queue"`
 
-	// Marks and Drops count CE marks and overflow drops across every
-	// switch port; the rates normalize by switch-port enqueues.
-	Marks    uint64  `json:"marks"`
-	Drops    uint64  `json:"drops"`
+	// Outcome counts marks and drops across every switch port; its
+	// DroppedNoFlow is mostly the ACKs of late duplicates that reach a
+	// sender after it has retired.
+	Outcome
+	// MarkRate and DropRate normalize Marks and Drops by switch-port
+	// enqueues.
 	MarkRate float64 `json:"mark_rate"`
 	DropRate float64 `json:"drop_rate"`
-	// HostDrops counts overflow drops at the hosts' uplink ports (NICs),
-	// which Drops omits.
-	HostDrops uint64 `json:"host_drops"`
 	// OutOfOrder counts segments the receivers buffered beyond their
 	// cumulative ACK point: the loss and reordering they reassembled.
 	OutOfOrder uint64 `json:"out_of_order"`
-	// DroppedNoFlow counts packets a host refused because their
-	// connection had already closed: the ACKs of late duplicates that
-	// reach a sender after it has retired.
-	DroppedNoFlow uint64 `json:"dropped_no_flow"`
 	// LateDuplicates counts the segments a destination answered from a
 	// flow's TIME_WAIT record, its receiver having acknowledged every byte.
 	LateDuplicates uint64 `json:"late_duplicates"`
-
-	// Timeouts and Retransmissions sum over every connection.
-	Timeouts        uint64 `json:"timeouts"`
-	Retransmissions uint64 `json:"retransmissions"`
-	// Events is the number of simulator events processed.
-	Events uint64 `json:"events"`
-
-	// Metrics is the observability snapshot; nil unless requested.
-	Metrics *metrics.Snapshot `json:"-"`
 }
 
 // RunFabric executes the scenario to completion and aggregates results.
@@ -174,7 +162,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Drain <= 0 {
+	if cfg.Drain == 0 {
 		cfg.Drain = 2 * time.Second
 	}
 	if cfg.SmallMax == 0 {
@@ -252,51 +240,14 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		return nil, err
 	}
 
-	res := &FabricResult{
-		Protocol:        cfg.Protocol.Name,
-		Topology:        fab.Kind,
-		Hosts:           len(fab.Hosts),
-		Load:            cfg.Load,
-		Flows:           cfg.Flows,
-		Completed:       w.Completed(),
-		FCT:             w.FCTStats(cfg.SmallMax, cfg.LargeMin),
-		Digest:          fmt.Sprintf("%016x", w.Digest()),
-		Timeouts:        w.TotalTimeouts(),
-		Retransmissions: w.TotalRetransmissions(),
-		Events:          r.stats().Processed,
-		DroppedNoFlow:   droppedNoFlow(nw),
-		OutOfOrder:      w.TotalOutOfOrder(),
-		LateDuplicates:  w.LateDuplicates(),
-	}
-	for _, h := range nw.Hosts() {
-		res.HostDrops += h.Uplink().Stats().DroppedOverflow
-	}
-
-	core := metrics.NewHistogram(bounds)
-	for _, h := range coreHists {
-		core.Merge(h)
-	}
-	agg := metrics.NewHistogram(bounds)
-	for _, h := range aggHists {
-		agg.Merge(h)
-	}
-	res.CoreQueue = summarize(core)
-	res.AggQueue = summarize(agg)
-
-	var enq uint64
-	for _, sw := range nw.Switches() {
-		for i := 0; i < sw.Ports(); i++ {
-			st := sw.Port(i).Stats()
-			res.Marks += st.Marked
-			res.Drops += st.DroppedOverflow
-			enq += st.Enqueued
+	merge := func(hists []*metrics.Histogram) *metrics.Histogram {
+		m := metrics.NewHistogram(bounds)
+		for _, h := range hists {
+			m.Merge(h)
 		}
+		return m
 	}
-	if enq > 0 {
-		res.MarkRate = float64(res.Marks) / float64(enq)
-		res.DropRate = float64(res.Drops) / float64(enq)
-	}
-
+	core, agg := merge(coreHists), merge(aggHists)
 	if cfg.Metrics {
 		r.observe(0)
 		reg := r.obs.reg
@@ -305,9 +256,27 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 			bounds, metrics.L("tier", "core")).Merge(core)
 		reg.Histogram("fabric_queue_pkts", "egress queue depth by switch tier",
 			bounds, metrics.L("tier", "agg")).Merge(agg)
-		res.Metrics = r.snapshot(end)
 	}
 
+	res := &FabricResult{
+		Protocol:       cfg.Protocol.Name,
+		Topology:       fab.Kind,
+		Hosts:          len(fab.Hosts),
+		Load:           cfg.Load,
+		Flows:          cfg.Flows,
+		Completed:      w.Completed(),
+		FCT:            w.FCTStats(cfg.SmallMax, cfg.LargeMin),
+		Digest:         fmt.Sprintf("%016x", w.Digest()),
+		CoreQueue:      summarize(core),
+		AggQueue:       summarize(agg),
+		Outcome:        r.collect(nw, nil, end, w),
+		OutOfOrder:     w.TotalOutOfOrder(),
+		LateDuplicates: w.LateDuplicates(),
+	}
+	if enq := res.enqueued; enq > 0 {
+		res.MarkRate = float64(res.Marks) / float64(enq)
+		res.DropRate = float64(res.Drops) / float64(enq)
+	}
 	w.Cleanup()
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"dtdctcp/internal/fluid"
 	"dtdctcp/internal/hybrid"
-	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
@@ -143,21 +142,14 @@ type HybridResult struct {
 	FgFCTMeanSec float64   `json:"fg_fct_mean_sec"`
 	FgFCTP99Sec  float64   `json:"fg_fct_p99_sec"`
 
-	// Marks and Drops count bottleneck CE marks and overflow drops over
-	// the whole run; Timeouts counts sender RTOs (all senders).
-	Marks    uint64 `json:"marks"`
-	Drops    uint64 `json:"drops"`
-	Timeouts uint64 `json:"timeouts"`
-	// Events is the number of simulator events processed.
-	Events uint64 `json:"events"`
+	// Outcome counts marks and drops at the bottleneck, and timeouts
+	// and retransmissions over every packet-level sender.
+	Outcome
 
 	// Digest folds the queue statistics, trace, fluid state, and every
 	// foreground FCT into one hex word; equal digests mean
 	// byte-identical results.
 	Digest string `json:"digest"`
-
-	// Metrics is the observability snapshot; nil unless requested.
-	Metrics *metrics.Snapshot `json:"-"`
 }
 
 // RunHybrid executes the scenario to completion and aggregates results.
@@ -188,18 +180,16 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
 
 	// Background load: fluid coupler in hybrid mode, real senders in
-	// packet mode.
+	// packet mode (bgHosts is empty in hybrid mode).
+	bg := workload.StartLongLived(r.engine, workload.LongLivedConfig{
+		Hosts:       bgHosts,
+		Receiver:    rcv,
+		TCP:         cfg.Protocol.TCP,
+		BaseFlow:    1 << 20,
+		StartJitter: cfg.RTT,
+	})
 	var coupler *hybrid.Coupler
-	var bg *workload.LongLived
-	if cfg.FullPacket {
-		bg = workload.StartLongLived(r.engine, workload.LongLivedConfig{
-			Hosts:       bgHosts,
-			Receiver:    rcv,
-			TCP:         cfg.Protocol.TCP,
-			BaseFlow:    1 << 20,
-			StartJitter: cfg.RTT,
-		})
-	} else {
+	if !cfg.FullPacket {
 		coupler, err = hybrid.New(hybrid.Config{
 			Fluid:        cfg.fluidConfig(),
 			Port:         bneck,
@@ -214,20 +204,17 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		coupler.Start(r.engine)
 	}
 
-	var fg *workload.Foreground
-	if cfg.FgFlows > 0 {
-		fg = workload.StartForeground(r.engine, workload.ForegroundConfig{
-			Hosts:       fgHosts,
-			Receiver:    rcv,
-			Bytes:       cfg.FgBytes,
-			Gap:         cfg.FgGap,
-			TCP:         cfg.Protocol.TCP,
-			BaseFlow:    1,
-			StartJitter: cfg.RTT,
-			Horizon:     cfg.Warmup + cfg.Duration,
-			Warmup:      cfg.Warmup,
-		})
-	}
+	fg := workload.StartForeground(r.engine, workload.ForegroundConfig{
+		Hosts:       fgHosts,
+		Receiver:    rcv,
+		Bytes:       cfg.FgBytes,
+		Gap:         cfg.FgGap,
+		TCP:         cfg.Protocol.TCP,
+		BaseFlow:    1,
+		StartJitter: cfg.RTT,
+		Horizon:     cfg.Warmup + cfg.Duration,
+		Warmup:      cfg.Warmup,
+	})
 
 	if err := r.until(end); err != nil {
 		return nil, err
@@ -244,9 +231,9 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		QueueMinPkts:  rec.Min(),
 		QueueMaxPkts:  rec.Max(),
 		QueueSeries:   rec.Series(),
-		Marks:         bneck.Stats().Marked,
-		Drops:         bneck.Stats().DroppedOverflow,
-		Events:        r.stats().Processed,
+		FgTransfers:   fg.Transfers(),
+		FgFCTs:        fg.FCTs(),
+		Outcome:       r.collect(star.Net, bneck, end, bg, fg),
 	}
 	if cfg.FullPacket {
 		res.Mode = "packet"
@@ -255,18 +242,10 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		res.FluidFinal = coupler.Stepper().State()
 		res.CouplerTicks = coupler.Ticks()
 	}
-	if bg != nil {
-		res.Timeouts += bg.Timeouts()
-	}
-	if fg != nil {
-		res.FgTransfers = fg.Transfers()
-		res.FgFCTs = fg.FCTs()
-		res.FgFCTCount = len(res.FgFCTs)
-		if res.FgFCTCount > 0 {
-			res.FgFCTMeanSec = stats.Mean(res.FgFCTs)
-			res.FgFCTP99Sec = stats.Quantile(res.FgFCTs, 0.99)
-		}
-		res.Timeouts += fg.Timeouts()
+	res.FgFCTCount = len(res.FgFCTs)
+	if res.FgFCTCount > 0 {
+		res.FgFCTMeanSec = stats.Mean(res.FgFCTs)
+		res.FgFCTP99Sec = stats.Quantile(res.FgFCTs, 0.99)
 	}
 	if res.QueueSeries != nil {
 		period, conf := stats.EstimatePeriod(res.QueueSeries.After(cfg.Warmup.Seconds()))
@@ -274,7 +253,6 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		res.OscConfidence = conf
 	}
 	res.Digest = res.digest()
-	res.Metrics = r.snapshot(end)
 	return res, nil
 }
 

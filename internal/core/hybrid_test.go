@@ -104,30 +104,6 @@ func TestHybridRepeatRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHybridMetricsDoNotPerturb is determinism satellite 1c: the
-// pull-based metrics registry changes no result.
-func TestHybridMetricsDoNotPerturb(t *testing.T) {
-	off, err := RunHybrid(hybridTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := hybridTestConfig()
-	cfg.Metrics = true
-	on, err := RunHybrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Digest != off.Digest {
-		t.Fatalf("metrics perturbed the run: %s vs %s", on.Digest, off.Digest)
-	}
-	if on.Metrics == nil {
-		t.Fatal("metrics requested but snapshot missing")
-	}
-	if off.Metrics != nil {
-		t.Fatal("metrics not requested but snapshot present")
-	}
-}
-
 func TestHybridConfigValidation(t *testing.T) {
 	// want is what the refusal must name; "" accepts any error.
 	bad := []struct {

@@ -11,13 +11,14 @@ import (
 	"dtdctcp/internal/topo"
 )
 
-// lifetimeOutcome is everything the receiver-lifetime oracle compares.
+// lifetimeOutcome is everything the receiver-lifetime oracle compares:
+// the run's Outcome (events, drops at every tier, refused packets,
+// timeouts and retransmissions) and what only the fabric counts.
 type lifetimeOutcome struct {
-	digest                          uint64
-	processed, scheduled, cancelled uint64
-	droppedNoFlow, outOfOrder       uint64
-	hostDrops                       uint64
-	timeouts, retransmissions       uint64
+	Outcome
+	digest               uint64
+	scheduled, cancelled uint64
+	outOfOrder           uint64
 }
 
 // runLifetime runs cfg's leaf-spine fabric through flowgen and returns
@@ -65,23 +66,17 @@ func runLifetime(t *testing.T, cfg FabricConfig, reference bool) (lifetimeOutcom
 
 	st := r.stats()
 	out := lifetimeOutcome{
-		digest:          w.Digest(),
-		processed:       st.Processed,
-		scheduled:       st.Scheduled,
-		cancelled:       st.Cancelled,
-		droppedNoFlow:   droppedNoFlow(nw),
-		outOfOrder:      w.TotalOutOfOrder(),
-		timeouts:        w.TotalTimeouts(),
-		retransmissions: w.TotalRetransmissions(),
+		Outcome:    r.collect(nw, nil, 0, w),
+		digest:     w.Digest(),
+		scheduled:  st.Scheduled,
+		cancelled:  st.Cancelled,
+		outOfOrder: w.TotalOutOfOrder(),
 	}
 	if reference {
 		out.outOfOrder = 0
 		for _, rcv := range receivers {
 			out.outOfOrder += rcv.Stats().OutOfOrder
 		}
-	}
-	for _, h := range nw.Hosts() {
-		out.hostDrops += h.Uplink().Stats().DroppedOverflow
 	}
 	late := w.LateDuplicates()
 	w.Cleanup()
@@ -138,7 +133,7 @@ func TestReceiverLifetimeMatchesReference(t *testing.T) {
 						if got != ref {
 							t.Fatalf("receivers opened lazily: %+v\nreference:               %+v", got, ref)
 						}
-						t.Logf("%d late duplicates answered from TIME_WAIT, %d refused packets", n, got.droppedNoFlow)
+						t.Logf("%d late duplicates answered from TIME_WAIT, %d refused packets", n, got.DroppedNoFlow)
 						late += n
 					})
 				}

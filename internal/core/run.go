@@ -89,18 +89,6 @@ func (r *run) stats() sim.EngineStats {
 	return r.engine.Stats()
 }
 
-// droppedNoFlow sums, over every host, the packets refused for want of an
-// endpoint: segments and ACKs that arrived after their connection closed.
-// Connection recycling relies on them being refused at the host's table;
-// no digest folds the count.
-func droppedNoFlow(nw *netsim.Network) uint64 {
-	var n uint64
-	for _, h := range nw.Hosts() {
-		n += h.DroppedNoFlow()
-	}
-	return n
-}
-
 // observe turns the metrics registry on — engine counters, and the
 // coordinator's when sharded — with a sampler when sampleEvery is positive.
 func (r *run) observe(sampleEvery time.Duration) {
@@ -110,13 +98,79 @@ func (r *run) observe(sampleEvery time.Duration) {
 	}
 }
 
-// snapshot freezes the registry at the run's virtual end time; nil when
-// metrics are off.
-func (r *run) snapshot(end sim.Time) *metrics.Snapshot {
-	if r.obs == nil {
-		return nil
+// Outcome is what every runner counts the same way. Each result embeds
+// it, so its fields read as the result's own and encoding/json flattens
+// them into the result's keys; run.collect fills it after the run.
+type Outcome struct {
+	// Events is the number of simulator events processed, summed over
+	// shards.
+	Events uint64 `json:"events"`
+	// Marks and Drops count CE marks and overflow drops at the ports the
+	// runner names: the bottleneck of a star or the testbed, every switch
+	// port of a fabric. Both cover the whole run, warmup included.
+	Marks uint64 `json:"marks"`
+	Drops uint64 `json:"drops"`
+	// HostDrops counts overflow drops at the hosts' uplink ports (NICs),
+	// which Drops omits.
+	HostDrops uint64 `json:"host_drops"`
+	// FaultDrops counts packets lost to chaos faults — a down link or
+	// corruption — at every port.
+	FaultDrops uint64 `json:"fault_drops"`
+	// DroppedNoFlow counts packets a host refused because their
+	// connection had already closed: late duplicates and their ACKs
+	// after an endpoint retired.
+	DroppedNoFlow uint64 `json:"dropped_no_flow"`
+	// Timeouts and Retransmissions sum sender RTO firings and
+	// retransmitted segments over every connection of the workload.
+	Timeouts        uint64 `json:"timeouts"`
+	Retransmissions uint64 `json:"retransmissions"`
+	// Metrics is the run's observability snapshot; nil unless the
+	// scenario asked for metrics.
+	Metrics *metrics.Snapshot `json:"-"`
+
+	// enqueued counts the packets the Marks/Drops ports admitted: the
+	// fabric's rate denominator.
+	enqueued uint64
+}
+
+// losses is what collect asks of every workload: RTO firings and
+// retransmitted segments, summed over its connections.
+type losses interface {
+	Losses() (timeouts, retransmissions uint64)
+}
+
+// collect fills the outcome after until, in one walk over every port and
+// host of nw. bneck names the port Marks and Drops count; nil counts every
+// switch port. The snapshot, when metrics are on, is frozen at end.
+func (r *run) collect(nw *netsim.Network, bneck *netsim.Port, end sim.Time, loads ...losses) Outcome {
+	o := Outcome{Events: r.stats().Processed}
+	for _, sw := range nw.Switches() {
+		for i := 0; i < sw.Ports(); i++ {
+			p := sw.Port(i)
+			st := p.Stats()
+			o.FaultDrops += st.DroppedLinkDown + st.DroppedCorrupt
+			if bneck == nil || p == bneck {
+				o.Marks += st.Marked
+				o.Drops += st.DroppedOverflow
+				o.enqueued += st.Enqueued
+			}
+		}
 	}
-	return r.obs.reg.Snapshot(end.Seconds())
+	for _, h := range nw.Hosts() {
+		st := h.Uplink().Stats()
+		o.HostDrops += st.DroppedOverflow
+		o.FaultDrops += st.DroppedLinkDown + st.DroppedCorrupt
+		o.DroppedNoFlow += h.DroppedNoFlow()
+	}
+	for _, w := range loads {
+		timeouts, retx := w.Losses()
+		o.Timeouts += timeouts
+		o.Retransmissions += retx
+	}
+	if r.obs != nil {
+		o.Metrics = r.obs.reg.Snapshot(end.Seconds())
+	}
+	return o
 }
 
 // star builds the dumbbell every single-bottleneck scenario runs on:

@@ -72,6 +72,18 @@ func TestRefusedConfigs(t *testing.T) {
 			_, err := RunBuildup(cfg)
 			return err
 		}},
+		{"buildup negative short gap", func() error {
+			cfg := buildup
+			cfg.ShortEvery = -time.Millisecond
+			_, err := RunBuildup(cfg)
+			return err
+		}},
+		{"fabric negative drain", func() error {
+			cfg := fabric
+			cfg.Drain = -time.Second
+			_, err := RunFabric(cfg)
+			return err
+		}},
 		{"completion time with no workers", func() error {
 			_, err := RunCompletionTime(DefaultTestbed(DCTCP(21, 1.0/16), 0), 1)
 			return err

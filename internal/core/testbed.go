@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dtdctcp/internal/chaos"
-	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
@@ -193,28 +192,15 @@ type QueryResult struct {
 	// the "severe oscillation" the paper reports for DCTCP near
 	// collapse.
 	CompletionStdDev time.Duration
-	// Timeouts counts RTO firings across all rounds; nonzero timeouts
-	// are the mechanism of Incast collapse.
-	Timeouts uint64
-	// Drops counts bottleneck overflow drops.
-	Drops uint64
-	// DroppedNoFlow counts packets a host refused because their
-	// connection had already closed: late duplicates and their ACKs
-	// after a fresh-connection round retired its endpoints.
-	DroppedNoFlow uint64
 	// MissedDeadlines counts worker responses that finished past their
 	// deadline, and DeadlineMissRate normalizes it by the total number
 	// of responses (0 when no deadline was configured).
 	MissedDeadlines  int
 	DeadlineMissRate float64
 
-	// Events is the number of simulator events processed, for throughput
-	// accounting.
-	Events uint64
-
-	// Metrics is the run's observability snapshot; nil unless
-	// TestbedConfig.Metrics was set.
-	Metrics *metrics.Snapshot
+	// Outcome counts marks and drops at the bottleneck; its Timeouts,
+	// the mechanism of Incast collapse, sum over every round.
+	Outcome
 }
 
 // RunQuery executes rounds of a synchronized query on the testbed:
@@ -269,11 +255,8 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		P95Completion:    secondsToDuration(stats.Quantile(times, 0.95)),
 		MaxCompletion:    secondsToDuration(stats.Quantile(times, 1)),
 		CompletionStdDev: secondsToDuration(stats.StdDev(times)),
-		Timeouts:         queries.TotalTimeouts(),
-		Drops:            tb.bneck.Stats().DroppedOverflow,
-		DroppedNoFlow:    droppedNoFlow(tb.aggregator.Network()),
 		MissedDeadlines:  queries.TotalMissedDeadlines(),
-		Events:           tb.stats().Processed,
+		Outcome:          tb.collect(tb.aggregator.Network(), tb.bneck, end, queries),
 	}
 	if cfg.Deadline > 0 {
 		total := float64(res.Rounds * cfg.Workers)
@@ -281,7 +264,6 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 			res.DeadlineMissRate = float64(res.MissedDeadlines) / total
 		}
 	}
-	res.Metrics = tb.snapshot(end)
 	return res, nil
 }
 

@@ -124,11 +124,12 @@ func (w *Foreground) Transfers() int {
 	return total
 }
 
-// Timeouts sums RTO firings across flows.
-func (w *Foreground) Timeouts() uint64 {
-	var total uint64
+// Losses sums RTO firings and retransmitted segments across flows.
+func (w *Foreground) Losses() (timeouts, retransmissions uint64) {
 	for _, f := range w.flows {
-		total += f.s.Stats().Timeouts
+		st := f.s.Stats()
+		timeouts += st.Timeouts
+		retransmissions += st.Retransmissions
 	}
-	return total
+	return timeouts, retransmissions
 }

@@ -42,7 +42,7 @@ func TestForegroundRepeatsTransfersAndRecordsFCTs(t *testing.T) {
 			t.Fatalf("FCT[%d] = %v, want > 0", i, fct)
 		}
 	}
-	_ = w.Timeouts() // must not panic
+	_, _ = w.Losses() // must not panic
 }
 
 // TestForegroundHorizonStopsNewTransfers pins the horizon contract: no

@@ -93,11 +93,12 @@ func (w *LongLived) MeanAlpha() float64 {
 	return sum / float64(len(w.Senders))
 }
 
-// Timeouts sums RTO firings across flows.
-func (w *LongLived) Timeouts() uint64 {
-	var total uint64
+// Losses sums RTO firings and retransmitted segments across flows.
+func (w *LongLived) Losses() (timeouts, retransmissions uint64) {
 	for _, s := range w.Senders {
-		total += s.Stats().Timeouts
+		st := s.Stats()
+		timeouts += st.Timeouts
+		retransmissions += st.Retransmissions
 	}
-	return total
+	return timeouts, retransmissions
 }

@@ -150,13 +150,14 @@ func (q *QueryRunner) TotalMissedDeadlines() int {
 	return total
 }
 
-// TotalTimeouts sums timeouts over all rounds.
-func (q *QueryRunner) TotalTimeouts() uint64 {
-	var total uint64
+// Losses sums RTO firings and retransmitted segments over all completed
+// rounds.
+func (q *QueryRunner) Losses() (timeouts, retransmissions uint64) {
 	for _, r := range q.rounds {
-		total += r.Timeouts
+		timeouts += r.Timeouts
+		retransmissions += r.Retransmissions
 	}
-	return total
+	return timeouts, retransmissions
 }
 
 func (q *QueryRunner) startRound() {

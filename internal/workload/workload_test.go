@@ -57,7 +57,7 @@ func TestLongLivedFlowsMakeProgress(t *testing.T) {
 	if a := w.MeanAlpha(); a <= 0 || a > 1 {
 		t.Fatalf("MeanAlpha = %v", a)
 	}
-	_ = w.Timeouts() // must not panic
+	_, _ = w.Losses() // must not panic
 	if bneck.Stats().Marked == 0 {
 		t.Fatal("no marking at bottleneck")
 	}
@@ -194,7 +194,7 @@ func TestQueryRunnerIncastCollapseVisibleWithTinyBuffer(t *testing.T) {
 	if bneck.Stats().DroppedOverflow == 0 {
 		t.Fatal("expected overflow drops in incast")
 	}
-	if q.TotalTimeouts() == 0 {
+	if timeouts, _ := q.Losses(); timeouts == 0 {
 		t.Fatal("expected RTO timeouts in incast")
 	}
 	// Ideal time: 24·64 KB at 1 Gbps ≈ 12.6 ms; a 200 ms RTO dominates.
