@@ -243,6 +243,21 @@ func TestTestbedValidation(t *testing.T) {
 	if bad.validate() == nil {
 		t.Fatal("delay=0 accepted")
 	}
+	// A negative jitter, gap or deadline was once run as zero.
+	for _, neg := range []struct {
+		set  func(*TestbedConfig)
+		want string
+	}{
+		{func(c *TestbedConfig) { c.StartJitter = -time.Millisecond }, "core: StartJitter must not be negative"},
+		{func(c *TestbedConfig) { c.Gap = -time.Millisecond }, "core: Gap must not be negative"},
+		{func(c *TestbedConfig) { c.Deadline = -time.Millisecond }, "core: Deadline must not be negative"},
+	} {
+		bad = good
+		neg.set(&bad)
+		if _, err := RunIncast(bad, 2); err == nil || err.Error() != neg.want {
+			t.Fatalf("RunIncast = %v, want %q", err, neg.want)
+		}
+	}
 	if _, err := RunQuery(good, 0, 1); err == nil {
 		t.Fatal("bytes=0 accepted")
 	}

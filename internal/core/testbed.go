@@ -97,6 +97,12 @@ func (c TestbedConfig) validate() error {
 		return errors.New("core: buffers must be positive")
 	case c.HopDelay <= 0:
 		return errors.New("core: HopDelay must be positive")
+	case c.StartJitter < 0:
+		return errors.New("core: StartJitter must not be negative")
+	case c.Gap < 0:
+		return errors.New("core: Gap must not be negative")
+	case c.Deadline < 0:
+		return errors.New("core: Deadline must not be negative")
 	}
 	return nil
 }

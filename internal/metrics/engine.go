@@ -26,7 +26,7 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 		"Events cancelled before firing, one per stopped or superseded timer deadline.",
 		func() uint64 { return stats().Cancelled })
 	r.CounterFunc("sim_events_lane_total",
-		"Queue insertions appended to a sorted lane instead of sifted into the heap; well below sim_events_executed_total when a run's delays are irregular or its pending set stays small.",
+		"Queue insertions appended to a sorted lane instead of sifted into the heap; well below sim_events_executed_total when a run's delays are irregular or more of them recur than there are lanes.",
 		func() uint64 { return stats().LaneHits })
 	r.CounterFunc("sim_queue_compactions_total",
 		"Compaction passes removing cancelled events from the heap and the lanes.",

@@ -34,10 +34,6 @@ const (
 	laneCandidateBits = 3
 	// laneGrantAfter is the count at which a candidate delay gets a lane.
 	laneGrantAfter = 32
-	// laneMinPending is the pending-set size up to which everything goes to
-	// the heap: a heap of sixteen is two levels deep, and a sift that short
-	// costs less than the lanes' bookkeeping.
-	laneMinPending = 16
 )
 
 // Sources of the earliest pending slot, beside the lane indices 0..7.
@@ -213,7 +209,7 @@ func (e *Engine) insert(s heapSlot) {
 	if e.pending++; e.pending > e.maxPending {
 		e.maxPending = e.pending
 	}
-	if e.pending > laneMinPending && e.toLane(s) {
+	if e.toLane(s) {
 		return
 	}
 	if e.vacant {
@@ -225,11 +221,11 @@ func (e *Engine) insert(s heapSlot) {
 }
 
 // toLane appends s to the lane that collects its delay and reports whether
-// it did. It does not if no lane collects that delay, which it notes; if s
-// ties with the lane's tail on the instant and sorts before it — a keyed
+// it did. It does not if no lane collects that delay, which it notes, or if
+// s ties with the lane's tail on the instant and sorts before it — a keyed
 // delivery with a smaller source key, an injection stamped with an older
-// scheduling instant; or if s is earlier than the tail, which is what
-// follows a re-targeting to a shorter delay.
+// scheduling instant. A lane's tail was queued the same delay ahead of a
+// clock that never runs backwards, so s never fires before it.
 //
 //dtlint:hotpath
 func (e *Engine) toLane(s heapSlot) bool {
@@ -248,7 +244,7 @@ func (e *Engine) toLane(s heapSlot) bool {
 			return false
 		}
 		e.laneAt[i] = s.at
-	} else if last := l.at(l.len() - 1); s.at < last.at || s.at == last.at && !e.queue.less(last, s) {
+	} else if last := l.at(l.len() - 1); s.at == last.at && !e.queue.less(last, s) {
 		return false
 	} else if l.len() == len(l.buf) {
 		//dtlint:allow hotalloc: a ring doubles to its run's high-water mark in warm-up and is retained
@@ -311,29 +307,17 @@ func (e *Engine) noteMiss(d Time) {
 	c.d, c.n = cd, n
 }
 
-// grantLane makes a lane collect delay d: a new one while there is room,
-// otherwise the one used least since the last time this was asked. A
-// re-targeted lane keeps its slots; it stays sorted because insert checks
-// every slot against the tail whatever the lane's delay is.
+// grantLane makes a new lane collect delay d. With all maxLanes taken it
+// does nothing: d stays in the heap, where it costs what it always did.
 func (e *Engine) grantLane(d Time) {
-	if e.nLanes < maxLanes {
-		//dtlint:allow hotalloc: one ring per lane granted, at most maxLanes in a run
-		e.lanes[e.nLanes].buf = make([]heapSlot, initialLaneCap)
-		e.laneAt[e.nLanes] = laneEmpty
-		e.laneD[e.nLanes] = d
-		e.nLanes++
+	if e.nLanes == maxLanes {
 		return
 	}
-	v := 0
-	for i := range e.lanes {
-		if e.lanes[i].hits-e.lanes[i].mark < e.lanes[v].hits-e.lanes[v].mark {
-			v = i
-		}
-	}
-	e.laneD[v] = d
-	for i := range e.lanes {
-		e.lanes[i].mark = e.lanes[i].hits
-	}
+	//dtlint:allow hotalloc: one ring per lane granted, at most maxLanes in a run
+	e.lanes[e.nLanes].buf = make([]heapSlot, initialLaneCap)
+	e.laneAt[e.nLanes] = laneEmpty
+	e.laneD[e.nLanes] = d
+	e.nLanes++
 }
 
 // earliestTied resolves an exact tie on the instant at between sources
@@ -615,13 +599,11 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		if len(e.queue.items) > 0 {
 			at = e.queue.items[0].at
 		}
-		if e.pending > len(e.queue.items) {
-			for i, a := range e.laneAt[:e.nLanes] {
-				if a < at {
-					src, at, tied = i, a, false
-				} else if a == at {
-					tied = true
-				}
+		for i, a := range e.laneAt[:e.nLanes] {
+			if a < at {
+				src, at, tied = i, a, false
+			} else if a == at {
+				tied = true
 			}
 		}
 		if at > horizon {
@@ -729,7 +711,7 @@ type EngineStats struct {
 	// stale wake-up the run loop moves is inserted a second time.) It
 	// describes the execution, like FreeHits: it differs between shard
 	// counts and never enters a result. LaneHits well below Processed says
-	// that the run's delays are irregular and its events pay the heap's
-	// price, or that its pending set stays too small for that to matter.
+	// that the run's delays are irregular, or more than maxLanes recur, and
+	// its events pay the heap's price.
 	LaneHits uint64
 }

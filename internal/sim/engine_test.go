@@ -123,8 +123,8 @@ func TestCancelSkipsEvent(t *testing.T) {
 	ran := false
 	ev := e.Schedule(100, func() { ran = true })
 	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if ev.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -140,14 +140,8 @@ func TestCancelSkipsEvent(t *testing.T) {
 func TestCancelZeroEventRefIsNoop(t *testing.T) {
 	var ev EventRef
 	ev.Cancel() // must not panic
-	if ev.Cancelled() {
-		t.Fatal("zero EventRef reports cancelled")
-	}
 	if ev.Pending() {
 		t.Fatal("zero EventRef reports pending")
-	}
-	if ev.At() != TimeNever {
-		t.Fatalf("zero EventRef At = %v, want never", ev.At())
 	}
 }
 
@@ -160,7 +154,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	// The fired event's storage is recycled; a later event may occupy it.
 	second := e.Schedule(200, func() {})
 	first.Cancel() // stale handle: must not cancel the new occupant
-	if second.Cancelled() {
+	if !second.Pending() || e.Pending() != 1 {
 		t.Fatal("stale Cancel hit a recycled event")
 	}
 	ran := false

@@ -75,17 +75,6 @@ func (r EventRef) Pending() bool {
 	return r.ev != nil && r.ev.gen == r.gen && !r.ev.cancelled
 }
 
-// At returns the firing instant of a pending event, or TimeNever once
-// the event has fired or been cancelled.
-//
-//dtlint:hotpath
-func (r EventRef) At() Time {
-	if !r.Pending() {
-		return TimeNever
-	}
-	return r.ev.at
-}
-
 // Cancel prevents a pending event from running. Cancelling an event that
 // has already fired (or was already cancelled) is a no-op. Cancellation
 // is lazy — the event stays queued and is skipped (and recycled) when it
@@ -100,14 +89,6 @@ func (r EventRef) Cancel() {
 	}
 	r.ev.cancelled = true
 	r.engine.noteCancelled()
-}
-
-// Cancelled reports whether Cancel has been called on the event it
-// references and the event has not yet been recycled.
-//
-//dtlint:hotpath
-func (r EventRef) Cancelled() bool {
-	return r.ev != nil && r.ev.gen == r.gen && r.ev.cancelled
 }
 
 // unkeyedSrc is the srcKey of events scheduled without a source
@@ -200,34 +181,10 @@ func (h *eventHeap) down(i int, s heapSlot) {
 		if first >= n {
 			break
 		}
-		best, tie := first, true
-		if first+4 <= n {
-			// A full node: a tournament on the inline instants, each round
-			// a flag set without branching. Measured against the scan below
-			// used alone: wall_s −21 % on dumbbell_n40, −8 % on fabric_k4
-			// (EXPERIMENTS.md, "Event queue and timers").
-			c := items[first : first+4 : first+4]
-			x, y, z := 0, 0, 0
-			if c[1].at < c[0].at {
-				x = 1
-			}
-			if c[3].at < c[2].at {
-				y = 1
-			}
-			ax, ay := c[x].at, c[2+y].at
-			if ay < ax {
-				z = 1
-			}
-			best += x + z*(2+y-x)
-			tie = c[0].at == c[1].at || c[2].at == c[3].at || ax == ay
-		}
-		if tie {
-			// A short last node or an exact tie: scan under the full key.
-			best = first
-			for c := first + 1; c < first+4 && c < n; c++ {
-				if h.less(items[c], items[best]) {
-					best = c
-				}
+		best := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h.less(items[c], items[best]) {
+				best = c
 			}
 		}
 		if !h.less(items[best], s) {
@@ -264,9 +221,8 @@ type lane struct {
 	// nothing is retained by leaving them.
 	buf        []heapSlot
 	head, tail uint
-	// hits counts appends; mark is hits as of the last time every lane was
-	// taken and one had to be re-targeted, so hits-mark is recent use.
-	hits, mark uint64
+	// hits counts appends, for EngineStats.LaneHits.
+	hits uint64
 }
 
 // laneEmpty is the cached head instant of an empty lane. No lane holds a

@@ -100,8 +100,8 @@ const (
 	reachDeadHead
 	// A compaction removed entries from a lane.
 	reachCompact
-	// Every lane was taken and one was given another delay to collect.
-	reachRetarget
+	// A delay earned a lane with every lane taken and stayed in the heap.
+	reachAllTaken
 	// A handler popped from a lane ran the engine from inside.
 	reachNestedRun
 )
@@ -110,7 +110,7 @@ var laneReachNames = []string{
 	"append", "append refused for a smaller source key", "inject refused for an older scheduling instant",
 	"lane head ties with heap root", "two lane heads tie", "stale wake-up at a lane head",
 	"cancelled event at a lane head", "compaction over a non-empty lane",
-	"lane re-targeted with all taken", "nested run from a lane-popped handler",
+	"lane earned with all taken", "nested run from a lane-popped handler",
 }
 
 func (r laneReach) String() string {
@@ -173,26 +173,31 @@ func (m engineMachine) noteHeads() {
 }
 
 func (m engineMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
-	// What the lane that collects this delay ends in, if there is one and
-	// the pending set is large enough to be routed at all, says why an
-	// append was refused.
+	// What the lane that collects this delay ends in, if there is one, says
+	// why an append was refused; a delay that no lane collects earns one
+	// with this miss if its candidate counter is one short.
+	d := at - m.now
 	var tail *Event
-	if l := m.laneFor(at - m.now); l != nil && l.len() > 0 && m.Pending() >= laneMinPending {
+	l := m.laneFor(d)
+	if l != nil && l.len() > 0 {
 		tail = l.at(l.len() - 1).ev
 	}
-	hits, taken, delays := m.laneHits(), m.nLanes == maxLanes, m.laneD
+	earns := false
+	for _, c := range m.cands {
+		earns = earns || l == nil && c.d == d && c.n == laneGrantAfter-1
+	}
+	hits, taken := m.laneHits(), m.nLanes == maxLanes
 	cancel := m.scheduleCall(call, at, schedAt, srcKey, srcSeq, fn)
 	switch {
 	case m.laneHits() > hits:
 		*m.reach |= reachAppend
+	case earns && taken:
+		*m.reach |= reachAllTaken
 	case tail == nil || tail.at != at:
 	case call == callScheduleSrcArg && tail.schedAt == m.now && srcKey < tail.srcKey:
 		*m.reach |= reachRefusedSrcKey
 	case (call == callInjectArg || call == callInjectSrcArg) && schedAt < tail.schedAt:
 		*m.reach |= reachRefusedInject
-	}
-	if taken && delays != m.laneD {
-		*m.reach |= reachRetarget
 	}
 	m.noteHeads()
 	return func() {
@@ -786,43 +791,42 @@ func silence(from, to int) []byte {
 }
 
 // laneSeeds reach what the Engine's lanes do, each entry the things listed
-// with it; TestOracleSeedsReachLanes holds them to it. The first
-// laneMinPending events of a pending set go to the heap uncounted and a
-// delay gets its lane on its laneGrantAfter-th miss after that, so 49
-// events scheduled one delay ahead of one instant on an empty engine put
-// 48 in the heap and the last in a new lane.
+// with it; TestOracleSeedsReachLanes holds them to it. A delay gets its
+// lane on its laneGrantAfter-th miss, so 33 events scheduled one delay
+// ahead of one instant on an empty engine put 32 in the heap and the last
+// in a new lane.
 var laneSeeds = []struct {
 	prog  []byte
 	reach laneReach
 }{
-	// Fifty-six events on one instant: the last eight are appended to the
-	// lane the others earned, whose head then ties with the heap's root.
-	{join(times(56, 0, 4, 0, 0), []byte{10, 7}), reachAppend | reachTieHeap},
+	// Forty events on one instant: the last eight are appended to the lane
+	// the others earned, whose head then ties with the heap's root.
+	{join(times(40, 0, 4, 0, 0), []byte{10, 7}), reachAppend | reachTieHeap},
 	// A keyed delivery from source 2 goes to the lane's tail; one from
 	// source 0 at the same instant sorts before it and is refused.
-	{join(times(49, 0, 4, 0, 0), []byte{2, 4, 0, 2, 2, 4, 0, 0, 10, 7}), reachAppend | reachRefusedSrcKey},
+	{join(times(33, 0, 4, 0, 0), []byte{2, 4, 0, 2, 2, 4, 0, 0, 10, 7}), reachAppend | reachRefusedSrcKey},
 	// The clock at 7; a lane of events scheduled there for 9; an injection
 	// for 9 stamped 6 sorts before them all.
-	{join([]byte{10, 6}, times(49, 0, 4, 0, 0), []byte{3, 4, 3, 0, 10, 7}), reachAppend | reachRefusedInject},
+	{join([]byte{10, 6}, times(33, 0, 4, 0, 0), []byte{3, 4, 3, 0, 10, 7}), reachAppend | reachRefusedInject},
 	// A lane of delay 3 filled at instant 0 and one of delay 2 filled at
 	// instant 1: both heads fire at 3.
-	{join(times(49, 0, 5, 0, 0), []byte{10, 2}, times(49, 0, 4, 0, 0), []byte{10, 7}), reachTieLanes},
-	// The lane of delay 2 earned by events 0–48, which are silenced and
-	// drained; seventeen events far ahead (ids 49–65) so that the pending
-	// set is large enough for lanes; timer 0 armed 2 ahead — its wake-up is
-	// the lane's only entry — and pushed out to 20; silencing the seventeen
-	// is what looks at the lane heads.
-	{join(times(49, 0, 4, 0, 0), silence(0, 49), []byte{10, 7}, times(17, 36, 7, 0, 0),
-		[]byte{7, 4, 0, 7, 7, 0}, silence(49, 66), []byte{10, 7, 10, 7}), reachAppend | reachStaleWake},
+	{join(times(33, 0, 5, 0, 0), []byte{10, 2}, times(33, 0, 4, 0, 0), []byte{10, 7}), reachTieLanes},
+	// The lane of delay 2 earned by events 0–32, which are silenced and
+	// drained; timer 0 armed 2 ahead — its wake-up is the lane's only
+	// entry — and pushed out to 20; scheduling one event far ahead is what
+	// looks at the lane heads.
+	{join(times(33, 0, 4, 0, 0), silence(0, 33), []byte{10, 7, 7, 4, 0, 7, 7, 0, 36, 7, 0, 0, 10, 7, 10, 7}),
+		reachAppend | reachStaleWake},
 	// The lane's only entry cancelled: the run loop finds it at the head.
-	{join(times(49, 0, 4, 0, 0), []byte{5, 0, 48, 10, 7}), reachAppend | reachDeadHead},
-	// 141 events on one instant, 93 of them in a lane, and every other one
+	{join(times(33, 0, 4, 0, 0), []byte{5, 0, 32, 10, 7}), reachAppend | reachDeadHead},
+	// 141 events on one instant, 109 of them in a lane, and every other one
 	// cancelled at once.
 	{join(times(141, 0, 6, 0, 0), []byte{6, 0, 0, 10, 7}), reachAppend | reachCompact},
-	// Nine delay classes: the ninth finds every lane taken.
-	{join(times(49, 0, 4, 0, 0), times(33, 12, 4, 0, 0), times(33, 24, 4, 0, 0), times(33, 36, 4, 0, 0),
+	// Nine delay classes of 33 events: the first eight fill every lane, the
+	// ninth earns one with all taken and stays in the heap.
+	{join(times(33, 0, 4, 0, 0), times(33, 12, 4, 0, 0), times(33, 24, 4, 0, 0), times(33, 36, 4, 0, 0),
 		times(33, 48, 4, 0, 0), times(33, 60, 4, 0, 0), times(33, 72, 4, 0, 0), times(33, 84, 4, 0, 0),
-		times(33, 96, 4, 0, 0)), reachAppend | reachRetarget},
+		times(33, 96, 4, 0, 0)), reachAppend | reachAllTaken},
 	// Fifty-nine events on one instant and all but the last, id 58, in a
 	// lane, silenced: its handler runs the engine from inside.
 	{join(times(59, 0, 4, 0, 0), silence(0, 58)), reachAppend | reachNestedRun},
