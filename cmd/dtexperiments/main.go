@@ -43,7 +43,11 @@ type settings struct {
 	collect *[]metrics.Named
 }
 
-func run(args []string, out io.Writer) error {
+// startCPUProfile is metrics.StartCPUProfile; a test swaps it to fail the
+// profile's close.
+var startCPUProfile = metrics.StartCPUProfile
+
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dtexperiments", flag.ContinueOnError)
 	var (
 		figs       = fs.String("fig", "1,2,6,9,10,11,12,14,15", "comma-separated figure ids to run (extensions: aqm, d2, buildup, zoo)")
@@ -58,11 +62,15 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *cpuProfile != "" {
-		stop, err := metrics.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			return err
+		stop, perr := startCPUProfile(*cpuProfile)
+		if perr != nil {
+			return perr
 		}
-		defer stop()
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
 	}
 
 	s := settings{duration: 200 * time.Millisecond, warmup: 40 * time.Millisecond, rounds: 20, seeds: 3}

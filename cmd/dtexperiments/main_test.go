@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -58,6 +59,17 @@ func TestFig1PlotsResolveCycles(t *testing.T) {
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run([]string{"-fig", "99"}, io.Discard); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+}
+
+// TestCPUProfileCloseErrorFails: a CPU profile that fails to close is the
+// run's error, not a silent exit 0.
+func TestCPUProfileCloseErrorFails(t *testing.T) {
+	failed := errors.New("close failed")
+	defer func(orig func(string) (func() error, error)) { startCPUProfile = orig }(startCPUProfile)
+	startCPUProfile = func(string) (func() error, error) { return func() error { return failed }, nil }
+	if err := run([]string{"-fig", "2", "-cpuprofile", "cpu.pprof"}, io.Discard); !errors.Is(err, failed) {
+		t.Fatalf("run = %v, want the close error", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/dtlint [-list] [-json] [-baseline file] [packages]
+//	go run ./cmd/dtlint [-list] [-json] [-C dir] [packages]
 //
 // Packages default to ./... and accept the usual go-list patterns.
 //
@@ -14,14 +14,12 @@
 //	{"version": 1, "count": N, "findings": [
 //	    {"file": "...", "line": 1, "column": 1, "analyzer": "...", "message": "..."}]}
 //
-// With -baseline, findings recorded in the given file (same JSON schema,
-// matched by file+analyzer+message so unrelated edits moving lines do not
-// resurrect them) are tolerated; only new findings count. CI commits an
-// empty baseline, so the gate is "no findings beyond the reviewed set".
+// A justified exception is suppressed at its site with a
+// //dtlint:allow comment giving the reason.
 //
 // Exit codes:
 //
-//	0  no findings (or none beyond the baseline)
+//	0  no findings
 //	1  findings
 //	2  usage, load, or internal error
 package main
@@ -40,7 +38,7 @@ import (
 // change.
 const jsonVersion = 1
 
-// report is the JSON document -json emits and -baseline consumes.
+// report is the JSON document -json emits.
 type report struct {
 	Version  int       `json:"version"`
 	Count    int       `json:"count"`
@@ -70,47 +68,6 @@ func toFindings(diags []lint.Diagnostic) []finding {
 	return out
 }
 
-// key identifies a finding across line drift: file, analyzer, and message
-// (messages embed the offending construct, so this is tight enough in
-// practice while surviving unrelated edits above the site).
-func (f finding) key() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// subtractBaseline drops findings already recorded in the baseline,
-// consuming baseline entries one-for-one so duplicates only cover
-// duplicates.
-func subtractBaseline(findings []finding, baseline []finding) []finding {
-	quota := make(map[string]int, len(baseline))
-	for _, b := range baseline {
-		quota[b.key()]++
-	}
-	var fresh []finding
-	for _, f := range findings {
-		if quota[f.key()] > 0 {
-			quota[f.key()]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh
-}
-
-func readBaseline(path string) ([]finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Version != jsonVersion {
-		return nil, fmt.Errorf("%s: baseline schema version %d, this dtlint speaks %d", path, r.Version, jsonVersion)
-	}
-	return r.Findings, nil
-}
-
 func writeReport(w io.Writer, findings []finding) error {
 	r := report{Version: jsonVersion, Count: len(findings), Findings: findings}
 	if r.Findings == nil {
@@ -127,10 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers in the suite and exit")
 	asJSON := fs.Bool("json", false, "emit findings as a single JSON document")
-	baselinePath := fs.String("baseline", "", "tolerate findings recorded in this JSON `file`; only new ones fail")
 	dir := fs.String("C", ".", "run as if launched from `dir` (go list working directory)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: dtlint [-list] [-json] [-baseline file] [packages]\n")
+		fmt.Fprintf(stderr, "usage: dtlint [-list] [-json] [-C dir] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -145,16 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var baseline []finding
-	if *baselinePath != "" {
-		var err error
-		baseline, err = readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "dtlint:", err)
-			return 2
-		}
-	}
-
 	pkgs, err := lint.Load(*dir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "dtlint:", err)
@@ -166,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	findings := subtractBaseline(toFindings(diags), baseline)
+	findings := toFindings(diags)
 
 	if *asJSON {
 		if err := writeReport(stdout, findings); err != nil {

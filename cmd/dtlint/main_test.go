@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -54,8 +52,8 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
-// TestJSONSchema pins the -json wire format byte for byte: CI diffing and
-// the committed baseline depend on it staying stable.
+// TestJSONSchema pins the -json wire format byte for byte: CI and
+// external tooling depend on it staying stable.
 func TestJSONSchema(t *testing.T) {
 	var buf bytes.Buffer
 	err := writeReport(&buf, []finding{
@@ -95,56 +93,9 @@ func TestJSONEmpty(t *testing.T) {
 	}
 }
 
-// TestSubtractBaseline pins the diff semantics: matching is by
-// file+analyzer+message (line drift tolerated), and each baseline entry
-// covers exactly one occurrence.
-func TestSubtractBaseline(t *testing.T) {
-	old := finding{File: "a.go", Line: 10, Analyzer: "maporder", Message: "m"}
-	moved := old
-	moved.Line = 99 // same finding after edits above it
-	dup := old
-	fresh := finding{File: "b.go", Line: 1, Analyzer: "detflow", Message: "n"}
-
-	got := subtractBaseline([]finding{moved, dup, fresh}, []finding{old})
-	if len(got) != 2 {
-		t.Fatalf("new findings = %d (%v), want 2 (the duplicate and the genuinely new one)", len(got), got)
-	}
-	if got[1] != fresh {
-		t.Errorf("fresh finding missing from the diff: %v", got)
-	}
-	if got := subtractBaseline([]finding{moved}, []finding{old}); len(got) != 0 {
-		t.Errorf("line drift not tolerated: %v", got)
-	}
-}
-
-// TestReadBaselineVersion pins the schema guard: a baseline written by a
-// different schema version must fail loudly, not silently mismatch.
-func TestReadBaselineVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.json")
-	if err := os.WriteFile(path, []byte(`{"version": 99, "count": 0, "findings": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readBaseline(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("version mismatch not rejected: %v", err)
-	}
-}
-
-// TestRepoBaselineIsEmpty pins the committed baseline: the tree is clean,
-// so the reviewed set of tolerated findings must be empty — new findings
-// are fixed or //dtlint:allow'd, never baselined away.
-func TestRepoBaselineIsEmpty(t *testing.T) {
-	findings, err := readBaseline(filepath.Join("..", "..", "lint_baseline.json"))
-	if err != nil {
-		t.Fatalf("read committed baseline: %v", err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("committed baseline carries %d findings, want 0", len(findings))
-	}
-}
-
-// TestRunExitCodes exercises the command surface that needs no package
-// loading: -list succeeds and names every analyzer, a bad flag is exit 2.
+// TestRunExitCodes exercises the command surface short of a lint run:
+// -list succeeds and names every analyzer, a bad flag is exit 2, and so is
+// a pattern that does not load.
 func TestRunExitCodes(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
@@ -158,7 +109,7 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
 	}
-	if code := run([]string{"-baseline", "does-not-exist.json", "-C", "../.."}, &out, &errOut); code != 2 {
-		t.Errorf("missing baseline exit = %d, want 2", code)
+	if code := run([]string{"-C", "../..", "./does-not-exist"}, &out, &errOut); code != 2 {
+		t.Errorf("load error exit = %d, want 2", code)
 	}
 }

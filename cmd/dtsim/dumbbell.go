@@ -35,7 +35,7 @@ func runDumbbell(o *opts, _ *flag.FlagSet, w io.Writer) error {
 		AlphaSampleEvery:   time.Millisecond,
 		Metrics:            o.metrics != "" || o.prom != "",
 		MetricsSampleEvery: o.metricsSample,
-		// An α ≤ 0 leaves the private buffers.
+		// An α = 0 leaves the private buffers.
 		SharedBuffer: dtdctcp.SharedBufferConfig{Alpha: o.sbAlpha, PoolPkts: o.sbPool, BottleneckOnly: o.sbBottleneckOnly},
 	}
 	if o.plot || o.csv != "" {

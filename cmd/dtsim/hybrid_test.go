@@ -61,22 +61,36 @@ func TestHybridRejectsBadFlags(t *testing.T) {
 
 // TestHybridNegativeGapExits: a negative -fg-gap once panicked with
 // "sim: scheduling into the past" at the first foreground completion. The
-// command refuses it: exit status 1 and the core: reason on stderr. The
-// test binary reruns itself with the command line after "--" as dtsim's.
+// command refuses it: exit status 1 and the core: reason on stderr.
 func TestHybridNegativeGapExits(t *testing.T) {
+	exitsWith(t, "core: FgGap must not be negative", "hybrid", "-quick", "-fg-gap", "-1ms")
+}
+
+// TestDumbbellNegativePoolExits: a negative -sb-pool once ran as the
+// default pool. The command refuses it: exit status 1 and the core: reason
+// on stderr.
+func TestDumbbellNegativePoolExits(t *testing.T) {
+	exitsWith(t, "core: SharedBuffer.PoolPkts must not be negative", "dumbbell", "-sb-alpha", "1", "-sb-pool", "-5")
+}
+
+// exitsWith checks that dtsim run with args exits with status 1 and gives
+// the reason want on stderr. The test binary reruns the calling test with
+// args after "--", where this function runs main instead.
+func exitsWith(t *testing.T, want string, args ...string) {
+	t.Helper()
 	if args := flag.Args(); len(args) > 0 {
 		os.Args = append([]string{"dtsim"}, args...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestHybridNegativeGapExits$", "--", "hybrid", "-quick", "-fg-gap", "-1ms")
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^" + t.Name() + "$", "--"}, args...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	var exit *exec.ExitError
 	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("exit %v, want status 1; stderr:\n%s", err, &stderr)
 	}
-	if want := "core: FgGap must not be negative"; !strings.Contains(stderr.String(), want) {
+	if !strings.Contains(stderr.String(), want) {
 		t.Fatalf("stderr %q does not give the reason %q", &stderr, want)
 	}
 }

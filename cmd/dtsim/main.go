@@ -51,6 +51,10 @@ func main() {
 	}
 }
 
+// startCPUProfile is metrics.StartCPUProfile; a test swaps it to fail the
+// profile's close.
+var startCPUProfile = metrics.StartCPUProfile
+
 // subcommand is one scenario family: the flags it takes from the block,
 // the defaults it sets apart from the block's, and what -quick sets.
 type subcommand struct {
@@ -113,9 +117,11 @@ func (c *subcommand) exec(args []string, w io.Writer) (err error) {
 	}
 
 	if o.cpuProfile != "" {
-		stop, err := metrics.StartCPUProfile(string(o.cpuProfile))
-		if err != nil {
-			return err
+		// perr, not err: a block-local err would hide the named result
+		// from the deferred close.
+		stop, perr := startCPUProfile(string(o.cpuProfile))
+		if perr != nil {
+			return perr
 		}
 		defer func() {
 			if serr := stop(); err == nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -169,6 +170,17 @@ func TestRunMetricsPlotAndProfiles(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "utilization") {
 		t.Fatal("missing summary")
+	}
+}
+
+// TestCPUProfileCloseErrorFails: a CPU profile that fails to close is the
+// run's error, not a silent exit 0.
+func TestCPUProfileCloseErrorFails(t *testing.T) {
+	failed := errors.New("close failed")
+	defer func(orig func(string) (func() error, error)) { startCPUProfile = orig }(startCPUProfile)
+	startCPUProfile = func(string) (func() error, error) { return func() error { return failed }, nil }
+	if err := run(append(short, "-cpuprofile", "cpu.pprof"), io.Discard); !errors.Is(err, failed) {
+		t.Fatalf("run = %v, want the close error", err)
 	}
 }
 

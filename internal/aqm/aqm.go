@@ -1,6 +1,7 @@
 // Package aqm implements the queue laws compared in the paper: plain
-// DropTail, the single-threshold ECN marking of DCTCP, the paper's
-// double-threshold marking (DT-DCTCP), and RED as an additional baseline.
+// DropTail, the single-threshold ECN marking of DCTCP and the paper's
+// double-threshold marking (DT-DCTCP), beside the PIE, CoDel and phantom
+// queue baselines.
 //
 // A Policy decides, per arriving packet, whether the packet is accepted,
 // accepted with an ECN Congestion-Experienced mark, or dropped. The
@@ -64,13 +65,10 @@ type Policy interface {
 	// qlenBytes after a packet left. Policies with hysteresis or timers
 	// update their state here.
 	OnDeparture(now sim.Time, qlenBytes int)
-	// Reset restores initial state so a policy value can be reused
-	// across runs.
-	Reset()
 }
 
 // LossSubstituting is implemented by queue laws whose AcceptMark verdict
-// substitutes for a drop (RED, PIE, CoDel in ECN mode): for those laws a
+// substitutes for a drop (PIE, CoDel in ECN mode): for those laws a
 // non-ECT packet must be dropped when the law signals congestion, per
 // RFC 3168 §5. Threshold markers (DCTCP, DT-DCTCP) do not implement it:
 // their marks are informational and non-ECT packets pass unharmed.
@@ -111,9 +109,6 @@ func (*DropTail) OnArrival(sim.Time, int, int) Verdict { return Accept }
 //dtlint:hotpath
 func (*DropTail) OnDeparture(sim.Time, int) {}
 
-// Reset implements Policy.
-func (*DropTail) Reset() {}
-
 // SingleThreshold is the DCTCP switch law: mark the arriving packet with
 // CE iff the instantaneous buffer occupancy is at least K at arrival.
 type SingleThreshold struct {
@@ -151,6 +146,3 @@ func (p *SingleThreshold) OnArrival(_ sim.Time, qlenBytes, _ int) Verdict {
 //
 //dtlint:hotpath
 func (*SingleThreshold) OnDeparture(sim.Time, int) {}
-
-// Reset implements Policy.
-func (*SingleThreshold) Reset() {}

@@ -1,7 +1,6 @@
 package aqm
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -36,7 +35,6 @@ func TestDropTailAlwaysAccepts(t *testing.T) {
 		}
 	}
 	p.OnDeparture(0, 0) // must not panic
-	p.Reset()
 }
 
 func TestSingleThresholdMarksAtK(t *testing.T) {
@@ -160,22 +158,6 @@ func TestDoubleThresholdClassicHysteresis(t *testing.T) {
 	}
 }
 
-func TestDoubleThresholdReset(t *testing.T) {
-	p := NewDoubleThresholdPackets(30, 50, pkt)
-	for q := 0; q <= 80; q++ {
-		p.OnArrival(0, q*pkt, pkt)
-	}
-	p.Reset()
-	if p.Rising() {
-		t.Error("Rising() = true after Reset")
-	}
-	// After reset the first arrival seeds the EWMA again: occupancy equals
-	// the average, so the trend is "not rising" and the threshold is K2.
-	if v := p.OnArrival(0, 40*pkt, pkt); v != Accept {
-		t.Errorf("first post-reset arrival at 40 pkts = %v, want accept", v)
-	}
-}
-
 func TestDoubleThresholdDepartureFeedsTrend(t *testing.T) {
 	p := NewDoubleThresholdPackets(30, 50, pkt)
 	for q := 0; q <= 60; q++ {
@@ -238,87 +220,13 @@ func TestPropertyDoubleThresholdBounded(t *testing.T) {
 	}
 }
 
-func TestREDBelowMinThAccepts(t *testing.T) {
-	p := &RED{MinTh: 10 * pkt, MaxTh: 30 * pkt, MaxP: 0.1, ECN: true,
-		Rand: rand.New(rand.NewSource(1))}
-	for i := 0; i < 100; i++ {
-		if v := p.OnArrival(0, 5*pkt, pkt); v != Accept {
-			t.Fatalf("below MinTh verdict = %v", v)
-		}
-	}
-}
-
-func TestREDAboveMaxThAlwaysCongested(t *testing.T) {
-	mark := &RED{MinTh: 10 * pkt, MaxTh: 30 * pkt, MaxP: 0.1, ECN: true,
-		Rand: rand.New(rand.NewSource(1))}
-	drop := &RED{MinTh: 10 * pkt, MaxTh: 30 * pkt, MaxP: 0.1,
-		Rand: rand.New(rand.NewSource(1))}
-	// Drive the EWMA above MaxTh.
-	for i := 0; i < 5000; i++ {
-		mark.OnArrival(0, 100*pkt, pkt)
-		drop.OnArrival(0, 100*pkt, pkt)
-	}
-	if mark.Avg() < float64(mark.MaxTh) {
-		t.Fatalf("avg %v did not exceed MaxTh", mark.Avg())
-	}
-	if v := mark.OnArrival(0, 100*pkt, pkt); v != AcceptMark {
-		t.Fatalf("ECN RED above MaxTh = %v, want mark", v)
-	}
-	if v := drop.OnArrival(0, 100*pkt, pkt); v != Drop {
-		t.Fatalf("drop RED above MaxTh = %v, want drop", v)
-	}
-}
-
-func TestREDIntermediateMarksProbabilistically(t *testing.T) {
-	p := &RED{MinTh: 10 * pkt, MaxTh: 30 * pkt, MaxP: 0.1, ECN: true,
-		Rand: rand.New(rand.NewSource(7))}
-	// Hold the instantaneous queue at 20 packets; the EWMA converges there.
-	marks, total := 0, 20000
-	for i := 0; i < total; i++ {
-		if p.OnArrival(0, 20*pkt, pkt) == AcceptMark {
-			marks++
-		}
-	}
-	if marks == 0 || marks == total {
-		t.Fatalf("marks = %d of %d; want probabilistic behaviour", marks, total)
-	}
-}
-
-func TestREDNames(t *testing.T) {
-	if (&RED{ECN: true}).Name() != "red-ecn" {
-		t.Fatal("ECN name")
-	}
-	if (&RED{}).Name() != "red-drop" {
-		t.Fatal("drop name")
-	}
-}
-
-func TestREDReset(t *testing.T) {
-	p := &RED{MinTh: 10 * pkt, MaxTh: 30 * pkt, MaxP: 0.1, ECN: true,
-		Rand: rand.New(rand.NewSource(1))}
-	for i := 0; i < 100; i++ {
-		p.OnArrival(0, 50*pkt, pkt)
-	}
-	p.Reset()
-	if p.Avg() != 0 {
-		t.Fatalf("Avg after Reset = %v", p.Avg())
-	}
-}
-
 func TestPolicyTrivialHooks(t *testing.T) {
 	// The no-op hooks and marker methods of every law, pinned so an
 	// accidental behaviour change (e.g. a hook gaining state) is caught.
 	st := NewSingleThreshold(40 * pkt)
 	st.OnDeparture(0, 10*pkt)
-	st.Reset()
 	if st.OnArrival(0, 39*pkt, pkt) != Accept {
 		t.Fatal("single threshold changed by hooks")
-	}
-
-	red := &RED{MinTh: 10 * pkt, MaxTh: 30 * pkt, MaxP: 0.1}
-	red.OnDeparture(0, 5*pkt)
-	if !red.MarkSubstitutesDrop() {
-		t.Fatal("RED must substitute drops")
 	}
 
 	pie := &PIE{DrainRateBps: 125e6}

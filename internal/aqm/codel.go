@@ -50,11 +50,6 @@ func (c *CoDel) OnDeparture(sim.Time, int) {}
 // replaces the drop the control law scheduled.
 func (c *CoDel) MarkSubstitutesDrop() bool { return true }
 
-// Reset implements Policy.
-func (c *CoDel) Reset() {
-	*c = CoDel{Target: c.Target, Interval: c.Interval, ECN: c.ECN}
-}
-
 // Dropping exposes the control-law state for tests.
 func (c *CoDel) Dropping() bool { return c.dropping }
 

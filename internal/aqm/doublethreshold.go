@@ -127,14 +127,6 @@ func (p *DoubleThreshold) OnDeparture(_ sim.Time, qlenBytes int) {
 	p.observe(qlenBytes)
 }
 
-// Reset implements Policy.
-func (p *DoubleThreshold) Reset() {
-	p.marking = false
-	p.avg = 0
-	p.seeded = false
-	p.lastRising = false
-}
-
 //dtlint:hotpath
 func (p *DoubleThreshold) observe(qlen int) bool {
 	g := p.TrendGain

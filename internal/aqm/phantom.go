@@ -112,11 +112,3 @@ func (p *PhantomQueue) assertOccupancy() {
 // VirtualQueueBytes exposes the current virtual occupancy (for tests and
 // monitors; the value is as of the last arrival/departure).
 func (p *PhantomQueue) VirtualQueueBytes() float64 { return p.vq }
-
-// Reset restores initial state for reuse across runs.
-func (p *PhantomQueue) Reset() {
-	p.vq = 0
-	p.lastAt = 0
-	p.started = false
-	p.Inner.Reset()
-}

@@ -139,27 +139,6 @@ func TestPropertyPhantomGammaOneMatchesFluidRecurrence(t *testing.T) {
 	}
 }
 
-// Reset must restore fresh behaviour: a scrambled-then-Reset phantom queue
-// matches a brand-new one verdict for verdict on a shared trace.
-func TestPhantomQueueResetRestoresFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		k := rng.Intn(30*fuzzPkt + 1)
-		used := NewPhantomQueue(0.9*phantomRate, NewSingleThreshold(k))
-		phantomWalk(rng, 150, []*PhantomQueue{used}, func(int, []Verdict) {})
-		used.Reset()
-		if used.VirtualQueueBytes() != 0 {
-			t.Fatalf("trial %d: virtual occupancy %g after Reset", trial, used.VirtualQueueBytes())
-		}
-		fresh := NewPhantomQueue(0.9*phantomRate, NewSingleThreshold(k))
-		phantomWalk(rng, 150, []*PhantomQueue{used, fresh}, func(step int, v []Verdict) {
-			if v[0] != v[1] {
-				t.Fatalf("trial %d step %d: reset policy %v, fresh %v", trial, step, v[0], v[1])
-			}
-		})
-	}
-}
-
 // FuzzPhantomQueue checks the phantom queue over arbitrary thresholds,
 // drain rates, and traces: it must never panic or drop, the virtual
 // occupancy must stay within [0, total arrived bytes], and doubling the

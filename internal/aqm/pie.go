@@ -83,14 +83,6 @@ func (p *PIE) OnDeparture(now sim.Time, qlenBytes int) {
 // replaces the drop the law would otherwise apply.
 func (p *PIE) MarkSubstitutesDrop() bool { return true }
 
-// Reset implements Policy.
-func (p *PIE) Reset() {
-	p.prob = 0
-	p.qdelayOld = 0
-	p.nextUpdate = 0
-	p.started = false
-}
-
 func (p *PIE) maybeUpdate(now sim.Time, qlenBytes int) {
 	if !p.started {
 		p.started = true

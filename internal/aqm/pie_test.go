@@ -100,19 +100,6 @@ func TestPIEECNMarksBelowCapDropsAbove(t *testing.T) {
 	}
 }
 
-func TestPIEReset(t *testing.T) {
-	p := newTestPIE(false)
-	now := sim.TimeZero
-	for i := 0; i < 100; i++ {
-		now = now.Add(time.Millisecond)
-		p.OnArrival(now, 1250000, pkt)
-	}
-	p.Reset()
-	if p.Prob() != 0 {
-		t.Fatalf("prob after reset = %v", p.Prob())
-	}
-}
-
 func TestPIEDefaults(t *testing.T) {
 	p := &PIE{DrainRateBps: 125e6, Rand: rand.New(rand.NewSource(1))}
 	if p.target() != 15*time.Millisecond || p.tUpdate() != 15*time.Millisecond {

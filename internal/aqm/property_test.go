@@ -122,46 +122,3 @@ func TestPropertyDegenerateDTEqualsSingleThreshold(t *testing.T) {
 		}
 	}
 }
-
-// Reset must restore the degenerate equivalence mid-stream too: a used
-// then Reset policy behaves like a fresh one.
-func TestPropertyResetRestoresFreshBehaviour(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		k1, k2 := rng.Intn(fuzzCap+1), rng.Intn(fuzzCap+1)
-		used := NewDoubleThreshold(k1, k2)
-		// Drive it through a random walk to scramble internal state.
-		qlen := 0
-		var now sim.Time
-		for step := 0; step < 100; step++ {
-			now += sim.Time(rng.Intn(100) + 1)
-			if rng.Intn(2) == 0 {
-				used.OnArrival(now, qlen, fuzzPkt)
-				if qlen+fuzzPkt <= fuzzCap {
-					qlen += fuzzPkt
-				}
-			} else if qlen >= fuzzPkt {
-				qlen -= fuzzPkt
-				used.OnDeparture(now, qlen)
-			}
-		}
-		used.Reset()
-		fresh := NewDoubleThreshold(k1, k2)
-		// Identical post-Reset behaviour on a shared random trajectory.
-		qlen = 0
-		for step := 0; step < 100; step++ {
-			now += sim.Time(rng.Intn(100) + 1)
-			vu := used.OnArrival(now, qlen, fuzzPkt)
-			vf := fresh.OnArrival(now, qlen, fuzzPkt)
-			if vu != vf {
-				t.Fatalf("trial %d step %d: K1=%d K2=%d qlen=%d: reset policy %v, fresh %v",
-					trial, step, k1, k2, qlen, vu, vf)
-			}
-			if qlen+fuzzPkt <= fuzzCap {
-				qlen += fuzzPkt
-			} else {
-				qlen = 0
-			}
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -251,6 +252,12 @@ func TestTestbedValidation(t *testing.T) {
 		{func(c *TestbedConfig) { c.StartJitter = -time.Millisecond }, "core: StartJitter must not be negative"},
 		{func(c *TestbedConfig) { c.Gap = -time.Millisecond }, "core: Gap must not be negative"},
 		{func(c *TestbedConfig) { c.Deadline = -time.Millisecond }, "core: Deadline must not be negative"},
+		// A negative pool ran as the default one; a negative or NaN α ran
+		// with no pool at all.
+		{func(c *TestbedConfig) { c.SharedBuffer = SharedBufferConfig{Alpha: 1, PoolPkts: -5} },
+			"core: SharedBuffer.PoolPkts must not be negative"},
+		{func(c *TestbedConfig) { c.SharedBuffer.Alpha = -1 }, "core: SharedBuffer.Alpha must not be negative or NaN"},
+		{func(c *TestbedConfig) { c.SharedBuffer.Alpha = math.NaN() }, "core: SharedBuffer.Alpha must not be negative or NaN"},
 	} {
 		bad = good
 		neg.set(&bad)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"dtdctcp/internal/chaos"
@@ -88,6 +89,19 @@ type SharedBufferConfig struct {
 // enabled reports whether the scenario shares buffers.
 func (s SharedBufferConfig) enabled() bool { return s.Alpha > 0 }
 
+// validate refuses what build and enabled would otherwise rewrite: build
+// runs a negative PoolPkts as the default pool, and enabled reads a
+// negative or NaN Alpha as no pool at all.
+func (s SharedBufferConfig) validate() error {
+	switch {
+	case s.PoolPkts < 0:
+		return errors.New("core: SharedBuffer.PoolPkts must not be negative")
+	case s.Alpha < 0 || math.IsNaN(s.Alpha):
+		return errors.New("core: SharedBuffer.Alpha must not be negative or NaN")
+	}
+	return nil
+}
+
 // build creates the pool (poolPkts defaulted to bufferPkts) and attaches
 // either just the bottleneck or every port of the switch.
 func (s SharedBufferConfig) build(sw *netsim.Switch, bneck *netsim.Port, bufferPkts, pktSize int) error {
@@ -113,6 +127,9 @@ func (s SharedBufferConfig) build(sw *netsim.Switch, bneck *netsim.Port, bufferP
 func (c DumbbellConfig) validate() error {
 	if c.Flows <= 0 {
 		return errors.New("core: Flows must be positive")
+	}
+	if err := c.SharedBuffer.validate(); err != nil {
+		return err
 	}
 	return checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup,
 		c.QueueSampleEvery, c.AlphaSampleEvery, c.MetricsSampleEvery)

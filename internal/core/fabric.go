@@ -20,7 +20,7 @@ import (
 // The fabric is the one runner that shards. Sharded fabric runs require a
 // queue law with no runtime randomness — the threshold-marking laws
 // (DCTCP's single and DT-DCTCP's double threshold) qualify. A randomized
-// law (PIE, RED) draws from the construction engine's RNG at runtime,
+// law (PIE) draws from the construction engine's RNG at runtime,
 // which only shard 0 may touch; pinning every fabric port there would
 // serialize the run, so validation refuses the combination.
 type FabricConfig struct {

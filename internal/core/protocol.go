@@ -26,7 +26,7 @@ type Protocol struct {
 	TCP tcp.Config
 	// NewPolicy returns a fresh queue law for one bottleneck port; nil
 	// means DropTail. Runners pass the engine's seeded source so
-	// randomized laws (PIE, RED) stay a pure function of the run seed;
+	// randomized laws (PIE) stay a pure function of the run seed;
 	// deterministic laws ignore the argument, and offline contexts
 	// (ReplayMarker) may pass nil.
 	NewPolicy func(rng *rand.Rand) aqm.Policy
@@ -47,7 +47,7 @@ func (p Protocol) randomizedLaw() bool {
 		return false
 	}
 	switch p.NewPolicy(nil).(type) {
-	case *aqm.PIE, *aqm.RED:
+	case *aqm.PIE:
 		return true
 	}
 	return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,24 @@ func TestRefusedConfigs(t *testing.T) {
 		{"dumbbell negative sample period", func() error {
 			cfg := dumbbell
 			cfg.QueueSampleEvery = -time.Microsecond
+			_, err := RunDumbbell(cfg)
+			return err
+		}},
+		{"dumbbell negative shared pool", func() error {
+			cfg := dumbbell
+			cfg.SharedBuffer = SharedBufferConfig{Alpha: 1, PoolPkts: -5}
+			_, err := RunDumbbell(cfg)
+			return err
+		}},
+		{"dumbbell negative shared-buffer alpha", func() error {
+			cfg := dumbbell
+			cfg.SharedBuffer.Alpha = -1
+			_, err := RunDumbbell(cfg)
+			return err
+		}},
+		{"dumbbell NaN shared-buffer alpha", func() error {
+			cfg := dumbbell
+			cfg.SharedBuffer.Alpha = math.NaN()
 			_, err := RunDumbbell(cfg)
 			return err
 		}},

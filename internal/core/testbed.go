@@ -104,7 +104,7 @@ func (c TestbedConfig) validate() error {
 	case c.Deadline < 0:
 		return errors.New("core: Deadline must not be negative")
 	}
-	return nil
+	return c.SharedBuffer.validate()
 }
 
 // testbed is a built topology ready to carry queries.

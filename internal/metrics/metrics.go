@@ -5,20 +5,16 @@
 // The design follows the same contract as the rest of the simulator: a
 // Registry belongs to exactly one run (one engine, one goroutine), all
 // handles are resolved at registration time, and the record path —
-// Counter.Inc, Gauge.Set, Histogram.Observe — performs no map lookups,
-// no interface boxing, and no heap allocations. Snapshots taken at the
-// end of a run are pure functions of the run, so two runs with the same
-// seed produce byte-identical snapshot JSON regardless of worker count.
+// Histogram.Observe — performs no map lookups, no interface boxing, and
+// no heap allocations. Snapshots taken at the end of a run are pure
+// functions of the run, so two runs with the same seed produce
+// byte-identical snapshot JSON regardless of worker count.
 //
-// Two registration styles cover the two instrumentation patterns in the
-// stack:
-//
-//   - Push handles (Counter, Gauge, Histogram) for measurements with no
-//     existing home, incremented directly by model code.
-//   - Pull functions (CounterFunc, GaugeFunc) for layers that already
-//     keep plain counters (sim.EngineStats, netsim.PortStats,
-//     tcp.SenderStats): the function is evaluated only at snapshot or
-//     sampler time, so the instrumented hot path costs nothing at all.
+// Counters and gauges are pull functions (CounterFunc, GaugeFunc) over
+// the plain counters each layer already keeps (sim.EngineStats,
+// netsim.PortStats, tcp.SenderStats): the function is evaluated only at
+// snapshot or sampler time, so the instrumented hot path costs nothing
+// at all.
 //
 // A Registry must not be shared across goroutines. Concurrent sweep
 // points each own a private Registry next to their private Engine (see
@@ -39,62 +35,21 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing uint64. The zero value is ready
-// to use, but counters are normally obtained from Registry.Counter so
-// they appear in snapshots.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-//
-//dtlint:hotpath
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-//
-//dtlint:hotpath
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a float64 that can go up and down.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the value.
-//
-//dtlint:hotpath
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the value by delta.
-//
-//dtlint:hotpath
-func (g *Gauge) Add(delta float64) { g.v += delta }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // kind discriminates the metric variants inside the registry.
 type kind uint8
 
 const (
-	kindCounter kind = iota
-	kindCounterFunc
-	kindGauge
+	kindCounterFunc kind = iota
 	kindGaugeFunc
 	kindHistogram
 )
 
-// String names the kind for snapshots ("counter", "gauge", "histogram");
-// pull variants snapshot identically to their push counterparts.
+// String names the kind for snapshots ("counter", "gauge", "histogram").
 func (k kind) String() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	default:
 		return "histogram"
@@ -109,15 +64,13 @@ type metric struct {
 	id     string  // name{k="v",...}, the sort and dedup key
 	kind   kind
 
-	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
 
 // Registry holds one run's metrics. Create with NewRegistry; register
-// everything up front; record through the returned handles; call
+// everything up front; record through the returned histograms; call
 // Snapshot once the run ends. Not safe for concurrent use.
 type Registry struct {
 	metrics []*metric
@@ -130,13 +83,6 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*metric)}
 }
 
-// Counter registers a push counter and returns its handle.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.add(&metric{name: name, help: help, labels: labels, kind: kindCounter, counter: c})
-	return c
-}
-
 // CounterFunc registers a pull counter: fn is evaluated at snapshot
 // time, so instrumenting an existing plain counter costs nothing on the
 // hot path.
@@ -145,13 +91,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 		panic("metrics: nil CounterFunc for " + name)
 	}
 	r.add(&metric{name: name, help: help, labels: labels, kind: kindCounterFunc, counterFn: fn})
-}
-
-// Gauge registers a push gauge and returns its handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.add(&metric{name: name, help: help, labels: labels, kind: kindGauge, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a pull gauge, evaluated at snapshot and sampler

@@ -5,26 +5,26 @@ import (
 	"testing"
 )
 
+// count and level return constant pull functions for registrations whose
+// value the test does not vary.
+func count(n uint64) func() uint64   { return func() uint64 { return n } }
+func level(v float64) func() float64 { return func() float64 { return v } }
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("events_total", "help")
-	g := r.Gauge("depth", "help")
-	c.Inc()
-	c.Add(4)
-	g.Set(2.5)
-	g.Add(-1)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", g.Value())
-	}
+	r.CounterFunc("events_total", "help", count(5))
+	r.GaugeFunc("depth", "help", level(1.5))
 	s := r.Snapshot(0)
 	if got := s.CounterValue("events_total"); got != 5 {
 		t.Fatalf("snapshot counter = %d, want 5", got)
 	}
 	if got := s.GaugeValue("depth"); got != 1.5 {
 		t.Fatalf("snapshot gauge = %v, want 1.5", got)
+	}
+	for _, m := range s.Metrics {
+		if want := map[string]string{"events_total": "counter", "depth": "gauge"}[m.Name]; m.Kind != want || m.Help != "help" {
+			t.Fatalf("%s snapshots as kind %q help %q, want %q and \"help\"", m.Name, m.Kind, m.Help, want)
+		}
 	}
 }
 
@@ -51,7 +51,7 @@ func TestPullFunctionsEvaluatedAtSnapshotTime(t *testing.T) {
 
 func TestLabelsSortedAndCanonicalID(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("pkts_total", "", L("zone", "b"), L("port", "a"))
+	r.CounterFunc("pkts_total", "", count(0), L("zone", "b"), L("port", "a"))
 	s := r.Snapshot(0)
 	m := s.Metrics[0]
 	if m.Labels[0].Key != "port" || m.Labels[1].Key != "zone" {
@@ -65,10 +65,8 @@ func TestLabelsSortedAndCanonicalID(t *testing.T) {
 
 func TestSameNameDifferentLabelsAllowed(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("pkts_total", "", L("port", "a"))
-	b := r.Counter("pkts_total", "", L("port", "b"))
-	a.Inc()
-	b.Add(2)
+	r.CounterFunc("pkts_total", "", count(1), L("port", "a"))
+	r.CounterFunc("pkts_total", "", count(2), L("port", "b"))
 	s := r.Snapshot(0)
 	if got := s.CounterValue(`pkts_total{port="a"}`); got != 1 {
 		t.Fatalf("port a = %d, want 1", got)
@@ -94,16 +92,16 @@ func mustPanic(t *testing.T, want string, fn func()) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
-	mustPanic(t, "duplicate", func() { r.Counter("x_total", "") })
+	r.CounterFunc("x_total", "", count(0))
+	mustPanic(t, "duplicate", func() { r.GaugeFunc("x_total", "", level(0)) })
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
 	r := NewRegistry()
-	mustPanic(t, "invalid metric name", func() { r.Counter("", "") })
-	mustPanic(t, "invalid metric name", func() { r.Counter("9starts_with_digit", "") })
-	mustPanic(t, "invalid metric name", func() { r.Counter("has space", "") })
-	mustPanic(t, "invalid label key", func() { r.Counter("ok_total", "", L("bad key", "v")) })
+	mustPanic(t, "invalid metric name", func() { r.CounterFunc("", "", count(0)) })
+	mustPanic(t, "invalid metric name", func() { r.CounterFunc("9starts_with_digit", "", count(0)) })
+	mustPanic(t, "invalid metric name", func() { r.GaugeFunc("has space", "", level(0)) })
+	mustPanic(t, "invalid label key", func() { r.CounterFunc("ok_total", "", count(0), L("bad key", "v")) })
 	mustPanic(t, "nil CounterFunc", func() { r.CounterFunc("cf_total", "", nil) })
 	mustPanic(t, "nil GaugeFunc", func() { r.GaugeFunc("gf", "", nil) })
 }
@@ -123,9 +121,9 @@ func TestValidNameAcceptsPrometheusIdentifiers(t *testing.T) {
 
 func TestSnapshotSortedByID(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z_total", "")
-	r.Counter("a_total", "")
-	r.Gauge("m_gauge", "")
+	r.CounterFunc("z_total", "", count(0))
+	r.CounterFunc("a_total", "", count(0))
+	r.GaugeFunc("m_gauge", "", level(0))
 	s := r.Snapshot(0)
 	for i := 1; i < len(s.Metrics); i++ {
 		if s.Metrics[i-1].ID() >= s.Metrics[i].ID() {

@@ -49,8 +49,8 @@ func NewSampler(reg *Registry, engine *sim.Engine, every time.Duration) *Sampler
 }
 
 // Track samples fn each tick into a new series with the given name and
-// returns the series. Track a push gauge with TrackGauge; any
-// registered GaugeFunc can be tracked by passing the same function.
+// returns the series. Any registered GaugeFunc can be tracked by passing
+// the same function.
 func (s *Sampler) Track(name string, fn func() float64) *stats.Series {
 	if s.started {
 		panic("metrics: Track after Start")
@@ -59,11 +59,6 @@ func (s *Sampler) Track(name string, fn func() float64) *stats.Series {
 	s.tracked = append(s.tracked, trackedSample{fn: fn, series: series})
 	s.reg.series = append(s.reg.series, &seriesRef{series: series})
 	return series
-}
-
-// TrackGauge samples a push gauge each tick.
-func (s *Sampler) TrackGauge(name string, g *Gauge) *stats.Series {
-	return s.Track(name, g.Value)
 }
 
 // Start schedules the first tick one interval from now. Starting twice

@@ -68,20 +68,16 @@ type Snapshot struct {
 	Series []SeriesSnapshot `json:"series,omitempty"`
 }
 
-// Snapshot freezes the registry: push handles are read, pull functions
-// are evaluated, sampler series are copied out. The result is sorted by
+// Snapshot freezes the registry: pull functions are evaluated, histograms
+// are read, sampler series are copied out. The result is sorted by
 // metric id and safe to retain after the registry is discarded.
 func (r *Registry) Snapshot(endSeconds float64) *Snapshot {
 	s := &Snapshot{EndSeconds: endSeconds}
 	for _, m := range r.metrics {
 		ms := MetricSnapshot{Name: m.name, Labels: m.labels, Kind: m.kind.String(), Help: m.help}
 		switch m.kind {
-		case kindCounter:
-			ms.Count = m.counter.Value()
 		case kindCounterFunc:
 			ms.Count = m.counterFn()
-		case kindGauge:
-			ms.Value = m.gauge.Value()
 		case kindGaugeFunc:
 			ms.Value = m.gaugeFn()
 		case kindHistogram:
@@ -148,16 +144,6 @@ func (s *Snapshot) MarshalIndent() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteJSON writes the indented JSON form to w.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	data, err := s.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition

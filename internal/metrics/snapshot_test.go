@@ -14,10 +14,8 @@ import (
 // buildSnapshot assembles a registry exercising every metric kind.
 func buildSnapshot() *Snapshot {
 	r := NewRegistry()
-	c := r.Counter("requests_total", "requests served", L("port", "p0"))
-	c.Add(12)
-	g := r.Gauge("queue_pkts", "instantaneous depth")
-	g.Set(3.5)
+	r.CounterFunc("requests_total", "requests served", func() uint64 { return 12 }, L("port", "p0"))
+	r.GaugeFunc("queue_pkts", "instantaneous depth", func() float64 { return 3.5 })
 	r.CounterFunc("events_total", "", func() uint64 { return 99 })
 	r.GaugeFunc("ratio", "", func() float64 { return 0.25 })
 	h := r.Histogram("latency_us", "per-packet latency", LinearBounds(10, 10, 3))
@@ -125,12 +123,14 @@ func TestSeriesByName(t *testing.T) {
 func TestSamplerSeriesInSnapshot(t *testing.T) {
 	r := NewRegistry()
 	engine := sim.NewEngine(1)
-	g := r.Gauge("depth", "")
+	var depth float64
+	read := func() float64 { return depth }
+	r.GaugeFunc("depth", "", read)
 	smp := NewSampler(r, engine, 10*time.Millisecond)
-	smp.TrackGauge("depth_series", g)
+	smp.Track("depth_series", read)
 	smp.Start()
-	engine.After(5*time.Millisecond, func() { g.Set(1) })
-	engine.After(15*time.Millisecond, func() { g.Set(2) })
+	engine.After(5*time.Millisecond, func() { depth = 1 })
+	engine.After(15*time.Millisecond, func() { depth = 2 })
 	// The sampler reschedules forever, so run to a horizon rather than
 	// draining the queue.
 	if err := engine.RunFor(25 * time.Millisecond); err != nil {

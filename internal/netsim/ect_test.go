@@ -15,7 +15,6 @@ type alwaysMark struct{ substitute bool }
 func (a *alwaysMark) Name() string                             { return "always-mark" }
 func (a *alwaysMark) OnArrival(sim.Time, int, int) aqm.Verdict { return aqm.AcceptMark }
 func (a *alwaysMark) OnDeparture(sim.Time, int)                {}
-func (a *alwaysMark) Reset()                                   {}
 func (a *alwaysMark) MarkSubstitutesDrop() bool                { return a.substitute }
 
 var _ aqm.LossSubstituting = (*alwaysMark)(nil)

@@ -44,7 +44,7 @@ type Packet struct {
 	Ack int64
 
 	// ECT marks an ECN-capable transport; only ECT packets are marked
-	// by AQM (non-ECT packets would be dropped by RED-style laws).
+	// by AQM (non-ECT packets would be dropped by PIE or CoDel).
 	ECT bool
 	// CE is the Congestion-Experienced codepoint, set by switches.
 	CE bool

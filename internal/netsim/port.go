@@ -81,8 +81,8 @@ type PortStats struct {
 	Marked uint64
 	// DroppedOverflow counts packets dropped for lack of buffer.
 	DroppedOverflow uint64
-	// DroppedPolicy counts packets dropped by the AQM policy (RED in
-	// drop mode).
+	// DroppedPolicy counts packets dropped by the AQM policy (PIE above
+	// its ECN cap, CoDel).
 	DroppedPolicy uint64
 	// DroppedLinkDown counts packets lost to a down link: arrivals during
 	// an outage, flushed queue entries, and serializations cut mid-packet.

@@ -109,13 +109,13 @@ func TestCancelDuringRunStillCompacts(t *testing.T) {
 	}
 }
 
-// TestCompactionThresholdDiscountsVacatedRoot pins the instant a handler's
+// TestCompactionThresholdExcludesRunningEvent pins the instant a handler's
 // cancellations compact the queue: the event being run has left the
-// pending set though its slot still sits at the root, so dead entries are
-// weighed against Pending, not against the slice. 130 events; the first
-// handler runs with 129 pending and cancels 65 of them — the 65th makes
-// dead × 2 = 130 > 129 and compacts, which 130 > 130 would not.
-func TestCompactionThresholdDiscountsVacatedRoot(t *testing.T) {
+// pending set, so dead entries are weighed against the events still
+// queued. 130 events; the first handler runs with 129 pending and cancels
+// 65 of them — the 65th makes dead × 2 = 130 > 129 and compacts, which
+// 130 > 130 would not.
+func TestCompactionThresholdExcludesRunningEvent(t *testing.T) {
 	e := NewEngine(1)
 	const n = 130
 	refs := make([]EventRef, n)

@@ -59,14 +59,6 @@ type Engine struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
-	// vacant marks the heap's root as a hole: the run loop leaves an event
-	// it took from the heap there while it runs, so the handler's first
-	// enqueue that reaches the heap takes the slot with one sift down
-	// instead of a pop and a push. Only the queue slot is stale — the event
-	// itself is already back on the free list. settle closes the hole for
-	// every reader that needs a whole heap. An event taken from a lane
-	// leaves no hole.
-	vacant bool
 
 	// The lanes: nLanes sorted rings beside the heap, lane i collecting the
 	// events scheduled laneD[i] ahead of the clock, with the firing instant
@@ -76,8 +68,7 @@ type Engine struct {
 	laneD  [maxLanes]Time
 	lanes  [maxLanes]lane
 	nLanes int
-	// pending is the number of slots in the heap and the lanes, less the
-	// heap's root while it is vacated.
+	// pending is the number of slots in the heap and the lanes.
 	pending int
 	// cands counts recurrences of delays that no lane collects.
 	cands [1 << laneCandidateBits]struct {
@@ -209,13 +200,7 @@ func (e *Engine) insert(s heapSlot) {
 	if e.pending++; e.pending > e.maxPending {
 		e.maxPending = e.pending
 	}
-	if e.toLane(s) {
-		return
-	}
-	if e.vacant {
-		e.vacant = false
-		e.queue.down(0, s)
-	} else {
+	if !e.toLane(s) {
 		e.queue.push(s)
 	}
 }
@@ -444,18 +429,7 @@ func (e *Engine) noteCancelled() {
 	e.cancelled++
 	e.cancelledTotal++
 	if e.cancelled >= compactMinCancelled && e.cancelled*2 > e.Pending() {
-		e.settle()
 		e.compact()
-	}
-}
-
-// settle pops the heap's root if the run loop left it vacated.
-//
-//dtlint:hotpath
-func (e *Engine) settle() {
-	if e.vacant {
-		e.vacant = false
-		e.queue.pop()
 	}
 }
 
@@ -467,10 +441,6 @@ func (e *Engine) settle() {
 //
 //dtlint:hotpath
 func (e *Engine) compact() {
-	if invariant.Enabled {
-		//dtlint:allow hotalloc: assertion boxing is build-tag gated; alloc tests skip under -tags invariants
-		invariant.Assert(!e.vacant, "sim: compacting around a vacated root")
-	}
 	items := e.queue.items
 	kept := items[:0]
 	for _, s := range items {
@@ -546,7 +516,6 @@ func (e *Engine) RunFor(d time.Duration) error {
 // deadline — the bound is merely conservative, which is all the sharded
 // coordinator's window computation needs.
 func (e *Engine) NextEventTime() Time {
-	e.settle()
 	if e.pending == 0 {
 		return TimeNever
 	}
@@ -578,15 +547,7 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		horizon -= tick
 	}
 	e.stopped = false
-	// A run started from inside a handler finds the outer loop's root
-	// vacated; it closes the hole and the outer settle is then a no-op.
-	e.settle()
 	for {
-		if invariant.Enabled {
-			// Both returns are below: run never leaves the root vacated.
-			//dtlint:allow hotalloc: assertion boxing is build-tag gated; alloc tests skip under -tags invariants
-			invariant.Assert(!e.vacant, "sim: run loop resumed with a vacated root")
-		}
 		if e.stopped {
 			return ErrStopped
 		}
@@ -617,23 +578,16 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		if src >= 0 {
 			next = e.popLane(src)
 		} else {
-			// Taken from the heap: the root stays vacated while the handler
-			// runs, so its first enqueue that reaches the heap sifts into
-			// the hole, and only a handler that sent the heap nothing pays
-			// the pop, in settle.
-			next = e.queue.items[0].ev
-			e.vacant = true
+			next = e.queue.pop()
 		}
 		if t := next.timer; t != nil && t.seq != next.seq && !next.cancelled {
 			// A wake-up ahead of the deadline its timer was rearmed to:
 			// move it to the recorded key (see Timer), counting nothing.
 			next.at, next.schedAt, next.seq = t.at, t.schedAt, t.seq
 			e.insert(heapSlot{at: t.at, ev: next})
-			e.settle()
 			continue
 		}
 		if next.cancelled {
-			e.settle()
 			e.cancelled--
 			e.recycle(next)
 			continue
@@ -655,7 +609,6 @@ func (e *Engine) run(horizon Time, strict bool) error {
 		} else {
 			run()
 		}
-		e.settle()
 	}
 }
 

@@ -30,9 +30,8 @@ import (
 //
 // Handlers act on the queue too — enqueue nothing, one, two or three
 // events, cancel in bulk, rearm timers, read the pending count, run the
-// engine from inside — because the Engine runs a handler it took from the
-// heap with the heap's root vacated (see Engine.vacant), and every one of
-// those calls has to find the hole or close it.
+// engine from inside — because each of those calls lands between the run
+// loop taking an event and looking for the next.
 //
 // The Engine keeps its pending set in a heap and up to maxLanes sorted
 // lanes (see Engine.insert). Which of them an event waits in must not show
@@ -102,7 +101,7 @@ const (
 	reachCompact
 	// A delay earned a lane with every lane taken and stayed in the heap.
 	reachAllTaken
-	// A handler popped from a lane ran the engine from inside.
+	// A handler ran the engine from inside.
 	reachNestedRun
 )
 
@@ -110,7 +109,7 @@ var laneReachNames = []string{
 	"append", "append refused for a smaller source key", "inject refused for an older scheduling instant",
 	"lane head ties with heap root", "two lane heads tie", "stale wake-up at a lane head",
 	"cancelled event at a lane head", "compaction over a non-empty lane",
-	"lane earned with all taken", "nested run from a lane-popped handler",
+	"lane earned with all taken", "nested run from a handler",
 }
 
 func (r laneReach) String() string {
@@ -155,7 +154,7 @@ func (m engineMachine) noteHeads() {
 			continue
 		}
 		head := l.at(0)
-		if !m.vacant && len(m.queue.items) > 0 && m.queue.items[0].at == head.at {
+		if len(m.queue.items) > 0 && m.queue.items[0].at == head.at {
 			*m.reach |= reachTieHeap
 		}
 		for j := 0; j < i; j++ {
@@ -252,12 +251,9 @@ func (m engineMachine) runUntil(horizon Time, strict bool) error {
 
 func (m engineMachine) run() error { return m.nest(m.Run) }
 
-// nest makes a run call, noting one made from a handler that was taken
-// from a lane. A handler that runs the engine has enqueued nothing before
-// it does (execProgram's nested run), so the root is vacated exactly if
-// the handler was taken from the heap.
+// nest makes a run call, noting one made from a handler.
 func (m engineMachine) nest(run func() error) error {
-	if *m.depth > 0 && !m.vacant {
+	if *m.depth > 0 {
 		*m.reach |= reachNestedRun
 	}
 	*m.depth++
@@ -274,8 +270,7 @@ func (m engineMachine) counters() (uint64, uint64, uint64) {
 
 // pending counts live entries: Pending less the dead ones, which is what
 // the reference holds. NextEventTime is only a bound (a dead head counts),
-// so it is checked against every queued slot and not logged; reading it
-// from a handler is what settles a vacated root.
+// so it is checked against every queued slot and not logged.
 func (m engineMachine) pending() int {
 	live := m.Pending() - m.cancelled
 	next, want := m.NextEventTime(), TimeNever
@@ -292,8 +287,6 @@ func (m engineMachine) pending() int {
 		}
 	}
 	switch {
-	case m.vacant:
-		return -1
 	case m.Pending() != len(m.queue.items)+m.lanedSlots() || m.Pending()-m.cancelled != live:
 		return -2
 	case next != want:
@@ -305,9 +298,7 @@ func (m engineMachine) pending() int {
 // audit checks what no log line shows: the heap property under the full
 // key, every lane strictly ascending under it with its head's instant
 // cached, the inline instants, the pending and dead-entry counts that
-// drive compaction, and the timer back-pointers. Inside a handler the
-// heap's root may be the run loop's hole: a stale slot that is no entry
-// and no parent.
+// drive compaction, and the timer back-pointers.
 func (m engineMachine) audit() error {
 	m.noteHeads()
 	h := &m.queue
@@ -326,13 +317,10 @@ func (m engineMachine) audit() error {
 		return nil
 	}
 	for i, s := range h.items {
-		if i == 0 && m.vacant {
-			continue
-		}
 		if err := check("heap", i, s); err != nil {
 			return err
 		}
-		if i > 0 && !(i <= 4 && m.vacant) && h.less(s, h.items[(i-1)/4]) {
+		if i > 0 && h.less(s, h.items[(i-1)/4]) {
 			return fmt.Errorf("heap slot %d sorts before its parent", i)
 		}
 	}
@@ -566,8 +554,7 @@ func execProgram(m machine, prog []byte) []string {
 		case 1:
 			logf("  pending=%d", m.pending())
 		case 2, 3, 4, 12:
-			// Two events, or three (3, 4): the first goes into the vacated
-			// root, the others are pushed.
+			// Two events, or three (3, 4).
 			n := 2
 			if act == 3 || act == 4 {
 				n = 3
@@ -750,9 +737,9 @@ var oracleSeeds = [][]byte{
 	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 6, 0, 0, 10, 7),
 }
 
-// vacatedRootSeeds reach what handlers do with the engine's root vacated
-// (handlerAct); TestOracleSeedsReachHandlerActs holds them to it.
-var vacatedRootSeeds = [][]byte{
+// handlerSeeds reach what handlers do to the queue (handlerAct);
+// TestOracleSeedsReachHandlerActs holds them to it.
+var handlerSeeds = [][]byte{
 	// Thirteen events tied on one instant, ids 0–12, and no stop: handlers
 	// that enqueue nothing, one, two and three events, a rearm to an
 	// earlier instant and a pending count, drained by Run alone.
@@ -768,8 +755,7 @@ var vacatedRootSeeds = [][]byte{
 		bytes.Repeat([]byte{0, 2, 0, 0, 1, 4, 0, 0, 2, 5, 1, 7, 3, 6, 1, 5}, 5)...),
 		11, 2, 11, 5, 10, 6),
 	// Thirty-two events on one instant, all in the heap, and all but the
-	// last, id 31, silenced: its handler runs the engine from inside, which
-	// finds the root vacated.
+	// last, id 31, silenced: its handler runs the engine from inside.
 	join(times(32, 0, 4, 0, 0), silence(0, 31)),
 }
 
@@ -834,7 +820,7 @@ var laneSeeds = []struct {
 
 // allSeeds is every hand-written program.
 func allSeeds() [][]byte {
-	seeds := append(append([][]byte{}, oracleSeeds...), vacatedRootSeeds...)
+	seeds := append(append([][]byte{}, oracleSeeds...), handlerSeeds...)
 	for _, s := range laneSeeds {
 		seeds = append(seeds, s.prog)
 	}
@@ -885,13 +871,13 @@ func TestOracleEventQueueAndTimer(t *testing.T) {
 	}
 }
 
-// TestOracleSeedsReachHandlerActs checks that every vacatedRootSeeds entry
+// TestOracleSeedsReachHandlerActs checks that every handlerSeeds entry
 // but the last runs each thing a handler can do to the queue, that the
 // second compacts — its program cancels nothing itself, so the compaction
 // happened inside a handler — and that the last runs the engine from a
-// handler taken from the heap.
+// handler.
 func TestOracleSeedsReachHandlerActs(t *testing.T) {
-	for i, prog := range vacatedRootSeeds {
+	for i, prog := range handlerSeeds {
 		acts := []string{"  enqueue 2", "  enqueue 3", "  cancel every other", "  rearm earlier", "  pending="}
 		if i == 3 {
 			acts = []string{"  nested run"}
@@ -906,9 +892,6 @@ func TestOracleSeedsReachHandlerActs(t *testing.T) {
 		}
 		if got := e.Stats().Compactions; (got > 0) != (i == 1) {
 			t.Errorf("seed %d: %d compactions, want some only for seed 1", i, got)
-		}
-		if *m.reach&reachNestedRun != 0 {
-			t.Errorf("seed %d: a handler taken from a lane ran the engine, want only handlers taken from the heap", i)
 		}
 	}
 }
@@ -990,29 +973,30 @@ func TestHeapEdges(t *testing.T) {
 		}
 	}
 
-	// Handlers that enqueue nothing, on a queue of one and of two: the run
-	// loop itself pops the root it left vacated, down to an empty slice.
+	// Handlers that enqueue nothing, on a queue of one and of two: each
+	// sees Pending equal to the slots still queued, as the run loop popped
+	// its event before running it, down to an empty slice.
 	for _, n := range []int{1, 2} {
 		e := NewEngine(1)
 		for i := 0; i < n; i++ {
 			left := n - 1 - i
 			e.Schedule(7, func() {
-				if !e.vacant || e.Pending() != left || len(e.queue.items) != left+1 {
-					t.Fatalf("n=%d: handler sees vacant=%v Pending=%d over %d slots, want true, %d, %d",
-						n, e.vacant, e.Pending(), len(e.queue.items), left, left+1)
+				if e.Pending() != left || len(e.queue.items) != left {
+					t.Fatalf("n=%d: handler sees Pending=%d over %d slots, want %d and %d",
+						n, e.Pending(), len(e.queue.items), left, left)
 				}
 			})
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if s := e.Stats(); e.vacant || len(e.queue.items) != 0 || s.Processed != uint64(n) || s.MaxPending != n {
-			t.Fatalf("n=%d: vacant=%v, %d slots, stats %+v after the drain", n, e.vacant, len(e.queue.items), s)
+		if s := e.Stats(); len(e.queue.items) != 0 || s.Processed != uint64(n) || s.MaxPending != n {
+			t.Fatalf("n=%d: %d slots, stats %+v after the drain", n, len(e.queue.items), s)
 		}
 	}
 
-	// Stop from a handler that enqueued nothing: the root is settled before
-	// run returns, so what the caller reads next is the queue that is left.
+	// Stop from a handler that enqueued nothing: what the caller reads
+	// next is the queue that is left.
 	e := NewEngine(1)
 	ran := 0
 	e.Schedule(1, e.Stop)
@@ -1020,9 +1004,9 @@ func TestHeapEdges(t *testing.T) {
 	if err := e.Run(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
-	if e.vacant || len(e.queue.items) != 1 || e.Pending() != 1 || e.NextEventTime() != 2 {
-		t.Fatalf("after Stop: vacant=%v, %d slots, Pending=%d, next=%v; want false, 1, 1, 2",
-			e.vacant, len(e.queue.items), e.Pending(), e.NextEventTime())
+	if len(e.queue.items) != 1 || e.Pending() != 1 || e.NextEventTime() != 2 {
+		t.Fatalf("after Stop: %d slots, Pending=%d, next=%v; want 1, 1, 2",
+			len(e.queue.items), e.Pending(), e.NextEventTime())
 	}
 	if err := e.Run(); err != nil || ran != 1 {
 		t.Fatalf("resumed Run = %v with %d events run, want nil and 1", err, ran)

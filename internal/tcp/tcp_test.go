@@ -520,7 +520,6 @@ func (d *dropNth) OnArrival(sim.Time, int, int) aqm.Verdict {
 	return aqm.Accept
 }
 func (d *dropNth) OnDeparture(sim.Time, int) {}
-func (d *dropNth) Reset()                    { d.count = 0 }
 
 // dropDuring drops every arrival before the given virtual instant.
 type dropDuring struct {
@@ -536,7 +535,6 @@ func (d *dropDuring) OnArrival(now sim.Time, _, _ int) aqm.Verdict {
 	return aqm.Accept
 }
 func (d *dropDuring) OnDeparture(sim.Time, int) {}
-func (d *dropDuring) Reset()                    {}
 
 // dropEvery drops every period-th arrival.
 type dropEvery struct {
@@ -553,4 +551,3 @@ func (d *dropEvery) OnArrival(sim.Time, int, int) aqm.Verdict {
 	return aqm.Accept
 }
 func (d *dropEvery) OnDeparture(sim.Time, int) {}
-func (d *dropEvery) Reset()                    { d.count = 0 }
