@@ -73,6 +73,30 @@ func TestDumbbellNegativePoolExits(t *testing.T) {
 	exitsWith(t, "core: SharedBuffer.PoolPkts must not be negative", "dumbbell", "-sb-alpha", "1", "-sb-pool", "-5")
 }
 
+// TestRefusedDialsExit: each of these once ran rewritten, ran as
+// nonsense or died with a stack trace — -g 2 ran the dumbbell at g = 1/16
+// and the hybrid's fluid half at g = 2, -k -5 ran as dctcp(K=-5), a zero
+// -gamma panicked in the phantom queue, and a NaN or tiny -load
+// overflowed virtual time inside the engine. Each exits 1 with a reason.
+func TestRefusedDialsExit(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"g", "core: G = 2 must be in (0, 1]", []string{"dumbbell", "-g", "2"}},
+		{"hybrid_g", "core: G = 2 must be in (0, 1]", []string{"hybrid", "-quick", "-g", "2"}},
+		{"rto_min", "core: RTOMin = -1ms must be positive", []string{"hybrid", "-quick", "-rto-min", "-1ms"}},
+		{"k", "marking thresholds must not be negative", []string{"dumbbell", "-k", "-5"}},
+		{"k2", "marking thresholds must not be negative", []string{"dumbbell", "-protocol", "dt-dctcp", "-k2", "-1"}},
+		{"gamma", "-gamma 0 must be positive", []string{"dumbbell", "-protocol", "hull", "-gamma", "0"}},
+		{"load_nan", "flowgen: load NaN is not finite", []string{"fabric", "-quick", "-load", "NaN"}},
+		{"load_inf", "flowgen: load +Inf is not finite", []string{"fabric", "-quick", "-load", "Inf"}},
+		{"load_tiny", "flowgen: load 1e-300 puts flow 1 of 80 past", []string{"fabric", "-quick", "-load", "1e-300"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { exitsWith(t, tc.want, tc.args...) })
+	}
+}
+
 // exitsWith checks that dtsim run with args exits with status 1 and gives
 // the reason want on stderr. The test binary reruns the calling test with
 // args after "--", where this function runs main instead.

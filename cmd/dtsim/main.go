@@ -251,8 +251,16 @@ func presetNames() []string {
 	return names
 }
 
-// protocols resolves the -protocol list.
+// protocols resolves the -protocol list. The marking flags are checked
+// here, before anything runs: HULL records no threshold for the runners
+// to check, and a phantom queue needs a positive drain.
 func (o *opts) protocols() ([]dtdctcp.Protocol, error) {
+	switch {
+	case o.k < 0 || o.k1 < 0 || o.k2 < 0:
+		return nil, fmt.Errorf("marking thresholds must not be negative: -k %d -k1 %d -k2 %d", o.k, o.k1, o.k2)
+	case !(o.gamma > 0):
+		return nil, fmt.Errorf("-gamma %g must be positive", o.gamma)
+	}
 	var ps []dtdctcp.Protocol
 	for _, name := range strings.Split(o.protocol, ",") {
 		name = strings.TrimSpace(name)

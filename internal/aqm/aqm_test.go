@@ -233,10 +233,6 @@ func TestPolicyTrivialHooks(t *testing.T) {
 	if !pie.MarkSubstitutesDrop() {
 		t.Fatal("PIE must substitute drops")
 	}
-	pie.MarkECNThreshold = 0.3
-	if pie.ecnCap() != 0.3 {
-		t.Fatal("explicit ECN cap ignored")
-	}
 
 	codel := newTestCoDel(true)
 	codel.OnDeparture(0, 5*pkt)

@@ -26,15 +26,12 @@ import (
 //     is a sawtooth at packet granularity, so the direction is estimated
 //     against an exponentially weighted moving average of the occupancy
 //     (the smoothing idea RED uses): "rising" means the occupancy exceeds
-//     its EWMA. TrendGain controls that filter.
+//     its EWMA, weighted by trendGain.
 type DoubleThreshold struct {
 	// K1 is the mark-on (rising-edge) threshold in bytes.
 	K1 int
 	// K2 is the mark-off (falling-edge) threshold in bytes.
 	K2 int
-	// TrendGain is the EWMA weight for the queue-trend estimator used
-	// when K1 < K2, in (0, 1]. Zero selects DefaultTrendGain.
-	TrendGain float64
 
 	// Hysteresis mode (K1 > K2).
 	marking bool
@@ -45,8 +42,9 @@ type DoubleThreshold struct {
 	lastRising bool
 }
 
-// DefaultTrendGain is the EWMA weight used when TrendGain is unset.
-const DefaultTrendGain = 1.0 / 16
+// trendGain is the EWMA weight of the queue-trend estimator used when
+// K1 < K2.
+const trendGain = 1.0 / 16
 
 // NewDoubleThreshold creates the DT-DCTCP marker with thresholds in bytes.
 func NewDoubleThreshold(k1Bytes, k2Bytes int) *DoubleThreshold {
@@ -129,17 +127,13 @@ func (p *DoubleThreshold) OnDeparture(_ sim.Time, qlenBytes int) {
 
 //dtlint:hotpath
 func (p *DoubleThreshold) observe(qlen int) bool {
-	g := p.TrendGain
-	if g <= 0 || g > 1 {
-		g = DefaultTrendGain
-	}
 	q := float64(qlen)
 	if !p.seeded {
 		p.seeded = true
 		p.avg = q
 	}
 	rising := q > p.avg
-	p.avg += g * (q - p.avg)
+	p.avg += trendGain * (q - p.avg)
 	p.lastRising = rising
 	return rising
 }

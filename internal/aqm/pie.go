@@ -22,18 +22,12 @@ type PIE struct {
 	Target time.Duration
 	// TUpdate is the probability-update interval (RFC default 15 ms).
 	TUpdate time.Duration
-	// Alpha and Beta are the PI gains in probability per second of
-	// delay error; zero selects the RFC defaults (0.125, 1.25).
-	Alpha, Beta float64
 	// DrainRateBps is the port's drain rate in bytes/second, used by
 	// the delay estimator. Required.
 	DrainRateBps float64
-	// ECN marks instead of dropping while the probability is below
-	// MarkECNThreshold.
+	// ECN marks instead of dropping while the probability is at most
+	// pieECNCap.
 	ECN bool
-	// MarkECNThreshold caps ECN marking (RFC suggests 0.1): above it
-	// PIE drops even in ECN mode. Zero selects 0.1.
-	MarkECNThreshold float64
 	// Rand supplies randomness; required for deterministic runs.
 	Rand *rand.Rand
 
@@ -42,6 +36,10 @@ type PIE struct {
 	nextUpdate sim.Time
 	started    bool
 }
+
+// pieECNCap caps ECN marking (the RFC's suggested 0.1): above it PIE
+// drops even in ECN mode.
+const pieECNCap = 0.1
 
 // Name implements Policy.
 func (p *PIE) Name() string {
@@ -66,7 +64,7 @@ func (p *PIE) OnArrival(now sim.Time, qlenBytes, _ int) Verdict {
 		return Accept
 	}
 	if p.Rand != nil && p.Rand.Float64() < p.prob {
-		if p.ECN && p.prob <= p.ecnCap() {
+		if p.ECN && p.prob <= pieECNCap {
 			return AcceptMark
 		}
 		return Drop
@@ -95,19 +93,13 @@ func (p *PIE) maybeUpdate(now sim.Time, qlenBytes int) {
 	p.nextUpdate = now.Add(p.tUpdate())
 
 	qdelay := p.delay(qlenBytes)
-	alpha, beta := p.Alpha, p.Beta
-	// The RFC's default gains (0.125, 1.25 per second of delay error)
-	// are tuned for the 15 ms default target; at data-center targets the
-	// loop would converge orders of magnitude too slowly. Scale the
-	// defaults to the configured timescale so the controller closes the
-	// loop within a few update intervals regardless of target.
+	// The RFC's PI gains (0.125, 1.25 per second of delay error) are
+	// tuned for the 15 ms default target; at data-center targets the
+	// loop would converge orders of magnitude too slowly. Scale them to
+	// the configured timescale so the controller closes the loop within
+	// a few update intervals regardless of target.
 	scale := (15 * time.Millisecond).Seconds() / p.target().Seconds()
-	if alpha <= 0 {
-		alpha = 0.125 * scale
-	}
-	if beta <= 0 {
-		beta = 1.25 * scale
-	}
+	alpha, beta := 0.125*scale, 1.25*scale
 	delta := alpha*(qdelay-p.target()).Seconds() + beta*(qdelay-p.qdelayOld).Seconds()
 
 	// RFC 8033 auto-tuning: scale the adjustment down while the
@@ -159,13 +151,6 @@ func (p *PIE) tUpdate() time.Duration {
 		return 15 * time.Millisecond
 	}
 	return p.TUpdate
-}
-
-func (p *PIE) ecnCap() float64 {
-	if p.MarkECNThreshold <= 0 {
-		return 0.1
-	}
-	return p.MarkECNThreshold
 }
 
 var _ Policy = (*PIE)(nil)

@@ -105,9 +105,6 @@ func TestPIEDefaults(t *testing.T) {
 	if p.target() != 15*time.Millisecond || p.tUpdate() != 15*time.Millisecond {
 		t.Fatal("RFC defaults")
 	}
-	if p.ecnCap() != 0.1 {
-		t.Fatal("ecn cap default")
-	}
 	zero := &PIE{Rand: rand.New(rand.NewSource(1))}
 	if zero.delay(1e6) != 0 {
 		t.Fatal("delay without drain rate should be 0")

@@ -64,6 +64,9 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 	if err := checkShared(cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.Duration, cfg.Warmup, 0); err != nil {
 		return nil, err
 	}
+	if err := cfg.Protocol.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.ShortEvery < 0 {
 		return nil, errors.New("core: ShortEvery must not be negative")
 	}

@@ -128,6 +128,9 @@ func (c DumbbellConfig) validate() error {
 	if c.Flows <= 0 {
 		return errors.New("core: Flows must be positive")
 	}
+	if err := c.Protocol.validate(); err != nil {
+		return err
+	}
 	if err := c.SharedBuffer.validate(); err != nil {
 		return err
 	}

@@ -48,9 +48,6 @@ type FabricConfig struct {
 	Flows int
 	// Matrix is the traffic pattern (default random).
 	Matrix flowgen.Matrix
-	// Drain is how long the run continues past the last arrival so
-	// in-flight transfers can finish; zero selects 2 s.
-	Drain time.Duration
 	// SmallMax and LargeMin bound the FCT size buckets in bytes:
 	// small ≤ SmallMax < medium < LargeMin ≤ large. Defaults follow the
 	// DCTCP paper's convention, 100 KB and 1 MB.
@@ -65,6 +62,10 @@ type FabricConfig struct {
 	// histograms, and engine counters.
 	Metrics bool
 }
+
+// fabricDrain is how long a fabric run continues past the last arrival
+// so in-flight transfers can finish.
+const fabricDrain = 2 * time.Second
 
 func (c FabricConfig) validate() error {
 	switch {
@@ -82,8 +83,6 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Load must be positive")
 	case c.Flows <= 0:
 		return errors.New("core: Flows must be positive")
-	case c.Drain < 0:
-		return errors.New("core: Drain must not be negative")
 	case c.Shards < 0:
 		return errors.New("core: Shards must not be negative")
 	case c.SmallMax < 0 || c.LargeMin < 0:
@@ -91,7 +90,7 @@ func (c FabricConfig) validate() error {
 	case c.Shards > 1 && c.Protocol.randomizedLaw():
 		return errors.New("core: a randomized queue law on a fabric requires serial execution (Shards <= 1)")
 	}
-	return nil
+	return c.Protocol.validate()
 }
 
 // QueueSummary aggregates one switch tier's egress-queue depth samples
@@ -161,9 +160,6 @@ type FabricResult struct {
 func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Drain == 0 {
-		cfg.Drain = 2 * time.Second
 	}
 	if cfg.SmallMax == 0 {
 		cfg.SmallMax = 100_000
@@ -235,7 +231,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		return nil, err
 	}
 
-	end := w.LastArrival().Add(cfg.Drain)
+	end := w.LastArrival().Add(fabricDrain)
 	if err := r.until(end); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,4 +290,55 @@ func TestSweepLoadsParallelWorkers(t *testing.T) {
 			t.Fatalf("point %d out of order", i)
 		}
 	}
+}
+
+// FuzzFabricConfig is the robustness contract of the fabric entry point:
+// any input is either refused with a core:, flowgen: or topo: reason, or
+// runs to completion without a panic and completes no more flows than it
+// offered. A NaN or vanishing load once overflowed virtual time and
+// panicked inside the engine; an infinite one ran every flow at t = 0.
+func FuzzFabricConfig(f *testing.F) {
+	f.Add(0.4, 60, 2, 2, 2, 100, 20, int64(10))
+	f.Add(math.NaN(), 60, 2, 2, 2, 100, 20, int64(10))
+	f.Add(1e-300, 60, 2, 2, 2, 100, 20, int64(10))
+	f.Add(math.Inf(1), 60, 2, 2, 2, 100, 20, int64(10))
+	f.Add(1e300, 64, 3, 1, 4, 1, 1, int64(1))       // every flow at t = 0, a one-packet buffer
+	f.Add(1e-9, 8, 2, 2, 1, 100, 20, int64(10))     // flows hours of virtual time apart
+	f.Add(-0.5, 60, 0, -1, 2, 0, -3, int64(-10))    // refused: negative load, sizes, buffer, K and delay
+	f.Add(0.9, 64, 4, 4, 4, 1000, 200, int64(1000)) // the largest folded fabric
+
+	f.Fuzz(func(t *testing.T, load float64, flows, leaves, spines, hostsPerLeaf, bufPkts, k int, hopUs int64) {
+		// Bound the work, not the validity: positive magnitudes are
+		// folded into 1..n, sign and zero pass through so the refusals
+		// stay reachable. The load passes through whole.
+		fold := func(v, n int) int {
+			if v > 0 {
+				return 1 + (v-1)%n
+			}
+			return v
+		}
+		flows, leaves, spines, hostsPerLeaf = fold(flows, 64), fold(leaves, 4), fold(spines, 4), fold(hostsPerLeaf, 4)
+		bufPkts, k = fold(bufPkts, 1000), fold(k, 200)
+		if hopUs > 0 {
+			hopUs = 1 + (hopUs-1)%1000
+		}
+		cfg := fabricConfig(t)
+		cfg.Protocol = DCTCP(k, 1.0/16)
+		cfg.Load, cfg.Flows = load, flows
+		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = leaves, spines, hostsPerLeaf
+		cfg.BufferPkts = bufPkts
+		cfg.HopDelay = time.Duration(hopUs) * time.Microsecond
+		res, err := RunFabric(cfg)
+		if err != nil {
+			for _, prefix := range []string{"core: ", "flowgen: ", "topo: "} {
+				if strings.HasPrefix(err.Error(), prefix) {
+					return
+				}
+			}
+			t.Fatalf("refusal %q names no package for config %+v", err, cfg)
+		}
+		if res.Completed > res.Flows || res.Flows != flows {
+			t.Fatalf("%d of %d flows completed (%d offered) for config %+v", res.Completed, res.Flows, flows, cfg)
+		}
+	})
 }

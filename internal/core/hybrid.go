@@ -44,12 +44,6 @@ type HybridConfig struct {
 	// QueueSampleEvery decimates the queue time series; zero disables
 	// the series (aggregates are always collected).
 	QueueSampleEvery time.Duration
-	// CouplingInterval is the fluid/packet coupling tick; zero selects
-	// the hybrid package's default (R₀/8). Ignored with FullPacket.
-	CouplingInterval time.Duration
-	// StepsPerTick is the number of fluid RK4 steps per coupling tick;
-	// zero selects the default (8). Ignored with FullPacket.
-	StepsPerTick int
 	// FullPacket simulates the background flows packet-level instead of
 	// coupling the fluid model — the conformance reference.
 	FullPacket bool
@@ -61,6 +55,9 @@ type HybridConfig struct {
 }
 
 func (c HybridConfig) validate() error {
+	if err := c.Protocol.validate(); err != nil {
+		return err
+	}
 	switch {
 	case c.BgFlows <= 0:
 		return errors.New("core: BgFlows must be positive")
@@ -70,13 +67,6 @@ func (c HybridConfig) validate() error {
 		return errors.New("core: FgBytes must be positive when FgFlows is set")
 	case c.FgGap < 0:
 		return errors.New("core: FgGap must not be negative")
-	case c.CouplingInterval < 0:
-		return errors.New("core: CouplingInterval must not be negative")
-	case c.StepsPerTick < 0:
-		return errors.New("core: StepsPerTick must not be negative")
-	case !c.FullPacket && c.CouplingInterval > c.Warmup+c.Duration:
-		return fmt.Errorf("core: CouplingInterval %v exceeds Warmup + Duration %v: the coupler would never tick",
-			c.CouplingInterval, c.Warmup+c.Duration)
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
 	}
@@ -191,12 +181,10 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	var coupler *hybrid.Coupler
 	if !cfg.FullPacket {
 		coupler, err = hybrid.New(hybrid.Config{
-			Fluid:        cfg.fluidConfig(),
-			Port:         bneck,
-			PktSize:      pktSize,
-			Interval:     cfg.CouplingInterval,
-			StepsPerTick: cfg.StepsPerTick,
-			Horizon:      cfg.Warmup + cfg.Duration,
+			Fluid:   cfg.fluidConfig(),
+			Port:    bneck,
+			PktSize: pktSize,
+			Horizon: cfg.Warmup + cfg.Duration,
 		})
 		if err != nil {
 			return nil, err

@@ -118,17 +118,12 @@ func TestHybridConfigValidation(t *testing.T) {
 		{func(c *HybridConfig) { c.BufferPkts = 0 }, ""},
 		{func(c *HybridConfig) { c.Duration = 0 }, ""},
 		{func(c *HybridConfig) { c.Warmup = -time.Second }, ""},
-		{func(c *HybridConfig) { c.CouplingInterval = -time.Second }, "CouplingInterval"},
-		{func(c *HybridConfig) { c.StepsPerTick = -1 }, "StepsPerTick"},
 		// Once a "scheduling into the past" panic at the first completion.
 		{func(c *HybridConfig) { c.FgGap = -time.Millisecond }, "core: FgGap must not be negative"},
 		{func(c *HybridConfig) { c.Protocol = Reno() }, "marking law"}, // none in hybrid mode
 		// A tick longer than the run: once returned coupler_ticks 0 and
 		// the statistics of a link with no background, without an error.
-		{func(c *HybridConfig) { c.CouplingInterval = time.Second }, "core: CouplingInterval 1s exceeds Warmup + Duration"},
-		// Once a fatal out-of-memory, and a makeslice panic.
-		{func(c *HybridConfig) { c.StepsPerTick = 1 << 40 }, "StepsPerTick"},
-		{func(c *HybridConfig) { c.StepsPerTick = 1 << 62 }, "StepsPerTick"},
+		{func(c *HybridConfig) { c.RTT = time.Second }, "exceeds Horizon"},
 	}
 	for i, tc := range bad {
 		cfg := hybridTestConfig()
@@ -141,11 +136,12 @@ func TestHybridConfigValidation(t *testing.T) {
 		}
 	}
 
-	// The packet-level reference has no coupler: its interval is ignored.
+	// The packet-level reference has no coupler: a tick longer than the
+	// run is no reason to refuse it.
 	cfg := hybridTestConfig()
-	cfg.BgFlows, cfg.FullPacket, cfg.CouplingInterval = 2, true, time.Second
+	cfg.BgFlows, cfg.FullPacket, cfg.RTT = 2, true, time.Second
 	if _, err := RunHybrid(cfg); err != nil {
-		t.Errorf("FullPacket run refused over an unused CouplingInterval: %v", err)
+		t.Errorf("FullPacket run refused over an unused coupling tick: %v", err)
 	}
 }
 
@@ -153,23 +149,23 @@ func TestHybridConfigValidation(t *testing.T) {
 // any input either fails validation with an error or runs to completion
 // — never a panic, never NaN in the results.
 func FuzzHybridConfig(f *testing.F) {
-	f.Add(50, int64(100), 40, 2, 200, int64(0), 0)
-	f.Add(1000, int64(100), 40, 0, 600, int64(20), 4)
-	f.Add(1, int64(1), 1, 1, 1, int64(1), 1)
-	f.Add(0, int64(100), 40, 2, 200, int64(0), 0)  // rejected: no background flows
-	f.Add(50, int64(0), 40, 2, 200, int64(0), 0)   // rejected: zero RTT
-	f.Add(50, int64(100), 0, 2, 200, int64(0), 0)  // rejected: no marking law
-	f.Add(50, int64(-5), 40, -3, 200, int64(0), 0) // rejected: negative RTT and flows
-	f.Add(7, int64(100000), 199, 7, 999, int64(0), 0)
-	f.Add(50, int64(100), 40, 2, 200, int64(-7), -2)       // rejected: negative interval and steps
-	f.Add(50, int64(100), 40, 2, 200, int64(0), 1<<40)     // rejected: once exhausted memory
-	f.Add(50, int64(100), 40, 2, 200, int64(0), 1<<62)     // rejected: once a makeslice panic
-	f.Add(50, int64(100), 40, 2, 200, int64(20), 1<<40)    // the same under an explicit interval
-	f.Add(50, int64(100), 40, 2, 200, int64(1_000_000), 8) // rejected: a 1 s tick on a 3 ms run
-	f.Add(50, int64(100), 40, 2, 200, int64(3_000), 64)    // exactly one tick
-	f.Add(50, int64(50_000), 40, 2, 200, int64(0), 0)      // rejected: the default tick R₀/8 outlasts the run
+	f.Add(50, int64(100), 40, 2, 200)
+	f.Add(1000, int64(100), 40, 0, 600)
+	f.Add(1, int64(1), 1, 1, 1)
+	f.Add(0, int64(100), 40, 2, 200)  // rejected: no background flows
+	f.Add(50, int64(0), 40, 2, 200)   // rejected: zero RTT
+	f.Add(50, int64(100), 0, 2, 200)  // rejected: no marking law
+	f.Add(50, int64(-5), 40, -3, 200) // rejected: negative RTT and flows
+	f.Add(7, int64(100000), 199, 7, 999)
+	f.Add(50, int64(100), -40, 2, 200)    // rejected: negative K
+	f.Add(50, int64(19_300), 40, 2, 200)  // rejected: the R₀/8 tick just outlasts the 3 ms run
+	f.Add(50, int64(19_000), 40, 2, 200)  // exactly one tick
+	f.Add(50, int64(50_000), 40, 2, 200)  // rejected: the tick R₀/8 outlasts the run
+	f.Add(50, int64(100), 40, 2, 1000)    // folds to a one-packet buffer under a threshold of 41
+	f.Add(99_999, int64(100), 40, 7, 200) // folds to the largest background and foreground
+	f.Add(50, int64(100), 199, 2, 999)    // rejected: the largest folded threshold stretches R₀/8 past the run
 
-	f.Fuzz(func(t *testing.T, bgFlows int, rttUs int64, k int, fgFlows, bufPkts int, tickUs int64, stepsPerTick int) {
+	f.Fuzz(func(t *testing.T, bgFlows int, rttUs int64, k int, fgFlows, bufPkts int) {
 		// Bound the work, not the validity: positive magnitudes are
 		// folded into a cheap range, sign and zero pass through so the
 		// rejection paths stay reachable.
@@ -188,16 +184,6 @@ func FuzzHybridConfig(f *testing.F) {
 		if bufPkts > 0 {
 			bufPkts = 1 + bufPkts%1000
 		}
-		// A tick above 3 ms outlasts the run and is refused. A step count
-		// of 2⁴⁰ or more passes through: it is refused whatever the other
-		// arguments (the delay history would pass the fluid cap), so it
-		// costs nothing; anything smaller is work, and folded.
-		if tickUs > 0 {
-			tickUs = 1 + tickUs%4_000_000
-		}
-		if stepsPerTick > 0 && stepsPerTick < 1<<40 {
-			stepsPerTick = 1 + stepsPerTick%64
-		}
 		cfg := HybridConfig{
 			Protocol:   DCTCP(k, 1.0/16),
 			BgFlows:    bgFlows,
@@ -210,9 +196,6 @@ func FuzzHybridConfig(f *testing.F) {
 			Duration:   2 * time.Millisecond,
 			Warmup:     time.Millisecond,
 			Seed:       1,
-
-			CouplingInterval: time.Duration(tickUs) * time.Microsecond,
-			StepsPerTick:     stepsPerTick,
 		}
 		res, err := RunHybrid(cfg)
 		if err != nil {

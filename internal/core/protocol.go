@@ -40,6 +40,27 @@ type Protocol struct {
 // PacketSize returns the wire size of a full segment under this protocol.
 func (p Protocol) PacketSize() int { return p.TCP.PacketSize() }
 
+// validate refuses the dials tcp's sanitize would otherwise rewrite to
+// their defaults — a G outside (0, 1], an AckEvery below 1, a
+// non-positive RTOMin or RTOInitial — and a negative marking threshold.
+// Every runner's validation calls it.
+func (p Protocol) validate() error {
+	c := p.TCP
+	switch {
+	case !(c.G > 0 && c.G <= 1):
+		return fmt.Errorf("core: G = %g must be in (0, 1]", c.G)
+	case c.AckEvery < 1:
+		return fmt.Errorf("core: AckEvery = %d must be at least 1", c.AckEvery)
+	case c.RTOMin <= 0:
+		return fmt.Errorf("core: RTOMin = %v must be positive", c.RTOMin)
+	case c.RTOInitial <= 0:
+		return fmt.Errorf("core: RTOInitial = %v must be positive", c.RTOInitial)
+	case p.K < 0 || p.K1 < 0 || p.K2 < 0:
+		return fmt.Errorf("core: marking thresholds K = %d, K1 = %d, K2 = %d must not be negative", p.K, p.K1, p.K2)
+	}
+	return nil
+}
+
 // randomizedLaw reports whether the protocol's queue law draws from its
 // random source while the run executes, not only at construction.
 func (p Protocol) randomizedLaw() bool {

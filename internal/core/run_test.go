@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dtdctcp/internal/tcp"
 )
 
 // TestAssignmentPermutationAllRunners is the metamorphic check on the
@@ -51,10 +53,11 @@ func TestRefusedConfigs(t *testing.T) {
 	dumbbell := determinismConfig(1)
 	buildup := DefaultBuildup(DCTCP(40, 1.0/16))
 	fabric := fabricConfig(t)
-	cases := []struct {
+	type refusal struct {
 		name string
 		run  func() error
-	}{
+	}
+	cases := []refusal{
 		{"dumbbell negative warmup", func() error {
 			cfg := dumbbell
 			cfg.Warmup = -time.Millisecond
@@ -97,12 +100,6 @@ func TestRefusedConfigs(t *testing.T) {
 			_, err := RunBuildup(cfg)
 			return err
 		}},
-		{"fabric negative drain", func() error {
-			cfg := fabric
-			cfg.Drain = -time.Second
-			_, err := RunFabric(cfg)
-			return err
-		}},
 		{"completion time with no workers", func() error {
 			_, err := RunCompletionTime(DefaultTestbed(DCTCP(21, 1.0/16), 0), 1)
 			return err
@@ -126,6 +123,59 @@ func TestRefusedConfigs(t *testing.T) {
 			return err
 		}},
 	}
+	// tcp's sanitize once rewrote each of these dials to its default,
+	// and a negative threshold ran as a marker that marks every packet.
+	// Every runner refuses them.
+	withTCP := func(mutate func(c *tcp.Config)) Protocol {
+		p := DCTCP(40, 1.0/16)
+		mutate(&p.TCP)
+		return p
+	}
+	for _, d := range []struct {
+		name  string
+		proto Protocol
+	}{
+		{"G above 1", DCTCP(40, 2)},
+		{"zero G", DCTCP(40, 0)},
+		{"NaN G", DCTCP(40, math.NaN())},
+		{"zero AckEvery", withTCP(func(c *tcp.Config) { c.AckEvery = 0 })},
+		{"negative RTOMin", withTCP(func(c *tcp.Config) { c.RTOMin = -time.Millisecond })},
+		{"zero RTOInitial", withTCP(func(c *tcp.Config) { c.RTOInitial = 0 })},
+		{"negative K", DCTCP(-5, 1.0/16)},
+		{"negative K1", DTDCTCP(-1, 50, 1.0/16)},
+		{"negative K2", DTDCTCP(30, -1, 1.0/16)},
+	} {
+		cases = append(cases, refusal{"dumbbell " + d.name, func() error {
+			cfg := dumbbell
+			cfg.Protocol = d.proto
+			_, err := RunDumbbell(cfg)
+			return err
+		}})
+	}
+	bad := DCTCP(40, 2)
+	cases = append(cases,
+		refusal{"fabric G above 1", func() error {
+			cfg := fabric
+			cfg.Protocol = bad
+			_, err := RunFabric(cfg)
+			return err
+		}},
+		refusal{"testbed G above 1", func() error {
+			_, err := RunIncast(DefaultTestbed(bad, 4), 1)
+			return err
+		}},
+		refusal{"hybrid G above 1", func() error {
+			cfg := hybridTestConfig()
+			cfg.Protocol = bad
+			_, err := RunHybrid(cfg)
+			return err
+		}},
+		refusal{"buildup G above 1", func() error {
+			cfg := buildup
+			cfg.Protocol = bad
+			_, err := RunBuildup(cfg)
+			return err
+		}})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.run()

@@ -104,6 +104,9 @@ func (c TestbedConfig) validate() error {
 	case c.Deadline < 0:
 		return errors.New("core: Deadline must not be negative")
 	}
+	if err := c.Protocol.validate(); err != nil {
+		return err
+	}
 	return c.SharedBuffer.validate()
 }
 

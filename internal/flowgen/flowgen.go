@@ -73,16 +73,19 @@ type Config struct {
 	// congestion state survives between flows, though a source host
 	// reuses the storage of its finished connections).
 	TCP tcp.Config
-	// BaseFlow is the first flow ID; the workload consumes Flows
-	// consecutive IDs. Zero means 1.
-	BaseFlow netsim.FlowID
-	// StartAfter delays the first arrival, leaving room for the run's
-	// warm-up instrumentation.
-	StartAfter time.Duration
 }
 
+// baseFlow is the first flow ID; a workload consumes Flows consecutive
+// IDs from it.
+const baseFlow netsim.FlowID = 1
+
+// maxArrival bounds the trace: half the representable virtual time
+// (about 146 years), leaving the other half for the transfers that
+// start last and for the run's drain.
+const maxArrival = sim.Time(math.MaxInt64 / 2)
+
 // Flow is one trace entry with its measured outcome. Its connection id is
-// BaseFlow plus its index in Workload.Flows.
+// baseFlow plus its index in Workload.Flows.
 //
 // The sender's fields are written on the source host's event wheel, the
 // receiver's on the destination host's. Distinct flows touch distinct
@@ -190,14 +193,14 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 		return nil, fmt.Errorf("flowgen: at most %d flows, got %d", math.MaxInt32, cfg.Flows)
 	case cfg.Load <= 0:
 		return nil, fmt.Errorf("flowgen: load must be positive")
+	case math.IsNaN(cfg.Load) || math.IsInf(cfg.Load, 0):
+		return nil, fmt.Errorf("flowgen: load %g is not finite", cfg.Load)
 	case cfg.CapacityBps <= 0:
 		return nil, fmt.Errorf("flowgen: capacity must be positive")
 	}
-	if cfg.BaseFlow == 0 {
-		cfg.BaseFlow = 1
-	}
 	w := &Workload{hosts: hosts, cfg: cfg, local: make([]hostLocal, n)}
-	rng := hosts[0].Network().Engine().Rand()
+	eng := hosts[0].Network().Engine()
+	rng := eng.Rand()
 
 	// Endpoint pattern state drawn before the per-flow stream.
 	var perm []int
@@ -209,12 +212,17 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 		aggregator = rng.Intn(n)
 	}
 
-	// flows/sec such that mean_size · rate = Load · CapacityBps.
+	// flows/sec such that mean_size · rate = Load · CapacityBps. The
+	// trace starts at the engine's clock.
 	lambda := cfg.Load * cfg.CapacityBps / cfg.CDF.Mean()
-	at := sim.TimeZero.Add(cfg.StartAfter)
+	at := eng.Now()
 	w.Flows = make([]Flow, cfg.Flows)
 	for i := range w.Flows {
-		at = at.Add(time.Duration(rng.ExpFloat64() / lambda * 1e9))
+		gap := rng.ExpFloat64() / lambda * 1e9
+		if !(gap < float64(maxArrival-at)) {
+			return nil, fmt.Errorf("flowgen: load %g puts flow %d of %d past %v of virtual time", cfg.Load, i+1, cfg.Flows, maxArrival.Duration())
+		}
+		at = at.Add(time.Duration(gap))
 		f := &w.Flows[i]
 		f.Arrival = at
 		f.Size = cfg.CDF.Sample(rng)
@@ -268,7 +276,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 func (w *Workload) arrive(arg any) {
 	c := arg.(*chain)
 	f := &w.Flows[c.flow]
-	id := w.cfg.BaseFlow + netsim.FlowID(c.flow)
+	id := baseFlow + netsim.FlowID(c.flow)
 	src, peer := w.hosts[f.Src], w.hosts[f.Dst].ID()
 	local := &w.local[f.Src]
 	var s *tcp.Sender
@@ -298,7 +306,7 @@ func (w *Workload) arrive(arg any) {
 //
 //dtlint:hotpath
 func (w *Workload) complete(s *tcp.Sender, now sim.Time) {
-	f := &w.Flows[s.Flow()-w.cfg.BaseFlow]
+	f := &w.Flows[s.Flow()-baseFlow]
 	st := s.Stats()
 	f.fct, f.done = now, true
 	f.timeouts, f.retx = uint32(st.Timeouts), uint32(st.Retransmissions)
@@ -319,7 +327,7 @@ func (w *Workload) complete(s *tcp.Sender, now sim.Time) {
 //
 //dtlint:hotpath
 func (w *Workload) accept(h *netsim.Host, pkt *netsim.Packet) netsim.Endpoint {
-	i := uint64(pkt.Flow - w.cfg.BaseFlow)
+	i := uint64(pkt.Flow - baseFlow)
 	if pkt.IsAck || i >= uint64(len(w.Flows)) {
 		return nil
 	}
@@ -355,7 +363,7 @@ func (w *Workload) accept(h *netsim.Host, pkt *netsim.Packet) netsim.Endpoint {
 //
 //dtlint:hotpath
 func (w *Workload) retire(r *tcp.Receiver) {
-	f := &w.Flows[r.Flow()-w.cfg.BaseFlow]
+	f := &w.Flows[r.Flow()-baseFlow]
 	f.tw, f.closed = r.Close(), true
 	f.receiver = nil
 	local := &w.local[f.Dst]
@@ -460,7 +468,7 @@ func (w *Workload) LateDuplicates() uint64 {
 func (w *Workload) Cleanup() {
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		id := w.cfg.BaseFlow + netsim.FlowID(i)
+		id := baseFlow + netsim.FlowID(i)
 		if f.sender != nil {
 			w.hosts[f.Src].Unregister(id)
 		}

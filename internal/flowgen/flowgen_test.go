@@ -1,7 +1,9 @@
 package flowgen
 
 import (
+	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -56,11 +58,19 @@ func TestStartValidates(t *testing.T) {
 		"zero flows":    func(c *Config) { c.Flows = 0 },
 		"zero load":     func(c *Config) { c.Load = 0 },
 		"zero capacity": func(c *Config) { c.CapacityBps = 0 },
+		// Once a panic in the engine: the arrival instants overflowed
+		// virtual time. An infinite load put every arrival at t = 0.
+		"NaN load":                 func(c *Config) { c.Load = math.NaN() },
+		"infinite load":            func(c *Config) { c.Load = math.Inf(1) },
+		"arrivals past the bound":  func(c *Config) { c.Load = 1e-300 },
+		"last arrival past it too": func(c *Config) { c.Load, c.Flows = 1e-12, 1000 },
 	} {
 		bad := good
 		mutate(&bad)
 		if _, err := Start(f.Hosts, bad); err == nil {
 			t.Errorf("%s accepted", name)
+		} else if !strings.HasPrefix(err.Error(), "flowgen: ") {
+			t.Errorf("%s: refusal %q has no flowgen: prefix", name, err)
 		}
 	}
 	if _, err := Start(f.Hosts[:1], good); err == nil {
@@ -166,7 +176,6 @@ func TestMatrices(t *testing.T) {
 
 	cfg = testConfig(t, f, 200)
 	cfg.Matrix = Incast
-	cfg.BaseFlow = 10000
 	w, err = Start(f.Hosts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +336,9 @@ func TestSameInstantArrivalsStartInTraceOrder(t *testing.T) {
 	e, f := testFabric(t, 11)
 	cfg := testConfig(t, f, 60)
 	cfg.Load = 1e15
-	cfg.StartAfter = time.Millisecond
+	if err := e.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	w, err := Start(f.Hosts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +374,9 @@ func TestSameInstantArrivalsStartInTraceOrder(t *testing.T) {
 func TestArrivalSortsAheadOfRunTimeEvents(t *testing.T) {
 	e, f := testFabric(t, 12)
 	cfg := testConfig(t, f, 2)
-	cfg.StartAfter = time.Millisecond
+	if err := e.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	w, err := Start(f.Hosts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +642,6 @@ func TestCleanupClearsListeners(t *testing.T) {
 		}
 	}
 	cfg := testConfig(t, f, 20)
-	cfg.StartAfter = e.Now().Duration()
 	again, err := Start(f.Hosts, cfg)
 	if err != nil {
 		t.Fatal(err)

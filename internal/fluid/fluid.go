@@ -83,22 +83,15 @@ type Config struct {
 	G float64
 	// Law is the marking law (DCTCP or DT-DCTCP).
 	Law MarkingLaw
-	// FixedRTT, when true, freezes R(t) at R₀ = D + K/C as the paper's
-	// linearization does; otherwise R(t) = D + q/C.
-	FixedRTT bool
 	// RTTRefQueue is the queue value (packets) defining R₀ (the paper
 	// uses K). Also the delay of the marking feedback.
 	RTTRefQueue float64
 	// Duration is the integration horizon in seconds.
 	Duration float64
-	// Step is the RK4 step in seconds; zero selects R₀/50.
+	// Step is the RK4 step in seconds; zero selects R₀/50. Every
+	// integration starts cold, at W = 1, α = 0, q = 0, and Solve samples
+	// its output series once per sampleSteps steps.
 	Step float64
-	// W0, Alpha0, Q0 are initial conditions; zero values start the
-	// system at W=1, α=0, q=0 (a cold start).
-	W0, Alpha0, Q0 float64
-	// SampleEvery decimates the output series (seconds); zero selects
-	// one sample per 10 steps.
-	SampleEvery float64
 	// BufferLimit, when positive, caps q (packets) like a finite buffer.
 	BufferLimit float64
 }
@@ -135,6 +128,9 @@ type Result struct {
 	OscConfidence float64
 }
 
+// sampleSteps is Solve's output decimation: one sample per ten steps.
+const sampleSteps = 10
+
 // Solve integrates the model and samples the trajectory. It is a
 // one-shot driver over Stepper, which holds the numerics; incremental
 // integrations (the hybrid co-simulation) drive a Stepper directly.
@@ -147,10 +143,7 @@ func Solve(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	h := stp.StepSize()
-	sampleEvery := cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 10 * h
-	}
+	sampleEvery := sampleSteps * h
 	steps := int(cfg.Duration/h) + 1
 
 	res := &Result{

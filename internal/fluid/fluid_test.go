@@ -160,18 +160,6 @@ func TestSaturatedEquilibriumAtLargeN(t *testing.T) {
 	}
 }
 
-func TestFixedRTTVariant(t *testing.T) {
-	cfg := paperConfig(10, SingleThreshold{K: 40})
-	cfg.FixedRTT = true
-	res, err := Solve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QueueMean <= 0 {
-		t.Fatalf("fixed-RTT queue mean %v", res.QueueMean)
-	}
-}
-
 func TestBufferLimitCapsQueue(t *testing.T) {
 	cfg := paperConfig(100, SingleThreshold{K: 40})
 	cfg.BufferLimit = 60

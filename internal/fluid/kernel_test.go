@@ -79,13 +79,13 @@ func (s *refStepper) Step() {
 func (s *refStepper) delayedP() float64 {
 	idx := float64(s.step) - s.lag
 	if idx < 0 {
-		return s.cfg.Law.P(s.cfg.Q0+s.extQ, 0)
+		return s.cfg.Law.P(s.extQ, 0)
 	}
 	i := int(idx)
 	if i >= s.count-1 {
 		i = s.count - 2
 		if i < 0 {
-			return s.cfg.Law.P(s.cfg.Q0+s.extQ, 0)
+			return s.cfg.Law.P(s.extQ, 0)
 		}
 	}
 	frac := idx - float64(i)
@@ -97,9 +97,6 @@ func (s *refStepper) delayedP() float64 {
 }
 
 func (s *refStepper) rtt(q float64) float64 {
-	if s.cfg.FixedRTT {
-		return s.r0
-	}
 	if q < 0 {
 		q = 0
 	}
@@ -165,13 +162,35 @@ func kernelDiff(ref *refStepper, got *Stepper, same func(a, b float64) bool) str
 	return ""
 }
 
-// kernelCase is one oracle scenario. drive, when set, runs before step i
-// on the oracle's Stepper and on the kernel's alike: coupling inputs, or
-// a value poked into the state.
+// kernelCase is one oracle scenario. start, when not the zero State, is
+// a warm start set through setState before the first step. drive, when
+// set, runs before step i on the oracle's Stepper and on the kernel's
+// alike: coupling inputs, or a value poked into the state.
 type kernelCase struct {
 	name  string
 	cfg   Config
+	start State
 	drive func(i int, s *Stepper)
+}
+
+// setState moves a fresh stepper from its cold start (W = 1, α = 0,
+// q = 0) to st's W, α and q; a W of zero or below keeps W = 1. The
+// delayed marking before the first R₀ still reads an empty fluid queue.
+func setState(s *Stepper, st State) {
+	if st.W > 0 {
+		s.w = st.W
+	}
+	s.alpha, s.q = st.Alpha, st.Q
+}
+
+// newKernelPair builds the oracle and the kernel for one configuration,
+// both from the same start.
+func newKernelPair(t testing.TB, cfg Config, start State) (*refStepper, *Stepper) {
+	ref := &refStepper{Stepper: mustStepper(t, cfg)}
+	got := mustStepper(t, cfg)
+	setState(ref.Stepper, start)
+	setState(got, start)
+	return ref, got
 }
 
 // unit hashes x to [0, 1) (the murmur3 finalizer): coupling inputs that
@@ -208,7 +227,6 @@ func kernelCases() []kernelCase {
 	return []kernelCase{
 		{name: "single threshold", cfg: base},
 		{name: "double threshold", cfg: with(func(c *Config) { c.Law = DoubleThreshold{K1: 30, K2: 50} })},
-		{name: "fixed RTT", cfg: with(func(c *Config) { c.FixedRTT = true })},
 		// D = 0 starts on the 1 ns RTT floor (empty queue, no delay).
 		{name: "zero propagation delay", cfg: with(func(c *Config) { c.D = 0 })},
 		{name: "zero delay, double threshold, no buffer cap", cfg: with(func(c *Config) {
@@ -230,10 +248,18 @@ func kernelCases() []kernelCase {
 				}
 			},
 		},
-		// 200 steps of cold start (idx < 0) from a marked initial queue.
-		{name: "long cold start", cfg: with(func(c *Config) {
-			c.Step, c.Q0, c.W0, c.Alpha0 = c.R0()/200, 80, 12, 0.3
-		})},
+		// 200 steps of cold start (idx < 0) from a warm state, marked
+		// through the ambient queue.
+		{
+			name:  "long cold start",
+			cfg:   with(func(c *Config) { c.Step = c.R0() / 200 }),
+			start: State{W: 12, Alpha: 0.3, Q: 80},
+			drive: func(i int, s *Stepper) {
+				if i == 0 {
+					s.SetAmbientQueue(80)
+				}
+			},
+		},
 		// lag = 2/3: a three-slot ring, interpolating the newest pair.
 		{name: "step above R0", cfg: with(func(c *Config) { c.Step = 1.5 * c.R0() })},
 		// lag ≈ 1e-13 vanishes from float64(step) − lag after the first
@@ -272,8 +298,7 @@ func TestStepperKernelMatchesReference(t *testing.T) {
 	const steps = 100_000
 	for _, tc := range kernelCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := &refStepper{Stepper: mustStepper(t, tc.cfg)}
-			got := mustStepper(t, tc.cfg)
+			ref, got := newKernelPair(t, tc.cfg, tc.start)
 			for i := 0; i < steps; i++ {
 				if tc.drive != nil {
 					tc.drive(i, ref.Stepper)
@@ -289,12 +314,13 @@ func TestStepperKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// Fuzz input layout: one flag byte (bit 0 double threshold, bit 1 fixed
-// RTT), kernelFloats little-endian float64 words, then coupling ops of
-// three bytes each.
+// Fuzz input layout: one flag byte (bit 0 double threshold; bit 1 once
+// selected a fixed RTT and is ignored), kernelFloats little-endian
+// float64 words (words 8–10 are the warm start's W, α and q), then
+// coupling ops of three bytes each.
 const kernelFloats = 12
 
-func encodeKernelInput(cfg Config, ops []byte) []byte {
+func encodeKernelInput(cfg Config, start State, ops []byte) []byte {
 	var flags byte
 	k1, k2 := 0.0, 0.0
 	switch law := cfg.Law.(type) {
@@ -304,20 +330,19 @@ func encodeKernelInput(cfg Config, ops []byte) []byte {
 		flags |= 1
 		k1, k2 = law.K1, law.K2
 	}
-	if cfg.FixedRTT {
-		flags |= 2
-	}
 	out := []byte{flags}
 	for _, v := range [kernelFloats]float64{cfg.N, cfg.C, cfg.D, cfg.G, k1, k2,
-		cfg.RTTRefQueue, cfg.Step, cfg.W0, cfg.Alpha0, cfg.Q0, cfg.BufferLimit} {
+		cfg.RTTRefQueue, cfg.Step, start.W, start.Alpha, start.Q, cfg.BufferLimit} {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return append(out, ops...)
 }
 
-func decodeKernelInput(data []byte) (cfg Config, ops []byte, ok bool) {
+// decodeKernelInput is encodeKernelInput's inverse. A warm start that
+// is not finite is not an input.
+func decodeKernelInput(data []byte) (cfg Config, start State, ops []byte, ok bool) {
 	if len(data) < 1+8*kernelFloats {
-		return Config{}, nil, false
+		return Config{}, State{}, nil, false
 	}
 	var v [kernelFloats]float64
 	for i := range v {
@@ -326,15 +351,17 @@ func decodeKernelInput(data []byte) (cfg Config, ops []byte, ok bool) {
 	cfg = Config{
 		N: v[0], C: v[1], D: v[2], G: v[3],
 		Law:         SingleThreshold{K: v[4]},
-		FixedRTT:    data[0]&2 != 0,
 		RTTRefQueue: v[6], Step: v[7],
-		W0: v[8], Alpha0: v[9], Q0: v[10],
 		BufferLimit: v[11],
 	}
 	if data[0]&1 != 0 {
 		cfg.Law = DoubleThreshold{K1: v[4], K2: v[5]}
 	}
-	return cfg, data[1+8*kernelFloats:], true
+	start = State{W: v[8], Alpha: v[9], Q: v[10]}
+	if math.IsNaN(start.W+start.Alpha+start.Q) || math.IsInf(start.W+start.Alpha+start.Q, 0) {
+		return Config{}, State{}, nil, false
+	}
+	return cfg, start, data[1+8*kernelFloats:], true
 }
 
 // FuzzStepperKernel holds the kernel to the oracle on configurations
@@ -344,27 +371,32 @@ func decodeKernelInput(data []byte) (cfg Config, ops []byte, ok bool) {
 // error, not a panic.
 func FuzzStepperKernel(f *testing.F) {
 	ops := []byte{32, 200, 7, 72, 100, 15, 0, 0, 3, 255, 255, 9}
-	for _, tc := range kernelCases() {
-		f.Add(encodeKernelInput(tc.cfg, ops))
+	for i, tc := range kernelCases() {
+		f.Add(encodeKernelInput(tc.cfg, tc.start, ops))
+		if i == 1 {
+			// The seed that once set the fixed-RTT bit keeps its place.
+			in := encodeKernelInput(stepperConfig(), State{}, ops)
+			in[0] |= 2
+			f.Add(in)
+		}
 	}
-	f.Add(encodeKernelInput(Config{N: 10, C: 1e5, Law: SingleThreshold{K: 1}}, nil))                    // R0 = 0
-	f.Add(encodeKernelInput(Config{N: 10, C: 1e5, D: 1e-4, Step: 1e-300, Law: SingleThreshold{}}, nil)) // ring beyond the cap
-	f.Add(encodeKernelInput(Config{N: math.NaN(), C: 1e5, D: 1e-4, Law: SingleThreshold{}}, nil))
-	f.Add(encodeKernelInput(Config{N: 1e300, C: 1e5, D: 1e-4, W0: 1e10, Alpha0: 1, Law: SingleThreshold{}}, ops)) // Inf−Inf: NaNs of two payloads
+	f.Add(encodeKernelInput(Config{N: 10, C: 1e5, Law: SingleThreshold{K: 1}}, State{}, nil))                    // R0 = 0
+	f.Add(encodeKernelInput(Config{N: 10, C: 1e5, D: 1e-4, Step: 1e-300, Law: SingleThreshold{}}, State{}, nil)) // ring beyond the cap
+	f.Add(encodeKernelInput(Config{N: math.NaN(), C: 1e5, D: 1e-4, Law: SingleThreshold{}}, State{}, nil))
+	f.Add(encodeKernelInput(Config{N: 1e300, C: 1e5, D: 1e-4, Law: SingleThreshold{}}, State{W: 1e10, Alpha: 1}, ops)) // Inf−Inf: NaNs of two payloads
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, ops, ok := decodeKernelInput(data)
+		cfg, start, ops, ok := decodeKernelInput(data)
 		if !ok {
 			return
 		}
-		got, err := NewStepper(cfg)
-		if err != nil {
+		if _, err := NewStepper(cfg); err != nil {
 			return
 		}
+		ref, got := newKernelPair(t, cfg, start)
 		if len(got.histQ) > 1<<12 {
 			return // bound the memory and the ring comparison, not the validity
 		}
-		ref := &refStepper{Stepper: mustStepper(t, cfg)}
 		run := func(n int) {
 			for i := 0; i < n; i++ {
 				ref.Step()

@@ -22,8 +22,7 @@ func TestStepperInvariantsAdversarial(t *testing.T) {
 	}
 	type combo struct {
 		n, c, d, g, step, buf float64
-		w0, a0, q0            float64
-		fixed                 bool
+		start                 State
 	}
 	var combos []combo
 	for _, n := range []float64{0.5, 1, 40, 5000} {
@@ -33,13 +32,12 @@ func TestStepperInvariantsAdversarial(t *testing.T) {
 			}
 		}
 	}
-	// Hostile extras: giant gain, oversized step (h > R₀), saturating
-	// initial conditions, fixed-RTT linearization.
+	// Hostile extras: giant gain, oversized step (h > R₀), a saturating
+	// warm start.
 	combos = append(combos,
 		combo{n: 40, c: 1e7, d: 1e-4, g: 2, buf: 600},
 		combo{n: 40, c: 1e7, d: 1e-4, g: 1.0 / 16, step: 1e-3, buf: 600},
-		combo{n: 40, c: 1e7, d: 1e-4, g: 1.0 / 16, buf: 600, w0: 1e6, a0: 1, q0: 600},
-		combo{n: 40, c: 1e7, d: 1e-4, g: 1.0 / 16, buf: 600, fixed: true},
+		combo{n: 40, c: 1e7, d: 1e-4, g: 1.0 / 16, buf: 600, start: State{W: 1e6, Alpha: 1, Q: 600}},
 		combo{n: 1000, c: 1e5, d: 1e-4, g: 1.0 / 16, buf: 50},
 	)
 
@@ -52,13 +50,12 @@ func TestStepperInvariantsAdversarial(t *testing.T) {
 				RTTRefQueue: 40,
 				Step:        cb.step,
 				BufferLimit: cb.buf,
-				W0:          cb.w0, Alpha0: cb.a0, Q0: cb.q0,
-				FixedRTT: cb.fixed,
 			}
 			stp, err := NewStepper(cfg)
 			if err != nil {
 				t.Fatalf("combo %d law %d: %v", ci, li, err)
 			}
+			setState(stp, cb.start)
 			for step := 0; step < 2000; step++ {
 				// Adversarial coupling inputs mid-run, including values
 				// the setters must clamp.
@@ -122,7 +119,6 @@ func TestStepperStepHalvingConverges(t *testing.T) {
 			mean := func(h float64) float64 {
 				cfg := base
 				cfg.Step = h
-				cfg.SampleEvery = h0 // identical sampling for all step sizes
 				res, err := Solve(cfg)
 				if err != nil {
 					t.Fatal(err)

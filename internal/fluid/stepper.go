@@ -39,7 +39,6 @@ type State struct {
 type Stepper struct {
 	cfg Config
 	h   float64
-	r0  float64
 	// lag is the marking feedback delay in steps (R₀/h).
 	lag float64
 
@@ -62,11 +61,11 @@ type Stepper struct {
 const maxLag = 1 << 20
 
 // NewStepper validates the configuration and prepares a resumable
-// integration at the initial conditions. Duration and SampleEvery are
-// Solve-level concerns and are ignored here.
+// integration from a cold start. Duration is a Solve-level concern and
+// is ignored here.
 func NewStepper(cfg Config) (*Stepper, error) {
-	vals := [...]float64{cfg.N, cfg.C, cfg.D, cfg.G, cfg.Step, cfg.W0, cfg.Alpha0, cfg.Q0, cfg.RTTRefQueue, cfg.BufferLimit}
-	for i, name := range [...]string{"N", "C", "D", "G", "Step", "W0", "Alpha0", "Q0", "RTTRefQueue", "BufferLimit"} {
+	vals := [...]float64{cfg.N, cfg.C, cfg.D, cfg.G, cfg.Step, cfg.RTTRefQueue, cfg.BufferLimit}
+	for i, name := range [...]string{"N", "C", "D", "G", "Step", "RTTRefQueue", "BufferLimit"} {
 		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("fluid: %s = %g is not finite", name, v)
 		}
@@ -88,10 +87,6 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if h <= 0 {
 		h = r0 / 50
 	}
-	w := cfg.W0
-	if w <= 0 {
-		w = 1
-	}
 	lag := r0 / h
 	if lag > maxLag {
 		return nil, fmt.Errorf("fluid: Step = %g s keeps R0/Step = %g steps of delay history, cap %d", h, lag, maxLag)
@@ -102,11 +97,8 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	return &Stepper{
 		cfg:    cfg,
 		h:      h,
-		r0:     r0,
 		lag:    lag,
-		w:      w,
-		alpha:  cfg.Alpha0,
-		q:      cfg.Q0,
+		w:      1,
 		histQ:  make([]float64, ringCap),
 		histQd: make([]float64, ringCap),
 		drainC: cfg.C,
@@ -260,7 +252,7 @@ func (s *Stepper) Step() {
 
 // delayedP interpolates the queue state at t−R₀ from the ring history
 // and evaluates the marking law on it (plus the ambient contribution);
-// before the first R₀ the queue was at its initial condition, unmarked.
+// before the first R₀ the fluid queue was empty, unmarked.
 //
 //dtlint:hotpath
 func (s *Stepper) delayedP() float64 {
@@ -270,7 +262,7 @@ func (s *Stepper) delayedP() float64 {
 		i = s.step - 1
 	}
 	if idx < 0 || i < 0 {
-		return s.cfg.Law.P(s.cfg.Q0+s.extQ, 0)
+		return s.cfg.Law.P(s.extQ, 0)
 	}
 	frac := idx - float64(i)
 	// Entries 0..step are pushed: i sits step+1−i ≤ len slots behind head.
@@ -293,9 +285,6 @@ func (s *Stepper) delayedP() float64 {
 //
 //dtlint:hotpath
 func (s *Stepper) rtt(q float64) float64 {
-	if s.cfg.FixedRTT {
-		return s.r0
-	}
 	if q < 0 {
 		q = 0
 	}

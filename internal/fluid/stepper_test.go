@@ -193,9 +193,6 @@ func TestNewStepperRejectsInvalid(t *testing.T) {
 		{func(c *Config) { c.G = nan }, "G = NaN"},
 		{func(c *Config) { c.Step = nan }, "Step = NaN"},
 		{func(c *Config) { c.Step = inf }, "Step = +Inf"},
-		{func(c *Config) { c.W0 = -inf }, "W0 = -Inf"},
-		{func(c *Config) { c.Alpha0 = nan }, "Alpha0 = NaN"},
-		{func(c *Config) { c.Q0 = nan }, "Q0 = NaN"},
 		{func(c *Config) { c.RTTRefQueue = nan }, "RTTRefQueue = NaN"},
 		{func(c *Config) { c.BufferLimit = inf }, "BufferLimit = +Inf"},
 		// R₀ = D + RTTRefQueue/C: zero, negative, overflowing.
@@ -222,7 +219,7 @@ func TestNewStepperRejectsInvalid(t *testing.T) {
 		func(c *Config) { c.D = 0 }, // R₀ from the reference queue alone
 		func(c *Config) { c.Step = c.R0() / (1 << 20) },
 		func(c *Config) { c.Step = 1e6 },
-		func(c *Config) { c.Step, c.W0, c.Q0, c.Alpha0, c.BufferLimit = -1, -1, -1, -1, -1 },
+		func(c *Config) { c.Step, c.BufferLimit = -1, -1 },
 	}
 	for i, mutate := range good {
 		cfg := stepperConfig()

@@ -59,11 +59,19 @@ const SrcKey = 1 << 30
 // whole packets and would inject measurement noise into the ODE.
 const ewmaGain = 0.25
 
+// ticksPerR0 sets the coupling tick to R₀/ticksPerR0 (rounded down to
+// the nanosecond grid), and stepsPerTick the RK4 steps in one tick:
+// together a step of R₀/64.
+const (
+	ticksPerR0   = 8
+	stepsPerTick = 8
+)
+
 // Config parameterizes one fluid/packet coupling.
 type Config struct {
-	// Fluid is the background-flow model. Duration, Step and SampleEvery
-	// are ignored: the Coupler integrates indefinitely with a step of
-	// Interval/StepsPerTick.
+	// Fluid is the background-flow model. Duration and Step are
+	// ignored: the Coupler integrates indefinitely with a step of
+	// Interval()/stepsPerTick.
 	Fluid fluid.Config
 	// Port is the bottleneck egress the background flows share with
 	// foreground traffic. It must be pinned to the engine the Coupler is
@@ -71,12 +79,6 @@ type Config struct {
 	Port *netsim.Port
 	// PktSize converts fluid packets to bytes; zero selects 1500.
 	PktSize int
-	// Interval is the coupling tick; zero selects R₀/8 (rounded to the
-	// nanosecond grid).
-	Interval time.Duration
-	// StepsPerTick is the number of RK4 steps per tick; zero selects 8,
-	// giving the default tick a step of R₀/64.
-	StepsPerTick int
 	// Horizon stops the tick chain: no tick is scheduled past it.
 	Horizon time.Duration
 }
@@ -87,12 +89,11 @@ type Coupler struct {
 	port    *netsim.Port
 	engine  *sim.Engine
 
-	pktSize      float64
-	interval     time.Duration
-	intervalSec  float64
-	stepsPerTick int
-	horizon      sim.Time
-	fluidC       float64 // link capacity in fluid packets/second
+	pktSize     float64
+	interval    time.Duration
+	intervalSec float64
+	horizon     sim.Time
+	fluidC      float64 // link capacity in fluid packets/second
 
 	tickFn      func(any)
 	seq         uint64
@@ -102,7 +103,7 @@ type Coupler struct {
 }
 
 // New validates the configuration and builds a Coupler. The fluid
-// stepper is created here with its step pinned to Interval/StepsPerTick,
+// stepper is created here with its step pinned to Interval()/stepsPerTick,
 // so one tick advances fluid time by exactly one interval.
 func New(cfg Config) (*Coupler, error) {
 	if cfg.Port == nil {
@@ -118,17 +119,7 @@ func New(cfg Config) (*Coupler, error) {
 	if pktSize < 0 {
 		return nil, errors.New("hybrid: negative packet size")
 	}
-	steps := cfg.StepsPerTick
-	if steps == 0 {
-		steps = 8
-	}
-	if steps < 0 {
-		return nil, errors.New("hybrid: negative steps per tick")
-	}
-	interval := cfg.Interval
-	if interval == 0 {
-		interval = time.Duration(cfg.Fluid.R0() * float64(time.Second) / 8)
-	}
+	interval := time.Duration(cfg.Fluid.R0() * float64(time.Second) / ticksPerR0)
 	if interval <= 0 {
 		return nil, errors.New("hybrid: non-positive interval")
 	}
@@ -136,20 +127,19 @@ func New(cfg Config) (*Coupler, error) {
 		return nil, fmt.Errorf("hybrid: Interval %v exceeds Horizon %v: no tick would fire", interval, cfg.Horizon)
 	}
 	fcfg := cfg.Fluid
-	fcfg.Step = interval.Seconds() / float64(steps)
+	fcfg.Step = interval.Seconds() / float64(stepsPerTick)
 	stp, err := fluid.NewStepper(fcfg)
 	if err != nil {
-		return nil, fmt.Errorf("hybrid: fluid model at Step = Interval/StepsPerTick = %v/%d: %w", interval, steps, err)
+		return nil, fmt.Errorf("hybrid: fluid model at Step = %v/%d: %w", interval, stepsPerTick, err)
 	}
 	return &Coupler{
-		stepper:      stp,
-		port:         cfg.Port,
-		pktSize:      float64(pktSize),
-		interval:     interval,
-		intervalSec:  interval.Seconds(),
-		stepsPerTick: steps,
-		horizon:      sim.FromDuration(cfg.Horizon),
-		fluidC:       fcfg.C,
+		stepper:     stp,
+		port:        cfg.Port,
+		pktSize:     float64(pktSize),
+		interval:    interval,
+		intervalSec: interval.Seconds(),
+		horizon:     sim.FromDuration(cfg.Horizon),
+		fluidC:      fcfg.C,
 	}, nil
 }
 
@@ -208,7 +198,7 @@ func (c *Coupler) tick() {
 	// The real packet backlog is ambient occupancy for the fluid side.
 	c.stepper.SetAmbientQueue(float64(c.port.QueueLen()) / c.pktSize)
 
-	c.stepper.Advance(c.stepsPerTick)
+	c.stepper.Advance(stepsPerTick)
 
 	// The fluid queue and departure rate become the port's ambient load.
 	st := c.stepper.State()

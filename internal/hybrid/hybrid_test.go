@@ -158,15 +158,14 @@ func TestCouplerForegroundOfferedLoadStarvesFluidDrain(t *testing.T) {
 
 // TestCouplerStopsAtHorizon pins the tick count: ticks fire at every
 // multiple of the interval in (0, horizon] and then stop, so Run
-// terminates.
+// terminates. The tick is R₀/8 = 72.5 µs, so 10 ms holds 137 of them.
 func TestCouplerStopsAtHorizon(t *testing.T) {
 	e := sim.NewEngine(1)
 	_, _, port := testbed(t, e, netsim.Gbps, 600)
 	c, err := New(Config{
-		Fluid:    fluidCfg(100, netsim.Gbps),
-		Port:     port,
-		Interval: 100 * time.Microsecond,
-		Horizon:  10 * time.Millisecond,
+		Fluid:   fluidCfg(100, netsim.Gbps),
+		Port:    port,
+		Horizon: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,10 @@ func TestCouplerStopsAtHorizon(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Ticks(), 100; got != want {
+	if c.Interval() != 72500*time.Nanosecond {
+		t.Fatalf("interval = %v, want R₀/8 = 72.5µs", c.Interval())
+	}
+	if got, want := c.Ticks(), 137; got != want {
 		t.Fatalf("ticks = %d, want %d", got, want)
 	}
 }
@@ -194,18 +196,13 @@ func TestNewRejectsInvalid(t *testing.T) {
 		{func(c *Config) { c.Horizon = 0 }, "horizon"},
 		{func(c *Config) { c.Horizon = -time.Second }, "horizon"},
 		{func(c *Config) { c.PktSize = -1 }, "packet size"},
-		{func(c *Config) { c.StepsPerTick = -1 }, "steps per tick"},
-		{func(c *Config) { c.Interval = -time.Second }, "interval"},
+		// R₀ = 1 ns puts the R₀/8 tick below the nanosecond grid.
+		{func(c *Config) { c.Fluid.D, c.Fluid.RTTRefQueue = 1e-9, 0 }, "interval"},
 		{func(c *Config) { c.Fluid.N = 0 }, "fluid: N"},
 		{func(c *Config) { c.Fluid.Law = nil }, "fluid: Law"},
-		// A tick longer than the run never fires: explicit, and the
-		// R₀/8 default (72.5 µs here) against a 10 µs horizon.
-		{func(c *Config) { c.Interval = time.Second }, "Interval 1s exceeds Horizon"},
-		{func(c *Config) { c.Horizon = 10 * time.Microsecond }, "exceeds Horizon"},
-		// A step count that would take a terabyte-scale history ring,
-		// and one whose ring length overflows int.
-		{func(c *Config) { c.StepsPerTick = 1 << 40 }, "StepsPerTick"},
-		{func(c *Config) { c.StepsPerTick = 1 << 62 }, "StepsPerTick"},
+		// A tick longer than the run never fires: the R₀/8 tick
+		// (72.5 µs here) against a 10 µs horizon.
+		{func(c *Config) { c.Horizon = 10 * time.Microsecond }, "Interval 72.5µs exceeds Horizon"},
 	}
 	for i, tc := range bad {
 		cfg := good

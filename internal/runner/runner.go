@@ -8,9 +8,8 @@
 // the output byte-identical for any worker count.
 //
 // The package deliberately knows nothing about simulations. Map is a
-// generic index-parallel map with panic isolation, context cancellation
-// and serialized progress reporting; the core package layers sweep
-// semantics on top.
+// generic index-parallel map with panic isolation and context
+// cancellation; the core package layers sweep semantics on top.
 package runner
 
 import (
@@ -33,11 +32,6 @@ type Options struct {
 	// capped at GOMAXPROCS/ThreadsPerJob (floor 1), and the default
 	// worker count starts from that quotient instead of GOMAXPROCS.
 	ThreadsPerJob int
-	// OnProgress, when non-nil, is invoked after each job finishes with
-	// the number of completed jobs and the total. Calls are serialized
-	// (one at a time) but may arrive in any completion order; done is
-	// monotonically increasing across calls.
-	OnProgress func(done, total int)
 }
 
 // PanicError wraps a panic recovered from one job so the caller sees
@@ -92,8 +86,6 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	var (
 		next    atomic.Int64 // next index to dispatch
 		failed  atomic.Bool  // set on first error; stops dispatch
-		mu      sync.Mutex   // guards done and serializes OnProgress
-		done    int
 		wg      sync.WaitGroup
 		ctxDone = ctx.Done()
 	)
@@ -131,12 +123,6 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 					errs[i] = err
 					failed.Store(true)
 					return
-				}
-				if opts.OnProgress != nil {
-					mu.Lock()
-					done++
-					opts.OnProgress(done, n)
-					mu.Unlock()
 				}
 			}
 		}()

@@ -146,31 +146,6 @@ func TestMapContextCancellation(t *testing.T) {
 	}
 }
 
-func TestMapProgressMonotonicAndComplete(t *testing.T) {
-	var calls []int
-	got, err := Map(context.Background(), 64, Options{
-		Workers: 4,
-		// Serialized by Map; safe to append without locking here.
-		OnProgress: func(done, total int) {
-			if total != 64 {
-				t.Errorf("total = %d, want 64", total)
-			}
-			calls = append(calls, done)
-		},
-	}, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 64 || len(calls) != 64 {
-		t.Fatalf("results=%d progress=%d, want 64/64", len(got), len(calls))
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress call %d reported done=%d, want %d", i, d, i+1)
-		}
-	}
-}
-
 func TestMapDefaultWorkers(t *testing.T) {
 	// Workers <= 0 must still complete everything.
 	got, err := Map(context.Background(), 17, Options{Workers: 0},

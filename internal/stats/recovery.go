@@ -6,7 +6,7 @@ package stats
 // oscillation re-locks onto a credible period again.
 type Recovery struct {
 	// RefMean and RefStd summarize the pre-fault samples; the reference
-	// band is RefMean ± Band·RefStd.
+	// band is RefMean ± 2·RefStd (recoveryBand).
 	RefMean, RefStd float64
 	// RefPeriod is the pre-fault oscillation period (0 when the
 	// pre-fault trace shows no credible periodicity).
@@ -19,33 +19,26 @@ type Recovery struct {
 	DrainTime float64
 
 	// Relocked reports whether a sliding window after the fault end
-	// regained a periodic lock (confidence ≥ MinConfidence, and period
-	// within PeriodTolerance of RefPeriod when one exists); RelockTime
+	// regained a periodic lock (confidence ≥ 0.2, and period within 50 %
+	// of RefPeriod when one exists); RelockTime
 	// is the delay from fault end to the end of that first window.
 	Relocked   bool
 	RelockTime float64
 }
 
-// RecoveryConfig parameterizes MeasureRecovery. FaultStart/FaultEnd
-// bound the perturbation in the series' time unit; zero-valued tuning
-// fields take documented defaults.
+// RecoveryConfig parameterizes MeasureRecovery: FaultStart and FaultEnd
+// bound the perturbation in the series' time unit (absolute times).
 type RecoveryConfig struct {
-	// FaultStart and FaultEnd bound the fault window (absolute times).
 	FaultStart, FaultEnd float64
-	// Band is the reference-band half-width in standard deviations
-	// (default 2).
-	Band float64
-	// RelockWindow is the sliding-window length for re-lock detection
-	// (default 4·RefPeriod, falling back to 1/8 of the post-fault span
-	// when there is no reference period).
-	RelockWindow float64
-	// MinConfidence is the autocorrelation threshold for a lock
-	// (default 0.2).
-	MinConfidence float64
-	// PeriodTolerance is the allowed fractional deviation from
-	// RefPeriod (default 0.5).
-	PeriodTolerance float64
 }
+
+// MeasureRecovery's fixed tuning. The re-lock window is 4·RefPeriod, or
+// 1/8 of the post-fault span when there is no reference period.
+const (
+	recoveryBand    = 2   // the reference band's half-width in standard deviations
+	lockConfidence  = 0.2 // the autocorrelation confidence of a lock
+	periodTolerance = 0.5 // the fractional deviation from RefPeriod a re-locked period may show
+)
 
 // MeasureRecovery computes fault-recovery metrics of a (typically queue
 // occupancy) series around a perturbation window. The reference
@@ -56,16 +49,6 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 	if s == nil || s.Len() == 0 || cfg.FaultEnd < cfg.FaultStart {
 		return r
 	}
-	if cfg.Band == 0 {
-		cfg.Band = 2
-	}
-	if cfg.MinConfidence == 0 {
-		cfg.MinConfidence = 0.2
-	}
-	if cfg.PeriodTolerance == 0 {
-		cfg.PeriodTolerance = 0.5
-	}
-
 	pre := NewSeries("pre-fault")
 	post := NewSeries("post-fault")
 	for i := 0; i < s.Len(); i++ {
@@ -89,7 +72,7 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 
 	// Time-to-drain: first post-fault instant the occupancy is back at
 	// or below the reference band's upper edge.
-	upper := r.RefMean + cfg.Band*r.RefStd
+	upper := r.RefMean + recoveryBand*r.RefStd
 	for i := 0; i < post.Len(); i++ {
 		if p := post.At(i); p.V <= upper {
 			r.Drained = true
@@ -101,12 +84,9 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 	// Re-lock: slide a window over the post-fault trace until
 	// EstimatePeriod reports a credible lock again.
 	span := post.At(post.Len()-1).T - post.At(0).T
-	window := cfg.RelockWindow
+	window := 4 * r.RefPeriod
 	if window == 0 {
-		window = 4 * r.RefPeriod
-		if window == 0 {
-			window = span / 8
-		}
+		window = span / 8
 	}
 	if window <= 0 || span < window {
 		return r
@@ -121,7 +101,7 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 			}
 		}
 		period, conf := EstimatePeriod(win)
-		if conf < cfg.MinConfidence || period <= 0 {
+		if conf < lockConfidence || period <= 0 {
 			continue
 		}
 		if r.RefPeriod > 0 {
@@ -129,7 +109,7 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev > cfg.PeriodTolerance {
+			if dev > periodTolerance {
 				continue
 			}
 		}

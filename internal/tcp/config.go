@@ -78,44 +78,17 @@ type Config struct {
 	Variant Variant
 	// MSS is the maximum payload bytes per segment.
 	MSS int
-	// HeaderBytes is added to every packet on the wire; a pure ACK is
-	// exactly HeaderBytes long.
-	HeaderBytes int
-	// InitialWindow is the initial congestion window in segments.
-	InitialWindow int
 	// G is DCTCP's EWMA gain for α (the paper uses 1/16).
 	G float64
-	// InitialAlpha seeds DCTCP's α estimate; the conservative choice
-	// of 1 matches the reference implementation.
-	InitialAlpha float64
 	// AckEvery sets the delayed-ACK factor: 1 acknowledges every
 	// segment, 2 every other segment. The DCTCP ECE echo state machine
 	// flushes early whenever the CE state changes.
 	AckEvery int
-	// DelayedAckTimeout bounds how long the receiver holds a delayed
-	// ACK.
-	DelayedAckTimeout time.Duration
 	// RTOMin clamps the retransmission timeout from below. The paper's
 	// incast experiments inherit the Linux default of 200 ms.
 	RTOMin time.Duration
 	// RTOInitial is the timeout before any RTT sample exists.
 	RTOInitial time.Duration
-	// RTOMax caps exponential backoff.
-	RTOMax time.Duration
-
-	// BackoffUnit is DCTCP+'s additive slow-timer increment: each
-	// congested observation window at the cwnd floor grows the pacing
-	// delay by this much.
-	BackoffUnit time.Duration
-	// SlowTimerThreshold is the DCTCP+ floor below which the divided
-	// slow timer snaps to zero and the sender returns to DCTCP_NORMAL.
-	SlowTimerThreshold time.Duration
-	// SlowTimerMax caps the DCTCP+ slow timer so pacing can never
-	// stretch a transfer past RTO-collapse territory.
-	SlowTimerMax time.Duration
-	// DivisorFactor divides the DCTCP+ slow timer on every uncongested
-	// observation window in DCTCP_TIME_DES (the reference uses 2).
-	DivisorFactor float64
 	// PacingSeed seeds the DCTCP+ sender's private pacing RNG. Workload
 	// drivers draw it from the construction engine's seeded source — one
 	// draw per sender, in construction order — so pacing randomness
@@ -125,33 +98,46 @@ type Config struct {
 	PacingSeed int64
 }
 
+// The endpoint parameters no experiment varies.
+const (
+	headerBytes       = 40                     // on every packet's wire size; a pure ACK is exactly this long
+	initialWindow     = 3                      // segments (IW3, the Linux 2.6.38 default)
+	initialAlpha      = 1.0                    // DCTCP's α seed, the reference implementation's conservative choice
+	delayedAckTimeout = 500 * time.Microsecond // how long a receiver holds a delayed ACK
+	rtoMax            = 60 * time.Second       // the cap on exponential RTO backoff
+)
+
+// DCTCP+'s slow-timer constants, scaled to the paper's ~100 µs
+// datacenter RTT (the ns-3 reference uses a 100 µs backoff unit). Each
+// congested observation window at the cwnd floor grows the pacing delay
+// by backoffUnit, up to slowTimerMax, so pacing can never stretch a
+// transfer past RTO-collapse territory; each uncongested one in
+// DCTCP_TIME_DES divides it by divisorFactor, and below
+// slowTimerThreshold it snaps to zero and the sender returns to
+// DCTCP_NORMAL.
+const (
+	backoffUnit        = 100 * time.Microsecond
+	slowTimerMax       = 5 * time.Millisecond
+	divisorFactor      = 2.0
+	slowTimerThreshold = 50 * time.Microsecond
+)
+
 // DefaultConfig returns the parameters used throughout the paper unless an
-// experiment overrides them: 1.5 KB packets, IW3 (Linux 2.6.38 default),
-// g = 1/16, per-segment ACKs, RTOmin = 200 ms.
+// experiment overrides them: 1.5 KB packets, g = 1/16, per-segment ACKs,
+// RTOmin = 200 ms.
 func DefaultConfig(v Variant) Config {
 	return Config{
-		Variant:           v,
-		MSS:               1460,
-		HeaderBytes:       40,
-		InitialWindow:     3,
-		G:                 1.0 / 16,
-		InitialAlpha:      1,
-		AckEvery:          1,
-		DelayedAckTimeout: 500 * time.Microsecond,
-		RTOMin:            200 * time.Millisecond,
-		RTOInitial:        200 * time.Millisecond,
-		RTOMax:            60 * time.Second,
-		// DCTCP+ slow-timer defaults, scaled to the paper's ~100 µs
-		// datacenter RTT (the ns-3 reference uses a 100 µs backoff unit).
-		BackoffUnit:        100 * time.Microsecond,
-		SlowTimerThreshold: 50 * time.Microsecond,
-		SlowTimerMax:       5 * time.Millisecond,
-		DivisorFactor:      2,
+		Variant:    v,
+		MSS:        1460,
+		G:          1.0 / 16,
+		AckEvery:   1,
+		RTOMin:     200 * time.Millisecond,
+		RTOInitial: 200 * time.Millisecond,
 	}
 }
 
 // PacketSize returns the wire size of a full segment.
-func (c Config) PacketSize() int { return c.MSS + c.HeaderBytes }
+func (c Config) PacketSize() int { return c.MSS + headerBytes }
 
 // ECT reports whether this variant negotiates ECN-capable transport.
 func (c Config) ECT() bool { return c.Variant.ect() }
@@ -172,44 +158,17 @@ func (c Config) sanitize() Config {
 	if c.MSS <= 0 {
 		c.MSS = d.MSS
 	}
-	if c.HeaderBytes <= 0 {
-		c.HeaderBytes = d.HeaderBytes
-	}
-	if c.InitialWindow <= 0 {
-		c.InitialWindow = d.InitialWindow
-	}
 	if c.G <= 0 || c.G > 1 {
 		c.G = d.G
 	}
-	if c.InitialAlpha < 0 || c.InitialAlpha > 1 {
-		c.InitialAlpha = d.InitialAlpha
-	}
 	if c.AckEvery <= 0 {
 		c.AckEvery = d.AckEvery
-	}
-	if c.DelayedAckTimeout <= 0 {
-		c.DelayedAckTimeout = d.DelayedAckTimeout
 	}
 	if c.RTOMin <= 0 {
 		c.RTOMin = d.RTOMin
 	}
 	if c.RTOInitial <= 0 {
 		c.RTOInitial = d.RTOInitial
-	}
-	if c.RTOMax <= 0 {
-		c.RTOMax = d.RTOMax
-	}
-	if c.BackoffUnit <= 0 {
-		c.BackoffUnit = d.BackoffUnit
-	}
-	if c.SlowTimerThreshold <= 0 {
-		c.SlowTimerThreshold = d.SlowTimerThreshold
-	}
-	if c.SlowTimerMax <= 0 {
-		c.SlowTimerMax = d.SlowTimerMax
-	}
-	if c.DivisorFactor <= 1 {
-		c.DivisorFactor = d.DivisorFactor
 	}
 	return c
 }

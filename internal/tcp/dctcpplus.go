@@ -89,26 +89,26 @@ func (p *plusPacer) delay() time.Duration {
 // an RTO; atFloor means the congestion window sits at its minimum, the
 // regime where conventional DCTCP has nothing left to cut and incast
 // rounds devolve into synchronized bursts.
-func (p *plusPacer) tick(cfg Config, congested, atFloor bool) {
+func (p *plusPacer) tick(congested, atFloor bool) {
 	switch p.state {
 	case PlusNormal:
 		if congested && atFloor {
 			p.state = PlusTimeInc
-			p.grow(cfg)
+			p.grow()
 		}
 	case PlusTimeInc:
 		if congested {
-			p.grow(cfg)
+			p.grow()
 		} else {
 			p.state = PlusTimeDes
 		}
 	case PlusTimeDes:
 		if congested {
 			p.state = PlusTimeInc
-			p.grow(cfg)
+			p.grow()
 		} else {
-			p.slowTime = time.Duration(float64(p.slowTime) / cfg.DivisorFactor)
-			if p.slowTime <= cfg.SlowTimerThreshold {
+			p.slowTime = time.Duration(float64(p.slowTime) / divisorFactor)
+			if p.slowTime <= slowTimerThreshold {
 				p.slowTime = 0
 				p.state = PlusNormal
 			}
@@ -117,11 +117,11 @@ func (p *plusPacer) tick(cfg Config, congested, atFloor bool) {
 	p.congested = false
 }
 
-// grow applies the additive slow-timer increase, capped at SlowTimerMax.
-func (p *plusPacer) grow(cfg Config) {
-	p.slowTime += cfg.BackoffUnit
-	if p.slowTime > cfg.SlowTimerMax {
-		p.slowTime = cfg.SlowTimerMax
+// grow applies the additive slow-timer increase, capped at slowTimerMax.
+func (p *plusPacer) grow() {
+	p.slowTime += backoffUnit
+	if p.slowTime > slowTimerMax {
+		p.slowTime = slowTimerMax
 	}
 }
 

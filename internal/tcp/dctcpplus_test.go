@@ -37,11 +37,10 @@ func TestPlusStateString(t *testing.T) {
 
 // Property: under arbitrary adversarial congestion/floor streams the state
 // machine never leaves {NORMAL, TIME_INC, TIME_DES}, the slow timer stays
-// in [0, SlowTimerMax], and the timer is zero exactly in DCTCP_NORMAL.
+// in [0, slowTimerMax], and the timer is zero exactly in DCTCP_NORMAL.
 func TestPropertyPlusStateMachineClosure(t *testing.T) {
 	d := newDumbbell(t, 1, netsim.Gbps, 25*time.Microsecond, 100, nil)
 	s, _ := d.pair(0, 0, DefaultConfig(DCTCPPlus))
-	cfg := s.cfg
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := s.plus
@@ -49,12 +48,12 @@ func TestPropertyPlusStateMachineClosure(t *testing.T) {
 		for step := 0; step < 500; step++ {
 			congested := rng.Intn(2) == 0
 			atFloor := rng.Intn(2) == 0
-			p.tick(cfg, congested, atFloor)
+			p.tick(congested, atFloor)
 			if p.state != PlusNormal && p.state != PlusTimeInc && p.state != PlusTimeDes {
 				t.Fatalf("seed %d step %d: state left the machine: %v", seed, step, p.state)
 			}
-			if p.slowTime < 0 || p.slowTime > cfg.SlowTimerMax {
-				t.Fatalf("seed %d step %d: slow timer %v outside [0, %v]", seed, step, p.slowTime, cfg.SlowTimerMax)
+			if p.slowTime < 0 || p.slowTime > slowTimerMax {
+				t.Fatalf("seed %d step %d: slow timer %v outside [0, %v]", seed, step, p.slowTime, slowTimerMax)
 			}
 			if (p.state == PlusNormal) != (p.slowTime == 0) {
 				t.Fatalf("seed %d step %d: state %v with slow timer %v", seed, step, p.state, p.slowTime)
@@ -81,41 +80,40 @@ func TestPropertyPlusStateMachineClosure(t *testing.T) {
 func TestPlusStateMachineTransitions(t *testing.T) {
 	d := newDumbbell(t, 1, netsim.Gbps, 25*time.Microsecond, 100, nil)
 	s, _ := d.pair(0, 0, DefaultConfig(DCTCPPlus))
-	cfg := s.cfg
 	p := s.plus
 
 	// NORMAL ignores congestion away from the floor.
-	p.tick(cfg, true, false)
+	p.tick(true, false)
 	if p.state != PlusNormal || p.slowTime != 0 {
 		t.Fatalf("congestion off-floor moved NORMAL: %v %v", p.state, p.slowTime)
 	}
 	// Congestion at the floor enters TIME_INC and grows by one unit.
-	p.tick(cfg, true, true)
-	if p.state != PlusTimeInc || p.slowTime != cfg.BackoffUnit {
+	p.tick(true, true)
+	if p.state != PlusTimeInc || p.slowTime != backoffUnit {
 		t.Fatalf("after floor congestion: %v %v", p.state, p.slowTime)
 	}
 	// Persistent congestion keeps growing additively, capped at max.
 	for i := 0; i < 1000; i++ {
-		p.tick(cfg, true, false)
+		p.tick(true, false)
 	}
-	if p.state != PlusTimeInc || p.slowTime != cfg.SlowTimerMax {
-		t.Fatalf("sustained congestion: %v %v, want TIME_INC at cap %v", p.state, p.slowTime, cfg.SlowTimerMax)
+	if p.state != PlusTimeInc || p.slowTime != slowTimerMax {
+		t.Fatalf("sustained congestion: %v %v, want TIME_INC at cap %v", p.state, p.slowTime, slowTimerMax)
 	}
 	// One clear window moves to TIME_DES without shrinking yet.
-	p.tick(cfg, false, false)
-	if p.state != PlusTimeDes || p.slowTime != cfg.SlowTimerMax {
+	p.tick(false, false)
+	if p.state != PlusTimeDes || p.slowTime != slowTimerMax {
 		t.Fatalf("first clear window: %v %v", p.state, p.slowTime)
 	}
 	// Congestion in TIME_DES bounces back to TIME_INC and grows (cap holds).
-	p.tick(cfg, true, false)
-	if p.state != PlusTimeInc || p.slowTime != cfg.SlowTimerMax {
+	p.tick(true, false)
+	if p.state != PlusTimeInc || p.slowTime != slowTimerMax {
 		t.Fatalf("bounce back: %v %v", p.state, p.slowTime)
 	}
 	// Clear windows halve the timer down to the threshold, then NORMAL.
-	p.tick(cfg, false, false) // → TIME_DES
+	p.tick(false, false) // → TIME_DES
 	prev := p.slowTime
 	for i := 0; p.state == PlusTimeDes && i < 100; i++ {
-		p.tick(cfg, false, false)
+		p.tick(false, false)
 		if p.state == PlusTimeDes && p.slowTime >= prev {
 			t.Fatalf("clear window did not shrink the timer: %v → %v", prev, p.slowTime)
 		}
@@ -172,8 +170,8 @@ func TestPlusIncastEngagesSlowTimer(t *testing.T) {
 		if st != PlusNormal && st != PlusTimeInc && st != PlusTimeDes {
 			t.Fatalf("sender in invalid state %v", st)
 		}
-		if s.SlowTime() < 0 || s.SlowTime() > s.cfg.SlowTimerMax {
-			t.Fatalf("slow timer %v outside [0, %v]", s.SlowTime(), s.cfg.SlowTimerMax)
+		if s.SlowTime() < 0 || s.SlowTime() > slowTimerMax {
+			t.Fatalf("slow timer %v outside [0, %v]", s.SlowTime(), slowTimerMax)
 		}
 		stats := s.Stats()
 		backoffs += stats.SlowTimerBackoffs

@@ -93,12 +93,12 @@ func (r *refReassembly) Deliver(pkt *netsim.Packet) {
 
 	r.pendingPkts++
 	r.lastDataSent = pkt.SentAt
-	if r.pendingPkts >= int(r.ackEvery) {
+	if r.pendingPkts >= r.ackEvery {
 		r.flushAck()
 		return
 	}
 	if !r.ackTimer.Armed() {
-		r.ackTimer.Reset(r.delayedAckTimeout)
+		r.ackTimer.Reset(delayedAckTimeout)
 	}
 }
 

@@ -1,9 +1,6 @@
 package tcp
 
 import (
-	"math"
-	"time"
-
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 )
@@ -25,13 +22,10 @@ type Receiver struct {
 	flow   netsim.FlowID
 	peer   netsim.NodeID
 
-	// The four Config fields a receiver reads, taken from cfg.sanitize()
-	// by open. HeaderBytes and AckEvery are narrowed to 32 bits, which
-	// keeps the receiver in the allocator's 176 B size class.
-	variant           Variant
-	headerBytes       int32
-	ackEvery          int32
-	delayedAckTimeout time.Duration
+	// The two Config fields a receiver reads, taken from cfg.sanitize()
+	// by open.
+	variant  Variant
+	ackEvery int
 
 	// total and done are what Expect set: the transfer's size and the
 	// owner's completion handler, nil for a receiver that never completes.
@@ -123,16 +117,14 @@ func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 	ooo, ack := r.ooo, r.ackTimer
 	cfg = cfg.sanitize()
 	*r = Receiver{
-		engine:            hostEngine(host),
-		host:              host,
-		flow:              flow,
-		peer:              peer,
-		variant:           cfg.Variant,
-		headerBytes:       sat32(cfg.HeaderBytes),
-		ackEvery:          sat32(cfg.AckEvery),
-		delayedAckTimeout: cfg.DelayedAckTimeout,
-		ooo:               ooo[:0],
-		ackTimer:          ack,
+		engine:   hostEngine(host),
+		host:     host,
+		flow:     flow,
+		peer:     peer,
+		variant:  cfg.Variant,
+		ackEvery: cfg.AckEvery,
+		ooo:      ooo[:0],
+		ackTimer: ack,
 	}
 	if ack == nil {
 		//dtlint:allow hotalloc: the allocate branch — NewReceiver's zeroed storage
@@ -256,10 +248,10 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 
 		r.pendingPkts++
 		r.lastDataSent = pkt.SentAt
-		if r.pendingPkts >= int(r.ackEvery) {
+		if r.pendingPkts >= r.ackEvery {
 			r.flushAck()
 		} else if !r.ackTimer.Armed() {
-			r.ackTimer.Reset(r.delayedAckTimeout)
+			r.ackTimer.Reset(delayedAckTimeout)
 		}
 	}
 	r.checkDone()
@@ -328,7 +320,7 @@ func (r *Receiver) flushAck() {
 	ack := r.host.AllocPacket()
 	ack.Flow = r.flow
 	ack.Dst = r.peer
-	ack.Size = int(r.headerBytes)
+	ack.Size = headerBytes
 	ack.IsAck = true
 	ack.Ack = r.rcvNxt
 	ack.ECT = r.variant.ect()
@@ -341,9 +333,6 @@ func (r *Receiver) flushAck() {
 	r.stats.AcksSent++
 	r.host.Send(ack)
 }
-
-// sat32 narrows a sanitized, positive Config count to 32 bits, saturating.
-func sat32(v int) int32 { return int32(min(v, math.MaxInt32)) }
 
 // hostEngine is the engine an endpoint on h must schedule on: the host's
 // own engine, which is the shard engine under partitioned execution and

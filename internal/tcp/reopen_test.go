@@ -52,7 +52,7 @@ func TestReopenEqualsConstruction(t *testing.T) {
 			// Reopen under a different configuration than the storage was
 			// built with, and compare with construction.
 			next := DefaultConfig(v)
-			next.InitialWindow = 7
+			next.G, next.RTOMin = 1.0/8, 7*time.Millisecond
 			next.PacingSeed = 99
 			host := d.senders[0]
 			s, r := snd[0], rcv[0]

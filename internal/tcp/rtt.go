@@ -9,11 +9,11 @@ type rttEstimator struct {
 	rttvar  time.Duration
 	sampled bool
 
-	rtoMin, rtoMax, rtoInitial time.Duration
+	rtoMin, rtoInitial time.Duration
 }
 
 func newRTTEstimator(c Config) rttEstimator {
-	return rttEstimator{rtoMin: c.RTOMin, rtoMax: c.RTOMax, rtoInitial: c.RTOInitial}
+	return rttEstimator{rtoMin: c.RTOMin, rtoInitial: c.RTOInitial}
 }
 
 // sample feeds one round-trip measurement.
@@ -51,8 +51,8 @@ func (r *rttEstimator) clamp(d time.Duration) time.Duration {
 	if d < r.rtoMin {
 		return r.rtoMin
 	}
-	if r.rtoMax > 0 && d > r.rtoMax {
-		return r.rtoMax
+	if d > rtoMax {
+		return rtoMax
 	}
 	return d
 }

@@ -147,10 +147,10 @@ func (s *Sender) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID,
 		peer:   peer,
 		cfg:    cfg,
 		total:  totalBytes,
-		cwnd:   float64(cfg.InitialWindow * cfg.MSS),
+		cwnd:   float64(initialWindow * cfg.MSS),
 		// Effectively unbounded until the first loss/mark event.
 		ssthresh: math.MaxFloat64 / 4,
-		alpha:    cfg.InitialAlpha,
+		alpha:    initialAlpha,
 		rtt:      newRTTEstimator(cfg),
 		rtoTimer: rto,
 	}
@@ -267,7 +267,7 @@ func (s *Sender) transmit(seq int64, payload int) {
 	pkt := s.host.AllocPacket()
 	pkt.Flow = s.flow
 	pkt.Dst = s.peer
-	pkt.Size = payload + s.cfg.HeaderBytes
+	pkt.Size = payload + headerBytes
 	pkt.Seq = seq
 	pkt.PayloadLen = payload
 	pkt.ECT = s.cfg.ECT()
@@ -512,8 +512,8 @@ func (s *Sender) armRTO() {
 	rto := s.rtt.rto()
 	for i := 0; i < s.rtoBackoff; i++ {
 		rto *= 2
-		if rto >= s.cfg.RTOMax {
-			rto = s.cfg.RTOMax
+		if rto >= rtoMax {
+			rto = rtoMax
 			break
 		}
 	}
@@ -564,7 +564,7 @@ func (s *Sender) updateAlphaWindow() {
 		congested := s.markedBytes > 0 || s.plus.congested
 		atFloor := s.cwnd <= float64(2*s.cfg.MSS)+0.5
 		was := s.plus.slowTime
-		s.plus.tick(s.cfg, congested, atFloor)
+		s.plus.tick(congested, atFloor)
 		if s.plus.slowTime > was {
 			s.stats.SlowTimerBackoffs++
 		}

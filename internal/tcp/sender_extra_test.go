@@ -124,7 +124,6 @@ func TestDelayedAckTimerFlushesTail(t *testing.T) {
 	// complete promptly (well under RTOmin).
 	cfg := DefaultConfig(Reno)
 	cfg.AckEvery = 2
-	cfg.DelayedAckTimeout = 400 * time.Microsecond
 	d := newDumbbell(t, 1, 1*netsim.Gbps, 25*time.Microsecond, 400, nil)
 	const total = 3 * 1460 // odd number of segments
 	s, _ := d.pair(0, total, cfg)
@@ -159,7 +158,7 @@ func TestSRTTConvergesToPathRTT(t *testing.T) {
 
 func TestAlphaDecaysWhenMarkingStops(t *testing.T) {
 	// Start with a marking bottleneck; α rises. Then the flow completes
-	// and a fresh unmarked flow's α should decay from InitialAlpha as
+	// and a fresh unmarked flow's α should decay from initialAlpha as
 	// clean windows accumulate.
 	pol := aqm.NewSingleThresholdPackets(5, 1500)
 	d := newDumbbell(t, 1, 1*netsim.Gbps, 25*time.Microsecond, 400, pol)

@@ -94,7 +94,7 @@ func TestConfigSanitize(t *testing.T) {
 }
 
 func TestRTTEstimator(t *testing.T) {
-	r := newRTTEstimator(Config{RTOMin: time.Millisecond, RTOInitial: 3 * time.Second, RTOMax: time.Minute}.sanitize())
+	r := newRTTEstimator(Config{RTOMin: time.Millisecond, RTOInitial: 3 * time.Second}.sanitize())
 	if got := r.rto(); got != 200*time.Millisecond {
 		// sanitize keeps explicit values; RTOInitial was 3s, RTOMin 1ms.
 		if got != 3*time.Second {
@@ -116,6 +116,9 @@ func TestRTTEstimator(t *testing.T) {
 		t.Fatalf("converged srtt = %v", r.smoothed())
 	}
 	r.sample(0) // ignored
+	if got := r.clamp(2 * rtoMax); got != rtoMax {
+		t.Fatalf("clamp(%v) = %v, want the %v cap", 2*rtoMax, got, rtoMax)
+	}
 }
 
 func TestBulkTransferCompletesCleanPath(t *testing.T) {

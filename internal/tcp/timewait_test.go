@@ -9,10 +9,9 @@ import (
 	"dtdctcp/internal/sim"
 )
 
-// TestReceiverSize pins the receiver's allocation: the transfer size and
-// completion handler Expect stores fit in the 176 B size class the
-// receiver had without them, because HeaderBytes and AckEvery are kept in
-// 32 bits.
+// TestReceiverSize pins the receiver's allocation: with the transfer size
+// and completion handler Expect stores, it stays in the 176 B size class
+// the receiver had without them.
 func TestReceiverSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit platforms")

@@ -58,9 +58,6 @@ type Config struct {
 	// seeded source — note that sharded runs then require those ports'
 	// domains pinned to shard 0 (see netsim.DefaultAssign).
 	Policy func(rng *rand.Rand) aqm.Policy
-	// Salt, when non-nil, fixes the ECMP hash salt instead of drawing it
-	// from the network engine's RNG. Tests use it to compare placements.
-	Salt *uint64
 }
 
 func (c Config) validate() error {
@@ -170,14 +167,10 @@ func (f *Fabric) BisectionBps() float64 {
 	return host / 2
 }
 
-// routes draws the ECMP salt (from cfg.Salt or the engine's seeded
-// source) and computes the fabric's routes with it.
+// routes draws the ECMP salt from the engine's seeded source and
+// computes the fabric's routes with it.
 func (f *Fabric) routes() error {
-	if f.cfg.Salt != nil {
-		f.Salt = *f.cfg.Salt
-	} else {
-		f.Salt = f.Net.Engine().Rand().Uint64()
-	}
+	f.Salt = f.Net.Engine().Rand().Uint64()
 	return f.Net.ComputeRoutesECMP(f.Salt)
 }
 

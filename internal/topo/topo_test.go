@@ -146,14 +146,13 @@ func TestFatTreeAllPairsReachable(t *testing.T) {
 
 // uplinkSpread counts, per edge-switch uplink port, packets enqueued
 // after sending one packet for each of n flows from host 0 to an
-// inter-pod destination.
-func uplinkSpread(t *testing.T, salt uint64, flows int) []uint64 {
+// inter-pod destination, on a fat-tree whose engine is seeded with seed.
+// It returns the ECMP salt the fabric drew beside the counts.
+func uplinkSpread(t *testing.T, seed int64, flows int) ([]uint64, uint64) {
 	t.Helper()
-	cfg := testCfg()
-	cfg.Salt = &salt
-	e := sim.NewEngine(1)
+	e := sim.NewEngine(seed)
 	nw := netsim.NewNetwork(e)
-	f, err := FatTree(nw, 4, cfg)
+	f, err := FatTree(nw, 4, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +171,22 @@ func uplinkSpread(t *testing.T, salt uint64, flows int) []uint64 {
 		dst.Unregister(fl)
 	}
 	edge := f.Edge[0] // ports 0,1 face hosts; 2,3 face aggs
-	return []uint64{edge.Port(2).Stats().Enqueued, edge.Port(3).Stats().Enqueued}
+	return []uint64{edge.Port(2).Stats().Enqueued, edge.Port(3).Stats().Enqueued}, f.Salt
 }
 
 func TestFatTreeECMPSpreadsAndSaltMoves(t *testing.T) {
-	a := uplinkSpread(t, 7, 64)
+	a, saltA := uplinkSpread(t, 7, 64)
 	if a[0] == 0 || a[1] == 0 {
 		t.Fatalf("64 flows all hashed onto one uplink: %v", a)
 	}
-	if b := uplinkSpread(t, 7, 64); a[0] != b[0] || a[1] != b[1] {
-		t.Fatalf("same salt produced different placement: %v vs %v", a, b)
+	if b, saltB := uplinkSpread(t, 7, 64); saltB != saltA || a[0] != b[0] || a[1] != b[1] {
+		t.Fatalf("same seed produced a different salt or placement: %#x %v vs %#x %v", saltA, a, saltB, b)
 	}
-	if c := uplinkSpread(t, 8, 64); a[0] == c[0] && a[1] == c[1] {
+	c, saltC := uplinkSpread(t, 8, 64)
+	if saltC == saltA {
+		t.Fatalf("seeds 7 and 8 drew the same salt %#x", saltA)
+	}
+	if a[0] == c[0] && a[1] == c[1] {
 		t.Log("different salt left the uplink split unchanged (possible but unlikely)")
 	}
 }

@@ -100,9 +100,6 @@ type Recorder struct {
 	enc *json.Encoder
 	// PacketSize, when positive, converts queue occupancy to packets.
 	PacketSize int
-	// Filter, when set, drops events for which it returns false before
-	// encoding.
-	Filter func(*Event) bool
 
 	events uint64
 	err    error
@@ -129,12 +126,9 @@ func (r *Recorder) Flush() error {
 	return r.err
 }
 
-// Emit writes one event, applying the filter.
+// Emit writes one event.
 func (r *Recorder) Emit(ev Event) {
 	if r.err != nil {
-		return
-	}
-	if r.Filter != nil && !r.Filter(&ev) {
 		return
 	}
 	if err := r.enc.Encode(ev); err != nil {

@@ -70,16 +70,13 @@ func TestRecorderPacketEvents(t *testing.T) {
 func TestRecorderCustomAndFilter(t *testing.T) {
 	var b strings.Builder
 	r := NewRecorder(&b)
-	r.Filter = func(ev *Event) bool { return ev.Kind == KindCustom }
-
-	r.PacketEnqueued(0, &netsim.Packet{Size: 1500}, 1500, false) // filtered out
 	r.Custom(sim.FromDuration(time.Millisecond), "cwnd", 42.5)
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	evs := decodeAll(t, b.String())
 	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1 after filtering", len(evs))
+		t.Fatalf("got %d events, want 1", len(evs))
 	}
 	if evs[0].Name != "cwnd" || evs[0].Value != 42.5 || evs[0].T != 0.001 {
 		t.Fatalf("custom event: %+v", evs[0])

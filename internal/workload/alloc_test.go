@@ -44,7 +44,6 @@ func TestFreshConnectionRoundsAllocFree(t *testing.T) {
 				Gap:            100 * time.Microsecond,
 				StartJitter:    50 * time.Microsecond,
 				TCP:            tcp.DefaultConfig(tc.variant),
-				BaseFlow:       1,
 			})
 			// advance runs the engine until n more rounds have completed.
 			advance := func(n int) {

@@ -38,16 +38,13 @@ type QueryConfig struct {
 	// standard incast benchmark setup: after the first round responses
 	// resume with the congestion state the previous round left behind.
 	// When false, every round opens fresh connections in slow start.
+	// The runner's flow IDs start at 0: it consumes Rounds×len(Workers)
+	// consecutive IDs, one set when Persistent.
 	Persistent bool
-	// BaseFlow is the first flow ID; the runner consumes
-	// Rounds×len(Workers) consecutive IDs (one set when Persistent).
-	BaseFlow netsim.FlowID
 	// StartJitter staggers each worker's response uniformly over the
 	// interval, modelling request fan-out serialization and host
 	// scheduling noise. Zero starts all workers at the same instant.
 	StartJitter time.Duration
-	// OnDone, when set, fires after the final round completes.
-	OnDone func()
 }
 
 // QueryRound records one completed round.
@@ -176,9 +173,9 @@ func (q *QueryRunner) startRound() {
 		}
 		return
 	}
-	base := q.cfg.BaseFlow
+	var base netsim.FlowID
 	if !q.cfg.Persistent {
-		base += netsim.FlowID(q.round * len(q.cfg.Workers))
+		base = netsim.FlowID(q.round * len(q.cfg.Workers))
 	}
 	for i := range q.cfg.Workers {
 		s := q.connect(i, base+netsim.FlowID(i))
@@ -269,9 +266,6 @@ func (q *QueryRunner) workerDone(*tcp.Sender, sim.Time) {
 	q.round++
 	if q.round >= q.cfg.Rounds {
 		q.done = true
-		if q.cfg.OnDone != nil {
-			q.cfg.OnDone()
-		}
 		return
 	}
 	if q.cfg.Gap > 0 {

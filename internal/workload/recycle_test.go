@@ -32,7 +32,7 @@ func (q *refRunner) startRound() {
 	q.started = q.e.Now()
 	q.remaining = len(q.cfg.Workers)
 	q.senders, q.receivers = nil, nil
-	base := q.cfg.BaseFlow + netsim.FlowID(q.round*len(q.cfg.Workers))
+	base := netsim.FlowID(q.round * len(q.cfg.Workers))
 	for i, w := range q.cfg.Workers {
 		flow := base + netsim.FlowID(i)
 		s := tcp.NewSender(w, flow, q.cfg.Aggregator.ID(), q.cfg.BytesPerWorker, plusPacingSeed(q.e, q.cfg.TCP))
@@ -201,7 +201,6 @@ func TestRecycledRoundsMatchFreshConstruction(t *testing.T) {
 			Gap:            100 * time.Microsecond,
 			StartJitter:    50 * time.Microsecond,
 			TCP:            tcp.DefaultConfig(v),
-			BaseFlow:       1,
 		}
 	}
 	delack := base(tcp.DCTCP)
@@ -268,13 +267,11 @@ func TestRecycleRefusesArmedStorage(t *testing.T) {
 	cfg := QueryConfig{
 		BytesPerWorker: 64 << 10,
 		Rounds:         6,
-		Gap:            time.Millisecond,
+		Gap:            200 * time.Microsecond, // under the 500 µs delayed-ACK timeout
 		StartJitter:    50 * time.Microsecond,
 		TCP:            tcp.DefaultConfig(tcp.DCTCP),
-		BaseFlow:       1,
 	}
 	cfg.TCP.AckEvery = 2
-	cfg.TCP.DelayedAckTimeout = 5 * time.Millisecond
 	const seed, workers = 7, 8
 
 	plain := runReference(t, seed, workers, cfg, 0, nil)
@@ -314,11 +311,10 @@ func TestLateDuplicateNeverReachesNextOwner(t *testing.T) {
 		Rounds:         2,
 		Gap:            10 * time.Millisecond,
 		TCP:            tcp.DefaultConfig(tcp.DCTCP),
-		BaseFlow:       1,
 	})
 	old := q.receivers[0]
-	// Stop inside round 1: its connections (flows 5–8) are open on the
-	// storage round 0 (flows 1–4) retired.
+	// Stop inside round 1: its connections (flows 4–7) are open on the
+	// storage round 0 (flows 0–3) retired.
 	if err := e.RunUntil(sim.FromDuration(10*time.Millisecond + 200*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,6 @@ func TestLongLivedZeroJitterStartsImmediately(t *testing.T) {
 
 func TestQueryRunnerCompletesAllRounds(t *testing.T) {
 	e, hosts, rcv, _ := star(t, 4, 1*netsim.Gbps, 400, aqm.NewSingleThresholdPackets(40, 1500))
-	done := false
 	q := StartQueries(e, QueryConfig{
 		Workers:        hosts,
 		Aggregator:     rcv,
@@ -86,12 +85,11 @@ func TestQueryRunnerCompletesAllRounds(t *testing.T) {
 		Rounds:         5,
 		Gap:            time.Millisecond,
 		TCP:            tcp.DefaultConfig(tcp.DCTCP),
-		OnDone:         func() { done = true },
 	})
 	if err := e.RunFor(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !q.Done() || !done {
+	if !q.Done() {
 		t.Fatalf("queries incomplete: %d rounds", len(q.Rounds()))
 	}
 	if len(q.Rounds()) != 5 {
@@ -134,7 +132,7 @@ func TestQueryRunnerCleansUpEndpoints(t *testing.T) {
 	}
 	// All flows were unregistered: replaying one of the old flow IDs at
 	// the aggregator must count as unknown.
-	pkt := &netsim.Packet{Flow: q.cfg.BaseFlow, Dst: rcv.ID(), Size: 1500}
+	pkt := &netsim.Packet{Flow: 0, Dst: rcv.ID(), Size: 1500}
 	hosts[0].Send(pkt)
 	if err := e.RunFor(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -241,7 +239,7 @@ func TestQueryRunnerPersistentWithDeadlineAndJitter(t *testing.T) {
 	}
 	// Persistent mode consumes exactly one flow-ID set: replaying the
 	// base flow at the aggregator must be unknown after the final round.
-	pkt := &netsim.Packet{Flow: q.cfg.BaseFlow, Dst: rcv.ID(), Size: 1500}
+	pkt := &netsim.Packet{Flow: 0, Dst: rcv.ID(), Size: 1500}
 	hosts[0].Send(pkt)
 	if err := e.RunFor(time.Millisecond); err != nil {
 		t.Fatal(err)
