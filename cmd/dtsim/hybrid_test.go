@@ -76,8 +76,10 @@ func TestDumbbellNegativePoolExits(t *testing.T) {
 // TestRefusedDialsExit: each of these once ran rewritten, ran as
 // nonsense or died with a stack trace — -g 2 ran the dumbbell at g = 1/16
 // and the hybrid's fluid half at g = 2, -k -5 ran as dctcp(K=-5), a zero
-// -gamma panicked in the phantom queue, and a NaN or tiny -load
-// overflowed virtual time inside the engine. Each exits 1 with a reason.
+// -gamma panicked in the phantom queue, a NaN or tiny -load overflowed
+// virtual time inside the engine, fluid -g 0 integrated senders that
+// ignore ECN, and stability -g 2 said only "control: invalid plant".
+// Each exits 1 with a reason.
 func TestRefusedDialsExit(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -85,6 +87,11 @@ func TestRefusedDialsExit(t *testing.T) {
 	}{
 		{"g", "core: G = 2 must be in (0, 1]", []string{"dumbbell", "-g", "2"}},
 		{"hybrid_g", "core: G = 2 must be in (0, 1]", []string{"hybrid", "-quick", "-g", "2"}},
+		{"fluid_g0", "core: G = 0 must be in (0, 1]", []string{"fluid", "-quick", "-g", "0"}},
+		{"fluid_g_neg", "core: G = -1 must be in (0, 1]", []string{"fluid", "-quick", "-g", "-1"}},
+		{"fluid_g2", "core: G = 2 must be in (0, 1]", []string{"fluid", "-quick", "-g", "2"}},
+		{"stability_g2", "core: G = 2 must be in (0, 1]", []string{"stability", "-g", "2"}},
+		{"stability_critical_g0", "core: G = 0 must be in (0, 1]", []string{"stability", "-quick", "-critical", "-g", "0"}},
 		{"rto_min", "core: RTOMin = -1ms must be positive", []string{"hybrid", "-quick", "-rto-min", "-1ms"}},
 		{"k", "marking thresholds must not be negative", []string{"dumbbell", "-k", "-5"}},
 		{"k2", "marking thresholds must not be negative", []string{"dumbbell", "-protocol", "dt-dctcp", "-k2", "-1"}},

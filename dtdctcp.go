@@ -29,7 +29,6 @@ package dtdctcp
 
 import (
 	"context"
-	"errors"
 	"io"
 	"time"
 
@@ -107,16 +106,11 @@ type FlowSweepPoint = core.FlowSweepPoint
 // RunDumbbell executes the long-lived-flows scenario.
 func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) { return core.RunDumbbell(cfg) }
 
-// SweepFlows runs the dumbbell at each flow count, as in Figs. 10–12.
-// Points run serially; SweepFlowsParallel spreads them over goroutines.
-func SweepFlows(base DumbbellConfig, flows []int) ([]FlowSweepPoint, error) {
-	return core.SweepFlows(base, flows)
-}
-
-// SweepFlowsParallel runs the sweep points concurrently on up to workers
-// goroutines (values < 1 mean GOMAXPROCS). Every point owns a private
-// engine seeded by base.Seed alone, so the output is byte-identical for
-// any worker count and is returned in the order of flows.
+// SweepFlowsParallel runs the dumbbell at each flow count, as in
+// Figs. 10–12, on up to workers goroutines (values < 1 mean GOMAXPROCS).
+// Every point owns a private engine seeded by base.Seed alone, so the
+// output is byte-identical for any worker count and is returned in the
+// order of flows.
 func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, workers int) ([]FlowSweepPoint, error) {
 	return core.SweepFlowsParallel(ctx, base, flows, workers)
 }
@@ -165,18 +159,10 @@ func RunCompletionTime(cfg TestbedConfig, rounds int) (*QueryResult, error) {
 	return core.RunCompletionTime(cfg, rounds)
 }
 
-// SweepWorkers repeats a query experiment across worker counts, as in
-// Figs. 14–15. Points run serially; SweepWorkersParallel spreads them
-// over goroutines.
-func SweepWorkers(base TestbedConfig, workers []int, rounds int,
-	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return core.SweepWorkers(base, workers, rounds, run)
-}
-
-// SweepWorkersParallel repeats a query experiment across worker counts on
-// up to par goroutines, with the same determinism guarantee as
-// SweepFlowsParallel: each point owns a private engine, so results do not
-// depend on par.
+// SweepWorkersParallel repeats a query experiment across worker counts,
+// as in Figs. 14–15, on up to par goroutines, with the same determinism
+// guarantee as SweepFlowsParallel: each point owns a private engine, so
+// results do not depend on par.
 func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
 	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
 	return core.SweepWorkersParallel(ctx, base, workers, rounds, par, run)
@@ -274,11 +260,7 @@ type Margins = control.Margins
 // StabilityMargins computes the loop's gain and phase margins against the
 // marker's describing function at the given flow count.
 func StabilityMargins(p Protocol, params AnalysisParams, flows int) (Margins, error) {
-	df := p.DF()
-	if df == nil {
-		return Margins{}, errors.New("dtdctcp: protocol has no ECN marker to analyze")
-	}
-	return control.StabilityMargins(params.Plant(flows), df)
+	return core.StabilityMargins(p, params, flows)
 }
 
 // ChaosPlan is a declarative, JSON-loadable fault-injection schedule:
@@ -358,13 +340,8 @@ func ParseFlowCDF(r io.Reader) (*FlowSizeCDF, error) { return flowgen.ParseCDF(r
 // RunFabric executes a fabric scenario to completion.
 func RunFabric(cfg FabricConfig) (*FabricResult, error) { return core.RunFabric(cfg) }
 
-// SweepLoads runs the fabric at each load factor serially.
-func SweepLoads(base FabricConfig, loads []float64) ([]LoadSweepPoint, error) {
-	return core.SweepLoads(base, loads)
-}
-
-// SweepLoadsParallel runs the sweep points concurrently on up to workers
-// goroutines; results are byte-identical for any worker count.
+// SweepLoadsParallel runs the fabric at each load factor on up to
+// workers goroutines; results are byte-identical for any worker count.
 func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
 	return core.SweepLoadsParallel(ctx, base, loads, workers)
 }

@@ -29,14 +29,14 @@ func TestFacadeDumbbell(t *testing.T) {
 }
 
 func TestFacadeSweepAndQuery(t *testing.T) {
-	pts, err := SweepFlows(DumbbellConfig{
+	pts, err := SweepFlowsParallel(context.Background(), DumbbellConfig{
 		Protocol:   DCTCP(40, 1.0/16),
 		Rate:       10 * Gbps,
 		RTT:        100 * time.Microsecond,
 		BufferPkts: 600,
 		Duration:   10 * time.Millisecond,
 		Warmup:     2 * time.Millisecond,
-	}, []int{5})
+	}, []int{5}, 1)
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("sweep: %v %v", pts, err)
 	}
@@ -48,7 +48,7 @@ func TestFacadeSweepAndQuery(t *testing.T) {
 	if err != nil || ct.MeanCompletion <= 0 {
 		t.Fatalf("completion: %+v %v", ct, err)
 	}
-	ws, err := SweepWorkers(DefaultTestbed(RenoECN(21), 0), []int{2}, 1, RunIncast)
+	ws, err := SweepWorkersParallel(context.Background(), DefaultTestbed(RenoECN(21), 0), []int{2}, 1, 1, RunIncast)
 	if err != nil || len(ws) != 1 {
 		t.Fatalf("worker sweep: %v %v", ws, err)
 	}
@@ -162,9 +162,9 @@ func TestFacadeFabric(t *testing.T) {
 	if res.Completed != res.Flows || len(res.Digest) != 16 {
 		t.Fatalf("fabric result: %+v", res)
 	}
-	pts, err := SweepLoads(base, []float64{0.2})
+	pts, err := SweepLoadsParallel(context.Background(), base, []float64{0.2}, 1)
 	if err != nil || len(pts) != 1 || pts[0].Load != 0.2 {
-		t.Fatalf("SweepLoads: %v %v", pts, err)
+		t.Fatalf("SweepLoadsParallel: %v %v", pts, err)
 	}
 	ppts, err := SweepLoadsParallel(context.Background(), base, []float64{0.2}, 2)
 	if err != nil || len(ppts) != 1 || ppts[0].Result.Digest != pts[0].Result.Digest {

@@ -12,8 +12,8 @@ import (
 // Tracer is the optional event sink for controller-originated chaos
 // events (burst start/stop and setting changes). trace.Recorder
 // satisfies it; port-level fault events (link state, drops) flow through
-// netsim.FaultTracer on the port's own tracer instead, so nothing is
-// reported twice.
+// the fault hooks of the port's own netsim.PortTracer instead, so nothing
+// is reported twice.
 type Tracer interface {
 	// Burst records an injector switching on (start=true) or off.
 	Burst(now sim.Time, start bool, name string)

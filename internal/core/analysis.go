@@ -35,12 +35,26 @@ func (a AnalysisParams) Plant(n int) control.Plant {
 	return control.Plant{C: a.CapacityPktsPerSec, N: float64(n), R0: a.RTT, G: a.G}
 }
 
+// marker returns the protocol's describing function for the
+// describing-function analyses, refusing a gain outside (0, 1] and a
+// protocol with no ECN marker.
+func (a AnalysisParams) marker(p Protocol) (control.DF, error) {
+	if err := validG(a.G); err != nil {
+		return nil, err
+	}
+	df := p.DF()
+	if df == nil {
+		return nil, errors.New("core: protocol has no ECN marker to analyze")
+	}
+	return df, nil
+}
+
 // AnalyzeStability runs the describing-function criterion for the
 // protocol's marker at the given flow count.
 func AnalyzeStability(p Protocol, params AnalysisParams, flows int) (control.Verdict, error) {
-	df := p.DF()
-	if df == nil {
-		return control.Verdict{}, errors.New("core: protocol has no ECN marker to analyze")
+	df, err := params.marker(p)
+	if err != nil {
+		return control.Verdict{}, err
 	}
 	return control.Analyze(params.Plant(flows), df)
 }
@@ -48,23 +62,32 @@ func AnalyzeStability(p Protocol, params AnalysisParams, flows int) (control.Ver
 // CriticalFlows finds the smallest flow count in [nMin, nMax] predicted to
 // oscillate under the protocol's marker, or nMax+1 if none.
 func CriticalFlows(p Protocol, params AnalysisParams, nMin, nMax int) (int, error) {
-	df := p.DF()
-	if df == nil {
-		return 0, errors.New("core: protocol has no ECN marker to analyze")
+	df, err := params.marker(p)
+	if err != nil {
+		return 0, err
 	}
 	return control.CriticalN(params.Plant(1), df, nMin, nMax)
+}
+
+// StabilityMargins computes the loop's gain and phase margins against the
+// protocol's describing function at the given flow count.
+func StabilityMargins(p Protocol, params AnalysisParams, flows int) (control.Margins, error) {
+	df, err := params.marker(p)
+	if err != nil {
+		return control.Margins{}, err
+	}
+	return control.StabilityMargins(params.Plant(flows), df)
 }
 
 // FluidConfig builds a fluid-model configuration matching the protocol's
 // marker for n flows, integrating for the given duration.
 func FluidConfig(p Protocol, params AnalysisParams, flows int, duration time.Duration) (fluid.Config, error) {
+	if err := validG(params.G); err != nil {
+		return fluid.Config{}, err
+	}
 	law := p.MarkingLaw()
 	if law == nil {
 		return fluid.Config{}, errors.New("core: protocol has no marking law")
-	}
-	ref := float64(p.K)
-	if p.K2 > 0 {
-		ref = float64(p.K1+p.K2) / 2
 	}
 	return fluid.Config{
 		N:           float64(flows),
@@ -72,7 +95,7 @@ func FluidConfig(p Protocol, params AnalysisParams, flows int, duration time.Dur
 		D:           params.RTT,
 		G:           params.G,
 		Law:         law,
-		RTTRefQueue: ref,
+		RTTRefQueue: p.refQueue(),
 		Duration:    duration.Seconds(),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -207,14 +208,14 @@ func TestSweepFlows(t *testing.T) {
 	base := paperDumbbell(DCTCP(40, 1.0/16), 0)
 	base.Duration = 20 * time.Millisecond
 	base.Warmup = 5 * time.Millisecond
-	pts, err := SweepFlows(base, []int{5, 10})
+	pts, err := SweepFlowsParallel(context.Background(), base, []int{5, 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 || pts[0].Flows != 5 || pts[1].Flows != 10 {
 		t.Fatalf("sweep points: %+v", pts)
 	}
-	if _, err := SweepFlows(base, []int{0}); err == nil {
+	if _, err := SweepFlowsParallel(context.Background(), base, []int{0}, 1); err == nil {
 		t.Fatal("invalid sweep accepted")
 	}
 }
@@ -343,14 +344,14 @@ func TestCompletionTimeExperiment(t *testing.T) {
 
 func TestSweepWorkers(t *testing.T) {
 	base := DefaultTestbed(DCTCP(21, 1.0/16), 0)
-	pts, err := SweepWorkers(base, []int{4, 8}, 2, RunIncast)
+	pts, err := SweepWorkersParallel(context.Background(), base, []int{4, 8}, 2, 1, RunIncast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 || pts[0].Workers != 4 || pts[1].Workers != 8 {
 		t.Fatalf("sweep: %+v", pts)
 	}
-	if _, err := SweepWorkers(base, []int{0}, 2, RunIncast); err == nil {
+	if _, err := SweepWorkersParallel(context.Background(), base, []int{0}, 2, 1, RunIncast); err == nil {
 		t.Fatal("invalid sweep accepted")
 	}
 }
@@ -399,6 +400,36 @@ func TestAnalysisBridges(t *testing.T) {
 	}
 	if _, err := FluidConfig(Reno(), params, 20, time.Second); err == nil {
 		t.Fatal("Reno fluid config should fail")
+	}
+}
+
+// TestAnalysesRefuseGain: g ≤ 0 once ran the fluid model with senders
+// that ignore ECN, and g > 1 reached the describing-function analysis as
+// an invalid plant with no word about g. Every analysis entry point
+// refuses g outside (0, 1], NaN included, with the same reason as the
+// packet runners, and accepts g = 1.
+func TestAnalysesRefuseGain(t *testing.T) {
+	dc := DCTCP(40, 1.0/16)
+	entries := map[string]func(AnalysisParams) error{
+		"AnalyzeStability": func(a AnalysisParams) error { _, err := AnalyzeStability(dc, a, 10); return err },
+		"CriticalFlows":    func(a AnalysisParams) error { _, err := CriticalFlows(dc, a, 2, 20); return err },
+		"StabilityMargins": func(a AnalysisParams) error { _, err := StabilityMargins(dc, a, 10); return err },
+		"FluidConfig":      func(a AnalysisParams) error { _, err := FluidConfig(dc, a, 10, time.Millisecond); return err },
+	}
+	for name, call := range entries {
+		for _, g := range []float64{0, -1, 1.5, 2, math.NaN(), math.Inf(1)} {
+			params := PaperAnalysisParams()
+			params.G = g
+			err := call(params)
+			if err == nil || !strings.Contains(err.Error(), "core: G = ") || !strings.Contains(err.Error(), "must be in (0, 1]") {
+				t.Errorf("%s at g = %v: err = %v, want the core: G refusal", name, g, err)
+			}
+		}
+		params := PaperAnalysisParams()
+		params.G = 1
+		if err := call(params); err != nil {
+			t.Errorf("%s at g = 1: %v", name, err)
+		}
 	}
 }
 

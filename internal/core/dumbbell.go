@@ -199,7 +199,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	pktSize := cfg.Protocol.PacketSize()
 
 	if cfg.Metrics || cfg.MetricsSampleEvery > 0 {
-		r.observe(cfg.MetricsSampleEvery)
+		r.observe()
 	}
 	obs := r.obs
 	rec := r.record(bneck, pktSize, cfg.BufferPkts, cfg.Warmup, cfg.QueueSampleEvery)
@@ -237,7 +237,9 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	})
 	if obs != nil {
 		obs.observeFlows(flows)
-		obs.startSampler(bneck, pktSize, flows)
+		if cfg.MetricsSampleEvery > 0 {
+			r.every(cfg.MetricsSampleEvery, obs.sampler(bneck, pktSize, flows))
+		}
 	}
 
 	// α sampling (Fig. 12): a periodic event records the mean α.
@@ -330,17 +332,11 @@ type FlowSweepPoint struct {
 	Result *DumbbellResult
 }
 
-// SweepFlows runs the dumbbell at each flow count in flows, reusing every
-// other parameter of base. Points run serially; use SweepFlowsParallel to
-// spread them over worker goroutines.
-func SweepFlows(base DumbbellConfig, flows []int) ([]FlowSweepPoint, error) {
-	return SweepFlowsParallel(context.Background(), base, flows, 1)
-}
-
-// SweepFlowsParallel runs the sweep points concurrently on up to workers
-// goroutines (values < 1 mean GOMAXPROCS). Every point builds a private
-// engine seeded only by base.Seed, so results are byte-identical for any
-// worker count; they are returned in the order of flows.
+// SweepFlowsParallel runs the dumbbell at each flow count in flows,
+// reusing every other parameter of base, on up to workers goroutines
+// (values < 1 mean GOMAXPROCS). Every point builds a private engine
+// seeded only by base.Seed, so results are byte-identical for any worker
+// count; they are returned in the order of flows.
 //
 // A per-packet trace interleaves points nondeterministically when written
 // from concurrent runs, so a non-nil base.TraceTo forces workers to 1.

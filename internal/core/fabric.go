@@ -245,7 +245,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 	core, agg := merge(coreHists), merge(aggHists)
 	if cfg.Metrics {
-		r.observe(0)
+		r.observe()
 		reg := r.obs.reg
 		w.RecordFCT(reg, cfg.SmallMax, cfg.LargeMin)
 		reg.Histogram("fabric_queue_pkts", "egress queue depth by switch tier",
@@ -285,16 +285,11 @@ type LoadSweepPoint struct {
 	Result *FabricResult
 }
 
-// SweepLoads runs the fabric at each load factor, reusing every other
-// parameter of base.
-func SweepLoads(base FabricConfig, loads []float64) ([]LoadSweepPoint, error) {
-	return SweepLoadsParallel(context.Background(), base, loads, 1)
-}
-
-// SweepLoadsParallel runs the sweep points concurrently on up to
-// workers goroutines (values < 1 mean GOMAXPROCS). Every point builds a
-// private engine seeded only by base.Seed, so results are
-// byte-identical for any worker count; they are returned in load order.
+// SweepLoadsParallel runs the fabric at each load factor, reusing every
+// other parameter of base, on up to workers goroutines (values < 1 mean
+// GOMAXPROCS). Every point builds a private engine seeded only by
+// base.Seed, so results are byte-identical for any worker count; they are
+// returned in load order.
 func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
 	return sweep(ctx, loads, workers, base.Shards, "load=%.2f", func(load float64) (LoadSweepPoint, error) {
 		cfg := base

@@ -75,10 +75,6 @@ func (c HybridConfig) validate() error {
 
 // fluidConfig maps the scenario onto the background fluid model.
 func (c HybridConfig) fluidConfig() fluid.Config {
-	ref := float64(c.Protocol.K)
-	if c.Protocol.K2 > 0 {
-		ref = float64(c.Protocol.K1+c.Protocol.K2) / 2
-	}
 	pktSize := c.Protocol.PacketSize()
 	return fluid.Config{
 		N:           float64(c.BgFlows),
@@ -86,7 +82,7 @@ func (c HybridConfig) fluidConfig() fluid.Config {
 		D:           c.RTT.Seconds(),
 		G:           c.Protocol.TCP.G,
 		Law:         c.Protocol.MarkingLaw(),
-		RTTRefQueue: ref,
+		RTTRefQueue: c.Protocol.refQueue(),
 		BufferLimit: float64(c.BufferPkts),
 	}
 }
@@ -163,7 +159,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	pktSize := cfg.Protocol.PacketSize()
 
 	if cfg.Metrics {
-		r.observe(0)
+		r.observe()
 	}
 	rec := r.record(bneck, pktSize, cfg.BufferPkts, cfg.Warmup, cfg.QueueSampleEvery)
 

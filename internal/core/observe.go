@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
@@ -16,25 +14,11 @@ import (
 // layers already keep) except the queue-depth histogram, which rides the
 // existing QueueMonitor notification — so enabling metrics changes no
 // event order, draws no randomness, and costs nothing measurable on the
-// hot path. The one exception is the optional sampler, whose periodic
-// ticks are engine events; it is therefore gated separately by
+// hot path. The one exception is the dumbbell's optional sampler, whose
+// periodic ticks are engine events; it is therefore gated separately by
 // MetricsSampleEvery.
 type observer struct {
-	reg     *metrics.Registry
-	sampler *metrics.Sampler
-}
-
-// newObserver builds a registry over the run's engine counters (summed
-// over shards), with a sampler when sampleEvery is positive. The sampler
-// ticks on the given engine; only the dumbbell asks for one, and it runs
-// serially.
-func newObserver(engine *sim.Engine, stats func() sim.EngineStats, sampleEvery time.Duration) *observer {
-	o := &observer{reg: metrics.NewRegistry()}
-	metrics.InstrumentEngineStats(o.reg, stats)
-	if sampleEvery > 0 {
-		o.sampler = metrics.NewSampler(o.reg, engine, sampleEvery)
-	}
-	return o
+	reg *metrics.Registry
 }
 
 // observePort registers per-port counters and a queue-depth histogram
@@ -153,16 +137,7 @@ func (o *observer) observeFlows(flows *workload.LongLived) {
 		flows.MeanAlpha)
 	o.reg.GaugeFunc("tcp_cwnd_mean_pkts",
 		"Mean congestion window across all senders, in packets.",
-		func() float64 {
-			if len(flows.Senders) == 0 {
-				return 0
-			}
-			var total float64
-			for _, snd := range flows.Senders {
-				total += snd.CwndPackets()
-			}
-			return total / float64(len(flows.Senders))
-		})
+		flows.MeanCwnd)
 }
 
 // observeChaos registers the fault-action counter.
@@ -172,25 +147,17 @@ func (o *observer) observeChaos(ctl *chaos.Controller) {
 		ctl.Executed)
 }
 
-// startSampler begins the periodic virtual-time sampler (if configured)
-// tracking the bottleneck queue depth, mean α, and mean cwnd.
-func (o *observer) startSampler(bneck *netsim.Port, pktSize int, flows *workload.LongLived) {
-	if o.sampler == nil {
-		return
+// sampler registers the series of the dumbbell's periodic sampler —
+// bottleneck queue depth, mean α and mean cwnd — and returns the tick
+// that appends one point to each, for run.every.
+func (o *observer) sampler(bneck *netsim.Port, pktSize int, flows *workload.LongLived) func(now sim.Time) {
+	queue := o.reg.Series("metrics_queue_pkts")
+	alpha := o.reg.Series("metrics_alpha_mean")
+	cwnd := o.reg.Series("metrics_cwnd_mean_pkts")
+	return func(now sim.Time) {
+		t := now.Seconds()
+		queue.Add(t, float64(bneck.QueueLen())/float64(pktSize))
+		alpha.Add(t, flows.MeanAlpha())
+		cwnd.Add(t, flows.MeanCwnd())
 	}
-	o.sampler.Track("metrics_queue_pkts", func() float64 {
-		return float64(bneck.QueueLen()) / float64(pktSize)
-	})
-	o.sampler.Track("metrics_alpha_mean", flows.MeanAlpha)
-	o.sampler.Track("metrics_cwnd_mean_pkts", func() float64 {
-		if len(flows.Senders) == 0 {
-			return 0
-		}
-		var total float64
-		for _, snd := range flows.Senders {
-			total += snd.CwndPackets()
-		}
-		return total / float64(len(flows.Senders))
-	})
-	o.sampler.Start()
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"dtdctcp/internal/sim"
+	"dtdctcp/internal/workload"
 )
 
 // The observability layer is exercised end to end by cmd/dtsim and the
@@ -60,6 +64,44 @@ func TestDumbbellMetricsSampler(t *testing.T) {
 	}
 }
 
+// TestMeanCwndMatchesSummedWindows pins LongLived.MeanCwnd, which the
+// cwnd gauge and the sampler's cwnd series read, to the closure each of
+// them computed inline before: the senders' windows in packets, summed in
+// sender order and divided by the flow count. It must agree to the bit at
+// every tick of a running dumbbell, while the windows move.
+func TestMeanCwndMatchesSummedWindows(t *testing.T) {
+	cfg := paperDumbbell(DTDCTCP(30, 50, 1.0/16), 4)
+	r := newRun(cfg.Seed, 1)
+	star, err := r.star(cfg.Protocol, cfg.Flows, cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.SharedBuffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := workload.StartLongLived(r.engine, workload.LongLivedConfig{
+		Hosts:       star.Senders,
+		Receiver:    star.Receiver,
+		TCP:         cfg.Protocol.TCP,
+		StartJitter: cfg.RTT,
+	})
+	seen := map[float64]bool{}
+	r.every(time.Millisecond, func(sim.Time) {
+		var total float64
+		for _, snd := range flows.Senders {
+			total += snd.CwndPackets()
+		}
+		want := total / float64(len(flows.Senders))
+		if got := flows.MeanCwnd(); got != want {
+			t.Fatalf("MeanCwnd = %v, closure = %v", got, want)
+		}
+		seen[want] = true
+	})
+	if err := r.until(sim.FromDuration(20 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) < 5 {
+		t.Fatalf("mean cwnd took %d values over 20 ticks; the windows did not move", len(seen))
+	}
+}
+
 func TestTestbedMetricsSnapshot(t *testing.T) {
 	cfg := DefaultTestbed(DCTCP(21, 1.0/16), 4)
 	cfg.Metrics = true
@@ -72,15 +114,15 @@ func TestTestbedMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestSweepLoadsSerial covers the serial fabric sweep wrapper.
+// TestSweepLoadsSerial covers the fabric sweep at one worker.
 func TestSweepLoadsSerial(t *testing.T) {
 	base := fabricConfig(t)
 	base.Flows = 20
-	pts, err := SweepLoads(base, []float64{0.3})
+	pts, err := SweepLoadsParallel(context.Background(), base, []float64{0.3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 1 || pts[0].Load != 0.3 || pts[0].Result.Completed != 20 {
-		t.Fatalf("SweepLoads: %+v", pts)
+		t.Fatalf("SweepLoadsParallel: %+v", pts)
 	}
 }

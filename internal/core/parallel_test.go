@@ -66,12 +66,12 @@ func TestSweepDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
-// TestSweepFlowsSerialMatchesParallelAPI pins the compatibility contract:
-// the legacy serial entry point is exactly the parallel one at workers=1.
+// TestSweepFlowsSerialMatchesParallelAPI pins the serial contract: a
+// sweep at workers=1 is exactly the sweep on more workers than points.
 func TestSweepFlowsSerialMatchesParallelAPI(t *testing.T) {
 	flows := []int{2, 6}
 	base := sweepBase()
-	legacy, err := SweepFlows(base, flows)
+	serial, err := SweepFlowsParallel(context.Background(), base, flows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestSweepFlowsSerialMatchesParallelAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(marshalSweep(t, legacy), marshalSweep(t, par)) {
-		t.Fatal("SweepFlows and SweepFlowsParallel disagree on identical input")
+	if !bytes.Equal(marshalSweep(t, serial), marshalSweep(t, par)) {
+		t.Fatal("SweepFlowsParallel at workers=1 and workers=4 disagree on identical input")
 	}
 }
 

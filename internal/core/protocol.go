@@ -46,9 +46,10 @@ func (p Protocol) PacketSize() int { return p.TCP.PacketSize() }
 // Every runner's validation calls it.
 func (p Protocol) validate() error {
 	c := p.TCP
+	if err := validG(c.G); err != nil {
+		return err
+	}
 	switch {
-	case !(c.G > 0 && c.G <= 1):
-		return fmt.Errorf("core: G = %g must be in (0, 1]", c.G)
 	case c.AckEvery < 1:
 		return fmt.Errorf("core: AckEvery = %d must be at least 1", c.AckEvery)
 	case c.RTOMin <= 0:
@@ -57,6 +58,16 @@ func (p Protocol) validate() error {
 		return fmt.Errorf("core: RTOInitial = %v must be positive", c.RTOInitial)
 	case p.K < 0 || p.K1 < 0 || p.K2 < 0:
 		return fmt.Errorf("core: marking thresholds K = %d, K1 = %d, K2 = %d must not be negative", p.K, p.K1, p.K2)
+	}
+	return nil
+}
+
+// validG refuses a DCTCP gain outside (0, 1], NaN included: at g ≤ 0 α
+// never tracks the marked fraction and the sender ignores ECN. Protocol
+// validation and every analysis entry point call it.
+func validG(g float64) error {
+	if !(g > 0 && g <= 1) {
+		return fmt.Errorf("core: G = %g must be in (0, 1]", g)
 	}
 	return nil
 }
@@ -98,6 +109,15 @@ func (p Protocol) MarkingLaw() fluid.MarkingLaw {
 	default:
 		return nil
 	}
+}
+
+// refQueue is the reference queue the fluid model takes its RTT at: K,
+// or (K1+K2)/2 for DT-DCTCP.
+func (p Protocol) refQueue() float64 {
+	if p.K2 > 0 {
+		return float64(p.K1+p.K2) / 2
+	}
+	return float64(p.K)
 }
 
 // DCTCP returns the paper's baseline: DCTCP endpoints with a

@@ -89,10 +89,11 @@ func (r *run) stats() sim.EngineStats {
 	return r.engine.Stats()
 }
 
-// observe turns the metrics registry on — engine counters, and the
-// coordinator's when sharded — with a sampler when sampleEvery is positive.
-func (r *run) observe(sampleEvery time.Duration) {
-	r.obs = newObserver(r.engine, r.stats, sampleEvery)
+// observe turns the metrics registry on — engine counters summed over
+// shards, and the coordinator's when sharded.
+func (r *run) observe() {
+	r.obs = &observer{reg: metrics.NewRegistry()}
+	metrics.InstrumentEngineStats(r.obs.reg, r.stats)
 	if r.se != nil {
 		metrics.InstrumentShardStats(r.obs.reg, r.se)
 	}

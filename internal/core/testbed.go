@@ -164,7 +164,7 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 		}
 	}
 	if cfg.Metrics {
-		r.observe(0)
+		r.observe()
 		bneck.SetMonitor(r.obs.observePort("bottleneck", bneck, pktSize, bufferPkts))
 	}
 	if cfg.Chaos != nil {
@@ -302,17 +302,11 @@ type WorkerSweepPoint struct {
 	Result *QueryResult
 }
 
-// SweepWorkers repeats run for each worker count, cloning base. Points run
-// serially; use SweepWorkersParallel to spread them over goroutines.
-func SweepWorkers(base TestbedConfig, workers []int, rounds int,
-	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return SweepWorkersParallel(context.Background(), base, workers, rounds, 1, run)
-}
-
-// SweepWorkersParallel runs the sweep points concurrently on up to par
-// goroutines (values < 1 mean GOMAXPROCS). Each point builds a private
-// testbed seeded only by base.Seed, so results are byte-identical for any
-// worker count; they are returned in the order of workers.
+// SweepWorkersParallel repeats run for each worker count, cloning base,
+// on up to par goroutines (values < 1 mean GOMAXPROCS). Each point builds
+// a private testbed seeded only by base.Seed, so results are
+// byte-identical for any worker count; they are returned in the order of
+// workers.
 func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
 	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
 	return sweep(ctx, workers, par, 1, "workers=%d", func(n int) (WorkerSweepPoint, error) {

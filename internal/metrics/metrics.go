@@ -13,8 +13,7 @@
 // Counters and gauges are pull functions (CounterFunc, GaugeFunc) over
 // the plain counters each layer already keeps (sim.EngineStats,
 // netsim.PortStats, tcp.SenderStats): the function is evaluated only at
-// snapshot or sampler time, so the instrumented hot path costs nothing
-// at all.
+// snapshot time, so the instrumented hot path costs nothing at all.
 //
 // A Registry must not be shared across goroutines. Concurrent sweep
 // points each own a private Registry next to their private Engine (see
@@ -24,6 +23,8 @@ package metrics
 import (
 	"fmt"
 	"sort"
+
+	"dtdctcp/internal/stats"
 )
 
 // Label is one name/value pair qualifying a metric, e.g. port="bottleneck".
@@ -75,7 +76,7 @@ type metric struct {
 type Registry struct {
 	metrics []*metric
 	index   map[string]*metric
-	series  []*seriesRef
+	series  []*stats.Series
 }
 
 // NewRegistry creates an empty registry.
@@ -93,8 +94,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 	r.add(&metric{name: name, help: help, labels: labels, kind: kindCounterFunc, counterFn: fn})
 }
 
-// GaugeFunc registers a pull gauge, evaluated at snapshot and sampler
-// time.
+// GaugeFunc registers a pull gauge, evaluated at snapshot time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if fn == nil {
 		panic("metrics: nil GaugeFunc for " + name)
@@ -109,6 +109,16 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	h := NewHistogram(bounds)
 	r.add(&metric{name: name, help: help, labels: labels, kind: kindHistogram, hist: h})
 	return h
+}
+
+// Series registers an empty time series that every snapshot exports and
+// returns it for the caller to fill. The dumbbell's periodic sampler adds
+// one point per tick of virtual time, so a series is a pure function of
+// the run.
+func (r *Registry) Series(name string) *stats.Series {
+	s := stats.NewSeries(name)
+	r.series = append(r.series, s)
+	return s
 }
 
 // add validates, indexes, and stores one metric. Duplicate ids and
@@ -160,7 +170,9 @@ func sortedLabels(labels []Label) []Label {
 	return out
 }
 
-// metricID renders the canonical identity name{k="v",...}.
+// metricID renders the canonical identity name{k="v",...}, keeping the
+// labels in the order given: sorted at registration, and with le
+// appended last in the Prometheus text format.
 func metricID(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name

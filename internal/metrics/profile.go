@@ -7,12 +7,40 @@ import (
 	"runtime/pprof"
 )
 
-// StartCPUProfile begins writing a CPU profile to path and returns a
-// stop function that ends profiling and closes the file. Commands call
-// this when -cpuprofile is given; profiling is strictly opt-in and has
-// no effect on simulation results (it samples the OS thread, not the
-// virtual clock).
-func StartCPUProfile(path string) (stop func() error, err error) {
+// Profile runs fn inside the profiles a command's -cpuprofile and
+// -memprofile flags ask for: a CPU profile written to cpuPath covers fn,
+// and once fn succeeds the heap is garbage-collected for an up-to-date
+// picture and its profile written to heapPath. An empty path skips that
+// profile. The result is fn's error, else the first error from writing
+// either profile. Profiling is strictly opt-in and has no effect on
+// simulation results (it samples the OS thread, not the virtual clock).
+func Profile(cpuPath, heapPath string, fn func() error) (err error) {
+	if cpuPath != "" {
+		// perr, not err: a block-local err would hide the named result
+		// from the deferred close.
+		stop, perr := startCPUProfile(cpuPath)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	if heapPath != "" {
+		return writeHeapProfile(heapPath)
+	}
+	return nil
+}
+
+// startCPUProfile begins writing a CPU profile to path and returns the
+// function that ends profiling and closes the file. A test swaps it to
+// fail the close.
+var startCPUProfile = func(path string) (stop func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: create cpu profile: %w", err)
@@ -27,10 +55,8 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
-// WriteHeapProfile garbage-collects for an up-to-date picture and
-// writes the heap profile to path. Commands call this at exit when
-// -memprofile is given.
-func WriteHeapProfile(path string) error {
+// writeHeapProfile garbage-collects and writes the heap profile to path.
+func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("metrics: create heap profile: %w", err)

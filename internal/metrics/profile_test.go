@@ -1,62 +1,99 @@
 package metrics
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func TestCPUProfileWritesFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cpu.pprof")
-	stop, err := StartCPUProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burn a little CPU so the profile has something to record.
+// burn spends a little CPU so a profile has something to record.
+func burn() error {
 	x := 0
 	for i := 0; i < 1_000_000; i++ {
 		x += i * i
 	}
 	_ = x
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
+	return nil
+}
+
+// nonEmpty fails the test unless path holds a non-empty file.
+func nonEmpty(t *testing.T, path string) {
+	t.Helper()
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Size() == 0 {
-		t.Fatal("CPU profile is empty")
+		t.Fatalf("profile %s is empty", path)
 	}
-	// A second profile must not collide with the finished one.
-	stop2, err := StartCPUProfile(filepath.Join(t.TempDir(), "cpu2.pprof"))
-	if err != nil {
+}
+
+func TestCPUProfileWritesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := Profile(path, "", burn); err != nil {
 		t.Fatal(err)
 	}
-	if err := stop2(); err != nil {
+	nonEmpty(t, path)
+	// A second profile must not collide with the finished one.
+	if err := Profile(filepath.Join(t.TempDir(), "cpu2.pprof"), "", burn); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHeapProfileWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap.pprof")
-	if err := WriteHeapProfile(path); err != nil {
+	if err := Profile("", path, burn); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	nonEmpty(t, path)
+	// A failed run is the error and leaves no heap profile behind.
+	failed := errors.New("run failed")
+	skipped := filepath.Join(t.TempDir(), "skipped.pprof")
+	if err := Profile("", skipped, func() error { return failed }); !errors.Is(err, failed) {
+		t.Fatalf("Profile = %v, want the run's error", err)
 	}
-	if info.Size() == 0 {
-		t.Fatal("heap profile is empty")
+	if _, err := os.Stat(skipped); !os.IsNotExist(err) {
+		t.Fatalf("heap profile written after a failed run: %v", err)
 	}
 }
 
 func TestProfileErrorsOnBadPath(t *testing.T) {
-	if _, err := StartCPUProfile(filepath.Join(t.TempDir(), "no", "such", "dir", "p")); err == nil {
+	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "p")
+	ran := false
+	if err := Profile(bad, "", func() error { ran = true; return nil }); err == nil {
 		t.Fatal("want error for unwritable CPU profile path")
 	}
-	if err := WriteHeapProfile(filepath.Join(t.TempDir(), "no", "such", "dir", "p")); err == nil {
+	if ran {
+		t.Fatal("run went ahead without its CPU profile")
+	}
+	if err := Profile("", bad, burn); err == nil {
 		t.Fatal("want error for unwritable heap profile path")
 	}
+}
+
+// TestCPUProfileCloseErrorFails: a CPU profile that fails to close is the
+// run's error, not a silent exit 0, unless the run failed first; a run
+// that succeeds writes both profiles.
+func TestCPUProfileCloseErrorFails(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	closeFailed, runFailed := errors.New("close failed"), errors.New("run failed")
+	orig := startCPUProfile
+	startCPUProfile = func(string) (func() error, error) { return func() error { return closeFailed }, nil }
+	errClose := Profile(cpu, "", burn)
+	errRun := Profile(cpu, "", func() error { return runFailed })
+	startCPUProfile = orig
+	if !errors.Is(errClose, closeFailed) {
+		t.Fatalf("Profile = %v, want the close error", errClose)
+	}
+	if !errors.Is(errRun, runFailed) {
+		t.Fatalf("Profile = %v, want the run's error before the close error", errRun)
+	}
+
+	if err := Profile(cpu, heap, burn); err != nil {
+		t.Fatal(err)
+	}
+	nonEmpty(t, cpu)
+	nonEmpty(t, heap)
 }

@@ -45,8 +45,8 @@ type HistogramSnapshot struct {
 	Max    float64   `json:"max"`
 }
 
-// SeriesSnapshot is one sampler-produced time series: virtual-time
-// instants in seconds and the sampled gauge values.
+// SeriesSnapshot is one registered time series (Registry.Series):
+// virtual-time instants in seconds and the sampled values.
 type SeriesSnapshot struct {
 	Name   string    `json:"name"`
 	T      []float64 `json:"t"`
@@ -63,13 +63,13 @@ type Snapshot struct {
 	EndSeconds float64 `json:"end_seconds,omitempty"`
 	// Metrics lists every registered metric sorted by id.
 	Metrics []MetricSnapshot `json:"metrics"`
-	// Series lists sampler output, sorted by name; empty without a
-	// sampler.
+	// Series lists every series registered through Registry.Series,
+	// sorted by name; empty when none was.
 	Series []SeriesSnapshot `json:"series,omitempty"`
 }
 
 // Snapshot freezes the registry: pull functions are evaluated, histograms
-// are read, sampler series are copied out. The result is sorted by
+// are read, series are copied out. The result is sorted by
 // metric id and safe to retain after the registry is discarded.
 func (r *Registry) Snapshot(endSeconds float64) *Snapshot {
 	s := &Snapshot{EndSeconds: endSeconds}
@@ -94,9 +94,9 @@ func (r *Registry) Snapshot(endSeconds float64) *Snapshot {
 		s.Metrics = append(s.Metrics, ms)
 	}
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].ID() < s.Metrics[j].ID() })
-	for _, ref := range r.series {
-		ss := SeriesSnapshot{Name: ref.series.Name}
-		for _, p := range ref.series.Points() {
+	for _, series := range r.series {
+		ss := SeriesSnapshot{Name: series.Name}
+		for _, p := range series.Points() {
 			ss.T = append(ss.T, p.T)
 			ss.Values = append(ss.Values, p.V)
 		}
@@ -165,9 +165,9 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		case m.Hist != nil:
 			err = writePromHistogram(w, m)
 		case m.Kind == "counter":
-			_, err = fmt.Fprintf(w, "%s %d\n", promID(m.Name, m.Labels), m.Count)
+			_, err = fmt.Fprintf(w, "%s %d\n", m.ID(), m.Count)
 		default:
-			_, err = fmt.Fprintf(w, "%s %s\n", promID(m.Name, m.Labels), promFloat(m.Value))
+			_, err = fmt.Fprintf(w, "%s %s\n", m.ID(), promFloat(m.Value))
 		}
 		if err != nil {
 			return err
@@ -182,37 +182,20 @@ func writePromHistogram(w io.Writer, m MetricSnapshot) error {
 	for i, b := range m.Hist.Bounds {
 		cum += m.Hist.Counts[i]
 		le := append(append([]Label(nil), m.Labels...), Label{Key: "le", Value: promFloat(b)})
-		if _, err := fmt.Fprintf(w, "%s %d\n", promID(m.Name+"_bucket", le), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", metricID(m.Name+"_bucket", le), cum); err != nil {
 			return err
 		}
 	}
 	cum += m.Hist.Counts[len(m.Hist.Counts)-1]
 	inf := append(append([]Label(nil), m.Labels...), Label{Key: "le", Value: "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s %d\n", promID(m.Name+"_bucket", inf), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %d\n", metricID(m.Name+"_bucket", inf), cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s %s\n", promID(m.Name+"_sum", m.Labels), promFloat(m.Hist.Sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %s\n", metricID(m.Name+"_sum", m.Labels), promFloat(m.Hist.Sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", promID(m.Name+"_count", m.Labels), m.Hist.Count)
+	_, err := fmt.Fprintf(w, "%s %d\n", metricID(m.Name+"_count", m.Labels), m.Hist.Count)
 	return err
-}
-
-// promID renders name{labels} for the text format; unlike metricID the
-// label order is preserved as given (already sorted, with le appended
-// last per convention).
-func promID(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	id := name + "{"
-	for i, l := range labels {
-		if i > 0 {
-			id += ","
-		}
-		id += fmt.Sprintf("%s=%q", l.Key, l.Value)
-	}
-	return id + "}"
 }
 
 // promFloat formats a float the shortest way that round-trips.
@@ -255,7 +238,7 @@ func (s *Snapshot) Hash64() uint64 {
 	return h.Sum64()
 }
 
-// SeriesByName returns a sampler series reconstituted as a stats.Series
+// SeriesByName returns a registered series reconstituted as a stats.Series
 // for post-hoc analysis (period estimation, CSV export), or nil when
 // the snapshot has no series of that name.
 func (s *Snapshot) SeriesByName(name string) *stats.Series {

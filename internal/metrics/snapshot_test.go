@@ -126,12 +126,16 @@ func TestSamplerSeriesInSnapshot(t *testing.T) {
 	var depth float64
 	read := func() float64 { return depth }
 	r.GaugeFunc("depth", "", read)
-	smp := NewSampler(r, engine, 10*time.Millisecond)
-	smp.Track("depth_series", read)
-	smp.Start()
+	series := r.Series("depth_series")
+	var tick func()
+	tick = func() {
+		series.Add(engine.Now().Seconds(), read())
+		engine.After(10*time.Millisecond, tick)
+	}
+	engine.After(10*time.Millisecond, tick)
 	engine.After(5*time.Millisecond, func() { depth = 1 })
 	engine.After(15*time.Millisecond, func() { depth = 2 })
-	// The sampler reschedules forever, so run to a horizon rather than
+	// The tick reschedules forever, so run to a horizon rather than
 	// draining the queue.
 	if err := engine.RunFor(25 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -153,13 +157,4 @@ func TestSamplerSeriesInSnapshot(t *testing.T) {
 			t.Fatalf("sample %d = (%v, %v), want (%v, %v)", i, ser.T[i], ser.Values[i], wantT[i], wantV[i])
 		}
 	}
-}
-
-func TestSamplerPanics(t *testing.T) {
-	r := NewRegistry()
-	engine := sim.NewEngine(1)
-	mustPanic(t, "interval must be positive", func() { NewSampler(r, engine, 0) })
-	smp := NewSampler(r, engine, time.Millisecond)
-	smp.Start()
-	mustPanic(t, "Track after Start", func() { smp.Track("late", func() float64 { return 0 }) })
 }

@@ -31,9 +31,15 @@ type PortTracer interface {
 	// PacketDropped fires for discarded packets; overflow distinguishes
 	// buffer exhaustion from an AQM drop decision.
 	PacketDropped(now sim.Time, pkt *Packet, qlenBytes int, overflow bool)
+	// PacketFaulted fires for packets lost to a fault rather than a
+	// queue decision.
+	PacketFaulted(now sim.Time, pkt *Packet, qlenBytes int, kind FaultKind)
+	// LinkStateChanged fires after the port's link goes down or returns.
+	LinkStateChanged(now sim.Time, up bool, qlenBytes int)
 }
 
-// FaultKind classifies a fault-induced packet loss (see FaultTracer).
+// FaultKind classifies a fault-induced packet loss (see
+// PortTracer.PacketFaulted).
 type FaultKind int
 
 // Fault-induced loss kinds.
@@ -57,18 +63,6 @@ func (k FaultKind) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// FaultTracer is an optional extension of PortTracer for ports under
-// fault injection: implementations additionally observe fault-induced
-// losses and link state transitions. A PortTracer that does not implement
-// it still sees fault losses through PacketDropped.
-type FaultTracer interface {
-	// PacketFaulted fires for packets lost to a fault rather than a
-	// queue decision.
-	PacketFaulted(now sim.Time, pkt *Packet, qlenBytes int, kind FaultKind)
-	// LinkStateChanged fires after the port's link goes down or returns.
-	LinkStateChanged(now sim.Time, up bool, qlenBytes int)
 }
 
 // PortStats counts per-port events.
@@ -462,8 +456,8 @@ func (p *Port) SetDown(down, flush bool) {
 			p.flushQueue()
 		}
 	}
-	if ft, ok := p.tracer.(FaultTracer); ok {
-		ft.LinkStateChanged(p.engine.Now(), !down, p.queueLen)
+	if p.tracer != nil {
+		p.tracer.LinkStateChanged(p.engine.Now(), !down, p.queueLen)
 	}
 	if !down && p.queue.len() > 0 {
 		p.transmitNext()
@@ -500,8 +494,7 @@ func (p *Port) drop(pkt *Packet, overflow bool) {
 }
 
 // dropFault discards a packet lost to a fault (corruption, dead link):
-// count, trace — through FaultTracer when the tracer implements it, as a
-// policy drop otherwise — and recycle to the network's free list.
+// count, trace, and recycle to the network's free list.
 //
 //dtlint:hotpath
 func (p *Port) dropFault(pkt *Packet, kind FaultKind) {
@@ -511,10 +504,8 @@ func (p *Port) dropFault(pkt *Packet, kind FaultKind) {
 	case FaultLinkDown:
 		p.stats.DroppedLinkDown++
 	}
-	if ft, ok := p.tracer.(FaultTracer); ok {
-		ft.PacketFaulted(p.engine.Now(), pkt, p.queueLen, kind)
-	} else if p.tracer != nil {
-		p.tracer.PacketDropped(p.engine.Now(), pkt, p.queueLen, false)
+	if p.tracer != nil {
+		p.tracer.PacketFaulted(p.engine.Now(), pkt, p.queueLen, kind)
 	}
 	p.pool.put(pkt)
 }

@@ -151,19 +151,9 @@ func (s *Sender) onPace() {
 	if s.completed {
 		return
 	}
-	inFlight := float64(s.sndNxt - s.sndUna)
-	if inFlight+float64(s.cfg.MSS) > s.cwnd+0.5 {
+	payload := s.nextPayload()
+	if payload == 0 {
 		return
-	}
-	payload := int64(s.cfg.MSS)
-	if s.total > 0 {
-		remaining := s.total - s.sndNxt
-		if remaining <= 0 {
-			return
-		}
-		if remaining < payload {
-			payload = remaining
-		}
 	}
 	s.stats.PacedSegments++
 	s.transmit(s.sndNxt, int(payload))

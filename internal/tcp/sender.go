@@ -234,19 +234,9 @@ func (s *Sender) trySend() {
 		if s.plus != nil && s.plus.armed {
 			return
 		}
-		inFlight := float64(s.sndNxt - s.sndUna)
-		if inFlight+float64(s.cfg.MSS) > s.cwnd+0.5 {
+		payload := s.nextPayload()
+		if payload == 0 {
 			return
-		}
-		payload := int64(s.cfg.MSS)
-		if s.total > 0 {
-			remaining := s.total - s.sndNxt
-			if remaining <= 0 {
-				return
-			}
-			if remaining < payload {
-				payload = remaining
-			}
 		}
 		if s.plus != nil && s.plus.slowTime > 0 {
 			// DCTCP+ pacing: one segment per randomized slow-timer
@@ -258,6 +248,29 @@ func (s *Sender) trySend() {
 		s.transmit(s.sndNxt, int(payload))
 		s.sndNxt += payload
 	}
+}
+
+// nextPayload sizes the next new segment: a full MSS, or what is left of
+// a bounded transfer. It returns 0 when the window has no room for a
+// segment or nothing is left to send.
+//
+//dtlint:hotpath
+func (s *Sender) nextPayload() int64 {
+	inFlight := float64(s.sndNxt - s.sndUna)
+	if inFlight+float64(s.cfg.MSS) > s.cwnd+0.5 {
+		return 0
+	}
+	payload := int64(s.cfg.MSS)
+	if s.total > 0 {
+		remaining := s.total - s.sndNxt
+		if remaining <= 0 {
+			return 0
+		}
+		if remaining < payload {
+			payload = remaining
+		}
+	}
+	return payload
 }
 
 // transmit sends one segment starting at seq.

@@ -6,9 +6,9 @@
 //
 // # Fault and chaos events
 //
-// The Recorder also implements netsim.FaultTracer, so ports mutated by
-// the chaos layer (internal/chaos) report their fault events in the same
-// JSONL stream:
+// The Recorder also takes the fault hooks of netsim.PortTracer, so ports
+// mutated by the chaos layer (internal/chaos) report their fault events
+// in the same JSONL stream:
 //
 //   - "link-down" / "link-up": the port's link changed state; qlen is
 //     the queue occupancy at the transition (nonzero on link-down means
@@ -174,7 +174,7 @@ func (r *Recorder) PacketDropped(now sim.Time, pkt *netsim.Packet, qlenBytes int
 	r.Emit(ev)
 }
 
-// PacketFaulted implements netsim.FaultTracer: a packet lost to a chaos
+// PacketFaulted implements netsim.PortTracer: a packet lost to a chaos
 // fault (corruption or a down link).
 func (r *Recorder) PacketFaulted(now sim.Time, pkt *netsim.Packet, qlenBytes int, kind netsim.FaultKind) {
 	ev := r.packetEvent(now, pkt, qlenBytes)
@@ -187,7 +187,7 @@ func (r *Recorder) PacketFaulted(now sim.Time, pkt *netsim.Packet, qlenBytes int
 	r.Emit(ev)
 }
 
-// LinkStateChanged implements netsim.FaultTracer: the traced port's link
+// LinkStateChanged implements netsim.PortTracer: the traced port's link
 // went down or came back up.
 func (r *Recorder) LinkStateChanged(now sim.Time, up bool, qlenBytes int) {
 	q := float64(qlenBytes)
@@ -229,7 +229,4 @@ func (r *Recorder) packetEvent(now sim.Time, pkt *netsim.Packet, qlenBytes int) 
 	return ev
 }
 
-var (
-	_ netsim.PortTracer  = (*Recorder)(nil)
-	_ netsim.FaultTracer = (*Recorder)(nil)
-)
+var _ netsim.PortTracer = (*Recorder)(nil)

@@ -93,6 +93,18 @@ func (w *LongLived) MeanAlpha() float64 {
 	return sum / float64(len(w.Senders))
 }
 
+// MeanCwnd averages the congestion window across flows, in packets.
+func (w *LongLived) MeanCwnd() float64 {
+	if len(w.Senders) == 0 {
+		return 0
+	}
+	var total float64
+	for _, s := range w.Senders {
+		total += s.CwndPackets()
+	}
+	return total / float64(len(w.Senders))
+}
+
 // Losses sums RTO firings and retransmitted segments across flows.
 func (w *LongLived) Losses() (timeouts, retransmissions uint64) {
 	for _, s := range w.Senders {

@@ -57,6 +57,13 @@ func TestLongLivedFlowsMakeProgress(t *testing.T) {
 	if a := w.MeanAlpha(); a <= 0 || a > 1 {
 		t.Fatalf("MeanAlpha = %v", a)
 	}
+	if c := w.MeanCwnd(); !(c > 0) {
+		t.Fatalf("MeanCwnd = %v", c)
+	}
+	var none LongLived
+	if a, c := none.MeanAlpha(), none.MeanCwnd(); a != 0 || c != 0 {
+		t.Fatalf("no flows: MeanAlpha = %v, MeanCwnd = %v, want 0", a, c)
+	}
 	_, _ = w.Losses() // must not panic
 	if bneck.Stats().Marked == 0 {
 		t.Fatal("no marking at bottleneck")
