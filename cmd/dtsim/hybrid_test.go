@@ -75,11 +75,12 @@ func TestDumbbellNegativePoolExits(t *testing.T) {
 
 // TestRefusedDialsExit: each of these once ran rewritten, ran as
 // nonsense or died with a stack trace — -g 2 ran the dumbbell at g = 1/16
-// and the hybrid's fluid half at g = 2, -k -5 ran as dctcp(K=-5), a zero
-// -gamma panicked in the phantom queue, a NaN or tiny -load overflowed
-// virtual time inside the engine, fluid -g 0 integrated senders that
-// ignore ECN, and stability -g 2 said only "control: invalid plant".
-// Each exits 1 with a reason.
+// and the hybrid's fluid half at g = 2, -k -5 ran as dctcp(K=-5), -k 0
+// and -k2 0 ran markers that the analyses called unmarked, a zero -gamma
+// panicked in the phantom queue, a NaN or tiny -load overflowed virtual
+// time inside the engine, fluid -g 0 integrated senders that ignore ECN,
+// and stability -g 2 said only "control: invalid plant". Each exits 1
+// with a reason.
 func TestRefusedDialsExit(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -95,6 +96,8 @@ func TestRefusedDialsExit(t *testing.T) {
 		{"rto_min", "core: RTOMin = -1ms must be positive", []string{"hybrid", "-quick", "-rto-min", "-1ms"}},
 		{"k", "marking thresholds must not be negative", []string{"dumbbell", "-k", "-5"}},
 		{"k2", "marking thresholds must not be negative", []string{"dumbbell", "-protocol", "dt-dctcp", "-k2", "-1"}},
+		{"k_zero", "core: marking threshold K = 0 must be at least one packet", []string{"dumbbell", "-k", "0"}},
+		{"k2_zero", "core: marking threshold K2 = 0 must be at least one packet", []string{"dumbbell", "-protocol", "dt-dctcp", "-k2", "0"}},
 		{"gamma", "-gamma 0 must be positive", []string{"dumbbell", "-protocol", "hull", "-gamma", "0"}},
 		{"load_nan", "flowgen: load NaN is not finite", []string{"fabric", "-quick", "-load", "NaN"}},
 		{"load_inf", "flowgen: load +Inf is not finite", []string{"fabric", "-quick", "-load", "Inf"}},

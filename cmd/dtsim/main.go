@@ -235,8 +235,7 @@ func presetNames() []string {
 }
 
 // protocols resolves the -protocol list. The marking flags are checked
-// here, before anything runs: HULL records no threshold for the runners
-// to check, and a phantom queue needs a positive drain.
+// here, before anything runs, the ones the chosen protocol ignores too.
 func (o *opts) protocols() ([]dtdctcp.Protocol, error) {
 	switch {
 	case o.k < 0 || o.k1 < 0 || o.k2 < 0:

@@ -53,8 +53,8 @@ func TestProtocolTableMatchesConstructors(t *testing.T) {
 	}
 	for _, p := range presets {
 		got, w := p.build(o), want[p.name]
-		if got.Name != w.Name || !reflect.DeepEqual(got.DF(), w.DF()) || got.TCP != w.TCP {
-			t.Errorf("%s builds %s (DF %v), want %s (DF %v)", p.name, got.Name, got.DF(), w.Name, w.DF())
+		if got != w {
+			t.Errorf("%s builds %+v, want %+v", p.name, got, w)
 		}
 	}
 }

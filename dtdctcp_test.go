@@ -28,6 +28,33 @@ func TestFacadeDumbbell(t *testing.T) {
 	}
 }
 
+// TestFacadeRefusesUnrunnableEndpoints: a zero MSS once ran as 1460-byte
+// segments against a buffer sized in 40-byte packets, and a zero Variant
+// once ran as DCTCP. The facade refuses both with the core: reason.
+func TestFacadeRefusesUnrunnableEndpoints(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		mutate     func(p *Protocol)
+	}{
+		{"MSS", "core: MSS = 0 must be positive", func(p *Protocol) { p.TCP.MSS = 0 }},
+		{"Variant", "core: Variant = 0 is not a tcp variant", func(p *Protocol) { p.TCP.Variant = 0 }},
+	} {
+		p := DCTCP(40, 1.0/16)
+		c.mutate(&p)
+		_, err := RunDumbbell(DumbbellConfig{
+			Protocol:   p,
+			Flows:      10,
+			Rate:       10 * Gbps,
+			RTT:        100 * time.Microsecond,
+			BufferPkts: 600,
+			Duration:   25 * time.Millisecond,
+		})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s = 0: err %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestFacadeSweepAndQuery(t *testing.T) {
 	pts, err := SweepFlowsParallel(context.Background(), DumbbellConfig{
 		Protocol:   DCTCP(40, 1.0/16),
@@ -119,11 +146,11 @@ func TestFacadeExtensionPresets(t *testing.T) {
 		t.Fatal("d2tcp preset")
 	}
 	pie := RenoPIE(1*Gbps, 500*time.Microsecond)
-	if pie.NewPolicy == nil || pie.NewPolicy(nil).Name() != "pie-ecn" {
+	if pie.NewPolicy(nil) == nil || pie.NewPolicy(nil).Name() != "pie-ecn" {
 		t.Fatal("pie preset")
 	}
 	codel := RenoCoDel(500*time.Microsecond, 5*time.Millisecond)
-	if codel.NewPolicy == nil || codel.NewPolicy(nil).Name() != "codel-ecn" {
+	if codel.NewPolicy(nil) == nil || codel.NewPolicy(nil).Name() != "codel-ecn" {
 		t.Fatal("codel preset")
 	}
 }

@@ -36,10 +36,13 @@ func (a AnalysisParams) Plant(n int) control.Plant {
 }
 
 // marker returns the protocol's describing function for the
-// describing-function analyses, refusing a gain outside (0, 1] and a
-// protocol with no ECN marker.
+// describing-function analyses, refusing a gain outside (0, 1], a
+// protocol the runners refuse and a protocol with no ECN marker.
 func (a AnalysisParams) marker(p Protocol) (control.DF, error) {
 	if err := validG(a.G); err != nil {
+		return nil, err
+	}
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	df := p.DF()
@@ -85,6 +88,9 @@ func FluidConfig(p Protocol, params AnalysisParams, flows int, duration time.Dur
 	if err := validG(params.G); err != nil {
 		return fluid.Config{}, err
 	}
+	if err := p.validate(); err != nil {
+		return fluid.Config{}, err
+	}
 	law := p.MarkingLaw()
 	if law == nil {
 		return fluid.Config{}, errors.New("core: protocol has no marking law")
@@ -115,7 +121,7 @@ type MarkDecision struct {
 // offline analysis with no engine, so randomized laws receive no source
 // and degrade to their deterministic behaviour.
 func ReplayMarker(p Protocol, trajectoryPkts []int) ([]MarkDecision, error) {
-	if p.NewPolicy == nil {
+	if p.law == lawNone {
 		return nil, errors.New("core: protocol has no queue law")
 	}
 	pol := p.NewPolicy(nil)

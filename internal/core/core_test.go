@@ -52,11 +52,11 @@ func TestProtocolPresets(t *testing.T) {
 	}
 
 	reno := Reno()
-	if reno.DF() != nil || reno.MarkingLaw() != nil || reno.NewPolicy != nil {
+	if reno.DF() != nil || reno.MarkingLaw() != nil || reno.NewPolicy(nil) != nil {
 		t.Fatal("Reno should have no marker")
 	}
 	recn := RenoECN(40)
-	if recn.K != 40 || recn.NewPolicy == nil {
+	if recn.K != 40 || recn.NewPolicy(nil) == nil {
 		t.Fatal("RenoECN preset")
 	}
 }
@@ -482,7 +482,7 @@ func TestDeadlineAccounting(t *testing.T) {
 
 func TestD2TCPPreset(t *testing.T) {
 	p := D2TCPProto(21, 1.0/16)
-	if p.K != 21 || p.NewPolicy == nil {
+	if p.K != 21 || p.NewPolicy(nil) == nil {
 		t.Fatalf("preset: %+v", p)
 	}
 	if p.DF() == nil || p.MarkingLaw() == nil {

@@ -18,46 +18,106 @@ import (
 )
 
 // Protocol bundles one end-to-end congestion-control configuration: the
-// end-host transport settings and a factory for the switch queue law.
+// end-host transport settings and the switch queue law, described once as
+// data that the switch (NewPolicy) and the analyses (DF, MarkingLaw) both
+// read.
 type Protocol struct {
 	// Name labels the protocol in results.
 	Name string
 	// TCP is the endpoint configuration.
 	TCP tcp.Config
-	// NewPolicy returns a fresh queue law for one bottleneck port; nil
-	// means DropTail. Runners pass the engine's seeded source so
-	// randomized laws (PIE) stay a pure function of the run seed;
-	// deterministic laws ignore the argument, and offline contexts
-	// (ReplayMarker) may pass nil.
-	NewPolicy func(rng *rand.Rand) aqm.Policy
 
-	// K, K1, K2 record the marking thresholds in packets (K for
-	// single-threshold, K1/K2 for double) so analyses can mirror the
-	// simulated configuration. Zero when not applicable.
+	// K, K1, K2 are the marking thresholds in packets of the protocol's
+	// own size: K for single-threshold, K1/K2 for double. Zero when not
+	// applicable.
 	K, K1, K2 int
+
+	// law is the queue law. The other laws' parameters: HULL's
+	// virtual-queue threshold in packets, HULL's and PIE's drain in
+	// bytes/s, PIE's and CoDel's delay target, CoDel's interval.
+	law      lawKind
+	phantomK int
+	drain    float64
+	target   time.Duration
+	interval time.Duration
 }
+
+// lawKind names a protocol's switch queue law.
+type lawKind uint8
+
+const (
+	lawNone    lawKind = iota // DropTail
+	lawSingle                 // DCTCP's marker at K
+	lawDouble                 // DT-DCTCP's marker at K1, K2
+	lawPhantom                // HULL
+	lawPIE
+	lawCoDel
+)
 
 // PacketSize returns the wire size of a full segment under this protocol.
 func (p Protocol) PacketSize() int { return p.TCP.PacketSize() }
 
-// validate refuses the dials tcp's sanitize would otherwise rewrite to
-// their defaults — a G outside (0, 1], an AckEvery below 1, a
-// non-positive RTOMin or RTOInitial — and a negative marking threshold.
-// Every runner's validation calls it.
+// NewPolicy returns a fresh queue law for one bottleneck port, or nil for
+// DropTail; thresholds count packets of PacketSize at the call. Runners
+// pass the engine's seeded source so randomized laws (PIE) stay a pure
+// function of the run seed; deterministic laws ignore the argument, and
+// offline contexts (ReplayMarker) may pass nil.
+func (p Protocol) NewPolicy(rng *rand.Rand) aqm.Policy {
+	pktSize := p.PacketSize()
+	switch p.law {
+	case lawSingle:
+		return aqm.NewSingleThresholdPackets(p.K, pktSize)
+	case lawDouble:
+		return aqm.NewDoubleThresholdPackets(p.K1, p.K2, pktSize)
+	case lawPhantom:
+		return aqm.NewPhantomQueue(p.drain, aqm.NewSingleThresholdPackets(p.phantomK, pktSize))
+	case lawPIE:
+		return &aqm.PIE{
+			Target:       p.target,
+			TUpdate:      p.target, // RFC suggests TUpdate ≈ target
+			DrainRateBps: p.drain,
+			ECN:          true,
+			Rand:         rng,
+		}
+	case lawCoDel:
+		return &aqm.CoDel{Target: p.target, Interval: p.interval, ECN: true}
+	}
+	return nil
+}
+
+// validate refuses the dials tcp would misread — an unknown Variant, a
+// non-positive MSS, a G outside (0, 1], an AckEvery below 1, a
+// non-positive RTOMin or RTOInitial — a threshold below one packet, at
+// which the switch marks an empty queue and the describing function's
+// gain 1/K is infinite, and a phantom queue that does not drain. Every
+// runner and analysis calls it.
 func (p Protocol) validate() error {
 	c := p.TCP
 	if err := validG(c.G); err != nil {
 		return err
 	}
+	const belowOne = "core: marking threshold %s = %d must be at least one packet"
 	switch {
+	case c.Variant.String() == "invalid": // String names every variant tcp runs
+		return fmt.Errorf("core: Variant = %d is not a tcp variant", c.Variant)
+	case c.MSS <= 0:
+		return fmt.Errorf("core: MSS = %d must be positive", c.MSS)
 	case c.AckEvery < 1:
 		return fmt.Errorf("core: AckEvery = %d must be at least 1", c.AckEvery)
 	case c.RTOMin <= 0:
 		return fmt.Errorf("core: RTOMin = %v must be positive", c.RTOMin)
 	case c.RTOInitial <= 0:
 		return fmt.Errorf("core: RTOInitial = %v must be positive", c.RTOInitial)
-	case p.K < 0 || p.K1 < 0 || p.K2 < 0:
-		return fmt.Errorf("core: marking thresholds K = %d, K1 = %d, K2 = %d must not be negative", p.K, p.K1, p.K2)
+	case p.law == lawSingle && p.K < 1:
+		return fmt.Errorf(belowOne, "K", p.K)
+	case p.law == lawDouble && p.K1 < 1:
+		return fmt.Errorf(belowOne, "K1", p.K1)
+	case p.law == lawDouble && p.K2 < 1:
+		return fmt.Errorf(belowOne, "K2", p.K2)
+	case p.law == lawPhantom && p.phantomK < 1:
+		return fmt.Errorf(belowOne, "K", p.phantomK)
+	case p.law == lawPhantom && !(p.drain > 0):
+		return fmt.Errorf("core: phantom-queue drain %g B/s must be positive", p.drain)
 	}
 	return nil
 }
@@ -74,82 +134,74 @@ func validG(g float64) error {
 
 // randomizedLaw reports whether the protocol's queue law draws from its
 // random source while the run executes, not only at construction.
-func (p Protocol) randomizedLaw() bool {
-	if p.NewPolicy == nil {
-		return false
-	}
-	switch p.NewPolicy(nil).(type) {
-	case *aqm.PIE:
-		return true
-	}
-	return false
-}
+func (p Protocol) randomizedLaw() bool { return p.law == lawPIE }
 
 // DF returns the describing function matching the protocol's marker, or
-// nil for unmarked protocols.
+// nil for a law the analyses do not model.
 func (p Protocol) DF() control.DF {
-	switch {
-	case p.K1 > 0 && p.K2 > 0:
+	switch p.law {
+	case lawDouble:
 		return control.DTDCTCPDF{K1: float64(p.K1), K2: float64(p.K2)}
-	case p.K > 0:
+	case lawSingle:
 		return control.DCTCPDF{K: float64(p.K)}
-	default:
-		return nil
 	}
+	return nil
 }
 
 // MarkingLaw returns the fluid-model marking law matching the protocol's
-// marker, or nil for unmarked protocols.
+// marker, or nil for a law the analyses do not model.
 func (p Protocol) MarkingLaw() fluid.MarkingLaw {
-	switch {
-	case p.K1 > 0 && p.K2 > 0:
+	switch p.law {
+	case lawDouble:
 		return fluid.DoubleThreshold{K1: float64(p.K1), K2: float64(p.K2)}
-	case p.K > 0:
+	case lawSingle:
 		return fluid.SingleThreshold{K: float64(p.K)}
-	default:
-		return nil
 	}
+	return nil
 }
 
 // refQueue is the reference queue the fluid model takes its RTT at: K,
 // or (K1+K2)/2 for DT-DCTCP.
 func (p Protocol) refQueue() float64 {
-	if p.K2 > 0 {
+	if p.law == lawDouble {
 		return float64(p.K1+p.K2) / 2
 	}
 	return float64(p.K)
 }
 
+// endpoints is the default configuration of variant v with gain g.
+func endpoints(v tcp.Variant, g float64) tcp.Config {
+	cfg := tcp.DefaultConfig(v)
+	cfg.G = g
+	return cfg
+}
+
+// singleThreshold puts cfg's endpoints behind DCTCP's single-threshold
+// marker at kPackets, named after their variant.
+func singleThreshold(cfg tcp.Config, kPackets int) Protocol {
+	return Protocol{
+		Name: fmt.Sprintf("%v(K=%d)", cfg.Variant, kPackets),
+		TCP:  cfg,
+		K:    kPackets,
+		law:  lawSingle,
+	}
+}
+
 // DCTCP returns the paper's baseline: DCTCP endpoints with a
 // single-threshold marker at kPackets and gain g.
 func DCTCP(kPackets int, g float64) Protocol {
-	cfg := tcp.DefaultConfig(tcp.DCTCP)
-	cfg.G = g
-	pktSize := cfg.PacketSize()
-	return Protocol{
-		Name: fmt.Sprintf("dctcp(K=%d)", kPackets),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return aqm.NewSingleThresholdPackets(kPackets, pktSize)
-		},
-		K: kPackets,
-	}
+	return singleThreshold(endpoints(tcp.DCTCP, g), kPackets)
 }
 
 // DTDCTCP returns the paper's contribution: DCTCP endpoints with the
 // double-threshold marker (mark-on at k1, mark-off at k2, in packets).
 func DTDCTCP(k1, k2 int, g float64) Protocol {
-	cfg := tcp.DefaultConfig(tcp.DCTCP)
-	cfg.G = g
-	pktSize := cfg.PacketSize()
 	return Protocol{
 		Name: fmt.Sprintf("dt-dctcp(K1=%d,K2=%d)", k1, k2),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return aqm.NewDoubleThresholdPackets(k1, k2, pktSize)
-		},
-		K1: k1,
-		K2: k2,
+		TCP:  endpoints(tcp.DCTCP, g),
+		K1:   k1,
+		K2:   k2,
+		law:  lawDouble,
 	}
 }
 
@@ -157,17 +209,7 @@ func DTDCTCP(k1, k2 int, g float64) Protocol {
 // (Vamanan et al.): DCTCP's marker at kPackets with D2TCP endpoints whose
 // backoff penalty is α^d for deadline urgency d.
 func D2TCPProto(kPackets int, g float64) Protocol {
-	cfg := tcp.DefaultConfig(tcp.D2TCP)
-	cfg.G = g
-	pktSize := cfg.PacketSize()
-	return Protocol{
-		Name: fmt.Sprintf("d2tcp(K=%d)", kPackets),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return aqm.NewSingleThresholdPackets(kPackets, pktSize)
-		},
-		K: kPackets,
-	}
+	return singleThreshold(endpoints(tcp.D2TCP, g), kPackets)
 }
 
 // DCTCPPlus returns DCTCP+ (SNIPPETS Snippet 1 / ns-3 TcpDctcpPlus):
@@ -178,17 +220,7 @@ func D2TCPProto(kPackets int, g float64) Protocol {
 // synchronized bursts. A sender-side rival to DT-DCTCP on the incast
 // scenarios.
 func DCTCPPlus(kPackets int, g float64) Protocol {
-	cfg := tcp.DefaultConfig(tcp.DCTCPPlus)
-	cfg.G = g
-	pktSize := cfg.PacketSize()
-	return Protocol{
-		Name: fmt.Sprintf("dctcp+(K=%d)", kPackets),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return aqm.NewSingleThresholdPackets(kPackets, pktSize)
-		},
-		K: kPackets,
-	}
+	return singleThreshold(endpoints(tcp.DCTCPPlus, g), kPackets)
 }
 
 // HULL returns HULL-style phantom-queue marking (Alizadeh et al.,
@@ -202,16 +234,12 @@ func DCTCPPlus(kPackets int, g float64) Protocol {
 // analytic checks skip with that reason rather than comparing apples to
 // phantoms.
 func HULL(kPackets int, gamma float64, rate netsim.Rate, g float64) Protocol {
-	cfg := tcp.DefaultConfig(tcp.DCTCP)
-	cfg.G = g
-	pktSize := cfg.PacketSize()
-	drain := gamma * rate.BytesPerSecond()
 	return Protocol{
-		Name: fmt.Sprintf("hull(K=%d,gamma=%.2f)", kPackets, gamma),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return aqm.NewPhantomQueue(drain, aqm.NewSingleThresholdPackets(kPackets, pktSize))
-		},
+		Name:     fmt.Sprintf("hull(K=%d,gamma=%.2f)", kPackets, gamma),
+		TCP:      endpoints(tcp.DCTCP, g),
+		law:      lawPhantom,
+		phantomK: kPackets,
+		drain:    gamma * rate.BytesPerSecond(),
 	}
 }
 
@@ -228,19 +256,12 @@ func Reno() Protocol {
 // the source the runner injects (the engine's), so the run seed alone
 // reproduces it.
 func RenoPIE(drainRate netsim.Rate, target time.Duration) Protocol {
-	cfg := tcp.DefaultConfig(tcp.RenoECN)
 	return Protocol{
-		Name: fmt.Sprintf("reno-pie(target=%v)", target),
-		TCP:  cfg,
-		NewPolicy: func(rng *rand.Rand) aqm.Policy {
-			return &aqm.PIE{
-				Target:       target,
-				TUpdate:      target, // RFC suggests TUpdate ≈ target
-				DrainRateBps: drainRate.BytesPerSecond(),
-				ECN:          true,
-				Rand:         rng,
-			}
-		},
+		Name:   fmt.Sprintf("reno-pie(target=%v)", target),
+		TCP:    tcp.DefaultConfig(tcp.RenoECN),
+		law:    lawPIE,
+		drain:  drainRate.BytesPerSecond(),
+		target: target,
 	}
 }
 
@@ -248,13 +269,12 @@ func RenoPIE(drainRate netsim.Rate, target time.Duration) Protocol {
 // with the given sojourn target and interval — the second delay-targeting
 // AQM of the paper's era, acting at dequeue time on measured sojourn.
 func RenoCoDel(target, interval time.Duration) Protocol {
-	cfg := tcp.DefaultConfig(tcp.RenoECN)
 	return Protocol{
-		Name: fmt.Sprintf("reno-codel(target=%v)", target),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return &aqm.CoDel{Target: target, Interval: interval, ECN: true}
-		},
+		Name:     fmt.Sprintf("reno-codel(target=%v)", target),
+		TCP:      tcp.DefaultConfig(tcp.RenoECN),
+		law:      lawCoDel,
+		target:   target,
+		interval: interval,
 	}
 }
 
@@ -268,14 +288,5 @@ func CubicProto() Protocol {
 // single-threshold marker, an intermediate baseline between Reno and
 // DCTCP.
 func RenoECN(kPackets int) Protocol {
-	cfg := tcp.DefaultConfig(tcp.RenoECN)
-	pktSize := cfg.PacketSize()
-	return Protocol{
-		Name: fmt.Sprintf("reno-ecn(K=%d)", kPackets),
-		TCP:  cfg,
-		NewPolicy: func(*rand.Rand) aqm.Policy {
-			return aqm.NewSingleThresholdPackets(kPackets, pktSize)
-		},
-		K: kPackets,
-	}
+	return singleThreshold(tcp.DefaultConfig(tcp.RenoECN), kPackets)
 }

@@ -182,10 +182,7 @@ func (r *run) collect(nw *netsim.Network, bneck *netsim.Port, end sim.Time, load
 func (r *run) star(p Protocol, senders int, rate netsim.Rate, rtt time.Duration, bufferPkts int, shared SharedBufferConfig) (*topo.Star, error) {
 	pktSize := p.PacketSize()
 	hop := rtt / 4
-	bneck := netsim.PortConfig{Rate: rate, Delay: hop, Buffer: bufferPkts * pktSize}
-	if p.NewPolicy != nil {
-		bneck.Policy = p.NewPolicy(r.engine.Rand())
-	}
+	bneck := netsim.PortConfig{Rate: rate, Delay: hop, Buffer: bufferPkts * pktSize, Policy: p.NewPolicy(r.engine.Rand())}
 	st, err := topo.NewStar(netsim.NewNetwork(r.engine), topo.StarConfig{
 		Senders:    senders,
 		Access:     netsim.PortConfig{Rate: 10 * rate, Delay: hop, Buffer: 4096 * pktSize},

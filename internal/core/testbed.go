@@ -126,10 +126,7 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	agg := nw.AddHost("aggregator")
 
 	edge := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.EdgeBuffer}
-	bneckCfg := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.BottleneckBuffer}
-	if cfg.Protocol.NewPolicy != nil {
-		bneckCfg.Policy = cfg.Protocol.NewPolicy(r.engine.Rand())
-	}
+	bneckCfg := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.BottleneckBuffer, Policy: cfg.Protocol.NewPolicy(r.engine.Rand())}
 	if err := nw.Connect(agg, core, edge, bneckCfg); err != nil {
 		return nil, err
 	}

@@ -77,7 +77,8 @@ type Config struct {
 	// foreground traffic. It must be pinned to the engine the Coupler is
 	// started on (shard 0 in sharded runs).
 	Port *netsim.Port
-	// PktSize converts fluid packets to bytes; zero selects 1500.
+	// PktSize converts fluid packets to bytes: the foreground protocol's
+	// packet size.
 	PktSize int
 	// Horizon stops the tick chain: no tick is scheduled past it.
 	Horizon time.Duration
@@ -112,12 +113,8 @@ func New(cfg Config) (*Coupler, error) {
 	if cfg.Horizon <= 0 {
 		return nil, errors.New("hybrid: non-positive horizon")
 	}
-	pktSize := cfg.PktSize
-	if pktSize == 0 {
-		pktSize = 1500
-	}
-	if pktSize < 0 {
-		return nil, errors.New("hybrid: negative packet size")
+	if cfg.PktSize <= 0 {
+		return nil, errors.New("hybrid: non-positive packet size")
 	}
 	interval := time.Duration(cfg.Fluid.R0() * float64(time.Second) / ticksPerR0)
 	if interval <= 0 {
@@ -135,7 +132,7 @@ func New(cfg Config) (*Coupler, error) {
 	return &Coupler{
 		stepper:     stp,
 		port:        cfg.Port,
-		pktSize:     float64(pktSize),
+		pktSize:     float64(cfg.PktSize),
 		interval:    interval,
 		intervalSec: interval.Seconds(),
 		horizon:     sim.FromDuration(cfg.Horizon),

@@ -60,6 +60,7 @@ func TestCouplerMatchesStandaloneStepperWithoutForeground(t *testing.T) {
 	cfg := Config{
 		Fluid:   fluidCfg(100, netsim.Gbps),
 		Port:    port,
+		PktSize: pktSize,
 		Horizon: 20 * time.Millisecond,
 	}
 	c, err := New(cfg)
@@ -95,6 +96,7 @@ func TestCouplerInstallsFluidLoadOnPort(t *testing.T) {
 	c, err := New(Config{
 		Fluid:   fluidCfg(100, netsim.Gbps),
 		Port:    port,
+		PktSize: pktSize,
 		Horizon: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -131,7 +133,7 @@ func TestCouplerForegroundOfferedLoadStarvesFluidDrain(t *testing.T) {
 	e := sim.NewEngine(1)
 	a, b, port := testbed(t, e, netsim.Gbps, 600)
 	fcfg := fluidCfg(100, netsim.Gbps)
-	c, err := New(Config{Fluid: fcfg, Port: port, Horizon: 20 * time.Millisecond})
+	c, err := New(Config{Fluid: fcfg, Port: port, PktSize: pktSize, Horizon: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +167,7 @@ func TestCouplerStopsAtHorizon(t *testing.T) {
 	c, err := New(Config{
 		Fluid:   fluidCfg(100, netsim.Gbps),
 		Port:    port,
+		PktSize: pktSize,
 		Horizon: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -185,7 +188,7 @@ func TestCouplerStopsAtHorizon(t *testing.T) {
 func TestNewRejectsInvalid(t *testing.T) {
 	e := sim.NewEngine(1)
 	_, _, port := testbed(t, e, netsim.Gbps, 600)
-	good := Config{Fluid: fluidCfg(100, netsim.Gbps), Port: port, Horizon: time.Millisecond}
+	good := Config{Fluid: fluidCfg(100, netsim.Gbps), Port: port, PktSize: pktSize, Horizon: time.Millisecond}
 
 	// want is a word the refusal must contain: the field at fault.
 	bad := []struct {
@@ -196,6 +199,7 @@ func TestNewRejectsInvalid(t *testing.T) {
 		{func(c *Config) { c.Horizon = 0 }, "horizon"},
 		{func(c *Config) { c.Horizon = -time.Second }, "horizon"},
 		{func(c *Config) { c.PktSize = -1 }, "packet size"},
+		{func(c *Config) { c.PktSize = 0 }, "packet size"},
 		// R₀ = 1 ns puts the R₀/8 tick below the nanosecond grid.
 		{func(c *Config) { c.Fluid.D, c.Fluid.RTTRefQueue = 1e-9, 0 }, "interval"},
 		{func(c *Config) { c.Fluid.N = 0 }, "fluid: N"},

@@ -34,18 +34,10 @@ import (
 // folds over maps that feed a sink carry //dtlint:allow detflow with the
 // proof, mirroring maporder.
 var DetFlow = &Analyzer{
-	Name: "detflow",
-	Doc:  "forbid nondeterministic values from reaching engine scheduling or exported result fields",
-	Applies: appliesTo(
-		"dtdctcp/internal/sim",
-		"dtdctcp/internal/netsim",
-		"dtdctcp/internal/aqm",
-		"dtdctcp/internal/tcp",
-		"dtdctcp/internal/core",
-		"dtdctcp/internal/chaos",
-		"dtdctcp/internal/workload",
-	),
-	Run: runDetFlow,
+	Name:    "detflow",
+	Doc:     "forbid nondeterministic values from reaching engine scheduling or exported result fields",
+	Applies: simScope,
+	Run:     runDetFlow,
 }
 
 const tainted fact = 1

@@ -52,8 +52,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Applies filters packages by import path; nil means every package.
-	Applies func(importPath string) bool
+	// Applies filters the type-checked packages; nil means every package.
+	Applies func(pkg *types.Package) bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) error
 }
@@ -127,7 +127,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		shardb, shardDiags := buildShardIndex(pkg.Fset, pkg.Files)
 		diags = append(diags, shardDiags...)
 		for _, a := range analyzers {
-			if a.Applies != nil && !a.Applies(pkg.ImportPath) {
+			if a.Applies != nil && !a.Applies(pkg.Types) {
 				continue
 			}
 			pass := &Pass{
@@ -141,7 +141,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				shardb:    shardb,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
+				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Types.Path(), err)
 			}
 		}
 	}
@@ -171,10 +171,20 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return dedup, nil
 }
 
+// simScope is the one scope of the determinism analyzers — nondeterm,
+// maporder, detflow and pktlife: a package under dtdctcp/internal/ that is
+// the event kernel or imports it directly, which is the code that runs
+// inside event handlers. It reads the import graph, so a new simulator
+// package is in scope without an edit here.
+func simScope(pkg *types.Package) bool {
+	return strings.HasPrefix(pkg.Path(), "dtdctcp/internal/") && simKernel(pkg) != nil
+}
+
 // appliesTo builds an Applies filter matching the given import paths and
 // anything below them.
-func appliesTo(paths ...string) func(string) bool {
-	return func(p string) bool {
+func appliesTo(paths ...string) func(*types.Package) bool {
+	return func(pkg *types.Package) bool {
+		p := pkg.Path()
 		for _, q := range paths {
 			if p == q || strings.HasPrefix(p, q+"/") {
 				return true

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -35,17 +36,17 @@ func runFixture(t *testing.T, a *Analyzer, file, importPath string) {
 		t.Fatalf("type-check %s: %v", path, err)
 	}
 	pkg := &Package{
-		ImportPath: importPath,
-		Dir:        "testdata",
-		Fset:       fset,
-		Files:      []*ast.File{f},
-		Types:      tpkg,
-		TypesInfo:  info,
+		Dir:       "testdata",
+		Fset:      fset,
+		Files:     []*ast.File{f},
+		Types:     tpkg,
+		TypesInfo: info,
 	}
-	if a.Applies != nil && !a.Applies(importPath) {
-		t.Fatalf("analyzer %s does not apply to fixture path %s", a.Name, importPath)
-	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
+	// A fixture is written to exercise its analyzer, so it runs whatever
+	// the analyzer's scope; TestScoping pins the scopes on the real tree.
+	unscoped := *a
+	unscoped.Applies = nil
+	diags, err := Run([]*Package{pkg}, []*Analyzer{&unscoped})
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}
@@ -131,15 +132,16 @@ func TestSoloEngineFixture(t *testing.T) {
 	runFixture(t, SoloEngine, "soloengine.go", "dtdctcp/internal/sim/fixture")
 }
 
-// TestScoping pins each analyzer's package filter: the suite must bite in
-// the simulator packages and stay out of the ones where the flagged
-// patterns are legitimate.
+// TestScoping pins each analyzer's package filter on the module's real
+// import graph: the suite must bite in the simulator packages and stay out
+// of the ones where the flagged patterns are legitimate.
 func TestScoping(t *testing.T) {
-	cases := []struct {
+	type row struct {
 		analyzer *Analyzer
 		path     string
 		want     bool
-	}{
+	}
+	cases := []row{
 		{NonDeterm, "dtdctcp/internal/sim", true},
 		{NonDeterm, "dtdctcp/internal/tcp", true},
 		{NonDeterm, "dtdctcp/internal/stats", false},
@@ -152,7 +154,7 @@ func TestScoping(t *testing.T) {
 		{FloatCmp, "dtdctcp/internal/netsim", false},
 		{PktLife, "dtdctcp/internal/netsim", true},
 		{PktLife, "dtdctcp/internal/sim", true},
-		{PktLife, "dtdctcp/internal/aqm", false},
+		{PktLife, "dtdctcp/internal/aqm", true},
 		{PktLife, "dtdctcp/internal/stats", false},
 		{DetFlow, "dtdctcp/internal/sim", true},
 		{DetFlow, "dtdctcp/internal/aqm", true},
@@ -162,8 +164,22 @@ func TestScoping(t *testing.T) {
 		{SoloEngine, "dtdctcp/internal/runner", false},
 		{SoloEngine, "dtdctcp/internal/workload", false},
 	}
+	// The determinism analyzers share one scope, read off the import
+	// graph: every simulator package is in it, and the ledger and the
+	// commands, which import the kernel from outside internal/, are not.
+	for _, a := range []*Analyzer{NonDeterm, MapOrder, DetFlow, PktLife} {
+		for _, p := range []string{"flowgen", "hybrid", "workload", "chaos", "metrics", "trace"} {
+			cases = append(cases, row{a, "dtdctcp/internal/" + p, true})
+		}
+		cases = append(cases, row{a, "dtdctcp/benchmarks", false}, row{a, "dtdctcp/cmd/dtsim", false})
+	}
+	tree := treePackages(t)
 	for _, c := range cases {
-		if got := c.analyzer.Applies(c.path); got != c.want {
+		pkg := tree[c.path]
+		if pkg == nil {
+			t.Fatalf("no package %s in the module", c.path)
+		}
+		if got := c.analyzer.Applies(pkg); got != c.want {
 			t.Errorf("%s.Applies(%q) = %v, want %v", c.analyzer.Name, c.path, got, c.want)
 		}
 	}
@@ -176,6 +192,28 @@ func TestScoping(t *testing.T) {
 	if len(Analyzers()) != 8 {
 		t.Errorf("suite size = %d, want 8", len(Analyzers()))
 	}
+}
+
+// treePackages lists the module's packages with their direct imports,
+// the part of the import graph the scope filters read.
+func treePackages(t *testing.T) map[string]*types.Package {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Name}} {{join .Imports \" \"}}", "dtdctcp/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	tree := map[string]*types.Package{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		pkg := types.NewPackage(f[0], f[1])
+		imports := make([]*types.Package, 0, len(f)-2)
+		for _, imp := range f[2:] {
+			imports = append(imports, types.NewPackage(imp, ""))
+		}
+		pkg.SetImports(imports)
+		tree[f[0]] = pkg
+	}
+	return tree
 }
 
 // TestAllowIndex pins the coverage rule: an annotation suppresses on its

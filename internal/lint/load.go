@@ -16,8 +16,6 @@ import (
 
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
-	// ImportPath is the package's import path as reported by go list.
-	ImportPath string
 	// Dir is the package's source directory.
 	Dir string
 	// Fset resolves positions for Files.
@@ -80,12 +78,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: type-check %s: %w", lp.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			ImportPath: lp.ImportPath,
-			Dir:        lp.Dir,
-			Fset:       fset,
-			Files:      files,
-			Types:      tpkg,
-			TypesInfo:  info,
+			Dir:       lp.Dir,
+			Fset:      fset,
+			Files:     files,
+			Types:     tpkg,
+			TypesInfo: info,
 		})
 	}
 	return pkgs, nil

@@ -16,16 +16,10 @@ import (
 // Loops that are order-insensitive for deeper reasons carry a
 // //dtlint:allow maporder annotation with the proof.
 var MapOrder = &Analyzer{
-	Name: "maporder",
-	Doc:  "flag map iteration on event-scheduling and packet-ordering paths",
-	Applies: appliesTo(
-		"dtdctcp/internal/sim",
-		"dtdctcp/internal/netsim",
-		"dtdctcp/internal/core",
-		"dtdctcp/internal/tcp",
-		"dtdctcp/internal/workload",
-	),
-	Run: runMapOrder,
+	Name:    "maporder",
+	Doc:     "flag map iteration on event-scheduling and packet-ordering paths",
+	Applies: simScope,
+	Run:     runMapOrder,
 }
 
 func runMapOrder(pass *Pass) error {

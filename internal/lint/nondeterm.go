@@ -6,17 +6,6 @@ import (
 	"strings"
 )
 
-// simPackages are the packages whose code must be a pure function of the
-// engine seed: the event kernel and everything that runs inside event
-// handlers.
-var simPackages = []string{
-	"dtdctcp/internal/sim",
-	"dtdctcp/internal/netsim",
-	"dtdctcp/internal/aqm",
-	"dtdctcp/internal/core",
-	"dtdctcp/internal/tcp",
-}
-
 // NonDeterm forbids the two ambient sources of nondeterminism in simulator
 // code: the wall clock and process-global or locally constructed random
 // sources. All virtual time must come from Engine.Now and all randomness
@@ -25,7 +14,7 @@ var simPackages = []string{
 var NonDeterm = &Analyzer{
 	Name:    "nondeterm",
 	Doc:     "forbid time.Now and ambient/local math/rand sources in simulator code",
-	Applies: appliesTo(simPackages...),
+	Applies: simScope,
 	Run:     runNonDeterm,
 }
 

@@ -27,17 +27,10 @@ import (
 // with the same shape are covered). Deferred calls run at function exit
 // with may-run semantics.
 var PktLife = &Analyzer{
-	Name: "pktlife",
-	Doc:  "prove AllocPacket reaches FreePacket or a handoff on all paths; no EventRef reuse after Cancel",
-	Applies: appliesTo(
-		"dtdctcp/internal/sim",
-		"dtdctcp/internal/netsim",
-		"dtdctcp/internal/tcp",
-		"dtdctcp/internal/core",
-		"dtdctcp/internal/chaos",
-		"dtdctcp/internal/workload",
-	),
-	Run: runPktLife,
+	Name:    "pktlife",
+	Doc:     "prove AllocPacket reaches FreePacket or a handoff on all paths; no EventRef reuse after Cancel",
+	Applies: simScope,
+	Run:     runPktLife,
 }
 
 // Packet lifecycle facts.

@@ -22,10 +22,11 @@ var SimTime = &Analyzer{
 }
 
 func runSimTime(pass *Pass) error {
-	simTime := lookupSimTime(pass.Pkg)
-	if simTime == nil {
+	kernel := simKernel(pass.Pkg)
+	if kernel == nil {
 		return nil // package neither is nor imports the sim kernel
 	}
+	simTime := kernel.Scope().Lookup("Time").Type()
 	for _, f := range pass.Files {
 		constDecls := constDeclRanges(f)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -53,22 +54,15 @@ func runSimTime(pass *Pass) error {
 	return nil
 }
 
-// lookupSimTime resolves the sim.Time named type as seen by the analyzed
-// package: from its own scope when the package is the kernel itself,
-// otherwise from its import graph.
-func lookupSimTime(pkg *types.Package) types.Type {
-	resolve := func(p *types.Package) types.Type {
-		if obj, ok := p.Scope().Lookup("Time").(*types.TypeName); ok {
-			return obj.Type()
-		}
-		return nil
-	}
+// simKernel returns the sim kernel as the package sees it: the package
+// itself when it is the kernel, the kernel it imports directly, or nil.
+func simKernel(pkg *types.Package) *types.Package {
 	if pkg.Path() == simPath {
-		return resolve(pkg)
+		return pkg
 	}
 	for _, imp := range pkg.Imports() {
 		if imp.Path() == simPath {
-			return resolve(imp)
+			return imp
 		}
 	}
 	return nil

@@ -72,7 +72,8 @@ func (v Variant) String() string {
 }
 
 // Config carries the endpoint parameters. The zero value is not usable;
-// call DefaultConfig and override fields.
+// call DefaultConfig and override fields. Endpoints run a Config as given:
+// core's protocol validation refuses the values they cannot run.
 type Config struct {
 	// Variant selects the congestion-control response.
 	Variant Variant
@@ -147,28 +148,3 @@ func (v Variant) ect() bool { return v != Reno && v != Cubic }
 
 // dctcpLike reports whether the variant runs DCTCP's α estimator.
 func (v Variant) dctcpLike() bool { return v == DCTCP || v == D2TCP || v == DCTCPPlus }
-
-// sanitize fills unset fields with defaults so harness code can specify
-// only what it cares about.
-func (c Config) sanitize() Config {
-	d := DefaultConfig(c.Variant)
-	if c.Variant == 0 {
-		c.Variant = DCTCP
-	}
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.G <= 0 || c.G > 1 {
-		c.G = d.G
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = d.AckEvery
-	}
-	if c.RTOMin <= 0 {
-		c.RTOMin = d.RTOMin
-	}
-	if c.RTOInitial <= 0 {
-		c.RTOInitial = d.RTOInitial
-	}
-	return c
-}

@@ -22,8 +22,7 @@ type Receiver struct {
 	flow   netsim.FlowID
 	peer   netsim.NodeID
 
-	// The two Config fields a receiver reads, taken from cfg.sanitize()
-	// by open.
+	// The two Config fields a receiver reads, taken by open.
 	variant  Variant
 	ackEvery int
 
@@ -115,7 +114,6 @@ func (r *Receiver) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.Nod
 //dtlint:hotpath
 func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) {
 	ooo, ack := r.ooo, r.ackTimer
-	cfg = cfg.sanitize()
 	*r = Receiver{
 		engine:   hostEngine(host),
 		host:     host,

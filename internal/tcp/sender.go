@@ -138,7 +138,6 @@ func (s *Sender) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 //
 //dtlint:hotpath
 func (s *Sender) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) {
-	cfg = cfg.sanitize()
 	rto, plus := s.rtoTimer, s.plus
 	*s = Sender{
 		engine: hostEngine(host),

@@ -77,10 +77,10 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-func TestConfigSanitize(t *testing.T) {
-	c := Config{}.sanitize()
+func TestDefaultConfig(t *testing.T) {
+	c := DefaultConfig(DCTCP)
 	if c.Variant != DCTCP || c.MSS != 1460 || c.AckEvery != 1 {
-		t.Fatalf("sanitized zero config = %+v", c)
+		t.Fatalf("default config = %+v", c)
 	}
 	if c.PacketSize() != 1500 {
 		t.Fatalf("PacketSize = %d", c.PacketSize())
@@ -94,12 +94,11 @@ func TestConfigSanitize(t *testing.T) {
 }
 
 func TestRTTEstimator(t *testing.T) {
-	r := newRTTEstimator(Config{RTOMin: time.Millisecond, RTOInitial: 3 * time.Second}.sanitize())
-	if got := r.rto(); got != 200*time.Millisecond {
-		// sanitize keeps explicit values; RTOInitial was 3s, RTOMin 1ms.
-		if got != 3*time.Second {
-			t.Fatalf("initial rto = %v", got)
-		}
+	cfg := DefaultConfig(DCTCP)
+	cfg.RTOMin, cfg.RTOInitial = time.Millisecond, 3*time.Second
+	r := newRTTEstimator(cfg)
+	if got := r.rto(); got != 3*time.Second {
+		t.Fatalf("initial rto = %v, want RTOInitial 3s", got)
 	}
 	r.sample(100 * time.Microsecond)
 	if r.smoothed() != 100*time.Microsecond {
