@@ -433,7 +433,7 @@ func extBuildup(_ settings, out io.Writer) error {
 		dtdctcp.DCTCP(40, 1.0/16),
 		dtdctcp.DTDCTCP(30, 50, 1.0/16),
 	} {
-		res, err := dtdctcp.RunBuildup(dtdctcp.DefaultBuildup(p))
+		res, err := dtdctcp.RunBuildup(p)
 		if err != nil {
 			return err
 		}

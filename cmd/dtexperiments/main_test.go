@@ -3,10 +3,54 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// update rewrites the committed figure output:
+//
+//	go test ./cmd/dtexperiments -run ShortFiguresGolden -update
+//
+// Run it only after a deliberate change to a figure; the diff of
+// testdata/short.golden is the reviewable record of what moved.
+var update = flag.Bool("update", false, "rewrite testdata/short.golden")
+
+// TestShortFiguresGolden: the tool owns its printed output. Every figure
+// id at -short prints, byte for byte, the committed tables.
+func TestShortFiguresGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation figures are slow")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-short", "-fig", "1,2,6,9,10,14,15,aqm,d2,buildup,zoo"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "short.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./cmd/dtexperiments -run ShortFiguresGolden -update)", err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("output drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("output drifted from %s: %d lines, want %d", path, len(gotLines), len(wantLines))
+	}
+}
 
 func TestRunQuickFigures(t *testing.T) {
 	// Figures 2, 6 and 9 have no simulation component and run fast even

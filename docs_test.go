@@ -26,6 +26,9 @@ var (
 	// goIdent is a backticked pkg.Name or pkg.Name.Member, Name exported;
 	// a lower-case second part is a ledger metric such as sim.events.
 	goIdent = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?(?:\(\))?$`)
+	// typeMember is a backticked Type.Member, Type exported: prose names
+	// a field or method without its package.
+	typeMember = regexp.MustCompile(`^([A-Z]\w*)\.(\w+)(?:\(\))?$`)
 )
 
 // The documents whose Go identifiers must resolve. EXPERIMENTS.md is
@@ -90,14 +93,45 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 
 // resolves reports whether a backticked token that names a module
 // package's pkg.Name or pkg.Name.Member is a top-level declaration of that
-// package and, with a member, a field or method of that type. Other
-// tokens, names outside the module (math.Max) among them, pass.
+// package and, with a member, a field or method of that type. A
+// Type.Member token resolves through the root facade when it declares
+// Type, else through the one package that does. Other tokens pass: names
+// outside the module (math.Max), a Type several packages declare, and file
+// names (EXPERIMENTS.md).
 func resolves(tok string, decls map[string]map[string]map[string]bool, aliases map[string]string) bool {
+	if id := typeMember.FindStringSubmatch(tok); id != nil && !bareFile.MatchString(tok) {
+		pkg := declaringPackage(id[1], decls)
+		return pkg == "" || declared(pkg, id[1], id[2], decls, aliases)
+	}
 	id := goIdent.FindStringSubmatch(tok)
 	if id == nil || decls[id[1]] == nil {
 		return true
 	}
-	pkg, name, member := id[1], id[2], id[3]
+	return declared(id[1], id[2], id[3], decls, aliases)
+}
+
+// declaringPackage returns the package a bare type name refers to: the
+// root facade if it declares the name, else the only package that does,
+// else "".
+func declaringPackage(name string, decls map[string]map[string]map[string]bool) string {
+	if _, ok := decls["dtdctcp"][name]; ok {
+		return "dtdctcp"
+	}
+	found := ""
+	for pkg, names := range decls {
+		if _, ok := names[name]; ok {
+			if found != "" {
+				return ""
+			}
+			found = pkg
+		}
+	}
+	return found
+}
+
+// declared reports whether pkg declares name and, with a member, whether
+// that type (or the type it aliases) has it as a field or method.
+func declared(pkg, name, member string, decls map[string]map[string]map[string]bool, aliases map[string]string) bool {
 	members, ok := decls[pkg][name]
 	if to, alias := aliases[pkg+"."+name]; alias && member != "" {
 		target := strings.SplitN(to, ".", 2)

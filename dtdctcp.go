@@ -265,9 +265,8 @@ func StabilityMargins(p Protocol, params AnalysisParams, flows int) (Margins, er
 
 // ChaosPlan is a declarative, JSON-loadable fault-injection schedule:
 // link outages and flapping, runtime capacity/delay/buffer changes,
-// corruption windows, and background bursts, applied to a scenario via
-// DumbbellConfig.Chaos or TestbedConfig.Chaos. Same seed + plan yields
-// byte-identical runs.
+// corruption windows, and background bursts, applied to the dumbbell via
+// DumbbellConfig.Chaos. Same seed + plan yields byte-identical runs.
 type ChaosPlan = chaos.Plan
 
 // ChaosEvent is one scheduled perturbation of a ChaosPlan.
@@ -286,20 +285,13 @@ func ChaosProfile(name string) (*ChaosPlan, error) { return chaos.Profile(name) 
 // LoadChaosPlan reads and validates a JSON plan file.
 func LoadChaosPlan(path string) (*ChaosPlan, error) { return chaos.LoadPlan(path) }
 
-// BuildupConfig is the queue-buildup microbenchmark (short transfers
-// sharing a bottleneck with bulk flows), which the paper inherits from
-// the DCTCP evaluation.
-type BuildupConfig = core.BuildupConfig
-
 // BuildupResult summarizes the short flows' completion times.
 type BuildupResult = core.BuildupResult
 
-// DefaultBuildup returns the microbenchmark's default parameters for a
-// protocol.
-func DefaultBuildup(p Protocol) BuildupConfig { return core.DefaultBuildup(p) }
-
-// RunBuildup executes the queue-buildup microbenchmark.
-func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) { return core.RunBuildup(cfg) }
+// RunBuildup executes the queue-buildup microbenchmark the paper inherits
+// from the DCTCP evaluation under a protocol: 20 KB short transfers
+// sharing the 10 Gbps dumbbell's bottleneck with 2 bulk flows.
+func RunBuildup(p Protocol) (*BuildupResult, error) { return core.RunBuildup(p) }
 
 // FabricConfig is a trace-driven workload on a multi-tier datacenter
 // fabric (k-ary fat-tree or leaf-spine Clos) with deterministic ECMP

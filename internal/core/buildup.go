@@ -11,32 +11,24 @@ import (
 	"dtdctcp/internal/workload"
 )
 
-// BuildupConfig is the "queue buildup" microbenchmark the paper inherits
-// from the DCTCP evaluation: a few long-lived flows keep the bottleneck
-// busy while a latency-sensitive client repeatedly fetches short
-// transfers through the same queue. The short flows' completion time
-// exposes the standing queue each protocol maintains.
-type BuildupConfig struct {
-	// Protocol selects endpoints and queue law.
-	Protocol Protocol
-	// LongFlows is the number of background bulk flows (the DCTCP paper
-	// uses 2).
-	LongFlows int
-	// ShortBytes is each short transfer's size (DCTCP paper: 20 KB).
-	ShortBytes int64
-	// ShortEvery is the idle gap between short transfers; zero selects
-	// 1 ms.
-	ShortEvery time.Duration
-	// Rate, RTT, BufferPkts as in DumbbellConfig.
-	Rate       netsim.Rate
-	RTT        time.Duration
-	BufferPkts int
-	// Duration bounds the run; Warmup lets the background flows settle
-	// before the first short transfer starts.
-	Duration, Warmup time.Duration
-	// Seed drives randomness.
-	Seed int64
-}
+// The queue-buildup microbenchmark the paper inherits from the DCTCP
+// evaluation runs on one fixed dumbbell: 2 long-lived background flows
+// (as the DCTCP paper) keep the 10 Gbps, 100 µs RTT, 600-packet
+// bottleneck busy while a latency-sensitive client fetches 20 KB short
+// transfers through the same queue, one every 500 µs after the previous
+// completes. Short transfers start once a 20 ms warmup has let the
+// background settle, and the run measures 60 ms after it.
+const (
+	buildupLongFlows  = 2
+	buildupShortBytes = 20 << 10
+	buildupShortEvery = 500 * time.Microsecond
+	buildupRate       = 10 * netsim.Gbps
+	buildupRTT        = 100 * time.Microsecond
+	buildupBufferPkts = 600
+	buildupDuration   = 60 * time.Millisecond
+	buildupWarmup     = 20 * time.Millisecond
+	buildupSeed       = 1
+)
 
 // BuildupResult summarizes the short flows' experience.
 type BuildupResult struct {
@@ -56,39 +48,29 @@ type BuildupResult struct {
 	Outcome
 }
 
-// RunBuildup executes the microbenchmark.
-func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
-	if cfg.LongFlows <= 0 || cfg.ShortBytes <= 0 {
-		return nil, errors.New("core: LongFlows and ShortBytes must be positive")
-	}
-	if err := checkShared(cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.Duration, cfg.Warmup, 0); err != nil {
+// RunBuildup executes the queue-buildup microbenchmark under protocol p:
+// the short flows' completion time exposes the standing queue p
+// maintains.
+func RunBuildup(p Protocol) (*BuildupResult, error) {
+	if err := p.validate(); err != nil {
 		return nil, err
-	}
-	if err := cfg.Protocol.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.ShortEvery < 0 {
-		return nil, errors.New("core: ShortEvery must not be negative")
-	}
-	if cfg.ShortEvery == 0 {
-		cfg.ShortEvery = time.Millisecond
 	}
 
 	// The last sender is the short-transfer client.
-	r := newRun(cfg.Seed, 0)
-	star, err := r.star(cfg.Protocol, cfg.LongFlows+1, cfg.Rate, cfg.RTT, cfg.BufferPkts, SharedBufferConfig{})
+	r := newRun(buildupSeed, 0)
+	star, err := r.star(p, buildupLongFlows+1, buildupRate, buildupRTT, buildupBufferPkts, SharedBufferConfig{})
 	if err != nil {
 		return nil, err
 	}
 	engine, rcv := r.engine, star.Receiver
-	longHosts, shortHost := star.Senders[:cfg.LongFlows], star.Senders[cfg.LongFlows]
-	rec := r.record(star.Bottleneck, cfg.Protocol.PacketSize(), cfg.BufferPkts, cfg.Warmup, 0)
+	longHosts, shortHost := star.Senders[:buildupLongFlows], star.Senders[buildupLongFlows]
+	rec := r.record(star.Bottleneck, p.PacketSize(), buildupBufferPkts, buildupWarmup, 0)
 
 	bg := workload.StartLongLived(engine, workload.LongLivedConfig{
 		Hosts:       longHosts,
 		Receiver:    rcv,
-		TCP:         cfg.Protocol.TCP,
-		StartJitter: cfg.RTT,
+		TCP:         p.TCP,
+		StartJitter: buildupRTT,
 	})
 
 	// Sequential short transfers on fresh connections, starting after
@@ -101,31 +83,31 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 	launch = func() {
 		flow := flowID
 		flowID++
-		s := tcp.NewSender(shortHost, flow, rcv.ID(), cfg.ShortBytes, cfg.Protocol.TCP)
+		s := tcp.NewSender(shortHost, flow, rcv.ID(), buildupShortBytes, p.TCP)
 		shorts = append(shorts, s)
-		tcp.NewReceiver(rcv, flow, shortHost.ID(), cfg.Protocol.TCP)
+		tcp.NewReceiver(rcv, flow, shortHost.ID(), p.TCP)
 		started := engine.Now()
 		s.OnComplete = func(_ *tcp.Sender, done sim.Time) {
 			fcts = append(fcts, (done - started).Duration().Seconds())
 			shortHost.Unregister(flow)
 			rcv.Unregister(flow)
-			engine.After(cfg.ShortEvery, launch)
+			engine.After(buildupShortEvery, launch)
 		}
 		s.Start()
 	}
-	engine.Schedule(sim.FromDuration(cfg.Warmup), launch)
+	engine.Schedule(sim.FromDuration(buildupWarmup), launch)
 
-	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
+	end := sim.FromDuration(buildupWarmup + buildupDuration)
 	if err := r.until(end); err != nil {
 		return nil, err
 	}
 	rec.Finish(end)
 	if len(fcts) == 0 {
-		return nil, errors.New("core: no short transfer completed; duration too small")
+		return nil, errors.New("core: no short transfer completed in the measured interval")
 	}
 
 	res := &BuildupResult{
-		Protocol:       cfg.Protocol.Name,
+		Protocol:       p.Name,
 		ShortTransfers: len(fcts),
 		MeanFCT:        secondsToDuration(stats.Mean(fcts)),
 		P95FCT:         secondsToDuration(stats.Quantile(fcts, 0.95)),
@@ -139,24 +121,6 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 		res.Retransmissions += st.Retransmissions
 	}
 	res.BackgroundUtilization = float64(bg.TotalAcked()) /
-		(cfg.Rate.BytesPerSecond() * (cfg.Warmup + cfg.Duration).Seconds())
+		(buildupRate.BytesPerSecond() * (buildupWarmup + buildupDuration).Seconds())
 	return res, nil
-}
-
-// DefaultBuildup returns the DCTCP-paper parameters scaled to this
-// repository's simulation defaults: 2 background flows and 20 KB short
-// transfers on the 10 Gbps dumbbell.
-func DefaultBuildup(p Protocol) BuildupConfig {
-	return BuildupConfig{
-		Protocol:   p,
-		LongFlows:  2,
-		ShortBytes: 20 << 10,
-		ShortEvery: 500 * time.Microsecond,
-		Rate:       10 * netsim.Gbps,
-		RTT:        100 * time.Microsecond,
-		BufferPkts: 600,
-		Duration:   60 * time.Millisecond,
-		Warmup:     20 * time.Millisecond,
-		Seed:       1,
-	}
 }

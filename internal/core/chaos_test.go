@@ -147,29 +147,3 @@ func TestChaosRecoveryObservables(t *testing.T) {
 		t.Fatalf("empty pre-fault reference: %+v", res.Recovery)
 	}
 }
-
-// TestTestbedChaosRuns wires a plan through the incast testbed: a short
-// mid-run outage on the bottleneck must not wedge the query loop, and
-// the run must stay deterministic.
-func TestTestbedChaosRuns(t *testing.T) {
-	cfg := DefaultTestbed(DCTCP(21, 1.0/16), 8)
-	cfg.Chaos = &chaos.Plan{
-		Name: "testbed-blackout",
-		Events: []chaos.Event{
-			{At: chaos.D(2 * time.Millisecond), Kind: chaos.KindLinkDown, Link: "bottleneck",
-				DownFor: chaos.D(500 * time.Microsecond)},
-		},
-	}
-	run := func() *QueryResult {
-		res, err := RunQuery(cfg, 64<<10, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.MeanGoodputBps != b.MeanGoodputBps || a.Timeouts != b.Timeouts ||
-		a.MeanCompletion != b.MeanCompletion {
-		t.Fatalf("chaotic testbed runs diverged: %+v vs %+v", a, b)
-	}
-}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"dtdctcp/internal/aqm"
 	"dtdctcp/internal/control"
 	"dtdctcp/internal/fluid"
 	"dtdctcp/internal/netsim"
@@ -230,47 +233,67 @@ func TestTestbedValidation(t *testing.T) {
 	if bad.validate() == nil {
 		t.Fatal("workers=0 accepted")
 	}
+	// A negative deadline was once run as zero.
 	bad = good
-	bad.LinkRate = 0
-	if bad.validate() == nil {
-		t.Fatal("rate=0 accepted")
-	}
-	bad = good
-	bad.BottleneckBuffer = 0
-	if bad.validate() == nil {
-		t.Fatal("buffer=0 accepted")
-	}
-	bad = good
-	bad.HopDelay = 0
-	if bad.validate() == nil {
-		t.Fatal("delay=0 accepted")
-	}
-	// A negative jitter, gap or deadline was once run as zero.
-	for _, neg := range []struct {
-		set  func(*TestbedConfig)
-		want string
-	}{
-		{func(c *TestbedConfig) { c.StartJitter = -time.Millisecond }, "core: StartJitter must not be negative"},
-		{func(c *TestbedConfig) { c.Gap = -time.Millisecond }, "core: Gap must not be negative"},
-		{func(c *TestbedConfig) { c.Deadline = -time.Millisecond }, "core: Deadline must not be negative"},
-		// A negative pool ran as the default one; a negative or NaN α ran
-		// with no pool at all.
-		{func(c *TestbedConfig) { c.SharedBuffer = SharedBufferConfig{Alpha: 1, PoolPkts: -5} },
-			"core: SharedBuffer.PoolPkts must not be negative"},
-		{func(c *TestbedConfig) { c.SharedBuffer.Alpha = -1 }, "core: SharedBuffer.Alpha must not be negative or NaN"},
-		{func(c *TestbedConfig) { c.SharedBuffer.Alpha = math.NaN() }, "core: SharedBuffer.Alpha must not be negative or NaN"},
-	} {
-		bad = good
-		neg.set(&bad)
-		if _, err := RunIncast(bad, 2); err == nil || err.Error() != neg.want {
-			t.Fatalf("RunIncast = %v, want %q", err, neg.want)
-		}
+	bad.Deadline = -time.Millisecond
+	if _, err := RunIncast(bad, 2); err == nil || err.Error() != "core: Deadline must not be negative" {
+		t.Fatalf("RunIncast = %v, want the negative deadline refused", err)
 	}
 	if _, err := RunQuery(good, 0, 1); err == nil {
 		t.Fatal("bytes=0 accepted")
 	}
 	if _, err := RunQuery(good, 100, 0); err == nil {
 		t.Fatal("rounds=0 accepted")
+	}
+}
+
+// TestTestbedIsFig13 pins the apparatus the testbed builds: the paper's
+// 1 Gbps ports with ≈25 µs per traversal, the protocol's law over 128 KB
+// on the core→aggregator port, DropTail over 512 KB everywhere else, and
+// workers spread round-robin over three edge switches.
+func TestTestbedIsFig13(t *testing.T) {
+	p := DTDCTCP(30, 50, 1.0/16)
+	tb, err := buildTestbed(DefaultTestbed(p, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := tb.aggregator.Network()
+	ports := 0
+	check := func(port *netsim.Port, buffer int, policy aqm.Policy) {
+		t.Helper()
+		ports++
+		if port.Rate() != netsim.Gbps || port.Delay() != 25*time.Microsecond {
+			t.Errorf("port to %s: %v and %v, want 1 Gbps and 25µs", port.Peer().Name(), port.Rate(), port.Delay())
+		}
+		if port.Buffer() != buffer || !reflect.DeepEqual(port.Policy(), policy) {
+			t.Errorf("port to %s: %d bytes under %#v, want %d under %#v",
+				port.Peer().Name(), port.Buffer(), port.Policy(), buffer, policy)
+		}
+	}
+	for _, sw := range nw.Switches() {
+		for i := range sw.Ports() {
+			if port := sw.Port(i); port == tb.bneck {
+				check(port, 128<<10, p.NewPolicy(nil))
+			} else {
+				check(port, 512<<10, aqm.NewDropTail())
+			}
+		}
+	}
+	for _, h := range nw.Hosts() {
+		check(h.Uplink(), 512<<10, aqm.NewDropTail())
+	}
+	if tb.bneck.Peer() != netsim.Node(tb.aggregator) {
+		t.Errorf("bottleneck leads to %s, want the aggregator", tb.bneck.Peer().Name())
+	}
+	// The core switch has the aggregator and three edges; each edge has
+	// the core and its workers.
+	if got := len(nw.Switches()); got != 4 || ports != 2*(4+5) {
+		t.Errorf("%d switches and %d ports, want 4 and %d", got, ports, 2*(4+5))
+	}
+	for i, w := range tb.workers {
+		if got, want := w.Uplink().Peer().Name(), fmt.Sprintf("switch%d", i%3+2); got != want {
+			t.Errorf("worker %d hangs off %s, want %s", i, got, want)
+		}
 	}
 }
 
@@ -552,7 +575,7 @@ func TestCubicProtoDumbbell(t *testing.T) {
 
 func TestBuildupShortFlowsFasterUnderDCTCP(t *testing.T) {
 	run := func(p Protocol) *BuildupResult {
-		res, err := RunBuildup(DefaultBuildup(p))
+		res, err := RunBuildup(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,16 +598,5 @@ func TestBuildupShortFlowsFasterUnderDCTCP(t *testing.T) {
 	// DT-DCTCP must not regress the short flows relative to Reno either.
 	if dt.MeanFCT >= reno.MeanFCT {
 		t.Fatalf("short-flow FCT: dt %v vs reno %v", dt.MeanFCT, reno.MeanFCT)
-	}
-}
-
-func TestBuildupValidation(t *testing.T) {
-	if _, err := RunBuildup(BuildupConfig{}); err == nil {
-		t.Fatal("zero config accepted")
-	}
-	cfg := DefaultBuildup(Reno())
-	cfg.Duration = time.Microsecond // too short for any short flow
-	if _, err := RunBuildup(cfg); err == nil {
-		t.Fatal("should fail with no completed transfers")
 	}
 }

@@ -81,7 +81,7 @@ func TestMetricsDoNotPerturbOutcome(t *testing.T) {
 
 // TestFaultDropsCoverEveryPort: a fault on any link counts, not only on
 // the bottleneck. Downing the dumbbell's ACK path loses ACKs at the
-// receiver's uplink, and downing the testbed's bottleneck loses data there.
+// receiver's uplink.
 func TestFaultDropsCoverEveryPort(t *testing.T) {
 	down := func(link string, at, d time.Duration) *chaos.Plan {
 		return &chaos.Plan{Name: link + "-down", Events: []chaos.Event{
@@ -95,16 +95,6 @@ func TestFaultDropsCoverEveryPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.FaultDrops == 0 {
-		t.Error("dumbbell: 2 ms of a down ACK link reported no fault drop")
-	}
-
-	testbed := DefaultTestbed(DCTCP(21, 1.0/16), 8)
-	testbed.Chaos = down("bottleneck", 2*time.Millisecond, 500*time.Microsecond)
-	q, err := RunQuery(testbed, 64<<10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.FaultDrops == 0 {
-		t.Error("testbed: a down bottleneck reported no fault drop")
+		t.Error("2 ms of a down ACK link reported no fault drop")
 	}
 }

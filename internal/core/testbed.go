@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
@@ -26,23 +25,6 @@ type TestbedConfig struct {
 	// has 9 physical workers but scales flows beyond that; we scale
 	// hosts with the flow count, which the simulator affords).
 	Workers int
-	// LinkRate is the port speed; the paper's NetFPGA cards run 1 Gbps.
-	LinkRate netsim.Rate
-	// BottleneckBuffer is the core→aggregator buffer in bytes (paper:
-	// 128 KB).
-	BottleneckBuffer int
-	// EdgeBuffer is every other port's buffer in bytes (paper: 512 KB).
-	EdgeBuffer int
-	// HopDelay is the per-link one-way propagation delay; the paper
-	// reports ≈100 µs RTT between hosts on the same switch, i.e. ≈25 µs
-	// per traversal.
-	HopDelay time.Duration
-	// StartJitter staggers worker responses within a round, modelling
-	// request fan-out serialization and host scheduling noise on the
-	// real testbed.
-	StartJitter time.Duration
-	// Gap is the aggregator's think time between rounds.
-	Gap time.Duration
 	// Deadline, when positive, gives every response a per-round
 	// completion deadline; D2TCP endpoints modulate their backoff with
 	// it and QueryResult reports the miss rate for every variant.
@@ -54,36 +36,18 @@ type TestbedConfig struct {
 	FreshConnections bool
 	// Seed drives randomness.
 	Seed int64
-
-	// Chaos, when set, applies a fault-injection plan to the topology.
-	// Plans may target "bottleneck" (core switch → aggregator),
-	// "agg-uplink" (aggregator → core switch), and "worker<i>"
-	// (worker i → its edge switch). Event times are absolute virtual
-	// times within the query run.
-	Chaos *chaos.Plan
 	// Metrics enables the observability registry: the result carries a
-	// Snapshot covering the engine, the bottleneck port, and (when
-	// Chaos is set) the chaos controller. Pull-based, so enabling it
-	// changes nothing else.
+	// Snapshot covering the engine and the bottleneck port. Pull-based,
+	// so enabling it changes nothing else.
 	Metrics bool
-	// SharedBuffer, when enabled (Alpha > 0), replaces the core
-	// switch's static per-port buffers with one dynamic-threshold pool;
-	// PoolPkts defaults to the bottleneck buffer.
-	SharedBuffer SharedBufferConfig
 }
 
 // DefaultTestbed returns the paper's testbed parameters for a protocol.
 func DefaultTestbed(p Protocol, workers int) TestbedConfig {
 	return TestbedConfig{
-		Protocol:         p,
-		Workers:          workers,
-		LinkRate:         1 * netsim.Gbps,
-		BottleneckBuffer: 128 << 10,
-		EdgeBuffer:       512 << 10,
-		HopDelay:         25 * time.Microsecond,
-		StartJitter:      50 * time.Microsecond,
-		Gap:              100 * time.Microsecond,
-		Seed:             1,
+		Protocol: p,
+		Workers:  workers,
+		Seed:     1,
 	}
 }
 
@@ -91,23 +55,10 @@ func (c TestbedConfig) validate() error {
 	switch {
 	case c.Workers <= 0:
 		return errors.New("core: Workers must be positive")
-	case c.LinkRate <= 0:
-		return errors.New("core: LinkRate must be positive")
-	case c.BottleneckBuffer <= 0 || c.EdgeBuffer <= 0:
-		return errors.New("core: buffers must be positive")
-	case c.HopDelay <= 0:
-		return errors.New("core: HopDelay must be positive")
-	case c.StartJitter < 0:
-		return errors.New("core: StartJitter must not be negative")
-	case c.Gap < 0:
-		return errors.New("core: Gap must not be negative")
 	case c.Deadline < 0:
 		return errors.New("core: Deadline must not be negative")
 	}
-	if err := c.Protocol.validate(); err != nil {
-		return err
-	}
-	return c.SharedBuffer.validate()
+	return c.Protocol.validate()
 }
 
 // testbed is a built topology ready to carry queries.
@@ -118,6 +69,22 @@ type testbed struct {
 	bneck      *netsim.Port
 }
 
+// The Fig. 13 apparatus is fixed. The paper's NetFPGA cards run every
+// port at 1 Gbps; the core→aggregator bottleneck has a 128 KB buffer and
+// every other port 512 KB; hosts on one switch see ≈100 µs RTT, i.e.
+// ≈25 µs per traversal. Worker responses are staggered by up to 50 µs
+// (request fan-out serialization and host scheduling noise, present on
+// any real testbed, absent in a perfectly synchronized simulator), and
+// the aggregator thinks 100 µs between rounds.
+const (
+	testbedRate        = 1 * netsim.Gbps
+	testbedBneckBuffer = 128 << 10
+	testbedEdgeBuffer  = 512 << 10
+	testbedHopDelay    = 25 * time.Microsecond
+	testbedStartJitter = 50 * time.Microsecond
+	testbedGap         = 100 * time.Microsecond
+)
+
 // buildTestbed constructs the Fig. 13 topology.
 func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	r := newRun(cfg.Seed, 1)
@@ -125,8 +92,8 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	core := nw.AddSwitch("switch1")
 	agg := nw.AddHost("aggregator")
 
-	edge := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.EdgeBuffer}
-	bneckCfg := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.BottleneckBuffer, Policy: cfg.Protocol.NewPolicy(r.engine.Rand())}
+	edge := netsim.PortConfig{Rate: testbedRate, Delay: testbedHopDelay, Buffer: testbedEdgeBuffer}
+	bneckCfg := netsim.PortConfig{Rate: testbedRate, Delay: testbedHopDelay, Buffer: testbedBneckBuffer, Policy: cfg.Protocol.NewPolicy(r.engine.Rand())}
 	if err := nw.Connect(agg, core, edge, bneckCfg); err != nil {
 		return nil, err
 	}
@@ -151,32 +118,13 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	}
 	bneck := core.PortTo(agg.ID())
 	pktSize := cfg.Protocol.PacketSize()
-	bufferPkts := cfg.BottleneckBuffer / pktSize
+	bufferPkts := testbedBneckBuffer / pktSize
 	if bufferPkts < 1 {
 		bufferPkts = 1
-	}
-	if cfg.SharedBuffer.enabled() {
-		if err := cfg.SharedBuffer.build(core, bneck, bufferPkts, pktSize); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Metrics {
 		r.observe()
 		bneck.SetMonitor(r.obs.observePort("bottleneck", bneck, pktSize, bufferPkts))
-	}
-	if cfg.Chaos != nil {
-		ctl := chaos.NewController(nw, cfg.Chaos)
-		ctl.BindLink("bottleneck", bneck)
-		ctl.BindLink("agg-uplink", agg.Uplink())
-		for i, w := range workers {
-			ctl.BindLink(fmt.Sprintf("worker%d", i), w.Uplink())
-		}
-		if err := ctl.Apply(); err != nil {
-			return nil, err
-		}
-		if r.obs != nil {
-			r.obs.observeChaos(ctl)
-		}
 	}
 	return &testbed{run: r, aggregator: agg, workers: workers, bneck: bneck}, nil
 }
@@ -231,10 +179,10 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		Aggregator:     tb.aggregator,
 		BytesPerWorker: bytesPerWorker,
 		Rounds:         rounds,
-		Gap:            cfg.Gap,
+		Gap:            testbedGap,
 		TCP:            cfg.Protocol.TCP,
 		Persistent:     !cfg.FreshConnections,
-		StartJitter:    cfg.StartJitter,
+		StartJitter:    testbedStartJitter,
 		Deadline:       cfg.Deadline,
 	})
 
