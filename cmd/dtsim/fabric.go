@@ -17,7 +17,7 @@ import (
 var fabricCmd = subcommand{
 	name: "fabric",
 	flags: "protocol k k1 k2 g topo arity leaves spines hosts-per-leaf rate hop buffer " +
-		"cdf load flows matrix small-max large-min seed shards verify-shards",
+		"cdf load flows matrix small-max large-min seed shards verify-shards cpuprofile memprofile",
 	defaults: map[string]string{
 		"protocol": "dctcp,dt-dctcp", "k": "20", "k1": "15", "k2": "25", "rate": "1", "buffer": "100", "flows": "50000",
 	},

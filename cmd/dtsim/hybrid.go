@@ -17,7 +17,7 @@ import (
 // queue at the buffer and starves the foreground.
 var hybridCmd = subcommand{
 	name:     "hybrid",
-	flags:    "protocol k k1 k2 g bg fg fg-bytes fg-gap rate rtt buffer warmup duration rto-min seed",
+	flags:    "protocol k k1 k2 g bg fg fg-bytes fg-gap rate rtt buffer warmup duration rto-min seed cpuprofile memprofile",
 	defaults: map[string]string{"warmup": "15ms", "duration": "45ms"},
 	quick:    map[string]string{"bg": "50", "warmup": "5ms", "duration": "10ms"},
 	run:      runHybrid,

@@ -171,6 +171,17 @@ func TestRunMetricsPlotAndProfiles(t *testing.T) {
 	if !strings.Contains(out.String(), "utilization") {
 		t.Fatal("missing summary")
 	}
+	for _, sub := range []string{"fabric", "hybrid"} {
+		cpu, mem := filepath.Join(dir, sub+"-cpu.pprof"), filepath.Join(dir, sub+"-mem.pprof")
+		if err := run([]string{sub, "-quick", "-cpuprofile", cpu, "-memprofile", mem}, io.Discard); err != nil {
+			t.Fatalf("%s: %v", sub, err)
+		}
+		for _, path := range []string{cpu, mem} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: profile %s missing or empty: %v", sub, path, err)
+			}
+		}
+	}
 }
 
 // TestCPUProfileCloseErrorFails: a CPU profile that fails to close is the

@@ -230,6 +230,60 @@ func TestConnectRejectsDuplicateSwitchLink(t *testing.T) {
 	}
 }
 
+// TestRefusedConnectLeavesNetworkUnchanged: a Connect that is refused
+// in either direction attaches neither, so no switch is left with a
+// port toward a peer that never got the link back, and recomputed routes
+// match the ones before the attempt.
+func TestRefusedConnectLeavesNetworkUnchanged(t *testing.T) {
+	_, n, h0, h1, s0, sA, _ := diamond(t, 7)
+	sB := n.Switches()[2]
+	cfg := linkCfg(Gbps, time.Microsecond, 1<<14, nil)
+	type snapshot struct {
+		ports  []int
+		uplink []*Port
+		hops   [][]int32
+	}
+	take := func() snapshot {
+		var sn snapshot
+		for _, s := range n.Switches() {
+			sn.ports = append(sn.ports, s.Ports())
+			for dst := range n.nodes {
+				sn.hops = append(sn.hops, slices.Clone(nextHops(s, NodeID(dst))))
+			}
+		}
+		for _, h := range n.Hosts() {
+			sn.uplink = append(sn.uplink, h.Uplink())
+		}
+		return sn
+	}
+	before := take()
+	for _, pair := range [][2]Node{
+		{sB, h0}, // h0 already has its uplink; sB's side would attach first
+		{sA, h1},
+		{h1, s0},
+		{s0, sA}, // duplicate switch link
+		{sB, sB}, // self link
+		{h0, h0},
+	} {
+		if err := n.Connect(pair[0], pair[1], cfg, cfg); err == nil {
+			t.Fatalf("Connect(%s, %s) accepted", pair[0].Name(), pair[1].Name())
+		}
+	}
+	if err := n.ComputeRoutesECMP(7); err != nil {
+		t.Fatal(err)
+	}
+	after := take()
+	if !slices.Equal(before.ports, after.ports) {
+		t.Fatalf("port counts %v after refused links, %v before", after.ports, before.ports)
+	}
+	if !slices.Equal(before.uplink, after.uplink) {
+		t.Fatal("a refused link replaced a host's uplink")
+	}
+	if !slices.EqualFunc(before.hops, after.hops, slices.Equal[[]int32]) {
+		t.Fatal("routes changed after refused links")
+	}
+}
+
 // BenchmarkPortTo pins the satellite: peer lookup must stay a map access,
 // not a linear port scan — it sits on every experiment's bottleneck-port
 // wiring, and fat-tree switches have dozens of ports.

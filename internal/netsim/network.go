@@ -79,35 +79,53 @@ func (n *Network) Switches() []*Switch { return n.switches }
 // direction (the port on a), ba the b→a direction. Hosts accept exactly
 // one connection.
 func (n *Network) Connect(a, b Node, ab, ba PortConfig) error {
-	if _, err := n.attach(a, b, ab); err != nil {
+	if a.ID() == b.ID() {
+		return fmt.Errorf("netsim: cannot link %s to itself", a.Name())
+	}
+	// Both directions are checked before either is attached, so a
+	// refused link leaves no half-built port behind.
+	if err := canAttach(a, b); err != nil {
 		return err
 	}
-	if _, err := n.attach(b, a, ba); err != nil {
+	if err := canAttach(b, a); err != nil {
 		return err
 	}
+	n.attach(a, b, ab)
+	n.attach(b, a, ba)
 	n.adjacency[a.ID()] = append(n.adjacency[a.ID()], b.ID())
 	n.adjacency[b.ID()] = append(n.adjacency[b.ID()], a.ID())
 	return nil
 }
 
-func (n *Network) attach(from, to Node, cfg PortConfig) (*Port, error) {
-	port := newPort(n, cfg, to)
+// canAttach reports why from cannot take a port towards to, if it
+// cannot: a host already has its one uplink, or a switch already links
+// to that peer.
+func canAttach(from, to Node) error {
 	switch node := from.(type) {
 	case *Host:
 		if node.uplink != nil {
-			return nil, fmt.Errorf("netsim: host %s already connected", node.name)
+			return fmt.Errorf("netsim: host %s already connected", node.name)
 		}
-		node.uplink = port
 	case *Switch:
 		if _, dup := node.portIdx[to.ID()]; dup {
-			return nil, fmt.Errorf("netsim: duplicate link %s → %s", node.name, to.Name())
+			return fmt.Errorf("netsim: duplicate link %s → %s", node.name, to.Name())
 		}
+	default:
+		return fmt.Errorf("netsim: unknown node type %T", from)
+	}
+	return nil
+}
+
+// attach gives from a port towards to; canAttach must have passed.
+func (n *Network) attach(from, to Node, cfg PortConfig) {
+	port := newPort(n, cfg, to)
+	switch node := from.(type) {
+	case *Host:
+		node.uplink = port
+	case *Switch:
 		node.portIdx[to.ID()] = len(node.ports)
 		node.ports = append(node.ports, port)
-	default:
-		return nil, fmt.Errorf("netsim: unknown node type %T", from)
 	}
-	return port, nil
 }
 
 // ComputeRoutes fills every switch's forwarding table with shortest
@@ -176,10 +194,11 @@ func (n *Network) computeRoutes(salt uint64, multipath bool) error {
 			dist[i] = -1
 		}
 		dist[dst] = 0
+		// Pop by head index: reslicing would use up the queue's front
+		// capacity, and each destination's search would re-grow it.
 		queue = append(queue[:0], dst)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			if cur != dst {
 				if _, isHost := n.nodes[cur].(*Host); isHost {
 					continue

@@ -189,7 +189,6 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 		buffer: cfg.Buffer,
 		policy: policy,
 		peer:   peer,
-		queue:  pktRing{buf: make([]*Packet, ringInitialCap)},
 		pool:   &net.pool,
 		srcKey: -1,
 	}

@@ -5,13 +5,20 @@ package netsim
 // (O(n) copy per packet, quadratic under deep queues — exactly the
 // regime the paper's oscillation experiments spend their time in); the
 // ring dequeues in O(1) and only allocates when the occupancy exceeds
-// every level seen before.
+// every level seen before. The zero ring is empty and holds no buffer:
+// most ports of a large topology never queue, so the first push sizes
+// it, through the same full-ring check that grows it later.
 type pktRing struct {
 	buf  []*Packet // len(buf) is always a power of two
 	head int       // index of the oldest element
 	n    int       // occupancy
 }
 
+// ringInitialCap is the buffer a ring gets at its first push. A smaller
+// one saves memory on ports that queue a few packets at a time but makes
+// every busy port re-grow through the small sizes: at 32 a k = 4
+// fat-tree run allocates more in all than with 64-slot rings made up
+// front, at 64 no run does.
 const ringInitialCap = 64
 
 //dtlint:hotpath

@@ -80,62 +80,84 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		workers = n
 	}
 
-	results := make([]T, n)
-	errs := make([]error, n)
-
-	var (
-		next    atomic.Int64 // next index to dispatch
-		failed  atomic.Bool  // set on first error; stops dispatch
-		wg      sync.WaitGroup
-		ctxDone = ctx.Done()
-	)
-
-	runOne := func(ctx context.Context, i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				stack := make([]byte, 64<<10)
-				stack = stack[:runtime.Stack(stack, false)]
-				err = &PanicError{Index: i, Value: r, Stack: stack}
-			}
-		}()
-		results[i], err = fn(ctx, i)
-		return err
-	}
-
-	wg.Add(workers)
+	s := &mapState[T]{ctx: ctx, ctxDone: ctx.Done(), fn: fn, results: make([]T, n)}
+	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				select {
-				case <-ctxDone:
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := runOne(ctx, i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
+		go s.work()
 	}
-	wg.Wait()
+	s.wg.Wait()
 
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if s.err != nil {
+		return nil, s.err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return results, nil
+	return s.results, nil
+}
+
+// mapState is everything one Map call shares between its workers, in a
+// single allocation: the dispatch counter, the stop flag, the results,
+// and the error of the lowest failing index seen so far.
+type mapState[T any] struct {
+	ctx     context.Context
+	ctxDone <-chan struct{}
+	fn      func(ctx context.Context, index int) (T, error)
+	results []T
+
+	next   atomic.Int64 // next index to dispatch
+	failed atomic.Bool  // set on first error; stops dispatch
+	wg     sync.WaitGroup
+
+	mu     sync.Mutex
+	err    error // error of the lowest failing index, errIdx
+	errIdx int
+}
+
+// work dispatches indices to fn until they run out, a job fails, or the
+// context is done.
+func (s *mapState[T]) work() {
+	defer s.wg.Done()
+	for {
+		if s.failed.Load() {
+			return
+		}
+		select {
+		case <-s.ctxDone:
+			return
+		default:
+		}
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.results) {
+			return
+		}
+		if err := s.run(i); err != nil {
+			s.fail(i, err)
+			return
+		}
+	}
+}
+
+// run calls fn for index i, turning a panic into a *PanicError.
+func (s *mapState[T]) run(i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stack := make([]byte, 64<<10)
+			stack = stack[:runtime.Stack(stack, false)]
+			err = &PanicError{Index: i, Value: r, Stack: stack}
+		}
+	}()
+	s.results[i], err = s.fn(s.ctx, i)
+	return err
+}
+
+// fail records job i's error if no lower index has failed, and stops
+// further dispatch.
+func (s *mapState[T]) fail(i int, err error) {
+	s.mu.Lock()
+	if s.err == nil || i < s.errIdx {
+		s.err, s.errIdx = err, i
+	}
+	s.mu.Unlock()
+	s.failed.Store(true)
 }
