@@ -12,12 +12,11 @@ import (
 
 // fabricCmd compares protocols on a fat-tree or leaf-spine under a
 // trace-driven workload and prints FCT percentiles, tier queues and
-// mark/drop rates as JSON holding no wall-clock state. -verify-shards makes
-// the determinism contract executable.
+// mark/drop rates as JSON holding no wall-clock state.
 var fabricCmd = subcommand{
 	name: "fabric",
 	flags: "protocol k k1 k2 g topo arity leaves spines hosts-per-leaf rate hop buffer " +
-		"cdf load flows matrix small-max large-min seed shards verify-shards cpuprofile memprofile",
+		"cdf load flows matrix small-max large-min seed cpuprofile memprofile",
 	defaults: map[string]string{
 		"protocol": "dctcp,dt-dctcp", "k": "20", "k1": "15", "k2": "25", "rate": "1", "buffer": "100", "flows": "50000",
 	},
@@ -30,8 +29,7 @@ var fabricCmd = subcommand{
 
 type fabricSnapshot struct {
 	header
-	Results        []*dtdctcp.FabricResult `json:"results"`
-	ShardsVerified []int                   `json:"shards_verified,omitempty"`
+	Results []*dtdctcp.FabricResult `json:"results"`
 }
 
 func runFabric(o *opts, fs *flag.FlagSet, w io.Writer) error {
@@ -44,10 +42,6 @@ func runFabric(o *opts, fs *flag.FlagSet, w io.Writer) error {
 		return err
 	}
 	matrix, err := flowgen.ParseMatrix(o.matrix)
-	if err != nil {
-		return err
-	}
-	verify, err := shardList(o.verifyShards)
 	if err != nil {
 		return err
 	}
@@ -67,9 +61,8 @@ func runFabric(o *opts, fs *flag.FlagSet, w io.Writer) error {
 		SmallMax:     o.smallMax,
 		LargeMin:     o.largeMin,
 		Seed:         o.seed,
-		Shards:       o.shards,
 	}
-	snap := &fabricSnapshot{header: newHeader(fs), ShardsVerified: verify}
+	snap := &fabricSnapshot{header: newHeader(fs)}
 	for _, p := range protos {
 		cfg := base
 		cfg.Protocol = p
@@ -79,22 +72,6 @@ func runFabric(o *opts, fs *flag.FlagSet, w io.Writer) error {
 		}
 		fmt.Fprintf(os.Stderr, "dtsim fabric: %s: %d/%d flows, digest %s, %d events\n",
 			p.Name, res.Completed, res.Flows, res.Digest, res.Events)
-		for _, sc := range verify {
-			if sc == cfg.Shards {
-				continue // already the reported run
-			}
-			vc := cfg
-			vc.Shards = sc
-			vres, err := dtdctcp.RunFabric(vc)
-			if err != nil {
-				return fmt.Errorf("%s shards=%d: %w", p.Name, sc, err)
-			}
-			if vres.Digest != res.Digest {
-				return fmt.Errorf("%s: shards=%d digest %s != shards=%d digest %s",
-					p.Name, sc, vres.Digest, cfg.Shards, res.Digest)
-			}
-			fmt.Fprintf(os.Stderr, "dtsim fabric: %s: shards=%d reproduces digest %s\n", p.Name, sc, vres.Digest)
-		}
 		snap.Results = append(snap.Results, res)
 	}
 	return printJSON(w, snap)

@@ -8,12 +8,11 @@ import (
 	"testing"
 )
 
-// TestFabricQuickRunVerifiedSharded drives the whole CLI path: a quick
-// leaf-spine pair with shard verification against the serial digest.
+// TestFabricQuickRun drives the whole CLI path: a quick leaf-spine pair.
 // -quick fills in only what the command line left unset, and the report
 // is a pure function of the flags: a second run is byte-identical.
-func TestFabricQuickRunVerifiedSharded(t *testing.T) {
-	args := []string{"fabric", "-quick", "-flows", "60", "-verify-shards", "1,2"}
+func TestFabricQuickRun(t *testing.T) {
+	args := []string{"fabric", "-quick", "-flows", "60"}
 	var snap fabricSnapshot
 	first := runJSON(t, &snap, args...)
 	if second := runJSON(t, new(fabricSnapshot), args...); !bytes.Equal(first, second) {
@@ -30,9 +29,6 @@ func TestFabricQuickRunVerifiedSharded(t *testing.T) {
 			t.Fatalf("result %s: completed %d/%d, digest %q",
 				res.Protocol, res.Completed, res.Flows, res.Digest)
 		}
-	}
-	if len(snap.ShardsVerified) != 2 {
-		t.Fatalf("shards verified %v, want [1 2]", snap.ShardsVerified)
 	}
 }
 
@@ -53,26 +49,10 @@ func TestLoadCDFFromFile(t *testing.T) {
 	}
 }
 
-func TestParseShardList(t *testing.T) {
-	got, err := shardList("1, 2,4")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 4 {
-		t.Fatalf("shardList: %v, %v", got, err)
-	}
-	for _, bad := range []string{"0", "-1", "x", "1,,2"} {
-		if _, err := shardList(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-	if got, err := shardList(""); err != nil || got != nil {
-		t.Fatalf("empty list: %v, %v", got, err)
-	}
-}
-
 func TestFabricRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad matrix":  {"-quick", "-matrix", "butterfly"},
 		"bad cdf":     {"-quick", "-cdf", "no-such"},
-		"bad verify":  {"-quick", "-verify-shards", "zero,"},
 		"bad topo":    {"-topo", "torus", "-flows", "10"},
 		"quick topo":  {"-quick", "-topo", "ring"},
 		"unknown arg": {"-frobnicate"},

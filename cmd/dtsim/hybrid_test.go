@@ -47,8 +47,6 @@ func TestHybridRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad proto":    {"-quick", "-protocol", "cubic"},
 		"no law":       {"-quick", "-protocol", "reno"},
-		"shards":       {"-quick", "-shards", "2"}, // only the fabric shards
-		"verify":       {"-quick", "-verify-shards", "1,2"},
 		"bad config":   {"-bg", "-1"},
 		"bad interval": {"-quick", "-rtt", "1s"},
 		"unknown arg":  {"-frobnicate"},

@@ -12,7 +12,7 @@
 //
 //	dtsim dumbbell -protocol dt-dctcp -k1 30 -k2 50 -flows 60 -plot
 //	dtsim chaos -profiles blackout,burst -o chaos.json
-//	dtsim fabric -quick -verify-shards 1,2,3 > fabric.json
+//	dtsim fabric -quick > fabric.json
 //	dtsim stability -protocol dt-dctcp -critical
 //
 // Every subcommand takes its flags from one block, so a flag has one
@@ -35,7 +35,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -129,8 +128,7 @@ type opts struct {
 	g, gamma, rate                  float64
 	rtt, duration, warmup           time.Duration
 	seed                            int64
-	shards, workers                 int
-	verifyShards                    string
+	workers                         int
 	quick                           bool
 	metrics, cpuProfile, memProfile path
 	sbAlpha                         float64
@@ -166,8 +164,6 @@ func (o *opts) define(fs *flag.FlagSet) {
 	fs.DurationVar(&o.warmup, "warmup", 20*time.Millisecond, "settling interval excluded from statistics")
 	fs.IntVar(&o.buffer, "buffer", 600, "buffer per port in packets")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	fs.IntVar(&o.shards, "shards", 1, "event wheels per run (results are byte-identical for any count)")
-	fs.StringVar(&o.verifyShards, "verify-shards", "", "comma-separated shard counts that must reproduce the reported digest (e.g. 1,2,4)")
 	fs.IntVar(&o.workers, "workers", 0, "runs in parallel, < 1 for GOMAXPROCS (results are identical for any value)")
 	fs.Var(&o.metrics, "metrics", "write the observability snapshots as JSON to this path")
 	fs.Var(&o.cpuProfile, "cpuprofile", "write a CPU profile to this path")
@@ -315,20 +311,4 @@ func printJSON(w io.Writer, report any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
-}
-
-// shardList parses -verify-shards.
-func shardList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -verify-shards entry %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

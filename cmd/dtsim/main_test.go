@@ -87,7 +87,7 @@ func TestOneProtocolRefusesList(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	for _, args := range [][]string{
 		nil, {"-flows", "2"}, {"simulate"}, {"dumbbell", "extra"},
-		{"dumbbell", "-nonsense"}, {"dumbbell", "-shards", "2"}, {"chaos", "-zoo"}, {"fabric", "-K", "20"},
+		{"dumbbell", "-nonsense"}, {"fabric", "-shards", "2"}, {"chaos", "-zoo"}, {"fabric", "-K", "20"},
 		{"hybrid", "-proto", "dctcp"}, {"stability", "-dt"}, {"fluid", "-n", "10"},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -307,7 +307,7 @@ func TestQuickMatchesCoreRunner(t *testing.T) {
 			res, err := dtdctcp.RunFabric(dtdctcp.FabricConfig{
 				Protocol: p, Topology: "leafspine", K: 4, Leaves: 2, Spines: 2, HostsPerLeaf: 2,
 				Rate: dtdctcp.Gbps, HopDelay: 10 * time.Microsecond, BufferPkts: 100,
-				CDF: cdf, Load: 0.4, Flows: 80, SmallMax: 100_000, LargeMin: 1_000_000, Seed: 1, Shards: 1,
+				CDF: cdf, Load: 0.4, Flows: 80, SmallMax: 100_000, LargeMin: 1_000_000, Seed: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

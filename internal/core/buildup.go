@@ -57,7 +57,7 @@ func RunBuildup(p Protocol) (*BuildupResult, error) {
 	}
 
 	// The last sender is the short-transfer client.
-	r := newRun(buildupSeed, 0)
+	r := newRun(buildupSeed)
 	star, err := r.star(p, buildupLongFlows+1, buildupRate, buildupRTT, buildupBufferPkts, SharedBufferConfig{})
 	if err != nil {
 		return nil, err
@@ -98,7 +98,7 @@ func RunBuildup(p Protocol) (*BuildupResult, error) {
 	engine.Schedule(sim.FromDuration(buildupWarmup), launch)
 
 	end := sim.FromDuration(buildupWarmup + buildupDuration)
-	if err := r.until(end); err != nil {
+	if err := r.engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 	rec.Finish(end)

@@ -190,7 +190,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := newRun(cfg.Seed, 1)
+	r := newRun(cfg.Seed)
 	star, err := r.star(cfg.Protocol, cfg.Flows, cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.SharedBuffer)
 	if err != nil {
 		return nil, err
@@ -271,7 +271,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	}
 
 	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
-	if err := r.until(end); err != nil {
+	if err := r.engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 	rec.Finish(end)
@@ -344,7 +344,7 @@ func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, w
 	if base.TraceTo != nil {
 		workers = 1
 	}
-	return sweep(ctx, flows, workers, 1, "N=%d", func(n int) (FlowSweepPoint, error) {
+	return sweep(ctx, flows, workers, "N=%d", func(n int) (FlowSweepPoint, error) {
 		cfg := base
 		cfg.Flows = n
 		res, err := RunDumbbell(cfg)

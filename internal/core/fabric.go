@@ -16,13 +16,6 @@ import (
 // drawn from an empirical size CDF arrive open-loop at a fraction of
 // the fabric's bisection bandwidth, and completion times are bucketed
 // small/medium/large.
-//
-// The fabric is the one runner that shards. Sharded fabric runs require a
-// queue law with no runtime randomness — the threshold-marking laws
-// (DCTCP's single and DT-DCTCP's double threshold) qualify. A randomized
-// law (PIE) draws from the construction engine's RNG at runtime,
-// which only shard 0 may touch; pinning every fabric port there would
-// serialize the run, so validation refuses the combination.
 type FabricConfig struct {
 	// Protocol selects endpoints and the queue law on every fabric port.
 	Protocol Protocol
@@ -54,8 +47,11 @@ type FabricConfig struct {
 	SmallMax, LargeMin int64
 	// Seed drives all randomness: trace generation and the ECMP salt.
 	Seed int64
-	// Shards, when above one, executes the run on that many event
-	// wheels; results are byte-identical for any shard count.
+	// Shards is accepted and ignored: every run is serial. It must not
+	// be negative.
+	//
+	// Deprecated: the sharded engine is gone, and results never depended
+	// on the shard count.
 	Shards int
 	// Metrics attaches the observability registry: the result carries a
 	// dtmetrics/v1 snapshot with per-bucket FCT histograms, tier queue
@@ -87,8 +83,6 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Shards must not be negative")
 	case c.SmallMax < 0 || c.LargeMin < 0:
 		return errors.New("core: SmallMax and LargeMin must not be negative")
-	case c.Shards > 1 && c.Protocol.randomizedLaw():
-		return errors.New("core: a randomized queue law on a fabric requires serial execution (Shards <= 1)")
 	}
 	return c.Protocol.validate()
 }
@@ -172,7 +166,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 			cfg.LargeMin, cfg.SmallMax)
 	}
 
-	r := newRun(cfg.Seed, cfg.Shards)
+	r := newRun(cfg.Seed)
 	nw := netsim.NewNetwork(r.engine)
 
 	pktSize := cfg.Protocol.PacketSize()
@@ -194,8 +188,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 
 	// Per-port depth histograms, one bucket per buffer slot capped at
-	// 64. Monitors fire on the owning shard; the merge below runs after
-	// the run, in port order, so tier aggregates are shard-invariant.
+	// 64, merged in port order after the run.
 	bucketW := float64(cfg.BufferPkts) / 64
 	if bucketW < 1 {
 		bucketW = 1
@@ -212,13 +205,6 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	coreHists := observe(fab.CorePorts())
 	aggHists := observe(fab.AggPorts())
 
-	if err := r.partition(nw); err != nil {
-		return nil, err
-	}
-
-	// The workload draws the entire trace from the construction engine's
-	// stream before constructing endpoints, so the sharded run sees the
-	// byte-identical trace the serial run does.
 	w, err := flowgen.Start(fab.Hosts, flowgen.Config{
 		CDF:         cfg.CDF,
 		Load:        cfg.Load,
@@ -232,7 +218,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 
 	end := w.LastArrival().Add(fabricDrain)
-	if err := r.until(end); err != nil {
+	if err := r.engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 
@@ -291,7 +277,7 @@ type LoadSweepPoint struct {
 // base.Seed, so results are byte-identical for any worker count; they are
 // returned in load order.
 func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
-	return sweep(ctx, loads, workers, base.Shards, "load=%.2f", func(load float64) (LoadSweepPoint, error) {
+	return sweep(ctx, loads, workers, "load=%.2f", func(load float64) (LoadSweepPoint, error) {
 		cfg := base
 		cfg.Load = load
 		res, err := RunFabric(cfg)

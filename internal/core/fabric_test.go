@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +113,7 @@ func TestRunFabricValidates(t *testing.T) {
 		"zero rate":    func(c *FabricConfig) { c.Rate = 0 },
 		"zero delay":   func(c *FabricConfig) { c.HopDelay = 0 },
 		"zero buffer":  func(c *FabricConfig) { c.BufferPkts = 0 },
+		"neg shards":   func(c *FabricConfig) { c.Shards = -1 },
 		"odd k": func(c *FabricConfig) {
 			c.Topology = "fattree"
 			c.K = 3
@@ -127,8 +128,7 @@ func TestRunFabricValidates(t *testing.T) {
 }
 
 // TestFabricDeterminism is the acceptance property: the same seed and
-// topology produce byte-identical digests on repeat runs and for every
-// shard count, and the aggregate statistics agree exactly.
+// topology produce byte-identical digests on repeat runs.
 func TestFabricDeterminism(t *testing.T) {
 	base := fabricConfig(t)
 	serial, err := RunFabric(base)
@@ -159,113 +159,35 @@ func TestFabricDeterminism(t *testing.T) {
 	if serial.LateDuplicates == 0 {
 		t.Fatal("no segment was answered from TIME_WAIT: LateDuplicates is not wired")
 	}
-
-	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		res, err := RunFabric(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.Digest != serial.Digest {
-			t.Fatalf("shards=%d digest %s, serial %s", shards, res.Digest, serial.Digest)
-		}
-		if res.Marks != serial.Marks || res.Drops != serial.Drops ||
-			res.Completed != serial.Completed || res.Timeouts != serial.Timeouts ||
-			res.Retransmissions != serial.Retransmissions || res.DroppedNoFlow != serial.DroppedNoFlow ||
-			res.HostDrops != serial.HostDrops || res.OutOfOrder != serial.OutOfOrder ||
-			res.LateDuplicates != serial.LateDuplicates {
-			t.Fatalf("shards=%d aggregates diverged: %+v vs %+v", shards, res, serial)
-		}
-		if res.CoreQueue != serial.CoreQueue || res.AggQueue != serial.AggQueue {
-			t.Fatalf("shards=%d queue summaries diverged", shards)
-		}
-	}
 }
 
-// TestFabricShardAssignmentPermutation is the metamorphic companion:
-// however a fat-tree's or a leaf-spine's domains are grouped into 2, 3
-// or 4 shards, the digest and the event count are the serial run's,
-// because deliveries are ordered by domain indices, never by shard
-// indices or by whether they crossed a barrier — and ECMP path choice is
-// a pure function of (salt, switch, flow), so placement cannot depend on
-// the assignment either.
-func TestFabricShardAssignmentPermutation(t *testing.T) {
-	fatTree := fabricConfig(t)
-	fatTree.Topology, fatTree.K = "fattree", 4
-	// A load at which every interarrival gap rounds to 0 ns: the whole
-	// trace arrives on one instant, and each wheel's arrival chain alone
-	// keeps its senders starting in trace order.
-	oneInstant := fabricConfig(t)
-	oneInstant.Load = 1e15
-	for name, base := range map[string]FabricConfig{"leafspine": fabricConfig(t), "fattree-k4": fatTree, "one-instant": oneInstant} {
-		t.Run(name, func(t *testing.T) {
-			serial, err := RunFabric(base)
+// TestFabricShardsIgnored pins the deprecated Shards field: any count
+// runs the one serial path, so the digest, the outcome and the FCT
+// statistics are those of Shards 0. PIE, which draws from the engine's
+// random source while the run executes, once had to be refused on more
+// than one shard; it runs now.
+func TestFabricShardsIgnored(t *testing.T) {
+	pie := fabricConfig(t)
+	pie.Protocol = RenoPIE(pie.Rate, 500*time.Microsecond)
+	pie.Flows = 400
+	for name, base := range map[string]FabricConfig{"dctcp": fabricConfig(t), "pie": pie} {
+		want, err := RunFabric(base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, shards := range []int{0, 1, 2, 4} {
+			cfg := base
+			cfg.Shards = shards
+			got, err := RunFabric(cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s, Shards %d: %v", name, shards, err)
 			}
-			eachRegrouping(t, func(t *testing.T, _ string, shards int) {
-				cfg := base
-				cfg.Shards = shards
-				res, err := RunFabric(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Digest != serial.Digest || res.Events != serial.Events {
-					t.Fatalf("digest %s, %d events; serial %s, %d", res.Digest, res.Events, serial.Digest, serial.Events)
-				}
-			})
-		})
+			if got.Digest != want.Digest || !reflect.DeepEqual(got.Outcome, want.Outcome) || !reflect.DeepEqual(got.FCT, want.FCT) {
+				t.Fatalf("%s, Shards %d: digest %s, outcome %+v, FCT %+v; Shards 0 gives %s, %+v, %+v",
+					name, shards, got.Digest, got.Outcome, got.FCT, want.Digest, want.Outcome, want.FCT)
+			}
+		}
 	}
-}
-
-// TestShardCountersAreExact reads the coordinator's counters from the
-// metrics snapshot of a sharded fabric run: they repeat exactly from run
-// to run, the per-shard event counts add up to the run's, and however the
-// domains are grouped the same link deliveries are made — through the
-// mailbox or around it. With every domain on one shard none takes the
-// mailbox.
-func TestShardCountersAreExact(t *testing.T) {
-	cfg := fabricConfig(t)
-	cfg.Topology, cfg.K = "fattree", 4
-	cfg.Metrics = true
-	type counters struct{ epochs, messages, colocated, events uint64 }
-	read := func(t *testing.T, shards int) counters {
-		cfg := cfg
-		cfg.Shards = shards
-		res, err := RunFabric(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := counters{
-			epochs:    res.Metrics.CounterValue("sim_shard_epochs_total"),
-			messages:  res.Metrics.CounterValue("sim_shard_messages_total"),
-			colocated: res.Metrics.CounterValue("sim_shard_colocated_total"),
-		}
-		for i := 0; i < shards; i++ {
-			c.events += res.Metrics.CounterValue(fmt.Sprintf(`sim_shard_events_total{shard="%d"}`, i))
-		}
-		if c.events != res.Events {
-			t.Fatalf("per-shard events sum to %d, the run processed %d", c.events, res.Events)
-		}
-		return c
-	}
-	base := read(t, 2)
-	if base.epochs == 0 || base.messages == 0 || base.colocated <= base.messages {
-		t.Fatalf("leafward on 2 shards: %+v; want most deliveries co-located", base)
-	}
-	if again := read(t, 2); again != base {
-		t.Fatalf("counters moved between identical runs: %+v then %+v", base, again)
-	}
-	eachRegrouping(t, func(t *testing.T, group string, shards int) {
-		c := read(t, shards)
-		if c.messages+c.colocated != base.messages+base.colocated {
-			t.Fatalf("%d deliveries (%+v), leafward on 2 shards made %d", c.messages+c.colocated, c, base.messages+base.colocated)
-		}
-		if group == "one-shard" && c.messages != 0 {
-			t.Fatalf("one shard, yet %d mailbox messages", c.messages)
-		}
-	})
 }
 
 // TestSweepLoadsParallelWorkers pins worker-count invariance: each point

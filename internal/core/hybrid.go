@@ -149,7 +149,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	if cfg.FullPacket {
 		hosts += cfg.BgFlows
 	}
-	r := newRun(cfg.Seed, 1)
+	r := newRun(cfg.Seed)
 	star, err := r.star(cfg.Protocol, hosts, cfg.Rate, cfg.RTT, cfg.BufferPkts, SharedBufferConfig{})
 	if err != nil {
 		return nil, err
@@ -200,7 +200,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		Warmup:      cfg.Warmup,
 	})
 
-	if err := r.until(end); err != nil {
+	if err := r.engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 	rec.Finish(end)

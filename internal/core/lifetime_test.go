@@ -28,15 +28,12 @@ type lifetimeOutcome struct {
 // first event and never closed.
 func runLifetime(t *testing.T, cfg FabricConfig, reference bool) (lifetimeOutcome, uint64) {
 	t.Helper()
-	r := newRun(cfg.Seed, cfg.Shards)
+	r := newRun(cfg.Seed)
 	nw := netsim.NewNetwork(r.engine)
 	link := topo.LinkSpec{Rate: cfg.Rate, Delay: cfg.HopDelay, BufferBytes: cfg.BufferPkts * cfg.Protocol.PacketSize()}
 	fab, err := topo.LeafSpine(nw, cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf,
 		topo.Config{HostLink: link, FabricLink: link, Policy: cfg.Protocol.NewPolicy})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.partition(nw); err != nil {
 		t.Fatal(err)
 	}
 	w, err := flowgen.Start(fab.Hosts, flowgen.Config{
@@ -60,11 +57,11 @@ func runLifetime(t *testing.T, cfg FabricConfig, reference bool) (lifetimeOutcom
 			receivers = append(receivers, tcp.NewReceiver(fab.Hosts[f.Dst], netsim.FlowID(1+i), fab.Hosts[f.Src].ID(), cfg.Protocol.TCP))
 		}
 	}
-	if err := r.until(w.LastArrival().Add(2 * time.Second)); err != nil {
+	if err := r.engine.RunUntil(w.LastArrival().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 
-	st := r.stats()
+	st := r.engine.Stats()
 	out := lifetimeOutcome{
 		Outcome:    r.collect(nw, nil, 0, w),
 		digest:     w.Digest(),
@@ -88,9 +85,13 @@ func runLifetime(t *testing.T, cfg FabricConfig, reference bool) (lifetimeOutcom
 // once everything is acknowledged is the run whose receivers are all
 // built up front and never closed — same digest, same engine counts, same
 // refused packets, reassembly, NIC drops, timeouts and retransmissions —
-// for every traffic matrix, protocol, wheel count and delayed-ACK factor.
+// for every traffic matrix, protocol and delayed-ACK factor.
 // A small buffer at a high load makes the NICs drop, so late duplicates
 // reach closed receivers.
+//
+// Each case also goes through RunFabric with the deprecated Shards field
+// set to 1, 2 and 3 wheels: every run is serial now, so each must give the
+// lazily opened run's digest, outcome, reordering and late duplicates.
 func TestReceiverLifetimeMatchesReference(t *testing.T) {
 	cdf, err := flowgen.BuiltinCDF(flowgen.WebSearchSmall)
 	if err != nil {
@@ -132,6 +133,15 @@ func TestReceiverLifetimeMatchesReference(t *testing.T) {
 						got, n := runLifetime(t, cfg, false)
 						if got != ref {
 							t.Fatalf("receivers opened lazily: %+v\nreference:               %+v", got, ref)
+						}
+						res, err := RunFabric(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Digest != fmt.Sprintf("%016x", got.digest) || res.Outcome != got.Outcome ||
+							res.OutOfOrder != got.outOfOrder || res.LateDuplicates != n {
+							t.Fatalf("RunFabric on %d wheels: digest %s, outcome %+v, %d out of order, %d late; lazy run: %016x, %+v, %d, %d",
+								wheels, res.Digest, res.Outcome, res.OutOfOrder, res.LateDuplicates, got.digest, got.Outcome, got.outOfOrder, n)
 						}
 						t.Logf("%d late duplicates answered from TIME_WAIT, %d refused packets", n, got.DroppedNoFlow)
 						late += n

@@ -71,7 +71,7 @@ func TestDumbbellMetricsSampler(t *testing.T) {
 // every tick of a running dumbbell, while the windows move.
 func TestMeanCwndMatchesSummedWindows(t *testing.T) {
 	cfg := paperDumbbell(DTDCTCP(30, 50, 1.0/16), 4)
-	r := newRun(cfg.Seed, 1)
+	r := newRun(cfg.Seed)
 	star, err := r.star(cfg.Protocol, cfg.Flows, cfg.Rate, cfg.RTT, cfg.BufferPkts, cfg.SharedBuffer)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestMeanCwndMatchesSummedWindows(t *testing.T) {
 		}
 		seen[want] = true
 	})
-	if err := r.until(sim.FromDuration(20 * time.Millisecond)); err != nil {
+	if err := r.engine.RunUntil(sim.FromDuration(20 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) < 5 {

@@ -132,10 +132,6 @@ func validG(g float64) error {
 	return nil
 }
 
-// randomizedLaw reports whether the protocol's queue law draws from its
-// random source while the run executes, not only at construction.
-func (p Protocol) randomizedLaw() bool { return p.law == lawPIE }
-
 // DF returns the describing function matching the protocol's marker, or
 // nil for a law the analyses do not model.
 func (p Protocol) DF() control.DF {

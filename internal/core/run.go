@@ -14,52 +14,15 @@ import (
 )
 
 // run is the one execution path under every scenario runner: it owns the
-// engine and is the only code that knows whether the run is serial or
-// sharded. Runners build a topology on engine, start a workload, run
-// until a horizon and read the result. Only the fabric shards: it
-// partitions its topology before starting the workload.
+// engine. Runners build a topology on engine, start a workload, run until
+// a horizon and read the result.
 type run struct {
-	// engine is the construction engine. A sharded run builds on shard 0,
-	// whose RNG stream equals the serial engine's, in the same creation
-	// order — so the two stay byte-identical by construction.
 	engine *sim.Engine
-	// se is nil for a serial run.
-	se *sim.ShardedEngine
 	// obs is nil unless observe turned metrics on.
 	obs *observer
 }
 
-// newRun makes a serial run, or one on that many event wheels when
-// shards is above one.
-func newRun(seed int64, shards int) *run {
-	if shards > 1 {
-		se := sim.NewShardedEngine(seed, shards)
-		return &run{engine: se.Shard(0), se: se}
-	}
-	return &run{engine: sim.NewEngine(seed)}
-}
-
-// testPermuteAssign, when non-nil, rewrites the domain→shard assignment
-// of sharded runs before Partition. It exists only for the metamorphic
-// determinism tests, which assert that results do not depend on where
-// domains land (every cross-domain delivery is ordered by a key made of
-// domain indices, never shard indices, whether or not it crosses shards).
-var testPermuteAssign func(assign []int)
-
-// partition cuts the built topology across the shards; a serial run does
-// nothing. Call it after routes are computed (source-side egress
-// resolution reads them) and before endpoints are constructed (they bind
-// Host.Engine).
-func (r *run) partition(nw *netsim.Network) error {
-	if r.se == nil {
-		return nil
-	}
-	assign := nw.DefaultAssign(r.se.NumShards())
-	if testPermuteAssign != nil {
-		testPermuteAssign(assign)
-	}
-	return nw.Partition(r.se, assign)
-}
+func newRun(seed int64) *run { return &run{engine: sim.NewEngine(seed)} }
 
 // every runs fn each d from now on. Each tick schedules the next after
 // calling fn, one period ahead, exactly like a hand-written
@@ -73,38 +36,17 @@ func (r *run) every(d time.Duration, fn func(now sim.Time)) {
 	r.engine.After(d, tick)
 }
 
-// until executes the run up to and including end.
-func (r *run) until(end sim.Time) error {
-	if r.se != nil {
-		return r.se.RunUntil(end)
-	}
-	return r.engine.RunUntil(end)
-}
-
-// stats reports the engine counters, summed over shards.
-func (r *run) stats() sim.EngineStats {
-	if r.se != nil {
-		return r.se.Stats()
-	}
-	return r.engine.Stats()
-}
-
-// observe turns the metrics registry on — engine counters summed over
-// shards, and the coordinator's when sharded.
+// observe turns the metrics registry on, engine counters included.
 func (r *run) observe() {
 	r.obs = &observer{reg: metrics.NewRegistry()}
-	metrics.InstrumentEngineStats(r.obs.reg, r.stats)
-	if r.se != nil {
-		metrics.InstrumentShardStats(r.obs.reg, r.se)
-	}
+	metrics.InstrumentEngineStats(r.obs.reg, r.engine.Stats)
 }
 
 // Outcome is what every runner counts the same way. Each result embeds
 // it, so its fields read as the result's own and encoding/json flattens
 // them into the result's keys; run.collect fills it after the run.
 type Outcome struct {
-	// Events is the number of simulator events processed, summed over
-	// shards.
+	// Events is the number of simulator events processed.
 	Events uint64 `json:"events"`
 	// Marks and Drops count CE marks and overflow drops at the ports the
 	// runner names: the bottleneck of a star or the testbed, every switch
@@ -144,7 +86,7 @@ type losses interface {
 // host of nw. bneck names the port Marks and Drops count; nil counts every
 // switch port. The snapshot, when metrics are on, is frozen at end.
 func (r *run) collect(nw *netsim.Network, bneck *netsim.Port, end sim.Time, loads ...losses) Outcome {
-	o := Outcome{Events: r.stats().Processed}
+	o := Outcome{Events: r.engine.Stats().Processed}
 	for _, sw := range nw.Switches() {
 		for i := 0; i < sw.Ports(); i++ {
 			p := sw.Port(i)
@@ -237,12 +179,10 @@ func checkShared(rate netsim.Rate, rtt time.Duration, bufferPkts int, duration, 
 }
 
 // sweep runs point for every value on up to workers goroutines (values
-// < 1 mean GOMAXPROCS) and returns the results in input order. A sharded
-// fabric point occupies one goroutine per shard, so the pool shrinks to
-// keep the sweep from oversubscribing the machine. label formats a value
-// for the error of a failed point.
-func sweep[V, P any](ctx context.Context, values []V, workers, shards int, label string, point func(V) (P, error)) ([]P, error) {
-	return runner.Map(ctx, len(values), runner.Options{Workers: workers, ThreadsPerJob: shards},
+// < 1 mean GOMAXPROCS) and returns the results in input order. label
+// formats a value for the error of a failed point.
+func sweep[V, P any](ctx context.Context, values []V, workers int, label string, point func(V) (P, error)) ([]P, error) {
+	return runner.Map(ctx, len(values), runner.Options{Workers: workers},
 		func(_ context.Context, i int) (P, error) {
 			p, err := point(values[i])
 			if err != nil {

@@ -9,44 +9,6 @@ import (
 	"dtdctcp/internal/tcp"
 )
 
-// TestAssignmentPermutationAllRunners is the metamorphic check on the
-// domain→shard assignment for every runner that shards — the fabric —
-// through the one hook: moving domains between shards must not change a
-// single bit, because deliveries are ordered by domain index, never by
-// shard.
-func TestAssignmentPermutationAllRunners(t *testing.T) {
-	const shards = 4
-	run := func(t *testing.T) string {
-		cfg := fabricConfig(t)
-		cfg.Shards = shards
-		res, err := RunFabric(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Digest
-	}
-	t.Run("fabric", func(t *testing.T) {
-		want := run(t)
-		moved := 0
-		testPermuteAssign = func(assign []int) {
-			for d, s := range assign {
-				if s != 0 {
-					assign[d] = shards - s
-					moved++
-				}
-			}
-		}
-		defer func() { testPermuteAssign = nil }()
-		got := run(t)
-		if moved == 0 {
-			t.Fatal("vacuous: the runner never consulted the assignment hook")
-		}
-		if got != want {
-			t.Fatalf("assignment permutation changed results:\nbase:     %s\npermuted: %s", want, got)
-		}
-	})
-}
-
 // TestRefusedConfigs pins configurations that used to panic or be
 // silently rewritten: each must come back as a core: error.
 func TestRefusedConfigs(t *testing.T) {
@@ -177,24 +139,5 @@ func TestRefusedConfigs(t *testing.T) {
 	}
 	if total := res.FCT[0].Flows + res.FCT[1].Flows + res.FCT[2].Flows; total != fabric.Flows {
 		t.Fatalf("explicit buckets cover %d of %d flows", total, fabric.Flows)
-	}
-}
-
-// TestShardedFabricRefusesRandomizedLaw is the regression test for a data
-// race: every fabric port's PIE draws from the construction engine's RNG
-// at runtime, so on two shards both goroutines used shard 0's *rand.Rand
-// (go test -race reported it on exactly this configuration). The
-// combination is refused before anything is built; serially it runs.
-func TestShardedFabricRefusesRandomizedLaw(t *testing.T) {
-	cfg := fabricConfig(t)
-	cfg.Protocol = RenoPIE(cfg.Rate, 500*time.Microsecond)
-	cfg.Flows = 400
-	if _, err := RunFabric(cfg); err != nil {
-		t.Fatalf("serial PIE fabric: %v", err)
-	}
-	cfg.Shards = 2
-	const want = "core: a randomized queue law on a fabric requires serial execution (Shards <= 1)"
-	if _, err := RunFabric(cfg); err == nil || err.Error() != want {
-		t.Fatalf("PIE fabric on 2 shards: got %v, want %q", err, want)
 	}
 }

@@ -87,7 +87,7 @@ const (
 
 // buildTestbed constructs the Fig. 13 topology.
 func buildTestbed(cfg TestbedConfig) (*testbed, error) {
-	r := newRun(cfg.Seed, 1)
+	r := newRun(cfg.Seed)
 	nw := netsim.NewNetwork(r.engine)
 	core := nw.AddSwitch("switch1")
 	agg := nw.AddHost("aggregator")
@@ -190,7 +190,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 	// chains before we declare the run wedged.
 	horizon := time.Duration(rounds) * (10*time.Second + 4*time.Duration(cfg.Workers)*time.Millisecond)
 	end := sim.FromDuration(horizon)
-	if err := tb.until(end); err != nil {
+	if err := tb.engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 	if !queries.Done() {
@@ -254,7 +254,7 @@ type WorkerSweepPoint struct {
 // workers.
 func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
 	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return sweep(ctx, workers, par, 1, "workers=%d", func(n int) (WorkerSweepPoint, error) {
+	return sweep(ctx, workers, par, "workers=%d", func(n int) (WorkerSweepPoint, error) {
 		cfg := base
 		cfg.Workers = n
 		res, err := run(cfg, rounds)

@@ -86,11 +86,6 @@ const maxArrival = sim.Time(math.MaxInt64 / 2)
 
 // Flow is one trace entry with its measured outcome. Its connection id is
 // baseFlow plus its index in Workload.Flows.
-//
-// The sender's fields are written on the source host's event wheel, the
-// receiver's on the destination host's. Distinct flows touch distinct
-// elements and a flow's two ends distinct fields, so sharded workers
-// never contend.
 type Flow struct {
 	// Src and Dst index the workload's host slice.
 	Src, Dst int
@@ -113,20 +108,16 @@ type Flow struct {
 	// record the receiver last closed to.
 	receiver *tcp.Receiver
 	tw       tcp.TimeWait
-	// next indexes the flow that arrives after this one on the same event
-	// wheel; 0, which no flow follows, ends the wheel's chain.
-	next   int32
-	closed bool // the receiver's, beside the sender's done
-	done   bool
+	closed   bool // the receiver's, beside the sender's done
+	done     bool
 }
 
 // FCT returns the flow completion time and whether the flow finished.
 func (f *Flow) FCT() (time.Duration, bool) { return (f.fct - f.Arrival).Duration(), f.done }
 
-// Workload is a started trace: the first arrival of every event wheel is
-// queued and the workload listens on every host; run the engine to
-// execute it. A flow's sender opens at its arrival and its receiver at its
-// first segment.
+// Workload is a started trace: its first arrival is queued and the
+// workload listens on every host; run the engine to execute it. A flow's
+// sender opens at its arrival and its receiver at its first segment.
 type Workload struct {
 	// Flows is the generated trace in arrival order.
 	Flows []Flow
@@ -139,8 +130,7 @@ type Workload struct {
 	arriveFn   func(any)
 	completeFn func(*tcp.Sender, sim.Time)
 	retireFn   func(*tcp.Receiver)
-	// local holds each host's share of the workload; host i's is touched
-	// only on host i's event wheel.
+	// local holds each host's share of the workload.
 	local []hostLocal
 }
 
@@ -156,8 +146,8 @@ type hostLocal struct {
 	resumed   uint64
 }
 
-// chain is one event wheel's arrival chain: the index of the flow whose
-// arrival is queued there.
+// chain is the arrival chain: the index of the flow whose arrival is
+// queued.
 type chain struct{ flow int32 }
 
 // Start generates the trace and wires it onto hosts. All randomness —
@@ -165,14 +155,13 @@ type chain struct{ flow int32 }
 // network construction engine's seeded source, so the trace is a pure
 // function of the run seed. Start builds no connection.
 //
-// Arrivals are a chain per event wheel, not one queued event per flow:
-// Start queues each wheel's first arrival and every arrival queues its
-// wheel's next (see arrive), so the pending set holds what is in flight
-// and not the rest of the trace.
+// Arrivals are a chain, not one queued event per flow: Start queues the
+// first arrival and every arrival queues the next (see arrive), so the
+// pending set holds what is in flight and not the rest of the trace.
 //
 // Each flow is a fresh connection in slow start, and each end of it lives
-// while the flow does, on its own host's event wheel. The sender opens at
-// the arrival and retires at completion. The receiver opens when the
+// while the flow does, on its own host. The sender opens at the arrival
+// and retires at completion. The receiver opens when the
 // flow's first segment reaches the destination — the workload is every
 // host's listener (accept) — and closes once it has acknowledged every
 // byte, to a TIME_WAIT record from which it resumes to re-ACK a late
@@ -242,17 +231,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	w.arriveFn = w.arrive
 	w.completeFn = w.complete
 	w.retireFn = w.retire
-	last := make(map[*sim.Engine]*Flow)
-	for i := range w.Flows {
-		f := &w.Flows[i]
-		wheel := hosts[f.Src].Engine()
-		if prev := last[wheel]; prev != nil {
-			prev.next = int32(i)
-		} else {
-			wheel.InjectArg(f.Arrival, sim.TimeZero, w.arriveFn, &chain{flow: int32(i)})
-		}
-		last[wheel] = f
-	}
+	eng.InjectArg(w.Flows[0].Arrival, sim.TimeZero, w.arriveFn, &chain{})
 	accept := netsim.Listener(w.accept)
 	for _, h := range hosts {
 		h.Listen(accept)
@@ -261,8 +240,8 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 }
 
 // arrive is the start event of one flow: it opens and starts the sender
-// and queues the next arrival of the same wheel. Every arrival is stamped
-// schedAt = TimeZero, the key an up-front Schedule at set-up gave it, so
+// and queues the next arrival. Every arrival is stamped schedAt =
+// TimeZero, the key an up-front Schedule at set-up gave it, so
 // it still sorts ahead of every same-instant event scheduled at run time;
 // arrivals on one instant keep trace order because each is queued by the
 // one before it.
@@ -293,10 +272,9 @@ func (w *Workload) arrive(arg any) {
 	s.OnComplete = w.completeFn
 	f.sender = s
 	s.Start()
-	if f.next != 0 {
-		c.flow = f.next
-		n := &w.Flows[f.next]
-		w.hosts[n.Src].Engine().InjectArg(n.Arrival, sim.TimeZero, w.arriveFn, c)
+	if next := c.flow + 1; int(next) < len(w.Flows) {
+		c.flow = next
+		src.Engine().InjectArg(w.Flows[next].Arrival, sim.TimeZero, w.arriveFn, c)
 	}
 }
 
@@ -484,8 +462,7 @@ func (w *Workload) Cleanup() {
 // Digest folds every flow's trace entry and outcome — size, arrival,
 // endpoints, completion time — into one FNV-1a word, in flow order. Two
 // runs agree on the digest iff they agree on the whole trace and every
-// FCT, making "same seed → same result, regardless of shard count" a
-// one-word comparison.
+// FCT, making "same seed → same result" a one-word comparison.
 func (w *Workload) Digest() uint64 {
 	var h stats.Hash
 	for i := range w.Flows {

@@ -21,8 +21,7 @@ func testFabric(t *testing.T, seed int64) (*sim.Engine, *topo.Fabric) {
 	return e, testFabricOn(t, e)
 }
 
-// testFabricOn builds the 2×2×2 leaf-spine on e: a serial engine, or
-// shard 0 of a sharded one.
+// testFabricOn builds the 2×2×2 leaf-spine on e.
 func testFabricOn(t *testing.T, e *sim.Engine) *topo.Fabric {
 	t.Helper()
 	f, err := topo.LeafSpine(netsim.NewNetwork(e), 2, 2, 2, topo.Config{
@@ -276,40 +275,24 @@ func TestRecordFCT(t *testing.T) {
 }
 
 // TestStartQueuesOneArrivalPerWheel pins the arrival chain's footprint:
-// however long the trace, Start leaves one pending event on each event
-// wheel that owns a source host, and the chain behind it still starts
-// every flow.
+// however long the trace, Start leaves one pending event on the event
+// wheel, and the chain behind it still starts every flow.
 func TestStartQueuesOneArrivalPerWheel(t *testing.T) {
-	for _, shards := range []int{1, 2, 3} {
-		se := sim.NewShardedEngine(7, shards)
-		f := testFabricOn(t, se.Shard(0))
-		if err := f.Net.Partition(se, f.Net.DefaultAssign(shards)); err != nil {
-			t.Fatal(err)
-		}
-		w, err := Start(f.Hosts, testConfig(t, f, 60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wheels := make(map[*sim.Engine]bool)
-		for i := range w.Flows {
-			wheels[f.Hosts[w.Flows[i].Src].Engine()] = true
-		}
-		pending := 0
-		for i := 0; i < shards; i++ {
-			pending += se.Shard(i).Pending()
-		}
-		if len(wheels) != shards || pending != shards {
-			t.Fatalf("shards=%d: %d events pending after Start over %d wheels with a source, want %d and %d",
-				shards, pending, len(wheels), shards, shards)
-		}
-		if err := se.RunUntil(w.LastArrival().Add(time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.Completed(); got != 60 {
-			t.Fatalf("shards=%d: completed %d/60 flows", shards, got)
-		}
-		w.Cleanup()
+	e, f := testFabric(t, 7)
+	w, err := Start(f.Hosts, testConfig(t, f, 60))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("%d events pending after Start, want 1", got)
+	}
+	if err := e.RunUntil(w.LastArrival().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Completed(); got != 60 {
+		t.Fatalf("completed %d/60 flows", got)
+	}
+	w.Cleanup()
 }
 
 // firstSends records, across every port it is attached to, the order in
@@ -411,69 +394,56 @@ func TestArrivalSortsAheadOfRunTimeEvents(t *testing.T) {
 
 // TestSendersBoundedByOpenFlows pins what lazy, recycled senders buy: on
 // a k=4 fat-tree trace a source host constructs as many senders as it
-// ever had flows open at once — not one per flow of the trace — on one
-// event wheel and on two, where each host's free list is touched by its
-// own shard only.
+// ever had flows open at once — not one per flow of the trace.
 func TestSendersBoundedByOpenFlows(t *testing.T) {
 	const flows = 600
-	var digests, outOfOrder []uint64
-	for _, shards := range []int{1, 2} {
-		se := sim.NewShardedEngine(5, shards)
-		link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
-		f, err := topo.FatTree(netsim.NewNetwork(se.Shard(0)), 4, topo.Config{HostLink: link, FabricLink: link})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Net.Partition(se, f.Net.DefaultAssign(shards)); err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig(t, f, flows)
-		cfg.Load = 0.6
-		w, err := Start(f.Hosts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		end := w.LastArrival().Add(2 * time.Second)
-		if err := se.RunUntil(end); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.Completed(); got != flows {
-			t.Fatalf("shards=%d: completed %d/%d flows", shards, got, flows)
-		}
+	e := sim.NewEngine(5)
+	link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
+	f, err := topo.FatTree(netsim.NewNetwork(e), 4, topo.Config{HostLink: link, FabricLink: link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, f, flows)
+	cfg.Load = 0.6
+	w, err := Start(f.Hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := w.LastArrival().Add(2 * time.Second)
+	if err := e.RunUntil(end); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Completed(); got != flows {
+		t.Fatalf("completed %d/%d flows", got, flows)
+	}
 
-		// Peak of concurrently open flows per source host.
-		edges := make([][]edge, len(f.Hosts))
-		for i := range w.Flows {
-			fl := &w.Flows[i]
-			edges[fl.Src] = append(edges[fl.Src], edge{fl.Arrival, +1}, edge{fl.fct, -1})
-		}
-		total, totalPeak := 0, 0
-		for h, es := range edges {
-			peak := peakOpen(es)
-			// Every flow is complete, so every sender the host ever
-			// constructed is back on its free list.
-			built := len(w.local[h].senders)
-			if built > peak {
-				t.Errorf("shards=%d: host %d constructed %d senders, never had more than %d flows open", shards, h, built, peak)
-			}
-			total += built
-			totalPeak += peak
-		}
-		if total == 0 || total*4 > flows {
-			t.Errorf("shards=%d: %d senders constructed for %d flows (peaks sum to %d): recycling is not engaging", shards, total, flows, totalPeak)
-		}
-		t.Logf("shards=%d: %d senders for %d flows", shards, total, flows)
-		digests = append(digests, w.Digest())
-		outOfOrder = append(outOfOrder, w.TotalOutOfOrder())
-		w.Cleanup()
+	// Peak of concurrently open flows per source host.
+	edges := make([][]edge, len(f.Hosts))
+	for i := range w.Flows {
+		fl := &w.Flows[i]
+		edges[fl.Src] = append(edges[fl.Src], edge{fl.Arrival, +1}, edge{fl.fct, -1})
 	}
-	if digests[0] != digests[1] {
-		t.Fatalf("digest %016x on one wheel, %016x on two", digests[0], digests[1])
+	total, totalPeak := 0, 0
+	for h, es := range edges {
+		peak := peakOpen(es)
+		// Every flow is complete, so every sender the host ever
+		// constructed is back on its free list.
+		built := len(w.local[h].senders)
+		if built > peak {
+			t.Errorf("host %d constructed %d senders, never had more than %d flows open", h, built, peak)
+		}
+		total += built
+		totalPeak += peak
 	}
+	if total == 0 || total*4 > flows {
+		t.Errorf("%d senders constructed for %d flows (peaks sum to %d): recycling is not engaging", total, flows, totalPeak)
+	}
+	t.Logf("%d senders for %d flows", total, flows)
 	// The host NICs drop at this load, so the receivers reassemble.
-	if outOfOrder[0] == 0 || outOfOrder[0] != outOfOrder[1] {
-		t.Fatalf("out-of-order segments %d on one wheel, %d on two: want equal and nonzero", outOfOrder[0], outOfOrder[1])
+	if w.TotalOutOfOrder() == 0 {
+		t.Fatal("no out-of-order segment: the receivers never reassembled")
 	}
+	w.Cleanup()
 }
 
 // lifetimes reconstructs, from the ACKs one destination host puts on its
@@ -537,78 +507,68 @@ func peakOpen(es []edge) int {
 }
 
 // TestReceiversBoundedByOpenFlows is TestSendersBoundedByOpenFlows for the
-// other end, on one event wheel and on two: a destination host constructs
+// other end: a destination host constructs
 // as many receivers as it ever had open at once, and its flow table is
 // sized by the connections it had open, not by the flows of the trace.
 // Late duplicates resume receivers from TIME_WAIT on the way.
 func TestReceiversBoundedByOpenFlows(t *testing.T) {
 	const flows = 600
-	var late []uint64
-	for _, shards := range []int{1, 2} {
-		se := sim.NewShardedEngine(5, shards)
-		link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
-		f, err := topo.FatTree(netsim.NewNetwork(se.Shard(0)), 4, topo.Config{HostLink: link, FabricLink: link})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Net.Partition(se, f.Net.DefaultAssign(shards)); err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig(t, f, flows)
-		cfg.Load = 0.6
-		w, err := Start(f.Hosts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces := make([]*lifetimes, len(f.Hosts))
-		for i, h := range f.Hosts {
-			traces[i] = &lifetimes{w: w, seen: map[netsim.FlowID]bool{}, acked: map[netsim.FlowID]bool{}}
-			h.Uplink().SetTracer(traces[i])
-		}
-		if err := se.RunUntil(w.LastArrival().Add(2 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.Completed(); got != flows {
-			t.Fatalf("shards=%d: completed %d/%d flows", shards, got, flows)
-		}
+	e := sim.NewEngine(5)
+	link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
+	f, err := topo.FatTree(netsim.NewNetwork(e), 4, topo.Config{HostLink: link, FabricLink: link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, f, flows)
+	cfg.Load = 0.6
+	w, err := Start(f.Hosts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]*lifetimes, len(f.Hosts))
+	for i, h := range f.Hosts {
+		traces[i] = &lifetimes{w: w, seen: map[netsim.FlowID]bool{}, acked: map[netsim.FlowID]bool{}}
+		h.Uplink().SetTracer(traces[i])
+	}
+	if err := e.RunUntil(w.LastArrival().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Completed(); got != flows {
+		t.Fatalf("completed %d/%d flows", got, flows)
+	}
 
-		received := make([]int, len(f.Hosts))
-		for i := range w.Flows {
-			received[w.Flows[i].Dst]++
-		}
-		total := 0
-		for h, tr := range traces {
-			if len(tr.seen) != received[h] || len(tr.acked) != received[h] {
-				t.Fatalf("shards=%d: host %d ACKed %d flows, completed %d, of the %d it received", shards, h, len(tr.seen), len(tr.acked), received[h])
-			}
-			// Every receiver has closed, so every one the host ever
-			// constructed is back on its list.
-			built, peak := len(w.local[h].receivers), peakOpen(tr.edges)
-			if built > peak {
-				t.Errorf("shards=%d: host %d constructed %d receivers, never had more than %d open", shards, h, built, peak)
-			}
-			senders := len(w.local[h].senders)
-			if capacity := f.Hosts[h].EndpointCapacity(); capacity > max(4, 2*(built+senders)) {
-				t.Errorf("shards=%d: host %d's flow table holds %d endpoints, for at most %d open at once (%d flows received)",
-					shards, h, capacity, built+senders, received[h])
-			}
-			total += built
-		}
-		if total == 0 || total*4 > flows {
-			t.Errorf("shards=%d: %d receivers constructed for %d flows: recycling is not engaging", shards, total, flows)
-		}
-		t.Logf("shards=%d: %d receivers for %d flows, %d late duplicates", shards, total, flows, w.LateDuplicates())
-		late = append(late, w.LateDuplicates())
-		w.Cleanup()
+	received := make([]int, len(f.Hosts))
+	for i := range w.Flows {
+		received[w.Flows[i].Dst]++
 	}
-	if late[0] != late[1] {
-		t.Fatalf("late duplicates %d on one wheel, %d on two", late[0], late[1])
+	total := 0
+	for h, tr := range traces {
+		if len(tr.seen) != received[h] || len(tr.acked) != received[h] {
+			t.Fatalf("host %d ACKed %d flows, completed %d, of the %d it received", h, len(tr.seen), len(tr.acked), received[h])
+		}
+		// Every receiver has closed, so every one the host ever
+		// constructed is back on its list.
+		built, peak := len(w.local[h].receivers), peakOpen(tr.edges)
+		if built > peak {
+			t.Errorf("host %d constructed %d receivers, never had more than %d open", h, built, peak)
+		}
+		senders := len(w.local[h].senders)
+		if capacity := f.Hosts[h].EndpointCapacity(); capacity > max(4, 2*(built+senders)) {
+			t.Errorf("host %d's flow table holds %d endpoints, for at most %d open at once (%d flows received)",
+				h, capacity, built+senders, received[h])
+		}
+		total += built
 	}
+	if total == 0 || total*4 > flows {
+		t.Errorf("%d receivers constructed for %d flows: recycling is not engaging", total, flows)
+	}
+	t.Logf("%d receivers for %d flows, %d late duplicates", total, flows, w.LateDuplicates())
+	w.Cleanup()
 }
 
 // TestFlowRecordSize pins the bytes every trace entry costs for the whole
 // run: the TIME_WAIT record rides in the space the connection id and the
-// narrowed counters and chain link gave up.
+// narrowed counters gave up.
 func TestFlowRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit platforms")

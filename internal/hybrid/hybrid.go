@@ -33,9 +33,9 @@
 //
 // Ticks are engine events stamped with a reserved source key
 // (SrcKey), far above any topology domain index, so same-instant ties
-// between a tick and packet deliveries resolve by the identical
-// (at, schedAt, srcKey, srcSeq) ordering key in serial and sharded runs
-// — the coupling never perturbs the determinism contract.
+// between a tick and packet deliveries resolve by the (at, schedAt,
+// srcKey, srcSeq) ordering key, fixed by the topology — the coupling
+// never perturbs the determinism contract.
 package hybrid
 
 import (
@@ -74,8 +74,7 @@ type Config struct {
 	// Interval()/stepsPerTick.
 	Fluid fluid.Config
 	// Port is the bottleneck egress the background flows share with
-	// foreground traffic. It must be pinned to the engine the Coupler is
-	// started on (shard 0 in sharded runs).
+	// foreground traffic, on the engine the Coupler is started on.
 	Port *netsim.Port
 	// PktSize converts fluid packets to bytes: the foreground protocol's
 	// packet size.

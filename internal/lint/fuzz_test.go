@@ -13,7 +13,7 @@ import (
 func FuzzAllowParse(f *testing.F) {
 	seeds := []string{
 		"//dtlint:allow nondeterm: the one seeded root source",
-		"//dtlint:allow alpha,beta -- two analyzers at once",
+		"//dtlint:allow alpha,beta: two analyzers at once",
 		"//dtlint:allow maporder: fixpoint, order-insensitive",
 		"//dtlint:allow",
 		"//dtlint:allow hotalloc:",
@@ -23,7 +23,7 @@ func FuzzAllowParse(f *testing.F) {
 		"//dtlint:hotpath",
 		"//dtlint:allow a-b: hyphenated name before colon",
 		"//dtlint:allow a--b",
-		"//\tdtlint:allow simtime\t--\ttabs everywhere",
+		"//\tdtlint:allow simtime\t:\ttabs everywhere",
 		"//dtlint:allow x: reason: with: colons",
 	}
 	for _, s := range seeds {

@@ -224,7 +224,7 @@ func TestAllowIndex(t *testing.T) {
 //dtlint:allow nondeterm,maporder: two analyzers at once
 var a int
 
-var b int //dtlint:allow floatcmp -- same line, legacy separator
+var b int //dtlint:allow floatcmp: same line
 `
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
@@ -265,11 +265,13 @@ func TestParseAllowComment(t *testing.T) {
 		ok     bool
 	}{
 		{"//dtlint:allow nondeterm: seeded root", []string{"nondeterm"}, "seeded root", true},
-		{"//dtlint:allow a,b -- legacy", []string{"a", "b"}, "legacy", true},
+		{"//dtlint:allow a,b: two names", []string{"a", "b"}, "two names", true},
 		{"//dtlint:allow a, b :  spaced ", []string{"a", "b"}, "spaced", true},
 		{"//dtlint:allow a-b: hyphenated name", []string{"a-b"}, "hyphenated name", true},
 		{"//dtlint:allow x: reason: with colons", []string{"x"}, "reason: with colons", true},
-		{"//dtlint:allow maporder -- note: earliest separator wins", []string{"maporder"}, "note: earliest separator wins", true},
+		// "--" is no separator: the names run to the colon, or the reason is empty.
+		{"//dtlint:allow maporder -- note: a reason", []string{"maporder -- note"}, "a reason", true},
+		{"//dtlint:allow maporder -- a reason", []string{"maporder -- a reason"}, "", true},
 		{"//dtlint:allow", nil, "", true},                            // malformed: no names, no reason
 		{"//dtlint:allow hotalloc:", []string{"hotalloc"}, "", true}, // malformed: empty reason
 		{"//dtlint:allow : orphan reason", nil, "orphan reason", true},
@@ -302,6 +304,9 @@ var c int
 
 //dtlint:allow maporder: fine as is
 var d int
+
+//dtlint:allow floatcmp -- legacy: the old separator
+var e int
 `
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
@@ -309,8 +314,8 @@ var d int
 		t.Fatal(err)
 	}
 	idx, diags := buildAllowIndex(fset, []*ast.File{f})
-	if len(diags) != 3 {
-		t.Fatalf("diagnostics = %d (%v), want 3 (reasonless, nameless, unknown name)", len(diags), diags)
+	if len(diags) != 4 {
+		t.Fatalf("diagnostics = %d (%v), want 4 (reasonless, nameless, two unknown names)", len(diags), diags)
 	}
 	for _, d := range diags {
 		if d.Analyzer != allowDiagAnalyzer {
@@ -329,6 +334,13 @@ var d int
 	// …while the well-formed one did.
 	if !idx.allows(token.Position{Filename: "p.go", Line: 13}, "maporder") {
 		t.Error("well-formed annotation missing from the index")
+	}
+	// The legacy "--" separator is refused: its names are unknown.
+	if !strings.Contains(fmt.Sprint(diags), `unknown analyzer "floatcmp -- legacy"`) {
+		t.Errorf("legacy separator not refused as an unknown analyzer: %v", diags)
+	}
+	if idx.allows(token.Position{Filename: "p.go", Line: 16}, "floatcmp") {
+		t.Error("legacy-separator annotation suppressed a finding")
 	}
 }
 
@@ -378,79 +390,6 @@ func install() {
 	want := "hotDoc,hotLineAbove,func literal"
 	if got := strings.Join(names, ","); got != want {
 		t.Errorf("HotFuncs = %q, want %q (cold and the unmarked literal excluded)", got, want)
-	}
-}
-
-// TestShardBoundaryGrammar pins the marker parser: reasoned markers
-// carry their justification, reasonless ones are distinguishable, and
-// near-miss words are not markers at all.
-func TestShardBoundaryGrammar(t *testing.T) {
-	cases := []struct {
-		text   string
-		reason string
-		ok     bool
-	}{
-		{"//dtlint:shardboundary epoch barrier fan-out", "epoch barrier fan-out", true},
-		{"//dtlint:shardboundary", "", true},
-		{"//dtlint:shardboundary   ", "", true},
-		{"//dtlint:shardboundaryish", "", false},
-		{"//dtlint:hotpath", "", false},
-		{"// ordinary comment", "", false},
-	}
-	for _, c := range cases {
-		reason, ok := parseShardBoundaryComment(c.text)
-		if ok != c.ok || reason != c.reason {
-			t.Errorf("parseShardBoundaryComment(%q) = (%q, %v), want (%q, %v)",
-				c.text, reason, ok, c.reason, c.ok)
-		}
-	}
-}
-
-// TestShardBoundaryDiagnostics pins the reason requirement: a reasonless
-// shardboundary marker exempts nothing and surfaces as a framework
-// diagnostic, while a reasoned one enters the index.
-func TestShardBoundaryDiagnostics(t *testing.T) {
-	src := `package p
-
-//dtlint:shardboundary
-func bare() {}
-
-//dtlint:shardboundary coordinator fan-out
-func reasoned() {}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si, diags := buildShardIndex(fset, []*ast.File{f})
-	if len(diags) != 1 {
-		t.Fatalf("diagnostics = %d (%v), want 1 (reasonless marker)", len(diags), diags)
-	}
-	if diags[0].Analyzer != allowDiagAnalyzer {
-		t.Errorf("diagnostic analyzer = %q, want %q", diags[0].Analyzer, allowDiagAnalyzer)
-	}
-	if !strings.Contains(diags[0].Message, "without a reason") {
-		t.Errorf("diagnostic message missing reason requirement: %v", diags[0])
-	}
-	if si.markerLines["p.go"][3] {
-		t.Error("reasonless marker entered the index")
-	}
-	if !si.markerLines["p.go"][6] {
-		t.Error("reasoned marker missing from the index")
-	}
-	// Placement: the reasoned marker covers its declaration.
-	var decls []*ast.FuncDecl
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			decls = append(decls, fd)
-		}
-	}
-	if si.boundaryDecl(fset, decls[0]) {
-		t.Error("reasonless marker exempted its function")
-	}
-	if !si.boundaryDecl(fset, decls[1]) {
-		t.Error("reasoned marker did not exempt its function")
 	}
 }
 

@@ -24,5 +24,5 @@ func integers(a, b int) bool {
 }
 
 func sentinel(x float64) bool {
-	return x == 0 //dtlint:allow floatcmp -- x is assigned zero, never computed
+	return x == 0 //dtlint:allow floatcmp: x is assigned zero, never computed
 }

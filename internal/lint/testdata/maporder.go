@@ -34,7 +34,7 @@ func unsortedCollection(m map[int]string) []int {
 
 func provenInsensitive(m map[int]int) int {
 	sum := 0
-	//dtlint:allow maporder -- addition is commutative
+	//dtlint:allow maporder: addition is commutative
 	for _, v := range m {
 		sum += v
 	}

@@ -34,5 +34,5 @@ func localSource(seed int64) *rand.Rand {
 }
 
 func sanctionedRoot(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed)) //dtlint:allow nondeterm -- fixture's designated root source
+	return rand.New(rand.NewSource(seed)) //dtlint:allow nondeterm: fixture's designated root source
 }

@@ -25,5 +25,5 @@ func sanctioned() {
 	schedule(sim.TimeZero)                            // ok: named constant
 	schedule(0)                                       // ok: the zero value is unambiguous
 	schedule(epoch)                                   // ok: named constant
-	schedule(sim.Time(12345)) //dtlint:allow simtime -- fixture exercises the annotation path
+	schedule(sim.Time(12345)) //dtlint:allow simtime: fixture exercises the annotation path
 }

@@ -56,30 +56,3 @@ func allowedInit() {
 	//dtlint:allow soloengine: init-time registration, runs before any engine starts
 	counter = 0
 }
-
-// dispatchBarrier is the sanctioned sync layer: a reasoned shardboundary
-// marker exempts the whole body, including the nested worker literal.
-//
-//dtlint:shardboundary epoch barrier fan-out/join is the one place concurrency belongs
-func dispatchBarrier(work chan int, done chan int) {
-	go func() { // ok: inside the marked sync layer
-		for h := range work {
-			done <- h // ok: nested literal rides the exemption
-		}
-	}()
-	select { // ok
-	case v := <-done: // ok
-		_ = v
-	default:
-	}
-}
-
-func joinBarrier(done chan int) int {
-	//dtlint:shardboundary worker join publishes shard state to the barrier
-	collect := func() int { return <-done } // ok: marker on the line above the literal
-	return collect()
-}
-
-func unmarkedCoordinator(work chan int) {
-	work <- 1 // want "channel send in the engine core"
-}

@@ -1,20 +1,13 @@
 package metrics
 
-import (
-	"strconv"
-
-	"dtdctcp/internal/sim"
-)
+import "dtdctcp/internal/sim"
 
 // InstrumentEngineStats registers pull metrics over an engine's existing
 // counters: events scheduled, executed, and cancelled, insertions a sorted
 // lane took past the heap, free-list hits and misses plus the derived hit
 // rate, compaction passes, and the pending-queue depth with its
-// high-water mark. The source is a single
-// engine's Stats, or a ShardedEngine's merged Stats, so a partitioned
-// run exports one coherent set of totals instead of per-shard
-// fragments. It is only called at snapshot time, so the event loop is
-// untouched.
+// high-water mark. stats is only called at snapshot time, so the event
+// loop is untouched.
 func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 	r.CounterFunc("sim_events_scheduled_total",
 		"Events scheduled on the engine, one per timer arm (a rearm in place queues nothing but still counts).",
@@ -53,25 +46,4 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 	r.GaugeFunc("sim_events_pending_max",
 		"High-water mark of the pending-event queue (the maximum over shards in a sharded run, since per-shard marks do not align in time).",
 		func() float64 { return float64(stats().MaxPending) })
-}
-
-// InstrumentShardStats registers the sharded coordinator's counters:
-// windows, deliveries through the barrier and around it, and the events
-// each shard processed. All are exact functions of the run, read at
-// snapshot time.
-func InstrumentShardStats(r *Registry, se *sim.ShardedEngine) {
-	r.CounterFunc("sim_shard_epochs_total",
-		"Epoch windows the coordinator dispatched.",
-		func() uint64 { return se.ShardStats().Epochs })
-	r.CounterFunc("sim_shard_messages_total",
-		"Link deliveries that crossed shards through the barrier mailbox.",
-		func() uint64 { return se.ShardStats().Messages })
-	r.CounterFunc("sim_shard_colocated_total",
-		"Link deliveries scheduled directly because source and destination share a shard.",
-		func() uint64 { return se.ShardStats().Colocated })
-	for i := 0; i < se.NumShards(); i++ {
-		r.CounterFunc("sim_shard_events_total",
-			"Events processed, by shard.",
-			func() uint64 { return se.ShardStats().Events[i] }, L("shard", strconv.Itoa(i)))
-	}
 }

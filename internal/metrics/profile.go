@@ -10,11 +10,18 @@ import (
 // Profile runs fn inside the profiles a command's -cpuprofile and
 // -memprofile flags ask for: a CPU profile written to cpuPath covers fn,
 // and once fn succeeds the heap is garbage-collected for an up-to-date
-// picture and its profile written to heapPath. An empty path skips that
-// profile. The result is fn's error, else the first error from writing
-// either profile. Profiling is strictly opt-in and has no effect on
-// simulation results (it samples the OS thread, not the virtual clock).
+// picture and its profile written to heapPath. The heap profile records
+// every allocation fn makes, not the default one sample per 512 KB, which
+// leaves a quick run's profile with a sample or two. An empty path skips
+// that profile. The result is
+// fn's error, else the first error from writing either profile.
+// Profiling is strictly opt-in and has no effect on simulation results
+// (it samples the OS thread, not the virtual clock).
 func Profile(cpuPath, heapPath string, fn func() error) (err error) {
+	if heapPath != "" {
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1
+	}
 	if cpuPath != "" {
 		// perr, not err: a block-local err would hide the named result
 		// from the deferred close.

@@ -1,9 +1,13 @@
 package metrics
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -38,6 +42,52 @@ func TestCPUProfileWritesFile(t *testing.T) {
 	// A second profile must not collide with the finished one.
 	if err := Profile(filepath.Join(t.TempDir(), "cpu2.pprof"), "", burn); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// heapSink keeps allocateSmall's blocks reachable until the profile is
+// written.
+var heapSink [][]byte
+
+// allocateSmall makes ten 64-byte allocations, 640 bytes in all: at the
+// default sampling rate of one sample per 512 KB it would appear in a
+// heap profile about once in 800 runs.
+//
+//go:noinline
+func allocateSmall() error {
+	for i := 0; i < 10; i++ {
+		heapSink = append(heapSink, make([]byte, 64))
+	}
+	return nil
+}
+
+// TestHeapProfileRecordsEveryAllocation: the heap profile names a
+// function whose few hundred bytes a sampled profile would miss.
+func TestHeapProfileRecordsEveryAllocation(t *testing.T) {
+	rate := runtime.MemProfileRate
+	path := filepath.Join(t.TempDir(), "heap.pprof")
+	if err := Profile("", path, allocateSmall); err != nil {
+		t.Fatal(err)
+	}
+	heapSink = nil
+	if runtime.MemProfileRate != rate {
+		t.Fatalf("MemProfileRate left at %d, want %d restored", runtime.MemProfileRate, rate)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte("allocateSmall")) {
+		t.Fatal("heap profile does not name allocateSmall: allocations are sampled, not recorded")
 	}
 }
 

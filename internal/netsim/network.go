@@ -20,13 +20,6 @@ type Network struct {
 	adjacency map[NodeID][]NodeID
 	// pool recycles packets across the whole topology; see AllocPacket.
 	pool packetPool
-
-	// Sharded execution state (see Partition in shard.go): the
-	// coordinator, one packet free list per shard, and the rebalancing
-	// scratch buffer that levels them between epochs.
-	se         *sim.ShardedEngine
-	shardPools []packetPool
-	spares     []*Packet
 }
 
 // NewNetwork creates an empty topology bound to the engine.
@@ -40,13 +33,10 @@ func (n *Network) Engine() *sim.Engine { return n.engine }
 // AddHost creates a host node.
 func (n *Network) AddHost(name string) *Host {
 	h := &Host{
-		id:     NodeID(len(n.nodes)),
-		name:   name,
-		net:    n,
-		engine: n.engine,
-		pool:   &n.pool,
+		id:   NodeID(len(n.nodes)),
+		name: name,
+		net:  n,
 	}
-	h.recvArgFn = func(arg any) { h.Receive(arg.(*Packet)) }
 	n.nodes = append(n.nodes, h)
 	n.hosts = append(n.hosts, h)
 	return h
@@ -132,17 +122,13 @@ func (n *Network) attach(from, to Node, cfg PortConfig) {
 // paths (hop count, BFS); among equal-cost next hops the lowest port
 // index wins. It must be called after the topology is complete and
 // before any traffic is sent. It also stamps every port with its stable
-// shard-domain index (hosts in creation order, then switch ports in
-// switch × attachment order — the same numbering Partition uses), so
-// serial runs order same-instant cross-domain deliveries by the
-// identical key a partitioned run produces at its epoch barriers.
+// domain index (see stampDomains).
 func (n *Network) ComputeRoutes() error { return n.computeRoutes(0, false) }
 
-// stampDomains writes the stable shard-domain index onto every port
-// (hosts in creation order, then switch ports in switch × attachment
-// order — the numbering Partition uses), so serial runs order
-// same-instant cross-domain deliveries by the identical key a
-// partitioned run produces at its epoch barriers.
+// stampDomains writes a stable domain index onto every port — hosts in
+// creation order, then switch ports in switch × attachment order — which
+// the port ships its deliveries under, so same-instant deliveries from
+// different ports tie-break by the topology (see Port.ship).
 func (n *Network) stampDomains() {
 	d := 0
 	for _, h := range n.hosts {
@@ -166,9 +152,8 @@ func (n *Network) stampDomains() {
 // flow id) over it — see Switch.egress. The salt should come from the
 // topology's seeded engine so placement is a pure function of the run
 // seed; ECMP sets are ordered by port index, so the choice is
-// reproducible and independent of shard count and domain assignment.
-// Like ComputeRoutes, it must be called after the topology is complete
-// and before any traffic (or Partition).
+// reproducible. Like ComputeRoutes, it must be called after the topology
+// is complete and before any traffic.
 func (n *Network) ComputeRoutesECMP(salt uint64) error { return n.computeRoutes(salt, true) }
 
 // computeRoutes builds every switch's forwarding table from scratch, so

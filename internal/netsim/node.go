@@ -50,21 +50,14 @@ type Switch struct {
 	fwd []int32
 	// sets holds the switch's distinct ECMP sets, each stored once however
 	// many destinations share it. Sets are ordered by port index so path
-	// selection is a pure function of (hashSalt, switch id, flow id) —
-	// identical in serial and sharded runs.
+	// selection is a pure function of (hashSalt, switch id, flow id).
 	sets [][]int32
 	// hashSalt seeds the ECMP flow hash; drawn once per topology from
 	// the engine's seeded source so path placement varies with the run
-	// seed but never with shard count or assignment.
+	// seed.
 	hashSalt uint64
 	// droppedNoRoute counts packets with no matching route.
 	droppedNoRoute uint64
-
-	// Sharded execution (see Network.Partition): routeless packets have
-	// no egress domain, so they are charged to the shard of the first
-	// port, where noRouteFn counts and recycles them.
-	noRouteShard int
-	noRouteFn    func(any)
 }
 
 // ID implements Node.
@@ -90,9 +83,7 @@ func (s *Switch) PortTo(peer NodeID) *Port {
 // egress resolves the packet's output port index: the ECMP set when the
 // destination has several equal-cost next hops, the static route
 // otherwise. ECMP selection hashes (topology salt, switch id, flow id),
-// so a flow's path is fixed for its lifetime and identical whether the
-// lookup runs serially in Receive or at a shipping port's source-side
-// resolution on another shard.
+// so a flow's path is fixed for its lifetime.
 //
 //dtlint:hotpath
 func (s *Switch) egress(pkt *Packet) (int, bool) {
@@ -256,17 +247,6 @@ type Host struct {
 	listener Listener
 	// droppedNoFlow counts packets for unknown flows.
 	droppedNoFlow uint64
-
-	// engine is the event wheel this host's endpoints schedule on: the
-	// network's engine in a serial run, the owning shard's under
-	// Partition. pool is the packet free list on the same shard.
-	engine *sim.Engine
-	pool   *packetPool
-	// shard and recvArgFn serve cross-shard delivery: a remote port
-	// ships arriving packets as barrier messages running recvArgFn on
-	// this host's shard.
-	shard     int
-	recvArgFn func(any)
 }
 
 // ID implements Node.
@@ -282,19 +262,14 @@ func (h *Host) Uplink() *Port { return h.uplink }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// Engine returns the event wheel this host's endpoints must schedule on:
-// the network's engine in a serial run, the owning shard's engine after
-// Network.Partition. Transports bind timers and events through this
-// accessor so the same endpoint code runs serial or sharded unchanged.
-func (h *Host) Engine() *sim.Engine { return h.engine }
+// Engine returns the event wheel this host's endpoints schedule on: the
+// network's engine.
+func (h *Host) Engine() *sim.Engine { return h.net.engine }
 
-// AllocPacket returns a zeroed packet from the host's free list (the
-// shard-local list under Partition, the network-wide one otherwise).
-// Endpoints must allocate through their host so packet storage stays on
-// the shard that fills it.
+// AllocPacket returns a zeroed packet from the network's free list.
 //
 //dtlint:hotpath
-func (h *Host) AllocPacket() *Packet { return h.pool.get() }
+func (h *Host) AllocPacket() *Packet { return h.net.pool.get() }
 
 // Register attaches a transport endpoint for a flow. Registering a second
 // endpoint for the same flow, or a nil one, panics: it is always a
@@ -352,11 +327,11 @@ func (h *Host) Receive(pkt *Packet) {
 	}
 	if ep == nil {
 		h.droppedNoFlow++
-		h.pool.put(pkt)
+		h.net.pool.put(pkt)
 		return
 	}
 	ep.Deliver(pkt)
-	h.pool.put(pkt)
+	h.net.pool.put(pkt)
 }
 
 // DroppedNoFlow reports packets discarded for lack of an endpoint.

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"time"
 
 	"dtdctcp/internal/aqm"
@@ -138,30 +137,13 @@ type Port struct {
 	// free of closure allocations.
 	txDoneFn  func(any)
 	deliverFn func(any)
-	// sendArgFn wraps Send for source-resolved delivery on a partitioned
-	// network: a domain whose route egresses here schedules it directly
-	// when it shares this port's shard, and ships a barrier message that
-	// runs it on this port's shard otherwise.
-	sendArgFn func(any)
 
-	// pool is the packet free list drops and deliveries recycle into:
-	// the network-wide pool in a serial run, the owning shard's under
-	// Partition.
-	pool *packetPool
-	// shard and outbox bind the port for sharded execution (nil outbox ⇒
-	// serial). srcKey is the stable domain index the port ships under and
-	// xseq its per-domain monotone delivery counter; ComputeRoutes assigns
-	// srcKey for serial runs too, so a serial engine orders same-instant
-	// deliveries by the identical (srcKey, xseq) key a partitioned run
-	// uses at its barriers. srcKey < 0 means unassigned (a topology that
-	// never computed routes), which falls back to unkeyed scheduling.
-	// offShard records whether any delivery from this port can land on
-	// another shard; only such links bound the coordinator's lookahead.
-	shard    int
-	srcKey   int
-	xseq     uint64
-	outbox   *sim.Outbox
-	offShard bool
+	// srcKey is the stable domain index the port ships under and xseq
+	// its monotone delivery counter (see ship); ComputeRoutes assigns
+	// srcKey. srcKey < 0 means unassigned (a topology that never computed
+	// routes), which falls back to unkeyed scheduling.
+	srcKey int
+	xseq   uint64
 }
 
 // PortConfig bundles the parameters of one directed link attachment.
@@ -189,14 +171,11 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 		buffer: cfg.Buffer,
 		policy: policy,
 		peer:   peer,
-		pool:   &net.pool,
 		srcKey: -1,
 	}
 	p.dequeue, _ = policy.(aqm.DequeuePolicy)
 	//dtlint:hotpath
 	p.deliverFn = func(arg any) { p.peer.Receive(arg.(*Packet)) }
-	//dtlint:hotpath
-	p.sendArgFn = func(arg any) { p.Send(arg.(*Packet)) }
 	//dtlint:hotpath
 	p.txDoneFn = func(arg any) {
 		pkt := arg.(*Packet)
@@ -214,93 +193,22 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 	return p
 }
 
-// bindShard rebinds the port to its shard's engine, outbox, and pool; its
-// deliveries stay keyed by the domain index stampDomains gave it.
-func (p *Port) bindShard(se *sim.ShardedEngine, pool *packetPool) {
-	p.engine = se.Shard(p.shard)
-	p.outbox = se.Outbox(p.shard)
-	p.pool = pool
-}
-
 // ship launches a serialized packet onto the wire: arrival at the peer
-// after the propagation delay. Serially that is one self-owned event. A
-// partitioned port resolves the switch hop at the source (see shard.go)
-// and either schedules the egress port's — or the peer host's — handler
-// itself, when that lives on its own shard, or ships a barrier message
-// to the shard it lives on. Every path stamps the delivery with the
-// ship instant and the port's stable (srcKey, xseq) identity, so
-// same-instant arrival ties at the destination resolve identically
-// whether the run is serial or partitioned, however its domains are
-// grouped — a tie between two domains' deliveries is decided by the
-// topology-derived key, never by the engine-local scheduling
-// interleaving, which a partitioned run could not reproduce.
+// after the propagation delay, one self-owned event. The delivery is
+// stamped with the port's stable (srcKey, xseq) identity, so a
+// same-instant arrival tie at the peer between two ports' deliveries is
+// decided by the topology-derived key, not by which of the two happened
+// to schedule first.
 //
 //dtlint:hotpath
 func (p *Port) ship(pkt *Packet) {
-	if p.outbox == nil {
-		if p.srcKey < 0 {
-			// Routes never computed: no stable identity to ship under.
-			p.engine.AfterArg(p.delay, p.deliverFn, pkt)
-			return
-		}
-		now := p.engine.Now()
-		p.engine.ScheduleSrcArg(now.Add(p.delay), p.srcKey, p.xseq, p.deliverFn, pkt)
-		p.xseq++
+	if p.srcKey < 0 {
+		// Routes never computed: no stable identity to ship under.
+		p.engine.AfterArg(p.delay, p.deliverFn, pkt)
 		return
 	}
-	now := p.engine.Now()
-	at := now.Add(p.delay)
-	if dst, fn := p.resolveDst(pkt); dst == p.shard {
-		p.engine.ScheduleSrcArg(at, p.srcKey, p.xseq, fn, pkt)
-		p.outbox.NoteLocal()
-	} else {
-		p.outbox.Ship(sim.Message{At: at, SchedAt: now, SrcKey: p.srcKey, SrcSeq: p.xseq, Dst: dst, Fn: fn, Arg: pkt})
-	}
+	p.engine.ScheduleSrcArg(p.engine.Now().Add(p.delay), p.srcKey, p.xseq, p.deliverFn, pkt)
 	p.xseq++
-}
-
-// resolveDst maps a packet to its destination shard and delivery
-// function. Host peers take the packet directly; switch peers are
-// resolved through their routing state to the egress port, whose
-// Send runs on its own shard at the arrival instant — the same
-// Switch.egress lookup (static route or ECMP hash) Receive performs
-// serially, against tables that are read-only after
-// ComputeRoutes/ComputeRoutesECMP.
-//
-//dtlint:hotpath
-func (p *Port) resolveDst(pkt *Packet) (int, func(any)) {
-	switch peer := p.peer.(type) {
-	case *Host:
-		return peer.shard, peer.recvArgFn
-	case *Switch:
-		idx, ok := peer.egress(pkt)
-		if !ok {
-			return peer.noRouteShard, peer.noRouteFn
-		}
-		egress := peer.ports[idx]
-		return egress.shard, egress.sendArgFn
-	default:
-		//dtlint:allow hotalloc: unreachable die path; nodes are hosts or switches
-		panic(fmt.Sprintf("netsim: unknown peer type %T", p.peer))
-	}
-}
-
-// shipsOffShard reports whether resolveDst can name another shard for
-// some packet: a peer host that lives on one, or a peer switch with any
-// port that does (an egress port of its routes, or its first port, which
-// takes routeless packets).
-func (p *Port) shipsOffShard() bool {
-	switch peer := p.peer.(type) {
-	case *Host:
-		return peer.shard != p.shard
-	case *Switch:
-		for _, q := range peer.ports {
-			if q.shard != p.shard {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SetMonitor attaches a queue monitor; pass nil to detach.
@@ -369,19 +277,11 @@ func (p *Port) SetRate(r Rate) {
 
 // SetDelay changes the propagation delay. Packets already launched keep
 // their old arrival times (the wire does not reorder); negative delays
-// are ignored. On a partitioned network a link that can deliver to
-// another shard must stay at least as long as the coordinator's
-// lookahead — a shorter one would land deliveries inside a window other
-// shards have already run — so shortening it below that panics, like
-// scheduling into the past.
+// are ignored.
 func (p *Port) SetDelay(d time.Duration) {
-	if d < 0 {
-		return
+	if d >= 0 {
+		p.delay = d
 	}
-	if p.offShard && sim.FromDuration(d) < p.net.se.Lookahead() {
-		panic(fmt.Sprintf("netsim: delay %v on a cross-shard link is below the lookahead %v", d, p.net.se.Lookahead()))
-	}
-	p.delay = d
 }
 
 // SetBuffer resizes the queue capacity. Shrinking below the current
@@ -489,7 +389,7 @@ func (p *Port) drop(pkt *Packet, overflow bool) {
 	if p.tracer != nil {
 		p.tracer.PacketDropped(p.engine.Now(), pkt, p.queueLen, overflow)
 	}
-	p.pool.put(pkt)
+	p.net.pool.put(pkt)
 }
 
 // dropFault discards a packet lost to a fault (corruption, dead link):
@@ -506,7 +406,7 @@ func (p *Port) dropFault(pkt *Packet, kind FaultKind) {
 	if p.tracer != nil {
 		p.tracer.PacketFaulted(p.engine.Now(), pkt, p.queueLen, kind)
 	}
-	p.pool.put(pkt)
+	p.net.pool.put(pkt)
 }
 
 // Send offers a packet to the port. The AQM policy is consulted with the

@@ -20,8 +20,8 @@ import (
 // exactly to the per-port tail-drop rule at buffer B — the uncontended
 // limit the conformance grid pins verdict-for-verdict.
 //
-// All member ports must execute on one shard (Network.Partition enforces
-// this), so the pool counter needs no synchronization.
+// Member ports run on one event wheel, so the pool counter needs no
+// synchronization.
 type SharedBuffer struct {
 	total int     // B: pool capacity in bytes
 	alpha float64 // dynamic-threshold α

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -294,71 +293,6 @@ func TestSharedBufferResizeEvictsLongestQueue(t *testing.T) {
 	sb.Resize(-1)
 	if sb.Total() != 10*pktSize {
 		t.Fatal("negative Resize mutated capacity")
-	}
-}
-
-// Partition must reject a pool whose member ports land on different
-// shards: the pool counter is unsynchronized by design.
-func TestPartitionRejectsSplitPool(t *testing.T) {
-	se := sim.NewShardedEngine(1, 2)
-	e := se.Shard(0)
-	n := NewNetwork(e)
-	sw := n.AddSwitch("sw")
-	cfg := PortConfig{Rate: Gbps, Delay: 25 * time.Microsecond, Buffer: 64 * pktSize}
-	var dsts []*Host
-	for i := 0; i < 2; i++ {
-		h := n.AddHost("h")
-		if err := n.Connect(h, sw, cfg, cfg); err != nil {
-			t.Fatal(err)
-		}
-		dsts = append(dsts, h)
-	}
-	if err := n.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	p0, p1 := sw.PortTo(dsts[0].ID()), sw.PortTo(dsts[1].ID())
-	sb, _ := NewSharedBuffer(64*pktSize, 2)
-	if err := sb.Attach(p0, p1); err != nil {
-		t.Fatal(err)
-	}
-	// Assign the two switch-port domains to different shards.
-	assign := make([]int, n.NumDomains())
-	assign[n.PortDomain(p0)] = 0
-	assign[n.PortDomain(p1)] = 1
-	if err := n.Partition(se, assign); err == nil {
-		t.Fatal("split pool accepted")
-	} else if !strings.Contains(err.Error(), "shared-buffer pool split") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// Co-located members partition fine.
-	se2 := sim.NewShardedEngine(1, 2)
-	e2 := se2.Shard(0)
-	n2 := NewNetwork(e2)
-	sw2 := n2.AddSwitch("sw")
-	var dsts2 []*Host
-	for i := 0; i < 2; i++ {
-		h := n2.AddHost("h")
-		if err := n2.Connect(h, sw2, cfg, cfg); err != nil {
-			t.Fatal(err)
-		}
-		dsts2 = append(dsts2, h)
-	}
-	if err := n2.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	q0, q1 := sw2.PortTo(dsts2[0].ID()), sw2.PortTo(dsts2[1].ID())
-	sb2, _ := NewSharedBuffer(64*pktSize, 2)
-	if err := sb2.Attach(q0, q1); err != nil {
-		t.Fatal(err)
-	}
-	assign2 := make([]int, n2.NumDomains())
-	for d := range assign2 {
-		assign2[d] = 1
-	}
-	assign2[n2.PortDomain(q0)] = 0
-	assign2[n2.PortDomain(q1)] = 0
-	if err := n2.Partition(se2, assign2); err != nil {
-		t.Fatalf("co-located pool rejected: %v", err)
 	}
 }
 

@@ -25,13 +25,6 @@ type Options struct {
 	// Workers is the number of concurrent goroutines; values < 1 mean
 	// runtime.GOMAXPROCS(0). Workers is always clamped to the job count.
 	Workers int
-	// ThreadsPerJob declares how many OS threads a single job keeps busy
-	// (a sharded simulation run occupies one goroutine per shard); values
-	// < 1 mean 1. Map divides the worker budget by it so a sweep of
-	// sharded runs cannot oversubscribe the machine: explicit Workers are
-	// capped at GOMAXPROCS/ThreadsPerJob (floor 1), and the default
-	// worker count starts from that quotient instead of GOMAXPROCS.
-	ThreadsPerJob int
 }
 
 // PanicError wraps a panic recovered from one job so the caller sees
@@ -66,15 +59,6 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.ThreadsPerJob > 1 {
-		budget := runtime.GOMAXPROCS(0) / opts.ThreadsPerJob
-		if budget < 1 {
-			budget = 1
-		}
-		if workers > budget {
-			workers = budget
-		}
 	}
 	if workers > n {
 		workers = n

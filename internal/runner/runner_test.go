@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -159,27 +158,5 @@ func TestMapDefaultWorkers(t *testing.T) {
 	}
 	if want := 17 * 18 / 2; sum != want {
 		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-}
-
-func TestMapThreadsPerJobCapsConcurrency(t *testing.T) {
-	// With ThreadsPerJob exceeding the whole machine, only one job may run
-	// at a time, no matter how many workers were requested.
-	var cur, peak atomic.Int64
-	_, err := Map(context.Background(), 16,
-		Options{Workers: 8, ThreadsPerJob: 2 * runtime.GOMAXPROCS(0)},
-		func(_ context.Context, i int) (int, error) {
-			if c := cur.Add(1); c > peak.Load() {
-				peak.Store(c)
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			return i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got != 1 {
-		t.Fatalf("peak concurrency %d, want 1 (workers capped by ThreadsPerJob)", got)
 	}
 }

@@ -349,13 +349,11 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) EventRef {
 }
 
 // InjectArg enqueues fn like ScheduleArg but stamps the event with an
-// explicit scheduling instant instead of the engine's clock. It is the
-// entry point for cross-shard deliveries at an epoch barrier: the message
-// carries the virtual instant its sender shipped it, and replaying that
-// instant into the (at, schedAt, seq) ordering key makes the destination
-// shard run the delivery exactly where a serial execution would have —
-// before any same-instant event that was scheduled later in virtual time.
-// schedAt must not exceed at.
+// explicit scheduling instant instead of the engine's clock, so that it
+// runs before any same-instant event scheduled later in virtual time. A
+// workload uses it to queue its whole arrival trace at construction, each
+// arrival stamped as if scheduled at instant zero. schedAt must not
+// exceed at.
 func (e *Engine) InjectArg(at, schedAt Time, fn func(any), arg any) EventRef {
 	if schedAt > at {
 		panic(fmt.Sprintf("sim: inject with schedAt after at: schedAt=%v at=%v", schedAt, at))
@@ -368,12 +366,11 @@ func (e *Engine) InjectArg(at, schedAt Time, fn func(any), arg any) EventRef {
 
 // ScheduleSrcArg enqueues fn like ScheduleArg but additionally stamps the
 // event with a stable source identity: srcKey is a topology domain index
-// (≥ 0) and srcSeq a per-source monotone counter. Cross-domain link
-// deliveries use it in serial runs so that same-instant ties between
-// deliveries from different domains resolve by (srcKey, srcSeq) — an
-// order a partitioned run reproduces exactly at its epoch barriers —
-// instead of by global scheduling order, which depends on event
-// genealogy no sharded execution could reconstruct.
+// (≥ 0) and srcSeq a per-source monotone counter. Link deliveries use it
+// so that same-instant ties between deliveries from different domains
+// resolve by (srcKey, srcSeq), an order fixed by the topology, instead of
+// by global scheduling order. Shrinking the key to (at, seq) would change
+// that tie order and so every digest.
 //
 //dtlint:hotpath
 func (e *Engine) ScheduleSrcArg(at Time, srcKey int, srcSeq uint64, fn func(any), arg any) EventRef {
@@ -382,23 +379,6 @@ func (e *Engine) ScheduleSrcArg(at Time, srcKey int, srcSeq uint64, fn func(any)
 		panic(fmt.Sprintf("sim: negative source key %d", srcKey))
 	}
 	ev := e.enqueueKeyed(at, e.now, srcKey, srcSeq)
-	ev.runArg = fn
-	ev.arg = arg
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
-}
-
-// InjectSrcArg is the sharded counterpart of ScheduleSrcArg: it enqueues
-// a cross-shard delivery with both its sender's scheduling instant and
-// source identity, giving the injected event the exact key its serial
-// equivalent would have carried. schedAt must not exceed at.
-func (e *Engine) InjectSrcArg(at, schedAt Time, srcKey int, srcSeq uint64, fn func(any), arg any) EventRef {
-	if schedAt > at {
-		panic(fmt.Sprintf("sim: inject with schedAt after at: schedAt=%v at=%v", schedAt, at))
-	}
-	if srcKey < 0 {
-		panic(fmt.Sprintf("sim: negative source key %d", srcKey))
-	}
-	ev := e.enqueueKeyed(at, schedAt, srcKey, srcSeq)
 	ev.runArg = fn
 	ev.arg = arg
 	return EventRef{engine: e, ev: ev, gen: ev.gen}
@@ -490,7 +470,7 @@ func (e *Engine) Pending() int { return e.pending }
 // Run processes events until the queue drains or Stop is called. It
 // returns ErrStopped in the latter case.
 func (e *Engine) Run() error {
-	return e.run(math.MaxInt64, false) // no horizon
+	return e.run(math.MaxInt64) // no horizon
 }
 
 // RunUntil processes events with firing times ≤ horizon and then advances
@@ -498,7 +478,7 @@ func (e *Engine) Run() error {
 // time. A run interrupted by Stop leaves the clock at the last event that
 // ran: events before the horizon are still pending for the resumed run.
 func (e *Engine) RunUntil(horizon Time) error {
-	err := e.run(horizon, false)
+	err := e.run(horizon)
 	if err == nil && e.now < horizon {
 		e.now = horizon
 	}
@@ -510,42 +490,10 @@ func (e *Engine) RunFor(d time.Duration) error {
 	return e.RunUntil(e.now.Add(d))
 }
 
-// NextEventTime returns the firing time of the earliest queued event, or
-// TimeNever if the queue is empty. A lazily cancelled event at the head
-// still counts, and so does a timer's wake-up queued ahead of a rearmed
-// deadline — the bound is merely conservative, which is all the sharded
-// coordinator's window computation needs.
-func (e *Engine) NextEventTime() Time {
-	if e.pending == 0 {
-		return TimeNever
-	}
-	at := laneEmpty
-	if len(e.queue.items) > 0 {
-		at = e.queue.items[0].at
-	}
-	for _, a := range e.laneAt[:e.nLanes] {
-		at = min(at, a)
-	}
-	return at
-}
-
-// RunStrictUntil processes events with firing times strictly before
-// horizon and leaves the clock at the last event that ran (it does NOT
-// advance to horizon). Epoch windows in the sharded coordinator are
-// half-open [start, horizon): the shard must stop short of the horizon so
-// cross-shard messages stamped at exactly horizon can still be injected,
-// and its clock must not outrun the injection point.
-func (e *Engine) RunStrictUntil(horizon Time) error {
-	return e.run(horizon, true)
-}
-
-// run processes events through horizon or, strict, short of it.
+// run processes events through horizon.
 //
 //dtlint:hotpath
-func (e *Engine) run(horizon Time, strict bool) error {
-	if strict {
-		horizon -= tick
-	}
+func (e *Engine) run(horizon Time) error {
 	e.stopped = false
 	for {
 		if e.stopped {
@@ -662,8 +610,7 @@ type EngineStats struct {
 	// arriving in key order; the other insertions were sifted into the
 	// heap. (Scheduled also counts timer rearms that queue nothing, and a
 	// stale wake-up the run loop moves is inserted a second time.) It
-	// describes the execution, like FreeHits: it differs between shard
-	// counts and never enters a result. LaneHits well below Processed says
+	// describes the execution, like FreeHits, and never enters a result. LaneHits well below Processed says
 	// that the run's delays are irregular, or more than maxLanes recur, and
 	// its events pay the heap's price.
 	LaneHits uint64

@@ -8,17 +8,15 @@ import "math"
 // events scheduled for the same instant always run in a deterministic
 // order. This tie-break is what makes runs reproducible.
 //
-// For a single engine scheduling only unkeyed events the scheduling
-// instant and source key are redundant — they order exactly like
-// (at, seq). The extra key components matter for sharded execution:
-// a cross-domain delivery carries the virtual instant its sender shipped
-// it plus the sender's stable (srcKey, srcSeq) identity, so same-instant
-// ties between deliveries from different domains resolve identically
-// whether the run is serial or partitioned across any number of shards.
-// A serial tie-break by global sequence number alone could not be
-// reproduced by a partitioned run: the global interleaving of two
-// domains' scheduling calls depends on event genealogy arbitrarily far
-// back, which no bounded message payload can carry.
+// For an engine scheduling only unkeyed events the scheduling instant and
+// source key are redundant — they order exactly like (at, seq). The extra
+// components order link deliveries: each carries the sending port's
+// stable (srcKey, srcSeq) identity, so a same-instant tie between two
+// domains' deliveries is decided by the topology, not by which event
+// happened to schedule first, and a workload's arrivals carry the
+// scheduling instant zero they were drawn at. The key was made for a
+// sharded engine, since deleted; every digest is recorded under it, so
+// shrinking it to (at, seq) changes tie order and every golden with it.
 //
 // Model code never touches an Event directly: Schedule and After return
 // an EventRef, a generation-checked handle that stays safe to use after
@@ -27,14 +25,13 @@ import "math"
 type Event struct {
 	// at is the virtual instant the event fires.
 	at Time
-	// schedAt is the virtual instant the event was scheduled (for
-	// injected cross-shard deliveries: the sender's ship instant).
+	// schedAt is the virtual instant the event was scheduled (for an
+	// injected event, the instant InjectArg was given).
 	schedAt Time
 	// srcKey identifies the scheduling source for keyed events (a stable
 	// topology domain index ≥ 0); unkeyed events carry unkeyedSrc, which
 	// sorts before every domain so local events win exact (at, schedAt)
-	// ties against deliveries — the order a partitioned run necessarily
-	// produces, since deliveries are injected after local scheduling.
+	// ties against deliveries.
 	srcKey int
 	// srcSeq orders keyed events from the same source (a per-domain
 	// monotone counter); zero for unkeyed events.

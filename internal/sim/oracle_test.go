@@ -55,7 +55,8 @@ type machine interface {
 	// number is the machine's own) and returns its cancel function.
 	schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) (cancel func())
 	newTimer(fn func()) oracleTimer
-	runUntil(horizon Time, strict bool) error
+	runUntil(horizon Time) error
+	runFor(d time.Duration) error
 	run() error
 	stop()
 	counters() (scheduled, processed, cancelled uint64)
@@ -73,7 +74,7 @@ const (
 	callScheduleArg
 	callScheduleSrcArg
 	callInjectArg
-	callInjectSrcArg
+	callAfterArg
 )
 
 // laneReach is a set of things a program made the Engine's lanes do.
@@ -85,8 +86,8 @@ const (
 	// A lane refused a ScheduleSrcArg that ties with its tail on the instant
 	// and the scheduling instant and carries a smaller source key.
 	reachRefusedSrcKey
-	// A lane refused an Inject* that ties with its tail on the instant and
-	// is stamped with an older scheduling instant.
+	// A lane refused an InjectArg that ties with its tail on the instant
+	// and is stamped with an older scheduling instant.
 	reachRefusedInject
 	// A lane's head and the heap's root fire at the same instant.
 	reachTieHeap
@@ -195,7 +196,7 @@ func (m engineMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq u
 	case tail == nil || tail.at != at:
 	case call == callScheduleSrcArg && tail.schedAt == m.now && srcKey < tail.srcKey:
 		*m.reach |= reachRefusedSrcKey
-	case (call == callInjectArg || call == callInjectSrcArg) && schedAt < tail.schedAt:
+	case call == callInjectArg && schedAt < tail.schedAt:
 		*m.reach |= reachRefusedInject
 	}
 	m.noteHeads()
@@ -229,8 +230,8 @@ func (m engineMachine) scheduleCall(call int, at, schedAt Time, srcKey int, srcS
 		ref = m.ScheduleSrcArg(at, srcKey, srcSeq, viaArg, nil)
 	case callInjectArg:
 		ref = m.InjectArg(at, schedAt, viaArg, nil)
-	case callInjectSrcArg:
-		ref = m.InjectSrcArg(at, schedAt, srcKey, srcSeq, viaArg, nil)
+	case callAfterArg:
+		ref = m.AfterArg((at - m.now).Duration(), viaArg, nil)
 	}
 	return ref.Cancel
 }
@@ -242,11 +243,12 @@ func (m engineMachine) newTimer(fn func()) oracleTimer {
 	return NewTimer(m.Engine, fn)
 }
 
-func (m engineMachine) runUntil(horizon Time, strict bool) error {
-	if strict {
-		return m.nest(func() error { return m.RunStrictUntil(horizon) })
-	}
+func (m engineMachine) runUntil(horizon Time) error {
 	return m.nest(func() error { return m.RunUntil(horizon) })
+}
+
+func (m engineMachine) runFor(d time.Duration) error {
+	return m.nest(func() error { return m.RunFor(d) })
 }
 
 func (m engineMachine) run() error { return m.nest(m.Run) }
@@ -269,30 +271,12 @@ func (m engineMachine) counters() (uint64, uint64, uint64) {
 }
 
 // pending counts live entries: Pending less the dead ones, which is what
-// the reference holds. NextEventTime is only a bound (a dead head counts),
-// so it is checked against every queued slot and not logged.
+// the reference holds.
 func (m engineMachine) pending() int {
-	live := m.Pending() - m.cancelled
-	next, want := m.NextEventTime(), TimeNever
-	for _, s := range m.queue.items {
-		if want == TimeNever || s.at < want {
-			want = s.at
-		}
-	}
-	for i := 0; i < m.nLanes; i++ {
-		for k := 0; k < m.lanes[i].len(); k++ {
-			if s := m.lanes[i].at(k); want == TimeNever || s.at < want {
-				want = s.at
-			}
-		}
-	}
-	switch {
-	case m.Pending() != len(m.queue.items)+m.lanedSlots() || m.Pending()-m.cancelled != live:
+	if m.Pending() != len(m.queue.items)+m.lanedSlots() {
 		return -2
-	case next != want:
-		return -3
 	}
-	return live
+	return m.Pending() - m.cancelled
 }
 
 // audit checks what no log line shows: the heap property under the full
@@ -435,10 +419,10 @@ func (m *refMachine) Now() Time { return m.now }
 
 func (m *refMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
 	ev := &refEvent{at: at, schedAt: m.now, srcKey: unkeyedSrc, seq: m.nextSeq, fn: fn}
-	if call == callInjectArg || call == callInjectSrcArg {
+	if call == callInjectArg {
 		ev.schedAt = schedAt
 	}
-	if call == callScheduleSrcArg || call == callInjectSrcArg {
+	if call == callScheduleSrcArg {
 		ev.srcKey, ev.srcSeq = srcKey, srcSeq
 	}
 	m.nextSeq++
@@ -464,7 +448,17 @@ func (m *refMachine) remove(ev *refEvent) {
 
 func (m *refMachine) newTimer(fn func()) oracleTimer { return &eagerTimer{m: m, fn: fn} }
 
-func (m *refMachine) runUntil(horizon Time, strict bool) error {
+func (m *refMachine) runUntil(horizon Time) error { return m.advance(horizon, true) }
+
+func (m *refMachine) runFor(d time.Duration) error { return m.runUntil(m.now.Add(d)) }
+
+// run drains the queue and leaves the clock at the last event, like
+// Engine.Run.
+func (m *refMachine) run() error { return m.advance(math.MaxInt64, false) }
+
+// advance runs every event through horizon and then, toHorizon, moves the
+// clock there.
+func (m *refMachine) advance(horizon Time, toHorizon bool) error {
 	m.stopped = false
 	for {
 		if m.stopped {
@@ -476,7 +470,7 @@ func (m *refMachine) runUntil(horizon Time, strict bool) error {
 				next = ev
 			}
 		}
-		if next == nil || next.at > horizon || (strict && next.at == horizon) {
+		if next == nil || next.at > horizon {
 			break
 		}
 		m.remove(next)
@@ -485,15 +479,10 @@ func (m *refMachine) runUntil(horizon Time, strict bool) error {
 		m.processed++
 		next.fn()
 	}
-	if !strict && m.now < horizon {
+	if toHorizon && m.now < horizon {
 		m.now = horizon
 	}
 	return nil
-}
-
-func (m *refMachine) run() error {
-	// Strict, so the clock stays at the last event like Engine.Run.
-	return m.runUntil(math.MaxInt64, true)
 }
 
 func (m *refMachine) stop() { m.stopped = true }
@@ -582,9 +571,13 @@ func execProgram(m machine, prog []byte) []string {
 			t.Reset(time.Duration(act - 8))
 		case 10, 15:
 			// Run the engine from inside the handler, before it has enqueued
-			// anything: through the instant d ahead (15) or short of it (10).
+			// anything: d ahead, by RunFor (10) or by RunUntil (15).
 			d := oracleDeltas[id%len(oracleDeltas)]
-			err := m.runUntil(m.Now().Add(d), act == 10)
+			run := func() error { return m.runUntil(m.Now().Add(d)) }
+			if act == 10 {
+				run = func() error { return m.runFor(d) }
+			}
+			err := run()
 			logf("  nested run now=%d stopped=%v", m.Now(), errors.Is(err, ErrStopped))
 		}
 	}
@@ -669,9 +662,9 @@ func execProgram(m machine, prog []byte) []string {
 		case 9:
 			timers[next()%oracleTimers].Stop()
 		case 10:
-			observe("RunUntil", m.runUntil(at, false))
+			observe("RunUntil", m.runUntil(at))
 		case 11:
-			observe("RunStrictUntil", m.runUntil(at, true))
+			observe("RunFor", m.runFor(d))
 		}
 	}
 	// Drain; a handler may stop the run, so resume until it ends.
@@ -722,8 +715,8 @@ var oracleSeeds = [][]byte{
 	{},      // drain an empty queue
 	{10, 3}, // RunUntil on an empty queue
 	{0, 4, 0, 0, 10, 7},
-	// One event from each scheduling call, all tied on the instant; a
-	// strict run up to it, then through it.
+	// One event from each scheduling call, all tied on the instant; a run
+	// through it by RunFor, then by RunUntil.
 	{0, 2, 0, 0, 1, 2, 0, 0, 2, 2, 0, 1, 3, 2, 1, 5, 4, 2, 2, 7, 11, 2, 10, 2},
 	// A timer armed, rearmed in place, overtaken by the clock, stopped.
 	{7, 5, 0, 7, 7, 0, 10, 5, 9, 0, 0, 10, 7},
@@ -749,8 +742,8 @@ var handlerSeeds = [][]byte{
 	// into compaction from inside a handler that has enqueued nothing.
 	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 10, 7),
 	// All three timers armed far out, then twenty events spread over four
-	// instants and strict runs that stop between them: earlier rearms and
-	// pending counts against queued wake-ups, stale ones among them.
+	// instants and runs that stop between them: earlier rearms and pending
+	// counts against queued wake-ups, stale ones among them.
 	append(append([]byte{7, 7, 0, 7, 7, 1, 8, 7, 2},
 		bytes.Repeat([]byte{0, 2, 0, 0, 1, 4, 0, 0, 2, 5, 1, 7, 3, 6, 1, 5}, 5)...),
 		11, 2, 11, 5, 10, 6),
@@ -1004,9 +997,8 @@ func TestHeapEdges(t *testing.T) {
 	if err := e.Run(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
-	if len(e.queue.items) != 1 || e.Pending() != 1 || e.NextEventTime() != 2 {
-		t.Fatalf("after Stop: %d slots, Pending=%d, next=%v; want 1, 1, 2",
-			len(e.queue.items), e.Pending(), e.NextEventTime())
+	if len(e.queue.items) != 1 || e.Pending() != 1 || e.queue.items[0].at != 2 {
+		t.Fatalf("after Stop: %d slots, Pending=%d; want the event at 2 alone", len(e.queue.items), e.Pending())
 	}
 	if err := e.Run(); err != nil || ran != 1 {
 		t.Fatalf("resumed Run = %v with %d events run, want nil and 1", err, ran)
@@ -1051,8 +1043,8 @@ func TestTimerStaleWakeUpsLeaveClockAlone(t *testing.T) {
 	if got := tm.Deadline(); got != 300 {
 		t.Fatalf("Deadline = %v, want 300", got)
 	}
-	if got := e.NextEventTime(); got != 300 {
-		t.Fatalf("NextEventTime = %v once the wake-up was moved, want 300", got)
+	if len(e.queue.items) != 1 || e.queue.items[0].at != 300 {
+		t.Fatalf("queue holds %d slots once the wake-up was moved, want it alone at 300", len(e.queue.items))
 	}
 
 	// Stopped, revived by a later rearm, stopped again: still nothing

@@ -38,8 +38,7 @@ func (st PlusState) String() string {
 // plusPacer carries one DCTCP+ sender's slow-timer machinery. Pacing
 // randomness comes from a sender-private RNG seeded at construction from
 // the run's root source (Config.PacingSeed): runtime draws never touch
-// the engine RNG, so the per-shard event streams stay byte-identical for
-// any shard count.
+// the engine RNG.
 type plusPacer struct {
 	state    PlusState
 	slowTime time.Duration

@@ -96,11 +96,11 @@ func NewReceiver(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg 
 }
 
 // Reopen is Sender.Reopen for a retired receiver: it refuses while the
-// delayed-ACK timer is armed or when host schedules on another engine.
+// delayed-ACK timer is armed.
 //
 //dtlint:hotpath
 func (r *Receiver) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) bool {
-	if r.engine != hostEngine(host) || r.ackTimer.Armed() {
+	if r.ackTimer.Armed() {
 		return false
 	}
 	r.open(host, flow, peer, cfg)
@@ -115,7 +115,7 @@ func (r *Receiver) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.Nod
 func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) {
 	ooo, ack := r.ooo, r.ackTimer
 	*r = Receiver{
-		engine:   hostEngine(host),
+		engine:   host.Engine(),
 		host:     host,
 		flow:     flow,
 		peer:     peer,
@@ -330,12 +330,4 @@ func (r *Receiver) flushAck() {
 	r.ackTimer.Stop()
 	r.stats.AcksSent++
 	r.host.Send(ack)
-}
-
-// hostEngine is the engine an endpoint on h must schedule on: the host's
-// own engine, which is the shard engine under partitioned execution and
-// the network's single engine otherwise. Kept as a helper so endpoint
-// constructors take just the host.
-func hostEngine(h *netsim.Host) *sim.Engine {
-	return h.Engine()
 }

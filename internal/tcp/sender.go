@@ -110,9 +110,8 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalB
 // Reopen turns the storage of a retired sender — completed, unregistered
 // from its host — into the sender NewSender would have built from the
 // same arguments, allocating nothing, and reports true. It reports false
-// and touches nothing when the storage cannot serve: one of its timers
-// is still armed, or host schedules on another engine than the one the
-// timers are bound to. The caller then constructs a sender as before.
+// and touches nothing when the storage cannot serve because one of its
+// timers is still armed. The caller then constructs a sender as before.
 //
 // Reuse is exact. Construction draws no randomness and consumes no
 // sequence number. A stopped timer keeps at most one cancelled wake-up
@@ -124,7 +123,7 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalB
 //
 //dtlint:hotpath
 func (s *Sender) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) bool {
-	if s.engine != hostEngine(host) || s.rtoTimer.Armed() || (s.plus != nil && s.plus.timer.Armed()) {
+	if s.rtoTimer.Armed() || (s.plus != nil && s.plus.timer.Armed()) {
 		return false
 	}
 	s.open(host, flow, peer, totalBytes, cfg)
@@ -140,7 +139,7 @@ func (s *Sender) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 func (s *Sender) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) {
 	rto, plus := s.rtoTimer, s.plus
 	*s = Sender{
-		engine: hostEngine(host),
+		engine: host.Engine(),
 		host:   host,
 		flow:   flow,
 		peer:   peer,

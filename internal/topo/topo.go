@@ -1,16 +1,12 @@
 // Package topo builds datacenter fabrics on top of netsim: k-ary
 // fat-trees and leaf-spine Clos networks with deterministic ECMP
 // routing, plus the star used by workload tests. Builders wire an
-// existing (empty) Network so the caller controls the engine — a serial
-// engine, or shard 0 of a sim.ShardedEngine when the run will be
-// partitioned — and they compose with Network.Partition: every host and
-// switch port the builders create is an ordinary shard domain.
+// existing (empty) Network so the caller controls the engine.
 //
 // Path choice in the multi-path fabrics is ECMP by flow hash
 // (netsim.ComputeRoutesECMP): the hash salt is drawn once from the
 // network engine's seeded source, so placement is a pure function of
-// the run seed — reproducible across repeat runs, shard counts, and
-// domain assignments.
+// the run seed.
 package topo
 
 import (
@@ -26,8 +22,8 @@ import (
 type LinkSpec struct {
 	// Rate is the link speed of each direction.
 	Rate netsim.Rate
-	// Delay is the one-way propagation delay. It must be positive: it is
-	// also the sharded-execution lookahead bound.
+	// Delay is the one-way propagation delay. It must be positive: every
+	// physical link has one, so a zero is a field left unset.
 	Delay time.Duration
 	// BufferBytes is the egress queue capacity of each direction.
 	BufferBytes int
@@ -38,7 +34,7 @@ func (l LinkSpec) validate(name string) error {
 	case l.Rate <= 0:
 		return fmt.Errorf("topo: %s rate must be positive", name)
 	case l.Delay <= 0:
-		return fmt.Errorf("topo: %s delay must be positive (sharded lookahead)", name)
+		return fmt.Errorf("topo: %s delay must be positive (every physical link has one)", name)
 	case l.BufferBytes <= 0:
 		return fmt.Errorf("topo: %s buffer must be positive", name)
 	default:
@@ -55,8 +51,7 @@ type Config struct {
 	// Policy returns a fresh queue law for one switch egress port (every
 	// switch port gets its own instance; host uplinks stay DropTail).
 	// nil means DropTail everywhere. Randomized laws receive the given
-	// seeded source — note that sharded runs then require those ports'
-	// domains pinned to shard 0 (see netsim.DefaultAssign).
+	// seeded source.
 	Policy func(rng *rand.Rand) aqm.Policy
 }
 

@@ -76,7 +76,7 @@ func TestForegroundHorizonStopsNewTransfers(t *testing.T) {
 
 // TestForegroundFCTsAreFlowOrdered pins the determinism-relevant
 // accessor contract: FCTs concatenate per-flow histories in flow order,
-// so the sequence is invariant to event interleaving across shards.
+// so the sequence is invariant to the interleaving of their events.
 func TestForegroundFCTsAreFlowOrdered(t *testing.T) {
 	e, hosts, rcv, _ := star(t, 2, 1*netsim.Gbps, 400, nil)
 	w := StartForeground(e, ForegroundConfig{
