@@ -512,7 +512,6 @@ var bucketNames = [3]string{"small", "medium", "large"}
 // FCTStats buckets the trace by size and returns exact FCT percentiles
 // per bucket, in small/medium/large order.
 func (w *Workload) FCTStats(smallMax, largeMin int64) []BucketStats {
-	var fcts [3][]float64
 	out := make([]BucketStats, 3)
 	for i := range out {
 		out[i].Bucket = bucketNames[i]
@@ -523,6 +522,16 @@ func (w *Workload) FCTStats(smallMax, largeMin int64) []BucketStats {
 		out[b].Flows++
 		if f.done {
 			out[b].Completed++
+		}
+	}
+	// Counted first, so each bucket's list is allocated once.
+	var fcts [3][]float64
+	for b := range fcts {
+		fcts[b] = make([]float64, 0, out[b].Completed)
+	}
+	for i := range w.Flows {
+		if f := &w.Flows[i]; f.done {
+			b := bucketOf(f.Size, smallMax, largeMin)
 			fcts[b] = append(fcts[b], (f.fct - f.Arrival).Seconds())
 		}
 	}

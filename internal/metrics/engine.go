@@ -44,6 +44,6 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 		"Events currently queued, in the heap and the lanes (including uncompacted cancellations; a timer holds one entry however often it is rearmed).",
 		func() float64 { return float64(stats().Pending) })
 	r.GaugeFunc("sim_events_pending_max",
-		"High-water mark of the pending-event queue (the maximum over shards in a sharded run, since per-shard marks do not align in time).",
+		"High-water mark of the pending-event queue of the run's one event wheel.",
 		func() float64 { return float64(stats().MaxPending) })
 }

@@ -111,8 +111,17 @@ func sameHome(tab *flowTable, slot uint, count int) []FlowID {
 func TestFlowTableWrapAroundAndFullClusterDelete(t *testing.T) {
 	var tab flowTable
 	ref := map[FlowID]Endpoint{}
-	tab.put(-1, &tableSink{}) // allocate the first 8 slots
-	tab.del(-1)
+	// The first table has 2 slots and doubles at half full: three
+	// entries grow it 2 → 4 → 8. Deleting them leaves 8 empty slots.
+	for f := FlowID(-1); f >= -3; f-- {
+		tab.put(f, &tableSink{})
+	}
+	if len(tab.slots) != 8 {
+		t.Fatalf("three entries grew the table to %d slots, want 8", len(tab.slots))
+	}
+	for f := FlowID(-1); f >= -3; f-- {
+		tab.del(f)
+	}
 	last := uint(len(tab.slots) - 1)
 	// Four entries homed on the last slot occupy slots 7, 0, 1, 2.
 	cluster := sameHome(&tab, last, 4)

@@ -137,8 +137,10 @@ func (s *Switch) DroppedNoRoute() uint64 { return s.droppedNoRoute }
 // flowTable is a host's demultiplexer, FlowID → Endpoint: an open-addressed
 // table with linear probing, deletion by backward shift (no tombstones, so
 // a host that churns connections probes no further than one that never
-// did), a power-of-two capacity kept at most half full, never shrunk. A
-// slot is empty iff its ep is nil. Register and Unregister run once per
+// did), a power-of-two capacity kept at most half full, never shrunk. The
+// first table has two slots, room for the one flow most hosts of a
+// dumbbell ever terminate; a host that serves more doubles it. A slot is
+// empty iff its ep is nil. Register and Unregister run once per
 // connection, get once per delivered packet.
 type flowTable struct {
 	slots []flowSlot
@@ -185,7 +187,7 @@ func (t *flowTable) put(flow FlowID, ep Endpoint) {
 		old := t.slots
 		size := 2 * len(old)
 		if size == 0 {
-			size = 8
+			size = 2
 		}
 		t.slots = make([]flowSlot, size)
 		t.shift = uint(64 - bits.TrailingZeros(uint(size)))

@@ -14,12 +14,19 @@ type pktRing struct {
 	n    int       // occupancy
 }
 
-// ringInitialCap is the buffer a ring gets at its first push. A smaller
-// one saves memory on ports that queue a few packets at a time but makes
-// every busy port re-grow through the small sizes: at 32 a k = 4
-// fat-tree run allocates more in all than with 64-slot rings made up
-// front, at 64 no run does.
-const ringInitialCap = 64
+// A ring is sized by what it is seen to hold. The first push makes
+// ringFirstCap slots: a host NIC whose ACK-clocked window releases a
+// few packets at a time, as a dumbbell sender's does, never needs more
+// and keeps 64 B instead of 512 B. A ring that outgrows them is a busy
+// port, so it skips straight to ringBusyCap and doubles from there: a
+// fabric port pays the small buffer once and then grows as if it had
+// started at ringBusyCap, instead of re-growing through every size in
+// between (at a first size of 16 or 32, k = 4 fat-tree runs allocated
+// more than with 64).
+const (
+	ringFirstCap = 8
+	ringBusyCap  = 64
+)
 
 //dtlint:hotpath
 func (r *pktRing) len() int { return r.n }
@@ -63,9 +70,14 @@ func (r *pktRing) at(i int) *Packet {
 }
 
 func (r *pktRing) grow() {
-	capNew := 2 * len(r.buf)
-	if capNew < ringInitialCap {
-		capNew = ringInitialCap
+	var capNew int
+	switch len(r.buf) {
+	case 0:
+		capNew = ringFirstCap
+	case ringFirstCap:
+		capNew = ringBusyCap
+	default:
+		capNew = 2 * len(r.buf)
 	}
 	buf := make([]*Packet, capNew)
 	for i := 0; i < r.n; i++ {

@@ -3,14 +3,18 @@ package netsim
 import (
 	"math/rand"
 	"testing"
+	"time"
+
+	"dtdctcp/internal/sim"
 )
 
 // TestPktRingMatchesSliceModel drives random push/pop/popTail/at
-// sequences on a zero-value ring, which the first push sizes to
-// ringInitialCap, against a plain slice. Pushes outweigh
-// pops in some phases and pops outweigh pushes in others, so the ring
-// grows from empty, wraps its head around the buffer, drains to empty
-// and grows again from a wrapped state. Freed slots must be cleared, so
+// sequences on a zero-value ring against a plain slice. The ring must
+// grow 0 → 8 → 64 → 128 slots: the first push makes ringFirstCap, the
+// first growth skips to ringBusyCap, and later ones double. Pushes
+// outweigh pops in some phases and pops outweigh pushes in others, so
+// the ring grows from empty, wraps its head around the buffer, drains to
+// empty and grows again from a wrapped state. Freed slots must be cleared, so
 // a queue never keeps a departed packet alive.
 func TestPktRingMatchesSliceModel(t *testing.T) {
 	pkts := make([]Packet, 512)
@@ -18,7 +22,8 @@ func TestPktRingMatchesSliceModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed)) //dtlint:allow nondeterm: test-local stream, seeded per case
 		var r pktRing
 		var model []*Packet
-		grew, wrapped := false, false
+		sizes := []int{0}
+		wrapped := false
 		for step := 0; step < 4000; step++ {
 			pushBias := 0.7
 			if (step/500)%2 == 1 {
@@ -27,13 +32,10 @@ func TestPktRingMatchesSliceModel(t *testing.T) {
 			switch op := rng.Float64(); {
 			case op < pushBias || len(model) == 0:
 				p := &pkts[rng.Intn(len(pkts))]
-				if r.n == len(r.buf) {
-					grew = true
-				}
 				r.push(p)
 				model = append(model, p)
-				if step == 0 && len(r.buf) != ringInitialCap {
-					t.Fatalf("seed %d: first push sized the zero ring to %d slots, want %d", seed, len(r.buf), ringInitialCap)
+				if len(r.buf) != sizes[len(sizes)-1] {
+					sizes = append(sizes, len(r.buf))
 				}
 			case op < pushBias+(1-pushBias)/2:
 				if got, want := r.pop(), model[0]; got != want {
@@ -64,8 +66,62 @@ func TestPktRingMatchesSliceModel(t *testing.T) {
 				}
 			}
 		}
-		if !grew || !wrapped {
-			t.Fatalf("seed %d: grew=%v wrapped=%v; the sequence missed a case", seed, grew, wrapped)
+		if len(sizes) < 4 || sizes[1] != 8 || sizes[2] != 64 || sizes[3] != 128 {
+			t.Fatalf("seed %d: ring sizes %v, want 0 → 8 → 64 → 128 first", seed, sizes)
 		}
+		for i := 4; i < len(sizes); i++ {
+			if sizes[i] != 2*sizes[i-1] {
+				t.Fatalf("seed %d: ring sizes %v: growth past 128 must double", seed, sizes)
+			}
+		}
+		if !wrapped {
+			t.Fatalf("seed %d: the head never wrapped; the sequence missed a case", seed)
+		}
+	}
+}
+
+// TestRingSizedByOccupancy drives the rule through a real port. A host
+// that never holds more than 8 packets behind the one on the wire keeps
+// the 8-slot ring its first enqueue made; the first push past 8 moves it
+// straight to 64. The switch port behind it, fed at the same rate, never
+// holds more than one. A host that terminates one flow keeps a 2-slot
+// flow table.
+func TestRingSizedByOccupancy(t *testing.T) {
+	e := sim.NewEngine(1)
+	_, a, b, sw := buildPair(t, e, linkCfg(Gbps, 10*time.Microsecond, 1000, nil))
+	rx := &sink{}
+	b.Register(1, rx)
+	if got := len(b.endpoints.slots); got != 2 {
+		t.Fatalf("a host with one flow holds a %d-slot table, want 2", got)
+	}
+	burst := func(count int) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			a.Send(&Packet{Flow: 1, Dst: b.ID(), Size: pktSize})
+		}
+	}
+	burst(9) // one on the wire, 8 queued
+	if got := a.Uplink().RingSlots(); got != 8 {
+		t.Fatalf("after 8 queued packets the host ring holds %d slots, want 8", got)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	burst(10) // one on the wire, 9 queued
+	if got := a.Uplink().RingSlots(); got != 64 {
+		t.Fatalf("after 9 queued packets the host ring holds %d slots, want 64", got)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rx.pkts) != 19 {
+		t.Fatalf("delivered %d packets, want 19", len(rx.pkts))
+	}
+	toB := sw.Port(1) // b was connected second
+	if toB.Peer() != Node(b) {
+		t.Fatal("switch port 1 does not lead to b")
+	}
+	if got := toB.RingSlots(); got != 8 {
+		t.Fatalf("the switch port towards b holds a %d-slot ring, want 8", got)
 	}
 }

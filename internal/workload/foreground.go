@@ -108,7 +108,11 @@ func (f *fgFlow) next() {
 // FCTs returns every recorded completion time in seconds, concatenated
 // in flow order — a deterministic sequence.
 func (w *Foreground) FCTs() []float64 {
-	var out []float64
+	n := 0
+	for _, f := range w.flows {
+		n += len(f.fcts)
+	}
+	out := make([]float64, 0, n)
 	for _, f := range w.flows {
 		out = append(out, f.fcts...)
 	}
