@@ -31,12 +31,12 @@ func TestTreeIsClean(t *testing.T) {
 	}
 }
 
-// TestSuiteComplete pins the suite composition: the eight analyzers the
+// TestSuiteComplete pins the suite composition: the six analyzers the
 // determinism contract documents, in reporting order.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
 		"nondeterm", "maporder", "floatcmp", "simtime",
-		"hotalloc", "pktlife", "detflow", "soloengine",
+		"hotalloc", "soloengine",
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {

@@ -262,4 +262,8 @@ func TestBurstLoadsQueueAndEvaporates(t *testing.T) {
 	if port.Stats().Enqueued+port.Stats().Dequeued == 0 {
 		t.Fatal("burst never touched the port")
 	}
+	// Every injected packet evaporates or is dropped, and either frees it.
+	if live := n.LivePackets(); live != 0 {
+		t.Fatalf("%d packets live after the run drained; the burst leaks from the pool", live)
+	}
 }

@@ -4,21 +4,19 @@
 // few neighbouring correctness rules — from code-review folklore into
 // mechanically checked invariants.
 //
-// The suite ships eight analyzers (see their Doc strings and README.md).
-// Four are syntax/type-level:
+// The suite ships six analyzers (see their Doc strings and README.md),
+// each a syntax/type-level pass over a package's files:
 //
-//	nondeterm — wall-clock time and ambient randomness in simulator code
-//	maporder  — map iteration on event-scheduling / packet-ordering paths
-//	floatcmp  — exact float equality in the numeric analysis packages
-//	simtime   — raw numeric literals materializing as sim.Time
-//
-// Four are flow-sensitive, built on the intra-procedural CFG and forward
-// dataflow framework in cfg.go / dataflow.go:
-//
+//	nondeterm  — wall-clock time and ambient randomness in simulator code
+//	maporder   — map iteration on event-scheduling / packet-ordering paths
+//	floatcmp   — exact float equality in the numeric analysis packages
+//	simtime    — raw numeric literals materializing as sim.Time
 //	hotalloc   — no allocation-inducing constructs in //dtlint:hotpath functions
-//	pktlife    — every AllocPacket reaches FreePacket or a handoff on all paths
-//	detflow    — taint from nondeterministic sources must not reach scheduling
-//	soloengine — no goroutines, channel ops, or global writes in the engine core
+//	soloengine — no goroutines, channel ops, or global writes in simulator code
+//
+// Each stays because it catches a class of defect that no runtime test
+// does; README.md's leave-one-out table names the class. Packet leaks are
+// a runtime check instead (netsim.Network.LivePackets after a drained run).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf) but is built on the standard library alone:
@@ -109,7 +107,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NonDeterm, MapOrder, FloatCmp, SimTime,
-		HotAlloc, PktLife, DetFlow, SoloEngine,
+		HotAlloc, SoloEngine,
 	}
 }
 
@@ -154,21 +152,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	// Flow-sensitive analyzers may visit one syntactic site through more
-	// than one CFG node (a deferred call registers where it is written and
-	// runs at function exit); identical findings collapse to one.
-	dedup := diags[:0]
-	for i, d := range diags {
-		if i > 0 && d == diags[i-1] {
-			continue
-		}
-		dedup = append(dedup, d)
-	}
-	return dedup, nil
+	return diags, nil
 }
 
 // simScope is the one scope of the determinism analyzers — nondeterm,
-// maporder, detflow and pktlife: a package under dtdctcp/internal/ that is
+// maporder and soloengine: a package under dtdctcp/internal/ that is
 // the event kernel or imports it directly, which is the code that runs
 // inside event handlers. It reads the import graph, so a new simulator
 // package is in scope without an edit here.

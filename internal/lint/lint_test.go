@@ -120,14 +120,6 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc.go", "dtdctcp/internal/sim/fixture")
 }
 
-func TestPktLifeFixture(t *testing.T) {
-	runFixture(t, PktLife, "pktlife.go", "dtdctcp/internal/netsim/fixture")
-}
-
-func TestDetFlowFixture(t *testing.T) {
-	runFixture(t, DetFlow, "detflow.go", "dtdctcp/internal/sim/fixture")
-}
-
 func TestSoloEngineFixture(t *testing.T) {
 	runFixture(t, SoloEngine, "soloengine.go", "dtdctcp/internal/sim/fixture")
 }
@@ -152,26 +144,23 @@ func TestScoping(t *testing.T) {
 		{FloatCmp, "dtdctcp/internal/control", true},
 		{FloatCmp, "dtdctcp/internal/fluid", true},
 		{FloatCmp, "dtdctcp/internal/netsim", false},
-		{PktLife, "dtdctcp/internal/netsim", true},
-		{PktLife, "dtdctcp/internal/sim", true},
-		{PktLife, "dtdctcp/internal/aqm", true},
-		{PktLife, "dtdctcp/internal/stats", false},
-		{DetFlow, "dtdctcp/internal/sim", true},
-		{DetFlow, "dtdctcp/internal/aqm", true},
-		{DetFlow, "dtdctcp/internal/runner", false},
+		{SoloEngine, "dtdctcp/internal/sim", true},
 		{SoloEngine, "dtdctcp/internal/netsim", true},
-		{SoloEngine, "dtdctcp/internal/chaos", true},
-		{SoloEngine, "dtdctcp/internal/runner", false},
-		{SoloEngine, "dtdctcp/internal/workload", false},
+		{SoloEngine, "dtdctcp/internal/tcp", true},
 	}
 	// The determinism analyzers share one scope, read off the import
 	// graph: every simulator package is in it, and the ledger and the
 	// commands, which import the kernel from outside internal/, are not.
-	for _, a := range []*Analyzer{NonDeterm, MapOrder, DetFlow, PktLife} {
+	// Nor is internal/runner, where the parallel workers live, nor
+	// internal/topo, which builds topologies through netsim and never
+	// touches the kernel itself.
+	for _, a := range []*Analyzer{NonDeterm, MapOrder, SoloEngine} {
 		for _, p := range []string{"flowgen", "hybrid", "workload", "chaos", "metrics", "trace"} {
 			cases = append(cases, row{a, "dtdctcp/internal/" + p, true})
 		}
-		cases = append(cases, row{a, "dtdctcp/benchmarks", false}, row{a, "dtdctcp/cmd/dtsim", false})
+		cases = append(cases,
+			row{a, "dtdctcp/internal/runner", false}, row{a, "dtdctcp/internal/topo", false},
+			row{a, "dtdctcp/benchmarks", false}, row{a, "dtdctcp/cmd/dtsim", false})
 	}
 	tree := treePackages(t)
 	for _, c := range cases {
@@ -189,8 +178,8 @@ func TestScoping(t *testing.T) {
 	if HotAlloc.Applies != nil {
 		t.Error("hotalloc scopes by //dtlint:hotpath annotation, not package; expected nil Applies")
 	}
-	if len(Analyzers()) != 8 {
-		t.Errorf("suite size = %d, want 8", len(Analyzers()))
+	if len(Analyzers()) != 6 {
+		t.Errorf("suite size = %d, want 6", len(Analyzers()))
 	}
 }
 

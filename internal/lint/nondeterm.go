@@ -7,13 +7,13 @@ import (
 )
 
 // NonDeterm forbids the two ambient sources of nondeterminism in simulator
-// code: the wall clock and process-global or locally constructed random
-// sources. All virtual time must come from Engine.Now and all randomness
-// from Engine.Rand (or a *rand.Rand injected from it), so that one seed
-// governs the whole run.
+// code: the wall clock (time.Now, time.Since, time.Until) and
+// process-global or locally constructed random sources. All virtual time
+// must come from Engine.Now and all randomness from Engine.Rand (or a
+// *rand.Rand injected from it), so that one seed governs the whole run.
 var NonDeterm = &Analyzer{
 	Name:    "nondeterm",
-	Doc:     "forbid time.Now and ambient/local math/rand sources in simulator code",
+	Doc:     "forbid wall-clock reads and ambient/local math/rand sources in simulator code",
 	Applies: simScope,
 	Run:     runNonDeterm,
 }
@@ -40,9 +40,10 @@ func runNonDeterm(pass *Pass) error {
 			}
 			switch pkgName.Imported().Path() {
 			case "time":
-				if fn.Name() == "Now" {
+				switch fn.Name() {
+				case "Now", "Since", "Until":
 					pass.Reportf(sel.Pos(),
-						"time.Now reads the wall clock and breaks run-for-run determinism; use Engine.Now virtual time")
+						"time.%s reads the wall clock and breaks run-for-run determinism; use Engine.Now virtual time", fn.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				if strings.HasPrefix(fn.Name(), "New") {

@@ -9,7 +9,8 @@ import (
 // SoloEngine enforces the single-threaded-core contract: the engine and
 // everything that runs inside event handlers execute on one goroutine,
 // with concurrency confined to internal/runner (whole private engines per
-// worker). Inside the core packages the analyzer forbids:
+// worker). Inside the simulator packages (simScope, the determinism
+// analyzers' one scope) the analyzer forbids:
 //
 //   - `go` statements — a goroutine spawned from a handler races the
 //     event loop and injects scheduler nondeterminism
@@ -23,17 +24,10 @@ import (
 // errors, interface-conformance declarations) are fine; it is mutation
 // that breaks engine isolation.
 var SoloEngine = &Analyzer{
-	Name: "soloengine",
-	Doc:  "forbid goroutines, channel ops, and package-level writes in the single-threaded engine core",
-	Applies: appliesTo(
-		"dtdctcp/internal/sim",
-		"dtdctcp/internal/netsim",
-		"dtdctcp/internal/aqm",
-		"dtdctcp/internal/tcp",
-		"dtdctcp/internal/core",
-		"dtdctcp/internal/chaos",
-	),
-	Run: runSoloEngine,
+	Name:    "soloengine",
+	Doc:     "forbid goroutines, channel ops, and package-level writes in the single-threaded engine core",
+	Applies: simScope,
+	Run:     runSoloEngine,
 }
 
 func runSoloEngine(pass *Pass) error {
@@ -112,4 +106,12 @@ func reportGlobalWrite(pass *Pass, info *types.Info, lhs ast.Expr) {
 	}
 	pass.Reportf(lhs.Pos(),
 		"write to package-level variable %s from the engine core: parallel sweep workers share package scope, so this is shared-mutable state; move it onto the Engine or Network", v.Name())
+}
+
+// objOf resolves an identifier to its object, following uses and defs.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Uses[id]; o != nil {
+		return o
+	}
+	return info.Defs[id]
 }

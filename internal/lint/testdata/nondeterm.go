@@ -18,7 +18,15 @@ func wallClock() time.Time {
 }
 
 func elapsed(t0 time.Time) time.Duration {
-	return time.Since(t0) // ok: Since is only flagged via the Now it needs
+	return time.Since(t0) // want "time.Since reads the wall clock"
+}
+
+func remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "time.Until reads the wall clock"
+}
+
+func span(a, b time.Time) time.Duration {
+	return b.Sub(a) // ok: arithmetic on instants the caller already holds
 }
 
 func globalSource() int {

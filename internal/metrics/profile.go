@@ -19,8 +19,8 @@ import (
 // (it samples the OS thread, not the virtual clock).
 func Profile(cpuPath, heapPath string, fn func() error) (err error) {
 	if heapPath != "" {
-		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-		runtime.MemProfileRate = 1
+		defer setMemProfileRate(runtime.MemProfileRate)
+		setMemProfileRate(1)
 	}
 	if cpuPath != "" {
 		// perr, not err: a block-local err would hide the named result
@@ -42,6 +42,13 @@ func Profile(cpuPath, heapPath string, fn func() error) (err error) {
 		return writeHeapProfile(heapPath)
 	}
 	return nil
+}
+
+// setMemProfileRate sets the runtime's heap sampling rate, a
+// process-wide dial.
+func setMemProfileRate(rate int) {
+	//dtlint:allow soloengine: Profile sets the rate before fn starts any engine and restores it after the last one returns; no handler reads or writes it
+	runtime.MemProfileRate = rate
 }
 
 // startCPUProfile begins writing a CPU profile to path and returns the

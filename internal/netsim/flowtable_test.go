@@ -169,6 +169,40 @@ func TestFlowTableWrapAroundAndFullClusterDelete(t *testing.T) {
 	}
 }
 
+// reserve grows the table once to the least power of two that holds the
+// reserved flows at most half full, keeps what it held, and a put into
+// reserved room does not regrow it.
+func TestFlowTableReserve(t *testing.T) {
+	var tab flowTable
+	tab.reserve(0)
+	if tab.slots != nil {
+		t.Fatalf("reserving nothing made %d slots", len(tab.slots))
+	}
+	ref := map[FlowID]Endpoint{}
+	for f := FlowID(1); f <= 3; f++ {
+		ref[f] = &tableSink{}
+		tab.put(f, ref[f])
+	}
+	tab.reserve(6) // 9 flows need 18 slots: 32
+	if len(tab.slots) != 32 {
+		t.Fatalf("reserve(6) over 3 flows made %d slots, want 32", len(tab.slots))
+	}
+	checkTable(t, &tab, ref)
+	slots := &tab.slots[0]
+	for f := FlowID(4); f <= 9; f++ {
+		ref[f] = &tableSink{}
+		tab.put(f, ref[f])
+	}
+	if &tab.slots[0] != slots {
+		t.Fatal("puts into reserved room regrew the table")
+	}
+	checkTable(t, &tab, ref)
+	tab.reserve(7) // 16 flows fit in 32 slots already
+	if &tab.slots[0] != slots {
+		t.Fatal("a reserve that fits regrew the table")
+	}
+}
+
 // What Host promises on top of the table: duplicate and nil registrations
 // panic, a packet for an unknown or negative flow is counted, and an
 // endpoint may unregister itself — and register its successor — from

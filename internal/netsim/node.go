@@ -184,19 +184,7 @@ func (t *flowTable) get(flow FlowID) Endpoint {
 // would pass half full.
 func (t *flowTable) put(flow FlowID, ep Endpoint) {
 	if 2*(t.n+1) > len(t.slots) {
-		old := t.slots
-		size := 2 * len(old)
-		if size == 0 {
-			size = 2
-		}
-		t.slots = make([]flowSlot, size)
-		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-		t.n = 0
-		for _, s := range old {
-			if s.ep != nil {
-				t.put(s.flow, s.ep)
-			}
-		}
+		t.resize(max(2, 2*len(t.slots)))
 	}
 	mask := uint(len(t.slots) - 1)
 	i := t.home(flow)
@@ -205,6 +193,31 @@ func (t *flowTable) put(flow FlowID, ep Endpoint) {
 	}
 	t.slots[i] = flowSlot{flow: flow, ep: ep}
 	t.n++
+}
+
+// reserve grows the table, once, so that n more flows fit without another
+// doubling.
+func (t *flowTable) reserve(n int) {
+	size := len(t.slots)
+	for 2*(t.n+n) > size {
+		size = max(2, 2*size)
+	}
+	if size > len(t.slots) {
+		t.resize(size)
+	}
+}
+
+// resize rehashes the table into size slots, a power of two.
+func (t *flowTable) resize(size int) {
+	old := t.slots
+	t.slots = make([]flowSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.n = 0
+	for _, s := range old {
+		if s.ep != nil {
+			t.put(s.flow, s.ep)
+		}
+	}
 }
 
 // del removes the flow if present: it empties the slot, then walks the
@@ -302,6 +315,11 @@ func (h *Host) Listen(l Listener) {
 	}
 	h.listener = l
 }
+
+// ReserveEndpoints sizes the host's flow table, once, for n more endpoints
+// than it holds now, so a caller that knows how many flows it will
+// register does not regrow the table through every smaller size.
+func (h *Host) ReserveEndpoints(n int) { h.endpoints.reserve(n) }
 
 // EndpointCapacity reports how many endpoints the host's flow table holds
 // before it next grows. The table never shrinks, so this follows the most

@@ -14,6 +14,10 @@ import "dtdctcp/internal/invariant"
 // style valid.
 type packetPool struct {
 	free []*Packet
+	// made counts the packets the pool has created, all on the miss path,
+	// so made − len(free) is the number out in the network; see
+	// Network.LivePackets.
+	made int
 }
 
 //dtlint:hotpath
@@ -25,6 +29,7 @@ func (pp *packetPool) get() *Packet {
 		p.freed = false
 		return p
 	}
+	pp.made++
 	//dtlint:allow hotalloc: pool miss is the cold path; steady state is all free-list hits
 	return &Packet{pooled: true}
 }
@@ -59,3 +64,10 @@ func (n *Network) AllocPacket() *Packet { return n.pool.get() }
 //
 //dtlint:hotpath
 func (n *Network) FreePacket(p *Packet) { n.pool.put(p) }
+
+// LivePackets reports how many packets born from AllocPacket have not come
+// back to the free list: those queued, in flight or held by an endpoint.
+// Once a finite workload has drained (Engine.Run returned with nothing
+// pending) every packet has reached delivery or a drop, so a nonzero count
+// is a packet some path forgot to free.
+func (n *Network) LivePackets() int { return n.pool.made - len(n.pool.free) }

@@ -18,8 +18,6 @@ type LongLived struct {
 	// Senders returns the transport senders, one per flow, for α and
 	// cwnd sampling.
 	Senders []*tcp.Sender
-
-	receivers []*tcp.Receiver
 }
 
 // LongLivedConfig parameterizes a long-lived flow set.
@@ -41,14 +39,16 @@ type LongLivedConfig struct {
 
 // StartLongLived creates and starts the flow set at the current instant.
 func StartLongLived(engine *sim.Engine, cfg LongLivedConfig) *LongLived {
-	w := &LongLived{}
+	// The receivers live in the sink host's flow table, sized here for
+	// all of them at once.
+	w := &LongLived{Senders: make([]*tcp.Sender, 0, len(cfg.Hosts))}
+	cfg.Receiver.ReserveEndpoints(len(cfg.Hosts))
 	for i, h := range cfg.Hosts {
 		flow := cfg.BaseFlow + netsim.FlowID(i)
 		tcpCfg := plusPacingSeed(engine, cfg.TCP)
 		s := tcp.NewSender(h, flow, cfg.Receiver.ID(), 0, tcpCfg)
-		r := tcp.NewReceiver(cfg.Receiver, flow, h.ID(), cfg.TCP)
+		tcp.NewReceiver(cfg.Receiver, flow, h.ID(), cfg.TCP)
 		w.Senders = append(w.Senders, s)
-		w.receivers = append(w.receivers, r)
 		if cfg.StartJitter > 0 {
 			jitter := time.Duration(engine.Rand().Int63n(int64(cfg.StartJitter)))
 			s.StartAt(engine.Now().Add(jitter))

@@ -45,6 +45,11 @@ func TestLongLivedFlowsMakeProgress(t *testing.T) {
 	if len(w.Senders) != 5 {
 		t.Fatalf("Senders = %d", len(w.Senders))
 	}
+	// The sink's flow table is sized once for the five receivers: 16
+	// slots, the least power of two at most half full.
+	if c := rcv.EndpointCapacity(); c != 8 {
+		t.Fatalf("receiver host holds %d endpoints before growing, want 8", c)
+	}
 	total := w.TotalAcked()
 	if total == 0 {
 		t.Fatal("no progress")
