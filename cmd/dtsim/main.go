@@ -2,7 +2,6 @@
 // subcommand per scenario family:
 //
 //	dumbbell   one long-lived-flows dumbbell (Section VI-A, Figs. 1, 10–12)
-//	chaos      the dumbbell under fault-injection profiles, recovery per protocol
 //	fabric     a fat-tree or leaf-spine under a trace-driven workload, FCTs as JSON
 //	hybrid     the hybrid fluid/packet co-simulation against its packet reference
 //	stability  the describing-function analysis (Sections IV–V, Fig. 9)
@@ -11,7 +10,6 @@
 // Examples:
 //
 //	dtsim dumbbell -protocol dt-dctcp -k1 30 -k2 50 -flows 60 -plot
-//	dtsim chaos -profiles blackout,burst -o chaos.json
 //	dtsim fabric -quick > fabric.json
 //	dtsim stability -protocol dt-dctcp -critical
 //
@@ -63,7 +61,7 @@ type subcommand struct {
 	run             func(o *opts, fs *flag.FlagSet, w io.Writer) error
 }
 
-var subcommands = []*subcommand{&dumbbellCmd, &chaosCmd, &fabricCmd, &hybridCmd, &stabilityCmd, &fluidCmd}
+var subcommands = []*subcommand{&dumbbellCmd, &fabricCmd, &hybridCmd, &stabilityCmd, &fluidCmd}
 
 func run(args []string, w io.Writer) error {
 	names := make([]string, len(subcommands))
@@ -128,15 +126,13 @@ type opts struct {
 	g, gamma, rate                  float64
 	rtt, duration, warmup           time.Duration
 	seed                            int64
-	workers                         int
 	quick                           bool
 	metrics, cpuProfile, memProfile path
 	sbAlpha                         float64
 	sbPool                          int
 	sbBottleneckOnly, plot          bool
-	csv, trace, prom, out, locus    path
+	csv, trace, prom, locus         path
 	metricsSample                   time.Duration
-	profiles, plan                  string
 	topo, cdf, matrix               string
 	arity, leaves, spines           int
 	hostsPerLeaf                    int
@@ -164,7 +160,6 @@ func (o *opts) define(fs *flag.FlagSet) {
 	fs.DurationVar(&o.warmup, "warmup", 20*time.Millisecond, "settling interval excluded from statistics")
 	fs.IntVar(&o.buffer, "buffer", 600, "buffer per port in packets")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	fs.IntVar(&o.workers, "workers", 0, "runs in parallel, < 1 for GOMAXPROCS (results are identical for any value)")
 	fs.Var(&o.metrics, "metrics", "write the observability snapshots as JSON to this path")
 	fs.Var(&o.cpuProfile, "cpuprofile", "write a CPU profile to this path")
 	fs.Var(&o.memProfile, "memprofile", "write a heap profile to this path")
@@ -176,9 +171,6 @@ func (o *opts) define(fs *flag.FlagSet) {
 	fs.Var(&o.trace, "trace", "write per-packet bottleneck events as JSONL to this path")
 	fs.Var(&o.prom, "metrics-prom", "write the snapshot in Prometheus text format to this path")
 	fs.DurationVar(&o.metricsSample, "metrics-sample", 0, "sample queue/α/cwnd gauges into snapshot series at this virtual-time period")
-	fs.Var(&o.out, "o", "write the report as JSON to this path")
-	fs.StringVar(&o.profiles, "profiles", "", "comma-separated built-in fault profiles (default: all)")
-	fs.StringVar(&o.plan, "plan", "", "run a fault plan file instead of built-in profiles")
 	fs.StringVar(&o.topo, "topo", "fattree", "topology: fattree or leafspine")
 	fs.IntVar(&o.arity, "arity", 4, "fat-tree arity (even)")
 	fs.IntVar(&o.leaves, "leaves", 4, "leaf-spine: number of leaf switches")

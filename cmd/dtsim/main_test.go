@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"dtdctcp"
-	"dtdctcp/internal/chaos"
 )
 
 // short is a dumbbell small enough to run many times per test.
@@ -87,7 +85,7 @@ func TestOneProtocolRefusesList(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	for _, args := range [][]string{
 		nil, {"-flows", "2"}, {"simulate"}, {"dumbbell", "extra"},
-		{"dumbbell", "-nonsense"}, {"fabric", "-shards", "2"}, {"chaos", "-zoo"}, {"fabric", "-K", "20"},
+		{"dumbbell", "-nonsense"}, {"fabric", "-shards", "2"}, {"fabric", "-K", "20"},
 		{"hybrid", "-proto", "dctcp"}, {"stability", "-dt"}, {"fluid", "-n", "10"},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -100,11 +98,9 @@ func TestRunBadFlag(t *testing.T) {
 // hybrid's are TestFabricRejectsBadFlags and TestHybridRejectsBadFlags.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"stability no DF":  {"stability", "-protocol", "hull"},
-		"fluid no law":     {"fluid", "-protocol", "reno"},
-		"fluid capacity":   {"fluid", "-c", "NaN"},
-		"chaos profile":    {"chaos", "-profiles", "meteor"},
-		"chaos bad config": {"chaos", "-quick", "-flows", "0"},
+		"stability no DF": {"stability", "-protocol", "hull"},
+		"fluid no law":    {"fluid", "-protocol", "reno"},
+		"fluid capacity":  {"fluid", "-c", "NaN"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("%s accepted", name)
@@ -232,8 +228,6 @@ func TestRunBadOutputPaths(t *testing.T) {
 		append(short, "-trace", bad),
 		append(short, "-metrics", bad),
 		append(short, "-metrics-prom", bad),
-		{"chaos", "-quick", "-o", bad},
-		{"chaos", "-quick", "-metrics", bad},
 	}
 	for _, c := range subcommands {
 		for _, profile := range []string{"memprofile", "cpuprofile"} {
@@ -254,7 +248,7 @@ func TestRunBadOutputPaths(t *testing.T) {
 // core runner returns for the configuration -quick documents, which holds
 // the flag → config mapping.
 func TestQuickMatchesCoreRunner(t *testing.T) {
-	dctcp, dt := dtdctcp.DCTCP(40, 1.0/16), dtdctcp.DTDCTCP(30, 50, 1.0/16)
+	dctcp := dtdctcp.DCTCP(40, 1.0/16)
 
 	t.Run("dumbbell", func(t *testing.T) {
 		res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
@@ -272,28 +266,6 @@ func TestQuickMatchesCoreRunner(t *testing.T) {
 		}
 		if got.String() != want.String() {
 			t.Fatalf("dumbbell -quick printed\n%s\nthe core runner gives\n%s", &got, &want)
-		}
-	})
-
-	t.Run("chaos", func(t *testing.T) {
-		plan, err := chaos.Profile("blackout")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []chaosReport
-		for _, p := range []dtdctcp.Protocol{dctcp, dt} {
-			res, err := dtdctcp.RunDumbbell(dtdctcp.DumbbellConfig{
-				Protocol: p, Flows: 8, Rate: dtdctcp.Gbps, RTT: 100 * time.Microsecond,
-				BufferPkts: 250, Duration: 40 * time.Millisecond, Warmup: 10 * time.Millisecond,
-				QueueSampleEvery: 20 * time.Microsecond, Seed: 1, Chaos: plan,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, chaosReportOf(plan.Name, res))
-		}
-		if got := chaosReports(t, "-quick"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("chaos -quick reports\n%+v\nthe core runner gives\n%+v", got, want)
 		}
 	})
 
@@ -386,7 +358,7 @@ func TestQuickMatchesCoreRunner(t *testing.T) {
 // from the embedded core.Outcome; a key leaves a report, or joins it, only
 // by an edit to this table.
 func TestReportKeys(t *testing.T) {
-	outcome := []string{"events", "marks", "drops", "host_drops", "fault_drops",
+	outcome := []string{"events", "marks", "drops", "host_drops",
 		"dropped_no_flow", "timeouts", "retransmissions"}
 	fabric := append([]string{"protocol", "topology", "hosts", "load", "flows", "completed", "fct",
 		"digest", "core_queue", "agg_queue", "mark_rate", "drop_rate", "out_of_order",

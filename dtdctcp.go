@@ -32,13 +32,11 @@ import (
 	"io"
 	"time"
 
-	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/control"
 	"dtdctcp/internal/core"
 	"dtdctcp/internal/flowgen"
 	"dtdctcp/internal/fluid"
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/stats"
 )
 
 // Rate is a link speed in bits per second.
@@ -262,28 +260,6 @@ type Margins = control.Margins
 func StabilityMargins(p Protocol, params AnalysisParams, flows int) (Margins, error) {
 	return core.StabilityMargins(p, params, flows)
 }
-
-// ChaosPlan is a declarative, JSON-loadable fault-injection schedule:
-// link outages and flapping, runtime capacity/delay/buffer changes,
-// corruption windows, and background bursts, applied to the dumbbell via
-// DumbbellConfig.Chaos. Same seed + plan yields byte-identical runs.
-type ChaosPlan = chaos.Plan
-
-// ChaosEvent is one scheduled perturbation of a ChaosPlan.
-type ChaosEvent = chaos.Event
-
-// Recovery quantifies post-fault behavior: time-to-drain back into the
-// pre-fault queue band and time until the oscillation re-locks.
-type Recovery = stats.Recovery
-
-// ChaosProfiles lists the built-in fault profiles in sorted order.
-func ChaosProfiles() []string { return chaos.Profiles() }
-
-// ChaosProfile returns a fresh copy of a built-in fault plan by name.
-func ChaosProfile(name string) (*ChaosPlan, error) { return chaos.Profile(name) }
-
-// LoadChaosPlan reads and validates a JSON plan file.
-func LoadChaosPlan(path string) (*ChaosPlan, error) { return chaos.LoadPlan(path) }
 
 // BuildupResult summarizes the short flows' completion times.
 type BuildupResult = core.BuildupResult

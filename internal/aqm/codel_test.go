@@ -118,3 +118,33 @@ func TestCoDelDefaults(t *testing.T) {
 		t.Fatal("RFC defaults")
 	}
 }
+
+// TestCoDelRestartsFromRecentCount pins RFC 8289 §5.4: re-entering the
+// dropping state within one interval of the last scheduled drop resumes
+// at lastCount − 2 rather than at 1, so a queue that recovers briefly is
+// not granted a slow restart. Leaving right after the fourth drop, whose
+// successor was due Interval/2 later, puts the re-entry one interval of
+// standing sojourn after the exit: about Interval/2 past that successor.
+func TestCoDelRestartsFromRecentCount(t *testing.T) {
+	c := newTestCoDel(false)
+	now := sim.TimeZero
+	for c.count < 4 {
+		now = now.Add(10 * time.Microsecond)
+		c.OnDequeue(now, 500*time.Microsecond, 50*pkt)
+	}
+	lastCount, due := c.lastCount, c.dropNext
+	now = now.Add(10 * time.Microsecond)
+	if c.OnDequeue(now, 20*time.Microsecond, 10*pkt); c.Dropping() {
+		t.Fatal("setup: did not leave the dropping state")
+	}
+	for !c.Dropping() {
+		now = now.Add(10 * time.Microsecond)
+		c.OnDequeue(now, 500*time.Microsecond, 50*pkt)
+	}
+	if gap := (now - due).Duration(); gap <= 200*time.Microsecond || gap >= c.interval()-200*time.Microsecond {
+		t.Fatalf("setup: re-entered %v after the due drop, want well inside (0, %v)", gap, c.interval())
+	}
+	if c.count != lastCount-2 {
+		t.Fatalf("re-entered at count %d, want lastCount−2 = %d", c.count, lastCount-2)
+	}
+}

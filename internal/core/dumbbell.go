@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"time"
 
-	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
@@ -43,19 +41,12 @@ type DumbbellConfig struct {
 	// Seed drives all randomness (start jitter).
 	Seed int64
 	// TraceTo, when set, streams the bottleneck port's per-packet
-	// events (enqueue/dequeue/mark/drop, plus fault events when Chaos
-	// is set) as JSON Lines.
+	// events (enqueue/dequeue/mark/drop) as JSON Lines.
 	TraceTo io.Writer
-	// Chaos, when set, applies the fault-injection plan to the running
-	// topology. Plans may target the link names "bottleneck" (switch →
-	// receiver), "ack" (receiver → switch), and "access<i>" (sender i →
-	// switch). Event times are absolute virtual times, so plans should
-	// account for Warmup.
-	Chaos *chaos.Plan
 	// Metrics enables the observability registry: the result carries a
-	// Snapshot covering the engine, bottleneck port, senders, and chaos
-	// controller. Collection is pull-based, so enabling it changes no
-	// event order and no result field.
+	// Snapshot covering the engine, bottleneck port and senders.
+	// Collection is pull-based, so enabling it changes no event order
+	// and no result field.
 	Metrics bool
 	// MetricsSampleEvery additionally runs a periodic virtual-time
 	// sampler exporting queue depth, mean α, and mean cwnd as series in
@@ -176,11 +167,6 @@ type DumbbellResult struct {
 	// PerFlowAcked lists each flow's acknowledged bytes.
 	PerFlowAcked []int64
 
-	// Recovery holds fault-recovery metrics of the queue trace around
-	// the chaos plan's fault window; nil unless Chaos was set and the
-	// queue series was sampled.
-	Recovery *stats.Recovery
-
 	// Outcome counts marks and drops at the bottleneck.
 	Outcome
 }
@@ -209,24 +195,6 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		tracer = trace.NewRecorder(cfg.TraceTo)
 		tracer.PacketSize = pktSize
 		bneck.SetTracer(tracer)
-	}
-
-	if cfg.Chaos != nil {
-		ctl := chaos.NewController(star.Net, cfg.Chaos)
-		ctl.BindLink("bottleneck", bneck)
-		ctl.BindLink("ack", rcv.Uplink())
-		for i, snd := range senders {
-			ctl.BindLink(fmt.Sprintf("access%d", i), snd.Uplink())
-		}
-		if tracer != nil {
-			ctl.SetTrace(tracer)
-		}
-		if err := ctl.Apply(); err != nil {
-			return nil, err
-		}
-		if obs != nil {
-			obs.observeChaos(ctl)
-		}
 	}
 
 	flows := workload.StartLongLived(r.engine, workload.LongLivedConfig{
@@ -310,15 +278,6 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		period, conf := stats.EstimatePeriod(res.QueueSeries.After(cfg.Warmup.Seconds()))
 		res.OscPeriod = time.Duration(period * float64(time.Second))
 		res.OscConfidence = conf
-	}
-	if cfg.Chaos != nil && res.QueueSeries != nil {
-		if fs, fe, ok := cfg.Chaos.FaultWindow(); ok {
-			rec := stats.MeasureRecovery(res.QueueSeries, stats.RecoveryConfig{
-				FaultStart: fs.Seconds(),
-				FaultEnd:   fe.Seconds(),
-			})
-			res.Recovery = &rec
-		}
 	}
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
@@ -43,9 +42,6 @@ func (o *observer) observePort(name string, p *netsim.Port, pktSize, bufferPkts 
 	o.reg.CounterFunc("port_dropped_policy_total",
 		"Packets dropped by the AQM policy.",
 		func() uint64 { return stat().DroppedPolicy }, lbl)
-	o.reg.CounterFunc("port_dropped_fault_total",
-		"Packets lost to injected faults (down link or corruption).",
-		func() uint64 { s := stat(); return s.DroppedLinkDown + s.DroppedCorrupt }, lbl)
 	o.reg.CounterFunc("port_bytes_sent_total",
 		"On-wire bytes transmitted.",
 		func() uint64 { return stat().BytesSent }, lbl)
@@ -138,13 +134,6 @@ func (o *observer) observeFlows(flows *workload.LongLived) {
 	o.reg.GaugeFunc("tcp_cwnd_mean_pkts",
 		"Mean congestion window across all senders, in packets.",
 		flows.MeanCwnd)
-}
-
-// observeChaos registers the fault-action counter.
-func (o *observer) observeChaos(ctl *chaos.Controller) {
-	o.reg.CounterFunc("chaos_actions_executed_total",
-		"Chaos plan actions that have fired (flap transitions and burst toggles count individually).",
-		ctl.Executed)
 }
 
 // sampler registers the series of the dumbbell's periodic sampler —

@@ -11,14 +11,13 @@ import (
 
 // The observability layer is exercised end to end by cmd/dtsim and the
 // metrics package; these tests pin it from inside core so the observer
-// wiring (dumbbell, testbed, chaos, sampler) keeps its own coverage.
+// wiring (dumbbell, testbed, sampler) keeps its own coverage.
 
 func TestDumbbellMetricsSnapshot(t *testing.T) {
 	cfg := paperDumbbell(DCTCP(40, 1.0/16), 6)
 	cfg.Duration = 30 * time.Millisecond
 	cfg.Warmup = 10 * time.Millisecond
 	cfg.Metrics = true
-	cfg.Chaos = chaosPlan()
 	res, err := RunDumbbell(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,6 @@ func TestDumbbellMetricsSnapshot(t *testing.T) {
 		"sim_events_executed_total",
 		"port_queue_depth_pkts",
 		"tcp_alpha_mean",
-		"chaos_actions_executed_total",
 	} {
 		if !names[want] {
 			t.Errorf("snapshot lacks %q", want)

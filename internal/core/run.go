@@ -56,9 +56,6 @@ type Outcome struct {
 	// HostDrops counts overflow drops at the hosts' uplink ports (NICs),
 	// which Drops omits.
 	HostDrops uint64 `json:"host_drops"`
-	// FaultDrops counts packets lost to chaos faults — a down link or
-	// corruption — at every port.
-	FaultDrops uint64 `json:"fault_drops"`
 	// DroppedNoFlow counts packets a host refused because their
 	// connection had already closed: late duplicates and their ACKs
 	// after an endpoint retired.
@@ -91,7 +88,6 @@ func (r *run) collect(nw *netsim.Network, bneck *netsim.Port, end sim.Time, load
 		for i := 0; i < sw.Ports(); i++ {
 			p := sw.Port(i)
 			st := p.Stats()
-			o.FaultDrops += st.DroppedLinkDown + st.DroppedCorrupt
 			if bneck == nil || p == bneck {
 				o.Marks += st.Marked
 				o.Drops += st.DroppedOverflow
@@ -102,7 +98,6 @@ func (r *run) collect(nw *netsim.Network, bneck *netsim.Port, end sim.Time, load
 	for _, h := range nw.Hosts() {
 		st := h.Uplink().Stats()
 		o.HostDrops += st.DroppedOverflow
-		o.FaultDrops += st.DroppedLinkDown + st.DroppedCorrupt
 		o.DroppedNoFlow += h.DroppedNoFlow()
 	}
 	for _, w := range loads {

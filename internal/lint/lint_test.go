@@ -155,7 +155,7 @@ func TestScoping(t *testing.T) {
 	// internal/topo, which builds topologies through netsim and never
 	// touches the kernel itself.
 	for _, a := range []*Analyzer{NonDeterm, MapOrder, SoloEngine} {
-		for _, p := range []string{"flowgen", "hybrid", "workload", "chaos", "metrics", "trace"} {
+		for _, p := range []string{"flowgen", "hybrid", "workload", "metrics", "trace"} {
 			cases = append(cases, row{a, "dtdctcp/internal/" + p, true})
 		}
 		cases = append(cases,

@@ -187,7 +187,7 @@ func TestECMPForwardSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestFlappingSteadyStateAllocFree pins the chaos drop paths onto the
+// TestFlappingSteadyStateAllocFree pins the fault drop paths onto the
 // free-list contract: a link that flaps down (flushing its queue) and up
 // while traffic keeps arriving, with probabilistic corruption on the
 // survivors, must recycle every dropped packet through the pool and

@@ -148,99 +148,6 @@ func TestLinkDownFlushEmptiesQueue(t *testing.T) {
 	}
 }
 
-func TestSetRateChangesServiceTime(t *testing.T) {
-	e, n, src, dst, port := faultNet(t, 10*Mbps, 10*Mbps)
-	sink := &countingSink{}
-	dst.Register(1, sink)
-
-	sendOne(n, src, dst, 1500)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	slow := e.Now()
-
-	// Same transfer at 10× the rate: the second leg serializes 10× faster.
-	port.SetRate(100 * Mbps)
-	start := e.Now()
-	sendOne(n, src, dst, 1500)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fast := e.Now() - start
-	if fast >= slow {
-		t.Fatalf("rate increase did not speed delivery: first=%v second=%v", slow, fast)
-	}
-
-	// Non-positive rates are ignored.
-	port.SetRate(0)
-	if port.Rate() != 100*Mbps {
-		t.Fatalf("SetRate(0) mutated the rate to %v", port.Rate())
-	}
-}
-
-func TestSetDelayChangesPropagation(t *testing.T) {
-	e, n, src, dst, port := faultNet(t, Gbps, Gbps)
-	sink := &countingSink{}
-	dst.Register(1, sink)
-
-	sendOne(n, src, dst, 1500)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	base := e.Now()
-
-	port.SetDelay(10 * time.Millisecond)
-	start := e.Now()
-	sendOne(n, src, dst, 1500)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if d := (e.Now() - start).Duration(); d < 10*time.Millisecond || d > 10*time.Millisecond+base.Duration() {
-		t.Fatalf("delivery took %v after raising delay to 10ms (baseline %v)", d, base)
-	}
-	port.SetDelay(-time.Second)
-	if port.Delay() != 10*time.Millisecond {
-		t.Fatal("negative SetDelay mutated the delay")
-	}
-}
-
-func TestSetBufferShrinkDropsFromTail(t *testing.T) {
-	e, n, _, dst, port := faultNet(t, 10*Mbps, 10*Mbps)
-	sink := &countingSink{}
-	dst.Register(1, sink)
-
-	// Send 10 packets straight into the port back-to-back: the first
-	// starts serializing immediately, the other 9 wait in the queue.
-	const pkt = 1000
-	for i := 0; i < 10; i++ {
-		p := n.AllocPacket()
-		p.Flow = 1
-		p.Dst = dst.ID()
-		p.Size = pkt
-		p.Seq = int64(i)
-		port.Send(p)
-	}
-	if port.QueuePackets() != 9 {
-		t.Fatalf("setup: %d queued, want 9", port.QueuePackets())
-	}
-	before := port.Stats().DroppedOverflow
-	port.SetBuffer(4 * pkt)
-	if port.QueueLen() > port.Buffer() {
-		t.Fatalf("occupancy %d exceeds shrunk buffer %d", port.QueueLen(), port.Buffer())
-	}
-	if got := port.Stats().DroppedOverflow - before; got != 5 {
-		t.Fatalf("shrink dropped %d packets, want 5", got)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Survivors are the oldest arrivals: seq 0 (in flight at shrink time)
-	// then 1..4 from the head of the queue.
-	if sink.n != 5 {
-		t.Fatalf("delivered %d after shrink, want 5", sink.n)
-	}
-}
-
 func TestCorruptionDropsProbabilistically(t *testing.T) {
 	e, n, src, dst, port := faultNet(t, Gbps, Gbps)
 	sink := &countingSink{}

@@ -56,7 +56,7 @@ func checkTable(t *testing.T, tab *flowTable, ref map[FlowID]Endpoint) {
 
 // The table against a map under random register/unregister/lookup. The
 // key space is a few dozen ids around zero (negative ones included, as
-// chaos.BurstFlowID is) so that collisions, re-registration of a deleted
+// FlowID may be) so that collisions, re-registration of a deleted
 // id and deletes inside long clusters are the common case.
 func TestFlowTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {

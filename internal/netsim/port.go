@@ -266,53 +266,6 @@ func (p *Port) CorruptProb() float64 { return p.corruptProb }
 // Peer returns the node at the far end of the link.
 func (p *Port) Peer() Node { return p.peer }
 
-// SetRate changes the link speed at the current instant. The packet
-// currently in serialization keeps its old timing; every later packet
-// clocks out at the new rate. Non-positive rates are ignored.
-func (p *Port) SetRate(r Rate) {
-	if r > 0 {
-		p.rate = r
-	}
-}
-
-// SetDelay changes the propagation delay. Packets already launched keep
-// their old arrival times (the wire does not reorder); negative delays
-// are ignored.
-func (p *Port) SetDelay(d time.Duration) {
-	if d >= 0 {
-		p.delay = d
-	}
-}
-
-// SetBuffer resizes the queue capacity. Shrinking below the current
-// occupancy drops packets from the tail of the queue (the most recent
-// arrivals — what a switch reconfiguring its buffer carve-up discards)
-// until the occupancy fits; those count as overflow drops. On a pooled
-// port the mutation resizes the whole shared pool instead, evicting from
-// the longest member queue (chaos buffer faults compose with buffer
-// sharing this way). Non-positive sizes are ignored.
-func (p *Port) SetBuffer(bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	if p.shared != nil {
-		p.shared.Resize(bytes)
-		return
-	}
-	p.buffer = bytes
-	if p.queueLen <= p.buffer {
-		return
-	}
-	for p.queueLen > p.buffer && p.queue.len() > 0 {
-		pkt := p.queue.popTail()
-		p.addQueued(-pkt.Size)
-		p.policy.OnDeparture(p.engine.Now(), p.totalQueueLen())
-		p.drop(pkt, true)
-	}
-	p.checkConservation()
-	p.notifyMonitor()
-}
-
 // SetCorruptProb sets the probability that a packet is corrupted (and so
 // lost) after serialization. Randomness comes from the engine's seeded
 // source, so corruption is a pure function of the run seed. The value is

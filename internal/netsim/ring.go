@@ -49,19 +49,6 @@ func (r *pktRing) pop() *Packet {
 	return p
 }
 
-// popTail removes and returns the most recently pushed element. It is the
-// other end of the FIFO, used when a buffer resize must discard the
-// newest arrivals first.
-//
-//dtlint:hotpath
-func (r *pktRing) popTail() *Packet {
-	r.n--
-	i := (r.head + r.n) & (len(r.buf) - 1)
-	p := r.buf[i]
-	r.buf[i] = nil
-	return p
-}
-
 // at returns the i-th element in FIFO order without removing it.
 //
 //dtlint:hotpath

@@ -8,7 +8,7 @@ import (
 	"dtdctcp/internal/sim"
 )
 
-// TestPktRingMatchesSliceModel drives random push/pop/popTail/at
+// TestPktRingMatchesSliceModel drives random push/pop/at
 // sequences on a zero-value ring against a plain slice. The ring must
 // grow 0 → 8 → 64 → 128 slots: the first push makes ringFirstCap, the
 // first growth skips to ringBusyCap, and later ones double. Pushes
@@ -37,16 +37,11 @@ func TestPktRingMatchesSliceModel(t *testing.T) {
 				if len(r.buf) != sizes[len(sizes)-1] {
 					sizes = append(sizes, len(r.buf))
 				}
-			case op < pushBias+(1-pushBias)/2:
+			default:
 				if got, want := r.pop(), model[0]; got != want {
 					t.Fatalf("seed %d step %d: pop = %p, model %p", seed, step, got, want)
 				}
 				model = model[1:]
-			default:
-				if got, want := r.popTail(), model[len(model)-1]; got != want {
-					t.Fatalf("seed %d step %d: popTail = %p, model %p", seed, step, got, want)
-				}
-				model = model[:len(model)-1]
 			}
 			if r.len() != len(model) {
 				t.Fatalf("seed %d step %d: len = %d, model %d", seed, step, r.len(), len(model))

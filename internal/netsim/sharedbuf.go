@@ -90,39 +90,6 @@ func (sb *SharedBuffer) admit(qlen, size int) bool {
 	return float64(qlen+size) <= sb.alpha*float64(free)
 }
 
-// Resize changes the pool capacity at the current instant — the
-// shared-buffer analogue of Port.SetBuffer, and what chaos buffer
-// mutations call on pooled ports. Shrinking below the current occupancy
-// evicts from the tail of the longest member queue (ties broken by
-// attachment order) until the pool fits; evictions count as overflow
-// drops on the owning port. Non-positive sizes are ignored.
-func (sb *SharedBuffer) Resize(bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	sb.total = bytes
-	for sb.used > sb.total {
-		victim := sb.ports[0]
-		for _, p := range sb.ports[1:] {
-			if p.queueLen > victim.queueLen {
-				victim = p
-			}
-		}
-		if victim.queue.len() == 0 {
-			// Unreachable while used > 0; guard against counter drift.
-			break
-		}
-		pkt := victim.queue.popTail()
-		victim.addQueued(-pkt.Size)
-		victim.policy.OnDeparture(victim.engine.Now(), victim.totalQueueLen())
-		victim.drop(pkt, true)
-		victim.notifyMonitor()
-	}
-	for _, p := range sb.ports {
-		p.checkConservation()
-	}
-}
-
 // checkConservation asserts, under -tags invariants, that the pool
 // counter equals the sum of member occupancies and never exceeds the
 // capacity.

@@ -253,72 +253,6 @@ func TestSharedBufferSmallAlphaLeavesHeadroom(t *testing.T) {
 	}
 }
 
-// Resize shrinks deterministically: evictions come off the tail of the
-// longest member queue, count as overflow drops on the owning port, and
-// two identical runs agree exactly.
-func TestSharedBufferResizeEvictsLongestQueue(t *testing.T) {
-	run := func() (used int, drops [2]uint64) {
-		sb, _ := NewSharedBuffer(32*pktSize, 1e9)
-		st := newSharedStar(t, 2, 10*Gbps, Mbps, 64, sb)
-		// Port 0 gets 20 packets, port 1 gets 8 (one each goes straight
-		// to serialization).
-		for i := 0; i < 20; i++ {
-			st.offer(0)
-		}
-		for i := 0; i < 8; i++ {
-			st.offer(1)
-		}
-		sb.Resize(12 * pktSize)
-		if sb.Total() != 12*pktSize {
-			t.Fatalf("Resize did not take: total=%d", sb.Total())
-		}
-		return sb.Used(), [2]uint64{st.egress[0].Stats().DroppedOverflow, st.egress[1].Stats().DroppedOverflow}
-	}
-	used, drops := run()
-	if used > 12*pktSize {
-		t.Fatalf("post-shrink occupancy %d exceeds new capacity", used)
-	}
-	// 19+7 = 26 packets queued, capacity 12: 14 evictions, all from the
-	// longer queue (port 0 held 19, evicting 12 still leaves it ≥ port 1's
-	// 7, then they alternate — port 0 loses strictly more).
-	if drops[0] <= drops[1] || drops[0]+drops[1] < 14 {
-		t.Fatalf("eviction split %v, want longest-queue-first with ≥14 total", drops)
-	}
-	used2, drops2 := run()
-	if used != used2 || drops != drops2 {
-		t.Fatalf("Resize nondeterministic: (%d,%v) vs (%d,%v)", used, drops, used2, drops2)
-	}
-	// Growing never evicts; non-positive is ignored.
-	sb, _ := NewSharedBuffer(10*pktSize, 1)
-	sb.Resize(-1)
-	if sb.Total() != 10*pktSize {
-		t.Fatal("negative Resize mutated capacity")
-	}
-}
-
-// Chaos composition: SetBuffer on a pooled port resizes the pool rather
-// than the (retired) static bound.
-func TestSetBufferOnPooledPortResizesPool(t *testing.T) {
-	sb, _ := NewSharedBuffer(32*pktSize, 1e9)
-	st := newSharedStar(t, 2, 10*Gbps, Mbps, 64, sb)
-	for i := 0; i < 10; i++ {
-		st.offer(0)
-	}
-	st.egress[0].SetBuffer(4 * pktSize)
-	if sb.Total() != 4*pktSize {
-		t.Fatalf("SetBuffer on pooled port left pool at %d", sb.Total())
-	}
-	if sb.Used() > sb.Total() {
-		t.Fatalf("pool overcommitted after SetBuffer: %d > %d", sb.Used(), sb.Total())
-	}
-	if st.egress[0].Stats().DroppedOverflow == 0 {
-		t.Fatal("shrink evicted nothing")
-	}
-	if err := st.engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // FuzzSharedBufferConfig drives arbitrary pool configurations and
 // arrival/drain traces through a two-port pooled switch: construction must
 // reject only non-positive parameters, and any accepted configuration must
@@ -347,10 +281,8 @@ func FuzzSharedBufferConfig(f *testing.F) {
 			switch op % 4 {
 			case 0, 1:
 				st.offer(int(op) % 2)
-			case 2:
+			default:
 				st.engine.RunUntil(st.engine.Now().Add(time.Duration(op) * time.Microsecond))
-			case 3:
-				sb.Resize((int(op)%128 + 1) * pktSize)
 			}
 			sum := 0
 			for _, p := range st.egress {

@@ -146,3 +146,71 @@ func TestPeriodsKeepsFirstCycles(t *testing.T) {
 		t.Fatalf("a series with no period was cut to %d samples", got.Len())
 	}
 }
+
+// perturbedSine builds a queue-like trace: a noisy sine around level
+// until faultStart, a backlog spike decaying from faultEnd, and the sine
+// resuming once the backlog is gone.
+func perturbedSine(period, level, faultStart, faultEnd, spike, decay float64, rng *rand.Rand) *Series {
+	s := NewSeries("perturbed")
+	for t := 0.0; t < faultStart+1.0; t += 0.001 {
+		base := level + math.Sin(2*math.Pi*t/period)
+		switch {
+		case t < faultStart:
+			s.Add(t, base+0.1*(rng.Float64()-0.5))
+		case t < faultEnd:
+			s.Add(t, spike) // queue pinned high during the outage
+		default:
+			// Exponential drain back to the oscillating baseline.
+			residue := spike * math.Exp(-(t-faultEnd)/decay)
+			s.Add(t, base+residue+0.1*(rng.Float64()-0.5))
+		}
+	}
+	return s
+}
+
+// TestEstimatePeriodShortSeries pins the <16-point early-out boundary.
+func TestEstimatePeriodShortSeries(t *testing.T) {
+	s := NewSeries("short")
+	for i := 0; i < 15; i++ {
+		s.Add(float64(i), math.Sin(float64(i)))
+	}
+	if p, conf := EstimatePeriod(s); p != 0 || conf != 0 {
+		t.Fatalf("15-point series gave period=%v conf=%v, want 0,0", p, conf)
+	}
+	// One more point crosses the threshold and the estimator must at
+	// least run without claiming strong confidence in 16 samples.
+	s.Add(15, math.Sin(15))
+	if _, conf := EstimatePeriod(s); conf < 0 || conf > 1 {
+		t.Fatalf("confidence %v out of range", conf)
+	}
+}
+
+// TestEstimatePeriodPostPerturbationRelock: a window dominated by the
+// drain after a perturbation finds nothing, a window past it finds the
+// original period again.
+func TestEstimatePeriodPostPerturbationRelock(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const period = 0.04
+	s := perturbedSine(period, 5, 1.0, 1.15, 60, 0.03, rng)
+
+	window := func(lo, hi float64) *Series {
+		w := NewSeries("w")
+		for i := 0; i < s.Len(); i++ {
+			if p := s.At(i); p.T >= lo && p.T < hi {
+				w.Add(p.T, p.V)
+			}
+		}
+		return w
+	}
+	// Far past the perturbation the lock is back at the right period.
+	p2, c2 := EstimatePeriod(window(1.5, 1.9))
+	if math.Abs(p2-period) > 0.006 {
+		t.Fatalf("post-perturbation window: period %v, want ≈ %v (conf %v)", p2, period, c2)
+	}
+	// A window dominated by the monotone drain must not report the
+	// baseline period with comparable confidence.
+	p1, c1 := EstimatePeriod(window(1.15, 1.3))
+	if math.Abs(p1-period) < 0.004 && c1 >= c2 {
+		t.Fatalf("drain window locked onto %v (conf %v ≥ %v); windows cannot discriminate recovery", p1, c1, c2)
+	}
+}

@@ -208,11 +208,10 @@ func TestRTORecoversFromTotalBlackout(t *testing.T) {
 	}
 }
 
-// TestRTORecoversFromLinkDownOutage is the chaos-layer variant of the
+// TestRTORecoversFromLinkDownOutage is the link-level variant of the
 // blackout test: instead of an AQM that eats packets, the bottleneck
-// port itself goes down mid-transfer (flushing its queue, cutting the
-// in-flight serialization, dropping arrivals), as a chaos link-down
-// event does. With nothing left in flight there are no duplicate ACKs,
+// port itself goes down mid-transfer (Port.SetDown flushes its queue,
+// cuts the in-flight serialization and drops arrivals). With nothing left in flight there are no duplicate ACKs,
 // so recovery must come from the retransmission timer.
 func TestRTORecoversFromLinkDownOutage(t *testing.T) {
 	d := newDumbbell(t, 1, 1*netsim.Gbps, 25*time.Microsecond, 1000, nil)

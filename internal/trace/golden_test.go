@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/core"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/trace"
@@ -18,10 +17,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata golden trace")
 
-// goldenTrace runs a short chaos-perturbed dumbbell with a Recorder on
-// the bottleneck and returns the raw JSONL. The link-down makes the
-// fault kinds (link-down, drop-link-down, link-up) appear alongside the
-// packet kinds, so the fixture covers both tracer interfaces.
+// goldenTrace runs a short dumbbell with a Recorder on the bottleneck and
+// returns the raw JSONL. The fault kinds are covered by
+// TestRecorderFaultEventsOnLivePort, which downs a port directly.
 func goldenTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -35,13 +33,6 @@ func goldenTrace(t *testing.T) []byte {
 		Warmup:     time.Millisecond,
 		Seed:       1,
 		TraceTo:    &buf,
-		Chaos: &chaos.Plan{
-			Name: "golden-trace-blackout",
-			Events: []chaos.Event{
-				{At: chaos.D(1500 * time.Microsecond), Kind: chaos.KindLinkDown,
-					Link: "bottleneck", Flush: true, DownFor: chaos.D(200 * time.Microsecond)},
-			},
-		},
 	}
 	if _, err := core.RunDumbbell(cfg); err != nil {
 		t.Fatal(err)
@@ -75,8 +66,8 @@ func TestGoldenTrace(t *testing.T) {
 }
 
 // TestGoldenTraceWellFormed re-decodes the fixture line by line: every
-// line is valid JSON, timestamps are nondecreasing, and both packet and
-// fault kinds are present.
+// line is valid JSON, timestamps are nondecreasing, and the packet kinds
+// are present.
 func TestGoldenTraceWellFormed(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden_dumbbell.jsonl"))
 	if err != nil {
@@ -104,10 +95,7 @@ func TestGoldenTraceWellFormed(t *testing.T) {
 	if lines == 0 {
 		t.Fatal("fixture is empty")
 	}
-	for _, want := range []trace.Kind{
-		trace.KindEnqueue, trace.KindDequeue,
-		trace.KindLinkDown, trace.KindLinkUp, trace.KindDropLinkDown,
-	} {
+	for _, want := range []trace.Kind{trace.KindEnqueue, trace.KindDequeue, trace.KindMark} {
 		if kinds[want] == 0 {
 			t.Errorf("fixture has no %q events", want)
 		}

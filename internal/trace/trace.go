@@ -4,11 +4,12 @@
 // and every enqueue, dequeue, CE mark, and drop becomes one JSON object
 // with the virtual timestamp.
 //
-// # Fault and chaos events
+// # Fault events
 //
-// The Recorder also takes the fault hooks of netsim.PortTracer, so ports
-// mutated by the chaos layer (internal/chaos) report their fault events
-// in the same JSONL stream:
+// The Recorder also takes the fault hooks of netsim.PortTracer, so a port
+// whose link is taken down (Port.SetDown) or made lossy
+// (Port.SetCorruptProb) reports its fault events in the same JSONL
+// stream:
 //
 //   - "link-down" / "link-up": the port's link changed state; qlen is
 //     the queue occupancy at the transition (nonzero on link-down means
@@ -18,11 +19,9 @@
 //   - "drop-link-down": a packet lost to a down link — an arrival at a
 //     down port, an in-flight transmission cut by the outage, or a
 //     queued packet discarded by a flush.
-//   - "burst-start" / "burst-stop": a chaos background-traffic injector
-//     switched on or off; name carries the injector's label.
 //
 // All fault events carry the usual packet fields when a packet is
-// involved; link-state and burst events are link-scoped and carry none.
+// involved; link-state events are link-scoped and carry none.
 package trace
 
 import (
@@ -51,21 +50,15 @@ const (
 	KindDropOverflow Kind = "drop-overflow"
 	// KindDropPolicy is a packet dropped by the queue law.
 	KindDropPolicy Kind = "drop-policy"
-	// KindCustom carries caller-defined samples (cwnd, α, ...).
-	KindCustom Kind = "custom"
-	// KindLinkDown is a port's link going down (chaos layer).
+	// KindLinkDown is a port's link going down.
 	KindLinkDown Kind = "link-down"
-	// KindLinkUp is a port's link coming back up (chaos layer).
+	// KindLinkUp is a port's link coming back up.
 	KindLinkUp Kind = "link-up"
 	// KindCorrupt is a packet lost to probabilistic corruption.
 	KindCorrupt Kind = "corrupt"
 	// KindDropLinkDown is a packet lost to a down link (arrival, cut
 	// in-flight transmission, or flushed queue slot).
 	KindDropLinkDown Kind = "drop-link-down"
-	// KindBurstStart is a chaos background-traffic injector starting.
-	KindBurstStart Kind = "burst-start"
-	// KindBurstStop is a chaos background-traffic injector stopping.
-	KindBurstStop Kind = "burst-stop"
 )
 
 // Event is one JSONL record.
@@ -88,9 +81,6 @@ type Event struct {
 	QueuePkts float64 `json:"qlen,omitempty"`
 	// Marked reports CE set at this port (enqueue events).
 	Marked bool `json:"marked,omitempty"`
-	// Name and Value carry custom samples.
-	Name  string  `json:"name,omitempty"`
-	Value float64 `json:"value,omitempty"`
 }
 
 // Recorder streams events to an io.Writer as JSON Lines. It implements
@@ -126,8 +116,8 @@ func (r *Recorder) Flush() error {
 	return r.err
 }
 
-// Emit writes one event.
-func (r *Recorder) Emit(ev Event) {
+// emit writes one event.
+func (r *Recorder) emit(ev Event) {
 	if r.err != nil {
 		return
 	}
@@ -138,21 +128,16 @@ func (r *Recorder) Emit(ev Event) {
 	r.events++
 }
 
-// Custom records a named scalar sample (cwnd, α, ...).
-func (r *Recorder) Custom(now sim.Time, name string, value float64) {
-	r.Emit(Event{T: now.Seconds(), Kind: KindCustom, Name: name, Value: value})
-}
-
 // PacketEnqueued implements netsim.PortTracer.
 func (r *Recorder) PacketEnqueued(now sim.Time, pkt *netsim.Packet, qlenBytes int, marked bool) {
 	ev := r.packetEvent(now, pkt, qlenBytes)
 	ev.Kind = KindEnqueue
 	ev.Marked = marked
-	r.Emit(ev)
+	r.emit(ev)
 	if marked {
 		mk := ev
 		mk.Kind = KindMark
-		r.Emit(mk)
+		r.emit(mk)
 	}
 }
 
@@ -160,7 +145,7 @@ func (r *Recorder) PacketEnqueued(now sim.Time, pkt *netsim.Packet, qlenBytes in
 func (r *Recorder) PacketDequeued(now sim.Time, pkt *netsim.Packet, qlenBytes int) {
 	ev := r.packetEvent(now, pkt, qlenBytes)
 	ev.Kind = KindDequeue
-	r.Emit(ev)
+	r.emit(ev)
 }
 
 // PacketDropped implements netsim.PortTracer.
@@ -171,11 +156,11 @@ func (r *Recorder) PacketDropped(now sim.Time, pkt *netsim.Packet, qlenBytes int
 	} else {
 		ev.Kind = KindDropPolicy
 	}
-	r.Emit(ev)
+	r.emit(ev)
 }
 
-// PacketFaulted implements netsim.PortTracer: a packet lost to a chaos
-// fault (corruption or a down link).
+// PacketFaulted implements netsim.PortTracer: a packet lost to a fault
+// (corruption or a down link).
 func (r *Recorder) PacketFaulted(now sim.Time, pkt *netsim.Packet, qlenBytes int, kind netsim.FaultKind) {
 	ev := r.packetEvent(now, pkt, qlenBytes)
 	switch kind {
@@ -184,7 +169,7 @@ func (r *Recorder) PacketFaulted(now sim.Time, pkt *netsim.Packet, qlenBytes int
 	default:
 		ev.Kind = KindDropLinkDown
 	}
-	r.Emit(ev)
+	r.emit(ev)
 }
 
 // LinkStateChanged implements netsim.PortTracer: the traced port's link
@@ -198,16 +183,7 @@ func (r *Recorder) LinkStateChanged(now sim.Time, up bool, qlenBytes int) {
 	if up {
 		kind = KindLinkUp
 	}
-	r.Emit(Event{T: now.Seconds(), Kind: kind, QueuePkts: q})
-}
-
-// Burst records a chaos background-traffic injector switching on or off.
-func (r *Recorder) Burst(now sim.Time, start bool, name string) {
-	kind := KindBurstStop
-	if start {
-		kind = KindBurstStart
-	}
-	r.Emit(Event{T: now.Seconds(), Kind: kind, Name: name})
+	r.emit(Event{T: now.Seconds(), Kind: kind, QueuePkts: q})
 }
 
 func (r *Recorder) packetEvent(now sim.Time, pkt *netsim.Packet, qlenBytes int) Event {

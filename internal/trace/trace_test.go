@@ -67,22 +67,6 @@ func TestRecorderPacketEvents(t *testing.T) {
 	}
 }
 
-func TestRecorderCustomAndFilter(t *testing.T) {
-	var b strings.Builder
-	r := NewRecorder(&b)
-	r.Custom(sim.FromDuration(time.Millisecond), "cwnd", 42.5)
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evs := decodeAll(t, b.String())
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1", len(evs))
-	}
-	if evs[0].Name != "cwnd" || evs[0].Value != 42.5 || evs[0].T != 0.001 {
-		t.Fatalf("custom event: %+v", evs[0])
-	}
-}
-
 type failingWriter struct{ after int }
 
 func (w *failingWriter) Write(p []byte) (int, error) {
@@ -95,15 +79,16 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 func TestRecorderWriteErrorIsSticky(t *testing.T) {
 	r := NewRecorder(&failingWriter{after: 0})
+	pkt := &netsim.Packet{Flow: 1, Size: 1500}
 	for i := 0; i < 10000; i++ { // enough to overflow the bufio buffer
-		r.Custom(0, "x", float64(i))
+		r.PacketDequeued(0, pkt, i)
 	}
 	r.Flush()
 	if r.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}
 	before := r.Events()
-	r.Custom(0, "y", 1) // must be dropped silently
+	r.PacketDequeued(0, pkt, 0) // must be dropped silently
 	if r.Events() != before {
 		t.Fatal("events written after error")
 	}
@@ -164,6 +149,80 @@ func TestRecorderOnLivePort(t *testing.T) {
 	}
 	if drop == 0 {
 		t.Fatal("expected overflow drops in this scenario")
+	}
+}
+
+// TestRecorderFaultEventsOnLivePort drives a port's fault hooks directly:
+// a flushing link-down with packets queued, arrivals while down, the link
+// coming back, then corruption of everything it sends. Every fault kind
+// must reach the stream, the counts must match the port's, and no packet
+// may outlive the drained run.
+func TestRecorderFaultEventsOnLivePort(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := netsim.NewNetwork(e)
+	a := n.AddHost("a")
+	b := n.AddHost("b")
+	sw := n.AddSwitch("sw")
+	fast := netsim.PortConfig{Rate: 10 * netsim.Gbps, Delay: time.Microsecond, Buffer: 64 * 1500}
+	slow := netsim.PortConfig{Rate: netsim.Gbps, Delay: time.Microsecond, Buffer: 64 * 1500}
+	if err := n.Connect(a, sw, fast, fast); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Connect(b, sw, fast, slow); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	rec := NewRecorder(&buf)
+	rec.PacketSize = 1500
+	port := sw.PortTo(b.ID())
+	port.SetTracer(rec)
+	b.Register(1, endpointFunc(func(*netsim.Packet) {}))
+
+	send := func(k int) {
+		for i := 0; i < k; i++ {
+			pkt := n.AllocPacket()
+			pkt.Flow, pkt.Dst, pkt.Size = 1, b.ID(), 1500
+			a.Send(pkt)
+		}
+	}
+	send(10) // a 10:1 fan-in leaves a queue at the slow port
+	e.Schedule(sim.FromDuration(5*time.Microsecond), func() { port.SetDown(true, true) })
+	e.Schedule(sim.FromDuration(10*time.Microsecond), func() { send(3) })
+	e.Schedule(sim.FromDuration(20*time.Microsecond), func() { port.SetDown(false, false) })
+	e.Schedule(sim.FromDuration(30*time.Microsecond), func() {
+		port.SetCorruptProb(1)
+		send(4)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	kinds := map[Kind]uint64{}
+	for _, ev := range decodeAll(t, buf.String()) {
+		kinds[ev.Kind]++
+	}
+	st := port.Stats()
+	if kinds[KindLinkDown] != 1 || kinds[KindLinkUp] != 1 {
+		t.Fatalf("link-state events: %d down, %d up; want 1 and 1", kinds[KindLinkDown], kinds[KindLinkUp])
+	}
+	if kinds[KindDropLinkDown] != st.DroppedLinkDown || kinds[KindCorrupt] != st.DroppedCorrupt {
+		t.Fatalf("trace has %d drop-link-down and %d corrupt events, port counted %+v",
+			kinds[KindDropLinkDown], kinds[KindCorrupt], st)
+	}
+	// The flush, the cut transmission and the three arrivals while down,
+	// then the four corrupted packets.
+	if st.DroppedLinkDown < 4 || st.DroppedCorrupt != 4 {
+		t.Fatalf("port stats %+v: want ≥ 4 link-down losses and 4 corruptions", st)
+	}
+	// Every packet a fault took went back to the pool.
+	if live := n.LivePackets(); live != 0 {
+		t.Fatalf("%d packets still live after the run drained", live)
 	}
 }
 

@@ -75,11 +75,21 @@ func TestLongLivedFlowsMakeProgress(t *testing.T) {
 	}
 }
 
+// TestLongLivedZeroJitterStartsImmediately: without jitter every sender
+// transmits at the instant the set starts, not at some later event.
 func TestLongLivedZeroJitterStartsImmediately(t *testing.T) {
 	e, hosts, rcv, _ := star(t, 2, 1*netsim.Gbps, 400, nil)
 	w := StartLongLived(e, LongLivedConfig{
 		Hosts: hosts, Receiver: rcv, TCP: tcp.DefaultConfig(tcp.Reno),
 	})
+	if err := e.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range w.Senders {
+		if s.Stats().SegmentsSent == 0 {
+			t.Fatalf("sender %d has sent nothing at t = 0", i)
+		}
+	}
 	if err := e.RunFor(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
