@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,8 +78,12 @@ func TestDigestsMatchGoldenFiles(t *testing.T) {
 		t.Fatalf("want 11 golden digests, got %d", len(out.Digests))
 	}
 	for _, d := range out.Digests {
-		want, err := conform.ReadGoldenFile(filepath.Join("..", "..", "internal", "conform", "testdata", "golden", d.Scenario+".json"))
+		data, err := os.ReadFile(filepath.Join("..", "..", "internal", "conform", "testdata", "golden", d.Scenario+".json"))
 		if err != nil {
+			t.Fatal(err)
+		}
+		var want conform.Digest
+		if err := json.Unmarshal(data, &want); err != nil {
 			t.Fatal(err)
 		}
 		if d != want {

@@ -41,8 +41,9 @@ func TestLoadCDFFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Points() != 2 {
-		t.Fatalf("parsed %d points", c.Points())
+	// Half the mass at 1460 B, half spread evenly up to 29200 B.
+	if got, want := c.Mean(), 0.5*1460+0.5*(1460+29200)/2; got != want {
+		t.Fatalf("parsed mean %v, want %v", got, want)
 	}
 	if _, err := loadCDF("no-such-builtin-or-file"); err == nil {
 		t.Fatal("resolved a nonexistent CDF")

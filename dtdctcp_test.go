@@ -164,7 +164,8 @@ func TestFacadeFabric(t *testing.T) {
 		t.Fatal("unknown builtin accepted")
 	}
 	parsed, err := ParseFlowCDF(strings.NewReader("1460 0.5\n29200 1.0\n"))
-	if err != nil || parsed.Points() != 2 {
+	// Half the mass at 1460 B, half spread evenly up to 29200 B.
+	if err != nil || parsed.Mean() != 0.5*1460+0.5*(1460+29200)/2 {
 		t.Fatalf("ParseFlowCDF: %v %v", parsed, err)
 	}
 	base := FabricConfig{

@@ -116,11 +116,6 @@ type SingleThreshold struct {
 	K int
 }
 
-// NewSingleThreshold creates the DCTCP marker with threshold kBytes.
-func NewSingleThreshold(kBytes int) *SingleThreshold {
-	return &SingleThreshold{K: kBytes}
-}
-
 // NewSingleThresholdPackets creates the DCTCP marker with a threshold of
 // kPackets packets of size pktBytes, matching the paper's "K packets"
 // parameterization.

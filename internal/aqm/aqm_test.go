@@ -67,8 +67,8 @@ func TestSingleThresholdMarksAtK(t *testing.T) {
 func TestPropertySingleThresholdMemoryless(t *testing.T) {
 	f := func(history []uint32, probe uint32) bool {
 		k := 40 * pkt
-		fresh := NewSingleThreshold(k)
-		worn := NewSingleThreshold(k)
+		fresh := &SingleThreshold{K: k}
+		worn := &SingleThreshold{K: k}
 		for _, h := range history {
 			worn.OnArrival(0, int(h%200)*pkt, pkt)
 			worn.OnDeparture(0, int(h%150*pkt))
@@ -98,7 +98,7 @@ func TestDoubleThresholdRisingUsesK1(t *testing.T) {
 			t.Errorf("rising q=%d: verdict %v, want %v", q, got[i], want)
 		}
 	}
-	if !p.Rising() {
+	if !p.lastRising {
 		t.Error("Rising() = false during growth")
 	}
 }
@@ -125,14 +125,14 @@ func TestDoubleThresholdFallingUsesK2(t *testing.T) {
 	if marked[49] || marked[35] || marked[10] {
 		t.Error("falling queue below K2 marked (early release violated)")
 	}
-	if p.Rising() {
+	if p.lastRising {
 		t.Error("Rising() = true during fall")
 	}
 }
 
 func TestDoubleThresholdClassicHysteresis(t *testing.T) {
 	// Testbed parameterization: K1 > K2 (34 KB / 28 KB).
-	p := NewDoubleThreshold(34<<10, 28<<10)
+	p := &DoubleThreshold{K1: 34 << 10, K2: 28 << 10}
 	// Rising: no mark below 34 KB, mark at/above.
 	if v := p.OnArrival(0, 0, pkt); v != Accept {
 		t.Fatalf("seed arrival = %v", v)
@@ -171,7 +171,7 @@ func TestDoubleThresholdDepartureFeedsTrend(t *testing.T) {
 	for q := 60; q >= 40; q-- {
 		p.OnDeparture(0, q*pkt)
 	}
-	if p.Rising() {
+	if p.lastRising {
 		t.Error("Rising() = true after a departure-only drain")
 	}
 	// Next arrival at 45 packets (below K2, falling) must not be marked.
@@ -194,9 +194,9 @@ func TestPropertyDoubleThresholdBounded(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		dt := NewDoubleThreshold(k1, k2)
-		loose := NewSingleThreshold(hi)
-		tight := NewSingleThreshold(lo)
+		dt := &DoubleThreshold{K1: k1, K2: k2}
+		loose := &SingleThreshold{K: hi}
+		tight := &SingleThreshold{K: lo}
 		q := 0
 		for _, step := range walk {
 			q += int(step) * pkt / 4
@@ -223,7 +223,7 @@ func TestPropertyDoubleThresholdBounded(t *testing.T) {
 func TestPolicyTrivialHooks(t *testing.T) {
 	// The no-op hooks and marker methods of every law, pinned so an
 	// accidental behaviour change (e.g. a hook gaining state) is caught.
-	st := NewSingleThreshold(40 * pkt)
+	st := &SingleThreshold{K: 40 * pkt}
 	st.OnDeparture(0, 10*pkt)
 	if st.OnArrival(0, 39*pkt, pkt) != Accept {
 		t.Fatal("single threshold changed by hooks")
@@ -247,16 +247,16 @@ func TestPolicyTrivialHooks(t *testing.T) {
 	if dt.Name() != "dt-dctcp" {
 		t.Fatal("name")
 	}
-	if dt.Marking() {
+	if dt.lastRising {
 		t.Fatal("fresh trend-mode marker should not report marking")
 	}
-	hyst := NewDoubleThreshold(34<<10, 28<<10)
+	hyst := &DoubleThreshold{K1: 34 << 10, K2: 28 << 10}
 	hyst.OnArrival(0, 40<<10, pkt)
-	if !hyst.Marking() {
+	if !hyst.marking {
 		t.Fatal("hysteresis marker should be ON above K1")
 	}
 	hyst.OnDeparture(0, 20<<10)
-	if hyst.Marking() {
+	if hyst.marking {
 		t.Fatal("hysteresis marker should release below K2 on departure")
 	}
 }

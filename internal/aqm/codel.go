@@ -50,9 +50,6 @@ func (c *CoDel) OnDeparture(sim.Time, int) {}
 // replaces the drop the control law scheduled.
 func (c *CoDel) MarkSubstitutesDrop() bool { return true }
 
-// Dropping exposes the control-law state for tests.
-func (c *CoDel) Dropping() bool { return c.dropping }
-
 // OnDequeue implements DequeuePolicy: the RFC 8289 control law.
 func (c *CoDel) OnDequeue(now sim.Time, sojourn time.Duration, qlenBytes int) Verdict {
 	okToDrop := c.shouldDrop(now, sojourn, qlenBytes)

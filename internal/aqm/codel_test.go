@@ -34,7 +34,7 @@ func TestCoDelStaysQuietBelowTarget(t *testing.T) {
 			t.Fatalf("dropped below target at step %d", i)
 		}
 	}
-	if c.Dropping() {
+	if c.dropping {
 		t.Fatal("entered dropping state below target")
 	}
 }
@@ -51,7 +51,7 @@ func TestCoDelEntersDroppingAfterInterval(t *testing.T) {
 			drops++
 		}
 	}
-	if !c.Dropping() {
+	if !c.dropping {
 		t.Fatal("never entered dropping state")
 	}
 	if drops < 5 {
@@ -70,14 +70,14 @@ func TestCoDelExitsWhenDelayRecovers(t *testing.T) {
 		now = now.Add(10 * time.Microsecond)
 		c.OnDequeue(now, 500*time.Microsecond, 50*pkt)
 	}
-	if !c.Dropping() {
+	if !c.dropping {
 		t.Fatal("setup: not dropping")
 	}
 	now = now.Add(10 * time.Microsecond)
 	if v := c.OnDequeue(now, 20*time.Microsecond, 10*pkt); v != Accept {
 		t.Fatalf("verdict %v on recovered delay", v)
 	}
-	if c.Dropping() {
+	if c.dropping {
 		t.Fatal("did not exit dropping state")
 	}
 }
@@ -134,10 +134,10 @@ func TestCoDelRestartsFromRecentCount(t *testing.T) {
 	}
 	lastCount, due := c.lastCount, c.dropNext
 	now = now.Add(10 * time.Microsecond)
-	if c.OnDequeue(now, 20*time.Microsecond, 10*pkt); c.Dropping() {
+	if c.OnDequeue(now, 20*time.Microsecond, 10*pkt); c.dropping {
 		t.Fatal("setup: did not leave the dropping state")
 	}
-	for !c.Dropping() {
+	for !c.dropping {
 		now = now.Add(10 * time.Microsecond)
 		c.OnDequeue(now, 500*time.Microsecond, 50*pkt)
 	}

@@ -46,11 +46,6 @@ type DoubleThreshold struct {
 // K1 < K2.
 const trendGain = 1.0 / 16
 
-// NewDoubleThreshold creates the DT-DCTCP marker with thresholds in bytes.
-func NewDoubleThreshold(k1Bytes, k2Bytes int) *DoubleThreshold {
-	return &DoubleThreshold{K1: k1Bytes, K2: k2Bytes}
-}
-
 // NewDoubleThresholdPackets creates the DT-DCTCP marker with thresholds of
 // k1Packets/k2Packets packets of size pktBytes, matching the paper's
 // packet-based simulation parameters.
@@ -60,20 +55,6 @@ func NewDoubleThresholdPackets(k1Packets, k2Packets, pktBytes int) *DoubleThresh
 
 // Name implements Policy.
 func (*DoubleThreshold) Name() string { return "dt-dctcp" }
-
-// Marking reports the relay state in hysteresis mode (K1 > K2); in trend
-// mode it reports whether the last decision used the rising threshold.
-func (p *DoubleThreshold) Marking() bool {
-	if p.K1 > p.K2 {
-		return p.marking
-	}
-	return p.lastRising
-}
-
-// Rising reports the most recent trend decision (trend mode only): true
-// when the instantaneous occupancy was above its moving average at the
-// last observation. Exposed for traces and tests.
-func (p *DoubleThreshold) Rising() bool { return p.lastRising }
 
 // OnArrival implements Policy.
 //

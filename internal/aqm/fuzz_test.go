@@ -68,7 +68,7 @@ func FuzzDoubleThreshold(f *testing.F) {
 		if kmin > kmax {
 			kmin, kmax = kmax, kmin
 		}
-		p := NewDoubleThreshold(k1, k2)
+		p := &DoubleThreshold{K1: k1, K2: k2}
 		walkQueue(t, p, ops, func(qlen int, v Verdict) {
 			if v != Accept && v != AcceptMark {
 				t.Fatalf("K1=%d K2=%d qlen=%d: verdict %v, want accept or mark", k1, k2, qlen, v)
@@ -91,7 +91,7 @@ func FuzzSingleThreshold(f *testing.F) {
 	f.Add(fuzzCap, []byte{0, 2, 4, 6})
 	f.Fuzz(func(t *testing.T, k int, ops []byte) {
 		k = clampThreshold(k)
-		p := NewSingleThreshold(k)
+		p := &SingleThreshold{K: k}
 		walkQueue(t, p, ops, func(qlen int, v Verdict) {
 			want := Accept
 			if qlen >= k {

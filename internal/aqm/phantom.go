@@ -108,7 +108,3 @@ func (p *PhantomQueue) assertOccupancy() {
 		invariant.Assert(p.vq >= 0, "aqm: negative phantom occupancy %g", p.vq)
 	}
 }
-
-// VirtualQueueBytes exposes the current virtual occupancy (for tests and
-// monitors; the value is as of the last arrival/departure).
-func (p *PhantomQueue) VirtualQueueBytes() float64 { return p.vq }

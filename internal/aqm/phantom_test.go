@@ -24,16 +24,16 @@ func TestPhantomQueueConstruction(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero drain", func() { NewPhantomQueue(0, NewSingleThreshold(10)) })
-	mustPanic("negative drain", func() { NewPhantomQueue(-1, NewSingleThreshold(10)) })
+	mustPanic("zero drain", func() { NewPhantomQueue(0, &SingleThreshold{K: 10}) })
+	mustPanic("negative drain", func() { NewPhantomQueue(-1, &SingleThreshold{K: 10}) })
 	mustPanic("nil inner", func() { NewPhantomQueue(phantomRate, nil) })
 
-	p := NewPhantomQueue(phantomRate, NewSingleThreshold(65*fuzzPkt))
+	p := NewPhantomQueue(phantomRate, &SingleThreshold{K: 65 * fuzzPkt})
 	if !strings.HasPrefix(p.Name(), "phantom(") {
 		t.Fatalf("Name = %q", p.Name())
 	}
-	if p.VirtualQueueBytes() != 0 {
-		t.Fatalf("fresh virtual occupancy = %g", p.VirtualQueueBytes())
+	if p.vq != 0 {
+		t.Fatalf("fresh virtual occupancy = %g", p.vq)
 	}
 }
 
@@ -74,12 +74,12 @@ func TestPropertyPhantomMarkingMonotoneInGamma(t *testing.T) {
 		k := rng.Intn(30*fuzzPkt + 1)
 		g1 := 0.5 + rng.Float64()*0.4 // slower drain
 		g2 := g1 + rng.Float64()*(1.0-g1) + 0.01
-		slow := NewPhantomQueue(g1*phantomRate, NewSingleThreshold(k))
-		fast := NewPhantomQueue(g2*phantomRate, NewSingleThreshold(k))
+		slow := NewPhantomQueue(g1*phantomRate, &SingleThreshold{K: k})
+		fast := NewPhantomQueue(g2*phantomRate, &SingleThreshold{K: k})
 		phantomWalk(rng, 300, []*PhantomQueue{slow, fast}, func(step int, v []Verdict) {
-			if slow.VirtualQueueBytes() < fast.VirtualQueueBytes()-1e-6 {
+			if slow.vq < fast.vq-1e-6 {
 				t.Fatalf("seed %d step %d: slower drain γ=%.3f has smaller virtual queue (%.1f) than γ=%.3f (%.1f)",
-					seed, step, g1, slow.VirtualQueueBytes(), g2, fast.VirtualQueueBytes())
+					seed, step, g1, slow.vq, g2, fast.vq)
 			}
 			if v[1] == AcceptMark && v[0] != AcceptMark {
 				t.Fatalf("seed %d step %d: γ=%.3f marks but slower γ=%.3f does not", seed, step, g2, g1)
@@ -96,8 +96,8 @@ func TestPropertyPhantomGammaOneMatchesFluidRecurrence(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := rng.Intn(65*fuzzPkt + 1)
-		pq := NewPhantomQueue(phantomRate, NewSingleThreshold(k))
-		ref := NewSingleThreshold(k)
+		pq := NewPhantomQueue(phantomRate, &SingleThreshold{K: k})
+		ref := &SingleThreshold{K: k}
 		var q float64     // fluid occupancy
 		var last sim.Time // fluid drain timestamp, mirroring the phantom's
 		started := false
@@ -120,11 +120,11 @@ func TestPropertyPhantomGammaOneMatchesFluidRecurrence(t *testing.T) {
 				q += fuzzPkt
 				if got != want {
 					t.Fatalf("seed %d step %d: K=%d phantom %v, fluid recurrence %v (vq=%.1f fluid=%.1f)",
-						seed, step, k, got, want, pq.VirtualQueueBytes(), q)
+						seed, step, k, got, want, pq.vq, q)
 				}
-				if math.Abs(pq.VirtualQueueBytes()-q) > 1e-6 {
+				if math.Abs(pq.vq-q) > 1e-6 {
 					t.Fatalf("seed %d step %d: virtual occupancy %.6f diverged from fluid %.6f",
-						seed, step, pq.VirtualQueueBytes(), q)
+						seed, step, pq.vq, q)
 				}
 				if qlen+fuzzPkt <= fuzzCap {
 					qlen += fuzzPkt
@@ -158,8 +158,8 @@ func FuzzPhantomQueue(f *testing.F) {
 		if drainBps > int64(10*phantomRate) {
 			drainBps = int64(10 * phantomRate)
 		}
-		p := NewPhantomQueue(float64(drainBps), NewSingleThreshold(k))
-		faster := NewPhantomQueue(2*float64(drainBps), NewSingleThreshold(k))
+		p := NewPhantomQueue(float64(drainBps), &SingleThreshold{K: k})
+		faster := NewPhantomQueue(2*float64(drainBps), &SingleThreshold{K: k})
 		arrived := 0.0
 		qlen := 0
 		var now sim.Time
@@ -183,7 +183,7 @@ func FuzzPhantomQueue(f *testing.F) {
 				p.OnDeparture(now, qlen)
 				faster.OnDeparture(now, qlen)
 			}
-			if vq := p.VirtualQueueBytes(); vq < 0 || vq > arrived+1e-6 {
+			if vq := p.vq; vq < 0 || vq > arrived+1e-6 {
 				t.Fatalf("K=%d drain=%d: virtual occupancy %.3f outside [0, %g]", k, drainBps, vq, arrived)
 			}
 		}

@@ -49,9 +49,6 @@ func (p *PIE) Name() string {
 	return "pie"
 }
 
-// Prob exposes the current drop/mark probability for tests.
-func (p *PIE) Prob() float64 { return p.prob }
-
 // OnArrival implements Policy.
 func (p *PIE) OnArrival(now sim.Time, qlenBytes, _ int) Verdict {
 	assertOccupancy(qlenBytes)

@@ -33,8 +33,8 @@ func TestPIEProbabilityRisesUnderPersistentDelay(t *testing.T) {
 		now = now.Add(time.Millisecond)
 		p.OnArrival(now, qlen, pkt)
 	}
-	if p.Prob() < 0.05 {
-		t.Fatalf("prob = %v after 200 ms of 10× target delay, want substantial", p.Prob())
+	if p.prob < 0.05 {
+		t.Fatalf("prob = %v after 200 ms of 10× target delay, want substantial", p.prob)
 	}
 }
 
@@ -46,13 +46,13 @@ func TestPIEProbabilityDecaysWhenIdle(t *testing.T) {
 		now = now.Add(time.Millisecond)
 		p.OnArrival(now, qlen, pkt)
 	}
-	high := p.Prob()
+	high := p.prob
 	for i := 0; i < 2000; i++ {
 		now = now.Add(time.Millisecond)
 		p.OnDeparture(now, 0)
 	}
-	if p.Prob() >= high/4 {
-		t.Fatalf("prob %v did not decay from %v on an empty queue", p.Prob(), high)
+	if p.prob >= high/4 {
+		t.Fatalf("prob %v did not decay from %v on an empty queue", p.prob, high)
 	}
 }
 

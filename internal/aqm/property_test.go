@@ -18,17 +18,17 @@ func TestPropertyMarkingMonotoneInQueueDepth(t *testing.T) {
 		mk   func(rng *rand.Rand) Policy
 	}{
 		{"single", func(rng *rand.Rand) Policy {
-			return NewSingleThreshold(rng.Intn(fuzzCap + 1))
+			return &SingleThreshold{K: rng.Intn(fuzzCap + 1)}
 		}},
 		{"double-hysteresis", func(rng *rand.Rand) Policy {
 			k2 := rng.Intn(fuzzCap)
 			k1 := k2 + 1 + rng.Intn(fuzzCap-k2)
-			return NewDoubleThreshold(k1, k2) // K1 > K2
+			return &DoubleThreshold{K1: k1, K2: k2} // K1 > K2
 		}},
 		{"double-trend", func(rng *rand.Rand) Policy {
 			k1 := rng.Intn(fuzzCap)
 			k2 := k1 + rng.Intn(fuzzCap-k1+1)
-			return NewDoubleThreshold(k1, k2) // K1 ≤ K2
+			return &DoubleThreshold{K1: k1, K2: k2} // K1 ≤ K2
 		}},
 	}
 	// probe returns the verdict a value copy of the policy gives for an
@@ -98,8 +98,8 @@ func TestPropertyDegenerateDTEqualsSingleThreshold(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := rng.Intn(fuzzCap + 1)
-		dt := NewDoubleThreshold(k, k)
-		st := NewSingleThreshold(k)
+		dt := &DoubleThreshold{K1: k, K2: k}
+		st := &SingleThreshold{K: k}
 		qlen := 0
 		var now sim.Time
 		for step := 0; step < 300; step++ {

@@ -130,17 +130,6 @@ func (r Report) Failures() []Check {
 	return out
 }
 
-// Applied counts the checks that actually ran (were not skipped).
-func (r Report) Applied() int {
-	n := 0
-	for _, c := range r.Checks {
-		if c.Skipped == "" {
-			n++
-		}
-	}
-	return n
-}
-
 // Point is one grid point: a named run that measures its machineries and
 // checks them against each other.
 type Point struct {

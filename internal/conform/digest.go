@@ -2,9 +2,7 @@ package conform
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"dtdctcp/internal/core"
@@ -200,27 +198,4 @@ func digestIncast(cfg core.TestbedConfig, rounds int) (Digest, error) {
 		Timeouts:  res.Timeouts,
 		StatsHash: fmt.Sprintf("%016x", sh.Sum64()),
 	}, nil
-}
-
-// WriteGoldenFile marshals the digest to path as indented JSON with a
-// trailing newline, the format the golden tests compare against.
-func WriteGoldenFile(path string, d Digest) error {
-	data, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadGoldenFile parses a digest written by WriteGoldenFile.
-func ReadGoldenFile(path string) (Digest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Digest{}, err
-	}
-	var d Digest
-	if err := json.Unmarshal(data, &d); err != nil {
-		return Digest{}, fmt.Errorf("conform: parse golden %s: %w", path, err)
-	}
-	return d, nil
 }

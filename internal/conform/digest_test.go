@@ -49,17 +49,17 @@ func TestDigestSensitivity(t *testing.T) {
 func TestGoldenFileRoundTrip(t *testing.T) {
 	d := digest(t, shortGolden(7))
 	path := filepath.Join(t.TempDir(), "rt.json")
-	if err := WriteGoldenFile(path, d); err != nil {
+	if err := writeGolden(path, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGoldenFile(path)
+	got, err := readGolden(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != d {
 		t.Fatalf("round trip drift:\n%+v\n%+v", got, d)
 	}
-	if _, err := ReadGoldenFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := readGolden(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing golden file must error")
 	}
 }

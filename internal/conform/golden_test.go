@@ -2,7 +2,9 @@ package conform
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +20,29 @@ import (
 // without code changes must be diff-clean (TestGoldenDigests passes).
 var update = flag.Bool("update", false, "rewrite testdata/golden digests")
 
+// writeGolden marshals the digest to path as indented JSON with a
+// trailing newline, the format the golden files are committed in.
+func writeGolden(path string, d Digest) error {
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// readGolden parses a digest written by writeGolden.
+func readGolden(path string) (Digest, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Digest{}, err
+	}
+	var d Digest
+	if err := json.Unmarshal(data, &d); err != nil {
+		return Digest{}, fmt.Errorf("conform: parse golden %s: %w", path, err)
+	}
+	return d, nil
+}
+
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".json")
 }
@@ -31,13 +56,13 @@ func checkGolden(t *testing.T, name string, got Digest) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteGoldenFile(path, got); err != nil {
+		if err := writeGolden(path, got); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", path)
 		return
 	}
-	want, err := ReadGoldenFile(path)
+	want, err := readGolden(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with: go test ./internal/conform -run Golden -update)", err)
 	}

@@ -50,7 +50,7 @@ func TestHybridChecksSkipAndFailSemantics(t *testing.T) {
 	// reason, and the report still passes.
 	flat := hybridObservation{PktQueueStd: 1, HybConfidence: 0, PktConfidence: 1, PktFCTCount: 3}
 	rep := Report{Scenario: "synthetic-flat", Checks: applyHybridChecks(tol, flat)}
-	if got := rep.Applied(); got != 1 || rep.Checks[0].Skipped != "" {
+	if got := appliedChecks(rep); got != 1 || rep.Checks[0].Skipped != "" {
 		t.Fatalf("flat observation applied %d checks, want just queue-mean", got)
 	}
 	if !rep.Pass() || rep.Failures() != nil {

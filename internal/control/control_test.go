@@ -103,9 +103,6 @@ func TestDCTCPDFClosedForm(t *testing.T) {
 	if math.Abs(real(ni)+math.Pi) > 1e-9 || imag(ni) != 0 {
 		t.Fatalf("−1/N₀(K√2) = %v, want −π", ni)
 	}
-	if df.MaxNegInvRelative() != -math.Pi {
-		t.Fatal("MaxNegInvRelative")
-	}
 	if df.Name() != "dctcp-single" {
 		t.Fatal("name")
 	}

@@ -57,11 +57,6 @@ func (d DCTCPDF) NegInvRelative(X float64) complex128 {
 	return -1 / n0
 }
 
-// MaxNegInvRelative returns max over X of −1/N₀(X) = −π, reached at
-// X = K·√2. Theorem 1's stability condition compares the plant against
-// this value.
-func (DCTCPDF) MaxNegInvRelative() float64 { return -math.Pi }
-
 // DTDCTCPDF is the describing function of the double-threshold marker
 // (Eq. 27): marking starts at the rising crossing of K1 and stops at the
 // falling crossing of K2.

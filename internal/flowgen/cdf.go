@@ -91,15 +91,6 @@ func ParseCDF(r io.Reader) (*CDF, error) {
 // ParseCDFString parses an in-memory trace.
 func ParseCDFString(s string) (*CDF, error) { return ParseCDF(strings.NewReader(s)) }
 
-// Points returns the number of trace points.
-func (c *CDF) Points() int { return len(c.sizes) }
-
-// MinSize and MaxSize bound the support in bytes.
-func (c *CDF) MinSize() int64 { return int64(c.sizes[0]) }
-
-// MaxSize returns the largest size in the trace.
-func (c *CDF) MaxSize() int64 { return int64(c.sizes[len(c.sizes)-1]) }
-
 // Sample draws one flow size in bytes by inverting the CDF at a uniform
 // variate, interpolating linearly inside each segment. Flat segments
 // (zero probability mass) are never selected; draws at or below the

@@ -16,8 +16,8 @@ func TestParseCDFTwoAndThreeColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []*CDF{c2, c3} {
-		if c.Points() != 2 || c.MinSize() != 1460 || c.MaxSize() != 29200 {
-			t.Fatalf("parsed %d points, support [%d, %d]", c.Points(), c.MinSize(), c.MaxSize())
+		if len(c.sizes) != 2 || c.sizes[0] != 1460 || c.sizes[1] != 29200 {
+			t.Fatalf("parsed sizes %v", c.sizes)
 		}
 	}
 	if c2.Mean() != c3.Mean() {
@@ -57,13 +57,14 @@ func TestSampleStaysInSupportAndIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := int64(c.sizes[0]), int64(c.sizes[len(c.sizes)-1])
 	draw := func(seed int64) []int64 {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]int64, 1000)
 		for i := range out {
 			out[i] = c.Sample(rng)
-			if out[i] < c.MinSize() || out[i] > c.MaxSize() {
-				t.Fatalf("sample %d outside [%d, %d]", out[i], c.MinSize(), c.MaxSize())
+			if out[i] < lo || out[i] > hi {
+				t.Fatalf("sample %d outside [%d, %d]", out[i], lo, hi)
 			}
 		}
 		return out

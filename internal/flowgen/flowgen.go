@@ -112,9 +112,6 @@ type Flow struct {
 	done     bool
 }
 
-// FCT returns the flow completion time and whether the flow finished.
-func (f *Flow) FCT() (time.Duration, bool) { return (f.fct - f.Arrival).Duration(), f.done }
-
 // Workload is a started trace: its first arrival is queued and the
 // workload listens on every host; run the engine to execute it. A flow's
 // sender opens at its arrival and its receiver at its first segment.

@@ -93,7 +93,7 @@ func TestWorkloadCompletes(t *testing.T) {
 	}
 	for i := range w.Flows {
 		fl := &w.Flows[i]
-		fct, done := fl.FCT()
+		fct, done := (fl.fct - fl.Arrival).Duration(), fl.done
 		if !done || fct <= 0 {
 			t.Fatalf("flow %d: done=%v fct=%v", i, done, fct)
 		}
@@ -308,10 +308,8 @@ func (r *firstSends) PacketEnqueued(_ sim.Time, pkt *netsim.Packet, _ int, _ boo
 		r.order = append(r.order, pkt.Flow)
 	}
 }
-func (r *firstSends) PacketDequeued(sim.Time, *netsim.Packet, int)                  {}
-func (r *firstSends) PacketDropped(sim.Time, *netsim.Packet, int, bool)             {}
-func (r *firstSends) PacketFaulted(sim.Time, *netsim.Packet, int, netsim.FaultKind) {}
-func (r *firstSends) LinkStateChanged(sim.Time, bool, int)                          {}
+func (r *firstSends) PacketDequeued(sim.Time, *netsim.Packet, int)      {}
+func (r *firstSends) PacketDropped(sim.Time, *netsim.Packet, int, bool) {}
 
 // TestSameInstantArrivalsStartInTraceOrder offers a load so large that
 // every interarrival gap rounds to 0 ns. The whole trace then shares one
@@ -469,8 +467,6 @@ type edge struct {
 func (l *lifetimes) PacketEnqueued(now sim.Time, pkt *netsim.Packet, _ int, _ bool) { l.ack(now, pkt) }
 func (l *lifetimes) PacketDropped(now sim.Time, pkt *netsim.Packet, _ int, _ bool)  { l.ack(now, pkt) }
 func (l *lifetimes) PacketDequeued(sim.Time, *netsim.Packet, int)                   {}
-func (l *lifetimes) PacketFaulted(sim.Time, *netsim.Packet, int, netsim.FaultKind)  {}
-func (l *lifetimes) LinkStateChanged(sim.Time, bool, int)                           {}
 
 func (l *lifetimes) ack(now sim.Time, pkt *netsim.Packet) {
 	if !pkt.IsAck {

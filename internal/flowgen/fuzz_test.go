@@ -30,22 +30,23 @@ func FuzzCDFParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if c.Points() < 1 {
+		if len(c.sizes) < 1 {
 			t.Fatal("accepted an empty CDF")
 		}
-		if c.MinSize() < 1 || c.MaxSize() > int64(1e15) || c.MinSize() > c.MaxSize() {
-			t.Fatalf("support [%d, %d] out of range", c.MinSize(), c.MaxSize())
+		lo, hi := int64(c.sizes[0]), int64(c.sizes[len(c.sizes)-1])
+		if lo < 1 || hi > int64(1e15) || lo > hi {
+			t.Fatalf("support [%d, %d] out of range", lo, hi)
 		}
-		// MaxSize truncates, so allow the mean one byte of slack.
+		// hi truncates, so allow the mean one byte of slack.
 		m := c.Mean()
-		if math.IsNaN(m) || m <= 0 || m > float64(c.MaxSize()+1) {
-			t.Fatalf("mean %v outside (0, %d]", m, c.MaxSize()+1)
+		if math.IsNaN(m) || m <= 0 || m > float64(hi+1) {
+			t.Fatalf("mean %v outside (0, %d]", m, hi+1)
 		}
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 64; i++ {
 			v := c.Sample(rng)
-			if v < c.MinSize() || v > c.MaxSize() {
-				t.Fatalf("sample %d outside [%d, %d]", v, c.MinSize(), c.MaxSize())
+			if v < lo || v > hi {
+				t.Fatalf("sample %d outside [%d, %d]", v, lo, hi)
 			}
 		}
 	})

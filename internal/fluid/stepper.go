@@ -152,9 +152,6 @@ func (s *Stepper) SetDrainCapacity(c float64) {
 // DrainCapacity returns the effective drain rate (packets/second).
 func (s *Stepper) DrainCapacity() float64 { return s.drainC }
 
-// AmbientQueue returns the ambient queue contribution (packets).
-func (s *Stepper) AmbientQueue() float64 { return s.extQ }
-
 // ArrivalRate returns the instantaneous fluid arrival rate N·W/R in
 // packets/second.
 func (s *Stepper) ArrivalRate() float64 {

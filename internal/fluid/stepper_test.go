@@ -110,11 +110,11 @@ func TestStepperCouplingInputs(t *testing.T) {
 
 	// Clamps: negative ambient → 0; drain capacity stays in [C/1000, C].
 	stp.SetAmbientQueue(-5)
-	if got := stp.AmbientQueue(); got != 0 {
+	if got := stp.extQ; got != 0 {
 		t.Fatalf("negative ambient clamped to %v, want 0", got)
 	}
 	stp.SetAmbientQueue(math.NaN())
-	if got := stp.AmbientQueue(); got != 0 {
+	if got := stp.extQ; got != 0 {
 		t.Fatalf("NaN ambient clamped to %v, want 0", got)
 	}
 	stp.SetDrainCapacity(-1)

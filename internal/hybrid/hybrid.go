@@ -145,9 +145,6 @@ func (c *Coupler) Stepper() *fluid.Stepper { return c.stepper }
 // Ticks returns the number of coupling ticks executed so far.
 func (c *Coupler) Ticks() int { return c.ticks }
 
-// Interval returns the coupling tick period.
-func (c *Coupler) Interval() time.Duration { return c.interval }
-
 // Start schedules the tick chain on e, which must be the engine the
 // bottleneck port runs on. The first tick fires one interval in; ticks
 // then self-perpetuate until Horizon.

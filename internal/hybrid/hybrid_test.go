@@ -73,7 +73,7 @@ func TestCouplerMatchesStandaloneStepperWithoutForeground(t *testing.T) {
 	}
 
 	ref := fluidCfg(100, netsim.Gbps)
-	ref.Step = c.Interval().Seconds() / 8
+	ref.Step = c.interval.Seconds() / 8
 	stp, err := fluid.NewStepper(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +177,8 @@ func TestCouplerStopsAtHorizon(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Interval() != 72500*time.Nanosecond {
-		t.Fatalf("interval = %v, want R₀/8 = 72.5µs", c.Interval())
+	if c.interval != 72500*time.Nanosecond {
+		t.Fatalf("interval = %v, want R₀/8 = 72.5µs", c.interval)
 	}
 	if got, want := c.Ticks(), 137; got != want {
 		t.Fatalf("ticks = %d, want %d", got, want)

@@ -7,8 +7,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-
-	"dtdctcp/internal/stats"
 )
 
 // MetricSnapshot is one metric's frozen state inside a Snapshot.
@@ -136,16 +134,6 @@ func (s *Snapshot) GaugeValue(id string) float64 {
 	return m.Value
 }
 
-// MarshalIndent renders the snapshot as indented JSON with a trailing
-// newline — the byte-stable form the golden tests commit.
-func (s *Snapshot) MarshalIndent() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4): HELP/TYPE headers, histogram _bucket lines
 // with cumulative counts and an le="+Inf" terminator, _sum and _count.
@@ -201,60 +189,6 @@ func writePromHistogram(w io.Writer, m MetricSnapshot) error {
 // promFloat formats a float the shortest way that round-trips.
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Hash64 returns an FNV-1a digest over the snapshot's canonical ids and
-// the exact bit patterns of every value, bucket count, and series
-// sample — the same determinism-witness construction as
-// stats.Series.Hash64 and the conform golden digests. Two snapshots
-// hash equal iff they are value-for-value bit-identical.
-func (s *Snapshot) Hash64() uint64 {
-	var h stats.Hash
-	h.Float(s.EndSeconds)
-	for _, m := range s.Metrics {
-		h.Bytes([]byte(m.ID()))
-		h.Bytes([]byte{0})
-		h.Word(m.Count)
-		h.Float(m.Value)
-		if m.Hist != nil {
-			for _, b := range m.Hist.Bounds {
-				h.Float(b)
-			}
-			for _, c := range m.Hist.Counts {
-				h.Word(c)
-			}
-			h.Word(m.Hist.Count)
-			h.Float(m.Hist.Sum)
-			h.Float(m.Hist.Min)
-			h.Float(m.Hist.Max)
-		}
-	}
-	for _, ss := range s.Series {
-		h.Bytes([]byte(ss.Name))
-		h.Bytes([]byte{0})
-		for i := range ss.T {
-			h.Float(ss.T[i])
-			h.Float(ss.Values[i])
-		}
-	}
-	return h.Sum64()
-}
-
-// SeriesByName returns a registered series reconstituted as a stats.Series
-// for post-hoc analysis (period estimation, CSV export), or nil when
-// the snapshot has no series of that name.
-func (s *Snapshot) SeriesByName(name string) *stats.Series {
-	for _, ss := range s.Series {
-		if ss.Name != name {
-			continue
-		}
-		out := stats.NewSeries(name)
-		for i := range ss.T {
-			out.Add(ss.T[i], ss.Values[i])
-		}
-		return out
-	}
-	return nil
-}
-
 // Named pairs a snapshot with the run it came from, for commands that
 // export several runs into one file.
 type Named struct {
@@ -279,20 +213,4 @@ func WriteFile(path string, snaps []Named) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile parses a file written by WriteFile.
-func ReadFile(path string) ([]Named, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f fileFormat
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("metrics: parse %s: %w", path, err)
-	}
-	if f.Schema != FileSchema {
-		return nil, fmt.Errorf("metrics: %s has schema %q, want %q", path, f.Schema, FileSchema)
-	}
-	return f.Snapshots, nil
 }

@@ -186,52 +186,3 @@ func TestECMPForwardSteadyStateAllocFree(t *testing.T) {
 		t.Fatal("nothing delivered")
 	}
 }
-
-// TestFlappingSteadyStateAllocFree pins the fault drop paths onto the
-// free-list contract: a link that flaps down (flushing its queue) and up
-// while traffic keeps arriving, with probabilistic corruption on the
-// survivors, must recycle every dropped packet through the pool and
-// allocate nothing once warm.
-func TestFlappingSteadyStateAllocFree(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("invariant assertions allocate; alloc accounting is meaningless")
-	}
-	e, src, dst := benchNet(t, nil)
-	sink := &countingSink{}
-	dst.Register(1, sink)
-	port := src.Uplink()
-	port.SetCorruptProb(0.2)
-
-	send := func(k int) {
-		for i := 0; i < k; i++ {
-			pkt := src.Network().AllocPacket()
-			pkt.Flow = 1
-			pkt.Dst = dst.ID()
-			pkt.Size = 1500
-			port.Send(pkt)
-		}
-	}
-	cycle := func() {
-		send(16)                 // one in flight, the rest queued
-		port.SetDown(true, true) // flush: in-flight + queue take the drop path
-		send(8)                  // arrival drops while down
-		port.SetDown(false, false)
-		send(16) // these cross the restored link and roll the corruption die
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for i := 0; i < 64; i++ {
-		cycle()
-	}
-
-	avg := testing.AllocsPerRun(200, cycle)
-	if avg != 0 {
-		t.Fatalf("flapping steady state allocated %.2f times per cycle, want 0", avg)
-	}
-	st := port.Stats()
-	if st.DroppedLinkDown == 0 || st.DroppedCorrupt == 0 {
-		t.Fatalf("fault paths not exercised: linkdown=%d corrupt=%d", st.DroppedLinkDown, st.DroppedCorrupt)
-	}
-}

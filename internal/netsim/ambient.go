@@ -54,10 +54,6 @@ func (p *Port) SetAmbient(bytes int, consumed Rate) {
 // AmbientBytes returns the ambient queue contribution in bytes.
 func (p *Port) AmbientBytes() int { return p.ambientBytes }
 
-// TotalQueueLen returns the occupancy the AQM policy and queue monitor
-// observe: real queued bytes plus the ambient contribution.
-func (p *Port) TotalQueueLen() int { return p.totalQueueLen() }
-
 // AmbientRate returns the link bandwidth consumed by ambient traffic.
 func (p *Port) AmbientRate() Rate { return p.ambientRate }
 

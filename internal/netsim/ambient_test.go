@@ -187,7 +187,7 @@ func TestAmbientMonitorSeesTotal(t *testing.T) {
 	if len(mon.lens) != 3 || mon.lens[1] != 8*pktSize || mon.lens[2] != 7*pktSize {
 		t.Fatalf("monitor saw %v, want [%d %d %d]", mon.lens, 7*pktSize, 8*pktSize, 7*pktSize)
 	}
-	if got := port.TotalQueueLen(); got != 7*pktSize {
+	if got := port.totalQueueLen(); got != 7*pktSize {
 		t.Fatalf("TotalQueueLen = %d, want %d", got, 7*pktSize)
 	}
 	if got := port.QueueLen(); got != 0 {

@@ -379,7 +379,7 @@ func TestPortStatsAndAccessors(t *testing.T) {
 	if up.Rate() != 1*Gbps {
 		t.Fatalf("Rate = %v", up.Rate())
 	}
-	if up.QueueLen() != 0 || up.QueuePackets() != 0 {
+	if up.QueueLen() != 0 || up.queue.len() != 0 {
 		t.Fatal("queue not drained")
 	}
 	if up.Policy().Name() != "droptail" {
@@ -510,7 +510,7 @@ func TestNetworkAccessors(t *testing.T) {
 	}
 	h := n.AddHost("h")
 	s := n.AddSwitch("s")
-	if n.Node(h.ID()) != Node(h) || n.Node(s.ID()) != Node(s) {
+	if n.nodes[h.ID()] != Node(h) || n.nodes[s.ID()] != Node(s) {
 		t.Fatal("Node accessor")
 	}
 	if len(n.Hosts()) != 1 || n.Hosts()[0] != h {

@@ -55,9 +55,6 @@ func (n *Network) AddSwitch(name string) *Switch {
 	return s
 }
 
-// Node returns the node with the given id.
-func (n *Network) Node(id NodeID) Node { return n.nodes[id] }
-
 // Hosts returns the hosts in creation order (shared slice; do not mutate).
 func (n *Network) Hosts() []*Host { return n.hosts }
 

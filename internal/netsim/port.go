@@ -30,38 +30,6 @@ type PortTracer interface {
 	// PacketDropped fires for discarded packets; overflow distinguishes
 	// buffer exhaustion from an AQM drop decision.
 	PacketDropped(now sim.Time, pkt *Packet, qlenBytes int, overflow bool)
-	// PacketFaulted fires for packets lost to a fault rather than a
-	// queue decision.
-	PacketFaulted(now sim.Time, pkt *Packet, qlenBytes int, kind FaultKind)
-	// LinkStateChanged fires after the port's link goes down or returns.
-	LinkStateChanged(now sim.Time, up bool, qlenBytes int)
-}
-
-// FaultKind classifies a fault-induced packet loss (see
-// PortTracer.PacketFaulted).
-type FaultKind int
-
-// Fault-induced loss kinds.
-const (
-	// FaultCorrupt is a packet corrupted on the wire after serialization
-	// (modelled as loss: the receiver would fail the checksum).
-	FaultCorrupt FaultKind = iota
-	// FaultLinkDown is a packet lost to a link in the down state: an
-	// arrival while down, a flushed queue entry, or the packet whose
-	// serialization the outage cut mid-transmission.
-	FaultLinkDown
-)
-
-// String names the fault kind for traces and test output.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultCorrupt:
-		return "corrupt"
-	case FaultLinkDown:
-		return "link-down"
-	default:
-		return "unknown"
-	}
 }
 
 // PortStats counts per-port events.
@@ -77,12 +45,6 @@ type PortStats struct {
 	// DroppedPolicy counts packets dropped by the AQM policy (PIE above
 	// its ECN cap, CoDel).
 	DroppedPolicy uint64
-	// DroppedLinkDown counts packets lost to a down link: arrivals during
-	// an outage, flushed queue entries, and serializations cut mid-packet.
-	DroppedLinkDown uint64
-	// DroppedCorrupt counts packets corrupted (and hence lost) on the
-	// wire by SetCorruptProb.
-	DroppedCorrupt uint64
 	// BytesSent is the total on-wire bytes transmitted.
 	BytesSent uint64
 }
@@ -122,14 +84,6 @@ type Port struct {
 	// the bandwidth that traffic consumes.
 	ambientBytes int
 	ambientRate  Rate
-
-	// Runtime fault state (see SetDown / SetCorruptProb). txPkt and txRef
-	// track the packet currently in serialization so a link-down can cut
-	// it mid-transmission.
-	down        bool
-	corruptProb float64
-	txPkt       *Packet
-	txRef       sim.EventRef
 
 	// txDoneFn and deliverFn are the transmit chain's event callbacks,
 	// built once at construction. Scheduling them through ScheduleArg
@@ -178,16 +132,7 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 	p.deliverFn = func(arg any) { p.peer.Receive(arg.(*Packet)) }
 	//dtlint:hotpath
 	p.txDoneFn = func(arg any) {
-		pkt := arg.(*Packet)
-		p.txPkt = nil
-		p.txRef = sim.EventRef{}
-		// Wire corruption is decided once serialization completes: the
-		// packet occupied the link but never arrives intact.
-		if p.corruptProb > 0 && p.engine.Rand().Float64() < p.corruptProb {
-			p.dropFault(pkt, FaultCorrupt)
-		} else {
-			p.ship(pkt)
-		}
+		p.ship(arg.(*Packet))
 		p.transmitNext()
 	}
 	return p
@@ -223,9 +168,6 @@ func (p *Port) Stats() PortStats { return p.stats }
 // QueueLen returns the instantaneous queue occupancy in bytes.
 func (p *Port) QueueLen() int { return p.queueLen }
 
-// QueuePackets returns the number of queued packets.
-func (p *Port) QueuePackets() int { return p.queue.len() }
-
 // Policy returns the attached AQM policy.
 func (p *Port) Policy() aqm.Policy { return p.policy }
 
@@ -236,13 +178,8 @@ func (p *Port) Rate() Rate { return p.rate }
 func (p *Port) Delay() time.Duration { return p.delay }
 
 // Buffer returns the queue capacity in bytes. For a pooled port this is
-// the configured static size, which admission no longer consults — see
-// Shared.
+// the configured static size, which admission no longer consults.
 func (p *Port) Buffer() int { return p.buffer }
-
-// Shared returns the port's shared-buffer pool, or nil for a port with a
-// private static buffer.
-func (p *Port) Shared() *SharedBuffer { return p.shared }
 
 // addQueued moves the port's byte counter by delta, mirroring the change
 // into the shared pool's occupancy when the port is pooled. Every
@@ -257,78 +194,8 @@ func (p *Port) addQueued(delta int) {
 	}
 }
 
-// Down reports whether the link is administratively down.
-func (p *Port) Down() bool { return p.down }
-
-// CorruptProb returns the per-packet wire corruption probability.
-func (p *Port) CorruptProb() float64 { return p.corruptProb }
-
 // Peer returns the node at the far end of the link.
 func (p *Port) Peer() Node { return p.peer }
-
-// SetCorruptProb sets the probability that a packet is corrupted (and so
-// lost) after serialization. Randomness comes from the engine's seeded
-// source, so corruption is a pure function of the run seed. The value is
-// clamped to [0, 1].
-func (p *Port) SetCorruptProb(prob float64) {
-	switch {
-	case prob < 0:
-		prob = 0
-	case prob > 1:
-		prob = 1
-	}
-	p.corruptProb = prob
-}
-
-// SetDown changes the link's administrative state. Going down always cuts
-// the packet currently in serialization (it is lost mid-transmission);
-// flush additionally discards every queued packet, while flush=false keeps
-// the queue intact to drain when the link returns. While down, arriving
-// packets are dropped. Coming up resumes transmission of whatever is
-// queued; flush is ignored on the way up.
-//
-//dtlint:hotpath
-func (p *Port) SetDown(down, flush bool) {
-	if down == p.down {
-		if down && flush {
-			p.flushQueue()
-		}
-		return
-	}
-	p.down = down
-	if down {
-		p.txRef.Cancel()
-		p.txRef = sim.EventRef{}
-		if p.txPkt != nil {
-			p.dropFault(p.txPkt, FaultLinkDown)
-			p.txPkt = nil
-		}
-		p.busy = false
-		if flush {
-			p.flushQueue()
-		}
-	}
-	if p.tracer != nil {
-		p.tracer.LinkStateChanged(p.engine.Now(), !down, p.queueLen)
-	}
-	if !down && p.queue.len() > 0 {
-		p.transmitNext()
-	}
-}
-
-// flushQueue discards every queued packet as a link-down loss.
-//
-//dtlint:hotpath
-func (p *Port) flushQueue() {
-	for p.queue.len() > 0 {
-		pkt := p.queue.pop()
-		p.addQueued(-pkt.Size)
-		p.policy.OnDeparture(p.engine.Now(), p.totalQueueLen())
-		p.dropFault(pkt, FaultLinkDown)
-	}
-	p.checkConservation()
-	p.notifyMonitor()
-}
 
 // drop discards a packet: count, trace, recycle.
 //
@@ -345,33 +212,12 @@ func (p *Port) drop(pkt *Packet, overflow bool) {
 	p.net.pool.put(pkt)
 }
 
-// dropFault discards a packet lost to a fault (corruption, dead link):
-// count, trace, and recycle to the network's free list.
-//
-//dtlint:hotpath
-func (p *Port) dropFault(pkt *Packet, kind FaultKind) {
-	switch kind {
-	case FaultCorrupt:
-		p.stats.DroppedCorrupt++
-	case FaultLinkDown:
-		p.stats.DroppedLinkDown++
-	}
-	if p.tracer != nil {
-		p.tracer.PacketFaulted(p.engine.Now(), pkt, p.queueLen, kind)
-	}
-	p.net.pool.put(pkt)
-}
-
 // Send offers a packet to the port. The AQM policy is consulted with the
 // occupancy at arrival; buffer overflow always drops. A dropped packet is
 // recycled here — the caller must not touch it after Send returns.
 //
 //dtlint:hotpath
 func (p *Port) Send(pkt *Packet) {
-	if p.down {
-		p.dropFault(pkt, FaultLinkDown)
-		return
-	}
 	verdict := p.policy.OnArrival(p.engine.Now(), p.totalQueueLen(), pkt.Size)
 	if verdict == aqm.Drop {
 		p.drop(pkt, false)
@@ -423,7 +269,7 @@ func (p *Port) Send(pkt *Packet) {
 func (p *Port) transmitNext() {
 	var pkt *Packet
 	for {
-		if p.down || p.queue.len() == 0 {
+		if p.queue.len() == 0 {
 			p.busy = false
 			return
 		}
@@ -465,8 +311,7 @@ func (p *Port) transmitNext() {
 	}
 	p.notifyMonitor()
 
-	p.txPkt = pkt
-	p.txRef = p.engine.AfterArg(p.serializationRate(pkt.Size).Serialization(pkt.Size), p.txDoneFn, pkt)
+	p.engine.AfterArg(p.serializationRate(pkt.Size).Serialization(pkt.Size), p.txDoneFn, pkt)
 }
 
 // markSubstitutesDrop reports whether the policy's marks stand in for

@@ -60,24 +60,6 @@ func (sb *SharedBuffer) Attach(ports ...*Port) error {
 	return nil
 }
 
-// Total returns the pool capacity B in bytes.
-func (sb *SharedBuffer) Total() int { return sb.total }
-
-// Alpha returns the dynamic-threshold parameter α.
-func (sb *SharedBuffer) Alpha() float64 { return sb.alpha }
-
-// Used returns the pool occupancy ΣQ_i in bytes.
-func (sb *SharedBuffer) Used() int { return sb.used }
-
-// Ports returns the member ports (shared slice; do not mutate).
-func (sb *SharedBuffer) Ports() []*Port { return sb.ports }
-
-// Threshold returns the instantaneous dynamic allowance
-// T = α·(B − ΣQ) in bytes.
-func (sb *SharedBuffer) Threshold() float64 {
-	return sb.alpha * float64(sb.total-sb.used)
-}
-
 // admit decides whether a packet of size bytes may enter a member port
 // currently holding qlen bytes.
 //

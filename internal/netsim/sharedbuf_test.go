@@ -81,11 +81,13 @@ func TestSharedBufferConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.Total() != 100*pktSize || sb.Alpha() != 2 || sb.Used() != 0 {
-		t.Fatalf("accessors: total=%d alpha=%g used=%d", sb.Total(), sb.Alpha(), sb.Used())
+	if sb.total != 100*pktSize || sb.alpha != 2 || sb.used != 0 {
+		t.Fatalf("fields: total=%d alpha=%g used=%d", sb.total, sb.alpha, sb.used)
 	}
-	if got := sb.Threshold(); got != 2*float64(100*pktSize) {
-		t.Fatalf("empty-pool threshold = %g", got)
+	// Empty pool: the allowance α·B is 200 packets, and no single arrival
+	// may exceed the 100 free ones.
+	if !sb.admit(199*pktSize, pktSize) || sb.admit(200*pktSize, pktSize) || sb.admit(0, 101*pktSize) {
+		t.Fatal("empty-pool admission does not follow T = α·(B − ΣQ)")
 	}
 }
 
@@ -147,8 +149,8 @@ func TestSharedBufferSinglePortEqualsTailDrop(t *testing.T) {
 	if static.DroppedOverflow == 0 {
 		t.Fatal("vacuous: bursts never overflowed the buffer")
 	}
-	if sb.Used() != 0 {
-		t.Fatalf("pool occupancy %d after full drain", sb.Used())
+	if sb.used != 0 {
+		t.Fatalf("pool occupancy %d after full drain", sb.used)
 	}
 }
 
@@ -164,11 +166,11 @@ func TestPropertySharedBufferConservation(t *testing.T) {
 		for _, p := range st.egress {
 			sum += p.QueueLen()
 		}
-		if sb.Used() != sum {
-			t.Fatalf("%s: pool counter %d, member queues hold %d", when, sb.Used(), sum)
+		if sb.used != sum {
+			t.Fatalf("%s: pool counter %d, member queues hold %d", when, sb.used, sum)
 		}
-		if sb.Used() < 0 || sb.Used() > sb.Total() {
-			t.Fatalf("%s: pool occupancy %d outside [0, %d]", when, sb.Used(), sb.Total())
+		if sb.used < 0 || sb.used > sb.total {
+			t.Fatalf("%s: pool occupancy %d outside [0, %d]", when, sb.used, sb.total)
 		}
 	}
 	// Uneven offered load: port i gets i+1 packets per round.
@@ -186,8 +188,8 @@ func TestPropertySharedBufferConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after full drain")
-	if sb.Used() != 0 {
-		t.Fatalf("drained pool still holds %d bytes", sb.Used())
+	if sb.used != 0 {
+		t.Fatalf("drained pool still holds %d bytes", sb.used)
 	}
 	dropped := uint64(0)
 	for _, p := range st.egress {
@@ -222,8 +224,8 @@ func TestPropertySharedBufferAlphaInfinityStaticSplit(t *testing.T) {
 			t.Fatalf("port %d settled at %d bytes, want ≈ %d (B/N)", i, got, want)
 		}
 	}
-	if sb.Used() > sb.Total() {
-		t.Fatalf("pool overcommitted: %d > %d", sb.Used(), sb.Total())
+	if sb.used > sb.total {
+		t.Fatalf("pool overcommitted: %d > %d", sb.used, sb.total)
 	}
 	if err := st.engine.Run(); err != nil {
 		t.Fatal(err)
@@ -242,10 +244,10 @@ func TestSharedBufferSmallAlphaLeavesHeadroom(t *testing.T) {
 		}
 	}
 	// Fixed point: N·T = N·αB/(1+αN) = B/2 at α = 1/N.
-	if sb.Used() > sb.Total()/2+nPorts*pktSize {
-		t.Fatalf("α=1/N pool filled to %d of %d, want ≈ half", sb.Used(), sb.Total())
+	if sb.used > sb.total/2+nPorts*pktSize {
+		t.Fatalf("α=1/N pool filled to %d of %d, want ≈ half", sb.used, sb.total)
 	}
-	if sb.Used() == 0 {
+	if sb.used == 0 {
 		t.Fatal("vacuous: nothing queued")
 	}
 	if err := st.engine.Run(); err != nil {
@@ -288,15 +290,15 @@ func FuzzSharedBufferConfig(f *testing.F) {
 			for _, p := range st.egress {
 				sum += p.QueueLen()
 			}
-			if sb.Used() != sum || sb.Used() < 0 || sb.Used() > sb.Total() {
-				t.Fatalf("pool counter %d, members %d, capacity %d", sb.Used(), sum, sb.Total())
+			if sb.used != sum || sb.used < 0 || sb.used > sb.total {
+				t.Fatalf("pool counter %d, members %d, capacity %d", sb.used, sum, sb.total)
 			}
 		}
 		if err := st.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if sb.Used() != 0 {
-			t.Fatalf("pool holds %d bytes after full drain", sb.Used())
+		if sb.used != 0 {
+			t.Fatalf("pool holds %d bytes after full drain", sb.used)
 		}
 	})
 }

@@ -40,12 +40,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d.Nanoseconds()) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // String formats the timestamp with microsecond resolution, which is the
 // natural scale for data-center RTTs.
 func (t Time) String() string {

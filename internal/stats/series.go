@@ -43,15 +43,6 @@ func (s *Series) Points() []Point {
 	return out
 }
 
-// Values returns a copy of just the sampled values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // After returns a new series holding the samples at instants ≥ t. It is
 // the standard way to isolate the steady-state tail of an experiment
 // trace from its warmup transient before period or amplitude estimation.

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -60,12 +59,6 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (w *Welford) Max() float64 { return w.max }
-
-// String summarizes the accumulator for logs.
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
-		w.n, w.Mean(), w.StdDev(), w.min, w.max)
-}
 
 // TimeWeighted accumulates the time-weighted mean and variance of a
 // piecewise-constant signal such as queue occupancy: each value holds from
@@ -137,9 +130,6 @@ func (tw *TimeWeighted) Min() float64 { return tw.min }
 
 // Max returns the largest observed value.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
-
-// Duration returns the total accumulated interval in seconds.
-func (tw *TimeWeighted) Duration() float64 { return tw.totalT }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It copies and sorts the input.

@@ -124,24 +124,6 @@ func (p *plusPacer) grow() {
 	}
 }
 
-// PlusState returns the DCTCP+ slow-timer state (PlusNormal for other
-// variants).
-func (s *Sender) PlusState() PlusState {
-	if s.plus == nil {
-		return PlusNormal
-	}
-	return s.plus.state
-}
-
-// SlowTime returns the DCTCP+ slow-timer value (zero for other variants
-// and in DCTCP_NORMAL).
-func (s *Sender) SlowTime() time.Duration {
-	if s.plus == nil {
-		return 0
-	}
-	return s.plus.slowTime
-}
-
 // onPace fires when the randomized pacing delay elapses: release exactly
 // one segment, then fall back into trySend, which re-arms the pacer for
 // the next segment while the slow timer is nonzero.

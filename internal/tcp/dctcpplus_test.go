@@ -131,9 +131,6 @@ func TestPlusAccessorsOnOtherVariants(t *testing.T) {
 	if s.plus != nil {
 		t.Fatal("DCTCP sender grew a pacer")
 	}
-	if s.PlusState() != PlusNormal || s.SlowTime() != 0 {
-		t.Fatalf("neutral accessors: %v %v", s.PlusState(), s.SlowTime())
-	}
 }
 
 // plusIncast drives an incast round set hot enough to collapse windows to
@@ -166,12 +163,12 @@ func TestPlusIncastEngagesSlowTimer(t *testing.T) {
 	senders := plusIncast(t, 16, 0, 200*time.Millisecond)
 	var backoffs, paced uint64
 	for _, s := range senders {
-		st := s.PlusState()
+		st := s.plus.state
 		if st != PlusNormal && st != PlusTimeInc && st != PlusTimeDes {
 			t.Fatalf("sender in invalid state %v", st)
 		}
-		if s.SlowTime() < 0 || s.SlowTime() > slowTimerMax {
-			t.Fatalf("slow timer %v outside [0, %v]", s.SlowTime(), slowTimerMax)
+		if s.plus.slowTime < 0 || s.plus.slowTime > slowTimerMax {
+			t.Fatalf("slow timer %v outside [0, %v]", s.plus.slowTime, slowTimerMax)
 		}
 		stats := s.Stats()
 		backoffs += stats.SlowTimerBackoffs

@@ -196,9 +196,6 @@ func (s *Sender) StartAt(at sim.Time) {
 // Alpha returns DCTCP's current congestion estimate α.
 func (s *Sender) Alpha() float64 { return s.alpha }
 
-// Cwnd returns the congestion window in bytes.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
 // CwndPackets returns the congestion window in segments.
 func (s *Sender) CwndPackets() float64 { return s.cwnd / float64(s.cfg.MSS) }
 
@@ -211,9 +208,6 @@ func (s *Sender) Completed() bool { return s.completed }
 // CompletionTime returns when the transfer completed (valid once
 // Completed reports true).
 func (s *Sender) CompletionTime() sim.Time { return s.completeTime }
-
-// SRTT exposes the smoothed RTT estimate.
-func (s *Sender) SRTT() time.Duration { return s.rtt.smoothed() }
 
 // Stats returns a copy of the sender's counters.
 func (s *Sender) Stats() SenderStats { return s.stats }

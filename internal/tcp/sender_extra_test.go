@@ -22,13 +22,13 @@ func TestExtendResumesCompletedTransfer(t *testing.T) {
 	if completions != 1 || !s.Completed() {
 		t.Fatalf("first chunk incomplete (completions=%d)", completions)
 	}
-	cwndBefore := s.Cwnd()
+	cwndBefore := s.cwnd
 
 	s.Extend(chunk)
 	if s.Completed() {
 		t.Fatal("Extend should clear completion")
 	}
-	if s.Cwnd() != cwndBefore {
+	if s.cwnd != cwndBefore {
 		t.Fatal("Extend must preserve congestion state")
 	}
 	if err := d.engine.RunFor(100 * time.Millisecond); err != nil {
@@ -150,7 +150,7 @@ func TestSRTTConvergesToPathRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Base RTT 100 µs plus queueing; srtt must be in a sane band.
-	srtt := s.SRTT()
+	srtt := s.rtt.smoothed()
 	if srtt < 100*time.Microsecond || srtt > 100*time.Millisecond {
 		t.Fatalf("srtt = %v", srtt)
 	}

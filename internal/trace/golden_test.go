@@ -18,8 +18,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata golden trace")
 
 // goldenTrace runs a short dumbbell with a Recorder on the bottleneck and
-// returns the raw JSONL. The fault kinds are covered by
-// TestRecorderFaultEventsOnLivePort, which downs a port directly.
+// returns the raw JSONL.
 func goldenTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer

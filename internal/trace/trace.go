@@ -3,25 +3,6 @@
 // needs: attach a Recorder to a port (it implements netsim.PortTracer)
 // and every enqueue, dequeue, CE mark, and drop becomes one JSON object
 // with the virtual timestamp.
-//
-// # Fault events
-//
-// The Recorder also takes the fault hooks of netsim.PortTracer, so a port
-// whose link is taken down (Port.SetDown) or made lossy
-// (Port.SetCorruptProb) reports its fault events in the same JSONL
-// stream:
-//
-//   - "link-down" / "link-up": the port's link changed state; qlen is
-//     the queue occupancy at the transition (nonzero on link-down means
-//     packets are being held in drain mode, or were just flushed).
-//   - "corrupt": a packet was lost to probabilistic corruption after
-//     serialization (it never reaches the far end).
-//   - "drop-link-down": a packet lost to a down link — an arrival at a
-//     down port, an in-flight transmission cut by the outage, or a
-//     queued packet discarded by a flush.
-//
-// All fault events carry the usual packet fields when a packet is
-// involved; link-state events are link-scoped and carry none.
 package trace
 
 import (
@@ -50,15 +31,6 @@ const (
 	KindDropOverflow Kind = "drop-overflow"
 	// KindDropPolicy is a packet dropped by the queue law.
 	KindDropPolicy Kind = "drop-policy"
-	// KindLinkDown is a port's link going down.
-	KindLinkDown Kind = "link-down"
-	// KindLinkUp is a port's link coming back up.
-	KindLinkUp Kind = "link-up"
-	// KindCorrupt is a packet lost to probabilistic corruption.
-	KindCorrupt Kind = "corrupt"
-	// KindDropLinkDown is a packet lost to a down link (arrival, cut
-	// in-flight transmission, or flushed queue slot).
-	KindDropLinkDown Kind = "drop-link-down"
 )
 
 // Event is one JSONL record.
@@ -100,9 +72,6 @@ func NewRecorder(w io.Writer) *Recorder {
 	bw := bufio.NewWriter(w)
 	return &Recorder{w: bw, enc: json.NewEncoder(bw)}
 }
-
-// Events reports how many events were written.
-func (r *Recorder) Events() uint64 { return r.events }
 
 // Err returns the first write error, if any. Writes after an error are
 // dropped silently (tracing must never take down a simulation).
@@ -157,33 +126,6 @@ func (r *Recorder) PacketDropped(now sim.Time, pkt *netsim.Packet, qlenBytes int
 		ev.Kind = KindDropPolicy
 	}
 	r.emit(ev)
-}
-
-// PacketFaulted implements netsim.PortTracer: a packet lost to a fault
-// (corruption or a down link).
-func (r *Recorder) PacketFaulted(now sim.Time, pkt *netsim.Packet, qlenBytes int, kind netsim.FaultKind) {
-	ev := r.packetEvent(now, pkt, qlenBytes)
-	switch kind {
-	case netsim.FaultCorrupt:
-		ev.Kind = KindCorrupt
-	default:
-		ev.Kind = KindDropLinkDown
-	}
-	r.emit(ev)
-}
-
-// LinkStateChanged implements netsim.PortTracer: the traced port's link
-// went down or came back up.
-func (r *Recorder) LinkStateChanged(now sim.Time, up bool, qlenBytes int) {
-	q := float64(qlenBytes)
-	if r.PacketSize > 0 {
-		q /= float64(r.PacketSize)
-	}
-	kind := KindLinkDown
-	if up {
-		kind = KindLinkUp
-	}
-	r.emit(Event{T: now.Seconds(), Kind: kind, QueuePkts: q})
 }
 
 func (r *Recorder) packetEvent(now sim.Time, pkt *netsim.Packet, qlenBytes int) Event {
