@@ -365,25 +365,25 @@ func fig15(s settings, out io.Writer) error {
 	header(out, "Fig. 15 — completion time: 1 MB split n ways (floor ≈ 10 ms at 1 Gbps)")
 	fmt.Fprintln(out, "   n | DCTCP   mean      p95      max | DT-DCTCP mean      p95      max")
 	counts := []int{8, 16, 24, 32, 40, 48, 56, 64}
-	type completionRow struct{ dc, dt *dtdctcp.QueryResult }
-	rows, err := runner.Map(context.Background(), len(counts), runner.Options{Workers: s.workers},
-		func(_ context.Context, i int) (completionRow, error) {
-			var r completionRow
-			var err error
-			if r.dc, err = dtdctcp.RunCompletionTime(dtdctcp.DefaultTestbed(dtdctcp.DCTCP(21, 1.0/16), counts[i]), s.rounds); err != nil {
-				return r, err
-			}
-			r.dt, err = dtdctcp.RunCompletionTime(dtdctcp.DefaultTestbed(dtdctcp.DTDCTCP(16, 26, 1.0/16), counts[i]), s.rounds)
-			return r, err
-		})
+	// One sweep a protocol, each point in its own engine.
+	sweep := func(p dtdctcp.Protocol) ([]dtdctcp.WorkerSweepPoint, error) {
+		return dtdctcp.SweepWorkersParallel(context.Background(), dtdctcp.DefaultTestbed(p, 1), counts, s.rounds, s.workers,
+			dtdctcp.RunCompletionTime)
+	}
+	dc, err := sweep(dtdctcp.DCTCP(21, 1.0/16))
 	if err != nil {
 		return err
 	}
-	for i, r := range rows {
+	dt, err := sweep(dtdctcp.DTDCTCP(16, 26, 1.0/16))
+	if err != nil {
+		return err
+	}
+	for i, n := range counts {
+		rdc, rdt := dc[i].Result, dt[i].Result
 		fmt.Fprintf(out, " %3d |  %8.1f %8.1f %8.1f |  %8.1f %8.1f %8.1f   (ms)\n",
-			counts[i],
-			ms(r.dc.MeanCompletion), ms(r.dc.P95Completion), ms(r.dc.MaxCompletion),
-			ms(r.dt.MeanCompletion), ms(r.dt.P95Completion), ms(r.dt.MaxCompletion))
+			n,
+			ms(rdc.MeanCompletion), ms(rdc.P95Completion), ms(rdc.MaxCompletion),
+			ms(rdt.MeanCompletion), ms(rdt.P95Completion), ms(rdt.MaxCompletion))
 	}
 	fmt.Fprintln(out, "\npaper: completion ≈10 ms until Incast; DCTCP oscillates from n=34 and spikes ≈20× at 40; DT-DCTCP climbs smoothly and spikes at 42")
 	return nil

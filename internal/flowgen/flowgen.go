@@ -228,7 +228,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	w.arriveFn = w.arrive
 	w.completeFn = w.complete
 	w.retireFn = w.retire
-	eng.InjectArg(w.Flows[0].Arrival, sim.TimeZero, w.arriveFn, &chain{})
+	eng.InjectArg(w.Flows[0].Arrival, w.arriveFn, &chain{})
 	accept := netsim.Listener(w.accept)
 	for _, h := range hosts {
 		h.Listen(accept)
@@ -271,7 +271,7 @@ func (w *Workload) arrive(arg any) {
 	s.Start()
 	if next := c.flow + 1; int(next) < len(w.Flows) {
 		c.flow = next
-		src.Engine().InjectArg(w.Flows[next].Arrival, sim.TimeZero, w.arriveFn, c)
+		src.Engine().InjectArg(w.Flows[next].Arrival, w.arriveFn, c)
 	}
 }
 

@@ -34,8 +34,8 @@
 // Ticks are engine events stamped with a reserved source key
 // (SrcKey), far above any topology domain index, so same-instant ties
 // between a tick and packet deliveries resolve by the (at, schedAt,
-// srcKey, srcSeq) ordering key, fixed by the topology — the coupling
-// never perturbs the determinism contract.
+// srcKey, seq) ordering key, fixed by the topology — the coupling never
+// perturbs the determinism contract.
 package hybrid
 
 import (
@@ -96,7 +96,6 @@ type Coupler struct {
 	fluidC      float64 // link capacity in fluid packets/second
 
 	tickFn      func(any)
-	seq         uint64
 	ticks       int
 	lastOffered uint64
 	fgRate      float64 // EWMA of foreground offered load, packets/second
@@ -160,8 +159,7 @@ func (c *Coupler) schedule(at sim.Time) {
 	if at > c.horizon {
 		return
 	}
-	c.engine.ScheduleSrcArg(at, SrcKey, c.seq, c.tickFn, nil)
-	c.seq++
+	c.engine.ScheduleSrcArg(at, SrcKey, c.tickFn, nil)
 }
 
 // tick is one coupling exchange; see the package comment for the four

@@ -15,3 +15,7 @@ func (s *Switch) ECMPSets() int { return len(s.sets) }
 // RingSlots is the size of the port's queue buffer, 0 before its first
 // enqueue.
 func (p *Port) RingSlots() int { return len(p.queue.buf) }
+
+// SrcKey is the domain index the port ships its deliveries under, -1
+// before routes are computed.
+func (p *Port) SrcKey() int { return p.srcKey }

@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -16,14 +17,18 @@ import (
 // hosts other than dst do not forward), and a flow takes
 // hops[ecmpHash(salt, s, flow) mod len(hops)]. Every switch × destination
 // × 64 flow ids, on the k=4 fat-tree and on a leaf-spine with two spines.
-func TestForwardingMatchesReference(t *testing.T) {
+// testFabrics builds the k=4 fat-tree and a leaf-spine with two spines.
+func testFabrics() map[string]func(*netsim.Network) (*topo.Fabric, error) {
 	link := topo.LinkSpec{Rate: netsim.Gbps, Delay: 10 * time.Microsecond, BufferBytes: 100 * 1500}
 	cfg := topo.Config{HostLink: link, FabricLink: link}
-	fabrics := map[string]func(*netsim.Network) (*topo.Fabric, error){
+	return map[string]func(*netsim.Network) (*topo.Fabric, error){
 		"fattree k=4":     func(nw *netsim.Network) (*topo.Fabric, error) { return topo.FatTree(nw, 4, cfg) },
 		"leafspine 4x2x2": func(nw *netsim.Network) (*topo.Fabric, error) { return topo.LeafSpine(nw, 4, 2, 2, cfg) },
 	}
-	for name, build := range fabrics {
+}
+
+func TestForwardingMatchesReference(t *testing.T) {
+	for name, build := range testFabrics() {
 		nw := netsim.NewNetwork(sim.NewEngine(5))
 		f, err := build(nw)
 		if err != nil {
@@ -90,4 +95,66 @@ func TestForwardingMatchesReference(t *testing.T) {
 			t.Fatalf("%s: no switch has several next hops toward anything; the hash went unchecked", name)
 		}
 	}
+}
+
+// TestDomainNumbering pins the source keys ComputeRoutes stamps on the
+// ports, which order same-instant link deliveries: each host's uplink
+// ships under the host's creation index, and switch ports follow in
+// switch × attachment order. On a star and on the fabrics every port's key
+// is its own — so one port's deliveries are ordered by the engine's
+// sequence number alone — and a second route computation leaves every key
+// where it was.
+func TestDomainNumbering(t *testing.T) {
+	link := netsim.PortConfig{Rate: netsim.Gbps, Delay: 25 * time.Microsecond, Buffer: 64 * 1500}
+	builds := map[string]func(*netsim.Network) (*topo.Fabric, error){
+		"star": func(nw *netsim.Network) (*topo.Fabric, error) {
+			sw := nw.AddSwitch("sw")
+			for _, name := range []string{"a", "b"} {
+				h := nw.AddHost(name)
+				if err := nw.Connect(h, sw, link, link); err != nil {
+					return nil, err
+				}
+				if got := h.Uplink().SrcKey(); got != -1 {
+					t.Fatalf("star: uplink srcKey %d before routes are computed, want -1 (unkeyed)", got)
+				}
+			}
+			return nil, nw.ComputeRoutes()
+		},
+	}
+	for name, build := range testFabrics() {
+		builds[name] = build
+	}
+	for name, build := range builds {
+		nw := netsim.NewNetwork(sim.NewEngine(5))
+		if _, err := build(nw); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		keys := portKeys(nw)
+		for i, k := range keys {
+			if k != i {
+				t.Fatalf("%s: port %d (hosts' uplinks, then switch ports) ships under srcKey %d, want %d", name, i, k, i)
+			}
+		}
+		if err := nw.ComputeRoutesECMP(7); err != nil {
+			t.Fatal(err)
+		}
+		if again := portKeys(nw); !slices.Equal(again, keys) {
+			t.Fatalf("%s: a second route computation moved the srcKeys to %v", name, again)
+		}
+	}
+}
+
+// portKeys lists the srcKey of every port: the hosts' uplinks, then the
+// switch ports.
+func portKeys(nw *netsim.Network) []int {
+	var keys []int
+	for _, h := range nw.Hosts() {
+		keys = append(keys, h.Uplink().SrcKey())
+	}
+	for _, s := range nw.Switches() {
+		for i := 0; i < s.Ports(); i++ {
+			keys = append(keys, s.Port(i).SrcKey())
+		}
+	}
+	return keys
 }

@@ -92,12 +92,10 @@ type Port struct {
 	txDoneFn  func(any)
 	deliverFn func(any)
 
-	// srcKey is the stable domain index the port ships under and xseq
-	// its monotone delivery counter (see ship); ComputeRoutes assigns
-	// srcKey. srcKey < 0 means unassigned (a topology that never computed
-	// routes), which falls back to unkeyed scheduling.
+	// srcKey is the stable domain index the port ships under (see ship);
+	// ComputeRoutes assigns it. srcKey < 0 means unassigned (a topology
+	// that never computed routes), which falls back to unkeyed scheduling.
 	srcKey int
-	xseq   uint64
 }
 
 // PortConfig bundles the parameters of one directed link attachment.
@@ -140,10 +138,10 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 
 // ship launches a serialized packet onto the wire: arrival at the peer
 // after the propagation delay, one self-owned event. The delivery is
-// stamped with the port's stable (srcKey, xseq) identity, so a
-// same-instant arrival tie at the peer between two ports' deliveries is
-// decided by the topology-derived key, not by which of the two happened
-// to schedule first.
+// stamped with the port's stable srcKey, so a same-instant arrival tie at
+// the peer between two ports' deliveries is decided by the
+// topology-derived key, not by which of the two happened to schedule
+// first.
 //
 //dtlint:hotpath
 func (p *Port) ship(pkt *Packet) {
@@ -152,8 +150,7 @@ func (p *Port) ship(pkt *Packet) {
 		p.engine.AfterArg(p.delay, p.deliverFn, pkt)
 		return
 	}
-	p.engine.ScheduleSrcArg(p.engine.Now().Add(p.delay), p.srcKey, p.xseq, p.deliverFn, pkt)
-	p.xseq++
+	p.engine.ScheduleSrcArg(p.engine.Now().Add(p.delay), p.srcKey, p.deliverFn, pkt)
 }
 
 // SetMonitor attaches a queue monitor; pass nil to detach.

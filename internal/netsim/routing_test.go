@@ -112,33 +112,3 @@ func TestRoutingTakesShortestPathInLine(t *testing.T) {
 		t.Fatalf("arrival %v, want %v (exactly one traversal per link)", rx.at[0], want)
 	}
 }
-
-// TestDomainNumbering pins the source keys ComputeRoutes stamps on the
-// ports, which order same-instant link deliveries: each host's uplink
-// ships under the host's creation index, and switch ports follow in
-// switch × attachment order.
-func TestDomainNumbering(t *testing.T) {
-	n := NewNetwork(sim.NewEngine(1))
-	a := n.AddHost("a")
-	b := n.AddHost("b")
-	sw := n.AddSwitch("sw")
-	for _, h := range []*Host{a, b} {
-		if err := n.Connect(h, sw, linkCfg(Gbps, 25*time.Microsecond, 64, nil), linkCfg(Gbps, 25*time.Microsecond, 64, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.uplink.srcKey != -1 {
-		t.Fatalf("uplink srcKey %d before routes are computed, want -1 (unkeyed)", a.uplink.srcKey)
-	}
-	if err := n.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	if a.uplink.srcKey != 0 || b.uplink.srcKey != 1 {
-		t.Fatalf("uplink srcKeys %d,%d, want 0,1 (creation order)", a.uplink.srcKey, b.uplink.srcKey)
-	}
-	for i := 0; i < sw.Ports(); i++ {
-		if got := sw.Port(i).srcKey; got != 2+i {
-			t.Fatalf("switch port %d srcKey = %d, want %d", i, got, 2+i)
-		}
-	}
-}

@@ -37,21 +37,32 @@ func TestPendingBoundedUnderCancelHeavyWorkload(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesOrder cancels every other event out of a large
+// oneShots arms n one-shot timers, timer i at at(i) running fn(i).
+func oneShots(e *Engine, n int, at func(i int) Time, fn func(i int)) []*Timer {
+	timers := make([]*Timer, n)
+	for i := range timers {
+		i := i
+		timers[i] = NewTimer(e, func() { fn(i) })
+		timers[i].ResetAt(at(i))
+	}
+	return timers
+}
+
+// TestCompactionPreservesOrder stops every other timer out of a large
 // batch (forcing at least one compaction) and checks the survivors still
 // run in exact (time, schedule-order) sequence.
 func TestCompactionPreservesOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	var refs []EventRef
-	const n = 1000
-	for i := 0; i < n; i++ {
-		i := i
-		// Many ties on At to exercise the seq tie-break after reheapify.
-		refs = append(refs, e.Schedule(Time(i%10+1), func() { got = append(got, i) }))
-	}
+	// Odd, so that stopping the evens leaves more dead entries than live.
+	const n = 1001
+	// Many ties on the instant to exercise the seq tie-break after reheapify.
+	timers := oneShots(e, n, func(i int) Time { return Time(i%10 + 1) }, func(i int) { got = append(got, i) })
 	for i := 0; i < n; i += 2 {
-		refs[i].Cancel()
+		timers[i].Stop()
+	}
+	if e.Stats().Compactions == 0 {
+		t.Fatal("stopping half the batch never compacted")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -76,21 +87,18 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestCancelDuringRunStillCompacts cancels from inside event handlers,
-// which is where model code (ACK processing) actually cancels from.
+// TestCancelDuringRunStillCompacts stops timers from inside event
+// handlers, which is where model code (ACK processing) stops them from.
 func TestCancelDuringRunStillCompacts(t *testing.T) {
 	e := NewEngine(1)
 	const n = 10000
-	var victims []EventRef
 	fired := 0
-	for i := 0; i < n; i++ {
-		victims = append(victims, e.Schedule(Time(1000000+i), func() { fired++ }))
-	}
+	victims := oneShots(e, n, func(i int) Time { return Time(1000000 + i) }, func(int) { fired++ })
 	maxPending := 0
 	for i := 0; i < n; i++ {
 		i := i
 		e.Schedule(Time(1+i), func() {
-			victims[i].Cancel()
+			victims[i].Stop()
 			if p := e.Pending(); p > maxPending {
 				maxPending = p
 			}
@@ -112,17 +120,17 @@ func TestCancelDuringRunStillCompacts(t *testing.T) {
 // TestCompactionThresholdExcludesRunningEvent pins the instant a handler's
 // cancellations compact the queue: the event being run has left the
 // pending set, so dead entries are weighed against the events still
-// queued. 130 events; the first handler runs with 129 pending and cancels
-// 65 of them — the 65th makes dead × 2 = 130 > 129 and compacts, which
+// queued. 130 events; the first handler runs with 129 pending and stops
+// 65 timers — the 65th makes dead × 2 = 130 > 129 and compacts, which
 // 130 > 130 would not.
 func TestCompactionThresholdExcludesRunningEvent(t *testing.T) {
 	e := NewEngine(1)
 	const n = 130
-	refs := make([]EventRef, n)
+	var timers []*Timer
 	ran := 0
-	refs[0] = e.Schedule(1, func() {
+	e.Schedule(1, func() {
 		for i := 1; i <= 65; i++ {
-			refs[i].Cancel()
+			timers[i-1].Stop()
 			if got, want := e.Stats().Compactions, uint64(i/65); got != want {
 				t.Fatalf("after %d cancellations: %d compactions, want %d", i, got, want)
 			}
@@ -131,9 +139,7 @@ func TestCompactionThresholdExcludesRunningEvent(t *testing.T) {
 			t.Fatalf("Pending = %d after compacting from a handler, want %d", got, n-1-65)
 		}
 	})
-	for i := 1; i < n; i++ {
-		refs[i] = e.Schedule(Time(1+i), func() { ran++ })
-	}
+	timers = oneShots(e, n-1, func(i int) Time { return Time(2 + i) }, func(int) { ran++ })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -136,14 +136,11 @@ func (e *Engine) alloc() *Event {
 	return &Event{}
 }
 
-// recycle returns a popped event to the free list. Bumping the
-// generation first invalidates every outstanding EventRef to it.
+// recycle returns a popped event to the free list.
 //
 //dtlint:hotpath
 func (e *Engine) recycle(ev *Event) {
-	ev.gen++
-	ev.run = nil
-	ev.runArg = nil
+	ev.fn = nil
 	ev.arg = nil
 	ev.cancelled = false
 	if ev.timer != nil {
@@ -154,21 +151,15 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// enqueue pools an event and pushes it at the given instant.
-//
-//dtlint:hotpath
-func (e *Engine) enqueue(at Time) *Event {
-	return e.enqueueKeyed(at, e.now, unkeyedSrc, 0)
-}
-
-// enqueueKeyed enqueues an event with an explicit scheduling instant and
-// source identity. The full key must be final before the insert: every
+// enqueue queues fn(arg) to run at the instant at under the key (at,
+// schedAt, srcKey, seq), seq the next sequence number, and returns the
+// pooled event. The full key must be final before the insert: every
 // component participates in the ordering of the heap and of a lane, so
 // rewriting one afterwards would silently violate their invariants for
 // same-instant ties.
 //
 //dtlint:hotpath
-func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Event {
+func (e *Engine) enqueue(at, schedAt Time, srcKey int32, fn func(any), arg any) *Event {
 	if at < e.now {
 		//dtlint:allow hotalloc: formatting a panic message on the die path costs nothing in steady state
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v", e.now, at))
@@ -177,8 +168,9 @@ func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Even
 	ev.at = at
 	ev.schedAt = schedAt
 	ev.srcKey = srcKey
-	ev.srcSeq = srcSeq
 	ev.seq = e.nextSeq
+	ev.fn = fn
+	ev.arg = arg
 	e.nextSeq++
 	e.insert(heapSlot{at: at, ev: ev})
 	return ev
@@ -187,7 +179,7 @@ func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Even
 // insert queues a slot whose key is final: at the tail of the lane that
 // collects its delay if it sorts after that tail, in the heap otherwise.
 // The pending set is the heap plus the lanes, each a sorted run under the
-// full key (at, schedAt, srcKey, srcSeq, seq), and the run loop takes the
+// full key (at, schedAt, srcKey, seq), and the run loop takes the
 // smallest head of all; so the order events run in is the order of their
 // keys whichever run each one waited in, and routing decides speed alone.
 // It pays because a simulated network schedules nearly every event one of
@@ -328,10 +320,8 @@ func (e *Engine) earliestTied(at Time) int {
 // silently would reorder causality.
 //
 //dtlint:hotpath
-func (e *Engine) Schedule(at Time, fn func()) EventRef {
-	ev := e.enqueue(at)
-	ev.run = fn
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
+func (e *Engine) Schedule(at Time, fn func()) {
+	e.enqueue(at, e.now, unkeyedSrc, runFunc, fn)
 }
 
 // ScheduleArg enqueues fn to run at the absolute instant at with arg as
@@ -341,68 +331,57 @@ func (e *Engine) Schedule(at Time, fn func()) EventRef {
 // packet and none on the port transmit path.
 //
 //dtlint:hotpath
-func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) EventRef {
-	ev := e.enqueue(at)
-	ev.runArg = fn
-	ev.arg = arg
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
+func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) {
+	e.enqueue(at, e.now, unkeyedSrc, fn, arg)
 }
 
-// InjectArg enqueues fn like ScheduleArg but stamps the event with an
-// explicit scheduling instant instead of the engine's clock, so that it
+// InjectArg enqueues fn like ScheduleArg but stamps the event with the
+// scheduling instant TimeZero instead of the engine's clock, so that it
 // runs before any same-instant event scheduled later in virtual time. A
-// workload uses it to queue its whole arrival trace at construction, each
-// arrival stamped as if scheduled at instant zero. schedAt must not
-// exceed at.
-func (e *Engine) InjectArg(at, schedAt Time, fn func(any), arg any) EventRef {
-	if schedAt > at {
-		panic(fmt.Sprintf("sim: inject with schedAt after at: schedAt=%v at=%v", schedAt, at))
-	}
-	ev := e.enqueueKeyed(at, schedAt, unkeyedSrc, 0)
-	ev.runArg = fn
-	ev.arg = arg
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
+// workload uses it to queue its arrival trace, each arrival stamped as if
+// scheduled at set-up.
+func (e *Engine) InjectArg(at Time, fn func(any), arg any) {
+	e.enqueue(at, TimeZero, unkeyedSrc, fn, arg)
 }
 
 // ScheduleSrcArg enqueues fn like ScheduleArg but additionally stamps the
 // event with a stable source identity: srcKey is a topology domain index
-// (≥ 0) and srcSeq a per-source monotone counter. Link deliveries use it
-// so that same-instant ties between deliveries from different domains
-// resolve by (srcKey, srcSeq), an order fixed by the topology, instead of
-// by global scheduling order. Shrinking the key to (at, seq) would change
+// in [0, 2³¹) that no other source of the engine schedules under. Link
+// deliveries use it so that same-instant ties between deliveries from
+// different domains resolve by srcKey, an order fixed by the topology,
+// instead of by global scheduling order; deliveries from one source keep
+// the order it sent them in. Shrinking the key to (at, seq) would change
 // that tie order and so every digest.
 //
 //dtlint:hotpath
-func (e *Engine) ScheduleSrcArg(at Time, srcKey int, srcSeq uint64, fn func(any), arg any) EventRef {
-	if srcKey < 0 {
+func (e *Engine) ScheduleSrcArg(at Time, srcKey int, fn func(any), arg any) {
+	if srcKey < 0 || srcKey > math.MaxInt32 {
 		//dtlint:allow hotalloc: formatting a panic message on the die path costs nothing in steady state
-		panic(fmt.Sprintf("sim: negative source key %d", srcKey))
+		panic(fmt.Sprintf("sim: source key %d outside [0, 2³¹)", srcKey))
 	}
-	ev := e.enqueueKeyed(at, e.now, srcKey, srcSeq)
-	ev.runArg = fn
-	ev.arg = arg
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
+	e.enqueue(at, e.now, int32(srcKey), fn, arg)
 }
 
 // After enqueues fn to run d after the current instant.
 //
 //dtlint:hotpath
-func (e *Engine) After(d time.Duration, fn func()) EventRef {
-	return e.Schedule(e.now.Add(d), fn)
+func (e *Engine) After(d time.Duration, fn func()) {
+	e.Schedule(e.now.Add(d), fn)
 }
 
 // AfterArg enqueues fn to run d after the current instant with arg as
 // its argument; see ScheduleArg.
 //
 //dtlint:hotpath
-func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) EventRef {
-	return e.ScheduleArg(e.now.Add(d), fn, arg)
+func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
+	e.ScheduleArg(e.now.Add(d), fn, arg)
 }
 
-// noteCancelled records one lazy cancellation and compacts the queue
-// when cancelled events outnumber live ones. Every finished connection
-// leaves a stopped RTO timer behind, so without compaction a churn-heavy
-// run would hold its dead deadlines in the heap until they surface.
+// noteCancelled records one lazy cancellation — a Timer stopped, or
+// rearmed to an earlier instant — and compacts the queue when cancelled
+// events outnumber live ones. Every finished connection leaves a stopped
+// RTO timer behind, so without compaction a churn-heavy run would hold
+// its dead deadlines in the heap until they surface.
 //
 //dtlint:hotpath
 func (e *Engine) noteCancelled() {
@@ -416,8 +395,8 @@ func (e *Engine) noteCancelled() {
 // compact removes every cancelled event from the heap and the lanes in
 // one O(n) pass and restores the heap property; a lane filtered in place
 // is still sorted. Relative order of the survivors is unaffected: ordering
-// is decided by the five-field key (at, schedAt, srcKey, srcSeq, seq),
-// which compaction does not touch.
+// is decided by the four-field key (at, schedAt, srcKey, seq), which
+// compaction does not touch.
 //
 //dtlint:hotpath
 func (e *Engine) compact() {
@@ -550,13 +529,9 @@ func (e *Engine) run(horizon Time) error {
 		// locals, so any event the handler schedules can reuse it
 		// immediately (the common self-scheduling transmit chain then
 		// ping-pongs between two pooled events for its whole lifetime).
-		run, runArg, arg := next.run, next.runArg, next.arg
+		fn, arg := next.fn, next.arg
 		e.recycle(next)
-		if runArg != nil {
-			runArg(arg)
-		} else {
-			run()
-		}
+		fn(arg)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
@@ -121,10 +122,11 @@ func TestRunUntilAdvancesClockOnEmptyQueue(t *testing.T) {
 func TestCancelSkipsEvent(t *testing.T) {
 	e := NewEngine(1)
 	ran := false
-	ev := e.Schedule(100, func() { ran = true })
-	ev.Cancel()
-	if ev.Pending() {
-		t.Fatal("Pending() = true after Cancel")
+	tm := NewTimer(e, func() { ran = true })
+	tm.ResetAt(100)
+	tm.Stop()
+	if tm.Armed() {
+		t.Fatal("Armed() = true after Stop")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -137,34 +139,27 @@ func TestCancelSkipsEvent(t *testing.T) {
 	}
 }
 
-func TestCancelZeroEventRefIsNoop(t *testing.T) {
-	var ev EventRef
-	ev.Cancel() // must not panic
-	if ev.Pending() {
-		t.Fatal("zero EventRef reports pending")
-	}
-}
-
+// TestCancelAfterFireIsNoop stops a timer whose wake-up has fired and
+// been recycled into a later event: the Stop must not reach that event.
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEngine(1)
-	first := e.Schedule(100, func() {})
+	tm := NewTimer(e, func() {})
+	tm.ResetAt(100)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// The fired event's storage is recycled; a later event may occupy it.
-	second := e.Schedule(200, func() {})
-	first.Cancel() // stale handle: must not cancel the new occupant
-	if !second.Pending() || e.Pending() != 1 {
-		t.Fatal("stale Cancel hit a recycled event")
-	}
+	// The fired wake-up's storage is recycled; the next event occupies it.
 	ran := false
-	third := e.Schedule(300, func() { ran = true })
-	_ = third
+	e.Schedule(200, func() { ran = true })
+	tm.Stop()
+	if s := e.Stats(); s.Cancelled != 0 || e.Pending() != 1 {
+		t.Fatalf("Stop after the fire cancelled %d events, %d pending; want 0 and 1", s.Cancelled, e.Pending())
+	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !ran {
-		t.Fatal("event after stale cancel did not run")
+		t.Fatal("the event in the recycled storage did not run")
 	}
 }
 
@@ -220,14 +215,26 @@ func TestDeterministicRandomSource(t *testing.T) {
 func TestEngineStatsCounters(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(1, func() {})
-	ev := e.Schedule(2, func() {})
-	ev.Cancel()
+	tm := NewTimer(e, func() {})
+	tm.ResetAt(2)
+	tm.Stop()
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	s := e.Stats()
 	if s.Scheduled != 2 || s.Processed != 1 || s.Pending != 0 {
 		t.Fatalf("Stats = %+v, want {2 1 0}", s)
+	}
+}
+
+// TestEventIsOneCacheLine pins the event's size: the kernel touches one
+// per event, tens of millions per figure, and a deep queue keeps them live.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("Event is %d B, want 64", got)
 	}
 }
 

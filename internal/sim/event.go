@@ -11,82 +11,47 @@ import "math"
 // For an engine scheduling only unkeyed events the scheduling instant and
 // source key are redundant — they order exactly like (at, seq). The extra
 // components order link deliveries: each carries the sending port's
-// stable (srcKey, srcSeq) identity, so a same-instant tie between two
-// domains' deliveries is decided by the topology, not by which event
-// happened to schedule first, and a workload's arrivals carry the
-// scheduling instant zero they were drawn at. The key was made for a
-// sharded engine, since deleted; every digest is recorded under it, so
-// shrinking it to (at, seq) changes tie order and every golden with it.
+// stable srcKey, so a same-instant tie between two domains' deliveries is
+// decided by the topology, not by which event happened to schedule first,
+// and a workload's arrivals carry the scheduling instant zero they were
+// drawn at. Within one source key seq already orders deliveries as their
+// source sent them: every key ≥ 0 belongs to one sender. The key was made
+// for a sharded engine, since deleted; every digest is recorded under it,
+// so shrinking it to (at, seq) changes tie order and every golden with it.
 //
-// Model code never touches an Event directly: Schedule and After return
-// an EventRef, a generation-checked handle that stays safe to use after
-// the event has fired and its storage has been recycled for a later
-// event.
+// Model code never touches an Event: it schedules through the Engine,
+// which returns no handle, and cancels only by stopping a Timer. The
+// fields fill one 64-byte cache line.
 type Event struct {
 	// at is the virtual instant the event fires.
 	at Time
-	// schedAt is the virtual instant the event was scheduled (for an
-	// injected event, the instant InjectArg was given).
+	// schedAt is the virtual instant the event was scheduled (TimeZero for
+	// an injected event).
 	schedAt Time
+	seq     uint64
+	// fn runs with arg as its argument. An event scheduled with a plain
+	// func() carries it in arg and runFunc in fn, so hot paths with a
+	// long-lived fn schedule without allocating a closure and the run loop
+	// makes one call.
+	fn  func(any)
+	arg any
+	// timer is set on a Timer's wake-up: the run loop finds the recorded
+	// deadline through it, and recycling clears the timer's reference.
+	timer *Timer
 	// srcKey identifies the scheduling source for keyed events (a stable
 	// topology domain index ≥ 0); unkeyed events carry unkeyedSrc, which
 	// sorts before every domain so local events win exact (at, schedAt)
 	// ties against deliveries.
-	srcKey int
-	// srcSeq orders keyed events from the same source (a per-domain
-	// monotone counter); zero for unkeyed events.
-	srcSeq uint64
-	// Exactly one of run/runArg is set. runArg carries its argument out
-	// of band so hot paths can schedule without allocating a closure.
-	run    func()
-	runArg func(any)
-	arg    any
-
-	seq uint64
-	// timer is set on a Timer's wake-up: the run loop finds the recorded
-	// deadline through it, and recycling clears the timer's reference.
-	timer     *Timer
+	srcKey    int32
 	cancelled bool
-	// gen increments every time the storage is recycled; EventRef
-	// handles carry the generation they were issued for, which turns
-	// use-after-recycle into a no-op instead of corrupting an unrelated
-	// event.
-	gen uint64
 }
 
-// EventRef is a handle to a scheduled event. The zero value is an
-// unarmed reference: Cancel on it is a no-op and Pending reports false.
-// A reference stays valid (as a no-op) after its event fires: the engine
-// recycles event storage, and the generation check distinguishes the
-// original event from any later occupant.
-type EventRef struct {
-	engine *Engine
-	ev     *Event
-	gen    uint64
-}
-
-// Pending reports whether the event is still queued and uncancelled.
+// runFunc is the callback of an event scheduled with a plain func(),
+// which travels as its argument. A func value is pointer-shaped, so
+// storing it in arg allocates nothing.
 //
 //dtlint:hotpath
-func (r EventRef) Pending() bool {
-	return r.ev != nil && r.ev.gen == r.gen && !r.ev.cancelled
-}
-
-// Cancel prevents a pending event from running. Cancelling an event that
-// has already fired (or was already cancelled) is a no-op. Cancellation
-// is lazy — the event stays queued and is skipped (and recycled) when it
-// surfaces — but the engine compacts the queue when cancelled events
-// outnumber live ones, so a cancel-heavy workload cannot grow the queue
-// without bound.
-//
-//dtlint:hotpath
-func (r EventRef) Cancel() {
-	if r.ev == nil || r.ev.gen != r.gen || r.ev.cancelled {
-		return
-	}
-	r.ev.cancelled = true
-	r.engine.noteCancelled()
-}
+func runFunc(arg any) { arg.(func())() }
 
 // unkeyedSrc is the srcKey of events scheduled without a source
 // identity. It sorts before every topology domain (all ≥ 0).
@@ -102,7 +67,7 @@ type heapSlot struct {
 }
 
 // eventHeap is a 4-ary min-heap of slots ordered by
-// (at, schedAt, srcKey, srcSeq, seq): half the levels of a binary heap,
+// (at, schedAt, srcKey, seq): half the levels of a binary heap,
 // a node's children adjacent in memory, and sifts that move a hole
 // instead of swapping. Hand-rolled rather than container/heap to avoid
 // interface boxing on the hot path (tens of millions of events per
@@ -125,9 +90,6 @@ func (h *eventHeap) less(x, y heapSlot) bool {
 	}
 	if a.srcKey != b.srcKey {
 		return a.srcKey < b.srcKey
-	}
-	if a.srcSeq != b.srcSeq {
-		return a.srcSeq < b.srcSeq
 	}
 	return a.seq < b.seq
 }

@@ -17,12 +17,16 @@ import (
 // cancelling, timer and run calls and executes it on three machines:
 //
 //   - the Engine with its own Timer (the code under test);
-//   - the Engine with a test-local eager timer that cancels and
-//     reschedules on every rearm, the behaviour Timer must be
-//     indistinguishable from;
+//   - the Engine with a test-local eager timer that stops its Timer and
+//     arms a fresh one on every rearm — cancel and requeue, the behaviour
+//     rearm-in-place must be indistinguishable from;
 //   - a reference engine that keeps its events in a plain slice and finds
-//     the next one by scanning for the smallest five-field key, with the
+//     the next one by scanning for the smallest four-field key, with the
 //     same eager timer on top.
+//
+// The Engine hands out no event handle, so a program cancels the way
+// model code does: by stopping a one-shot Timer it armed, which the
+// reference models as an event it removes.
 //
 // All three must produce the same log — every handler run with the clock
 // it saw, and after every run call the clock, the error and each timer's
@@ -51,9 +55,12 @@ type oracleTimer interface {
 // machine is one engine behind the calls a program makes.
 type machine interface {
 	Now() Time
-	// schedule enqueues fn under the given key components (the sequence
-	// number is the machine's own) and returns its cancel function.
-	schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) (cancel func())
+	// schedule enqueues fn through call under the source key srcKey, which
+	// only ScheduleSrcArg reads (the scheduling instant and the sequence
+	// number are the machine's own). A callTimer event is the wake-up of a
+	// fresh one-shot timer, and schedule returns its Stop; every other call
+	// returns nil, as nothing can cancel its event.
+	schedule(call int, at Time, srcKey int, fn func()) (stop func())
 	newTimer(fn func()) oracleTimer
 	runUntil(horizon Time) error
 	runFor(d time.Duration) error
@@ -68,13 +75,15 @@ type machine interface {
 	audit() error
 }
 
-// The five scheduling calls a program chooses between.
+// The six scheduling calls a program chooses between.
 const (
 	callSchedule = iota
 	callScheduleArg
 	callScheduleSrcArg
 	callInjectArg
 	callAfterArg
+	// A fresh one-shot Timer armed with ResetAt.
+	callTimer
 )
 
 // laneReach is a set of things a program made the Engine's lanes do.
@@ -86,8 +95,8 @@ const (
 	// A lane refused a ScheduleSrcArg that ties with its tail on the instant
 	// and the scheduling instant and carries a smaller source key.
 	reachRefusedSrcKey
-	// A lane refused an InjectArg that ties with its tail on the instant
-	// and is stamped with an older scheduling instant.
+	// A lane refused an InjectArg that ties with its tail on the instant,
+	// its scheduling instant zero older than the tail's.
 	reachRefusedInject
 	// A lane's head and the heap's root fire at the same instant.
 	reachTieHeap
@@ -172,7 +181,7 @@ func (m engineMachine) noteHeads() {
 	}
 }
 
-func (m engineMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
+func (m engineMachine) schedule(call int, at Time, srcKey int, fn func()) func() {
 	// What the lane that collects this delay ends in, if there is one, says
 	// why an append was refused; a delay that no lane collects earns one
 	// with this miss if its candidate counter is one short.
@@ -187,22 +196,25 @@ func (m engineMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq u
 		earns = earns || l == nil && c.d == d && c.n == laneGrantAfter-1
 	}
 	hits, taken := m.laneHits(), m.nLanes == maxLanes
-	cancel := m.scheduleCall(call, at, schedAt, srcKey, srcSeq, fn)
+	stop := m.scheduleCall(call, at, srcKey, fn)
 	switch {
 	case m.laneHits() > hits:
 		*m.reach |= reachAppend
 	case earns && taken:
 		*m.reach |= reachAllTaken
 	case tail == nil || tail.at != at:
-	case call == callScheduleSrcArg && tail.schedAt == m.now && srcKey < tail.srcKey:
+	case call == callScheduleSrcArg && tail.schedAt == m.now && int32(srcKey) < tail.srcKey:
 		*m.reach |= reachRefusedSrcKey
-	case call == callInjectArg && schedAt < tail.schedAt:
+	case call == callInjectArg && tail.schedAt > TimeZero:
 		*m.reach |= reachRefusedInject
 	}
 	m.noteHeads()
+	if stop == nil {
+		return nil
+	}
 	return func() {
 		inLanes, compactions := m.lanedSlots(), m.compactions
-		cancel()
+		stop()
 		if m.compactions > compactions && m.lanedSlots() < inLanes {
 			*m.reach |= reachCompact
 		}
@@ -218,22 +230,25 @@ func (m engineMachine) lanedSlots() (n int) {
 	return n
 }
 
-func (m engineMachine) scheduleCall(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
+func (m engineMachine) scheduleCall(call int, at Time, srcKey int, fn func()) func() {
 	viaArg := func(any) { fn() }
-	var ref EventRef
 	switch call {
 	case callSchedule:
-		ref = m.Schedule(at, fn)
+		m.Schedule(at, fn)
 	case callScheduleArg:
-		ref = m.ScheduleArg(at, viaArg, nil)
+		m.ScheduleArg(at, viaArg, nil)
 	case callScheduleSrcArg:
-		ref = m.ScheduleSrcArg(at, srcKey, srcSeq, viaArg, nil)
+		m.ScheduleSrcArg(at, srcKey, viaArg, nil)
 	case callInjectArg:
-		ref = m.InjectArg(at, schedAt, viaArg, nil)
+		m.InjectArg(at, viaArg, nil)
 	case callAfterArg:
-		ref = m.AfterArg((at - m.now).Duration(), viaArg, nil)
+		m.AfterArg((at - m.now).Duration(), viaArg, nil)
+	case callTimer:
+		t := NewTimer(m.Engine, fn)
+		t.ResetAt(at)
+		return t.Stop
 	}
-	return ref.Cancel
+	return nil
 }
 
 func (m engineMachine) newTimer(fn func()) oracleTimer {
@@ -343,13 +358,14 @@ func (m engineMachine) audit() error {
 }
 
 // eagerTimer is the timer the engine had before rearm-in-place: every
-// Reset cancels the pending deadline and schedules a new event.
+// Reset stops the pending deadline and arms a fresh one-shot timer (on the
+// reference, an event it can remove).
 type eagerTimer struct {
-	m      machine
-	fn     func()
-	cancel func()
-	at     Time
-	armed  bool
+	m     machine
+	fn    func()
+	stop  func()
+	at    Time
+	armed bool
 }
 
 func (t *eagerTimer) Reset(d time.Duration) { t.ResetAt(t.m.Now().Add(d)) }
@@ -357,7 +373,7 @@ func (t *eagerTimer) Reset(d time.Duration) { t.ResetAt(t.m.Now().Add(d)) }
 func (t *eagerTimer) ResetAt(at Time) {
 	t.Stop()
 	t.at, t.armed = at, true
-	t.cancel = t.m.schedule(callSchedule, at, 0, 0, 0, func() {
+	t.stop = t.m.schedule(callTimer, at, 0, func() {
 		t.armed = false
 		t.fn()
 	})
@@ -365,7 +381,7 @@ func (t *eagerTimer) ResetAt(at Time) {
 
 func (t *eagerTimer) Stop() {
 	if t.armed {
-		t.cancel()
+		t.stop()
 		t.armed = false
 	}
 }
@@ -383,7 +399,7 @@ func (t *eagerTimer) Deadline() Time {
 type refEvent struct {
 	at, schedAt Time
 	srcKey      int
-	srcSeq, seq uint64
+	seq         uint64
 	fn          func()
 	done        bool // fired or cancelled
 }
@@ -396,15 +412,13 @@ func (a *refEvent) before(b *refEvent) bool {
 		return a.schedAt < b.schedAt
 	case a.srcKey != b.srcKey:
 		return a.srcKey < b.srcKey
-	case a.srcSeq != b.srcSeq:
-		return a.srcSeq < b.srcSeq
 	}
 	return a.seq < b.seq
 }
 
 // refMachine is the reference: an unordered slice scanned for its
-// smallest key. Cancellation removes at once, so it has no lazy state to
-// get wrong.
+// smallest key. A stopped one-shot timer's event is removed at once, so
+// it has no lazy state to get wrong.
 type refMachine struct {
 	now       Time
 	queue     []*refEvent
@@ -417,17 +431,20 @@ type refMachine struct {
 
 func (m *refMachine) Now() Time { return m.now }
 
-func (m *refMachine) schedule(call int, at, schedAt Time, srcKey int, srcSeq uint64, fn func()) func() {
+func (m *refMachine) schedule(call int, at Time, srcKey int, fn func()) func() {
 	ev := &refEvent{at: at, schedAt: m.now, srcKey: unkeyedSrc, seq: m.nextSeq, fn: fn}
-	if call == callInjectArg {
-		ev.schedAt = schedAt
-	}
-	if call == callScheduleSrcArg {
-		ev.srcKey, ev.srcSeq = srcKey, srcSeq
+	switch call {
+	case callInjectArg:
+		ev.schedAt = TimeZero
+	case callScheduleSrcArg:
+		ev.srcKey = srcKey
 	}
 	m.nextSeq++
 	m.scheduled++
 	m.queue = append(m.queue, ev)
+	if call != callTimer {
+		return nil
+	}
 	return func() {
 		if !ev.done {
 			ev.done = true
@@ -523,9 +540,11 @@ func execProgram(m machine, prog []byte) []string {
 	}
 
 	var (
-		cancels []func()
-		timers  [oracleTimers]oracleTimer
-		nextID  int
+		// stops holds the Stop of every one-shot timer the program and its
+		// handlers armed, in arming order.
+		stops  []func()
+		timers [oracleTimers]oracleTimer
+		nextID int
 		// budget bounds the work handlers start on their own, so no
 		// program runs away.
 		budget = 200
@@ -535,7 +554,7 @@ func execProgram(m machine, prog []byte) []string {
 			logf("audit: %v", err)
 		}
 	}
-	var spawn func(call int, at, schedAt Time, srcKey int, srcSeq uint64)
+	var spawn func(call int, at Time, srcKey int)
 	// handlerAct is what the remaining handlers do, by id mod 16; the ids
 	// it leaves out enqueue nothing.
 	handlerAct := func(act, id int) {
@@ -551,16 +570,16 @@ func execProgram(m machine, prog []byte) []string {
 			logf("  enqueue %d", n)
 			for k := 0; k < n; k++ {
 				at := m.Now().Add(oracleDeltas[(id+k)%len(oracleDeltas)])
-				spawn(k%3, at, 0, id%3, uint64(k))
+				spawn((id+k)%(callTimer+1), at, id%3)
 			}
 		case 6, 11:
-			// Every other outstanding event, evens or odds by the handler's
-			// own parity: the second kind to run finds the first's dead
-			// entries and tips the engine into compaction from inside a
-			// handler that has enqueued nothing.
+			// Every other one-shot timer, evens or odds by the handler's own
+			// parity: the second kind to run finds the first's dead entries
+			// and tips the engine into compaction from inside a handler that
+			// has enqueued nothing.
 			logf("  cancel every other")
-			for i := id % 2; i < len(cancels); i += 2 {
-				cancels[i]()
+			for i := id % 2; i < len(stops); i += 2 {
+				stops[i]()
 			}
 		case 8, 9:
 			// Out, then in to an earlier instant: the second rearm cannot
@@ -593,11 +612,11 @@ func execProgram(m machine, prog []byte) []string {
 			d := oracleDeltas[id%len(oracleDeltas)]
 			switch {
 			case id%5 == 0:
-				spawn(callSchedule, m.Now().Add(d), 0, 0, 0)
+				spawn(callSchedule, m.Now().Add(d), 0)
 			case id%7 == 0:
 				timers[id%oracleTimers].Reset(d)
-			case id%11 == 0 && len(cancels) > 0:
-				cancels[id%len(cancels)]()
+			case id%11 == 0 && len(stops) > 0:
+				stops[id%len(stops)]()
 			case id%13 == 0:
 				m.stop()
 			default:
@@ -605,8 +624,10 @@ func execProgram(m machine, prog []byte) []string {
 			}
 		}
 	}
-	spawn = func(call int, at, schedAt Time, srcKey int, srcSeq uint64) {
-		cancels = append(cancels, m.schedule(call, at, schedAt, srcKey, srcSeq, handler(nextID)))
+	spawn = func(call int, at Time, srcKey int) {
+		if stop := m.schedule(call, at, srcKey, handler(nextID)); stop != nil {
+			stops = append(stops, stop)
+		}
 		nextID++
 	}
 	for i := range timers {
@@ -635,30 +656,30 @@ func execProgram(m machine, prog []byte) []string {
 		d := oracleDeltas[next()%len(oracleDeltas)] + time.Duration(op/12)*oracleStride
 		at := m.Now().Add(d)
 		switch op % 12 {
-		case 0, 1, 2, 3, 4:
-			schedAt := at - Time(next()%4)
-			if schedAt < 0 {
-				schedAt = 0
-			}
-			// Source keys and sequence numbers come from the program, not
-			// from counters, so their order disagrees with scheduling
-			// order and every key component gets to decide a tie.
-			key := next()
-			spawn(op%12, at, schedAt, key%3, uint64(key/3%4))
-		case 5:
-			if len(cancels) > 0 {
-				cancels[next()%len(cancels)]()
-			}
+		case callSchedule, callScheduleArg, callScheduleSrcArg, callInjectArg, callAfterArg, callTimer:
+			// The source key comes from the program, not from a counter, so
+			// its order disagrees with scheduling order and it gets to
+			// decide a tie.
+			spawn(op%12, at, next()%3)
 		case 6:
-			// Cancel every other outstanding event: enough dead entries
-			// at once to push the engine into compaction.
-			for i := next() % 2; i < len(cancels); i += 2 {
-				cancels[i]()
+			if len(stops) > 0 {
+				stops[next()%len(stops)]()
 			}
 		case 7:
-			timers[next()%oracleTimers].Reset(d)
+			// Stop every other one-shot timer: enough dead entries at once
+			// to push the engine into compaction.
+			for i := next() % 2; i < len(stops); i += 2 {
+				stops[i]()
+			}
 		case 8:
-			timers[next()%oracleTimers].ResetAt(at)
+			// Timer x%3 by the offset (Reset) or by the instant (ResetAt),
+			// as x/3 is even or odd.
+			x := next()
+			if t := timers[x%oracleTimers]; x/oracleTimers%2 == 0 {
+				t.Reset(d)
+			} else {
+				t.ResetAt(at)
+			}
 		case 9:
 			timers[next()%oracleTimers].Stop()
 		case 10:
@@ -710,24 +731,24 @@ func checkProgram(t *testing.T, prog []byte) {
 
 // oracleSeeds are hand-written programs for the fuzz corpus and the
 // property test. An instruction is an opcode byte, an index into
-// oracleDeltas, and the operands its case in execProgram reads.
+// oracleDeltas, and the operand its case in execProgram reads, if any.
 var oracleSeeds = [][]byte{
 	{},      // drain an empty queue
 	{10, 3}, // RunUntil on an empty queue
-	{0, 4, 0, 0, 10, 7},
+	{0, 4, 0, 10, 7},
 	// One event from each scheduling call, all tied on the instant; a run
 	// through it by RunFor, then by RunUntil.
-	{0, 2, 0, 0, 1, 2, 0, 0, 2, 2, 0, 1, 3, 2, 1, 5, 4, 2, 2, 7, 11, 2, 10, 2},
+	{0, 2, 0, 1, 2, 0, 2, 2, 1, 3, 2, 0, 4, 2, 0, 5, 2, 0, 11, 2, 10, 2},
 	// A timer armed, rearmed in place, overtaken by the clock, stopped.
-	{7, 5, 0, 7, 7, 0, 10, 5, 9, 0, 0, 10, 7},
+	{8, 5, 0, 8, 7, 0, 10, 5, 9, 0, 0, 10, 7},
 	// Rearmed to an earlier deadline: lazy cancel and a second wake-up.
-	{7, 7, 1, 7, 4, 1, 10, 7},
+	{8, 7, 1, 8, 4, 4, 10, 7},
 	// Stopped, then revived by a later rearm.
-	{7, 6, 2, 9, 0, 2, 7, 7, 2, 10, 7},
+	{8, 6, 2, 9, 0, 2, 8, 7, 5, 10, 7},
 	// Fourteen events: the handler of the last (id 13) stops the run.
-	append(bytes.Repeat([]byte{0, 4, 0, 0}, 14), 10, 7),
-	// Enough events cancelled at once to compact the queue.
-	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 6, 0, 0, 10, 7),
+	join(times(14, 0, 4, 0), []byte{10, 7}),
+	// Enough one-shot timers stopped at once to compact the queue.
+	join(times(141, 5, 6, 0), []byte{7, 0, 0, 10, 7}),
 }
 
 // handlerSeeds reach what handlers do to the queue (handlerAct);
@@ -736,35 +757,37 @@ var handlerSeeds = [][]byte{
 	// Thirteen events tied on one instant, ids 0–12, and no stop: handlers
 	// that enqueue nothing, one, two and three events, a rearm to an
 	// earlier instant and a pending count, drained by Run alone.
-	bytes.Repeat([]byte{0, 4, 0, 0}, 13),
-	// 141 events on one instant and no cancel outside a handler: id 6
-	// kills the evens, id 27 the odds — the first of those tips the engine
-	// into compaction from inside a handler that has enqueued nothing.
-	append(bytes.Repeat([]byte{0, 6, 0, 0}, 141), 10, 7),
+	times(13, 0, 4, 0),
+	// 141 one-shot timers on one instant and no stop outside a handler: id
+	// 6 stops the evens, id 27 the odds — the first of those tips the
+	// engine into compaction from inside a handler that has enqueued
+	// nothing.
+	join(times(141, 5, 6, 0), []byte{10, 7}),
 	// All three timers armed far out, then twenty events spread over four
 	// instants and runs that stop between them: earlier rearms and pending
 	// counts against queued wake-ups, stale ones among them.
-	append(append([]byte{7, 7, 0, 7, 7, 1, 8, 7, 2},
-		bytes.Repeat([]byte{0, 2, 0, 0, 1, 4, 0, 0, 2, 5, 1, 7, 3, 6, 1, 5}, 5)...),
-		11, 2, 11, 5, 10, 6),
-	// Thirty-two events on one instant, all in the heap, and all but the
-	// last, id 31, silenced: its handler runs the engine from inside.
-	join(times(32, 0, 4, 0, 0), silence(0, 31)),
+	join([]byte{8, 7, 0, 8, 7, 1, 8, 7, 5}, times(5, 0, 2, 0, 1, 4, 0, 2, 5, 1, 3, 6, 0),
+		[]byte{11, 2, 11, 5, 10, 6}),
+	// Thirty-two one-shot timers on one instant, all in the heap, and all
+	// but the last, id 31, silenced: its handler runs the engine from
+	// inside.
+	join(times(32, 5, 4, 0), silence(0, 31)),
 }
 
 // join concatenates program fragments.
 func join(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-// times repeats one instruction n times.
-func times(n int, instr ...byte) []byte { return bytes.Repeat(instr, n) }
+// times repeats a run of instructions n times.
+func times(n int, instrs ...byte) []byte { return bytes.Repeat(instrs, n) }
 
-// silence cancels the events with ids [from, to) one by one, so that their
-// handlers — which cancel in bulk, stop the run, rearm timers — do not
-// disturb what a seed is after. It must stay under compactMinCancelled.
+// silence stops the one-shot timers armed [from, to)-th — the events with
+// those ids in a seed that arms nothing else first — so that their
+// handlers, which cancel in bulk, stop the run and rearm timers, do not
+// disturb what the seed is after. It must stay under compactMinCancelled.
 func silence(from, to int) []byte {
 	var prog []byte
 	for id := from; id < to; id++ {
-		prog = append(prog, 5, 0, byte(id))
+		prog = append(prog, 6, 0, byte(id))
 	}
 	return prog
 }
@@ -780,35 +803,35 @@ var laneSeeds = []struct {
 }{
 	// Forty events on one instant: the last eight are appended to the lane
 	// the others earned, whose head then ties with the heap's root.
-	{join(times(40, 0, 4, 0, 0), []byte{10, 7}), reachAppend | reachTieHeap},
+	{join(times(40, 0, 4, 0), []byte{10, 7}), reachAppend | reachTieHeap},
 	// A keyed delivery from source 2 goes to the lane's tail; one from
 	// source 0 at the same instant sorts before it and is refused.
-	{join(times(33, 0, 4, 0, 0), []byte{2, 4, 0, 2, 2, 4, 0, 0, 10, 7}), reachAppend | reachRefusedSrcKey},
+	{join(times(33, 0, 4, 0), []byte{2, 4, 2, 2, 4, 0, 10, 7}), reachAppend | reachRefusedSrcKey},
 	// The clock at 7; a lane of events scheduled there for 9; an injection
-	// for 9 stamped 6 sorts before them all.
-	{join([]byte{10, 6}, times(33, 0, 4, 0, 0), []byte{3, 4, 3, 0, 10, 7}), reachAppend | reachRefusedInject},
+	// for 9, stamped 0, sorts before them all.
+	{join([]byte{10, 6}, times(33, 0, 4, 0), []byte{3, 4, 0, 10, 7}), reachAppend | reachRefusedInject},
 	// A lane of delay 3 filled at instant 0 and one of delay 2 filled at
 	// instant 1: both heads fire at 3.
-	{join(times(33, 0, 5, 0, 0), []byte{10, 2}, times(33, 0, 4, 0, 0), []byte{10, 7}), reachTieLanes},
-	// The lane of delay 2 earned by events 0–32, which are silenced and
-	// drained; timer 0 armed 2 ahead — its wake-up is the lane's only
-	// entry — and pushed out to 20; scheduling one event far ahead is what
-	// looks at the lane heads.
-	{join(times(33, 0, 4, 0, 0), silence(0, 33), []byte{10, 7, 7, 4, 0, 7, 7, 0, 36, 7, 0, 0, 10, 7, 10, 7}),
+	{join(times(33, 0, 5, 0), []byte{10, 2}, times(33, 0, 4, 0), []byte{10, 7}), reachTieLanes},
+	// The lane of delay 2 earned by the wake-ups of one-shot timers 0–32,
+	// which are silenced and drained; timer 0 armed 2 ahead — its wake-up
+	// is the lane's only entry — and pushed out to 20; scheduling one event
+	// far ahead is what looks at the lane heads.
+	{join(times(33, 5, 4, 0), silence(0, 33), []byte{10, 7, 8, 4, 0, 8, 7, 0, 36, 7, 0, 10, 7, 10, 7}),
 		reachAppend | reachStaleWake},
-	// The lane's only entry cancelled: the run loop finds it at the head.
-	{join(times(33, 0, 4, 0, 0), []byte{5, 0, 32, 10, 7}), reachAppend | reachDeadHead},
-	// 141 events on one instant, 109 of them in a lane, and every other one
-	// cancelled at once.
-	{join(times(141, 0, 6, 0, 0), []byte{6, 0, 0, 10, 7}), reachAppend | reachCompact},
+	// The lane's only entry stopped: the run loop finds it at the head.
+	{join(times(33, 5, 4, 0), []byte{6, 0, 32, 10, 7}), reachAppend | reachDeadHead},
+	// 141 one-shot timers on one instant, 109 of them in a lane, and every
+	// other one stopped at once.
+	{join(times(141, 5, 6, 0), []byte{7, 0, 0, 10, 7}), reachAppend | reachCompact},
 	// Nine delay classes of 33 events: the first eight fill every lane, the
 	// ninth earns one with all taken and stays in the heap.
-	{join(times(33, 0, 4, 0, 0), times(33, 12, 4, 0, 0), times(33, 24, 4, 0, 0), times(33, 36, 4, 0, 0),
-		times(33, 48, 4, 0, 0), times(33, 60, 4, 0, 0), times(33, 72, 4, 0, 0), times(33, 84, 4, 0, 0),
-		times(33, 96, 4, 0, 0)), reachAppend | reachAllTaken},
-	// Fifty-nine events on one instant and all but the last, id 58, in a
-	// lane, silenced: its handler runs the engine from inside.
-	{join(times(59, 0, 4, 0, 0), silence(0, 58)), reachAppend | reachNestedRun},
+	{join(times(33, 0, 4, 0), times(33, 12, 4, 0), times(33, 24, 4, 0), times(33, 36, 4, 0),
+		times(33, 48, 4, 0), times(33, 60, 4, 0), times(33, 72, 4, 0), times(33, 84, 4, 0),
+		times(33, 96, 4, 0)), reachAppend | reachAllTaken},
+	// Fifty-nine one-shot timers on one instant and all but the last, id
+	// 58, in a lane, silenced: its handler runs the engine from inside.
+	{join(times(59, 5, 4, 0), silence(0, 58)), reachAppend | reachNestedRun},
 }
 
 // allSeeds is every hand-written program.
@@ -825,25 +848,25 @@ func allSeeds() [][]byte {
 // one scheduling call at one delay — what earns and fills a lane — among
 // uniform instructions.
 func randomProgram(rng *rand.Rand, flavour, n int) []byte {
-	prog := make([]byte, 0, 4*n)
+	prog := make([]byte, 0, 3*n)
 	for i := 0; i < n; i++ {
 		op := rng.Intn(12)
 		switch {
 		case flavour == 3 && rng.Intn(8) == 0:
-			op, delta := rng.Intn(5)+12*rng.Intn(3), rng.Intn(256)
+			op, delta := rng.Intn(callTimer+1)+12*rng.Intn(3), rng.Intn(256)
 			for burst := 10 + rng.Intn(60); burst > 0 && i < n; burst-- {
-				prog = append(prog, byte(op), byte(delta), byte(rng.Intn(256)), byte(rng.Intn(256)))
+				prog = append(prog, byte(op), byte(delta), byte(rng.Intn(256)))
 				i++
 			}
 			continue
 		case flavour == 1 && rng.Intn(2) == 0:
-			op = 7 + rng.Intn(3)
+			op = 8 + rng.Intn(2)
 		case flavour == 2 && i < n*3/4:
-			op = rng.Intn(5)
+			op = rng.Intn(callTimer + 1)
 		case flavour == 2 && rng.Intn(3) == 0:
-			op = 6
+			op = 7
 		}
-		prog = append(prog, byte(op), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		prog = append(prog, byte(op), byte(rng.Intn(256)), byte(rng.Intn(256)))
 	}
 	return prog
 }
@@ -939,16 +962,17 @@ func TestHeapEdges(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 6} {
 		for dead := 0; dead <= n; dead++ {
 			e := NewEngine(1)
-			var refs []EventRef
+			var timers []*Timer
 			var got, want []int
 			for i := 0; i < n; i++ {
 				i := i
-				refs = append(refs, e.Schedule(7, func() { got = append(got, i) }))
+				timers = append(timers, NewTimer(e, func() { got = append(got, i) }))
+				timers[i].ResetAt(7)
 			}
-			// Cancel the first dead events, the heap's root among them.
+			// Stop the first dead timers, the heap's root among them.
 			for i := 0; i < n; i++ {
 				if i < dead {
-					refs[i].Cancel()
+					timers[i].Stop()
 				} else {
 					want = append(want, i)
 				}

@@ -51,8 +51,8 @@ func (t *Timer) ResetAt(at Time) {
 		if w != nil {
 			w.timer = nil
 		}
-		w = e.enqueue(at)
-		w.run, w.timer, t.wake = t.fn, t, w
+		w = e.enqueue(at, e.now, unkeyedSrc, runFunc, t.fn)
+		w.timer, t.wake = t, w
 		t.at, t.schedAt, t.seq = at, w.schedAt, w.seq
 		return
 	}
