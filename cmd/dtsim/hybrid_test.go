@@ -77,8 +77,8 @@ func TestDumbbellNegativePoolExits(t *testing.T) {
 // and -k2 0 ran markers that the analyses called unmarked, a zero -gamma
 // panicked in the phantom queue, a NaN or tiny -load overflowed virtual
 // time inside the engine, fluid -g 0 integrated senders that ignore ECN,
-// and stability -g 2 said only "control: invalid plant". Each exits 1
-// with a reason.
+// and stability -g 2 said only "control: invalid plant". A flow count
+// past the 32-bit flow ids would wrap them. Each exits 1 with a reason.
 func TestRefusedDialsExit(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -100,6 +100,8 @@ func TestRefusedDialsExit(t *testing.T) {
 		{"load_nan", "flowgen: load NaN is not finite", []string{"fabric", "-quick", "-load", "NaN"}},
 		{"load_inf", "flowgen: load +Inf is not finite", []string{"fabric", "-quick", "-load", "Inf"}},
 		{"load_tiny", "flowgen: load 1e-300 puts flow 1 of 80 past", []string{"fabric", "-quick", "-load", "1e-300"}},
+		{"flows_ids", "core: Flows = 2147483648 puts flow ids past 2147483647", []string{"fabric", "-quick", "-flows", "2147483648"}},
+		{"fg_ids", "core: FgFlows = 2147483648 puts flow ids past 2147483647", []string{"hybrid", "-quick", "-fg", "2147483648"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { exitsWith(t, tc.want, tc.args...) })
 	}

@@ -14,8 +14,10 @@ import (
 // TestDumbbellBytes bounds what one short 40-flow dumbbell run allocates.
 // Each sender host queues a few packets and terminates one flow, so its
 // NIC ring and flow table must stay at their first, small sizes; with
-// 64-slot rings and 8-slot tables for every host the run allocates
-// about 205 KB, with storage sized by occupancy about 163 KB. The least
+// 64-slot rings and 8-slot tables for every host the run allocated
+// about 205 KB, with storage sized by occupancy about 163 KB (144 KB once
+// events were one cache line), and with 80 B packets, 192 B ports and
+// connections of two objects about 119 KB; the bound is that plus 10 %. The least
 // of three runs is taken, after a warming one, so a stray runtime
 // allocation does not decide it. Excluded from -race builds and skipped
 // under -tags invariants for the reasons given in
@@ -49,8 +51,9 @@ func TestDumbbellBytes(t *testing.T) {
 		}
 		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
 	}
-	const bound = 180 << 10
+	const bound = 130 << 10
 	if least > bound {
 		t.Fatalf("a 40-flow dumbbell run allocated %d bytes, want at most %d", least, bound)
+
 	}
 }

@@ -242,6 +242,20 @@ func TestTestbedValidation(t *testing.T) {
 	if _, err := RunQuery(good, 0, 1); err == nil {
 		t.Fatal("bytes=0 accepted")
 	}
+	// Flow ids are 32 bits: a fresh-connection run whose last round would
+	// number a flow past math.MaxInt32 is refused before it builds
+	// anything, and the same rounds on persistent connections are not.
+	fresh := good
+	fresh.FreshConnections = true
+	edge := (math.MaxInt32 + 1) / good.Workers
+	if _, err := RunQuery(fresh, 100, edge+1); err == nil || !strings.Contains(err.Error(), "fresh connections put flow ids past 2147483647") {
+		t.Fatalf("RunQuery(%d fresh rounds) = %v, want the flow ids refused", edge+1, err)
+	}
+	bad = good
+	bad.Workers = math.MaxInt32 + 2
+	if err := bad.validate(); err == nil || !strings.Contains(err.Error(), "core: Workers = 2147483649 puts flow ids past 2147483647") {
+		t.Fatalf("validate(Workers past the ids) = %v", err)
+	}
 	if _, err := RunQuery(good, 100, 0); err == nil {
 		t.Fatal("rounds=0 accepted")
 	}

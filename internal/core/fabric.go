@@ -84,6 +84,10 @@ func (c FabricConfig) validate() error {
 	case c.SmallMax < 0 || c.LargeMin < 0:
 		return errors.New("core: SmallMax and LargeMin must not be negative")
 	}
+	// flowgen numbers a trace's flows from 1.
+	if err := checkFlowIDs("Flows", 1, int64(c.Flows)); err != nil {
+		return err
+	}
 	return c.Protocol.validate()
 }
 

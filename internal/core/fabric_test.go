@@ -224,22 +224,27 @@ func FuzzFabricConfig(f *testing.F) {
 	f.Add(math.NaN(), 60, 2, 2, 2, 100, 20, int64(10))
 	f.Add(1e-300, 60, 2, 2, 2, 100, 20, int64(10))
 	f.Add(math.Inf(1), 60, 2, 2, 2, 100, 20, int64(10))
-	f.Add(1e300, 64, 3, 1, 4, 1, 1, int64(1))       // every flow at t = 0, a one-packet buffer
-	f.Add(1e-9, 8, 2, 2, 1, 100, 20, int64(10))     // flows hours of virtual time apart
-	f.Add(-0.5, 60, 0, -1, 2, 0, -3, int64(-10))    // refused: negative load, sizes, buffer, K and delay
-	f.Add(0.9, 64, 4, 4, 4, 1000, 200, int64(1000)) // the largest folded fabric
+	f.Add(1e300, 64, 3, 1, 4, 1, 1, int64(1))                // every flow at t = 0, a one-packet buffer
+	f.Add(1e-9, 8, 2, 2, 1, 100, 20, int64(10))              // flows hours of virtual time apart
+	f.Add(-0.5, 60, 0, -1, 2, 0, -3, int64(-10))             // refused: negative load, sizes, buffer, K and delay
+	f.Add(0.9, 64, 4, 4, 4, 1000, 200, int64(1000))          // the largest folded fabric
+	f.Add(0.4, math.MaxInt32+1, 2, 2, 2, 100, 20, int64(10)) // refused: flow ids past 32 bits
 
 	f.Fuzz(func(t *testing.T, load float64, flows, leaves, spines, hostsPerLeaf, bufPkts, k int, hopUs int64) {
 		// Bound the work, not the validity: positive magnitudes are
 		// folded into 1..n, sign and zero pass through so the refusals
-		// stay reachable. The load passes through whole.
+		// stay reachable, and so does a flow count past the 32-bit flow
+		// ids. The load passes through whole.
 		fold := func(v, n int) int {
 			if v > 0 {
 				return 1 + (v-1)%n
 			}
 			return v
 		}
-		flows, leaves, spines, hostsPerLeaf = fold(flows, 64), fold(leaves, 4), fold(spines, 4), fold(hostsPerLeaf, 4)
+		if flows <= math.MaxInt32 {
+			flows = fold(flows, 64)
+		}
+		leaves, spines, hostsPerLeaf = fold(leaves, 4), fold(spines, 4), fold(hostsPerLeaf, 4)
 		bufPkts, k = fold(bufPkts, 1000), fold(k, 200)
 		if hopUs > 0 {
 			hopUs = 1 + (hopUs-1)%1000

@@ -70,8 +70,24 @@ func (c HybridConfig) validate() error {
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
 	}
+	if err := checkFlowIDs("FgFlows", fgBaseFlow, int64(c.FgFlows)); err != nil {
+		return err
+	}
+	// Only the packet reference opens the background's connections.
+	if c.FullPacket {
+		if err := checkFlowIDs("BgFlows", bgBaseFlow, int64(c.BgFlows)); err != nil {
+			return err
+		}
+	}
 	return checkShared(c.Rate, c.RTT, c.BufferPkts, c.Duration, c.Warmup, c.QueueSampleEvery)
 }
+
+// The first flow ids of the foreground and of the packet reference's
+// background.
+const (
+	fgBaseFlow = 1
+	bgBaseFlow = 1 << 20
+)
 
 // fluidConfig maps the scenario onto the background fluid model.
 func (c HybridConfig) fluidConfig() fluid.Config {
@@ -171,7 +187,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		Hosts:       bgHosts,
 		Receiver:    rcv,
 		TCP:         cfg.Protocol.TCP,
-		BaseFlow:    1 << 20,
+		BaseFlow:    bgBaseFlow,
 		StartJitter: cfg.RTT,
 	})
 	var coupler *hybrid.Coupler
@@ -194,7 +210,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		Bytes:       cfg.FgBytes,
 		Gap:         cfg.FgGap,
 		TCP:         cfg.Protocol.TCP,
-		BaseFlow:    1,
+		BaseFlow:    fgBaseFlow,
 		StartJitter: cfg.RTT,
 		Horizon:     cfg.Warmup + cfg.Duration,
 		Warmup:      cfg.Warmup,

@@ -124,6 +124,10 @@ func TestHybridConfigValidation(t *testing.T) {
 		// A tick longer than the run: once returned coupler_ticks 0 and
 		// the statistics of a link with no background, without an error.
 		{func(c *HybridConfig) { c.RTT = time.Second }, "exceeds Horizon"},
+		// Flow ids are 32 bits; the foreground numbers its flows from 1.
+		{func(c *HybridConfig) { c.FgFlows = math.MaxInt32 + 1 }, "core: FgFlows = 2147483648 puts flow ids past 2147483647"},
+		// The packet reference numbers its background from 1 << 20.
+		{func(c *HybridConfig) { c.FullPacket, c.BgFlows = true, math.MaxInt32-1<<20+2 }, "core: BgFlows = 2146435073 puts flow ids past 2147483647"},
 	}
 	for i, tc := range bad {
 		cfg := hybridTestConfig()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dtdctcp/internal/metrics"
@@ -149,6 +150,16 @@ func (r *run) record(bneck *netsim.Port, pktSize, bufferPkts int, warmup, sample
 		bneck.SetMonitor(rec)
 	}
 	return rec
+}
+
+// checkFlowIDs refuses count flows numbered from base when the last id
+// would pass math.MaxInt32, the largest netsim.FlowID; what names the
+// count in the reason.
+func checkFlowIDs(what string, base, count int64) error {
+	if count > 0 && count-1 > math.MaxInt32-base {
+		return fmt.Errorf("core: %s = %d puts flow ids past %d", what, count, math.MaxInt32)
+	}
+	return nil
 }
 
 // checkShared validates the fields the single-bottleneck runners share.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dtdctcp/internal/netsim"
@@ -57,6 +58,9 @@ func (c TestbedConfig) validate() error {
 		return errors.New("core: Workers must be positive")
 	case c.Deadline < 0:
 		return errors.New("core: Deadline must not be negative")
+	}
+	if err := checkFlowIDs("Workers", 0, int64(c.Workers)); err != nil {
+		return err
 	}
 	return c.Protocol.validate()
 }
@@ -169,6 +173,12 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 	}
 	if bytesPerWorker <= 0 || rounds <= 0 {
 		return nil, errors.New("core: bytesPerWorker and rounds must be positive")
+	}
+	// Every round of fresh connections takes the next Workers flow ids
+	// from 0; persistent connections keep the first round's.
+	if cfg.FreshConnections && int64(rounds) > (math.MaxInt32+1)/int64(cfg.Workers) {
+		return nil, fmt.Errorf("core: %d rounds × %d Workers of fresh connections put flow ids past %d",
+			rounds, cfg.Workers, math.MaxInt32)
 	}
 	tb, err := buildTestbed(cfg)
 	if err != nil {

@@ -88,7 +88,7 @@ const maxArrival = sim.Time(math.MaxInt64 / 2)
 // baseFlow plus its index in Workload.Flows.
 type Flow struct {
 	// Src and Dst index the workload's host slice.
-	Src, Dst int
+	Src, Dst int32
 	// Size is the transfer size in bytes.
 	Size int64
 	// Arrival is the flow's open-loop start instant.
@@ -214,14 +214,14 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 		f.Size = cfg.CDF.Sample(rng)
 		switch cfg.Matrix {
 		case Permutation:
-			f.Src = rng.Intn(n)
-			f.Dst = perm[f.Src]
+			f.Src = int32(rng.Intn(n))
+			f.Dst = int32(perm[f.Src])
 		case Incast:
-			f.Dst = aggregator
-			f.Src = otherThan(rng, n, aggregator)
+			f.Dst = int32(aggregator)
+			f.Src = int32(otherThan(rng, n, aggregator))
 		default:
-			f.Src = rng.Intn(n)
-			f.Dst = otherThan(rng, n, f.Src)
+			f.Src = int32(rng.Intn(n))
+			f.Dst = int32(otherThan(rng, n, int(f.Src)))
 		}
 	}
 

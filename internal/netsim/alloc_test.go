@@ -4,8 +4,11 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
+	"dtdctcp/internal/aqm"
 	"dtdctcp/internal/invariant"
+	"dtdctcp/internal/sim"
 )
 
 // TestForwardSteadyStateAllocFree pins down the tentpole property on the
@@ -184,5 +187,21 @@ func TestECMPForwardSteadyStateAllocFree(t *testing.T) {
 	}
 	if sink.n == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestPortIsOneAllocation pins a port's construction to the port itself:
+// the transmit chain's handlers are package functions, so a port carries
+// no closure, and a law with no dequeue side leaves ext unmade.
+func TestPortIsOneAllocation(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant assertions allocate; alloc accounting is meaningless")
+	}
+	n := NewNetwork(sim.NewEngine(1))
+	peer := n.AddHost("peer")
+	cfg := PortConfig{Rate: Gbps, Delay: time.Microsecond, Buffer: 100 * 1500, Policy: aqm.NewDoubleThresholdPackets(30, 50, 1500)}
+	var p *Port
+	if avg := testing.AllocsPerRun(100, func() { p = newPort(n, cfg, peer) }); avg != 1 || p.ext != nil {
+		t.Fatalf("%.1f allocations per port, ext made %v; want 1 and no ext", avg, p.ext != nil)
 	}
 }

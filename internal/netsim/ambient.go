@@ -47,7 +47,7 @@ func (p *Port) SetAmbient(bytes int, consumed Rate) {
 	p.ambientBytes = bytes
 	p.ambientRate = consumed
 	if changed {
-		p.notifyMonitor()
+		p.notifyMonitor(p.net.engine.Now())
 	}
 }
 

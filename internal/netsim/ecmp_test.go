@@ -122,7 +122,7 @@ func TestRecomputeRoutesReplacesTable(t *testing.T) {
 func TestSwitchDropsDestinationOutsideTable(t *testing.T) {
 	_, n, _, _, s0, _, _ := diamond(t, 7)
 	late := n.AddHost("late")
-	for _, dst := range []NodeID{-1, NodeID(len(n.nodes)), late.ID(), math.MaxInt} {
+	for _, dst := range []NodeID{-1, NodeID(len(n.nodes)), late.ID(), math.MaxInt32} {
 		pkt := n.AllocPacket()
 		pkt.Flow, pkt.Dst, pkt.Size = 1, dst, 100
 		s0.Receive(pkt)

@@ -18,4 +18,4 @@ func (p *Port) RingSlots() int { return len(p.queue.buf) }
 
 // SrcKey is the domain index the port ships its deliveries under, -1
 // before routes are computed.
-func (p *Port) SrcKey() int { return p.srcKey }
+func (p *Port) SrcKey() int { return int(p.srcKey) }

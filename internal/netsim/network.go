@@ -130,13 +130,13 @@ func (n *Network) stampDomains() {
 	d := 0
 	for _, h := range n.hosts {
 		if h.uplink != nil {
-			h.uplink.srcKey = d
+			h.uplink.srcKey = int32(d)
 		}
 		d++
 	}
 	for _, s := range n.switches {
 		for _, p := range s.ports {
-			p.srcKey = d
+			p.srcKey = int32(d)
 			d++
 		}
 	}

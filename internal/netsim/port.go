@@ -51,10 +51,11 @@ type PortStats struct {
 
 // Port is one output interface: a finite FIFO byte buffer drained at the
 // link rate, with an AQM policy consulted at every arrival, followed by a
-// fixed propagation delay to the peer node.
+// fixed propagation delay to the peer node. A topology builds ports in
+// bulk, so what few ports carry sits behind ext and the struct fits the
+// 192 B size class.
 type Port struct {
-	engine *sim.Engine
-	net    *Network
+	net *Network
 
 	// rate and delay describe the attached link.
 	rate  Rate
@@ -63,20 +64,15 @@ type Port struct {
 	// no longer counts against it, matching output-queued switches).
 	buffer int
 	policy aqm.Policy
-	// dequeue is policy's dequeue-time side (CoDel), resolved once at
-	// construction; nil for a law that decides at arrival only.
-	dequeue aqm.DequeuePolicy
-	peer    Node
+	peer   Node
 
 	queue    pktRing
 	queueLen int // bytes
-	// shared, when non-nil, replaces the static buffer bound with a
-	// switch-wide dynamic-threshold pool (see SharedBuffer).
-	shared  *SharedBuffer
-	busy    bool
-	stats   PortStats
-	monitor QueueMonitor
-	tracer  PortTracer
+	stats    PortStats
+
+	// ext holds the laws and hooks few ports carry; nil when the port
+	// has none of them.
+	ext *portExt
 
 	// ambientBytes and ambientRate model co-simulated background traffic
 	// sharing this port (see SetAmbient in ambient.go): a foreign queue
@@ -85,17 +81,23 @@ type Port struct {
 	ambientBytes int
 	ambientRate  Rate
 
-	// txDoneFn and deliverFn are the transmit chain's event callbacks,
-	// built once at construction. Scheduling them through ScheduleArg
-	// with the packet as the argument keeps the per-packet event path
-	// free of closure allocations.
-	txDoneFn  func(any)
-	deliverFn func(any)
-
 	// srcKey is the stable domain index the port ships under (see ship);
 	// ComputeRoutes assigns it. srcKey < 0 means unassigned (a topology
 	// that never computed routes), which falls back to unkeyed scheduling.
-	srcKey int
+	srcKey int32
+	busy   bool
+}
+
+// portExt is the part of a port that few ports need.
+type portExt struct {
+	// dequeue is policy's dequeue-time side (CoDel), resolved once at
+	// construction; nil for a law that decides at arrival only.
+	dequeue aqm.DequeuePolicy
+	// shared, when non-nil, replaces the static buffer bound with a
+	// switch-wide dynamic-threshold pool (see SharedBuffer).
+	shared  *SharedBuffer
+	monitor QueueMonitor
+	tracer  PortTracer
 }
 
 // PortConfig bundles the parameters of one directed link attachment.
@@ -116,7 +118,6 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 		policy = aqm.NewDropTail()
 	}
 	p := &Port{
-		engine: net.engine,
 		net:    net,
 		rate:   cfg.Rate,
 		delay:  cfg.Delay,
@@ -125,15 +126,42 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 		peer:   peer,
 		srcKey: -1,
 	}
-	p.dequeue, _ = policy.(aqm.DequeuePolicy)
-	//dtlint:hotpath
-	p.deliverFn = func(arg any) { p.peer.Receive(arg.(*Packet)) }
-	//dtlint:hotpath
-	p.txDoneFn = func(arg any) {
-		p.ship(arg.(*Packet))
-		p.transmitNext()
+	if dq, ok := policy.(aqm.DequeuePolicy); ok {
+		p.extension().dequeue = dq
 	}
 	return p
+}
+
+// extension returns the port's ext, making it on first use.
+func (p *Port) extension() *portExt {
+	if p.ext == nil {
+		p.ext = &portExt{}
+	}
+	return p.ext
+}
+
+// The transmit chain's event callbacks. Each is scheduled through the
+// engine with the packet as its argument and finds its port through the
+// packet's via, which transmitNext stamps, so the per-packet event path
+// allocates no closure and a port carries none.
+
+// portTxDone ends a packet's serialization: ship it, start the next.
+//
+//dtlint:hotpath
+func portTxDone(arg any) {
+	pkt := arg.(*Packet)
+	p := pkt.via
+	p.ship(pkt)
+	p.transmitNext()
+}
+
+// portDeliver hands a packet that finished propagation to the port's
+// peer.
+//
+//dtlint:hotpath
+func portDeliver(arg any) {
+	pkt := arg.(*Packet)
+	pkt.via.peer.Receive(pkt)
 }
 
 // ship launches a serialized packet onto the wire: arrival at the peer
@@ -145,19 +173,48 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 //
 //dtlint:hotpath
 func (p *Port) ship(pkt *Packet) {
+	e := p.net.engine
 	if p.srcKey < 0 {
 		// Routes never computed: no stable identity to ship under.
-		p.engine.AfterArg(p.delay, p.deliverFn, pkt)
+		e.AfterArg(p.delay, portDeliver, pkt)
 		return
 	}
-	p.engine.ScheduleSrcArg(p.engine.Now().Add(p.delay), p.srcKey, p.deliverFn, pkt)
+	e.ScheduleSrcArg(e.Now().Add(p.delay), int(p.srcKey), portDeliver, pkt)
 }
 
 // SetMonitor attaches a queue monitor; pass nil to detach.
-func (p *Port) SetMonitor(m QueueMonitor) { p.monitor = m }
+func (p *Port) SetMonitor(m QueueMonitor) {
+	if m != nil || p.ext != nil {
+		p.extension().monitor = m
+	}
+}
 
 // SetTracer attaches a per-packet tracer; pass nil to detach.
-func (p *Port) SetTracer(t PortTracer) { p.tracer = t }
+func (p *Port) SetTracer(t PortTracer) {
+	if t != nil || p.ext != nil {
+		p.extension().tracer = t
+	}
+}
+
+// tracer returns the attached per-packet tracer, or nil.
+//
+//dtlint:hotpath
+func (p *Port) tracer() PortTracer {
+	if p.ext == nil {
+		return nil
+	}
+	return p.ext.tracer
+}
+
+// shared returns the port's shared buffer pool, or nil.
+//
+//dtlint:hotpath
+func (p *Port) shared() *SharedBuffer {
+	if p.ext == nil {
+		return nil
+	}
+	return p.ext.shared
+}
 
 // Stats returns a copy of the port's counters.
 func (p *Port) Stats() PortStats { return p.stats }
@@ -186,8 +243,8 @@ func (p *Port) Buffer() int { return p.buffer }
 //dtlint:hotpath
 func (p *Port) addQueued(delta int) {
 	p.queueLen += delta
-	if p.shared != nil {
-		p.shared.used += delta
+	if sb := p.shared(); sb != nil {
+		sb.used += delta
 	}
 }
 
@@ -203,8 +260,8 @@ func (p *Port) drop(pkt *Packet, overflow bool) {
 	} else {
 		p.stats.DroppedPolicy++
 	}
-	if p.tracer != nil {
-		p.tracer.PacketDropped(p.engine.Now(), pkt, p.queueLen, overflow)
+	if tr := p.tracer(); tr != nil {
+		tr.PacketDropped(p.net.engine.Now(), pkt, p.queueLen, overflow)
 	}
 	p.net.pool.put(pkt)
 }
@@ -215,21 +272,23 @@ func (p *Port) drop(pkt *Packet, overflow bool) {
 //
 //dtlint:hotpath
 func (p *Port) Send(pkt *Packet) {
-	verdict := p.policy.OnArrival(p.engine.Now(), p.totalQueueLen(), pkt.Size)
+	now := p.net.engine.Now()
+	size := int(pkt.Size)
+	verdict := p.policy.OnArrival(now, p.totalQueueLen(), size)
 	if verdict == aqm.Drop {
 		p.drop(pkt, false)
 		return
 	}
-	overflow := p.totalQueueLen()+pkt.Size > p.buffer
-	if p.shared != nil {
+	overflow := p.totalQueueLen()+size > p.buffer
+	if sb := p.shared(); sb != nil {
 		// Pooled port: tail-drop against the dynamic allowance
 		// T = α·(B − ΣQ) instead of the static per-port bound.
-		overflow = !p.shared.admit(p.queueLen, pkt.Size)
+		overflow = !sb.admit(p.queueLen, size)
 	}
 	if overflow {
 		// The policy saw an arrival that never materialized; inform it
 		// of the unchanged occupancy so trend estimators stay honest.
-		p.policy.OnDeparture(p.engine.Now(), p.totalQueueLen())
+		p.policy.OnDeparture(now, p.totalQueueLen())
 		p.drop(pkt, true)
 		return
 	}
@@ -243,27 +302,31 @@ func (p *Port) Send(pkt *Packet) {
 		case markSubstitutesDrop(p.policy):
 			// RFC 3168 §5: a law whose mark replaces a drop must
 			// drop non-ECT traffic when it signals congestion.
-			p.policy.OnDeparture(p.engine.Now(), p.totalQueueLen())
+			p.policy.OnDeparture(now, p.totalQueueLen())
 			p.drop(pkt, false)
 			return
 		}
 	}
-	pkt.EnqueuedAt = p.engine.Now()
+	pkt.EnqueuedAt = now
 	p.queue.push(pkt)
-	p.addQueued(pkt.Size)
+	p.addQueued(size)
 	p.stats.Enqueued++
 	p.checkConservation()
-	if p.tracer != nil {
-		p.tracer.PacketEnqueued(p.engine.Now(), pkt, p.queueLen, marked)
+	if tr := p.tracer(); tr != nil {
+		tr.PacketEnqueued(now, pkt, p.queueLen, marked)
 	}
-	p.notifyMonitor()
+	p.notifyMonitor(now)
 	if !p.busy {
 		p.transmitNext()
 	}
 }
 
+// transmitNext starts serializing the head of the queue, if any: the
+// packet carries the port as its via to the transmit chain's handlers.
+//
 //dtlint:hotpath
 func (p *Port) transmitNext() {
+	e := p.net.engine
 	var pkt *Packet
 	for {
 		if p.queue.len() == 0 {
@@ -272,18 +335,18 @@ func (p *Port) transmitNext() {
 		}
 		p.busy = true
 		pkt = p.queue.pop()
-		p.addQueued(-pkt.Size)
+		p.addQueued(-int(pkt.Size))
 		p.checkConservation()
 
 		// Dequeue-time queue laws (CoDel) may drop or mark here.
-		if p.dequeue == nil {
+		if p.ext == nil || p.ext.dequeue == nil {
 			break
 		}
-		sojourn := (p.engine.Now() - pkt.EnqueuedAt).Duration()
-		verdict := p.dequeue.OnDequeue(p.engine.Now(), sojourn, p.totalQueueLen())
+		sojourn := (e.Now() - pkt.EnqueuedAt).Duration()
+		verdict := p.ext.dequeue.OnDequeue(e.Now(), sojourn, p.totalQueueLen())
 		if verdict == aqm.Drop {
 			p.drop(pkt, false)
-			p.notifyMonitor()
+			p.notifyMonitor(e.Now())
 			continue
 		}
 		if verdict == aqm.AcceptMark {
@@ -294,7 +357,7 @@ func (p *Port) transmitNext() {
 				}
 			} else if markSubstitutesDrop(p.policy) {
 				p.drop(pkt, false)
-				p.notifyMonitor()
+				p.notifyMonitor(e.Now())
 				continue
 			}
 		}
@@ -302,13 +365,15 @@ func (p *Port) transmitNext() {
 	}
 	p.stats.Dequeued++
 	p.stats.BytesSent += uint64(pkt.Size)
-	p.policy.OnDeparture(p.engine.Now(), p.totalQueueLen())
-	if p.tracer != nil {
-		p.tracer.PacketDequeued(p.engine.Now(), pkt, p.queueLen)
+	p.policy.OnDeparture(e.Now(), p.totalQueueLen())
+	if tr := p.tracer(); tr != nil {
+		tr.PacketDequeued(e.Now(), pkt, p.queueLen)
 	}
-	p.notifyMonitor()
+	p.notifyMonitor(e.Now())
 
-	p.engine.AfterArg(p.serializationRate(pkt.Size).Serialization(pkt.Size), p.txDoneFn, pkt)
+	pkt.via = p
+	size := int(pkt.Size)
+	e.AfterArg(p.serializationRate(size).Serialization(size), portTxDone, pkt)
 }
 
 // markSubstitutesDrop reports whether the policy's marks stand in for
@@ -320,12 +385,20 @@ func markSubstitutesDrop(pol aqm.Policy) bool {
 	return ok && ls.MarkSubstitutesDrop()
 }
 
+// notifyMonitor reports the occupancy to the monitor, if any; now is the
+// engine's clock, which the callers have at hand. The call sits in
+// portExt.notify so that the check inlines into the forward path.
+//
 //dtlint:hotpath
-func (p *Port) notifyMonitor() {
-	if p.monitor != nil {
-		p.monitor.QueueChanged(p.engine.Now(), p.totalQueueLen())
+func (p *Port) notifyMonitor(now sim.Time) {
+	if p.ext != nil && p.ext.monitor != nil {
+		p.ext.notify(now, p.totalQueueLen())
 	}
 }
+
+//go:noinline
+//dtlint:hotpath
+func (x *portExt) notify(now sim.Time, qlen int) { x.monitor.QueueChanged(now, qlen) }
 
 // checkConservation asserts, under -tags invariants, that the byte counter
 // the AQM policies see agrees with the packets actually queued and stays
@@ -337,15 +410,15 @@ func (p *Port) checkConservation() {
 	}
 	invariant.Assert(p.queueLen >= 0, "netsim: negative queue occupancy %d on port to %s",
 		p.queueLen, p.peer.Name())
-	if p.shared == nil {
+	if sb := p.shared(); sb == nil {
 		invariant.Assert(p.queueLen <= p.buffer, "netsim: occupancy %d exceeds buffer %d on port to %s",
 			p.queueLen, p.buffer, p.peer.Name())
 	} else {
-		p.shared.checkConservation()
+		sb.checkConservation()
 	}
 	sum := 0
 	for i := 0; i < p.queue.len(); i++ {
-		sum += p.queue.at(i).Size
+		sum += int(p.queue.at(i).Size)
 	}
 	invariant.Assert(sum == p.queueLen, "netsim: byte-count drift: queued packets hold %d bytes, counter says %d",
 		sum, p.queueLen)

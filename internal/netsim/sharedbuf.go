@@ -47,14 +47,14 @@ func NewSharedBuffer(totalBytes int, alpha float64) (*SharedBuffer, error) {
 // allowance.
 func (sb *SharedBuffer) Attach(ports ...*Port) error {
 	for _, p := range ports {
-		if p.shared != nil {
+		if p.shared() != nil {
 			return fmt.Errorf("netsim: port to %s already belongs to a shared buffer", p.peer.Name())
 		}
 		if p.queueLen != 0 {
 			return fmt.Errorf("netsim: port to %s has %d bytes queued; attach before traffic starts",
 				p.peer.Name(), p.queueLen)
 		}
-		p.shared = sb
+		p.extension().shared = sb
 		sb.ports = append(sb.ports, p)
 	}
 	return nil

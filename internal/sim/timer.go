@@ -13,9 +13,15 @@ import "time"
 // loop moves a wake-up that surfaces ahead of that key there without
 // advancing the clock or counting an event, so fire order and every
 // counter but the queue's population are those of cancel-and-reschedule.
+//
+// A timer fires fn(arg) the way an event does, so an owner that embeds
+// its timer and sets it up in place with Init costs no allocation and no
+// method-value closure. Its wake-up points at the timer, which therefore
+// must not move while one is queued.
 type Timer struct {
 	engine *Engine
-	fn     func()
+	fn     func(any)
+	arg    any
 	// wake is the queued wake-up, nil when there is none. While the timer
 	// is stopped it is flagged cancelled, a dead entry like any other to
 	// compaction, until a rearm it can serve revives it.
@@ -27,7 +33,18 @@ type Timer struct {
 
 // NewTimer creates an unarmed timer that will invoke fn when it fires.
 func NewTimer(engine *Engine, fn func()) *Timer {
-	return &Timer{engine: engine, fn: fn}
+	t := &Timer{}
+	t.Init(engine, runFunc, fn)
+	return t
+}
+
+// Init binds the timer, in place, to engine and to fn(arg), which it
+// invokes when it fires; a zero Timer is unarmed. Init leaves the
+// deadline and any queued wake-up as they are, so an owner that resets
+// its storage for reuse binds its stopped timer again, to the same
+// engine and callback.
+func (t *Timer) Init(engine *Engine, fn func(any), arg any) {
+	t.engine, t.fn, t.arg = engine, fn, arg
 }
 
 // Reset (re)arms the timer to fire d after the current virtual instant,
@@ -51,7 +68,7 @@ func (t *Timer) ResetAt(at Time) {
 		if w != nil {
 			w.timer = nil
 		}
-		w = e.enqueue(at, e.now, unkeyedSrc, runFunc, t.fn)
+		w = e.enqueue(at, e.now, unkeyedSrc, t.fn, t.arg)
 		w.timer, t.wake = t, w
 		t.at, t.schedAt, t.seq = at, w.schedAt, w.seq
 		return

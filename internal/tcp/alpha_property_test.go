@@ -80,7 +80,7 @@ func TestPropertyAlphaStaysInUnitInterval(t *testing.T) {
 			if a := s.Alpha(); a < 0 || a > 1 {
 				t.Fatalf("seed %d step %d: alpha %g escaped [0,1] (G=%g)", seed, step, a, cfg.G)
 			}
-			if s.cwnd < float64(s.cfg.MSS) {
+			if s.cwnd < float64(s.mss) {
 				t.Fatalf("seed %d step %d: cwnd %g below one MSS", seed, step, s.cwnd)
 			}
 		}

@@ -139,9 +139,6 @@ func DefaultConfig(v Variant) Config {
 // PacketSize returns the wire size of a full segment.
 func (c Config) PacketSize() int { return c.MSS + headerBytes }
 
-// ECT reports whether this variant negotiates ECN-capable transport.
-func (c Config) ECT() bool { return c.Variant.ect() }
-
 // ect reports whether v negotiates ECN-capable transport.
 func (v Variant) ect() bool { return v != Reno && v != Cubic }
 

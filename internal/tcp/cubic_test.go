@@ -13,7 +13,7 @@ func TestCubicVariantBasics(t *testing.T) {
 	if Cubic.String() != "cubic" {
 		t.Fatal("name")
 	}
-	if DefaultConfig(Cubic).ECT() {
+	if DefaultConfig(Cubic).Variant.ect() {
 		t.Fatal("loss-based CUBIC must not negotiate ECN")
 	}
 	if Cubic.dctcpLike() {

@@ -16,7 +16,7 @@ func TestD2TCPVariantString(t *testing.T) {
 	if !D2TCP.dctcpLike() || !DCTCP.dctcpLike() || Reno.dctcpLike() {
 		t.Fatal("dctcpLike classification")
 	}
-	if !DefaultConfig(D2TCP).ECT() {
+	if !DefaultConfig(D2TCP).Variant.ect() {
 		t.Fatal("D2TCP must be ECT")
 	}
 }

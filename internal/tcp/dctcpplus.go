@@ -46,34 +46,34 @@ type plusPacer struct {
 	// observation-window closings; ECE marks are already counted by the
 	// α estimator's markedBytes.
 	congested bool
-	timer     *sim.Timer
 	armed     bool
+	timer     sim.Timer
 	rng       *rand.Rand
 }
 
-// open returns the pacer of a fresh DCTCP+ connection on s: a new one
-// when p is nil, otherwise p's own storage with its stopped timer kept
-// and its RNG reseeded — the stream a new source with that seed yields.
+// open resets p, in place, to the pacer of a fresh DCTCP+ connection on
+// s: its timer stays where it is, and its RNG is made when p has none and
+// reseeded otherwise — the stream a new source with that seed yields.
 //
 //dtlint:hotpath
-func (p *plusPacer) open(s *Sender, cfg Config) *plusPacer {
+func (p *plusPacer) open(s *Sender, cfg Config) {
 	seed := cfg.PacingSeed
 	if seed == 0 {
 		// Deterministic flow-derived fallback for directly constructed
 		// senders (unit tests, ad-hoc harnesses).
 		seed = int64(s.flow) + 1
 	}
-	if p == nil {
-		//dtlint:allow hotalloc: the allocate branch — storage that never carried a DCTCP+ connection
-		return &plusPacer{
-			//dtlint:allow nondeterm: seeded from the construction engine's source via Config.PacingSeed
-			rng:   rand.New(rand.NewSource(seed)),
-			timer: sim.NewTimer(s.engine, s.onPace),
-		}
-	}
 	*p = plusPacer{timer: p.timer, rng: p.rng}
+	p.timer.Init(s.host.Engine(), senderPace, s)
+	if p.rng == nil {
+		// The allocate branch, for storage that never carried a DCTCP+
+		// connection; the source is seeded from the construction engine's
+		// through Config.PacingSeed.
+		//dtlint:allow hotalloc,nondeterm: made once per storage, from a seed the run's root source drew
+		p.rng = rand.New(rand.NewSource(seed))
+		return
+	}
 	p.rng.Seed(seed)
-	return p
 }
 
 // delay draws one randomized pacing delay, uniform in
@@ -128,7 +128,7 @@ func (p *plusPacer) grow() {
 // one segment, then fall back into trySend, which re-arms the pacer for
 // the next segment while the slow timer is nonzero.
 func (s *Sender) onPace() {
-	s.plus.armed = false
+	s.ext.plus.armed = false
 	if s.completed {
 		return
 	}

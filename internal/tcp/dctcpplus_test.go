@@ -30,7 +30,7 @@ func TestPlusStateString(t *testing.T) {
 	if !DCTCPPlus.dctcpLike() {
 		t.Fatal("DCTCP+ must run the α estimator")
 	}
-	if !DefaultConfig(DCTCPPlus).ECT() {
+	if !DefaultConfig(DCTCPPlus).Variant.ect() {
 		t.Fatal("DCTCP+ must be ECT")
 	}
 }
@@ -43,7 +43,7 @@ func TestPropertyPlusStateMachineClosure(t *testing.T) {
 	s, _ := d.pair(0, 0, DefaultConfig(DCTCPPlus))
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := s.plus
+		p := s.pacer()
 		p.state, p.slowTime, p.congested = PlusNormal, 0, false
 		for step := 0; step < 500; step++ {
 			congested := rng.Intn(2) == 0
@@ -80,7 +80,7 @@ func TestPropertyPlusStateMachineClosure(t *testing.T) {
 func TestPlusStateMachineTransitions(t *testing.T) {
 	d := newDumbbell(t, 1, netsim.Gbps, 25*time.Microsecond, 100, nil)
 	s, _ := d.pair(0, 0, DefaultConfig(DCTCPPlus))
-	p := s.plus
+	p := s.pacer()
 
 	// NORMAL ignores congestion away from the floor.
 	p.tick(true, false)
@@ -128,7 +128,7 @@ func TestPlusStateMachineTransitions(t *testing.T) {
 func TestPlusAccessorsOnOtherVariants(t *testing.T) {
 	d := newDumbbell(t, 1, netsim.Gbps, 25*time.Microsecond, 100, nil)
 	s, _ := d.pair(0, 0, DefaultConfig(DCTCP))
-	if s.plus != nil {
+	if s.pacer() != nil || s.ext != nil {
 		t.Fatal("DCTCP sender grew a pacer")
 	}
 }
@@ -163,12 +163,12 @@ func TestPlusIncastEngagesSlowTimer(t *testing.T) {
 	senders := plusIncast(t, 16, 0, 200*time.Millisecond)
 	var backoffs, paced uint64
 	for _, s := range senders {
-		st := s.plus.state
+		st := s.pacer().state
 		if st != PlusNormal && st != PlusTimeInc && st != PlusTimeDes {
 			t.Fatalf("sender in invalid state %v", st)
 		}
-		if s.plus.slowTime < 0 || s.plus.slowTime > slowTimerMax {
-			t.Fatalf("slow timer %v outside [0, %v]", s.plus.slowTime, slowTimerMax)
+		if s.pacer().slowTime < 0 || s.pacer().slowTime > slowTimerMax {
+			t.Fatalf("slow timer %v outside [0, %v]", s.pacer().slowTime, slowTimerMax)
 		}
 		stats := s.Stats()
 		backoffs += stats.SlowTimerBackoffs

@@ -192,7 +192,7 @@ func FuzzReceiverReassembly(f *testing.F) {
 			pkt := netsim.Packet{
 				Flow:       1,
 				Seq:        int64(data[i+1]) * 50,
-				PayloadLen: int(data[i+2]) * 50,
+				PayloadLen: int32(data[i+2]) * 50,
 				CE:         flags&1 != 0,
 				CWR:        flags&2 != 0,
 				ECT:        true,

@@ -17,10 +17,9 @@ import (
 //     sender confirms a window reduction with CWR (RFC 3168);
 //   - Reno: marks are ignored.
 type Receiver struct {
-	engine *sim.Engine
-	host   *netsim.Host
-	flow   netsim.FlowID
-	peer   netsim.NodeID
+	host *netsim.Host
+	flow netsim.FlowID
+	peer netsim.NodeID
 
 	// The two Config fields a receiver reads, taken by open.
 	variant  Variant
@@ -34,12 +33,13 @@ type Receiver struct {
 	rcvNxt int64
 	// ooo holds the out-of-order data beyond rcvNxt as disjoint spans,
 	// sorted by start; no two spans overlap or touch (insert coalesces).
+	// It is made at the first out-of-order segment.
 	ooo []span
 
 	// Delayed-ACK state.
 	pendingPkts  int // data packets not yet acknowledged
 	lastDataSent sim.Time
-	ackTimer     *sim.Timer
+	ackTimer     sim.Timer
 
 	// ECN echo state.
 	ceState    bool // DCTCP: CE value of the current run of packets
@@ -51,10 +51,11 @@ type Receiver struct {
 // span is the buffered byte range [start, end).
 type span struct{ start, end int64 }
 
-// oooInitialCap is the span capacity a receiver is built with: the
-// smallest that keeps a steady fresh-connection incast round
-// allocation-free (internal/workload's TestFreshConnectionRoundsAllocFree
-// fails at 1). A recycled receiver keeps whatever capacity it grew to.
+// oooInitialCap is the span capacity a receiver's first out-of-order
+// segment makes: the smallest that keeps a steady fresh-connection incast
+// round allocation-free (internal/workload's
+// TestFreshConnectionRoundsAllocFree fails at 1). A recycled receiver
+// keeps whatever capacity it grew to.
 const oooInitialCap = 2
 
 // ReceiverStats counts receiver-side events.
@@ -108,14 +109,13 @@ func (r *Receiver) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.Nod
 }
 
 // open is the one definition of a fresh connection's receiver state (see
-// Sender.open); the delayed-ACK timer and the emptied span list survive
-// it.
+// Sender.open); the delayed-ACK timer, in place, and the emptied span
+// list survive it.
 //
 //dtlint:hotpath
 func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, cfg Config) {
 	ooo, ack := r.ooo, r.ackTimer
 	*r = Receiver{
-		engine:   host.Engine(),
 		host:     host,
 		flow:     flow,
 		peer:     peer,
@@ -124,11 +124,7 @@ func (r *Receiver) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 		ooo:      ooo[:0],
 		ackTimer: ack,
 	}
-	if ack == nil {
-		//dtlint:allow hotalloc: the allocate branch — NewReceiver's zeroed storage
-		r.ooo = make([]span, 0, oooInitialCap)
-		r.ackTimer = sim.NewTimer(r.engine, r.onDelayedAck)
-	}
+	r.ackTimer.Init(host.Engine(), receiverDelayedAck, r)
 	host.Register(flow, r)
 }
 
@@ -255,6 +251,11 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 	r.checkDone()
 }
 
+// receiverDelayedAck is the delayed-ACK timer's callback.
+//
+//dtlint:hotpath
+func receiverDelayedAck(arg any) { arg.(*Receiver).onDelayedAck() }
+
 // onDelayedAck is the delayed-ACK timer's handler.
 //
 //dtlint:hotpath
@@ -293,6 +294,10 @@ func (r *Receiver) insert(start, end int64) {
 		j++
 	}
 	if i == j {
+		if cap(o) == 0 {
+			//dtlint:allow hotalloc: made at the connection's first out-of-order segment, and a recycled receiver keeps it
+			o = make([]span, 0, oooInitialCap)
+		}
 		//dtlint:allow hotalloc: grows to the most holes a recovery leaves open, and a recycled receiver keeps it
 		o = append(o, span{})
 		copy(o[i+1:], o[i:])
@@ -323,9 +328,9 @@ func (r *Receiver) flushAck() {
 	ack.Ack = r.rcvNxt
 	ack.ECT = r.variant.ect()
 	ack.ECE = ece
-	ack.DelayedCount = r.pendingPkts
+	ack.DelayedCount = int32(r.pendingPkts)
 	ack.EchoSentAt = r.lastDataSent
-	ack.SentAt = r.engine.Now()
+	ack.SentAt = r.host.Engine().Now()
 	r.pendingPkts = 0
 	r.ackTimer.Stop()
 	r.stats.AcksSent++

@@ -18,8 +18,8 @@ func deliverSegments(t testing.TB, order []int, segLen int) int64 {
 		r.Deliver(&netsim.Packet{
 			Flow:       1,
 			Seq:        int64(idx * segLen),
-			PayloadLen: segLen,
-			Size:       segLen + 40,
+			PayloadLen: int32(segLen),
+			Size:       int32(segLen) + 40,
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestStraddlingRangesMergeToMaxAndDrain(t *testing.T) {
 	e, agg, w := receiverNet(t, &ackRecorder{})
 	r := NewReceiver(agg, 1, w.ID(), DefaultConfig(Reno))
 	seg := func(seq, length int64) *netsim.Packet {
-		return &netsim.Packet{Flow: 1, Seq: seq, PayloadLen: int(length), Size: int(length) + 40}
+		return &netsim.Packet{Flow: 1, Seq: seq, PayloadLen: int32(length), Size: int32(length) + 40}
 	}
 	// Buffer [500,1200) and [700,2000): both beyond rcvNxt=0.
 	r.Deliver(seg(500, 700))

@@ -62,38 +62,46 @@ func TestReopenEqualsConstruction(t *testing.T) {
 			fs := NewSender(host, 101, d.rcvHost.ID(), 5000, next)
 			fr := NewReceiver(d.rcvHost, 101, host.ID(), next)
 
-			if s.rtoTimer.Armed() || r.ackTimer.Armed() || (s.plus != nil && s.plus.timer.Armed()) {
+			if s.rtoTimer.Armed() || r.ackTimer.Armed() || (s.ext != nil && s.ext.plus.timer.Armed()) {
 				t.Fatal("a reopened connection has an armed timer")
 			}
-			if (s.plus != nil) != (v == DCTCPPlus) {
-				t.Fatalf("pacer present = %v for %v", s.plus != nil, v)
+			if (s.pacer() != nil) != (v == DCTCPPlus) {
+				t.Fatalf("pacer present = %v for %v", s.pacer() != nil, v)
 			}
-			if s.plus != nil {
+			if (s.ext != nil) != (v == DCTCPPlus || v == Cubic) {
+				t.Fatalf("variant state present = %v for %v", s.ext != nil, v)
+			}
+			if p := s.pacer(); p != nil {
 				for i := 0; i < 4; i++ {
-					if a, b := s.plus.rng.Int63(), fs.plus.rng.Int63(); a != b {
+					if a, b := p.rng.Int63(), fs.pacer().rng.Int63(); a != b {
 						t.Fatalf("pacing draw %d: reopened %d, constructed %d", i, a, b)
 					}
 				}
-				gp, fp := *s.plus, *fs.plus
-				gp.timer, gp.rng, fp.timer, fp.rng = nil, nil, nil, nil
-				if gp != fp {
-					t.Fatalf("pacer state: reopened %+v, constructed %+v", gp, fp)
+			}
+			if s.ext != nil {
+				gx, fx := *s.ext, *fs.ext
+				gx.plus.timer, gx.plus.rng, fx.plus.timer, fx.plus.rng = sim.Timer{}, nil, sim.Timer{}, nil
+				if !reflect.DeepEqual(gx, fx) {
+					t.Fatalf("variant state: reopened %+v, constructed %+v", gx, fx)
 				}
 			}
+			// A kept timer may hold a stopped wake-up, so the timers are
+			// left out of the comparison.
 			gs, ws := *s, *fs
-			gs.flow, gs.rtoTimer, gs.plus = 0, nil, nil
-			ws.flow, ws.rtoTimer, ws.plus = 0, nil, nil
+			gs.flow, gs.rtoTimer, gs.ext = 0, sim.Timer{}, nil
+			ws.flow, ws.rtoTimer, ws.ext = 0, sim.Timer{}, nil
 			if !reflect.DeepEqual(gs, ws) {
 				t.Fatalf("sender state:\nreopened    %+v\nconstructed %+v", gs, ws)
 			}
 			// The span list is compared by contents: the reopened one
-			// keeps the capacity its recovery grew.
-			if len(r.ooo) != 0 || len(fr.ooo) != 0 {
+			// keeps the capacity its recovery grew, the constructed one
+			// has none until its first out-of-order segment.
+			if len(r.ooo) != 0 || fr.ooo != nil {
 				t.Fatalf("span lists: reopened %v, constructed %v, want both empty", r.ooo, fr.ooo)
 			}
 			gr, wr := *r, *fr
-			gr.flow, gr.ackTimer, gr.ooo = 0, nil, nil
-			wr.flow, wr.ackTimer, wr.ooo = 0, nil, nil
+			gr.flow, gr.ackTimer, gr.ooo = 0, sim.Timer{}, nil
+			wr.flow, wr.ackTimer, wr.ooo = 0, sim.Timer{}, nil
 			if !reflect.DeepEqual(gr, wr) {
 				t.Fatalf("receiver state:\nreopened    %+v\nconstructed %+v", gr, wr)
 			}
@@ -123,11 +131,15 @@ func TestReopenRefusals(t *testing.T) {
 	peer := d.rcvHost.ID()
 
 	s.Start() // segments in flight: the RTO timer is armed
-	before := *s
+	before, deadline := *s, s.rtoTimer.Deadline()
 	if s.Reopen(d.senders[0], 50, peer, 1000, cfg) {
 		t.Fatal("Reopen took a sender whose RTO timer is armed")
 	}
-	if !reflect.DeepEqual(*s, before) {
+	// A timer holds its callback, which DeepEqual never finds equal, so
+	// the timer is compared by its deadline.
+	after := *s
+	before.rtoTimer, after.rtoTimer = sim.Timer{}, sim.Timer{}
+	if !reflect.DeepEqual(after, before) || s.rtoTimer.Deadline() != deadline {
 		t.Fatal("a refused Reopen changed the sender")
 	}
 
@@ -146,10 +158,10 @@ func TestReopenRefusals(t *testing.T) {
 	// A pacing delay running.
 	plus := DefaultConfig(DCTCPPlus)
 	p := NewSender(d.senders[1], 1, peer, 1<<20, plus)
-	p.plus.slowTime = time.Millisecond
+	p.pacer().slowTime = time.Millisecond
 	p.Start()
-	if !p.plus.timer.Armed() || p.rtoTimer.Armed() {
-		t.Fatalf("probe state: pacer armed %v, RTO armed %v — want the pacer alone", p.plus.timer.Armed(), p.rtoTimer.Armed())
+	if !p.pacer().timer.Armed() || p.rtoTimer.Armed() {
+		t.Fatalf("probe state: pacer armed %v, RTO armed %v — want the pacer alone", p.pacer().timer.Armed(), p.rtoTimer.Armed())
 	}
 	if p.Reopen(d.senders[1], 51, peer, 1000, plus) {
 		t.Fatal("Reopen took a sender whose pacer is armed")
@@ -165,5 +177,39 @@ func TestReopenRefusals(t *testing.T) {
 	d.senders[0].Unregister(0)
 	if !s.Reopen(d.senders[0], 52, peer, 1000, cfg) {
 		t.Fatal("Reopen refused retired storage")
+	}
+}
+
+// A retired sender's RTO wake-up outlives Reopen: the timer sits inside
+// the sender and open resets the connection around it, so the stopped
+// wake-up still queued is the one the reopened connection's first arm
+// revives, in place, and no second one is queued.
+func TestReopenRevivesStoppedWakeUp(t *testing.T) {
+	d := newDumbbell(t, 1, 1*netsim.Gbps, 25*time.Microsecond, 400, nil)
+	cfg := DefaultConfig(DCTCP)
+	s, _ := d.pair(0, 20<<10, cfg)
+	s.Start()
+	if err := d.engine.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Completed() || s.rtoTimer.Armed() {
+		t.Fatalf("transfer completed %v, RTO armed %v: want a retired sender", s.Completed(), s.rtoTimer.Armed())
+	}
+	// The stopped RTO is the engine's one pending entry, a cancelled
+	// wake-up short of its deadline.
+	if got := d.engine.Pending(); got != 1 {
+		t.Fatalf("%d entries pending, want the stopped RTO wake-up alone", got)
+	}
+	d.senders[0].Unregister(s.Flow())
+	if !s.Reopen(d.senders[0], 7, d.rcvHost.ID(), 20<<10, cfg) {
+		t.Fatal("Reopen refused a retired sender")
+	}
+	s.armRTO()
+	if got := d.engine.Pending(); got != 1 || !s.rtoTimer.Armed() {
+		t.Fatalf("after the first arm: %d entries pending, armed %v; want the old wake-up revived", got, s.rtoTimer.Armed())
+	}
+	want := d.engine.Now().Add(s.rtt.rto())
+	if got := s.rtoTimer.Deadline(); got != want {
+		t.Fatalf("deadline %v, want %v", got, want)
 	}
 }

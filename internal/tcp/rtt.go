@@ -5,9 +5,11 @@ import "time"
 // rttEstimator implements the Jacobson/Karels smoothed RTT and the
 // standard RTO computation (RFC 6298 constants).
 type rttEstimator struct {
-	srtt    time.Duration
-	rttvar  time.Duration
-	sampled bool
+	// srtt is 0 until the first sample and positive after it: samples
+	// are positive, and a smaller one moves srtt an eighth of the gap,
+	// rounded toward zero, so never down to the sample itself.
+	srtt   time.Duration
+	rttvar time.Duration
 
 	rtoMin, rtoInitial time.Duration
 }
@@ -21,8 +23,7 @@ func (r *rttEstimator) sample(rtt time.Duration) {
 	if rtt <= 0 {
 		return
 	}
-	if !r.sampled {
-		r.sampled = true
+	if r.srtt == 0 {
 		r.srtt = rtt
 		r.rttvar = rtt / 2
 		return
@@ -38,7 +39,7 @@ func (r *rttEstimator) sample(rtt time.Duration) {
 // rto returns the current retransmission timeout, clamped to the
 // configured bounds.
 func (r *rttEstimator) rto() time.Duration {
-	if !r.sampled {
+	if r.srtt == 0 {
 		return r.clamp(r.rtoInitial)
 	}
 	return r.clamp(r.srtt + 4*r.rttvar)

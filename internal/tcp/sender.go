@@ -14,11 +14,15 @@ import (
 // retransmit/recovery, RTO with exponential backoff, and one of three ECN
 // responses (none, RFC3168, DCTCP).
 type Sender struct {
-	engine *sim.Engine
-	host   *netsim.Host
-	flow   netsim.FlowID
-	peer   netsim.NodeID
-	cfg    Config
+	host *netsim.Host
+	flow netsim.FlowID
+	peer netsim.NodeID
+
+	// The three Config fields a sender reads after open; RTOMin and
+	// RTOInitial live in rtt and PacingSeed is read at open.
+	variant Variant
+	mss     int
+	g       float64
 
 	// total is the number of payload bytes to transfer; 0 means a
 	// long-lived flow that never completes.
@@ -44,31 +48,40 @@ type Sender struct {
 	caCount  float64
 
 	// NewReno recovery state.
-	dupAcks    int
-	inRecovery bool
-	recover    int64
+	dupAcks int
+	recover int64
 
 	// DCTCP state.
 	alpha       float64
 	ceWindowEnd int64 // α is updated when sndUna passes this point
 	ackedBytes  int64 // bytes acked in the current observation window
 	markedBytes int64 // of which carried ECE
-	ecnReduced  bool  // window already reduced in this observation window
-	cwrPending  bool  // set CWR on the next data packet (RFC3168)
 	growHoldSeq int64 // no additive increase until sndUna passes this (CWR episode)
-	cubic       cubicState
-	// plus is the DCTCP+ slow-timer pacer (nil for other variants).
-	plus         *plusPacer
+	// ext is the Cubic or DCTCP+ state (nil for other variants).
+	ext          *variantState
 	retxSeq      int64 // highest sequence retransmitted (Karn: skip RTT samples)
-	retxValid    bool
 	rtt          rttEstimator
-	rtoTimer     *sim.Timer
+	rtoTimer     sim.Timer
 	rtoBackoff   int
-	started      bool
-	completed    bool
 	completeTime sim.Time
 
+	// The flags, side by side in one word.
+	inRecovery bool // NewReno fast recovery
+	ecnReduced bool // window already reduced in this observation window
+	cwrPending bool // set CWR on the next data packet (RFC3168)
+	retxValid  bool // retxSeq holds a retransmission
+	started    bool
+	completed  bool
+
 	stats SenderStats
+}
+
+// variantState is the state only two variants carry, behind one pointer
+// so that a sender of the others does not pay for it: Cubic's curve, and
+// DCTCP+'s slow-timer pacer with its timer, which must not move.
+type variantState struct {
+	cubic cubicState
+	plus  plusPacer
 }
 
 // SenderStats counts sender-side events.
@@ -123,7 +136,7 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalB
 //
 //dtlint:hotpath
 func (s *Sender) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) bool {
-	if s.rtoTimer.Armed() || (s.plus != nil && s.plus.timer.Armed()) {
+	if s.rtoTimer.Armed() || (s.ext != nil && s.ext.plus.timer.Armed()) {
 		return false
 	}
 	s.open(host, flow, peer, totalBytes, cfg)
@@ -132,33 +145,62 @@ func (s *Sender) Reopen(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeI
 
 // open is the one definition of a fresh connection's sender state, run by
 // NewSender on zeroed storage and by Reopen on a retired sender's. Only
-// the timers and the DCTCP+ pacer's RNG survive it, each reset to what a
-// new one would be.
+// the timers and the Cubic/DCTCP+ state survive it, each reset to what a
+// new one would be; the timers stay where they are, since a queued
+// wake-up points at its timer.
 //
 //dtlint:hotpath
 func (s *Sender) open(host *netsim.Host, flow netsim.FlowID, peer netsim.NodeID, totalBytes int64, cfg Config) {
-	rto, plus := s.rtoTimer, s.plus
+	rto, ext := s.rtoTimer, s.ext
 	*s = Sender{
-		engine: host.Engine(),
-		host:   host,
-		flow:   flow,
-		peer:   peer,
-		cfg:    cfg,
-		total:  totalBytes,
-		cwnd:   float64(initialWindow * cfg.MSS),
+		host:    host,
+		flow:    flow,
+		peer:    peer,
+		variant: cfg.Variant,
+		mss:     cfg.MSS,
+		g:       cfg.G,
+		total:   totalBytes,
+		cwnd:    float64(initialWindow * cfg.MSS),
 		// Effectively unbounded until the first loss/mark event.
 		ssthresh: math.MaxFloat64 / 4,
 		alpha:    initialAlpha,
 		rtt:      newRTTEstimator(cfg),
 		rtoTimer: rto,
 	}
-	if rto == nil {
-		s.rtoTimer = sim.NewTimer(s.engine, s.onRTO)
-	}
-	if cfg.Variant == DCTCPPlus {
-		s.plus = plus.open(s, cfg)
+	s.rtoTimer.Init(host.Engine(), senderRTO, s)
+	if cfg.Variant == Cubic || cfg.Variant == DCTCPPlus {
+		if ext == nil {
+			//dtlint:allow hotalloc: the allocate branch — storage that never carried a Cubic or DCTCP+ connection
+			ext = &variantState{}
+		}
+		ext.cubic = cubicState{}
+		if cfg.Variant == DCTCPPlus {
+			ext.plus.open(s, cfg)
+		}
+		s.ext = ext
 	}
 	host.Register(flow, s)
+}
+
+// senderRTO and senderPace are the sender's timer callbacks.
+//
+//dtlint:hotpath
+func senderRTO(arg any) { arg.(*Sender).onRTO() }
+
+//dtlint:hotpath
+func senderPace(arg any) { arg.(*Sender).onPace() }
+
+// senderStart is StartAt's event callback.
+func senderStart(arg any) { arg.(*Sender).Start() }
+
+// pacer returns the DCTCP+ pacer, nil for other variants.
+//
+//dtlint:hotpath
+func (s *Sender) pacer() *plusPacer {
+	if s.variant != DCTCPPlus {
+		return nil
+	}
+	return &s.ext.plus
 }
 
 // Extend appends more payload bytes to a (possibly completed) transfer
@@ -190,14 +232,14 @@ func (s *Sender) Start() {
 
 // StartAt schedules transmission to begin at the given instant.
 func (s *Sender) StartAt(at sim.Time) {
-	s.engine.Schedule(at, s.Start)
+	s.host.Engine().ScheduleArg(at, senderStart, s)
 }
 
 // Alpha returns DCTCP's current congestion estimate α.
 func (s *Sender) Alpha() float64 { return s.alpha }
 
 // CwndPackets returns the congestion window in segments.
-func (s *Sender) CwndPackets() float64 { return s.cwnd / float64(s.cfg.MSS) }
+func (s *Sender) CwndPackets() float64 { return s.cwnd / float64(s.mss) }
 
 // Acked returns the number of acknowledged payload bytes.
 func (s *Sender) Acked() int64 { return s.sndUna }
@@ -223,18 +265,19 @@ func (s *Sender) trySend() {
 		if s.completed {
 			return
 		}
-		if s.plus != nil && s.plus.armed {
+		p := s.pacer()
+		if p != nil && p.armed {
 			return
 		}
 		payload := s.nextPayload()
 		if payload == 0 {
 			return
 		}
-		if s.plus != nil && s.plus.slowTime > 0 {
+		if p != nil && p.slowTime > 0 {
 			// DCTCP+ pacing: one segment per randomized slow-timer
 			// delay instead of a window-limited burst.
-			s.plus.timer.Reset(s.plus.delay())
-			s.plus.armed = true
+			p.timer.Reset(p.delay())
+			p.armed = true
 			return
 		}
 		s.transmit(s.sndNxt, int(payload))
@@ -249,10 +292,10 @@ func (s *Sender) trySend() {
 //dtlint:hotpath
 func (s *Sender) nextPayload() int64 {
 	inFlight := float64(s.sndNxt - s.sndUna)
-	if inFlight+float64(s.cfg.MSS) > s.cwnd+0.5 {
+	if inFlight+float64(s.mss) > s.cwnd+0.5 {
 		return 0
 	}
-	payload := int64(s.cfg.MSS)
+	payload := int64(s.mss)
 	if s.total > 0 {
 		remaining := s.total - s.sndNxt
 		if remaining <= 0 {
@@ -272,11 +315,11 @@ func (s *Sender) transmit(seq int64, payload int) {
 	pkt := s.host.AllocPacket()
 	pkt.Flow = s.flow
 	pkt.Dst = s.peer
-	pkt.Size = payload + headerBytes
+	pkt.Size = int32(payload + headerBytes)
 	pkt.Seq = seq
-	pkt.PayloadLen = payload
-	pkt.ECT = s.cfg.ECT()
-	pkt.SentAt = s.engine.Now()
+	pkt.PayloadLen = int32(payload)
+	pkt.ECT = s.variant.ect()
+	pkt.SentAt = s.host.Engine().Now()
 	if s.cwrPending {
 		pkt.CWR = true
 		s.cwrPending = false
@@ -329,12 +372,12 @@ func (s *Sender) onNewAck(pkt *netsim.Packet) (completed bool) {
 	// RTT sampling with Karn's rule: skip ACKs that could have been
 	// triggered by a retransmission.
 	if pkt.EchoSentAt > 0 && (!s.retxValid || pkt.Ack > s.retxSeq) {
-		s.rtt.sample(time.Duration(s.engine.Now() - pkt.EchoSentAt))
+		s.rtt.sample(time.Duration(s.host.Engine().Now() - pkt.EchoSentAt))
 	}
 
 	// DCTCP accounting: every acked byte in the observation window is
 	// classified by the ACK's ECE bit.
-	if s.cfg.Variant.dctcpLike() {
+	if s.variant.dctcpLike() {
 		s.ackedBytes += ackedNow
 		if pkt.ECE {
 			s.markedBytes += ackedNow
@@ -369,7 +412,7 @@ func (s *Sender) onNewAck(pkt *netsim.Packet) (completed bool) {
 	}
 
 	// Classic ECN: halve at most once per RTT on ECE.
-	if s.cfg.Variant == RenoECN && pkt.ECE && !s.ecnReduced {
+	if s.variant == RenoECN && pkt.ECE && !s.ecnReduced {
 		s.ecnReduced = true
 		s.cwrPending = true
 		s.ceWindowEnd = s.sndNxt // re-arm after one window
@@ -377,7 +420,7 @@ func (s *Sender) onNewAck(pkt *netsim.Packet) (completed bool) {
 		s.halve()
 		s.stats.ECNReductions++
 	}
-	if s.cfg.Variant == RenoECN && s.sndUna >= s.ceWindowEnd {
+	if s.variant == RenoECN && s.sndUna >= s.ceWindowEnd {
 		s.ecnReduced = false
 	}
 
@@ -402,7 +445,7 @@ func (s *Sender) onNewAck(pkt *netsim.Packet) (completed bool) {
 //
 //dtlint:hotpath
 func (s *Sender) grow(ackedNow int64) {
-	mss := float64(s.cfg.MSS)
+	mss := float64(s.mss)
 	if s.cwnd < s.ssthresh {
 		// Slow start: one MSS per acked MSS (byte counting).
 		s.cwnd += math.Min(float64(ackedNow), mss)
@@ -411,11 +454,11 @@ func (s *Sender) grow(ackedNow int64) {
 		}
 		return
 	}
-	if s.cfg.Variant == Cubic {
+	if s.variant == Cubic {
 		segs := float64(ackedNow) / mss
-		s.cubic.onAck(segs)
+		s.ext.cubic.onAck(segs)
 		cwndSegs := s.cwnd / mss
-		target := s.cubic.target(s.engine.Now(), cwndSegs, s.rtt.smoothed().Seconds())
+		target := s.ext.cubic.target(s.host.Engine().Now(), cwndSegs, s.rtt.smoothed().Seconds())
 		// RFC 8312 §4.1: limit the per-RTT increase to 50%.
 		if target > 1.5*cwndSegs {
 			target = 1.5 * cwndSegs
@@ -443,7 +486,7 @@ func (s *Sender) onDupAck(pkt *netsim.Packet) {
 	s.dupAcks++
 	if s.inRecovery {
 		// Window inflation per extra dup ACK.
-		s.cwnd += float64(s.cfg.MSS)
+		s.cwnd += float64(s.mss)
 		return
 	}
 	if s.dupAcks == 3 {
@@ -455,9 +498,9 @@ func (s *Sender) enterRecovery() {
 	s.stats.FastRecoveries++
 	s.inRecovery = true
 	s.recover = s.sndNxt
-	mss := float64(s.cfg.MSS)
-	if s.cfg.Variant == Cubic {
-		s.ssthresh = s.cubic.onLoss(s.cwnd/mss) * mss
+	mss := float64(s.mss)
+	if s.variant == Cubic {
+		s.ssthresh = s.ext.cubic.onLoss(s.cwnd/mss) * mss
 	} else {
 		s.ssthresh = math.Max(s.cwnd/2, 2*mss)
 	}
@@ -469,7 +512,7 @@ func (s *Sender) enterRecovery() {
 // retransmitHead resends the first unacknowledged segment and returns the
 // payload length sent.
 func (s *Sender) retransmitHead() int64 {
-	payload := int64(s.cfg.MSS)
+	payload := int64(s.mss)
 	if s.total > 0 {
 		remaining := s.total - s.sndUna
 		if remaining < payload {
@@ -480,8 +523,8 @@ func (s *Sender) retransmitHead() int64 {
 		return 0
 	}
 	s.stats.Retransmissions++
-	if s.plus != nil {
-		s.plus.congested = true
+	if p := s.pacer(); p != nil {
+		p.congested = true
 	}
 	s.retxSeq = s.sndUna + payload
 	s.retxValid = true
@@ -496,13 +539,13 @@ func (s *Sender) onRTO() {
 		return
 	}
 	s.stats.Timeouts++
-	if s.cfg.Variant == Cubic {
-		s.ssthresh = s.cubic.onLoss(s.cwnd/float64(s.cfg.MSS)) * float64(s.cfg.MSS)
-		s.cubic.reset()
+	if s.variant == Cubic {
+		s.ssthresh = s.ext.cubic.onLoss(s.cwnd/float64(s.mss)) * float64(s.mss)
+		s.ext.cubic.reset()
 	} else {
-		s.ssthresh = math.Max(float64(s.sndNxt-s.sndUna)/2, float64(2*s.cfg.MSS))
+		s.ssthresh = math.Max(float64(s.sndNxt-s.sndUna)/2, float64(2*s.mss))
 	}
-	s.cwnd = float64(s.cfg.MSS)
+	s.cwnd = float64(s.mss)
 	s.inRecovery = false
 	s.dupAcks = 0
 	s.rtoBackoff++
@@ -527,7 +570,7 @@ func (s *Sender) armRTO() {
 
 // halve applies the multiplicative decrease of loss-free classic ECN.
 func (s *Sender) halve() {
-	s.ssthresh = math.Max(s.cwnd/2, float64(2*s.cfg.MSS))
+	s.ssthresh = math.Max(s.cwnd/2, float64(2*s.mss))
 	s.cwnd = s.ssthresh
 }
 
@@ -536,11 +579,11 @@ func (s *Sender) halve() {
 func (s *Sender) updateAlphaWindow() {
 	if s.ackedBytes > 0 {
 		frac := float64(s.markedBytes) / float64(s.ackedBytes)
-		s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G*frac
+		s.alpha = (1-s.g)*s.alpha + s.g*frac
 		s.stats.AlphaUpdates++
 		if invariant.Enabled {
 			invariant.Assert(s.alpha >= 0 && s.alpha <= 1,
-				"tcp: alpha %g outside [0,1] (frac=%g g=%g)", s.alpha, frac, s.cfg.G)
+				"tcp: alpha %g outside [0,1] (frac=%g g=%g)", s.alpha, frac, s.g)
 			invariant.Assert(s.markedBytes <= s.ackedBytes,
 				"tcp: marked bytes %d exceed acked bytes %d", s.markedBytes, s.ackedBytes)
 		}
@@ -551,10 +594,10 @@ func (s *Sender) updateAlphaWindow() {
 			// For DCTCP the penalty p is α itself; for D2TCP it is
 			// α^d with d the deadline urgency.
 			penalty := s.alpha
-			if s.cfg.Variant == D2TCP {
+			if s.variant == D2TCP {
 				penalty = math.Pow(s.alpha, s.urgency())
 			}
-			mss := float64(s.cfg.MSS)
+			mss := float64(s.mss)
 			cut := math.Floor(s.cwnd * (1 - penalty/2) / mss)
 			s.cwnd = math.Max(cut*mss, mss)
 			s.ssthresh = s.cwnd
@@ -565,12 +608,12 @@ func (s *Sender) updateAlphaWindow() {
 	}
 	// DCTCP+: one slow-timer transition per observation window, after
 	// the window cut so the floor test sees the post-cut cwnd.
-	if s.plus != nil {
-		congested := s.markedBytes > 0 || s.plus.congested
-		atFloor := s.cwnd <= float64(2*s.cfg.MSS)+0.5
-		was := s.plus.slowTime
-		s.plus.tick(congested, atFloor)
-		if s.plus.slowTime > was {
+	if p := s.pacer(); p != nil {
+		congested := s.markedBytes > 0 || p.congested
+		atFloor := s.cwnd <= float64(2*s.mss)+0.5
+		was := p.slowTime
+		p.tick(congested, atFloor)
+		if p.slowTime > was {
 			s.stats.SlowTimerBackoffs++
 		}
 	}
@@ -600,7 +643,7 @@ func (s *Sender) urgency() float64 {
 	}
 	rate := s.cwnd / srtt.Seconds() // bytes per second
 	tc := remaining / rate
-	deltaLeft := (s.Deadline - s.engine.Now()).Duration().Seconds()
+	deltaLeft := (s.Deadline - s.host.Engine().Now()).Duration().Seconds()
 	if deltaLeft <= 0 {
 		return 2 // past deadline: maximum urgency, gentlest backoff
 	}
@@ -615,11 +658,11 @@ func (s *Sender) urgency() float64 {
 
 func (s *Sender) complete() {
 	s.completed = true
-	s.completeTime = s.engine.Now()
+	s.completeTime = s.host.Engine().Now()
 	s.rtoTimer.Stop()
-	if s.plus != nil {
-		s.plus.timer.Stop()
-		s.plus.armed = false
+	if p := s.pacer(); p != nil {
+		p.timer.Stop()
+		p.armed = false
 	}
 	if s.OnComplete != nil {
 		s.OnComplete(s, s.completeTime)

@@ -85,10 +85,10 @@ func TestDefaultConfig(t *testing.T) {
 	if c.PacketSize() != 1500 {
 		t.Fatalf("PacketSize = %d", c.PacketSize())
 	}
-	if !c.ECT() {
+	if !c.Variant.ect() {
 		t.Fatal("DCTCP must be ECT")
 	}
-	if DefaultConfig(Reno).ECT() {
+	if DefaultConfig(Reno).Variant.ect() {
 		t.Fatal("Reno must not be ECT")
 	}
 }

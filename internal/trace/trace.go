@@ -136,7 +136,7 @@ func (r *Recorder) packetEvent(now sim.Time, pkt *netsim.Packet, qlenBytes int) 
 	ev := Event{
 		T:         now.Seconds(),
 		Flow:      int(pkt.Flow),
-		Bytes:     pkt.Size,
+		Bytes:     int(pkt.Size),
 		QueuePkts: q,
 	}
 	if pkt.IsAck {

@@ -55,9 +55,17 @@ type fgFlow struct {
 
 	started   sim.Time
 	transfers int
-	fcts      []float64
-	nextFn    func()
+	// fcts holds the recorded completion times, nfct of them, in chunks
+	// of fctChunk filled in order: a growing list is never copied, and
+	// FCTs concatenates the chunks once.
+	fcts   []*[fctChunk]float64
+	nfct   int
+	nextFn func()
 }
+
+// fctChunk is how many completion times a flow records per allocation
+// (4 KB).
+const fctChunk = 512
 
 // StartForeground creates the flows and schedules their first transfers;
 // jitter draws come from engine's seeded stream.
@@ -92,7 +100,12 @@ func StartForeground(engine *sim.Engine, cfg ForegroundConfig) *Foreground {
 func (f *fgFlow) complete(_ *tcp.Sender, now sim.Time) {
 	f.transfers++
 	if f.started >= f.warmup {
-		f.fcts = append(f.fcts, (now - f.started).Seconds())
+		i := f.nfct % fctChunk
+		if i == 0 {
+			f.fcts = append(f.fcts, new([fctChunk]float64))
+		}
+		f.fcts[len(f.fcts)-1][i] = (now - f.started).Seconds()
+		f.nfct++
 	}
 	if next := now.Add(f.gap); next < f.horizon {
 		f.eng.Schedule(next, f.nextFn)
@@ -110,11 +123,13 @@ func (f *fgFlow) next() {
 func (w *Foreground) FCTs() []float64 {
 	n := 0
 	for _, f := range w.flows {
-		n += len(f.fcts)
+		n += f.nfct
 	}
 	out := make([]float64, 0, n)
 	for _, f := range w.flows {
-		out = append(out, f.fcts...)
+		for k, c := range f.fcts {
+			out = append(out, c[:min(fctChunk, f.nfct-k*fctChunk)]...)
+		}
 	}
 	return out
 }

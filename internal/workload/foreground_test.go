@@ -6,6 +6,7 @@ import (
 
 	"dtdctcp/internal/aqm"
 	"dtdctcp/internal/netsim"
+	"dtdctcp/internal/sim"
 	"dtdctcp/internal/tcp"
 )
 
@@ -93,7 +94,9 @@ func TestForegroundFCTsAreFlowOrdered(t *testing.T) {
 	}
 	var want []float64
 	for _, f := range w.flows {
-		want = append(want, f.fcts...)
+		for i := 0; i < f.nfct; i++ {
+			want = append(want, f.fcts[i/fctChunk][i%fctChunk])
+		}
 	}
 	got := w.FCTs()
 	if len(got) != len(want) {
@@ -102,6 +105,32 @@ func TestForegroundFCTsAreFlowOrdered(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("FCTs()[%d] = %v, want %v (flow-order concatenation)", i, got[i], want[i])
+		}
+	}
+}
+
+// TestForegroundFCTsCrossChunks records more completion times than two
+// chunks hold, over two flows, and reads them back in flow and
+// completion order.
+func TestForegroundFCTsCrossChunks(t *testing.T) {
+	w := &Foreground{}
+	var want []float64
+	for i, n := range []int{2*fctChunk + 3, fctChunk} {
+		f := &fgFlow{}
+		w.flows = append(w.flows, f)
+		for k := 0; k < n; k++ {
+			now := sim.FromDuration(time.Duration(1000*i+k+1) * time.Microsecond)
+			f.complete(nil, now)
+			want = append(want, now.Seconds())
+		}
+	}
+	got := w.FCTs()
+	if len(got) != len(want) || cap(got) != len(want) {
+		t.Fatalf("FCTs() returned %d values in %d slots, want %d in as many", len(got), cap(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("FCTs()[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
